@@ -62,6 +62,3 @@ class BitReader:
         v = read_bits(self._buf, self.pos, width)
         self.pos += width
         return v
-
-    def align_to_byte(self):
-        self.pos = (self.pos + 7) & ~7

@@ -62,16 +62,6 @@ class PlainBitVector:
         self.m = m
         self.ones = int(cum[nwords])
 
-    @classmethod
-    def from_parts(cls, m, words, blockrel, supers):
-        v = cls.__new__(cls)
-        v.m = m
-        v._words = [int(w) for w in words]
-        v._blockrel = [int(x) for x in blockrel]
-        v._super = [int(x) for x in supers]
-        v.ones = v.rank1(m)
-        return v
-
     def rank1(self, j):
         w = j >> 6
         return (
@@ -107,9 +97,6 @@ class PlainBitVector:
 
     def words(self):
         return list(self._words)
-
-    def directory(self):
-        return list(self._blockrel), list(self._super)
 
 
 _rrr_tables = {}
@@ -178,68 +165,45 @@ class RrrBitVector:
         padded = np.zeros(nblocks * t, dtype=np.uint8)
         padded[:m] = bits
         values = padded.reshape(nblocks, t) @ (np.int64(1) << np.arange(t, dtype=np.int64))
-        classes = np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
+        classes = np.bitwise_count(values.astype(np.uint64)).astype(np.int64).tolist()
         if t <= _TABLE_MAX_T:
             offsets = _tables_for(t)[1][values].tolist()
         else:
-            offsets = [offset_of_value(int(v), t, int(k)) for v, k in zip(values, classes)]
-        self._init_from(m, t, classes.tolist(), offsets)
-
-    def _init_from(self, m, t, classes, offsets):
+            offsets = [offset_of_value(int(v), t, k) for v, k in zip(values, classes)]
         widths = [offset_width(t, k) for k in range(t + 1)]
         writer = BitWriter()
-        sample_rank = []
-        sample_opos = []
-        rank_acc = 0
-        for i, (k, off) in enumerate(zip(classes, offsets)):
-            if i % RRR_SAMPLE_EVERY == 0:
-                sample_rank.append(rank_acc)
-                sample_opos.append(writer.bit_length)
+        for k, off in zip(classes, offsets):
             writer.write(off, widths[k])
-            rank_acc += k
-        sample_rank.append(rank_acc)
-        sample_opos.append(writer.bit_length)
-        self.m = m
-        self.t = t
-        self.ones = rank_acc
-        self._classes = classes
-        self._widths = widths
-        self._offbuf = writer.getvalue()
-        self._offbase = 0
-        self.offset_bits = writer.bit_length
-        self._sample_rank = sample_rank
-        self._sample_opos = sample_opos
+        self._setup(m, t, classes, writer.getvalue(), 0, writer.bit_length)
 
     @classmethod
     def from_parts(cls, m, t, classes, offbuf, offbase, offset_bits):
         """Rebuild from stored fields; offsets stay referenced in place inside offbuf."""
         v = cls.__new__(cls)
-        widths = [offset_width(t, k) for k in range(t + 1)]
-        sample_rank = []
-        sample_opos = []
-        rank_acc = 0
-        opos = 0
-        for i, k in enumerate(classes):
-            if i % RRR_SAMPLE_EVERY == 0:
-                sample_rank.append(rank_acc)
-                sample_opos.append(opos)
-            opos += widths[k]
-            rank_acc += k
-        sample_rank.append(rank_acc)
-        sample_opos.append(opos)
-        if opos != offset_bits:
-            raise ValueError("offset stream length does not match classes")
-        v.m = m
-        v.t = t
-        v.ones = rank_acc
-        v._classes = list(classes)
-        v._widths = widths
-        v._offbuf = offbuf
-        v._offbase = offbase
-        v.offset_bits = offset_bits
-        v._sample_rank = sample_rank
-        v._sample_opos = sample_opos
+        v._setup(m, t, classes, offbuf, offbase, offset_bits)
         return v
+
+    def _setup(self, m, t, classes, offbuf, offbase, offset_bits):
+        """Derive the (offset position, rank) samples from the classes."""
+        widths = [offset_width(t, k) for k in range(t + 1)]
+        ks = np.asarray(classes, dtype=np.int64)
+        opos = np.zeros(len(ks) + 1, dtype=np.int64)
+        np.cumsum(np.asarray(widths, dtype=np.int64)[ks], out=opos[1:])
+        rank = np.zeros(len(ks) + 1, dtype=np.int64)
+        np.cumsum(ks, out=rank[1:])
+        if int(opos[-1]) != offset_bits:
+            raise ValueError("offset stream length does not match classes")
+        at = np.append(np.arange(0, len(ks), RRR_SAMPLE_EVERY), len(ks))
+        self.m = m
+        self.t = t
+        self.ones = int(rank[-1])
+        self._classes = ks.tolist()
+        self._widths = widths
+        self._offbuf = offbuf
+        self._offbase = offbase
+        self.offset_bits = offset_bits
+        self._sample_rank = rank[at].tolist()
+        self._sample_opos = opos[at].tolist()
 
     def _block_value(self, blk, opos):
         k = self._classes[blk]

@@ -43,6 +43,11 @@ def _load_index(path):
         raise CliError(str(exc)) from exc
 
 
+def _require(ok, message):
+    if not ok:
+        raise CliError(message)
+
+
 def _build_text(path):
     raw = _read_file(path)
     if not raw:
@@ -51,11 +56,13 @@ def _build_text(path):
 
 
 def cmd_build(args):
-    t = _build_text(args.text)
     variant = VARIANT_BY_FLAG[args.variant]
+    if args.block_size is not None:
+        _require(variant.fixed, "--block-size applies to the fixed variants only")
+        _require(args.block_size >= 1, "--block-size must be >= 1")
+    _require(1 <= args.rrr_block_size <= 63, "--rrr-block-size must be in 1..63")
+    t = _build_text(args.text)
     block_size = args.block_size if variant.fixed else None
-    if args.block_size is not None and not variant.fixed:
-        raise CliError("--block-size applies to the fixed variants only")
     started = time.perf_counter()
     index = build_index(t, variant, block_size, args.rrr_block_size)
     build_seconds = time.perf_counter() - started
@@ -104,6 +111,8 @@ def cmd_stats(args):
 
 
 def cmd_bench(args):
+    for name in ("patterns", "length", "repeats"):
+        _require(getattr(args, name) >= 1, f"--{name} must be >= 1")
     index = _load_index(args.index)
     raw = _read_file(args.text)
     if len(raw) < args.length:
@@ -145,16 +154,6 @@ def cmd_bench(args):
     print(f"mean_us={mean_us:.3f}")
     print(f"median_us={median_us:.3f}")
     print(f"p99_us={p99_us:.3f}")
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for _ in pool.map(index.count, patterns):
-                pass
-        wall = time.perf_counter() - t0
-        print(f"threads={args.threads}")
-        print(f"throughput_qps={len(patterns) / wall:.1f}")
     print("csv=variant,b,bits_per_symbol,mean_us")
     print(
         f"{index.variant.value},{index.block_size or 0},"
@@ -164,6 +163,7 @@ def cmd_bench(args):
 
 
 def cmd_entropy(args):
+    _require(args.max_k >= 0, "-k must be >= 0")
     t = _build_text(args.text)
     print(f"n={t.n}")
     print(f"sigma={t.sigma}")
@@ -174,13 +174,11 @@ def cmd_entropy(args):
 
 
 def cmd_verify_bounds(args):
-    t = _build_text(args.text)
     k = args.k
-    if k < 0:
-        raise CliError("context order must be non-negative")
+    _require(k >= 0, "context order must be non-negative")
     b = 1024 if args.block_size is None else args.block_size
-    if b < 1:
-        raise CliError("block size must be >= 1")
+    _require(b >= 1, "block size must be >= 1")
+    t = _build_text(args.text)
     bw = textcore.bwt(t)
     part = ent.context_partition(bw, t, k)
     lhs1 = ent.partition_entropy(bw.l, part)
@@ -242,7 +240,6 @@ def build_parser():
     p.add_argument("--length", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("entropy", help="order-0..k entropy of a file")

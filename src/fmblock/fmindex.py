@@ -3,16 +3,14 @@
 Four variants share one query path. The ssa variants keep a single
 Huffman-shaped wavelet tree over the whole BWT; the fixed_block variants
 split the BWT into fixed-size blocks, build one tree per block over that
-block's own local alphabet, and keep a row of absolute rank snapshots at
-every block boundary. The *_rrr variants swap the node bitvectors for the
-compressed representation. Counting never touches the text: rank over the
-last column drives the backward search.
+block's own local alphabet, and derive from the trees a row of absolute
+rank snapshots at every block boundary. The *_rrr variants swap the node
+bitvectors for the compressed representation. Counting never touches the
+text: rank over the last column drives the backward search.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import textcore
 from .wavelet import WaveletTree
@@ -80,6 +78,17 @@ class SizeReport:
         }
 
 
+def _boundary_rows(blocks, sigma):
+    """Row i: occurrences of every code in the blocks before block i."""
+    rows = []
+    running = [0] * sigma
+    for wt in blocks:
+        rows.append(list(running))
+        for sym in wt.codes:
+            running[sym] += wt.rank(sym, wt.length)
+    return rows
+
+
 class BlockedFMIndex:
     """Count-only FM-index; construct through build_index or storage.deserialize."""
 
@@ -90,7 +99,6 @@ class BlockedFMIndex:
         sigma,
         c,
         blocks,
-        boundary_occ,
         block_size,
         byte_for_code,
         rrr_block_size=15,
@@ -100,7 +108,7 @@ class BlockedFMIndex:
         self.sigma = sigma
         self.c = [int(x) for x in c]
         self.blocks = blocks
-        self.boundary_occ = boundary_occ
+        self.boundary_occ = _boundary_rows(blocks, sigma) if self.variant.fixed else None
         self.block_size = block_size
         self.byte_for_code = bytes(byte_for_code)
         self.rrr_block_size = rrr_block_size
@@ -123,7 +131,7 @@ class BlockedFMIndex:
             r = self.block_size
         return self.boundary_occ[bi][c] + self.blocks[bi].rank(c, r)
 
-    def count_codes(self, pattern, early_break=True):
+    def count_codes(self, pattern):
         """Backward search over a code-space pattern."""
         sigma = self.sigma
         for code in pattern:
@@ -135,7 +143,7 @@ class BlockedFMIndex:
             base = c[code]
             b = base + self.rank_l(code, b)
             e = base + self.rank_l(code, e)
-            if early_break and b >= e:
+            if b >= e:
                 return 0
         return e - b
 
@@ -191,27 +199,21 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
         bs = default_block_size(t.n, t.sigma) if block_size is None else int(block_size)
         if bs < 1:
             raise ValueError("block size must be >= 1")
-        blocks = []
-        boundary = []
-        running = np.zeros(t.sigma, dtype=np.int64)
-        for s in range(0, t.n, bs):
-            seg = l[s : s + bs]
-            boundary.append(running.tolist())
-            blocks.append(WaveletTree(seg, "huffman", backend, rrr_block_size))
-            running += np.bincount(seg, minlength=t.sigma)
+        blocks = [
+            WaveletTree(l[s : s + bs], "huffman", backend, rrr_block_size)
+            for s in range(0, t.n, bs)
+        ]
     else:
         if block_size is not None:
             raise ValueError("block size applies to the fixed_block variants only")
         bs = None
         blocks = [WaveletTree(l, "huffman", backend, rrr_block_size)]
-        boundary = None
     return BlockedFMIndex(
         variant,
         t.n,
         t.sigma,
         b.c,
         blocks,
-        boundary,
         bs,
         t.byte_for_code,
         rrr_block_size,

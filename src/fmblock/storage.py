@@ -1,4 +1,4 @@
-"""Binary serialization of a built index.
+"""Binary serialization of a built index, format version 2.
 
 Layout (all integers little-endian):
 
@@ -6,16 +6,23 @@ Layout (all integers little-endian):
            (0 for plain backends), u64 n, u32 sigma, u64 block size
            (0 for ssa variants), u32 block count
   sections each prefixed with its u32 byte length, in order: remap,
-           c array, boundary rows (fixed variants only), then per block a
-           codebook section and a node payload section
+           c array, then per block a codebook section and a node payload
+           section, and last a checksum section holding the zlib.crc32 of
+           every byte before it
 
-Bitstreams are LSB-first within bytes and sections are padded to whole
-bytes, so a stored index is a few bytes per section larger than the
-in-memory size report. Deserialization validates structure and symbol
-counts and answers queries identically to the index that was saved.
+A file holds only what cannot be recomputed. Rank directories, RRR samples
+and boundary rows are derived at load by the same code that derives them at
+build, so the file is smaller than the in-memory size report. Bitstreams
+are LSB-first within bytes and sections are padded to whole bytes.
+Deserialization rejects other versions, checks the framing, remap, c array
+and checksum before it parses any tree, then checks the symbol counts; a
+loaded index answers queries identically to the index that was saved.
 """
 
 import struct
+import zlib
+
+import numpy as np
 
 from .bitio import BitReader, BitWriter
 from .bitrank import PlainBitVector, RrrBitVector, offset_width
@@ -23,7 +30,7 @@ from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import WaveletTree
 
 MAGIC = b"FBFMIDX1"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<8sHBBQIQI")
 _VARIANT_CODES = {v: i for i, v in enumerate(IndexVariant)}
@@ -66,11 +73,6 @@ def _write_plain_node(w, bv):
         chunk = min(64, remaining)
         w.write(word, chunk)
         remaining -= chunk
-    blockrel, supers = bv.directory()
-    for v in blockrel:
-        w.write(v, 16)
-    for v in supers:
-        w.write(v, 64)
 
 
 def _write_rrr_node(w, bv):
@@ -79,9 +81,6 @@ def _write_rrr_node(w, bv):
         w.write(k, wc)
     buf, base, nbits = bv.offset_stream()
     w.write_bits_from(buf, base, nbits)
-    for opos, rank in bv.samples():
-        w.write(opos, 32)
-        w.write(rank, 32)
 
 
 def _payload_section(wt):
@@ -91,15 +90,6 @@ def _payload_section(wt):
             _write_plain_node(w, node.bv)
         else:
             _write_rrr_node(w, node.bv)
-    return w.getvalue()
-
-
-def _boundary_section(index):
-    w = BitWriter()
-    width = index.counter_width
-    for row in index.boundary_occ:
-        for v in row:
-            w.write(v, width)
     return w.getvalue()
 
 
@@ -118,19 +108,21 @@ def serialize(index, sink):
     )
     sections = [bytes(index.byte_for_code)]
     sections.append(struct.pack(f"<{index.sigma + 1}Q", *index.c))
-    if variant.fixed:
-        sections.append(_boundary_section(index))
     for wt in index.blocks:
         sections.append(_codebook_section(wt))
         sections.append(_payload_section(wt))
+    chunks = [header]
+    for body in sections:
+        chunks += [struct.pack("<I", len(body)), body]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks += [struct.pack("<I", 4), struct.pack("<I", crc)]
     written = 0
     try:
-        sink.write(header)
-        written += len(header)
-        for body in sections:
-            sink.write(struct.pack("<I", len(body)))
-            sink.write(body)
-            written += 4 + len(body)
+        for chunk in chunks:
+            sink.write(chunk)
+            written += len(chunk)
     except OSError as exc:
         raise OSError(f"index write failed after {written} bytes: {exc}") from exc
     return written
@@ -187,43 +179,39 @@ def _parse_codebook(body, sigma):
     return codes
 
 
-def _read_plain_node(reader, m):
-    words = []
-    remaining = m
-    while remaining >= 64:
-        words.append(reader.read(64))
-        remaining -= 64
-    words.append(reader.read(remaining) if remaining else 0)
-    blockrel = [reader.read(16) for _ in range(m // 64 + 1)]
-    supers = [reader.read(64) for _ in range(m // 512 + 1)]
-    return PlainBitVector.from_parts(m, words, blockrel, supers)
-
-
-def _read_rrr_node(reader, m, t, body):
-    nblocks = (m + t - 1) // t
-    wc = t.bit_length()
-    classes = [reader.read(wc) for _ in range(nblocks)]
-    if any(k > t for k in classes):
-        _corrupt("rrr class out of range")
-    offbits = sum(offset_width(t, k) for k in classes)
-    offbase = reader.pos
-    if offbase + offbits > reader.bit_length:
-        _corrupt("rrr offsets truncated")
-    reader.pos = offbase + offbits
-    bv = RrrBitVector.from_parts(m, t, classes, body, offbase, offbits)
-    stored = [(reader.read(32), reader.read(32)) for _ in bv.samples()]
-    if stored != bv.samples():
-        _corrupt("rrr samples")
-    return bv
-
-
 def _load_tree(body, codes, m, backend, rrr_t):
-    reader = BitReader(body)
+    """Rebuild a tree from its payload, one node's bits unpacked at a time."""
+    packed = np.frombuffer(body, dtype=np.uint8)
+    pos = 0
+
+    def take(nbits):
+        nonlocal pos
+        start, shift = pos >> 3, pos & 7
+        end = (pos + nbits + 7) >> 3
+        if end > len(packed):
+            raise EOFError
+        pos += nbits
+        return np.unpackbits(packed[start:end], bitorder="little")[shift : shift + nbits]
+
+    if backend == "rrr":
+        widths = np.array([offset_width(rrr_t, k) for k in range(rrr_t + 1)])
+        wc = rrr_t.bit_length()
+        field = np.int64(1) << np.arange(wc, dtype=np.int64)
 
     def node_reader(nbits):
+        nonlocal pos
         if backend == "plain":
-            return _read_plain_node(reader, nbits)
-        return _read_rrr_node(reader, nbits, rrr_t, body)
+            return PlainBitVector(take(nbits))
+        nblocks = (nbits + rrr_t - 1) // rrr_t
+        classes = take(nblocks * wc).reshape(nblocks, wc) @ field
+        if nblocks and int(classes.max()) > rrr_t:
+            _corrupt("rrr class out of range")
+        offbits = int(widths[classes].sum())
+        if pos + offbits > 8 * len(body):
+            _corrupt("rrr offsets truncated")
+        bv = RrrBitVector.from_parts(nbits, rrr_t, classes, body, pos, offbits)
+        pos += offbits
+        return bv
 
     try:
         wt = WaveletTree.from_codebook(
@@ -231,9 +219,11 @@ def _load_tree(body, codes, m, backend, rrr_t):
         )
     except EOFError:
         _corrupt("payload truncated")
+    except CorruptIndexError:
+        raise
     except ValueError as exc:
         _corrupt(f"codebook ({exc})")
-    if len(body) - (reader.pos + 7) // 8 > 0:
+    if len(body) - (pos + 7) // 8 > 0:
         _corrupt("payload length")
     return wt
 
@@ -269,9 +259,17 @@ def deserialize(source):
 
     cursor = _SectionCursor(data)
     remap = cursor.next("remap")
+    c_body = cursor.next("c array")
+    trees = [
+        (cursor.next(f"codebook {i}"), cursor.next(f"payload {i}"))
+        for i in range(block_count)
+    ]
+    checked = cursor.at
+    crc_body = cursor.next("checksum")
+    cursor.finish()
+
     if len(remap) != sigma - 1 or list(remap) != sorted(set(remap)):
         _corrupt("remap")
-    c_body = cursor.next("c array")
     if len(c_body) != 8 * (sigma + 1):
         _corrupt("c_array length")
     c = list(struct.unpack(f"<{sigma + 1}Q", c_body))
@@ -279,40 +277,18 @@ def deserialize(source):
         _corrupt("c_array")
     if c[1] - c[0] != 1:
         _corrupt("sentinel count")
-
-    boundary = None
-    if variant.fixed:
-        body = cursor.next("boundary")
-        width = n.bit_length()
-        need = (block_count * sigma * width + 7) // 8
-        if len(body) != need:
-            _corrupt("boundary_occ length")
-        reader = BitReader(body)
-        boundary = [
-            [reader.read(width) for _ in range(sigma)] for _ in range(block_count)
-        ]
-        if any(v != 0 for v in boundary[0]):
-            _corrupt("boundary_occ")
-        for prev, row in zip(boundary, boundary[1:]):
-            if any(a > b or b > n for a, b in zip(prev, row)):
-                _corrupt("boundary_occ")
+    if crc_body != struct.pack("<I", zlib.crc32(memoryview(data)[:checked])):
+        _corrupt("checksum")
 
     lengths = _block_lengths(n, block_size if variant.fixed else None, block_count)
     blocks = []
-    for i, m in enumerate(lengths):
+    for m, (codebook, payload) in zip(lengths, trees):
         if m < 1:
             _corrupt("block count")
-        codes = _parse_codebook(cursor.next(f"codebook {i}"), sigma)
+        codes = _parse_codebook(codebook, sigma)
         blocks.append(
-            _load_tree(
-                cursor.next(f"payload {i}"),
-                codes,
-                m,
-                backend,
-                rrr_t if backend == "rrr" else 0,
-            )
+            _load_tree(payload, codes, m, backend, rrr_t if backend == "rrr" else 0)
         )
-    cursor.finish()
 
     index = BlockedFMIndex(
         variant,
@@ -320,7 +296,6 @@ def deserialize(source):
         sigma,
         c,
         blocks,
-        boundary,
         block_size if variant.fixed else None,
         remap,
         rrr_t if backend == "rrr" else 15,

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from fmblock.bitrank import (
-    PlainBitVector,
     RrrBitVector,
     build_plain,
     build_rrr,
@@ -150,9 +149,3 @@ def test_from_parts_reconstruction():
     w = RrrBitVector.from_parts(v.m, v.t, v.block_classes(), buf, base, nbits)
     assert w.to_bits().tolist() == bits
     assert w.samples() == v.samples()
-
-    p = build_plain(bits)
-    blockrel, supers = p.directory()
-    q = PlainBitVector.from_parts(p.m, p.words(), blockrel, supers)
-    assert q.to_bits().tolist() == bits
-    assert all(q.rank(1, j) == p.rank(1, j) for j in range(0, 701, 7))

@@ -61,6 +61,29 @@ def test_build_block_size_with_whole_text_variant_errors(banana, tmp_path, capsy
     assert "fixed" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("build", "{text}", "-o", "{out}", "--variant", "fixed-rrr", "--rrr-block-size", 64),
+         "--rrr-block-size"),
+        (("build", "{text}", "-o", "{out}", "--block-size", 0), "--block-size"),
+        (("bench", "{out}", "{text}", "--patterns", 0), "--patterns"),
+        (("bench", "{out}", "{text}", "--repeats", 0), "--repeats"),
+        (("bench", "{out}", "{text}", "--length", 0), "--length"),
+        (("entropy", "{text}", "-k", -1), "-k"),
+    ],
+    ids=["rrr-block-size", "block-size", "patterns", "repeats", "length", "entropy-k"],
+)
+def test_bad_arguments_fail_before_any_reading(tmp_path, capsys, argv, flag):
+    # the input files do not exist: a user error must be reported before reading them
+    paths = {"text": tmp_path / "missing.txt", "out": tmp_path / "missing.idx"}
+    code, out, err = run(capsys, *[str(a).format(**paths) for a in argv])
+    assert code == 1
+    assert flag in err and "cannot read" not in err
+    assert out == ""
+    assert not paths["out"].exists()
+
+
 def test_count_patterns_inline_and_from_file(banana, tmp_path, capsys):
     idx = tmp_path / "banana.idx"
     run(capsys, "build", banana, "-o", idx, "--variant", "ssa")

@@ -101,15 +101,6 @@ def test_block_size_of_text_length_collapses_to_one_block():
         assert whole.count(p) == single.count(p) == naive_count(t, t.translate(p) or [99])
 
 
-def test_early_break_does_not_change_answers():
-    rng = random.Random(2)
-    codes = random_codes(rng, 300, 4)
-    t = Text.from_codes(codes, 4)
-    ix = build_index(t, "fixed_block_rrr")
-    for p in pattern_batch(rng, codes, 4, extracted=15, adversarial=15):
-        assert ix.count_codes(p, early_break=True) == ix.count_codes(p, early_break=False)
-
-
 def test_sentinel_and_out_of_range_codes_count_zero():
     ix = build_index(build_text(b"BANANA"), "fixed_block", 3)
     assert ix.count_codes([0]) == 0

@@ -112,11 +112,30 @@ def test_tampered_fields_are_rejected():
 def test_tampered_payload_fails_count_validation():
     ix = build_index(build_text(b"BANANA" * 30), "ssa")
     raw = bytearray(to_bytes(ix))
-    # the tail of the payload section holds a directory counter; breaking it
-    # makes stored ranks disagree with the symbol counts
+    # raw[-9] is the last payload byte, just before the checksum section's
+    # length and CRC; the checksum rejects the flip before any tree is parsed
     raw[-9] ^= 0xFF
     with pytest.raises(CorruptIndexError):
         deserialize(bytes(raw))
+
+
+def test_every_single_byte_flip_is_rejected_at_load():
+    rng = random.Random(5)
+    text = build_text(bytes(rng.choice(b"abcdefgh \n") for _ in range(300)))
+    for variant in ALL_VARIANTS:
+        raw = to_bytes(build_index(text, variant, 64 if variant.fixed else None))
+        for at in range(len(raw)):
+            mutant = bytearray(raw)
+            mutant[at] ^= 0xFF
+            with pytest.raises((CorruptIndexError, UnsupportedFormatError)):
+                deserialize(bytes(mutant))
+
+
+def test_version_1_files_are_rejected():
+    raw = to_bytes(build_index(build_text(b"BANANA"), "fixed_block", 3))
+    old = raw[:8] + struct.pack("<H", 1) + raw[10:]
+    with pytest.raises(UnsupportedFormatError, match="unsupported format: version 1"):
+        deserialize(old)
 
 
 def test_file_size_matches_report_within_padding():
@@ -127,10 +146,12 @@ def test_file_size_matches_report_within_padding():
         ix = build_index(t, variant, 80 if variant.fixed else None)
         raw = to_bytes(ix)
         rep = ix.size_report()
-        nsections = (3 if variant.fixed else 2) + 2 * len(ix.blocks)
+        # directories and boundary rows are derived at load, the checksum is stored
+        stored = rep.total - rep.rank_directories - rep.boundary_occ + 32
+        nsections = 3 + 2 * len(ix.blocks)
         header_bits = 8 * struct.calcsize("<8sHBBQIQI") + 32 * nsections
-        assert 8 * len(raw) >= rep.total
-        assert 8 * len(raw) <= rep.total + header_bits + 7 * nsections
+        assert 8 * len(raw) >= stored + header_bits
+        assert 8 * len(raw) <= stored + header_bits + 7 * nsections
 
 
 def test_write_failure_reports_progress():
