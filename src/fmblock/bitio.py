@@ -1,5 +1,7 @@
 """LSB-first bit stream writer/reader used by the rank structures and the index file format."""
 
+import numpy as np
+
 
 class BitWriter:
     """Appends fixed-width unsigned fields to a byte buffer, LSB-first."""
@@ -21,15 +23,6 @@ class BitWriter:
             self._acc >>= 8
             self._nacc -= 8
 
-    def write_bits_from(self, buf, start, nbits):
-        """Copy `nbits` bits out of another LSB-first buffer, starting at bit `start`."""
-        pos = start
-        end = start + nbits
-        while pos < end:
-            w = min(48, end - pos)
-            self.write(read_bits(buf, pos, w), w)
-            pos += w
-
     def getvalue(self):
         out = bytes(self._buf)
         if self._nacc:
@@ -46,6 +39,35 @@ def read_bits(buf, pos, width):
     nbytes = (shift + width + 7) >> 3
     chunk = int.from_bytes(buf[byte:byte + nbytes], "little")
     return (chunk >> shift) & ((1 << width) - 1)
+
+
+def as_words(buf):
+    """An LSB-first buffer as little-endian uint64 words, plus one zero word for read_fields."""
+    words = np.zeros(len(buf) // 8 + 2, dtype="<u8")
+    words.view(np.uint8)[: len(buf)] = np.frombuffer(buf, dtype=np.uint8)
+    return words
+
+
+def read_fields(words, starts):
+    """The 64 bits from each bit offset in `starts` of as_words output, as uint64.
+
+    A field of w bits at offset s is the low w bits of the result for s.
+    `starts` (int64) is overwritten.
+    """
+    at = starts >> 6
+    shift = starts.view(np.uint64)
+    shift &= np.uint64(63)
+    value = words[at]
+    value >>= shift
+    # bits from the next word move left by 64 - shift, done as 1 then
+    # 63 - shift because a shift by 64 is undefined
+    at += 1
+    high = words[at]
+    high <<= np.uint64(1)
+    shift ^= np.uint64(63)
+    high <<= shift
+    value |= high
+    return value
 
 
 class BitReader:

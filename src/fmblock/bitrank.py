@@ -11,6 +11,7 @@ Two interchangeable representations:
   samples every 32 blocks.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -95,9 +96,6 @@ class PlainBitVector:
     def size_in_bits(self):
         return self.payload_bits + self.directory_bits
 
-    def words(self):
-        return list(self._words)
-
 
 _rrr_tables = {}
 
@@ -124,6 +122,12 @@ def _tables_for(t):
 def offset_width(t, k):
     """Bits needed to index one of comb(t, k) blocks."""
     return (math.comb(t, k) - 1).bit_length()
+
+
+@functools.cache
+def offset_widths(t):
+    """offset_width(t, k) for k = 0..t."""
+    return tuple(offset_width(t, k) for k in range(t + 1))
 
 
 def offset_of_value(value, t, k):
@@ -170,7 +174,7 @@ class RrrBitVector:
             offsets = _tables_for(t)[1][values].tolist()
         else:
             offsets = [offset_of_value(int(v), t, k) for v, k in zip(values, classes)]
-        widths = [offset_width(t, k) for k in range(t + 1)]
+        widths = offset_widths(t)
         writer = BitWriter()
         for k, off in zip(classes, offsets):
             writer.write(off, widths[k])
@@ -185,7 +189,7 @@ class RrrBitVector:
 
     def _setup(self, m, t, classes, offbuf, offbase, offset_bits):
         """Derive the (offset position, rank) samples from the classes."""
-        widths = [offset_width(t, k) for k in range(t + 1)]
+        widths = offset_widths(t)
         ks = np.asarray(classes, dtype=np.int64)
         opos = np.zeros(len(ks) + 1, dtype=np.int64)
         np.cumsum(np.asarray(widths, dtype=np.int64)[ks], out=opos[1:])

@@ -179,8 +179,9 @@ def cmd_verify_bounds(args):
     b = 1024 if args.block_size is None else args.block_size
     _require(b >= 1, "block size must be >= 1")
     t = _build_text(args.text)
-    bw = textcore.bwt(t)
-    part = ent.context_partition(bw, t, k)
+    sa = textcore.suffix_array(t)
+    bw = textcore.bwt(t, sa)
+    part = ent.context_partition(bw, t, k, sa)
     lhs1 = ent.partition_entropy(bw.l, part)
     rhs1 = t.n * ent.hk(t, k)
     residual = abs(lhs1 - rhs1) / max(1.0, abs(rhs1))

@@ -19,13 +19,14 @@ and checksum before it parses any tree, then checks the symbol counts; a
 loaded index answers queries identically to the index that was saved.
 """
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter
-from .bitrank import PlainBitVector, RrrBitVector, offset_width
+from .bitio import BitReader, BitWriter, as_words, read_fields
+from .bitrank import PlainBitVector, RrrBitVector, offset_widths
 from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import WaveletTree
 
@@ -67,30 +68,26 @@ def _codebook_section(wt):
     return bytes(head) + bits.getvalue()
 
 
-def _write_plain_node(w, bv):
-    remaining = bv.m
-    for word in bv.words():
-        chunk = min(64, remaining)
-        w.write(word, chunk)
-        remaining -= chunk
-
-
-def _write_rrr_node(w, bv):
+def _node_bits(bv):
+    """A node's payload as a uint8 array of bits: the plain bits, or the RRR
+    class fields followed by the offset fields."""
+    if bv.backend == "plain":
+        return bv.to_bits()
     wc = bv.class_field_width
-    for k in bv.block_classes():
-        w.write(k, wc)
+    ks = np.asarray(bv.block_classes(), dtype=np.int64)
+    classes = ((ks[:, None] >> np.arange(wc)) & 1).astype(np.uint8).ravel()
     buf, base, nbits = bv.offset_stream()
-    w.write_bits_from(buf, base, nbits)
+    first = base >> 3
+    packed = np.frombuffer(buf, dtype=np.uint8)[first : (base + nbits + 7) >> 3]
+    offsets = np.unpackbits(packed, bitorder="little")[base - 8 * first :][:nbits]
+    return np.concatenate([classes, offsets])
 
 
 def _payload_section(wt):
-    w = BitWriter()
-    for node in wt.nodes:
-        if node.bv.backend == "plain":
-            _write_plain_node(w, node.bv)
-        else:
-            _write_rrr_node(w, node.bv)
-    return w.getvalue()
+    if not wt.nodes:
+        return b""
+    bits = np.concatenate([_node_bits(node.bv) for node in wt.nodes])
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def serialize(index, sink):
@@ -179,8 +176,12 @@ def _parse_codebook(body, sigma):
     return codes
 
 
-def _load_tree(body, codes, m, backend, rrr_t):
-    """Rebuild a tree from its payload, one node's bits unpacked at a time."""
+def _load_tree(body, codes, m, backend, rrr_t, offsets, bit_base):
+    """Rebuild a tree from its payload, one node's bits unpacked at a time.
+
+    For an RRR tree, appends (bit position of the first offset field,
+    classes) per node to `offsets`, the position counted from `bit_base`.
+    """
     packed = np.frombuffer(body, dtype=np.uint8)
     pos = 0
 
@@ -194,7 +195,7 @@ def _load_tree(body, codes, m, backend, rrr_t):
         return np.unpackbits(packed[start:end], bitorder="little")[shift : shift + nbits]
 
     if backend == "rrr":
-        widths = np.array([offset_width(rrr_t, k) for k in range(rrr_t + 1)])
+        widths = np.array(offset_widths(rrr_t))
         wc = rrr_t.bit_length()
         field = np.int64(1) << np.arange(wc, dtype=np.int64)
 
@@ -209,6 +210,8 @@ def _load_tree(body, codes, m, backend, rrr_t):
         offbits = int(widths[classes].sum())
         if pos + offbits > 8 * len(body):
             _corrupt("rrr offsets truncated")
+        if nblocks:
+            offsets.append((bit_base + pos, classes))
         bv = RrrBitVector.from_parts(nbits, rrr_t, classes, body, pos, offbits)
         pos += offbits
         return bv
@@ -226,6 +229,38 @@ def _load_tree(body, codes, m, backend, rrr_t):
     if len(body) - (pos + 7) // 8 > 0:
         _corrupt("payload length")
     return wt
+
+
+def _check_offsets(payloads, offsets, t):
+    """Reject an RRR offset field that is not below comb(t, class).
+
+    `offsets` holds (bit position, classes) per node, the node's fields
+    packed from that position of the joined `payloads` on. Nodes are checked
+    in groups of about 2^15 fields, which keeps the temporaries in cache.
+    """
+    words = as_words(b"".join(payloads))
+    widths = np.array(offset_widths(t))
+    masks = (np.uint64(1) << widths.astype(np.uint64)) - np.uint64(1)
+    limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
+    first = 0
+    while first < len(offsets):
+        end, size = first, 0
+        while end < len(offsets) and size < 1 << 15:
+            size += len(offsets[end][1])
+            end += 1
+        group = offsets[first:end]
+        classes = np.concatenate([ks for _, ks in group])
+        counts = [len(ks) for _, ks in group]
+        width = widths[classes]
+        starts = np.cumsum(width)
+        starts -= width
+        node_first = np.cumsum(counts) - counts
+        starts += np.repeat(np.array([at for at, _ in group]) - starts[node_first], counts)
+        value = read_fields(words, starts)
+        value &= masks[classes]
+        if np.any(value >= limits[classes]):
+            _corrupt("rrr offset out of range")
+        first = end
 
 
 def deserialize(source):
@@ -282,13 +317,26 @@ def deserialize(source):
 
     lengths = _block_lengths(n, block_size if variant.fixed else None, block_count)
     blocks = []
+    offsets = []
+    bit_base = 0
     for m, (codebook, payload) in zip(lengths, trees):
         if m < 1:
             _corrupt("block count")
         codes = _parse_codebook(codebook, sigma)
         blocks.append(
-            _load_tree(payload, codes, m, backend, rrr_t if backend == "rrr" else 0)
+            _load_tree(
+                payload, codes, m, backend, rrr_t if backend == "rrr" else 0, offsets, bit_base
+            )
         )
+        bit_base += 8 * len(payload)
+    if offsets:
+        _check_offsets([payload for _, payload in trees], offsets, rrr_t)
+        # the rebuild took child lengths from class sums (bv.ones), which
+        # equal the rank at a node's end only if its padding bits are zero
+        for wt in blocks:
+            for node in wt.nodes:
+                if node.bv.rank1(node.bv.m) != node.bv.ones:
+                    _corrupt("rrr padding bits")
 
     index = BlockedFMIndex(
         variant,

@@ -4,6 +4,13 @@ A text is stored over a dense code alphabet 0..sigma-1 where code 0 is a
 sentinel that occurs exactly once, at the end, and is smaller than every
 other symbol. Codes 1..sigma-1 map back to source bytes through an ascending
 remap table so that byte patterns can be translated into code space.
+
+The suffix array is sorted in two stages. Stage 1 sorts every suffix by one
+int64 key that packs its first q symbols, where q = 62 // w and w is the bit
+length of sigma-1; the key order is the order of those q-symbol prefixes,
+because the sentinel is unique and smallest. Stage 2 is prefix doubling
+that only re-sorts the suffixes whose prefix is still shared with another
+suffix (Larsson & Sadakane), which after stage 1 is a fraction of the text.
 """
 
 import numpy as np
@@ -88,29 +95,59 @@ def symbol_counts(t):
 
 
 def suffix_array(t):
-    """Suffix order by prefix doubling; the unique sentinel keeps all suffixes distinct."""
+    """Suffix order as int64 positions: a packed q-gram sort, then doubling.
+
+    Stage 1 packs each suffix's first q = 62 // w symbols (w bits each, zeros
+    past the end) into one int64 and sorts these keys once. A group is a run
+    of equal keys in that order; its id is the SA slot of its first member,
+    so ids order the suffixes by their first h = q symbols.
+
+    Stage 2 re-sorts only the slots of groups with two or more members, by
+    group(i) * n + group(i + h), splits those groups where the key changes,
+    doubles h and repeats until every group is a single suffix (Larsson &
+    Sadakane, "Faster suffix sorting"). Members of such a group share an
+    h-symbol prefix without the sentinel, so i + h < n. Index arrays are
+    int32 while n < 2^31, and each round drops its temporaries early, to keep
+    the peak memory down.
+    """
     n = t.n
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    rank = t.data.astype(np.int64)
-    k = 1
+    index = np.int32 if n < 2**31 else np.int64
+    w = (t.sigma - 1).bit_length()
+    q = 62 // w
+    key = np.zeros(n, dtype=np.int64)
+    for j in range(q):
+        key <<= w
+        if j < n:
+            key[: n - j] |= t.data[j:]
+    sa = np.argsort(key).astype(index)
+    key = key[sa]
+    group = np.empty(n, dtype=index)
+    slots = np.arange(n, dtype=index)  # the SA slots not yet final, ascending
+    h = q
     while True:
-        second = np.full(n, -1, dtype=np.int64)
-        if k < n:
-            second[:-k] = rank[k:]
-        sa = np.lexsort((second, rank))
-        first_s = rank[sa]
-        second_s = second[sa]
-        newrank = np.zeros(n, dtype=np.int64)
-        np.cumsum(
-            (first_s[1:] != first_s[:-1]) | (second_s[1:] != second_s[:-1]),
-            out=newrank[1:],
-        )
-        if newrank[-1] == n - 1:
+        m = len(slots)
+        head = np.empty(m + 1, dtype=bool)
+        head[0] = head[m] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:m])
+        del key
+        ids = np.where(head[:m], slots, 0)
+        np.maximum.accumulate(ids, out=ids)
+        group[sa[slots]] = ids
+        unsorted = ~(head[:m] & head[1:])
+        del head
+        slots = slots[unsorted]
+        if len(slots) == 0:
             return sa.astype(np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[sa] = newrank
-        k *= 2
+        i = sa[slots]
+        key = ids[unsorted].astype(np.int64)
+        del ids, unsorted
+        key *= n
+        key += group[i + h]
+        order = np.argsort(key)
+        sa[slots] = i[order]
+        del i, order
+        key.sort()
+        h *= 2
 
 
 class Bwt:
@@ -143,8 +180,10 @@ class Bwt:
         return cls(l, c.tolist(), sigma, byte_for_code)
 
 
-def bwt(t):
-    sa = suffix_array(t)
+def bwt(t, sa=None):
+    """BWT of the text; pass its suffix array when the caller already has it."""
+    if sa is None:
+        sa = suffix_array(t)
     l = t.data[(sa - 1) % t.n]
     c = np.zeros(t.sigma + 1, dtype=np.int64)
     np.cumsum(symbol_counts(t), out=c[1:])

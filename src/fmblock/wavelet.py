@@ -151,7 +151,8 @@ class WaveletTree:
         """Rebuild a tree whose code assignment is already known.
 
         node_reader(nbits) must return a bitvector for the next node in
-        preorder; child lengths are derived from the parent's bit counts.
+        preorder; child lengths are the parent's counts of zeros and ones
+        (bv.ones), so an RRR node decodes no block while the tree is rebuilt.
         """
         wt = cls.__new__(cls)
         wt.length = length
@@ -165,7 +166,7 @@ class WaveletTree:
             if node.zero is None and node.one is None:
                 return
             node.bv = node_reader(nbits)
-            ones = node.bv.rank1(nbits)
+            ones = node.bv.ones
             if node.zero is not None:
                 descend(node.zero, nbits - ones)
             if node.one is not None:

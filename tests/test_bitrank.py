@@ -1,8 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fmblock.bitio import BitWriter, as_words, read_fields
 from fmblock.bitrank import (
     RrrBitVector,
     build_plain,
@@ -149,3 +153,17 @@ def test_from_parts_reconstruction():
     w = RrrBitVector.from_parts(v.m, v.t, v.block_classes(), buf, base, nbits)
     assert w.to_bits().tolist() == bits
     assert w.samples() == v.samples()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200), st.lists(st.tuples(st.integers(0, 64), st.integers(0, 2**64 - 1))))
+def test_read_fields_matches_the_written_fields(lead, fields):
+    w = BitWriter()
+    w.write(0, lead)
+    starts = []
+    for width, value in fields:
+        starts.append(w.bit_length)
+        w.write(value, width)
+    got = read_fields(as_words(w.getvalue()), np.array(starts, dtype=np.int64))
+    for (width, value), field in zip(fields, got.tolist()):
+        assert field & ((1 << width) - 1) == value & ((1 << width) - 1)

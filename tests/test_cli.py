@@ -1,5 +1,6 @@
 import pytest
 
+from fmblock import entropy, textcore
 from fmblock.cli import main
 from fmblock.fmindex import build_index
 from fmblock.textcore import build_text
@@ -175,6 +176,23 @@ def test_verify_bounds_passes_on_real_text(tmp_path, capsys):
     assert got["bound"] == "PASS"
     assert float(got["identity_residual"]) <= 1e-9
     assert float(got["fixed_bits"]) <= float(got["bound_bits"]) + 1e-6
+
+
+def test_verify_bounds_sorts_suffixes_once(banana, capsys, monkeypatch):
+    calls = []
+    real = textcore.suffix_array
+
+    def counted(t):
+        calls.append(t.n)
+        return real(t)
+
+    # entropy binds the name at import, so both bindings are replaced
+    monkeypatch.setattr(textcore, "suffix_array", counted)
+    monkeypatch.setattr(entropy, "suffix_array", counted)
+    code, out, _ = run(capsys, "verify-bounds", banana, "-k", 2, "--block-size", 2)
+    assert code == 0
+    assert kv(out)["identity"] == "PASS"
+    assert calls == [7]
 
 
 def test_verify_bounds_bad_arguments(banana, capsys):

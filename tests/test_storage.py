@@ -1,9 +1,13 @@
+import hashlib
 import io
 import random
 import struct
+import zlib
 
 import pytest
 
+from fmblock.bitio import BitWriter
+from fmblock.bitrank import offset_of_value, offset_width, value_of_offset
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import (
     MAGIC,
@@ -54,6 +58,64 @@ def test_serialization_is_byte_deterministic():
         raw2 = to_bytes(ix)
         assert raw1 == raw2
         assert to_bytes(deserialize(raw1)) == raw1
+
+
+# SHA-256 of files written by the format-2 writer that looped over words and
+# RRR blocks in Python; any change to the bytes written fails this test
+PINNED_FILES = [
+    ("ssa", None, 15, "740240eb63147b85eccd7eacdcdfe10557acbe3c73c718a8e5991ca881452edf"),
+    ("ssa_rrr", None, 15, "b7be5f43c319671d0973ff0872da9c1fbdb74bc3e88d104418f94f98ceb45c0e"),
+    ("fixed_block", 300, 15, "a425c4e88e0a26850b2f24e0efaefbd82ae8c9d0abc1bdc1b37914cd19d17153"),
+    ("fixed_block_rrr", 300, 15, "414858d1a7169fa4b03a749dc3e5975df42aca0dd7cefb4f63f514889a670e67"),
+    ("ssa_rrr", None, 63, "c2b39a6f1934e3061cbd685bd4bd53b3fddf07f1114b46a7c0dd98badc2a2de4"),
+    ("fixed_block_rrr", 300, 5, "f85b295fc2e93c7b8c7c665eb12e93291c54a7554f4d2ec48b4bcb84e89a11b1"),
+]
+
+
+@pytest.mark.parametrize("variant,block_size,rrr_t,digest", PINNED_FILES)
+def test_saved_bytes_are_pinned(variant, block_size, rrr_t, digest):
+    raw = b"fixed block compression boosting " * 50 + bytes(i * i % 256 for i in range(1500))
+    ix = build_index(build_text(raw), variant, block_size, rrr_t)
+    saved = to_bytes(ix)
+    assert hashlib.sha256(saved).hexdigest() == digest
+    assert to_bytes(deserialize(saved)) == saved
+
+
+def _with_root_blocks(ix, blocks):
+    """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced."""
+    bv = ix.blocks[0].nodes[0].bv
+    w = BitWriter()
+    for k, _ in blocks:
+        w.write(k, bv.class_field_width)
+    for k, off in blocks:
+        w.write(off, offset_width(bv.t, k))
+    # the payload section is the last one before the 8-byte checksum section
+    old = (len(blocks) * bv.class_field_width + bv.offset_bits + 7) // 8
+    raw = to_bytes(ix)[: -8 - old - 4] + struct.pack("<I", len(w.getvalue())) + w.getvalue()
+    return raw + struct.pack("<II", 4, zlib.crc32(raw))
+
+
+@pytest.mark.parametrize("rrr_t", [3, 17, 63])
+def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
+    # over two symbols the root is the only node, and the sentinel's block is
+    # the only one whose class k has comb(t, k) > 1 offsets
+    ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
+    blocks = ix.blocks[0].nodes[0].bv.blocks()
+    assert to_bytes(deserialize(_with_root_blocks(ix, blocks))) == to_bytes(ix)
+    too_big = [(k, (1 << offset_width(rrr_t, k)) - 1) for k, _ in blocks]
+    with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
+        deserialize(_with_root_blocks(ix, too_big))
+
+
+def test_rrr_padding_ones_are_rejected_at_load():
+    # n = 8 at t = 3: the last block holds 2 bits and 1 bit of padding
+    ix = build_index(build_text(b"a" * 7), "ssa_rrr", rrr_block_size=3)
+    blocks = ix.blocks[0].nodes[0].bv.blocks()
+    k, off = blocks[-1]
+    padded = value_of_offset(off, 3, k) | 0b100
+    blocks[-1] = (k + 1, offset_of_value(padded, 3, k + 1))
+    with pytest.raises(CorruptIndexError, match="rrr padding bits"):
+        deserialize(_with_root_blocks(ix, blocks))
 
 
 def test_save_and_load_paths(tmp_path):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmblock.textcore import (
     Bwt,
@@ -14,7 +16,14 @@ from fmblock.textcore import (
     suffix_array,
     symbol_counts,
 )
-from helpers import brute_bwt, brute_count, brute_suffix_array, codes_of, random_text
+from helpers import (
+    brute_bwt,
+    brute_count,
+    brute_suffix_array,
+    codes_of,
+    random_codes,
+    random_text,
+)
 
 
 def test_build_text_maps_bytes_to_dense_codes():
@@ -61,6 +70,57 @@ def test_suffix_array_matches_brute_force():
 def test_suffix_array_single_sentinel():
     t = Text.from_codes([], 2)
     assert suffix_array(t).tolist() == [0]
+
+
+def assert_suffix_order(codes, sigma):
+    t = Text.from_codes(codes, sigma)
+    sa = suffix_array(t)
+    assert sa.dtype == np.int64
+    assert np.array_equal(np.sort(sa), np.arange(t.n))
+    assert sa.tolist() == brute_suffix_array(t.data)
+
+
+# the packed first stage holds q = 62 // w symbols, w = bit length of sigma-1:
+# q = 62 at sigma 2, 20 at sigma 8, 8 at sigma 97 and 6 at sigma 257
+SIGMAS = st.sampled_from([2, 3, 8, 97, 256, 257])
+
+
+@st.composite
+def coded(draw, lengths):
+    sigma = draw(SIGMAS)
+    codes = draw(st.lists(st.integers(1, sigma - 1), max_size=lengths))
+    return codes, sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded(lengths=300))
+def test_suffix_array_property_random_texts(case):
+    assert_suffix_order(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded(lengths=8), st.integers(0, 300))
+def test_suffix_array_property_unary_and_periodic_texts(case, n):
+    period, sigma = case
+    codes = (period * n)[:n] if period else [sigma - 1] * n
+    assert_suffix_order(codes, sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_suffix_array_property_texts_shorter_than_the_packed_window(data):
+    sigma = data.draw(SIGMAS)
+    q = 62 // (sigma - 1).bit_length()
+    codes = data.draw(st.lists(st.integers(1, sigma - 1), max_size=q))
+    assert_suffix_order(codes, sigma)
+
+
+def test_suffix_array_extreme_alphabets():
+    rng = random.Random(4)
+    for sigma in (2, 257):
+        for n in (0, 1, 5, 61, 62, 63, 200):
+            assert_suffix_order(random_codes(rng, n, sigma), sigma)
+            assert_suffix_order([sigma - 1] * n, sigma)
 
 
 def test_bwt_worked_example():
