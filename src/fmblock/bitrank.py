@@ -2,24 +2,28 @@
 
 Two interchangeable representations:
 
-* PlainBitVector keeps the raw bits plus a two-level counter directory
-  (absolute 64-bit counters every 512 bits, relative 16-bit counters every
-  64-bit word).
+* PlainBitVector keeps the raw bits as 512-bit Python ints, one per chunk,
+  plus one cumulative counter per chunk: the ones before it. A chunk holds
+  its first bit in the most significant place, so the ones before a
+  position are the popcount of the chunk shifted right, with no mask to
+  build: a rank is one counter plus one shift and one popcount.
 * RrrBitVector stores each t-bit block as a popcount class plus an
   enumerative offset that identifies the block among all t-bit words of
   that class in ascending numeric order, with (offset position, rank)
-  samples every 32 blocks.
+  samples every 32 blocks. The classes are one byte each, so a rank sums
+  the classes since the last sample, and their offset widths through a
+  256-byte translation table, without a Python loop.
 """
 
 import functools
 import math
+from array import array
 
 import numpy as np
 
 from .bitio import BitWriter, read_bits
 
-SUPERBLOCK_BITS = 512
-WORD_BITS = 64
+CHUNK_BITS = 512
 RRR_SAMPLE_EVERY = 32
 _TABLE_MAX_T = 16
 
@@ -48,42 +52,31 @@ class PlainBitVector:
     def __init__(self, bits):
         bits = _as_bit_array(bits)
         m = len(bits)
-        nwords = m // WORD_BITS + 1
-        padded = np.zeros(nwords * WORD_BITS, dtype=np.uint8)
+        # m // 512 + 1 chunks keep rank1(m) in range when 512 divides m
+        nchunks = m // CHUNK_BITS + 1
+        padded = np.zeros(nchunks * CHUNK_BITS, dtype=np.uint8)
         padded[:m] = bits
-        words = np.packbits(padded, bitorder="little").view("<u8")
-        cum = np.zeros(nwords + 1, dtype=np.int64)
-        np.cumsum(np.bitwise_count(words).astype(np.int64), out=cum[1:])
-        nsuper = m // SUPERBLOCK_BITS + 1
-        wps = SUPERBLOCK_BITS // WORD_BITS
-        supers = cum[: nsuper * wps : wps]
-        self._super = supers.tolist()
-        self._blockrel = (cum[:nwords] - np.repeat(supers, wps)[:nwords]).tolist()
-        self._words = words.tolist()
+        raw = np.packbits(padded)
+        ones = np.bitwise_count(raw).reshape(nchunks, -1).sum(axis=1, dtype=np.int64)
+        raw = raw.tobytes()
+        step = CHUNK_BITS // 8
+        self._chunks = [int.from_bytes(raw[i : i + step], "big") for i in range(0, len(raw), step)]
+        self._cum = (np.cumsum(ones) - ones).tolist()
         self.m = m
-        self.ones = int(cum[nwords])
+        self.ones = int(ones.sum())
 
     def rank1(self, j):
-        w = j >> 6
-        return (
-            self._super[j >> 9]
-            + self._blockrel[w]
-            + (self._words[w] & ((1 << (j & 63)) - 1)).bit_count()
-        )
+        c = j >> 9
+        return self._cum[c] + (self._chunks[c] >> (512 - (j & 511))).bit_count()
 
     def rank(self, bit, j):
         _check_rank_args(bit, j, self.m)
         r = self.rank1(j)
         return r if bit else j - r
 
-    def bit(self, i):
-        if not 0 <= i < self.m:
-            raise ValueError("bit position out of range")
-        return (self._words[i >> 6] >> (i & 63)) & 1
-
     def to_bits(self):
-        packed = np.asarray(self._words, dtype="<u8").view(np.uint8)
-        return np.unpackbits(packed, bitorder="little")[: self.m]
+        raw = b"".join(chunk.to_bytes(CHUNK_BITS // 8, "big") for chunk in self._chunks)
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: self.m]
 
     @property
     def payload_bits(self):
@@ -91,32 +84,35 @@ class PlainBitVector:
 
     @property
     def directory_bits(self):
-        return 64 * len(self._super) + 16 * len(self._blockrel)
+        return 64 * len(self._cum)
 
     def size_in_bits(self):
         return self.payload_bits + self.directory_bits
 
 
-_rrr_tables = {}
+@functools.cache
+def _decode_table(t):
+    """All t-bit words in (class, offset) order, and the index where each class starts.
+
+    The word of class k and offset o is words[starts[k] + o]; t <= 16 fits 'H'.
+    """
+    values = np.arange(1 << t, dtype=np.uint16)
+    classes = np.bitwise_count(values)
+    starts = np.zeros(t + 2, dtype=np.int64)
+    np.cumsum(np.bincount(classes, minlength=t + 1), out=starts[1:])
+    words = values[np.argsort(classes, kind="stable")]
+    return array("H", words.tobytes()), tuple(starts.tolist())
 
 
-def _tables_for(t):
-    """Per-class decode tables for small t: value lists in ascending order."""
-    cached = _rrr_tables.get(t)
-    if cached is None:
-        values = np.arange(1 << t, dtype=np.uint64)
-        classes = np.bitwise_count(values).astype(np.int64)
-        order = np.argsort(classes, kind="stable")
-        starts = np.zeros(t + 2, dtype=np.int64)
-        np.cumsum(np.bincount(classes, minlength=t + 1), out=starts[1:])
-        offsets = np.empty(1 << t, dtype=np.int64)
-        offsets[order] = np.arange(1 << t, dtype=np.int64) - starts[classes[order]]
-        decode = [
-            values[order[starts[k] : starts[k + 1]]].tolist() for k in range(t + 1)
-        ]
-        cached = (classes, offsets, decode)
-        _rrr_tables[t] = cached
-    return cached
+@functools.cache
+def _offset_table(t):
+    """Offset of every t-bit word within its class; the encoder's inverse of _decode_table."""
+    words, starts = _decode_table(t)
+    offsets = np.empty(1 << t, dtype=np.int64)
+    offsets[np.frombuffer(words, dtype=np.uint16)] = np.arange(1 << t) - np.repeat(
+        starts[:-1], np.diff(starts)
+    )
+    return offsets
 
 
 def offset_width(t, k):
@@ -128,6 +124,12 @@ def offset_width(t, k):
 def offset_widths(t):
     """offset_width(t, k) for k = 0..t."""
     return tuple(offset_width(t, k) for k in range(t + 1))
+
+
+@functools.cache
+def _width_table(t):
+    """offset_widths(t) as a 256-byte class -> width table for bytes.translate."""
+    return bytes(offset_widths(t)).ljust(256, b"\0")
 
 
 def offset_of_value(value, t, k):
@@ -171,7 +173,7 @@ class RrrBitVector:
         values = padded.reshape(nblocks, t) @ (np.int64(1) << np.arange(t, dtype=np.int64))
         classes = np.bitwise_count(values.astype(np.uint64)).astype(np.int64).tolist()
         if t <= _TABLE_MAX_T:
-            offsets = _tables_for(t)[1][values].tolist()
+            offsets = _offset_table(t)[values].tolist()
         else:
             offsets = [offset_of_value(int(v), t, k) for v, k in zip(values, classes)]
         widths = offset_widths(t)
@@ -201,8 +203,9 @@ class RrrBitVector:
         self.m = m
         self.t = t
         self.ones = int(rank[-1])
-        self._classes = ks.tolist()
-        self._widths = widths
+        self._classes = ks.astype(np.uint8).tobytes()
+        self._widths = _width_table(t)
+        self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
         self._offbuf = offbuf
         self._offbase = offbase
         self.offset_bits = offset_bits
@@ -213,21 +216,18 @@ class RrrBitVector:
         k = self._classes[blk]
         w = self._widths[k]
         off = read_bits(self._offbuf, self._offbase + opos, w) if w else 0
-        if self.t <= _TABLE_MAX_T:
-            return _tables_for(self.t)[2][k][off]
-        return value_of_offset(off, self.t, k)
+        if self._table is None:
+            return value_of_offset(off, self.t, k)
+        words, starts = self._table
+        return words[starts[k] + off]
 
     def rank1(self, j):
-        if j == 0:
-            return 0
         blk, rem = divmod(j, self.t)
         sb = blk >> 5
-        base = sb << 5
-        r = self._sample_rank[sb] + sum(self._classes[base:blk])
+        seg = self._classes[sb << 5 : blk]
+        r = self._sample_rank[sb] + sum(seg)
         if rem:
-            opos = self._sample_opos[sb]
-            for k in self._classes[base:blk]:
-                opos += self._widths[k]
+            opos = self._sample_opos[sb] + sum(seg.translate(self._widths))
             value = self._block_value(blk, opos)
             r += (value & ((1 << rem) - 1)).bit_count()
         return r
@@ -236,11 +236,6 @@ class RrrBitVector:
         _check_rank_args(bit, j, self.m)
         r = self.rank1(j)
         return r if bit else j - r
-
-    def bit(self, i):
-        if not 0 <= i < self.m:
-            raise ValueError("bit position out of range")
-        return self.rank1(i + 1) - self.rank1(i)
 
     def to_bits(self):
         out = np.zeros(len(self._classes) * self.t, dtype=np.uint8)

@@ -88,8 +88,9 @@ def _patterns_from_args(args):
 
 
 def cmd_count(args):
+    patterns = _patterns_from_args(args)
     index = _load_index(args.index)
-    for pattern in _patterns_from_args(args):
+    for pattern in patterns:
         print(f"{pattern.decode('utf-8', 'replace')}\t{index.count(pattern)}")
     return 0
 
@@ -113,10 +114,10 @@ def cmd_stats(args):
 def cmd_bench(args):
     for name in ("patterns", "length", "repeats"):
         _require(getattr(args, name) >= 1, f"--{name} must be >= 1")
-    index = _load_index(args.index)
     raw = _read_file(args.text)
     if len(raw) < args.length:
         raise CliError("text shorter than the requested pattern length")
+    index = _load_index(args.index)
     rng = random.Random(args.seed)
     patterns = []
     for _ in range(args.patterns):

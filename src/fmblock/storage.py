@@ -86,7 +86,7 @@ def _node_bits(bv):
 def _payload_section(wt):
     if not wt.nodes:
         return b""
-    bits = np.concatenate([_node_bits(node.bv) for node in wt.nodes])
+    bits = np.concatenate([_node_bits(bv) for bv in wt.nodes])
     return np.packbits(bits, bitorder="little").tobytes()
 
 
@@ -334,8 +334,8 @@ def deserialize(source):
         # the rebuild took child lengths from class sums (bv.ones), which
         # equal the rank at a node's end only if its padding bits are zero
         for wt in blocks:
-            for node in wt.nodes:
-                if node.bv.rank1(node.bv.m) != node.bv.ones:
+            for bv in wt.nodes:
+                if bv.rank1(bv.m) != bv.ones:
                     _corrupt("rrr padding bits")
 
     index = BlockedFMIndex(

@@ -2,10 +2,12 @@
 
 Two shapes share one implementation: balanced trees assign every local
 symbol a fixed-width code of ceil(log2 sigma_local) bits, Huffman trees
-assign shorter codes to frequent symbols. A node stores one bitvector with
-the current code bit of every element routed through it; rank descends the
-tree turning a position into a position inside the child. Code bit 0 goes
-left, 1 goes right, reading codes from the most significant bit.
+assign shorter codes to frequent symbols. An internal node is a proper
+prefix of some code and stores one bitvector with the next code bit of
+every element routed through it. There is no trie: the nodes are kept as a
+flat list in preorder, and each symbol keeps the bitvectors on its path, so
+rank turns a position into a position inside the child node by node. Code
+bit 0 goes left, 1 goes right, reading codes from the most significant bit.
 """
 
 import heapq
@@ -56,34 +58,24 @@ def huffman_codes(symbols, counts):
     return codes
 
 
-class _Node:
-    __slots__ = ("bv", "zero", "one")
+def _internal_nodes(codes):
+    """The proper prefixes (depth, prefix) of the codes, in preorder.
 
-    def __init__(self, bv):
-        self.bv = bv
-        self.zero = None
-        self.one = None
-
-
-def _build_trie(codes):
-    """Skeleton of internal nodes implied by the codes; leaves stay implicit."""
-    root = _Node(None)
-    for sym in sorted(codes):
-        length, code = codes[sym]
-        node = root
-        for d in range(length):
-            bit = (code >> (length - 1 - d)) & 1
-            child = node.one if bit else node.zero
-            if child is None:
-                child = _Node(None)
-                if bit:
-                    node.one = child
-                else:
-                    node.zero = child
-            node = child
-        if node.zero is not None or node.one is not None:
-            raise ValueError("codes are not prefix-free")
-    return root
+    Raises ValueError unless the codes are prefix-free: no two symbols may
+    share a code, and no code may equal a proper prefix of another.
+    """
+    if len(set(codes.values())) != len(codes):
+        raise ValueError("codes are not prefix-free")
+    prefixes = {
+        (depth, code >> (length - depth))
+        for length, code in codes.values()
+        for depth in range(length)
+    }
+    if not prefixes.isdisjoint(codes.values()):
+        raise ValueError("codes are not prefix-free")
+    maxlen = max(length for length, _ in codes.values())
+    # padding a prefix to maxlen bits orders subtrees left to right; depth puts parents first
+    return sorted(prefixes, key=lambda node: (node[1] << (maxlen - node[0]), node[0]))
 
 
 class WaveletTree:
@@ -103,48 +95,18 @@ class WaveletTree:
         self.shape = shape
         self.backend = backend
         self.rrr_block_size = rrr_block_size
-        self.codes = codes
-        self._lens = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
-        self._codebits = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
+        lens = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
+        codebits = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
         for sym, (length, code) in codes.items():
-            self._lens[sym] = length
-            self._codebits[sym] = code
-        self._root = _build_trie(codes)
-        self._fill(self._root, x, 0)
-        self._finish()
+            lens[sym] = length
+            codebits[sym] = code
 
-    def _fill(self, node, seq, depth):
-        if node.zero is None and node.one is None:
-            return
-        bits = (self._codebits[seq] >> (self._lens[seq] - depth - 1)) & 1
-        node.bv = make_bitvector(bits, self.backend, self.rrr_block_size)
-        if node.zero is not None:
-            self._fill(node.zero, seq[bits == 0], depth + 1)
-        if node.one is not None:
-            self._fill(node.one, seq[bits == 1], depth + 1)
+        def split(seq, depth):
+            bits = (codebits[seq] >> (lens[seq] - depth - 1)) & 1
+            bv = make_bitvector(bits, backend, rrr_block_size)
+            return bv, seq[bits == 0], seq[bits == 1]
 
-    def _finish(self):
-        """Precompute per-symbol root-to-leaf paths and the preorder node list."""
-        self._paths = {}
-        for sym, (length, code) in self.codes.items():
-            path = []
-            node = self._root
-            for d in range(length):
-                bit = (code >> (length - 1 - d)) & 1
-                path.append((node.bv, bit))
-                node = node.one if bit else node.zero
-            self._paths[sym] = path
-        self.nodes = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.bv is None:
-                continue
-            self.nodes.append(node)
-            if node.one is not None:
-                stack.append(node.one)
-            if node.zero is not None:
-                stack.append(node.zero)
+        self._assemble(codes, x, split)
 
     @classmethod
     def from_codebook(cls, codes, length, shape, backend, rrr_block_size, node_reader):
@@ -159,22 +121,38 @@ class WaveletTree:
         wt.shape = shape
         wt.backend = backend
         wt.rrr_block_size = rrr_block_size
-        wt.codes = dict(codes)
-        wt._root = _build_trie(wt.codes)
 
-        def descend(node, nbits):
-            if node.zero is None and node.one is None:
-                return
-            node.bv = node_reader(nbits)
-            ones = node.bv.ones
-            if node.zero is not None:
-                descend(node.zero, nbits - ones)
-            if node.one is not None:
-                descend(node.one, ones)
+        def split(nbits, depth):
+            bv = node_reader(nbits)
+            return bv, nbits - bv.ones, bv.ones
 
-        descend(wt._root, length)
-        wt._finish()
+        wt._assemble(dict(codes), length, split)
         return wt
+
+    def _assemble(self, codes, root_item, split):
+        """Build the nodes in preorder, then every symbol's path.
+
+        split(item, depth) builds the node that receives `item` (the
+        elements routed through it, or their number) and returns the
+        bitvector with the items of its 0 and 1 children.
+        """
+        internal = _internal_nodes(codes)
+        items = {(0, 0): root_item}
+        built = {}
+        for depth, prefix in internal:
+            bv, zero, one = split(items.pop((depth, prefix)), depth)
+            built[depth, prefix] = bv
+            items[depth + 1, prefix << 1] = zero
+            items[depth + 1, prefix << 1 | 1] = one
+        self.codes = codes
+        self.nodes = [built[node] for node in internal]
+        self._paths = {
+            sym: [
+                (built[depth, code >> (length - depth)], (code >> (length - 1 - depth)) & 1)
+                for depth in range(length)
+            ]
+            for sym, (length, code) in codes.items()
+        }
 
     def rank(self, c, r):
         """Occurrences of symbol c among the first r elements."""
@@ -190,24 +168,6 @@ class WaveletTree:
                 return 0
         return q
 
-    def access(self, i):
-        """Symbol at position i, decoded by walking the tree."""
-        if not 0 <= i < self.length:
-            raise ValueError("position out of range")
-        node = self._root
-        length, code = 0, 0
-        while node.zero is not None or node.one is not None:
-            bit = node.bv.bit(i)
-            r = node.bv.rank1(i)
-            i = r if bit else i - r
-            code = (code << 1) | bit
-            length += 1
-            node = node.one if bit else node.zero
-        for sym, lc in self.codes.items():
-            if lc == (length, code):
-                return sym
-        raise ValueError("decoded a code with no symbol")
-
     @property
     def local_alphabet(self):
         return sorted(self.codes)
@@ -215,15 +175,15 @@ class WaveletTree:
     @property
     def code_length_bits(self):
         """Total code length over the sequence; equals the sum of node lengths."""
-        return sum(node.bv.m for node in self.nodes)
+        return sum(bv.m for bv in self.nodes)
 
     @property
     def payload_bits(self):
-        return sum(node.bv.payload_bits for node in self.nodes)
+        return sum(bv.payload_bits for bv in self.nodes)
 
     @property
     def directory_bits(self):
-        return sum(node.bv.directory_bits for node in self.nodes)
+        return sum(bv.directory_bits for bv in self.nodes)
 
     @property
     def codebook_bits(self):

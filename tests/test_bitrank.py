@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fmblock.bitio import BitWriter, as_words, read_fields
 from fmblock.bitrank import (
+    PlainBitVector,
     RrrBitVector,
     build_plain,
     build_rrr,
@@ -41,14 +42,6 @@ def test_plain_matches_scan():
         assert v.to_bits().tolist() == bits
 
 
-def test_plain_bit_access():
-    bits = [1, 0, 1, 1, 0]
-    v = build_plain(bits)
-    assert [v.bit(i) for i in range(5)] == bits
-    with pytest.raises(ValueError):
-        v.bit(5)
-
-
 def test_rank_argument_validation():
     v = build_plain("101")
     with pytest.raises(ValueError, match="out of range"):
@@ -61,8 +54,8 @@ def test_rank_argument_validation():
 
 def test_plain_directory_sizing():
     v = build_plain([1] * 4096)
-    # absolute counters every 512 bits, relative counters every 64-bit word
-    assert v.directory_bits == 64 * (4096 // 512 + 1) + 16 * (4096 // 64 + 1)
+    # one cumulative counter per 512-bit chunk, plus a chunk for rank1(m)
+    assert v.directory_bits == 64 * (4096 // 512 + 1)
     assert v.payload_bits == 4096
 
 
@@ -167,3 +160,26 @@ def test_read_fields_matches_the_written_fields(lead, fields):
     got = read_fields(as_words(w.getvalue()), np.array(starts, dtype=np.int64))
     for (width, value), field in zip(fields, got.tolist()):
         assert field & ((1 << width) - 1) == value & ((1 << width) - 1)
+
+
+@st.composite
+def bit_arrays(draw):
+    """Bit arrays of lengths near multiples of 512 or random, at three densities."""
+    m = draw(st.one_of(st.sampled_from([0, 1, 511, 512, 513, 1024, 1025]), st.integers(0, 1600)))
+    raw = st.binary(min_size=(m + 7) // 8, max_size=(m + 7) // 8)
+    a = np.frombuffer(draw(raw), dtype=np.uint8)
+    mix = draw(st.sampled_from(["half", "sparse", "dense"]))
+    if mix != "half":
+        b = np.frombuffer(draw(raw), dtype=np.uint8)
+        a = a & b if mix == "sparse" else a | b
+    return np.unpackbits(a)[:m]
+
+
+@settings(max_examples=30, deadline=None)
+@given(bit_arrays())
+def test_rank1_equals_the_prefix_sum_at_every_position(bits):
+    prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)]).tolist()
+    vectors = [PlainBitVector(bits)] + [RrrBitVector(bits, t) for t in (1, 3, 15, 16, 17, 63)]
+    for v in vectors:
+        assert [v.rank1(j) for j in range(len(bits) + 1)] == prefix, (v.backend, getattr(v, "t", None))
+        assert v.ones == prefix[-1]

@@ -1,6 +1,6 @@
 import pytest
 
-from fmblock import entropy, textcore
+from fmblock import entropy, storage, textcore
 from fmblock.cli import main
 from fmblock.fmindex import build_index
 from fmblock.textcore import build_text
@@ -153,6 +153,37 @@ def test_bench_pattern_longer_than_text_is_user_error(tmp_path, capsys):
     code, _, err = run(capsys, "bench", idx, text, "--length", 99)
     assert code == 1
     assert "length" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "{idx}"), "pattern"),
+        (("count", "{idx}", "--patterns-file", "{missing}"), "cannot read"),
+        (("bench", "{idx}", "{missing}"), "cannot read"),
+        (("bench", "{idx}", "{short}", "--length", 50), "length"),
+    ],
+    ids=["no-patterns", "missing-patterns-file", "missing-text", "short-text"],
+)
+def test_user_errors_exit_before_the_index_is_loaded(tmp_path, capsys, monkeypatch, argv, message):
+    short = tmp_path / "short.txt"
+    short.write_bytes(b"short")
+    idx = tmp_path / "short.idx"
+    run(capsys, "build", short, "-o", idx)
+    loads = []
+    real = storage.load_index
+
+    def counted(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(storage, "load_index", counted)
+    paths = {"idx": idx, "short": short, "missing": tmp_path / "missing.txt"}
+    code, out, err = run(capsys, *[str(a).format(**paths) for a in argv])
+    assert code == 1
+    assert message in err
+    assert out == ""
+    assert loads == []
 
 
 def test_entropy_values_and_monotonicity(banana, capsys):

@@ -5,6 +5,8 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmblock.bitio import BitWriter
 from fmblock.bitrank import offset_of_value, offset_width, value_of_offset
@@ -18,7 +20,7 @@ from fmblock.storage import (
     save_index,
     serialize,
 )
-from fmblock.textcore import Text, build_text
+from fmblock.textcore import Text, build_text, naive_count
 from helpers import pattern_batch, random_codes
 
 ALL_VARIANTS = list(IndexVariant)
@@ -83,7 +85,7 @@ def test_saved_bytes_are_pinned(variant, block_size, rrr_t, digest):
 
 def _with_root_blocks(ix, blocks):
     """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced."""
-    bv = ix.blocks[0].nodes[0].bv
+    bv = ix.blocks[0].nodes[0]
     w = BitWriter()
     for k, _ in blocks:
         w.write(k, bv.class_field_width)
@@ -100,7 +102,7 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
     # over two symbols the root is the only node, and the sentinel's block is
     # the only one whose class k has comb(t, k) > 1 offsets
     ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
-    blocks = ix.blocks[0].nodes[0].bv.blocks()
+    blocks = ix.blocks[0].nodes[0].blocks()
     assert to_bytes(deserialize(_with_root_blocks(ix, blocks))) == to_bytes(ix)
     too_big = [(k, (1 << offset_width(rrr_t, k)) - 1) for k, _ in blocks]
     with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
@@ -110,12 +112,38 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
 def test_rrr_padding_ones_are_rejected_at_load():
     # n = 8 at t = 3: the last block holds 2 bits and 1 bit of padding
     ix = build_index(build_text(b"a" * 7), "ssa_rrr", rrr_block_size=3)
-    blocks = ix.blocks[0].nodes[0].bv.blocks()
+    blocks = ix.blocks[0].nodes[0].blocks()
     k, off = blocks[-1]
     padded = value_of_offset(off, 3, k) | 0b100
     blocks[-1] = (k + 1, offset_of_value(padded, 3, k + 1))
     with pytest.raises(CorruptIndexError, match="rrr padding bits"):
         deserialize(_with_root_blocks(ix, blocks))
+
+
+def test_codebook_that_is_not_prefix_free_is_rejected_at_load():
+    # a and b occur equally often, so the symbol-count check alone passes a
+    # codebook that gives b the code of a
+    ix = build_index(build_text(b"abbaabab" * 3 + b"ba"), "ssa")
+    codes = dict(ix.blocks[0].codes)
+    a, b = 1, 2
+    codes[b] = codes[a]
+    head = bytearray(struct.pack("<H", len(codes)))
+    bits = BitWriter()
+    for sym in sorted(codes):
+        head += struct.pack("<HB", sym, codes[sym][0])
+        bits.write(codes[sym][1], codes[sym][0])
+    raw = to_bytes(ix)
+    at = header = struct.calcsize("<8sHBBQIQI")
+    sections = []
+    while at < len(raw):
+        (length,) = struct.unpack_from("<I", raw, at)
+        sections.append(raw[at + 4 : at + 4 + length])
+        at += 4 + length
+    # remap, c array, codebook, payload, checksum
+    sections[2] = bytes(head) + bits.getvalue()
+    body = raw[:header] + b"".join(struct.pack("<I", len(sec)) + sec for sec in sections[:-1])
+    with pytest.raises(CorruptIndexError, match="prefix-free"):
+        deserialize(body + struct.pack("<II", 4, zlib.crc32(body)))
 
 
 def test_save_and_load_paths(tmp_path):
@@ -237,3 +265,25 @@ def test_deserialize_accepts_file_objects_and_bytes():
     assert deserialize(io.BytesIO(raw)).count(b"ANA") == 2
     assert deserialize(raw).count(b"ANA") == 2
     assert MAGIC == raw[:8]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_random_indexes_count_exactly_and_round_trip_byte_identically(data):
+    sigma = data.draw(st.integers(2, 30), label="sigma")
+    n = data.draw(st.integers(1, 700), label="n")
+    codes = data.draw(st.lists(st.integers(1, sigma - 1), min_size=n, max_size=n), label="codes")
+    variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
+    block_size = data.draw(st.integers(1, n + 1), label="block_size") if variant.fixed else None
+    rrr_t = data.draw(st.integers(1, 63), label="rrr_t")
+    spans = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 8)), max_size=12))
+    t = Text.from_codes(codes, sigma)
+    ix = build_index(t, variant, block_size, rrr_t)
+    raw = to_bytes(ix)
+    back = deserialize(raw)
+    # substrings, and one pattern longer than the text, which cannot occur
+    for pattern in [codes[at : at + ln] for at, ln in spans] + [codes + [1]]:
+        want = naive_count(t, pattern)
+        assert ix.count_codes(pattern) == want
+        assert back.count_codes(pattern) == want
+    assert to_bytes(back) == raw

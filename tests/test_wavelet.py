@@ -8,7 +8,7 @@ from helpers import brute_h0, codes_of
 
 
 def node_bits(wt):
-    return ["".join(map(str, n.bv.to_bits().tolist())) for n in wt.nodes]
+    return ["".join(map(str, n.to_bits().tolist())) for n in wt.nodes]
 
 
 def test_worked_example_tree():
@@ -87,14 +87,6 @@ def test_huffman_payload_within_entropy_plus_one():
         assert wt.code_length_bits <= balanced.code_length_bits
 
 
-def test_access_inverts_the_sequence():
-    rng = random.Random(4)
-    seq = [rng.randrange(6) for _ in range(120)]
-    for shape in ("balanced", "huffman"):
-        wt = build_wt(seq, shape, "plain")
-        assert [wt.access(i) for i in range(120)] == seq
-
-
 def test_validation_errors():
     with pytest.raises(ValueError, match="empty"):
         build_wt([])
@@ -114,13 +106,30 @@ def test_codebook_reconstruction_round_trip():
 
         def reader(nbits):
             node = next(nodes)
-            assert node.bv.m == nbits
-            return node.bv
+            assert node.m == nbits
+            return node
 
         rebuilt = WaveletTree.from_codebook(wt.codes, wt.length, "huffman", backend, 15, reader)
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
         ]
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        {1: (1, 0b0), 2: (2, 0b01), 3: (1, 0b1)},  # a code extends an earlier symbol's code
+        {1: (2, 0b01), 2: (1, 0b0), 3: (1, 0b1)},  # a code is a prefix of a later one
+        {1: (1, 0b0), 2: (1, 0b0), 3: (1, 0b1)},  # two symbols share a code
+    ],
+    ids=["extends-earlier", "prefix-of-later", "duplicate"],
+)
+def test_codes_that_are_not_prefix_free_are_rejected(codes):
+    def reader(nbits):
+        raise AssertionError("no node may be read")
+
+    with pytest.raises(ValueError, match="prefix-free"):
+        WaveletTree.from_codebook(codes, 10, "huffman", "plain", 15, reader)
 
 
 def test_size_report_pieces():
