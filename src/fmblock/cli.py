@@ -62,16 +62,15 @@ def cmd_build(args):
         _require(args.block_size >= 1, "--block-size must be >= 1")
     _require(1 <= args.rrr_block_size <= 63, "--rrr-block-size must be in 1..63")
     t = _build_text(args.text)
-    block_size = args.block_size if variant.fixed else None
     started = time.perf_counter()
-    index = build_index(t, variant, block_size, args.rrr_block_size)
+    index = build_index(t, variant, args.block_size, args.rrr_block_size)
     build_seconds = time.perf_counter() - started
     written = storage.save_index(index, args.output)
     report = index.size_report()
     print(f"n={index.n}")
     print(f"sigma={index.sigma}")
     print(f"variant={index.variant.value}")
-    print(f"block_size={index.block_size if index.block_size is not None else 0}")
+    print(f"block_size={index.block_size}")
     print(f"build_seconds={build_seconds:.3f}")
     print(f"bits_per_symbol={report.bits_per_symbol:.4f}")
     print(f"index_bytes={written}")
@@ -157,7 +156,7 @@ def cmd_bench(args):
     print(f"p99_us={p99_us:.3f}")
     print("csv=variant,b,bits_per_symbol,mean_us")
     print(
-        f"{index.variant.value},{index.block_size or 0},"
+        f"{index.variant.value},{index.block_size},"
         f"{report.bits_per_symbol:.4f},{mean_us:.3f}"
     )
     return 0

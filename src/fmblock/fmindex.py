@@ -1,12 +1,13 @@
 """Backward-search count index over the BWT.
 
-Four variants share one query path. The ssa variants keep a single
-Huffman-shaped wavelet tree over the whole BWT; the fixed_block variants
-split the BWT into fixed-size blocks, build one tree per block over that
-block's own local alphabet, and derive from the trees a row of absolute
-rank snapshots at every block boundary. The *_rrr variants swap the node
-bitvectors for the compressed representation. Counting never touches the
-text: rank over the last column drives the backward search.
+Every index splits the BWT into fixed-size blocks, builds one
+Huffman-shaped wavelet tree per block over that block's own local alphabet,
+and derives from the trees a row of absolute rank snapshots at every block
+boundary. The ssa variants are the one-block case: the block size is n, so
+there is one tree over the whole BWT and one all-zero boundary row. The
+*_rrr variants swap the node bitvectors for the compressed representation.
+Counting never touches the text: rank over the last column drives the
+backward search.
 """
 
 from dataclasses import dataclass
@@ -54,14 +55,7 @@ class SizeReport:
 
     @property
     def total(self):
-        return (
-            self.wavelet_payload
-            + self.rank_directories
-            + self.boundary_occ
-            + self.codebooks
-            + self.c_array
-            + self.remap
-        )
+        return sum(self.components().values())
 
     @property
     def bits_per_symbol(self):
@@ -80,12 +74,12 @@ class SizeReport:
 
 def _boundary_rows(blocks, sigma):
     """Row i: occurrences of every code in the blocks before block i."""
-    rows = []
-    running = [0] * sigma
-    for wt in blocks:
-        rows.append(list(running))
+    rows = [[0] * sigma]
+    for wt in blocks[:-1]:
+        running = list(rows[-1])
         for sym in wt.codes:
             running[sym] += wt.rank(sym, wt.length)
+        rows.append(running)
     return rows
 
 
@@ -108,28 +102,21 @@ class BlockedFMIndex:
         self.sigma = sigma
         self.c = [int(x) for x in c]
         self.blocks = blocks
-        self.boundary_occ = _boundary_rows(blocks, sigma) if self.variant.fixed else None
+        self.boundary_occ = _boundary_rows(blocks, sigma)
         self.block_size = block_size
         self.byte_for_code = bytes(byte_for_code)
         self.rrr_block_size = rrr_block_size
-        lut = [0] * 256
-        for code, byte in enumerate(self.byte_for_code, start=1):
-            lut[byte] = code
-        self._code_for_byte = lut
+        self.translate = textcore.code_translator(self.byte_for_code)
 
     def rank_l(self, c, j):
         """Occurrences of code c in the first j BWT symbols."""
         if not 0 <= j <= self.n:
             raise ValueError("rank position out of range")
-        if not 0 <= c < self.sigma:
+        if j == 0 or not 0 <= c < self.sigma:
             return 0
-        if self.boundary_occ is None:
-            return self.blocks[0].rank(c, j)
-        bi, r = divmod(j, self.block_size)
-        if bi == len(self.blocks):
-            bi -= 1
-            r = self.block_size
-        return self.boundary_occ[bi][c] + self.blocks[bi].rank(c, r)
+        # the block of position j - 1, so that j = n needs no special case
+        bi = (j - 1) // self.block_size
+        return self.boundary_occ[bi][c] + self.blocks[bi].rank(c, j - bi * self.block_size)
 
     def count_codes(self, pattern):
         """Backward search over a code-space pattern."""
@@ -149,20 +136,10 @@ class BlockedFMIndex:
 
     def count(self, pattern):
         """Occurrences of a byte pattern in the indexed text."""
-        codes = self.translate(bytes(pattern))
+        codes = self.translate(pattern)
         if codes is None:
             return 0
         return self.count_codes(codes)
-
-    def translate(self, pattern):
-        lut = self._code_for_byte
-        out = []
-        for byte in pattern:
-            code = lut[byte]
-            if code == 0:
-                return None
-            out.append(code)
-        return out
 
     @property
     def counter_width(self):
@@ -170,15 +147,13 @@ class BlockedFMIndex:
         return self.n.bit_length()
 
     def size_report(self):
-        boundary = 0
-        if self.boundary_occ is not None:
-            boundary = len(self.blocks) * self.sigma * self.counter_width
         return SizeReport(
             n=self.n,
             variant=self.variant.value,
             wavelet_payload=sum(wt.payload_bits for wt in self.blocks),
             rank_directories=sum(wt.directory_bits for wt in self.blocks),
-            boundary_occ=boundary,
+            # row 0 is all zeros, so the model does not charge for it
+            boundary_occ=(len(self.blocks) - 1) * self.sigma * self.counter_width,
             codebooks=sum(wt.codebook_bits for wt in self.blocks),
             c_array=64 * (self.sigma + 1),
             remap=8 * (self.sigma - 1),
@@ -190,24 +165,23 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
 
     block_size applies to the fixed_block variants only and defaults to
     default_block_size(n, sigma); passing it with an ssa variant is an error.
+    The ssa variants use one block of n symbols.
     """
     variant = IndexVariant(variant)
     backend = variant.bitvector_backend
-    b = textcore.bwt(t)
-    l = b.l
     if variant.fixed:
         bs = default_block_size(t.n, t.sigma) if block_size is None else int(block_size)
         if bs < 1:
             raise ValueError("block size must be >= 1")
-        blocks = [
-            WaveletTree(l[s : s + bs], "huffman", backend, rrr_block_size)
-            for s in range(0, t.n, bs)
-        ]
+    elif block_size is not None:
+        raise ValueError("block size applies to the fixed_block variants only")
     else:
-        if block_size is not None:
-            raise ValueError("block size applies to the fixed_block variants only")
-        bs = None
-        blocks = [WaveletTree(l, "huffman", backend, rrr_block_size)]
+        bs = t.n
+    b = textcore.bwt(t)
+    blocks = [
+        WaveletTree(b.l[s : s + bs], "huffman", backend, rrr_block_size)
+        for s in range(0, t.n, bs)
+    ]
     return BlockedFMIndex(
         variant,
         t.n,

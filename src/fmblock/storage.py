@@ -4,7 +4,8 @@ Layout (all integers little-endian):
 
   header   magic "FBFMIDX1", u16 version, u8 variant, u8 rrr block size
            (0 for plain backends), u64 n, u32 sigma, u64 block size
-           (0 for ssa variants), u32 block count
+           (0 for ssa variants, which are one block of n symbols), u32
+           block count
   sections each prefixed with its u32 byte length, in order: remap,
            c array, then per block a codebook section and a node payload
            section, and last a checksum section holding the zlib.crc32 of
@@ -51,8 +52,6 @@ def _corrupt(check):
 
 
 def _block_lengths(n, block_size, block_count):
-    if block_size is None:
-        return [n]
     out = [block_size] * (block_count - 1)
     out.append(n - block_size * (block_count - 1))
     return out
@@ -100,7 +99,7 @@ def serialize(index, sink):
         index.rrr_block_size if variant.bitvector_backend == "rrr" else 0,
         index.n,
         index.sigma,
-        index.block_size or 0,
+        index.block_size if variant.fixed else 0,
         len(index.blocks),
     )
     sections = [bytes(index.byte_for_code)]
@@ -217,9 +216,7 @@ def _load_tree(body, codes, m, backend, rrr_t, offsets, bit_base):
         return bv
 
     try:
-        wt = WaveletTree.from_codebook(
-            codes, m, "huffman", backend, rrr_t or 15, node_reader
-        )
+        wt = WaveletTree.from_codebook(codes, m, node_reader)
     except EOFError:
         _corrupt("payload truncated")
     except CorruptIndexError:
@@ -286,10 +283,12 @@ def deserialize(source):
             _corrupt("rrr block size")
     elif rrr_t != 0:
         _corrupt("rrr block size")
-    if variant.fixed:
-        if block_size < 1 or block_count != (n + block_size - 1) // block_size:
+    if not variant.fixed:
+        # an ssa index is one block of n symbols, stored as block size 0
+        if block_size != 0:
             _corrupt("block count")
-    elif block_size != 0 or block_count != 1:
+        block_size = n
+    if block_size < 1 or block_count != (n + block_size - 1) // block_size:
         _corrupt("block count")
 
     cursor = _SectionCursor(data)
@@ -315,19 +314,12 @@ def deserialize(source):
     if crc_body != struct.pack("<I", zlib.crc32(memoryview(data)[:checked])):
         _corrupt("checksum")
 
-    lengths = _block_lengths(n, block_size if variant.fixed else None, block_count)
     blocks = []
     offsets = []
     bit_base = 0
-    for m, (codebook, payload) in zip(lengths, trees):
-        if m < 1:
-            _corrupt("block count")
+    for m, (codebook, payload) in zip(_block_lengths(n, block_size, block_count), trees):
         codes = _parse_codebook(codebook, sigma)
-        blocks.append(
-            _load_tree(
-                payload, codes, m, backend, rrr_t if backend == "rrr" else 0, offsets, bit_base
-            )
-        )
+        blocks.append(_load_tree(payload, codes, m, backend, rrr_t, offsets, bit_base))
         bit_base += 8 * len(payload)
     if offsets:
         _check_offsets([payload for _, payload in trees], offsets, rrr_t)
@@ -344,7 +336,7 @@ def deserialize(source):
         sigma,
         c,
         blocks,
-        block_size if variant.fixed else None,
+        block_size,
         remap,
         rrr_t if backend == "rrr" else 15,
     )

@@ -16,8 +16,27 @@ suffix (Larsson & Sadakane), which after stage 1 is a fraction of the text.
 import numpy as np
 
 
+def code_translator(byte_for_code):
+    """A function that maps pattern bytes to codes 1..sigma-1 through the
+    remap table, or to None if some byte is not in the table."""
+    lut = [0] * 256
+    for code, byte in enumerate(byte_for_code, start=1):
+        lut[byte] = code
+
+    def translate(pattern):
+        out = []
+        for byte in bytes(pattern):
+            code = lut[byte]
+            if code == 0:
+                return None
+            out.append(code)
+        return out
+
+    return translate
+
+
 class Text:
-    __slots__ = ("data", "n", "sigma", "byte_for_code", "_code_for_byte")
+    __slots__ = ("data", "n", "sigma", "byte_for_code", "_translate")
 
     def __init__(self, data, sigma, byte_for_code):
         data = np.asarray(data)
@@ -36,10 +55,7 @@ class Text:
         self.n = n
         self.sigma = sigma
         self.byte_for_code = bytes(byte_for_code)
-        lut = [0] * 256
-        for code, byte in enumerate(self.byte_for_code, start=1):
-            lut[byte] = code
-        self._code_for_byte = lut
+        self._translate = code_translator(self.byte_for_code)
 
     @classmethod
     def from_codes(cls, codes, sigma=None):
@@ -53,14 +69,7 @@ class Text:
 
     def translate(self, pattern):
         """Map raw pattern bytes to codes; None if some byte never occurs in the text."""
-        out = []
-        lut = self._code_for_byte
-        for byte in bytes(pattern):
-            code = lut[byte]
-            if code == 0:
-                return None
-            out.append(code)
-        return out
+        return self._translate(pattern)
 
     def __eq__(self, other):
         return (

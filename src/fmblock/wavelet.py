@@ -92,9 +92,6 @@ class WaveletTree:
         make = balanced_codes if shape == "balanced" else huffman_codes
         codes = make(freq.keys(), freq)
         self.length = len(x)
-        self.shape = shape
-        self.backend = backend
-        self.rrr_block_size = rrr_block_size
         lens = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
         codebits = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
         for sym, (length, code) in codes.items():
@@ -109,7 +106,7 @@ class WaveletTree:
         self._assemble(codes, x, split)
 
     @classmethod
-    def from_codebook(cls, codes, length, shape, backend, rrr_block_size, node_reader):
+    def from_codebook(cls, codes, length, node_reader):
         """Rebuild a tree whose code assignment is already known.
 
         node_reader(nbits) must return a bitvector for the next node in
@@ -118,9 +115,6 @@ class WaveletTree:
         """
         wt = cls.__new__(cls)
         wt.length = length
-        wt.shape = shape
-        wt.backend = backend
-        wt.rrr_block_size = rrr_block_size
 
         def split(nbits, depth):
             bv = node_reader(nbits)
@@ -134,23 +128,25 @@ class WaveletTree:
 
         split(item, depth) builds the node that receives `item` (the
         elements routed through it, or their number) and returns the
-        bitvector with the items of its 0 and 1 children.
+        bitvector with the items of its 0 and 1 children. A path is a tuple
+        of (bitvector, bit) steps, and the two steps of a node are shared by
+        every path through it.
         """
         internal = _internal_nodes(codes)
         items = {(0, 0): root_item}
-        built = {}
+        steps = {}
         for depth, prefix in internal:
             bv, zero, one = split(items.pop((depth, prefix)), depth)
-            built[depth, prefix] = bv
+            steps[depth, prefix] = ((bv, 0), (bv, 1))
             items[depth + 1, prefix << 1] = zero
             items[depth + 1, prefix << 1 | 1] = one
         self.codes = codes
-        self.nodes = [built[node] for node in internal]
+        self.nodes = [steps[node][0][0] for node in internal]
         self._paths = {
-            sym: [
-                (built[depth, code >> (length - depth)], (code >> (length - 1 - depth)) & 1)
+            sym: tuple(
+                steps[depth, code >> (length - depth)][(code >> (length - 1 - depth)) & 1]
                 for depth in range(length)
-            ]
+            )
             for sym, (length, code) in codes.items()
         }
 

@@ -125,10 +125,7 @@ def test_size_report_components_and_total():
         assert rep.total == sum(rep.components().values())
         assert rep.c_array == 64 * (t.sigma + 1)
         assert rep.remap == 8 * (t.sigma - 1)
-        if variant.fixed:
-            assert rep.boundary_occ == len(ix.blocks) * t.sigma * t.n.bit_length()
-        else:
-            assert rep.boundary_occ == 0
+        assert rep.boundary_occ == (len(ix.blocks) - 1) * t.sigma * t.n.bit_length()
         assert rep.bits_per_symbol == rep.total / t.n
 
 

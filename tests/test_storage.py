@@ -83,6 +83,32 @@ def test_saved_bytes_are_pinned(variant, block_size, rrr_t, digest):
     assert to_bytes(deserialize(saved)) == saved
 
 
+@pytest.mark.parametrize("ssa,fixed", [("ssa", "fixed_block"), ("ssa_rrr", "fixed_block_rrr")])
+def test_ssa_is_saved_as_the_fixed_block_index_of_one_block(ssa, fixed):
+    t = build_text(b"fixed block compression boosting " * 20)
+    one = to_bytes(build_index(t, ssa))
+    whole = to_bytes(build_index(t, fixed, t.n))
+
+    def rest(raw):
+        # all but the variant byte, the block-size field and the checksum
+        return raw[:10] + raw[11:24] + raw[32:-4]
+
+    assert rest(one) == rest(whole)
+    assert one[10] != whole[10] and one[-4:] != whole[-4:]
+    assert struct.unpack_from("<Q", one, 24) == (0,)
+    assert struct.unpack_from("<Q", whole, 24) == (t.n,)
+    assert deserialize(one).block_size == t.n
+
+
+@pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
+def test_ssa_header_block_size_other_than_zero_is_rejected(variant):
+    t = build_text(b"BANANA")
+    raw = to_bytes(build_index(t, variant))
+    body = raw[:24] + struct.pack("<Q", t.n) + raw[32:-8]
+    with pytest.raises(CorruptIndexError, match="corrupt index: block count"):
+        deserialize(body + struct.pack("<II", 4, zlib.crc32(body)))
+
+
 def _with_root_blocks(ix, blocks):
     """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced."""
     bv = ix.blocks[0].nodes[0]

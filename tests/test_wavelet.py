@@ -109,7 +109,7 @@ def test_codebook_reconstruction_round_trip():
             assert node.m == nbits
             return node
 
-        rebuilt = WaveletTree.from_codebook(wt.codes, wt.length, "huffman", backend, 15, reader)
+        rebuilt = WaveletTree.from_codebook(wt.codes, wt.length, reader)
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
         ]
@@ -129,7 +129,7 @@ def test_codes_that_are_not_prefix_free_are_rejected(codes):
         raise AssertionError("no node may be read")
 
     with pytest.raises(ValueError, match="prefix-free"):
-        WaveletTree.from_codebook(codes, 10, "huffman", "plain", 15, reader)
+        WaveletTree.from_codebook(codes, 10, reader)
 
 
 def test_size_report_pieces():
