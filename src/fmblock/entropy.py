@@ -52,8 +52,12 @@ def h0(x):
 
 
 def _pair_ids(a, b):
-    """Dense ids for the pairs (a[i], b[i])."""
+    """Dense ids for the pairs (a[i], b[i]), numbered in sorted pair order."""
     key = a * (int(b.max()) + 1) + b
+    if int(key.max()) < len(key):
+        # few possible pairs: number the ones present without sorting
+        present = np.bincount(key) > 0
+        return (np.cumsum(present, dtype=np.int64) - 1)[key]
     return np.unique(key, return_inverse=True)[1].astype(np.int64)
 
 
@@ -72,10 +76,10 @@ def hk(t, k):
     for _ in range(k):
         gram = _pair_ids(data, np.roll(gram, -1))
     ctx = np.roll(gram, -1)
-    key = data * (int(ctx.max()) + 1) + ctx
-    _, first, counts_v = np.unique(key, return_index=True, return_counts=True)
+    width = int(ctx.max()) + 1
+    keys, counts_v = np.unique(data * width + ctx, return_counts=True)
     counts_w = np.bincount(gram)
-    n_w = counts_w[ctx[first]].astype(np.float64)
+    n_w = counts_w[keys % width].astype(np.float64)
     n_v = counts_v.astype(np.float64)
     return float((n_v * (np.log2(n_w) - np.log2(n_v))).sum() / n)
 
@@ -143,10 +147,10 @@ def partition_entropy(x, partition):
     if x.dtype.kind in "iu" and 0 <= int(x.min()) and int(x.max()) < 4096:
         sigma = int(x.max()) + 1
         nblocks = partition.block_count
-        ids = np.searchsorted(np.asarray(partition.boundaries), np.arange(len(x)), side="right")
-        counts = np.zeros((nblocks, sigma), dtype=np.int64)
-        np.add.at(counts, (ids, x.astype(np.int64)), 1)
-        counts = counts.astype(np.float64)
+        edges = np.asarray([0, *partition.boundaries, len(x)], dtype=np.int64)
+        ids = np.repeat(np.arange(nblocks, dtype=np.int64), np.diff(edges))
+        counts = np.bincount(ids * sigma + x.astype(np.int64), minlength=nblocks * sigma)
+        counts = counts.reshape(nblocks, sigma).astype(np.float64)
         sizes = counts.sum(axis=1)
         logs = np.where(counts > 0, np.log2(np.where(counts > 0, counts, 1.0)), 0.0)
         return float((sizes * np.log2(sizes)).sum() - (counts * logs).sum())

@@ -1,10 +1,12 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fmblock.entropy import (
     Partition,
+    _pair_ids,
     concat_entropy_terms,
     context_partition,
     fixed_partition,
@@ -64,6 +66,16 @@ def test_hk_known_structured_text():
     assert hk(t, 1) < 0.2
     with pytest.raises(ValueError, match="non-negative"):
         hk(t, -1)
+
+
+def test_pair_ids_number_pairs_in_sorted_order_on_both_paths():
+    # small keys take the bincount path, keys of n or more the sorting path
+    rng = np.random.default_rng(6)
+    for b_hi in (3, 40, 10_000):
+        a = rng.integers(0, 7, 300)
+        b = rng.integers(0, b_hi, 300)
+        want = np.unique(a * (int(b.max()) + 1) + b, return_inverse=True)[1]
+        assert np.array_equal(_pair_ids(a, b), want), b_hi
 
 
 def test_partition_validation_and_blocks():
