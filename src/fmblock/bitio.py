@@ -1,33 +1,56 @@
-"""LSB-first bit stream writer/reader used by the rank structures and the index file format."""
+"""The one bit-field layout of the rank structures and the index file.
+
+Fields of 0..64 bits are packed LSB-first: bit i of a field at bit offset
+p is bit (p + i) % 8 of byte (p + i) // 8, and a stream is zero-padded to
+a whole byte. pack_fields writes consecutive fields, unpack_fields reads
+them back, and read_bits reads one field for a scalar rank. unpack_fields
+is built on as_words and read_fields, which read fields at any offsets.
+"""
 
 import numpy as np
 
+_MASKS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
+_ONE = np.uint64(1)
+_SIX_BITS = np.uint64(63)
+# fields per bit matrix in pack_fields, which bounds its temporaries
+_PACK_CHUNK = 1 << 16
 
-class BitWriter:
-    """Appends fixed-width unsigned fields to a byte buffer, LSB-first."""
 
-    def __init__(self):
-        self._buf = bytearray()
-        self._acc = 0
-        self._nacc = 0
-        self.bit_length = 0
+def pack_fields(values, widths):
+    """The fields values[i] of widths[i] bits, packed into bytes.
 
-    def write(self, value, width):
-        if width == 0:
-            return
-        self._acc |= (value & ((1 << width) - 1)) << self._nacc
-        self._nacc += width
-        self.bit_length += width
-        while self._nacc >= 8:
-            self._buf.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._nacc -= 8
+    Bits of a value above its width are dropped.
+    """
+    values = np.ascontiguousarray(values, dtype="<u8")
+    widths = np.asarray(widths)
+    bits = np.empty(int(widths.sum()), dtype=np.uint8)
+    at = 0
+    for lo in range(0, len(widths), _PACK_CHUNK):
+        width = widths[lo : lo + _PACK_CHUNK]
+        nbytes = (int(width.max()) + 7) >> 3
+        # fields x 8*nbytes matrix of the low bytes' bits, LSB first
+        raw = values[lo : lo + _PACK_CHUNK].view(np.uint8).reshape(-1, 8)[:, :nbytes]
+        matrix = np.unpackbits(raw, axis=1, bitorder="little")
+        chunk = matrix[np.arange(8 * nbytes) < width[:, None]]
+        bits[at : at + len(chunk)] = chunk
+        at += len(chunk)
+    return np.packbits(bits, bitorder="little").tobytes()
 
-    def getvalue(self):
-        out = bytes(self._buf)
-        if self._nacc:
-            out += bytes([self._acc & 0xFF])
-        return out
+
+def unpack_fields(buf, start, widths):
+    """The consecutive fields of the given widths from bit `start` of buf on, as uint64.
+
+    Raises EOFError if the fields run past the end of buf.
+    """
+    widths = np.asarray(widths, dtype=np.int64)
+    starts = widths.cumsum()
+    end = start + (int(starts[-1]) if len(starts) else 0)
+    if end > 8 * len(buf):
+        raise EOFError("bit stream exhausted")
+    first = start >> 3
+    starts -= widths
+    starts += start - 8 * first
+    return read_fields(as_words(buf[first : (end + 7) >> 3]), starts, widths)
 
 
 def read_bits(buf, pos, width):
@@ -43,44 +66,27 @@ def read_bits(buf, pos, width):
 
 def as_words(buf):
     """An LSB-first buffer as little-endian uint64 words, plus one zero word for read_fields."""
-    words = np.zeros(len(buf) // 8 + 2, dtype="<u8")
-    words.view(np.uint8)[: len(buf)] = np.frombuffer(buf, dtype=np.uint8)
-    return words
+    return np.frombuffer(bytes(buf) + bytes(16 - len(buf) % 8), dtype="<u8")
 
 
-def read_fields(words, starts):
-    """The 64 bits from each bit offset in `starts` of as_words output, as uint64.
+def read_fields(words, starts, widths):
+    """The fields at the bit offsets `starts` of as_words output, as uint64.
 
-    A field of w bits at offset s is the low w bits of the result for s.
+    `widths` holds one width per field, or one width for all of them.
     `starts` (int64) is overwritten.
     """
     at = starts >> 6
     shift = starts.view(np.uint64)
-    shift &= np.uint64(63)
+    shift &= _SIX_BITS
     value = words[at]
     value >>= shift
     # bits from the next word move left by 64 - shift, done as 1 then
     # 63 - shift because a shift by 64 is undefined
     at += 1
     high = words[at]
-    high <<= np.uint64(1)
-    shift ^= np.uint64(63)
+    high <<= _ONE
+    shift ^= _SIX_BITS
     high <<= shift
     value |= high
+    value &= _MASKS[widths]
     return value
-
-
-class BitReader:
-    """Sequential reader over an LSB-first buffer."""
-
-    def __init__(self, buf, bit_length=None):
-        self._buf = buf
-        self.pos = 0
-        self.bit_length = len(buf) * 8 if bit_length is None else bit_length
-
-    def read(self, width):
-        if self.pos + width > self.bit_length:
-            raise EOFError("bit stream exhausted")
-        v = read_bits(self._buf, self.pos, width)
-        self.pos += width
-        return v

@@ -21,7 +21,7 @@ from array import array
 
 import numpy as np
 
-from .bitio import BitWriter, read_bits
+from .bitio import pack_fields, read_bits, unpack_fields
 
 CHUNK_BITS = 512
 RRR_SAMPLE_EVERY = 32
@@ -171,16 +171,13 @@ class RrrBitVector:
         padded = np.zeros(nblocks * t, dtype=np.uint8)
         padded[:m] = bits
         values = padded.reshape(nblocks, t) @ (np.int64(1) << np.arange(t, dtype=np.int64))
-        classes = np.bitwise_count(values.astype(np.uint64)).astype(np.int64).tolist()
+        classes = np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
         if t <= _TABLE_MAX_T:
-            offsets = _offset_table(t)[values].tolist()
+            offsets = _offset_table(t)[values]
         else:
-            offsets = [offset_of_value(int(v), t, k) for v, k in zip(values, classes)]
-        widths = offset_widths(t)
-        writer = BitWriter()
-        for k, off in zip(classes, offsets):
-            writer.write(off, widths[k])
-        self._setup(m, t, classes, writer.getvalue(), 0, writer.bit_length)
+            offsets = [offset_of_value(int(v), t, int(k)) for v, k in zip(values, classes)]
+        widths = np.asarray(offset_widths(t))[classes]
+        self._setup(m, t, classes, pack_fields(offsets, widths), 0, int(widths.sum()))
 
     @classmethod
     def from_parts(cls, m, t, classes, offbuf, offbase, offset_bits):
@@ -191,20 +188,20 @@ class RrrBitVector:
 
     def _setup(self, m, t, classes, offbuf, offbase, offset_bits):
         """Derive the (offset position, rank) samples from the classes."""
-        widths = offset_widths(t)
-        ks = np.asarray(classes, dtype=np.int64)
+        self._classes = np.asarray(classes, dtype=np.uint8).tobytes()
+        self._widths = _width_table(t)
+        ks = np.frombuffer(self._classes, dtype=np.uint8)
         opos = np.zeros(len(ks) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(widths, dtype=np.int64)[ks], out=opos[1:])
+        np.cumsum(np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8), out=opos[1:])
         rank = np.zeros(len(ks) + 1, dtype=np.int64)
         np.cumsum(ks, out=rank[1:])
         if int(opos[-1]) != offset_bits:
             raise ValueError("offset stream length does not match classes")
-        at = np.append(np.arange(0, len(ks), RRR_SAMPLE_EVERY), len(ks))
+        # a sample every RRR_SAMPLE_EVERY blocks, and one at the end
+        at = np.minimum(np.arange(0, len(ks) + RRR_SAMPLE_EVERY, RRR_SAMPLE_EVERY), len(ks))
         self.m = m
         self.t = t
         self.ones = int(rank[-1])
-        self._classes = ks.astype(np.uint8).tobytes()
-        self._widths = _width_table(t)
         self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
         self._offbuf = offbuf
         self._offbase = offbase
@@ -238,35 +235,26 @@ class RrrBitVector:
         return r if bit else j - r
 
     def to_bits(self):
-        out = np.zeros(len(self._classes) * self.t, dtype=np.uint8)
-        opos = 0
-        for blk, k in enumerate(self._classes):
-            value = self._block_value(blk, opos)
-            opos += self._widths[k]
-            for p in range(self.t):
-                out[blk * self.t + p] = (value >> p) & 1
-        return out[: self.m]
+        values = np.array([value_of_offset(off, self.t, k) for k, off in self.blocks()], np.uint64)
+        bits = (values[:, None] >> np.arange(self.t, dtype=np.uint64)) & np.uint64(1)
+        return bits.astype(np.uint8).ravel()[: self.m]
 
     def block_classes(self):
-        return list(self._classes)
+        """The class of every block, as a read-only uint8 array."""
+        return np.frombuffer(self._classes, dtype=np.uint8)
 
     def offset_stream(self):
         """The packed offset bits as (buffer, base bit offset, bit count)."""
         return self._offbuf, self._offbase, self.offset_bits
 
-    def samples(self):
-        """(offset position, rank) pairs, one per 32 blocks plus a final one."""
-        return list(zip(self._sample_opos, self._sample_rank))
+    def offsets(self):
+        """The offset field of every block, as uint64."""
+        widths = np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8)
+        return unpack_fields(self._offbuf, self._offbase, widths)
 
     def blocks(self):
         """Introspection: (class, offset) per block."""
-        out = []
-        opos = 0
-        for k in self._classes:
-            w = self._widths[k]
-            out.append((k, read_bits(self._offbuf, self._offbase + opos, w) if w else 0))
-            opos += w
-        return out
+        return list(zip(self._classes, self.offsets().tolist()))
 
     @property
     def class_bits(self):

@@ -29,7 +29,7 @@ def _counts_of(x):
     x = _as_symbols(x)
     if x.size == 0:
         raise ValueError("empty sequence")
-    if x.dtype.kind in "iu" and int(x.max()) <= 1 << 20:
+    if x.dtype.kind in "iu" and 0 <= int(x.min()) and int(x.max()) <= 1 << 20:
         counts = np.bincount(x.astype(np.int64))
         return counts[counts > 0].astype(np.float64)
     return np.unique(x, return_counts=True)[1].astype(np.float64)
@@ -189,9 +189,11 @@ def concat_entropy_terms(x, y):
     y = _as_symbols(y)
     if x.size == 0 or y.size == 0:
         raise ValueError("empty sequence")
-    hi = int(max(x.max(), y.max())) + 1
-    cx = np.bincount(x.astype(np.int64), minlength=hi).astype(np.float64)
-    cy = np.bincount(y.astype(np.int64), minlength=hi).astype(np.float64)
+    # dense ids over the symbols of both, so that cx[i] and cy[i] count one symbol
+    ids = np.unique(np.concatenate([x, y]), return_inverse=True)[1]
+    hi = int(ids.max()) + 1
+    cx = np.bincount(ids[: x.size], minlength=hi).astype(np.float64)
+    cy = np.bincount(ids[x.size :], minlength=hi).astype(np.float64)
     delta = _total_bits(cx + cy) - _total_bits(cx) - _total_bits(cy)
     length_split = pair_entropy_bits(float(x.size), float(y.size))
     symbol_split = sum(pair_entropy_bits(float(a), float(b)) for a, b in zip(cx, cy))

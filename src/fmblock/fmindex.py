@@ -78,7 +78,7 @@ def _boundary_rows(blocks, sigma):
     for wt in blocks[:-1]:
         running = list(rows[-1])
         for sym in wt.codes:
-            running[sym] += wt.rank(sym, wt.length)
+            running[sym] += wt.symbol_count(sym)
         rows.append(running)
     return rows
 

@@ -26,7 +26,7 @@ import zlib
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter, as_words, read_fields
+from .bitio import as_words, pack_fields, read_fields, unpack_fields
 from .bitrank import PlainBitVector, RrrBitVector, offset_widths
 from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import WaveletTree
@@ -58,35 +58,27 @@ def _block_lengths(n, block_size, block_count):
 
 
 def _codebook_section(wt):
-    head = bytearray(struct.pack("<H", len(wt.codes)))
-    bits = BitWriter()
-    for sym in sorted(wt.codes):
-        length, code = wt.codes[sym]
-        head += struct.pack("<HB", sym, length)
-        bits.write(code, length)
-    return bytes(head) + bits.getvalue()
-
-
-def _node_bits(bv):
-    """A node's payload as a uint8 array of bits: the plain bits, or the RRR
-    class fields followed by the offset fields."""
-    if bv.backend == "plain":
-        return bv.to_bits()
-    wc = bv.class_field_width
-    ks = np.asarray(bv.block_classes(), dtype=np.int64)
-    classes = ((ks[:, None] >> np.arange(wc)) & 1).astype(np.uint8).ravel()
-    buf, base, nbits = bv.offset_stream()
-    first = base >> 3
-    packed = np.frombuffer(buf, dtype=np.uint8)[first : (base + nbits + 7) >> 3]
-    offsets = np.unpackbits(packed, bitorder="little")[base - 8 * first :][:nbits]
-    return np.concatenate([classes, offsets])
+    syms = sorted(wt.codes)
+    lengths, codes = zip(*(wt.codes[sym] for sym in syms))
+    head = struct.pack("<H", len(syms))
+    head += b"".join(struct.pack("<HB", sym, length) for sym, length in zip(syms, lengths))
+    return head + pack_fields(codes, lengths)
 
 
 def _payload_section(wt):
+    """The nodes in preorder: plain bits, or an RRR node's class fields then its offset fields."""
     if not wt.nodes:
         return b""
-    bits = np.concatenate([_node_bits(bv) for bv in wt.nodes])
-    return np.packbits(bits, bitorder="little").tobytes()
+    if wt.nodes[0].backend == "plain":
+        bits = np.concatenate([bv.to_bits() for bv in wt.nodes])
+        return np.packbits(bits, bitorder="little").tobytes()
+    table = np.array(offset_widths(wt.nodes[0].t), dtype=np.uint8)
+    values, widths = [], []
+    for bv in wt.nodes:
+        ks = bv.block_classes()
+        values += [ks, bv.offsets()]
+        widths += [np.full(len(ks), bv.class_field_width, dtype=np.uint8), table[ks]]
+    return pack_fields(np.concatenate(values), np.concatenate(widths))
 
 
 def serialize(index, sink):
@@ -163,53 +155,45 @@ def _parse_codebook(body, sigma):
             _corrupt("codebook code lengths")
         entries.append((sym, length))
         prev = sym
-    reader = BitReader(body[head_len:])
-    codes = {}
+    lengths = [length for _, length in entries]
     try:
-        for sym, length in entries:
-            codes[sym] = (length, reader.read(length))
+        values = unpack_fields(body, 8 * head_len, lengths)
     except EOFError:
         _corrupt("codebook bits")
-    if len(body) - head_len - (reader.pos + 7) // 8 > 0:
+    if len(body) - head_len - (sum(lengths) + 7) // 8 > 0:
         _corrupt("codebook length")
-    return codes
+    return {sym: (length, code) for (sym, length), code in zip(entries, values.tolist())}
 
 
 def _load_tree(body, codes, m, backend, rrr_t, offsets, bit_base):
-    """Rebuild a tree from its payload, one node's bits unpacked at a time.
+    """Rebuild a tree from its payload, one node at a time.
 
     For an RRR tree, appends (bit position of the first offset field,
     classes) per node to `offsets`, the position counted from `bit_base`.
     """
     packed = np.frombuffer(body, dtype=np.uint8)
     pos = 0
-
-    def take(nbits):
-        nonlocal pos
-        start, shift = pos >> 3, pos & 7
-        end = (pos + nbits + 7) >> 3
-        if end > len(packed):
-            raise EOFError
-        pos += nbits
-        return np.unpackbits(packed[start:end], bitorder="little")[shift : shift + nbits]
-
     if backend == "rrr":
+        words = as_words(body)
         widths = np.array(offset_widths(rrr_t))
         wc = rrr_t.bit_length()
-        field = np.int64(1) << np.arange(wc, dtype=np.int64)
 
     def node_reader(nbits):
         nonlocal pos
+        start = pos
+        pos += nbits if backend == "plain" else (nbits + rrr_t - 1) // rrr_t * wc
+        if pos > 8 * len(body):
+            raise EOFError
         if backend == "plain":
-            return PlainBitVector(take(nbits))
-        nblocks = (nbits + rrr_t - 1) // rrr_t
-        classes = take(nblocks * wc).reshape(nblocks, wc) @ field
-        if nblocks and int(classes.max()) > rrr_t:
+            bits = np.unpackbits(packed[start >> 3 : (pos + 7) >> 3], bitorder="little")
+            return PlainBitVector(bits[start & 7 : (start & 7) + nbits])
+        classes = read_fields(words, np.arange(start, pos, wc), wc)
+        if len(classes) and int(classes.max()) > rrr_t:
             _corrupt("rrr class out of range")
         offbits = int(widths[classes].sum())
         if pos + offbits > 8 * len(body):
             _corrupt("rrr offsets truncated")
-        if nblocks:
+        if len(classes):
             offsets.append((bit_base + pos, classes))
         bv = RrrBitVector.from_parts(nbits, rrr_t, classes, body, pos, offbits)
         pos += offbits
@@ -237,7 +221,6 @@ def _check_offsets(payloads, offsets, t):
     """
     words = as_words(b"".join(payloads))
     widths = np.array(offset_widths(t))
-    masks = (np.uint64(1) << widths.astype(np.uint64)) - np.uint64(1)
     limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
     first = 0
     while first < len(offsets):
@@ -253,9 +236,7 @@ def _check_offsets(payloads, offsets, t):
         starts -= width
         node_first = np.cumsum(counts) - counts
         starts += np.repeat(np.array([at for at, _ in group]) - starts[node_first], counts)
-        value = read_fields(words, starts)
-        value &= masks[classes]
-        if np.any(value >= limits[classes]):
+        if np.any(read_fields(words, starts, width) >= limits[classes]):
             _corrupt("rrr offset out of range")
         first = end
 

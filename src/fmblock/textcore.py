@@ -200,7 +200,10 @@ def bwt(t, sa=None):
 
 
 def inverse_bwt(b):
-    """Rebuild the text by walking the last-to-first mapping backwards from the sentinel."""
+    """Rebuild the text by walking the last-to-first mapping backwards from the sentinel.
+
+    A test oracle only: the walk is a Python loop with one step per symbol.
+    """
     l = np.asarray(b.l, dtype=np.int64)
     n = len(l)
     if int(np.count_nonzero(l == 0)) != 1:

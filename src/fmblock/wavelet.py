@@ -164,6 +164,13 @@ class WaveletTree:
                 return 0
         return q
 
+    def symbol_count(self, c):
+        """Occurrences of c, one of the tree's symbols: the size of its leaf."""
+        if not self._paths[c]:
+            return self.length
+        bv, bit = self._paths[c][-1]
+        return bv.ones if bit else bv.m - bv.ones
+
     @property
     def local_alphabet(self):
         return sorted(self.codes)

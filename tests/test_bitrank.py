@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitio import BitWriter, as_words, read_fields
+from fmblock.bitio import as_words, pack_fields, read_fields, unpack_fields
 from fmblock.bitrank import (
     PlainBitVector,
     RrrBitVector,
@@ -145,21 +145,41 @@ def test_from_parts_reconstruction():
     buf, base, nbits = v.offset_stream()
     w = RrrBitVector.from_parts(v.m, v.t, v.block_classes(), buf, base, nbits)
     assert w.to_bits().tolist() == bits
-    assert w.samples() == v.samples()
+    assert [w.rank1(j) for j in range(v.m + 1)] == [v.rank1(j) for j in range(v.m + 1)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 200), st.lists(st.tuples(st.integers(0, 64), st.integers(0, 2**64 - 1))))
-def test_read_fields_matches_the_written_fields(lead, fields):
-    w = BitWriter()
-    w.write(0, lead)
-    starts = []
+@given(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 2**64 - 1))))
+def test_read_fields_matches_the_written_fields(fields):
+    acc = pos = 0
+    starts, want = [], []
     for width, value in fields:
-        starts.append(w.bit_length)
-        w.write(value, width)
-    got = read_fields(as_words(w.getvalue()), np.array(starts, dtype=np.int64))
-    for (width, value), field in zip(fields, got.tolist()):
-        assert field & ((1 << width) - 1) == value & ((1 << width) - 1)
+        mask = (1 << width) - 1
+        acc |= (value & mask) << pos
+        starts.append(pos)
+        want.append(value & mask)
+        pos += width
+    widths = [width for width, _ in fields]
+    buf = pack_fields([value for _, value in fields], widths)
+    assert buf == acc.to_bytes((pos + 7) // 8, "little")
+    assert unpack_fields(buf, 0, widths).tolist() == want
+    if fields:
+        assert unpack_fields(buf, widths[0], widths[1:]).tolist() == want[1:]
+    got = read_fields(as_words(buf), np.array(starts, dtype=np.int64), np.array(widths, dtype=int))
+    assert got.tolist() == want
+    with pytest.raises(EOFError):
+        unpack_fields(buf, 0, widths + [8 * len(buf) - pos + 1])
+
+
+def test_fields_round_trip_past_one_bit_matrix():
+    # pack_fields builds its bit matrix 2^16 fields at a time
+    rng = np.random.default_rng(5)
+    widths = rng.integers(0, 65, 70_000)
+    values = rng.integers(0, 2**64, 70_000, dtype=np.uint64)
+    buf = pack_fields(values, widths)
+    assert len(buf) == (int(widths.sum()) + 7) // 8
+    want = [v & ((1 << w) - 1) for v, w in zip(values.tolist(), widths.tolist())]
+    assert unpack_fields(buf, 0, widths).tolist() == want
 
 
 @st.composite

@@ -36,6 +36,10 @@ def test_h0_worked_values():
         h0([])
 
 
+def test_h0_counts_negative_symbols():
+    assert h0([-1, 0]) == 1.0
+
+
 def test_h0_matches_direct_formula():
     rng = random.Random(0)
     for _ in range(50):
@@ -156,6 +160,10 @@ def test_concat_terms_worked_pair():
     assert terms.delta == 4.0
     assert terms.length_split_bits == 4.0
     assert terms.symbol_split_bits == 0.0
+
+
+def test_concat_terms_count_both_sides_over_one_symbol_range():
+    assert concat_entropy_terms([-1, -1], [2, 2]).delta == 4.0
 
 
 def test_concat_terms_identical_halves_cost_nothing():

@@ -4,11 +4,12 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitio import BitWriter
+from fmblock.bitio import pack_fields
 from fmblock.bitrank import offset_of_value, offset_width, value_of_offset
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import (
@@ -20,7 +21,7 @@ from fmblock.storage import (
     save_index,
     serialize,
 )
-from fmblock.textcore import Text, build_text, naive_count
+from fmblock.textcore import Text, build_text, bwt, naive_count
 from helpers import pattern_batch, random_codes
 
 ALL_VARIANTS = list(IndexVariant)
@@ -112,14 +113,14 @@ def test_ssa_header_block_size_other_than_zero_is_rejected(variant):
 def _with_root_blocks(ix, blocks):
     """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced."""
     bv = ix.blocks[0].nodes[0]
-    w = BitWriter()
-    for k, _ in blocks:
-        w.write(k, bv.class_field_width)
-    for k, off in blocks:
-        w.write(off, offset_width(bv.t, k))
+    classes = [k for k, _ in blocks]
+    payload = pack_fields(
+        classes + [off for _, off in blocks],
+        [bv.class_field_width] * len(blocks) + [offset_width(bv.t, k) for k in classes],
+    )
     # the payload section is the last one before the 8-byte checksum section
     old = (len(blocks) * bv.class_field_width + bv.offset_bits + 7) // 8
-    raw = to_bytes(ix)[: -8 - old - 4] + struct.pack("<I", len(w.getvalue())) + w.getvalue()
+    raw = to_bytes(ix)[: -8 - old - 4] + struct.pack("<I", len(payload)) + payload
     return raw + struct.pack("<II", 4, zlib.crc32(raw))
 
 
@@ -154,10 +155,10 @@ def test_codebook_that_is_not_prefix_free_is_rejected_at_load():
     a, b = 1, 2
     codes[b] = codes[a]
     head = bytearray(struct.pack("<H", len(codes)))
-    bits = BitWriter()
     for sym in sorted(codes):
         head += struct.pack("<HB", sym, codes[sym][0])
-        bits.write(codes[sym][1], codes[sym][0])
+    lengths, values = zip(*(codes[sym] for sym in sorted(codes)))
+    bits = pack_fields(values, lengths)
     raw = to_bytes(ix)
     at = header = struct.calcsize("<8sHBBQIQI")
     sections = []
@@ -166,10 +167,54 @@ def test_codebook_that_is_not_prefix_free_is_rejected_at_load():
         sections.append(raw[at + 4 : at + 4 + length])
         at += 4 + length
     # remap, c array, codebook, payload, checksum
-    sections[2] = bytes(head) + bits.getvalue()
+    sections[2] = bytes(head) + bits
     body = raw[:header] + b"".join(struct.pack("<I", len(sec)) + sec for sec in sections[:-1])
     with pytest.raises(CorruptIndexError, match="prefix-free"):
         deserialize(body + struct.pack("<II", 4, zlib.crc32(body)))
+
+
+def _with_codebook(raw, edit):
+    """Saved bytes of a one-block index with edit(codebook section) in place of its codebook."""
+    at = header = struct.calcsize("<8sHBBQIQI")
+    sections = []
+    while at < len(raw):
+        (length,) = struct.unpack_from("<I", raw, at)
+        sections.append(raw[at + 4 : at + 4 + length])
+        at += 4 + length
+    # remap, c array, codebook, payload, checksum
+    sections[2] = edit(sections[2])
+    body = raw[:header] + b"".join(struct.pack("<I", len(sec)) + sec for sec in sections[:-1])
+    return body + struct.pack("<II", 4, zlib.crc32(body))
+
+
+@pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
+def test_codebook_section_short_of_its_code_bits_is_rejected(variant):
+    raw = to_bytes(build_index(build_text(b"abracadabra"), variant))
+    assert deserialize(_with_codebook(raw, lambda body: body)).count(b"abra") == 2
+    with pytest.raises(CorruptIndexError, match="corrupt index: codebook bits"):
+        deserialize(_with_codebook(raw, lambda body: body[:-1]))
+
+
+@pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
+def test_codebook_section_with_an_extra_byte_is_rejected(variant):
+    raw = to_bytes(build_index(build_text(b"abracadabra"), variant))
+    with pytest.raises(CorruptIndexError, match="corrupt index: codebook length"):
+        deserialize(_with_codebook(raw, lambda body: body + b"\0"))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_boundary_rows_are_the_prefix_symbol_counts(variant):
+    # a long run of a puts a run of a into the BWT, so some middle blocks hold one symbol
+    rng = random.Random(12)
+    t = build_text(b"a" * 400 + bytes(rng.randrange(1, 256) for _ in range(400)))
+    ix = build_index(t, variant, 16 if variant.fixed else None)
+    if variant.fixed:
+        assert any(len(wt.codes) == 1 for wt in ix.blocks[1:-1])
+    l = np.asarray(bwt(t).l)
+    for index in (ix, deserialize(to_bytes(ix))):
+        assert len(index.boundary_occ) == len(index.blocks)
+        for i, row in enumerate(index.boundary_occ):
+            assert row == np.bincount(l[: i * index.block_size], minlength=t.sigma).tolist()
 
 
 def test_save_and_load_paths(tmp_path):
