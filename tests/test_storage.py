@@ -173,18 +173,61 @@ def test_codebook_that_is_not_prefix_free_is_rejected_at_load():
         deserialize(body + struct.pack("<II", 4, zlib.crc32(body)))
 
 
-def _with_codebook(raw, edit):
-    """Saved bytes of a one-block index with edit(codebook section) in place of its codebook."""
+def _with_section(raw, which, edit):
+    """Saved bytes with edit(section) in place of section `which`, and a valid checksum."""
     at = header = struct.calcsize("<8sHBBQIQI")
     sections = []
     while at < len(raw):
         (length,) = struct.unpack_from("<I", raw, at)
         sections.append(raw[at + 4 : at + 4 + length])
         at += 4 + length
-    # remap, c array, codebook, payload, checksum
-    sections[2] = edit(sections[2])
+    sections[which] = edit(sections[which])
     body = raw[:header] + b"".join(struct.pack("<I", len(sec)) + sec for sec in sections[:-1])
     return body + struct.pack("<II", 4, zlib.crc32(body))
+
+
+# the sections of a one-block index: remap, c array, codebook, payload, checksum
+CODEBOOK, PAYLOAD = 2, 3
+
+
+def _with_codebook(raw, edit):
+    """Saved bytes of a one-block index with edit(codebook section) in place of its codebook."""
+    return _with_section(raw, CODEBOOK, edit)
+
+
+# Over b"a" * 8 the root is the only node: 9 bits, one 1 for each a. The
+# codebook section is a u16 entry count, then per entry a u16 symbol and a u8
+# code length, then the code bits; the payload holds the node.
+TREE_CHECKS = [
+    ("ssa", 15, CODEBOOK, lambda body: body[:1], "codebook header"),
+    ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 0) + body[2:], "codebook alphabet size"),
+    ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 200) + body[2:], "codebook entries"),
+    ("ssa", 15, CODEBOOK, lambda body: body[:2] + struct.pack("<H", 9) + body[4:], "codebook symbols"),
+    ("ssa", 15, CODEBOOK, lambda body: body[:4] + bytes([65]) + body[5:], "codebook code lengths"),
+    # t = 5 stores 3-bit classes, so a class field can hold 7
+    ("ssa_rrr", 5, PAYLOAD, lambda body: bytes([body[0] | 0b111]) + body[1:], "rrr class out of range"),
+    # t = 63: the 6-bit class of the one block fits the first byte, its offset does not
+    ("ssa_rrr", 63, PAYLOAD, lambda body: body[:1], "rrr offsets truncated"),
+    ("ssa", 15, PAYLOAD, lambda body: body[:-1], "payload truncated"),
+    ("ssa_rrr", 15, PAYLOAD, lambda body: b"", "payload truncated"),
+    ("ssa", 15, PAYLOAD, lambda body: body + b"\0", "payload length"),
+    ("ssa_rrr", 15, PAYLOAD, lambda body: body + b"\0", "payload length"),
+    # one bit of the root flipped: the tree loads, with the wrong symbol counts
+    ("ssa", 15, PAYLOAD, lambda body: bytes([body[0] ^ 1]) + body[1:], "symbol counts"),
+]
+
+
+@pytest.mark.parametrize(
+    "variant,rrr_t,which,edit,check",
+    TREE_CHECKS,
+    ids=[f"{check.replace(' ', '-')}-{variant}" for variant, _, _, _, check in TREE_CHECKS],
+)
+def test_tree_section_checks_with_a_valid_checksum(variant, rrr_t, which, edit, check):
+    raw = to_bytes(build_index(build_text(b"a" * 8), variant, rrr_block_size=rrr_t))
+    assert to_bytes(deserialize(_with_section(raw, which, lambda body: body))) == raw
+    with pytest.raises(CorruptIndexError) as info:
+        deserialize(_with_section(raw, which, edit))
+    assert str(info.value) == f"corrupt index: {check}"
 
 
 @pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
