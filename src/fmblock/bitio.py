@@ -5,6 +5,7 @@ p is bit (p + i) % 8 of byte (p + i) // 8, and a stream is zero-padded to
 a whole byte. pack_fields writes consecutive fields, unpack_fields reads
 them back, and read_bits reads one field for a scalar rank. unpack_fields
 is built on as_words and read_fields, which read fields at any offsets.
+unpack_bits reads single bits from any offset, to copy a stored node.
 """
 
 import numpy as np
@@ -51,6 +52,12 @@ def unpack_fields(buf, start, widths):
     starts -= widths
     starts += start - 8 * first
     return read_fields(as_words(buf[first : (end + 7) >> 3]), starts, widths)
+
+
+def unpack_bits(buf, start, count):
+    """The `count` bits from bit `start` of buf on, one uint8 (0 or 1) per bit."""
+    raw = np.frombuffer(buf, dtype=np.uint8)[start >> 3 : (start + count + 7) >> 3]
+    return np.unpackbits(raw, bitorder="little")[start & 7 : (start & 7) + count]
 
 
 def read_bits(buf, pos, width):

@@ -13,6 +13,10 @@ Two interchangeable representations:
   samples every 32 blocks. The classes are one byte each, so a rank sums
   the classes since the last sample, and their offset widths through a
   256-byte translation table, without a Python loop.
+
+Each class owns the layout of a node in the index file: stored_bits() gives
+the raw bits of a plain node, or an RRR node's t.bit_length()-bit class
+fields and then its offset stream as is; read() rebuilds a node from them.
 """
 
 import functools
@@ -21,7 +25,7 @@ from array import array
 
 import numpy as np
 
-from .bitio import pack_fields, read_bits, unpack_fields
+from .bitio import as_words, pack_fields, read_bits, read_fields, unpack_bits, unpack_fields
 
 CHUNK_BITS = 512
 RRR_SAMPLE_EVERY = 32
@@ -65,6 +69,14 @@ class PlainBitVector:
         self.m = m
         self.ones = int(ones.sum())
 
+    @classmethod
+    def read(cls, buf, pos, m):
+        """The node of m bits stored from bit `pos` of buf on, and the bit after it."""
+        end = pos + m
+        if end > 8 * len(buf):
+            raise EOFError("payload truncated")
+        return cls(unpack_bits(buf, pos, m)), end
+
     def rank1(self, j):
         c = j >> 9
         return self._cum[c] + (self._chunks[c] >> (512 - (j & 511))).bit_count()
@@ -77,6 +89,8 @@ class PlainBitVector:
     def to_bits(self):
         raw = b"".join(chunk.to_bytes(CHUNK_BITS // 8, "big") for chunk in self._chunks)
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: self.m]
+
+    stored_bits = to_bits
 
     @property
     def payload_bits(self):
@@ -186,6 +200,24 @@ class RrrBitVector:
         v._setup(m, t, classes, offbuf, offbase, offset_bits)
         return v
 
+    @classmethod
+    def read(cls, buf, pos, m, t):
+        """The node of m bits stored from bit `pos` of buf on, and the bit after it."""
+        wc = t.bit_length()
+        end = pos + (m + t - 1) // t * wc
+        if end > 8 * len(buf):
+            raise EOFError("payload truncated")
+        # a class field is at most 6 bits, so its weighted bit sum fits uint8
+        fields = unpack_bits(buf, pos, end - pos).reshape(-1, wc)
+        classes = fields @ (np.uint8(1) << np.arange(wc, dtype=np.uint8))
+        if len(classes) and int(classes.max()) > t:
+            raise ValueError("rrr class out of range")
+        offset_bits = int(np.asarray(offset_widths(t))[classes].sum())
+        if end + offset_bits > 8 * len(buf):
+            raise EOFError("rrr offsets truncated")
+        bv = cls.from_parts(m, t, classes, buf, end, offset_bits)
+        return bv, end + offset_bits
+
     def _setup(self, m, t, classes, offbuf, offbase, offset_bits):
         """Derive the (offset position, rank) samples from the classes."""
         self._classes = np.asarray(classes, dtype=np.uint8).tobytes()
@@ -206,8 +238,8 @@ class RrrBitVector:
         self._offbuf = offbuf
         self._offbase = offbase
         self.offset_bits = offset_bits
-        self._sample_rank = rank[at].tolist()
-        self._sample_opos = opos[at].tolist()
+        self._sample_rank = array("q", rank[at].tolist())
+        self._sample_opos = array("q", opos[at].tolist())
 
     def _block_value(self, blk, opos):
         k = self._classes[blk]
@@ -247,14 +279,16 @@ class RrrBitVector:
         """The packed offset bits as (buffer, base bit offset, bit count)."""
         return self._offbuf, self._offbase, self.offset_bits
 
-    def offsets(self):
-        """The offset field of every block, as uint64."""
-        widths = np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8)
-        return unpack_fields(self._offbuf, self._offbase, widths)
-
     def blocks(self):
         """Introspection: (class, offset) per block."""
-        return list(zip(self._classes, self.offsets().tolist()))
+        widths = np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8)
+        offsets = unpack_fields(self._offbuf, self._offbase, widths)
+        return list(zip(self._classes, offsets.tolist()))
+
+    def stored_bits(self):
+        fields = np.unpackbits(self.block_classes()[:, None], axis=1, bitorder="little")
+        offsets = unpack_bits(*self.offset_stream())
+        return np.concatenate([fields[:, : self.class_field_width].ravel(), offsets])
 
     @property
     def class_bits(self):
@@ -290,3 +324,45 @@ def make_bitvector(bits, backend, rrr_block_size=15):
     if backend == "rrr":
         return RrrBitVector(bits, rrr_block_size)
     raise ValueError(f"unknown bitvector backend: {backend!r}")
+
+
+def read_bitvector(buf, pos, m, backend, rrr_block_size=15):
+    """read() of the backend's class."""
+    if backend == "plain":
+        return PlainBitVector.read(buf, pos, m)
+    return RrrBitVector.read(buf, pos, m, rrr_block_size)
+
+
+def check_stored(nodes):
+    """Raise ValueError on RRR fields that read() takes but the encoder cannot write.
+
+    Offset fields must be below comb(t, class), and a node's padding bits
+    zero: child lengths come from class sums, equal to rank1(m) only then.
+    One check over all nodes, on a joined copy of their distinct buffers;
+    fields are read 2^15 at a time, which keeps the temporaries in cache.
+    """
+    nodes = [bv for bv in nodes if bv.backend == "rrr" and bv.m]
+    if not nodes:
+        return
+    streams = [bv.offset_stream() for bv in nodes]
+    bufs = {id(buf): buf for buf, _, _ in streams}
+    first_bit = dict(zip(bufs, np.cumsum([0] + [8 * len(b) for b in bufs.values()]).tolist()))
+    at = [first_bit[id(buf)] + base for buf, base, _ in streams]
+    ks = [bv.block_classes() for bv in nodes]
+    words = as_words(b"".join(bufs.values()))
+    t = nodes[0].t
+    widths = np.array(offset_widths(t))
+    limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
+    classes = np.concatenate(ks)
+    counts = [len(k) for k in ks]
+    width = widths[classes]
+    starts = np.cumsum(width)
+    starts -= width
+    starts += np.repeat(np.array(at) - starts[np.cumsum(counts) - counts], counts)
+    for lo in range(0, len(starts), 1 << 15):
+        part = slice(lo, lo + (1 << 15))
+        if np.any(read_fields(words, starts[part], width[part]) >= limits[classes[part]]):
+            raise ValueError("rrr offset out of range")
+    for bv in nodes:
+        if bv.rank1(bv.m) != bv.ones:
+            raise ValueError("rrr padding bits")

@@ -8,13 +8,20 @@ every element routed through it. There is no trie: the nodes are kept as a
 flat list in preorder, and each symbol keeps the bitvectors on its path, so
 rank turns a position into a position inside the child node by node. Code
 bit 0 goes left, 1 goes right, reading codes from the most significant bit.
+
+A tree owns the layout of its two index-file sections: the codebook (u16
+alphabet size, a u16 symbol and u8 code length per symbol in ascending
+order, then the code values as fields of those lengths) and the payload,
+every node's stored bits (see bitrank) in preorder.
 """
 
 import heapq
+import struct
 
 import numpy as np
 
-from .bitrank import make_bitvector
+from .bitio import pack_fields, unpack_fields
+from .bitrank import check_stored, make_bitvector, read_bitvector
 
 
 def balanced_codes(symbols, counts=None):
@@ -64,15 +71,16 @@ def _internal_nodes(codes):
     Raises ValueError unless the codes are prefix-free: no two symbols may
     share a code, and no code may equal a proper prefix of another.
     """
+    error = "codebook (codes are not prefix-free)"
     if len(set(codes.values())) != len(codes):
-        raise ValueError("codes are not prefix-free")
+        raise ValueError(error)
     prefixes = {
         (depth, code >> (length - depth))
         for length, code in codes.values()
         for depth in range(length)
     }
     if not prefixes.isdisjoint(codes.values()):
-        raise ValueError("codes are not prefix-free")
+        raise ValueError(error)
     maxlen = max(length for length, _ in codes.values())
     # padding a prefix to maxlen bits orders subtrees left to right; depth puts parents first
     return sorted(prefixes, key=lambda node: (node[1] << (maxlen - node[0]), node[0]))
@@ -193,8 +201,66 @@ class WaveletTree:
         """16-bit alphabet size, then 16-bit symbol + 8-bit length + code bits each."""
         return 16 + sum(16 + 8 + length for length, _ in self.codes.values())
 
+    def codebook_section(self):
+        syms = sorted(self.codes)
+        lengths, codes = zip(*(self.codes[sym] for sym in syms))
+        head = b"".join(struct.pack("<HB", sym, length) for sym, length in zip(syms, lengths))
+        return struct.pack("<H", len(syms)) + head + pack_fields(codes, lengths)
+
+    def payload_section(self):
+        """RRR offsets are copied as stored, not decoded."""
+        bits = [bv.stored_bits() for bv in self.nodes]
+        return np.packbits(np.concatenate(bits), bitorder="little").tobytes() if bits else b""
+
     def size_in_bits(self):
         return self.payload_bits + self.directory_bits + self.codebook_bits
+
+
+def _parse_codebook(body, sigma):
+    """The codes of a codebook section over symbols below sigma."""
+    if len(body) < 2:
+        raise ValueError("codebook header")
+    (sigma_local,) = struct.unpack_from("<H", body, 0)
+    if sigma_local < 1:
+        raise ValueError("codebook alphabet size")
+    head_len = 2 + 3 * sigma_local
+    if len(body) < head_len:
+        raise ValueError("codebook entries")
+    entries = list(struct.iter_unpack("<HB", body[2:head_len]))
+    prev = -1
+    for sym, length in entries:
+        if sym <= prev or sym >= sigma:
+            raise ValueError("codebook symbols")
+        if (length == 0) != (sigma_local == 1) or length > 64:
+            raise ValueError("codebook code lengths")
+        prev = sym
+    lengths = [length for _, length in entries]
+    try:
+        values = unpack_fields(body, 8 * head_len, lengths)
+    except EOFError:
+        raise EOFError("codebook bits") from None
+    if len(body) - head_len - (sum(lengths) + 7) // 8 > 0:
+        raise ValueError("codebook length")
+    return {sym: (length, code) for (sym, length), code in zip(entries, values.tolist())}
+
+
+def read_trees(sections, lengths, sigma, backend, rrr_block_size):
+    """The trees of (codebook, payload) sections; ValueError or EOFError names a failed check."""
+    trees = []
+    for (codebook, payload), length in zip(sections, lengths):
+        pos = 0
+
+        def node_reader(nbits):
+            nonlocal pos
+            bv, pos = read_bitvector(payload, pos, nbits, backend, rrr_block_size)
+            return bv
+
+        codes = _parse_codebook(codebook, sigma)
+        trees.append(WaveletTree.from_codebook(codes, length, node_reader))
+        if len(payload) - (pos + 7) // 8 > 0:
+            raise ValueError("payload length")
+    check_stored([bv for wt in trees for bv in wt.nodes])
+    return trees
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,8 +13,10 @@ from fmblock.bitrank import (
     RrrBitVector,
     build_plain,
     build_rrr,
+    make_bitvector,
     offset_of_value,
     offset_width,
+    read_bitvector,
     value_of_offset,
 )
 
@@ -146,6 +149,30 @@ def test_from_parts_reconstruction():
     w = RrrBitVector.from_parts(v.m, v.t, v.block_classes(), buf, base, nbits)
     assert w.to_bits().tolist() == bits
     assert [w.rank1(j) for j in range(v.m + 1)] == [v.rank1(j) for j in range(v.m + 1)]
+
+
+@pytest.mark.parametrize(
+    "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
+)
+def test_stored_bits_read_back_at_unaligned_positions(backend, t):
+    rng = random.Random(t)
+    for m in (1, t, 100, 700):
+        bits = [rng.randint(0, 1) for _ in range(m)]
+        v = make_bitvector(bits, backend, t)
+        stored = v.stored_bits()
+        assert len(stored) == v.payload_bits
+        want = [0, *itertools.accumulate(bits)]
+        for lead in range(1, 8):
+            # random bits before the node and after it, so neither side is zero padding
+            around = [rng.randint(0, 1) for _ in range(lead + 9)]
+            buf = np.packbits(
+                np.concatenate([around[:lead], stored, around[lead:]]).astype(np.uint8),
+                bitorder="little",
+            ).tobytes()
+            w, end = read_bitvector(buf, lead, m, backend, t)
+            assert end == lead + len(stored)
+            assert [w.rank1(j) for j in range(m + 1)] == want
+            assert w.stored_bits().tolist() == stored.tolist()
 
 
 @settings(max_examples=200, deadline=None)

@@ -136,6 +136,16 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
         deserialize(_with_root_blocks(ix, too_big))
 
 
+def test_out_of_range_rrr_offset_after_the_first_2_15_fields_is_rejected_at_load():
+    # 3-bit blocks over 100,000 a's: the sentinel's block is the last of 33,334
+    ix = build_index(build_text(b"a" * 100_000), "ssa_rrr", rrr_block_size=3)
+    blocks = ix.blocks[0].nodes[0].blocks()
+    assert len(blocks) > 1 << 15 and offset_width(3, blocks[-1][0]) == 2
+    blocks[-1] = (blocks[-1][0], 3)
+    with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
+        deserialize(_with_root_blocks(ix, blocks))
+
+
 def test_rrr_padding_ones_are_rejected_at_load():
     # n = 8 at t = 3: the last block holds 2 bits and 1 bit of padding
     ix = build_index(build_text(b"a" * 7), "ssa_rrr", rrr_block_size=3)
