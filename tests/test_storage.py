@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitio import pack_fields
+from fmblock.bitio import pack_fields, unpack_fields
 from fmblock.bitrank import offset_of_value, offset_width, value_of_offset
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import (
@@ -157,6 +157,49 @@ def test_rrr_padding_ones_are_rejected_at_load():
         deserialize(_with_root_blocks(ix, blocks))
 
 
+def test_rrr_padding_ones_in_a_middle_node_are_rejected_at_load():
+    # over abracadabra at t = 3, node 101 (codes 1010 and 1011 below it, both
+    # leaves) holds 4 bits, so its last block has 2 bits of padding, and it is
+    # the fourth of five nodes in preorder
+    ix = build_index(build_text(b"abracadabra" * 3), "ssa_rrr", rrr_block_size=3)
+    codes = ix.blocks[0].codes
+
+    def below(depth, prefix):
+        return [s for s, (ln, code) in codes.items() if ln > depth and code >> (ln - depth) == prefix]
+
+    def preorder(depth, prefix):
+        if not below(depth, prefix):
+            return []
+        return [(depth, prefix)] + preorder(depth + 1, prefix << 1) + preorder(depth + 1, prefix << 1 | 1)
+
+    nodes = preorder(0, 0)
+    target = (3, 0b101)
+    assert target in nodes[:-1] and not preorder(4, 0b1010) and not preorder(4, 0b1011)
+    raw = to_bytes(ix)
+    payload = _sections(raw)[PAYLOAD]
+    # every node's class fields, then its offsets, as (value, width) pairs
+    fields = []
+    pos = 0
+    for node in nodes:
+        m = sum(ix.c[s + 1] - ix.c[s] for s in below(*node))
+        classes = unpack_fields(payload, pos, [2] * -(-m // 3)).tolist()
+        pos += 2 * len(classes)
+        widths = [offset_width(3, k) for k in classes]
+        offsets = unpack_fields(payload, pos, widths).tolist()
+        pos += sum(widths)
+        if node == target:
+            assert m % 3 == 1
+            k, off = classes[-1], offsets[-1]
+            padded = value_of_offset(off, 3, k) | 0b100
+            classes[-1], offsets[-1] = k + 1, offset_of_value(padded, 3, k + 1)
+            widths[-1] = offset_width(3, k + 1)
+        fields += [(k, 2) for k in classes] + list(zip(offsets, widths))
+    assert (pos + 7) // 8 == len(payload)
+    values, widths = zip(*fields)
+    with pytest.raises(CorruptIndexError, match="corrupt index: rrr padding bits"):
+        deserialize(_with_section(raw, PAYLOAD, lambda body: pack_fields(values, widths)))
+
+
 def test_codebook_that_is_not_prefix_free_is_rejected_at_load():
     # a and b occur equally often, so the symbol-count check alone passes a
     # codebook that gives b the code of a
@@ -183,16 +226,25 @@ def test_codebook_that_is_not_prefix_free_is_rejected_at_load():
         deserialize(body + struct.pack("<II", 4, zlib.crc32(body)))
 
 
-def _with_section(raw, which, edit):
-    """Saved bytes with edit(section) in place of section `which`, and a valid checksum."""
-    at = header = struct.calcsize("<8sHBBQIQI")
+_HEADER_SIZE = struct.calcsize("<8sHBBQIQI")
+
+
+def _sections(raw):
+    """The section bodies of saved bytes, checksum included."""
+    at = _HEADER_SIZE
     sections = []
     while at < len(raw):
         (length,) = struct.unpack_from("<I", raw, at)
         sections.append(raw[at + 4 : at + 4 + length])
         at += 4 + length
+    return sections
+
+
+def _with_section(raw, which, edit):
+    """Saved bytes with edit(section) in place of section `which`, and a valid checksum."""
+    sections = _sections(raw)
     sections[which] = edit(sections[which])
-    body = raw[:header] + b"".join(struct.pack("<I", len(sec)) + sec for sec in sections[:-1])
+    body = raw[:_HEADER_SIZE] + b"".join(struct.pack("<I", len(sec)) + sec for sec in sections[:-1])
     return body + struct.pack("<II", 4, zlib.crc32(body))
 
 
