@@ -5,7 +5,7 @@ p is bit (p + i) % 8 of byte (p + i) // 8, and a stream is zero-padded to
 a whole byte. pack_fields writes consecutive fields, unpack_fields reads
 them back, and read_bits reads one field for a scalar rank. unpack_fields
 is built on as_words and read_fields, which read fields at any offsets.
-unpack_bits reads single bits from any offset, to copy a stored node.
+unpack_bits reads single bits from any offset, to copy stored offset streams.
 """
 
 import numpy as np

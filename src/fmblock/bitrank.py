@@ -14,9 +14,12 @@ Two interchangeable representations:
   the classes since the last sample, and their offset widths through a
   256-byte translation table, without a Python loop.
 
-Each class owns the layout of a node in the index file: stored_bits() gives
-the raw bits of a plain node, or an RRR node's t.bit_length()-bit class
-fields and then its offset stream as is; read() rebuilds a node from them.
+A wavelet tree keeps all its nodes in one vector, in preorder: plain nodes
+joined bit to bit, RRR nodes each starting on a t-bit block. This module
+owns the layout of those nodes in the index file. stored_bits() gives a
+plain vector's raw bits, or the class fields and then the offsets of each
+RRR node in turn; read_nodes() reads the nodes of a section back one at a
+time and then builds the one vector over them.
 """
 
 import functools
@@ -28,6 +31,8 @@ import numpy as np
 from .bitio import as_words, pack_fields, read_bits, read_fields, unpack_bits, unpack_fields
 
 CHUNK_BITS = 512
+# each byte with its bits in reverse order: bitio's LSB-first bytes to the chunks' MSB-first ones
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 RRR_SAMPLE_EVERY = 32
 _TABLE_MAX_T = 16
 
@@ -51,31 +56,36 @@ def _check_rank_args(bit, j, m):
 
 
 class PlainBitVector:
+    __slots__ = ("_chunks", "_cum", "m", "ones")
     backend = "plain"
 
     def __init__(self, bits):
         bits = _as_bit_array(bits)
-        m = len(bits)
+        self._setup(bytearray(np.packbits(bits)), len(bits))
+
+    @classmethod
+    def from_stored(cls, buf, m):
+        """The vector of the first m bits of an LSB-first buffer (bitio's layout)."""
+        raw = bytearray(buf[: (m + 7) >> 3].translate(_REVERSED))
+        if m & 7:
+            raw[-1] &= 0xFF << (8 - (m & 7)) & 0xFF
+        v = cls.__new__(cls)
+        v._setup(raw, m)
+        return v
+
+    def _setup(self, raw, m):
+        """Chunks and counters of the m bits in the bytearray raw, MSB first, zero after them."""
+        step = CHUNK_BITS // 8
         # m // 512 + 1 chunks keep rank1(m) in range when 512 divides m
         nchunks = m // CHUNK_BITS + 1
-        padded = np.zeros(nchunks * CHUNK_BITS, dtype=np.uint8)
-        padded[:m] = bits
-        raw = np.packbits(padded)
-        ones = np.bitwise_count(raw).reshape(nchunks, -1).sum(axis=1, dtype=np.int64)
-        raw = raw.tobytes()
-        step = CHUNK_BITS // 8
+        raw += bytes(nchunks * step - len(raw))
+        words = np.bitwise_count(np.frombuffer(raw, dtype=np.uint64))
+        ones = words.reshape(nchunks, -1).sum(axis=1, dtype=np.int64)
+        raw = memoryview(raw)
         self._chunks = [int.from_bytes(raw[i : i + step], "big") for i in range(0, len(raw), step)]
         self._cum = (np.cumsum(ones) - ones).tolist()
         self.m = m
         self.ones = int(ones.sum())
-
-    @classmethod
-    def read(cls, buf, pos, m):
-        """The node of m bits stored from bit `pos` of buf on, and the bit after it."""
-        end = pos + m
-        if end > 8 * len(buf):
-            raise EOFError("payload truncated")
-        return cls(unpack_bits(buf, pos, m)), end
 
     def rank1(self, j):
         c = j >> 9
@@ -173,6 +183,10 @@ def value_of_offset(off, t, k):
 
 
 class RrrBitVector:
+    __slots__ = (
+        "m", "t", "ones", "offset_bits", "_classes", "_widths", "_table", "_offbuf", "_offbase",
+        "_sample_rank", "_sample_opos",
+    )
     backend = "rrr"
 
     def __init__(self, bits, block_size=15):
@@ -182,10 +196,13 @@ class RrrBitVector:
         bits = _as_bit_array(bits)
         m = len(bits)
         nblocks = (m + t - 1) // t
-        padded = np.zeros(nblocks * t, dtype=np.uint8)
-        padded[:m] = bits
-        values = padded.reshape(nblocks, t) @ (np.int64(1) << np.arange(t, dtype=np.int64))
-        classes = np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
+        if m % t:
+            bits = np.concatenate([bits, np.zeros(nblocks * t - m, dtype=np.uint8)])
+        # each block's bits, LSB first, in the low bytes of one uint64
+        packed = np.zeros((nblocks, 8), dtype=np.uint8)
+        packed[:, : (t + 7) // 8] = np.packbits(bits.reshape(nblocks, t), axis=1, bitorder="little")
+        values = packed.view("<u8").ravel()
+        classes = np.bitwise_count(values).astype(np.int64)
         if t <= _TABLE_MAX_T:
             offsets = _offset_table(t)[values]
         else:
@@ -200,31 +217,12 @@ class RrrBitVector:
         v._setup(m, t, classes, offbuf, offbase, offset_bits)
         return v
 
-    @classmethod
-    def read(cls, buf, pos, m, t):
-        """The node of m bits stored from bit `pos` of buf on, and the bit after it."""
-        wc = t.bit_length()
-        end = pos + (m + t - 1) // t * wc
-        if end > 8 * len(buf):
-            raise EOFError("payload truncated")
-        # a class field is at most 6 bits, so its weighted bit sum fits uint8
-        fields = unpack_bits(buf, pos, end - pos).reshape(-1, wc)
-        classes = fields @ (np.uint8(1) << np.arange(wc, dtype=np.uint8))
-        if len(classes) and int(classes.max()) > t:
-            raise ValueError("rrr class out of range")
-        offset_bits = int(np.asarray(offset_widths(t))[classes].sum())
-        if end + offset_bits > 8 * len(buf):
-            raise EOFError("rrr offsets truncated")
-        bv = cls.from_parts(m, t, classes, buf, end, offset_bits)
-        return bv, end + offset_bits
-
     def _setup(self, m, t, classes, offbuf, offbase, offset_bits):
         """Derive the (offset position, rank) samples from the classes."""
         self._classes = np.asarray(classes, dtype=np.uint8).tobytes()
         self._widths = _width_table(t)
         ks = np.frombuffer(self._classes, dtype=np.uint8)
-        opos = np.zeros(len(ks) + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8), out=opos[1:])
+        opos = self._offset_starts()
         rank = np.zeros(len(ks) + 1, dtype=np.int64)
         np.cumsum(ks, out=rank[1:])
         if int(opos[-1]) != offset_bits:
@@ -240,6 +238,13 @@ class RrrBitVector:
         self.offset_bits = offset_bits
         self._sample_rank = array("q", rank[at].tolist())
         self._sample_opos = array("q", opos[at].tolist())
+
+    def _offset_starts(self):
+        """Where each block's offset starts in the offset stream, and the stream's length last."""
+        widths = np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8)
+        opos = np.zeros(len(widths) + 1, dtype=np.int64)
+        np.cumsum(widths, out=opos[1:])
+        return opos
 
     def _block_value(self, blk, opos):
         k = self._classes[blk]
@@ -285,10 +290,20 @@ class RrrBitVector:
         offsets = unpack_fields(self._offbuf, self._offbase, widths)
         return list(zip(self._classes, offsets.tolist()))
 
-    def stored_bits(self):
-        fields = np.unpackbits(self.block_classes()[:, None], axis=1, bitorder="little")
+    def stored_bits(self, bounds=None):
+        """The class fields, then the offsets, of blocks bounds[i]:bounds[i + 1] for each i in turn.
+
+        bounds defaults to one range over all blocks.
+        """
+        ks = self.block_classes()
+        bounds = [0, len(ks)] if bounds is None else bounds
+        fields = np.unpackbits(ks[:, None], axis=1, bitorder="little")[:, : self.class_field_width]
         offsets = unpack_bits(*self.offset_stream())
-        return np.concatenate([fields[:, : self.class_field_width].ravel(), offsets])
+        opos = self._offset_starts()
+        parts = [np.zeros(0, dtype=np.uint8)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            parts += [fields[lo:hi].ravel(), offsets[opos[lo] : opos[hi]]]
+        return np.concatenate(parts)
 
     @property
     def class_bits(self):
@@ -326,30 +341,118 @@ def make_bitvector(bits, backend, rrr_block_size=15):
     raise ValueError(f"unknown bitvector backend: {backend!r}")
 
 
-def read_bitvector(buf, pos, m, backend, rrr_block_size=15):
-    """read() of the backend's class."""
-    if backend == "plain":
-        return PlainBitVector.read(buf, pos, m)
-    return RrrBitVector.read(buf, pos, m, rrr_block_size)
+class _PlainNodes:
+    """Plain nodes of an LSB-first buffer: each one's m raw bits, joined bit to bit."""
+
+    ends = ()  # no padding to check
+
+    def __init__(self, buf):
+        self.buf = buf
+        self.end = 0
+        self._words = as_words(buf)
+        self._before = np.zeros(len(self._words) + 1, dtype=np.int64)  # ones before each word
+        np.cumsum(np.bitwise_count(self._words), out=self._before[1:])
+
+    def _ones_before(self, p):
+        low = int(self._words[p >> 6]) & ((1 << (p & 63)) - 1)
+        return int(self._before[p >> 6]) + low.bit_count()
+
+    def read(self, m):
+        start = self.end
+        self.end += m
+        if self.end > 8 * len(self.buf):
+            raise EOFError("payload truncated")
+        base = self._ones_before(start)
+        return start, base, self._ones_before(self.end) - base
+
+    def vector(self):
+        if len(self.buf) > (self.end + 7) // 8:
+            raise ValueError("payload length")
+        return PlainBitVector.from_stored(self.buf, self.end)
 
 
-def check_stored(nodes):
-    """Raise ValueError on RRR fields that read() takes but the encoder cannot write.
+class _RrrNodes:
+    """RRR nodes of an LSB-first buffer: each one's class fields, then its offsets.
 
-    Offset fields must be below comb(t, class), and a node's padding bits
-    zero: child lengths come from class sums, equal to rank1(m) only then.
-    One check over all nodes, on a joined copy of their distinct buffers;
-    fields are read 2^15 at a time, which keeps the temporaries in cache.
+    In the vector each node starts on a t-bit block, so its classes and its
+    offsets are joined to the previous node's as they are.
     """
-    nodes = [bv for bv in nodes if bv.backend == "rrr" and bv.m]
-    if not nodes:
+
+    def __init__(self, buf, t):
+        self.t = t
+        self.bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
+        self.pos = 0
+        self.classes = []
+        self.offsets = []
+        self.blocks = 0
+        self.ones = 0
+        self.ends = []  # (bit after the node, ones up to the end of its last block)
+        # a class field is at most 6 bits, so its weighted bit sum fits uint8
+        self._weights = np.uint8(1) << np.arange(t.bit_length(), dtype=np.uint8)
+        self._widths = np.asarray(offset_widths(t))
+
+    def read(self, m):
+        t = self.t
+        nblocks = (m + t - 1) // t
+        end = self.pos + nblocks * len(self._weights)
+        if end > len(self.bits):
+            raise EOFError("payload truncated")
+        classes = self.bits[self.pos : end].reshape(nblocks, len(self._weights)) @ self._weights
+        if nblocks and int(classes.max()) > t:
+            raise ValueError("rrr class out of range")
+        self.pos = end + int(self._widths[classes].sum())
+        if self.pos > len(self.bits):
+            raise EOFError("rrr offsets truncated")
+        start = t * self.blocks
+        base = self.ones
+        self.blocks += nblocks
+        self.ones += int(classes.sum())
+        self.classes.append(classes)
+        self.offsets.append(self.bits[end : self.pos])
+        self.ends.append((start + m, self.ones))
+        return start, base, self.ones - base
+
+    def vector(self):
+        if len(self.bits) // 8 > (self.pos + 7) // 8:
+            raise ValueError("payload length")
+        classes = np.concatenate([np.zeros(0, dtype=np.uint8), *self.classes])
+        offsets = np.concatenate([np.zeros(0, dtype=np.uint8), *self.offsets])
+        offbuf = np.packbits(offsets, bitorder="little").tobytes()
+        m = self.blocks * self.t
+        return RrrBitVector.from_parts(m, self.t, classes, offbuf, 0, len(offsets))
+
+
+def read_nodes(buf, backend, rrr_block_size=15):
+    """A reader of the nodes stored in buf, in order.
+
+    read(m) takes the next node, of m bits, and returns its start in the
+    joined vector, the ones before it and its own ones; vector() then checks
+    that nothing follows the last node and builds that vector. Either raises
+    EOFError or ValueError naming the failed check.
+    """
+    if backend == "plain":
+        return _PlainNodes(buf)
+    return _RrrNodes(buf, rrr_block_size)
+
+
+def check_stored(stored):
+    """Raise ValueError on RRR fields that read_nodes takes but the encoder cannot write.
+
+    stored holds a (vector, ends) pair per tree, with the ends of a
+    read_nodes reader. Offset fields must be below comb(t, class), and the
+    padding bits after each node zero: child lengths come from class sums,
+    equal to the ranks only then. One offset check over all vectors, on a
+    joined copy of their buffers; fields are read 2^15 at a time, which
+    keeps the temporaries in cache.
+    """
+    stored = [(bv, ends) for bv, ends in stored if bv.backend == "rrr" and bv.m]
+    if not stored:
         return
+    nodes = [bv for bv, _ in stored]
     streams = [bv.offset_stream() for bv in nodes]
-    bufs = {id(buf): buf for buf, _, _ in streams}
-    first_bit = dict(zip(bufs, np.cumsum([0] + [8 * len(b) for b in bufs.values()]).tolist()))
-    at = [first_bit[id(buf)] + base for buf, base, _ in streams]
+    at = np.cumsum([0] + [8 * len(buf) for buf, _, _ in streams[:-1]]) + [b for _, b, _ in streams]
     ks = [bv.block_classes() for bv in nodes]
-    words = as_words(b"".join(bufs.values()))
+    words = as_words(b"".join(buf for buf, _, _ in streams))
     t = nodes[0].t
     widths = np.array(offset_widths(t))
     limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
@@ -358,11 +461,12 @@ def check_stored(nodes):
     width = widths[classes]
     starts = np.cumsum(width)
     starts -= width
-    starts += np.repeat(np.array(at) - starts[np.cumsum(counts) - counts], counts)
+    starts += np.repeat(at - starts[np.cumsum(counts) - counts], counts)
     for lo in range(0, len(starts), 1 << 15):
         part = slice(lo, lo + (1 << 15))
         if np.any(read_fields(words, starts[part], width[part]) >= limits[classes[part]]):
             raise ValueError("rrr offset out of range")
-    for bv in nodes:
-        if bv.rank1(bv.m) != bv.ones:
-            raise ValueError("rrr padding bits")
+    for bv, ends in stored:
+        for end, ones in ends:
+            if bv.rank1(end) != ones:
+                raise ValueError("rrr padding bits")

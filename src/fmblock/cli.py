@@ -7,10 +7,13 @@ usage, 2 a verification or internal invariant failure.
 """
 
 import argparse
+import gc
+import os
 import random
 import statistics
 import sys
 import time
+import tracemalloc
 
 from . import entropy as ent
 from . import storage, textcore
@@ -95,7 +98,15 @@ def cmd_count(args):
 
 
 def cmd_stats(args):
-    index = _load_index(args.index)
+    # the heap the loaded index holds, measured as perfbench/heapprobe.py does
+    gc.collect()
+    tracemalloc.start()
+    try:
+        index = _load_index(args.index)
+        gc.collect()
+        heap_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     report = index.size_report()
     rows = list(report.components().items()) + [("total", report.total)]
     width = max(len(name) for name, _ in rows)
@@ -107,6 +118,8 @@ def cmd_stats(args):
         print(f"{name}_bits={bits}")
     print(f"total_bits={report.total}")
     print(f"bits_per_symbol={report.bits_per_symbol:.4f}")
+    print(f"file_bytes={os.path.getsize(args.index)}")
+    print(f"heap_bytes={heap_bytes}")
     return 0
 
 

@@ -77,8 +77,8 @@ def _boundary_rows(blocks, sigma):
     rows = [[0] * sigma]
     for wt in blocks[:-1]:
         running = list(rows[-1])
-        for sym in wt.codes:
-            running[sym] += wt.symbol_count(sym)
+        for sym, count in wt.symbol_counts().items():
+            running[sym] += count
         rows.append(running)
     return rows
 

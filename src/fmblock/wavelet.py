@@ -3,11 +3,13 @@
 Two shapes share one implementation: balanced trees assign every local
 symbol a fixed-width code of ceil(log2 sigma_local) bits, Huffman trees
 assign shorter codes to frequent symbols. An internal node is a proper
-prefix of some code and stores one bitvector with the next code bit of
-every element routed through it. There is no trie: the nodes are kept as a
-flat list in preorder, and each symbol keeps the bitvectors on its path, so
-rank turns a position into a position inside the child node by node. Code
-bit 0 goes left, 1 goes right, reading codes from the most significant bit.
+prefix of some code and holds the next code bit of every element routed
+through it. There is no trie and no object per node: the nodes' bits are
+concatenated in preorder into one bitvector per tree (see bitrank), and
+each symbol keeps one step per node on its path, so rank turns a position
+in that vector into a position in the child node by node, with one rank1
+per level. Code bit 0 goes left, 1 goes right, reading codes from the most
+significant bit.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, a u16 symbol and u8 code length per symbol in ascending
@@ -21,7 +23,7 @@ import struct
 import numpy as np
 
 from .bitio import pack_fields, unpack_fields
-from .bitrank import check_stored, make_bitvector, read_bitvector
+from .bitrank import check_stored, make_bitvector, read_nodes
 
 
 def balanced_codes(symbols, counts=None):
@@ -87,8 +89,10 @@ def _internal_nodes(codes):
 
 
 class WaveletTree:
+    __slots__ = ("length", "bits", "_paths")
+
     def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15):
-        x = np.asarray(x, dtype=np.int64)
+        x = np.asarray(x)
         if len(x) == 0:
             raise ValueError("empty sequence")
         if shape not in ("balanced", "huffman"):
@@ -96,6 +100,7 @@ class WaveletTree:
         syms, counts = np.unique(x, return_counts=True)
         if int(syms[0]) < 0:
             raise ValueError("symbols must be non-negative")
+        x = x.astype(np.min_scalar_type(int(syms[-1])), copy=False)
         freq = {int(s): int(c) for s, c in zip(syms, counts)}
         make = balanced_codes if shape == "balanced" else huffman_codes
         codes = make(freq.keys(), freq)
@@ -105,51 +110,74 @@ class WaveletTree:
         for sym, (length, code) in codes.items():
             lens[sym] = length
             codebits[sym] = code
+        # every node's bits in one array, an RRR node from a fresh t-bit
+        # block: at most t - 1 bits of padding for each of the nodes
+        t = rrr_block_size if backend == "rrr" else 1
+        code_bits = sum(freq[sym] * length for sym, (length, _) in codes.items())
+        bits = np.zeros(code_bits + t * len(codes), dtype=np.uint8)
+        at = [0, 0]  # where the next node starts, and the ones before it
 
         def split(seq, depth):
-            bits = (codebits[seq] >> (lens[seq] - depth - 1)) & 1
-            bv = make_bitvector(bits, backend, rrr_block_size)
-            return bv, seq[bits == 0], seq[bits == 1]
+            shift = np.maximum(lens - depth - 1, 0)
+            node = ((codebits >> shift) & 1).astype(np.uint8)[seq]
+            start, base = at
+            bits[start : start + len(node)] = node
+            one = node.view(bool)
+            at[0] = start + -(-len(node) // t) * t
+            at[1] = base + int(np.count_nonzero(one))
+            return start, base, seq[~one], seq[one]
 
         self._assemble(codes, x, split)
+        self.bits = make_bitvector(bits[: at[0]], backend, rrr_block_size)
 
     @classmethod
-    def from_codebook(cls, codes, length, node_reader):
+    def from_payload(cls, codes, length, nodes):
         """Rebuild a tree whose code assignment is already known.
 
-        node_reader(nbits) must return a bitvector for the next node in
-        preorder; child lengths are the parent's counts of zeros and ones
-        (bv.ones), so an RRR node decodes no block while the tree is rebuilt.
+        nodes is a read_nodes reader over the tree's payload section; child
+        lengths are the parent's counts of zeros and ones, so an RRR node
+        decodes no block while the tree is rebuilt.
         """
         wt = cls.__new__(cls)
         wt.length = length
 
         def split(nbits, depth):
-            bv = node_reader(nbits)
-            return bv, nbits - bv.ones, bv.ones
+            start, base, ones = nodes.read(nbits)
+            return start, base, nbits - ones, ones
 
-        wt._assemble(dict(codes), length, split)
+        wt._assemble(codes, length, split)
+        wt.bits = nodes.vector()
         return wt
 
     def _assemble(self, codes, root_item, split):
-        """Build the nodes in preorder, then every symbol's path.
+        """Lay out the nodes in preorder, then build every symbol's path.
 
-        split(item, depth) builds the node that receives `item` (the
-        elements routed through it, or their number) and returns the
-        bitvector with the items of its 0 and 1 children. A path is a tuple
-        of (bitvector, bit) steps, and the two steps of a node are shared by
-        every path through it.
+        split(item, depth) lays out the node that receives `item` (the
+        elements routed through it, or their number) and returns its start
+        s in the tree's vector, the ones b before s, and the items of its 0
+        and 1 children.
+
+        rank follows a position p in the vector, which starts at the root's
+        s = 0. At a node, the child's start plus the child's share of the
+        node's p - s elements before p is rank1(p) + delta on bit 1 (delta
+        = s1 - b) and p - rank1(p) + delta on bit 0 (delta = s0 - s + b).
+        A path is a tuple of (delta, bit, child start) steps, a leaf
+        starting at 0, and the two steps of a node are shared by every path
+        through it.
         """
         internal = _internal_nodes(codes)
         items = {(0, 0): root_item}
-        steps = {}
+        at = {}
         for depth, prefix in internal:
-            bv, zero, one = split(items.pop((depth, prefix)), depth)
-            steps[depth, prefix] = ((bv, 0), (bv, 1))
+            start, base, zero, one = split(items.pop((depth, prefix)), depth)
+            at[depth, prefix] = start, base
             items[depth + 1, prefix << 1] = zero
             items[depth + 1, prefix << 1 | 1] = one
-        self.codes = codes
-        self.nodes = [steps[node][0][0] for node in internal]
+        steps = {}
+        for (depth, prefix), (start, base) in at.items():
+            s0 = at.get((depth + 1, prefix << 1), (0,))[0]
+            s1 = at.get((depth + 1, prefix << 1 | 1), (0,))[0]
+            steps[depth, prefix] = ((s0 - start + base, 0, s0), (s1 - base, 1, s1))
         self._paths = {
             sym: tuple(
                 steps[depth, code >> (length - depth)][(code >> (length - 1 - depth)) & 1]
@@ -165,52 +193,82 @@ class WaveletTree:
         path = self._paths.get(c)
         if path is None:
             return 0
-        q = r
-        for bv, bit in path:
-            q = bv.rank1(q) if bit else q - bv.rank1(q)
-            if q == 0:
+        # bits.rank1 per level: binding it once per call measured 6-13% slower
+        bits = self.bits
+        p = r
+        for delta, bit, child in path:
+            p = bits.rank1(p) + delta if bit else p - bits.rank1(p) + delta
+            if p == child:
                 return 0
-        return q
+        return p
 
-    def symbol_count(self, c):
-        """Occurrences of c, one of the tree's symbols: the size of its leaf."""
-        if not self._paths[c]:
-            return self.length
-        bv, bit = self._paths[c][-1]
-        return bv.ones if bit else bv.m - bv.ones
+    def symbol_counts(self):
+        """{symbol: occurrences}, the sizes of the leaves, with one rank1 per node."""
+        counts = {}
+        ones = {}  # (start, length) of a node -> its ones
+        for sym, path in self._paths.items():
+            start, m = 0, self.length
+            for delta, bit, child in path:
+                if (start, m) not in ones:
+                    base = child - delta if bit else delta - child + start
+                    ones[start, m] = self.bits.rank1(start + m) - base
+                m = ones[start, m] if bit else m - ones[start, m]
+                start = child
+            counts[sym] = m
+        return counts
+
+    @property
+    def codes(self):
+        """{symbol: (code length, code)}, read off the bits of the symbol's path."""
+        codes = {}
+        for sym, path in self._paths.items():
+            code = 0
+            for _, bit, _ in path:
+                code = code << 1 | bit
+            codes[sym] = (len(path), code)
+        return codes
 
     @property
     def local_alphabet(self):
-        return sorted(self.codes)
+        return sorted(self._paths)
 
     @property
     def code_length_bits(self):
         """Total code length over the sequence; equals the sum of node lengths."""
-        return sum(bv.m for bv in self.nodes)
+        counts = self.symbol_counts()
+        return sum(counts[sym] * len(path) for sym, path in self._paths.items())
 
     @property
     def payload_bits(self):
-        return sum(bv.payload_bits for bv in self.nodes)
+        return self.bits.payload_bits
 
     @property
     def directory_bits(self):
-        return sum(bv.directory_bits for bv in self.nodes)
+        return self.bits.directory_bits
 
     @property
     def codebook_bits(self):
         """16-bit alphabet size, then 16-bit symbol + 8-bit length + code bits each."""
-        return 16 + sum(16 + 8 + length for length, _ in self.codes.values())
+        return 16 + sum(16 + 8 + len(path) for path in self._paths.values())
 
     def codebook_section(self):
-        syms = sorted(self.codes)
-        lengths, codes = zip(*(self.codes[sym] for sym in syms))
+        by_symbol = self.codes
+        syms = sorted(by_symbol)
+        lengths, codes = zip(*(by_symbol[sym] for sym in syms))
         head = b"".join(struct.pack("<HB", sym, length) for sym, length in zip(syms, lengths))
         return struct.pack("<H", len(syms)) + head + pack_fields(codes, lengths)
 
     def payload_section(self):
-        """RRR offsets are copied as stored, not decoded."""
-        bits = [bv.stored_bits() for bv in self.nodes]
-        return np.packbits(np.concatenate(bits), bitorder="little").tobytes() if bits else b""
+        """Plain: the tree's bits. RRR: each node's class fields and offsets, copied as stored."""
+        bv = self.bits
+        if bv.backend == "plain":
+            return np.packbits(bv.stored_bits(), bitorder="little").tobytes()
+        # nodes lie in preorder, so each one ends where the next starts; the
+        # root starts at 0, and a node of no bits shares its start with the
+        # next and stores nothing
+        starts = sorted({0} | {child for path in self._paths.values() for _, _, child in path})
+        bounds = [start // bv.t for start in starts] + [len(bv.block_classes())]
+        return np.packbits(bv.stored_bits(bounds), bitorder="little").tobytes()
 
     def size_in_bits(self):
         return self.payload_bits + self.directory_bits + self.codebook_bits
@@ -247,19 +305,13 @@ def _parse_codebook(body, sigma):
 def read_trees(sections, lengths, sigma, backend, rrr_block_size):
     """The trees of (codebook, payload) sections; ValueError or EOFError names a failed check."""
     trees = []
+    stored = []
     for (codebook, payload), length in zip(sections, lengths):
-        pos = 0
-
-        def node_reader(nbits):
-            nonlocal pos
-            bv, pos = read_bitvector(payload, pos, nbits, backend, rrr_block_size)
-            return bv
-
-        codes = _parse_codebook(codebook, sigma)
-        trees.append(WaveletTree.from_codebook(codes, length, node_reader))
-        if len(payload) - (pos + 7) // 8 > 0:
-            raise ValueError("payload length")
-    check_stored([bv for wt in trees for bv in wt.nodes])
+        nodes = read_nodes(payload, backend, rrr_block_size)
+        wt = WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes)
+        trees.append(wt)
+        stored.append((wt.bits, nodes.ends))
+    check_stored(stored)
     return trees
 
 

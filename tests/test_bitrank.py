@@ -16,7 +16,7 @@ from fmblock.bitrank import (
     make_bitvector,
     offset_of_value,
     offset_width,
-    read_bitvector,
+    read_nodes,
     value_of_offset,
 )
 
@@ -155,24 +155,31 @@ def test_from_parts_reconstruction():
     "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
 )
 def test_stored_bits_read_back_at_unaligned_positions(backend, t):
+    # the nodes of one tree's payload section: a plain node starts right after
+    # the last bit of the one before it, an RRR node after its last offset
     rng = random.Random(t)
-    for m in (1, t, 100, 700):
-        bits = [rng.randint(0, 1) for _ in range(m)]
-        v = make_bitvector(bits, backend, t)
-        stored = v.stored_bits()
-        assert len(stored) == v.payload_bits
+    nodes = [[rng.randint(0, 1) for _ in range(m)] for m in (1, t, 100, 700, 3, 0, 9)]
+    if backend == "plain":
+        stored = np.concatenate(nodes).astype(np.uint8)
+    else:
+        stored = np.concatenate([make_bitvector(bits, "rrr", t).stored_bits() for bits in nodes])
+    buf = np.packbits(stored, bitorder="little").tobytes()
+    reader = read_nodes(buf, backend, t)
+    steps = [reader.read(len(bits)) for bits in nodes]
+    v = reader.vector()
+    for (start, base, ones), bits in zip(steps, nodes):
         want = [0, *itertools.accumulate(bits)]
-        for lead in range(1, 8):
-            # random bits before the node and after it, so neither side is zero padding
-            around = [rng.randint(0, 1) for _ in range(lead + 9)]
-            buf = np.packbits(
-                np.concatenate([around[:lead], stored, around[lead:]]).astype(np.uint8),
-                bitorder="little",
-            ).tobytes()
-            w, end = read_bitvector(buf, lead, m, backend, t)
-            assert end == lead + len(stored)
-            assert [w.rank1(j) for j in range(m + 1)] == want
-            assert w.stored_bits().tolist() == stored.tolist()
+        assert ones == want[-1]
+        assert [v.rank1(start + j) - base for j in range(len(bits) + 1)] == want
+    if backend == "plain":
+        assert [start for start, _, _ in steps] == [0, *itertools.accumulate(map(len, nodes[:-1]))]
+        assert v.stored_bits().tolist() == stored.tolist()
+    else:
+        assert all(start % t == 0 for start, _, _ in steps)
+        bounds = [start // t for start, _, _ in steps] + [len(v.block_classes())]
+        assert v.stored_bits(bounds).tolist() == stored.tolist()
+    with pytest.raises(EOFError, match="payload truncated"):
+        read_nodes(buf, backend, t).read(8 * len(buf) * t + 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -126,6 +126,17 @@ def test_stats_components_sum_to_total(banana, tmp_path, capsys):
     assert "bits/sym" in err  # human-readable table goes to stderr
 
 
+@pytest.mark.parametrize("variant", ["ssa", "fixed-rrr"])
+def test_stats_reports_file_and_heap_bytes(banana, tmp_path, capsys, variant):
+    idx = tmp_path / "banana.idx"
+    run(capsys, "build", banana, "-o", idx, "--variant", variant)
+    code, out, _ = run(capsys, "stats", idx)
+    assert code == 0
+    got = kv(out)
+    assert 0 < int(got["file_bytes"]) == idx.stat().st_size
+    assert 0 < int(got["heap_bytes"])
+
+
 def test_bench_is_deterministic_per_seed(tmp_path, capsys):
     text = tmp_path / "t.txt"
     text.write_bytes(b"abracadabra alakazam " * 300)

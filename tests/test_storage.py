@@ -112,7 +112,7 @@ def test_ssa_header_block_size_other_than_zero_is_rejected(variant):
 
 def _with_root_blocks(ix, blocks):
     """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced."""
-    bv = ix.blocks[0].nodes[0]
+    bv = ix.blocks[0].bits
     classes = [k for k, _ in blocks]
     payload = pack_fields(
         classes + [off for _, off in blocks],
@@ -129,7 +129,7 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
     # over two symbols the root is the only node, and the sentinel's block is
     # the only one whose class k has comb(t, k) > 1 offsets
     ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
-    blocks = ix.blocks[0].nodes[0].blocks()
+    blocks = ix.blocks[0].bits.blocks()
     assert to_bytes(deserialize(_with_root_blocks(ix, blocks))) == to_bytes(ix)
     too_big = [(k, (1 << offset_width(rrr_t, k)) - 1) for k, _ in blocks]
     with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
@@ -139,7 +139,7 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
 def test_out_of_range_rrr_offset_after_the_first_2_15_fields_is_rejected_at_load():
     # 3-bit blocks over 100,000 a's: the sentinel's block is the last of 33,334
     ix = build_index(build_text(b"a" * 100_000), "ssa_rrr", rrr_block_size=3)
-    blocks = ix.blocks[0].nodes[0].blocks()
+    blocks = ix.blocks[0].bits.blocks()
     assert len(blocks) > 1 << 15 and offset_width(3, blocks[-1][0]) == 2
     blocks[-1] = (blocks[-1][0], 3)
     with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
@@ -149,7 +149,7 @@ def test_out_of_range_rrr_offset_after_the_first_2_15_fields_is_rejected_at_load
 def test_rrr_padding_ones_are_rejected_at_load():
     # n = 8 at t = 3: the last block holds 2 bits and 1 bit of padding
     ix = build_index(build_text(b"a" * 7), "ssa_rrr", rrr_block_size=3)
-    blocks = ix.blocks[0].nodes[0].blocks()
+    blocks = ix.blocks[0].bits.blocks()
     k, off = blocks[-1]
     padded = value_of_offset(off, 3, k) | 0b100
     blocks[-1] = (k + 1, offset_of_value(padded, 3, k + 1))
@@ -290,6 +290,14 @@ def test_tree_section_checks_with_a_valid_checksum(variant, rrr_t, which, edit, 
     with pytest.raises(CorruptIndexError) as info:
         deserialize(_with_section(raw, which, edit))
     assert str(info.value) == f"corrupt index: {check}"
+
+
+def test_plain_payload_padding_bits_are_ignored_at_load():
+    raw = to_bytes(build_index(build_text(b"a" * 8), "ssa"))
+    # the root holds 9 bits, so the last payload byte has 7 bits of padding
+    ix = deserialize(_with_section(raw, PAYLOAD, lambda body: body[:-1] + bytes([body[-1] | 0x80])))
+    assert ix.blocks[0].bits.ones == 8 and ix.count(b"aa") == 7
+    assert to_bytes(ix) == raw
 
 
 @pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])

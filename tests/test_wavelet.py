@@ -1,19 +1,31 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmblock.wavelet import WaveletTree, build_wt, huffman_codes, wt_rank, wt_size_in_bits
+from fmblock.bitrank import read_nodes
+from fmblock.wavelet import (
+    WaveletTree,
+    build_wt,
+    huffman_codes,
+    read_trees,
+    wt_rank,
+    wt_size_in_bits,
+)
 from helpers import brute_h0, codes_of
 
 
-def node_bits(wt):
-    return ["".join(map(str, n.to_bits().tolist())) for n in wt.nodes]
+def tree_bits(wt):
+    return "".join(map(str, wt.bits.to_bits().tolist()))
 
 
 def test_worked_example_tree():
     wt = build_wt(codes_of("ANNB$AA"), "huffman", "plain")
-    assert node_bits(wt) == ["0111100", "0011", "10"]
+    # the three nodes in preorder, joined into one vector
+    assert tree_bits(wt) == "0111100" + "0011" + "10"
     # most frequent symbol gets the shortest code
     assert wt.codes[codes_of("A")[0]] == (1, 0)
     assert wt.rank(codes_of("A")[0], 7) == 3
@@ -58,7 +70,7 @@ def test_rank_positions_partition_the_length():
 
 def test_single_symbol_sequence():
     wt = build_wt([5] * 40, "huffman", "plain")
-    assert wt.nodes == []
+    assert wt.bits.m == 0
     assert wt.rank(5, 17) == 17
     assert wt.rank(4, 17) == 0
     assert wt.code_length_bits == 0
@@ -102,14 +114,8 @@ def test_codebook_reconstruction_round_trip():
     seq = [rng.randrange(9) for _ in range(257)]
     for backend in ("plain", "rrr"):
         wt = build_wt(seq, "huffman", backend)
-        nodes = iter(wt.nodes)
-
-        def reader(nbits):
-            node = next(nodes)
-            assert node.m == nbits
-            return node
-
-        rebuilt = WaveletTree.from_codebook(wt.codes, wt.length, reader)
+        nodes = read_nodes(wt.payload_section(), backend)
+        rebuilt = WaveletTree.from_payload(wt.codes, wt.length, nodes)
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
         ]
@@ -125,11 +131,12 @@ def test_codebook_reconstruction_round_trip():
     ids=["extends-earlier", "prefix-of-later", "duplicate"],
 )
 def test_codes_that_are_not_prefix_free_are_rejected(codes):
-    def reader(nbits):
-        raise AssertionError("no node may be read")
+    class NoNodes:
+        def read(self, nbits):
+            raise AssertionError("no node may be read")
 
     with pytest.raises(ValueError, match="prefix-free"):
-        WaveletTree.from_codebook(codes, 10, reader)
+        WaveletTree.from_payload(codes, 10, NoNodes())
 
 
 def test_size_report_pieces():
@@ -138,3 +145,32 @@ def test_size_report_pieces():
     assert wt_size_in_bits(wt) == wt.payload_bits + wt.directory_bits + wt.codebook_bits
     assert wt.codebook_bits == 16 + sum(16 + 8 + ln for ln, _ in wt.codes.values())
     assert wt_rank(wt, codes_of("A")[0], 7) == 3
+
+
+@st.composite
+def sequences(draw):
+    """Sequences over up to 40 symbols below 300, of length 1..700, mostly skewed."""
+    alphabet = draw(st.lists(st.integers(0, 299), min_size=2, max_size=40, unique=True))
+    n = draw(st.integers(1, 700))
+    skew = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(len(alphabet)) ** (1 + 4 * skew)
+    return np.array(alphabet)[rng.choice(len(alphabet), n, p=weights / weights.sum())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequences(), st.sampled_from(["plain", "rrr"]), st.sampled_from([1, 3, 15, 16, 17, 63]))
+def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
+    wt = build_wt(seq, "huffman", backend, t)
+    sections = (wt.codebook_section(), wt.payload_section())
+    (back,) = read_trees([sections], [len(seq)], int(seq.max()) + 1, backend, t)
+    assert (back.codebook_section(), back.payload_section()) == sections
+    assert back.bits.to_bits().tolist() == wt.bits.to_bits().tolist()
+    at = sorted({0, len(seq), *range(1, len(seq), max(1, len(seq) // 37))})
+    for c in [*np.unique(seq).tolist(), 300]:
+        prefix = np.concatenate([[0], np.cumsum(seq == c)])
+        want = prefix[at].tolist()
+        assert [wt.rank(c, j) for j in at] == want
+        assert [back.rank(c, j) for j in at] == want
+        if c in wt.codes:
+            assert wt.symbol_counts()[c] == back.symbol_counts()[c] == want[-1]
