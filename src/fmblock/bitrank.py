@@ -2,11 +2,13 @@
 
 Two interchangeable representations:
 
-* PlainBitVector keeps the raw bits as 512-bit Python ints, one per chunk,
-  plus one cumulative counter per chunk: the ones before it. A chunk holds
-  its first bit in the most significant place, so the ones before a
-  position are the popcount of the chunk shifted right, with no mask to
-  build: a rank is one counter plus one shift and one popcount.
+* PlainBitVector keeps the raw bits in one buffer of 64-bit words, read
+  through memoryview.cast("Q"), and one 32-bit counter per word through
+  .cast("I"): the ones before the word. A word holds its first bit in the
+  most significant place, so the ones before a position are the word
+  shifted right, with no mask to build: a rank is one counter plus one
+  shift and one popcount. One vector can hold many trees, each from a
+  fresh word and with its own counters (see plain_words).
 * RrrBitVector stores each t-bit block as a popcount class plus an
   enumerative offset that identifies the block among all t-bit words of
   that class in ascending numeric order, with (offset position, rank)
@@ -16,13 +18,15 @@ Two interchangeable representations:
 
 A wavelet tree keeps all its nodes in one vector, in preorder: plain nodes
 joined bit to bit, RRR nodes each starting on a t-bit block. This module
-owns the layout of those nodes in the index file. stored_bits() gives a
-plain vector's raw bits, or the class fields and then the offsets of each
-RRR node in turn; read_nodes() reads the nodes of a section back one at a
-time and then builds the one vector over them.
+owns the layout of those nodes in the index file. A plain tree stores its
+raw bits, an RRR tree (stored_bits()) the class fields and then the offsets
+of each node in turn; read_nodes() reads the nodes of a section back one at
+a time and then builds the one vector over them, and read_plain() does so
+for the sections of all plain trees of an index, over one vector.
 """
 
 import functools
+import itertools
 import math
 from array import array
 
@@ -30,8 +34,7 @@ import numpy as np
 
 from .bitio import as_words, pack_fields, read_bits, read_fields, unpack_bits, unpack_fields
 
-CHUNK_BITS = 512
-# each byte with its bits in reverse order: bitio's LSB-first bytes to the chunks' MSB-first ones
+# each byte with its bits in reverse order: bitio's LSB-first bytes to the words' MSB-first ones
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 RRR_SAMPLE_EVERY = 32
 _TABLE_MAX_T = 16
@@ -55,52 +58,109 @@ def _check_rank_args(bit, j, m):
         raise ValueError("rank position out of range")
 
 
+def plain_words(m):
+    """64-bit words a plain tree of m bits takes in a vector.
+
+    Its bytes padded to a word, plus one word when they fill the last one,
+    so that rank1 at the tree's end reads a word of the tree.
+    """
+    return ((m + 7) >> 6) + 1
+
+
+def plain_directory_bits(m):
+    """The 32-bit counters of a plain tree of m bits, one per word it takes."""
+    return 32 * plain_words(m)
+
+
 class PlainBitVector:
-    __slots__ = ("_chunks", "_cum", "m", "ones")
+    """The bits of one or more trees as 64-bit words, with a 32-bit counter per word.
+
+    Each tree starts on a word and takes plain_words of its bit count. A word
+    holds its first bit in the most significant place, and its counter the
+    ones before it since its tree's first word, so rank1(j) counts the ones
+    from the start of the tree that holds j to j.
+    """
+
+    __slots__ = ("_words", "_counts", "m", "ones")
     backend = "plain"
 
     def __init__(self, bits):
         bits = _as_bit_array(bits)
-        self._setup(bytearray(np.packbits(bits)), len(bits))
+        self._setup([(np.packbits(bits).tobytes(), len(bits))])
 
     @classmethod
-    def from_stored(cls, buf, m):
-        """The vector of the first m bits of an LSB-first buffer (bitio's layout)."""
-        raw = bytearray(buf[: (m + 7) >> 3].translate(_REVERSED))
-        if m & 7:
-            raw[-1] &= 0xFF << (8 - (m & 7)) & 0xFF
+    def from_stored(cls, parts):
+        """One vector over the first m bits of each (LSB-first buffer, m) part, in turn.
+
+        The buffers are in bitio's layout and hold at least their m bits;
+        bits after the m-th are ignored.
+        """
         v = cls.__new__(cls)
-        v._setup(raw, m)
+        v._setup(parts, _REVERSED)
         return v
 
-    def _setup(self, raw, m):
-        """Chunks and counters of the m bits in the bytearray raw, MSB first, zero after them."""
-        step = CHUNK_BITS // 8
-        # m // 512 + 1 chunks keep rank1(m) in range when 512 divides m
-        nchunks = m // CHUNK_BITS + 1
-        raw += bytes(nchunks * step - len(raw))
-        words = np.bitwise_count(np.frombuffer(raw, dtype=np.uint64))
-        ones = words.reshape(nchunks, -1).sum(axis=1, dtype=np.int64)
-        raw = memoryview(raw)
-        self._chunks = [int.from_bytes(raw[i : i + step], "big") for i in range(0, len(raw), step)]
-        self._cum = (np.cumsum(ones) - ones).tolist()
-        self.m = m
+    def _setup(self, parts, table=None):
+        """Words and counters of (bytes, m) parts, MSB first once each byte goes through table.
+
+        Raises ValueError before allocating if a part has 2^32 bits or more,
+        which its 32-bit counters could not count.
+        """
+        if any(m >= 1 << 32 for _, m in parts):
+            raise ValueError("plain tree of 2^32 bits or more")
+        sizes = [plain_words(m) for _, m in parts]
+        raw = bytearray(8 * sum(sizes))
+        at = 0
+        for (part, m), size in zip(parts, sizes):
+            n = (m + 7) >> 3
+            raw[at : at + n] = part[:n].translate(table)
+            if m & 7:
+                raw[at + n - 1] &= 0xFF << (8 - (m & 7)) & 0xFF
+            at += 8 * size
+        words = np.frombuffer(raw, dtype=np.uint64)
+        words[:] = np.frombuffer(raw, dtype=">u8")  # each word's first byte to its top
+        ones = np.bitwise_count(words)
+        before = np.cumsum(ones, dtype=np.int64)
+        before -= ones
+        firsts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+        before -= np.repeat(before[firsts], sizes)
+        counts = bytearray(4 * len(words))
+        np.frombuffer(counts, dtype=np.uint32)[:] = before
+        self._words = memoryview(raw).cast("Q")
+        self._counts = memoryview(counts).cast("I")
+        self.m = 64 * int(firsts[-1]) + parts[-1][1]
         self.ones = int(ones.sum())
 
     def rank1(self, j):
-        c = j >> 9
-        return self._cum[c] + (self._chunks[c] >> (512 - (j & 511))).bit_count()
+        k = j >> 6
+        return self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
 
     def rank(self, bit, j):
         _check_rank_args(bit, j, self.m)
         r = self.rank1(j)
         return r if bit else j - r
 
-    def to_bits(self):
-        raw = b"".join(chunk.to_bytes(CHUNK_BITS // 8, "big") for chunk in self._chunks)
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: self.m]
+    def to_bits(self, start=0, stop=None):
+        """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
+        stop = self.m if stop is None else stop
+        words = np.frombuffer(self._words, dtype=np.uint64)[start >> 6 : (stop + 63) >> 6]
+        bits = np.unpackbits(words.astype(">u8").view(np.uint8))
+        return bits[start & 63 : (start & 63) + stop - start]
 
-    stored_bits = to_bits
+    def _clear(self, end, limit):
+        """Zero a tree's padding bits end..limit - 1, the tail of one word.
+
+        Of the counters, only that of the tree's spare word counts them.
+        """
+        k = end >> 6
+        tail = (1 << (64 - (end & 63))) - 1 if end < limit else 0
+        cleared = (self._words[k] & tail).bit_count()
+        if cleared:
+            self._words[k] &= ~tail
+            self.ones -= cleared
+            if limit & 63 == 0:
+                self._counts[limit >> 6] -= cleared
+        if limit == self.m:
+            self.m = end
 
     @property
     def payload_bits(self):
@@ -108,7 +168,7 @@ class PlainBitVector:
 
     @property
     def directory_bits(self):
-        return 64 * len(self._cum)
+        return 32 * len(self._counts)
 
     def size_in_bits(self):
         return self.payload_bits + self.directory_bits
@@ -342,33 +402,28 @@ def make_bitvector(bits, backend, rrr_block_size=15):
 
 
 class _PlainNodes:
-    """Plain nodes of an LSB-first buffer: each one's m raw bits, joined bit to bit."""
+    """Plain nodes of one tree in a shared vector: each one's m bits, joined bit to bit."""
 
     ends = ()  # no padding to check
 
-    def __init__(self, buf):
-        self.buf = buf
-        self.end = 0
-        self._words = as_words(buf)
-        self._before = np.zeros(len(self._words) + 1, dtype=np.int64)  # ones before each word
-        np.cumsum(np.bitwise_count(self._words), out=self._before[1:])
-
-    def _ones_before(self, p):
-        low = int(self._words[p >> 6]) & ((1 << (p & 63)) - 1)
-        return int(self._before[p >> 6]) + low.bit_count()
+    def __init__(self, vector, first, stored):
+        self._vector = vector
+        self.end = first
+        self._limit = first + stored  # the bits of the tree's payload section
 
     def read(self, m):
         start = self.end
         self.end += m
-        if self.end > 8 * len(self.buf):
+        if self.end > self._limit:
             raise EOFError("payload truncated")
-        base = self._ones_before(start)
-        return start, base, self._ones_before(self.end) - base
+        base = self._vector.rank1(start)
+        return start, base, self._vector.rank1(self.end) - base
 
     def vector(self):
-        if len(self.buf) > (self.end + 7) // 8:
+        if self._limit - self.end >= 8:
             raise ValueError("payload length")
-        return PlainBitVector.from_stored(self.buf, self.end)
+        self._vector._clear(self.end, self._limit)
+        return self._vector
 
 
 class _RrrNodes:
@@ -426,13 +481,27 @@ def read_nodes(buf, backend, rrr_block_size=15):
     """A reader of the nodes stored in buf, in order.
 
     read(m) takes the next node, of m bits, and returns its start in the
-    joined vector, the ones before it and its own ones; vector() then checks
-    that nothing follows the last node and builds that vector. Either raises
-    EOFError or ValueError naming the failed check.
+    joined vector, the ones before it since the tree's start and its own
+    ones; vector() then checks that nothing follows the last node and
+    returns that vector. Either raises EOFError or ValueError naming the
+    failed check.
     """
     if backend == "plain":
-        return _PlainNodes(buf)
+        return read_plain([buf])[0]
     return _RrrNodes(buf, rrr_block_size)
+
+
+def read_plain(bufs):
+    """A read_nodes reader of each plain payload section in bufs, all over one vector.
+
+    Each section starts on a fresh word and takes the words of all its bits.
+    A tree's length is only known once its nodes are read, so each reader's
+    vector() clears its tree's padding bits and returns the shared vector.
+    """
+    stored = [8 * len(buf) for buf in bufs]
+    vector = PlainBitVector.from_stored(list(zip(bufs, stored)))
+    firsts = itertools.accumulate((64 * plain_words(m) for m in stored), initial=0)
+    return [_PlainNodes(vector, first, m) for first, m in zip(firsts, stored)]
 
 
 def check_stored(stored):

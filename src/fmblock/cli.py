@@ -98,15 +98,20 @@ def cmd_count(args):
 
 
 def cmd_stats(args):
-    # the heap the loaded index holds, measured as perfbench/heapprobe.py does
+    # the heap the loaded index holds, measured as perfbench/heapprobe.py does; a
+    # caller's tracing session is left running, and its memory is not counted
     gc.collect()
-    tracemalloc.start()
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         index = _load_index(args.index)
         gc.collect()
-        heap_bytes = tracemalloc.get_traced_memory()[0]
+        heap_bytes = tracemalloc.get_traced_memory()[0] - before
     finally:
-        tracemalloc.stop()
+        if not outer:
+            tracemalloc.stop()
     report = index.size_report()
     rows = list(report.components().items()) + [("total", report.total)]
     width = max(len(name) for name, _ in rows)

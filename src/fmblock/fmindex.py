@@ -10,11 +10,14 @@ Counting never touches the text: rank over the last column drives the
 backward search.
 """
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import textcore
-from .wavelet import WaveletTree
+from .wavelet import WaveletTree, share_vector
 
 
 class IndexVariant(str, Enum):
@@ -73,14 +76,12 @@ class SizeReport:
 
 
 def _boundary_rows(blocks, sigma):
-    """Row i: occurrences of every code in the blocks before block i."""
-    rows = [[0] * sigma]
-    for wt in blocks[:-1]:
-        running = list(rows[-1])
-        for sym, count in wt.symbol_counts().items():
-            running[sym] += count
-        rows.append(running)
-    return rows
+    """Row i, from item i * sigma on: occurrences of every code in the blocks before block i."""
+    rows = np.zeros((len(blocks), sigma), dtype=np.int64)
+    for i, wt in enumerate(blocks[:-1]):
+        counts = wt.symbol_counts()
+        rows[i + 1, list(counts)] = list(counts.values())
+    return array("q", np.cumsum(rows, axis=0).tobytes())
 
 
 class BlockedFMIndex:
@@ -116,7 +117,8 @@ class BlockedFMIndex:
             return 0
         # the block of position j - 1, so that j = n needs no special case
         bi = (j - 1) // self.block_size
-        return self.boundary_occ[bi][c] + self.blocks[bi].rank(c, j - bi * self.block_size)
+        before = self.boundary_occ[bi * self.sigma + c]
+        return before + self.blocks[bi].rank(c, j - bi * self.block_size)
 
     def count_codes(self, pattern):
         """Backward search over a code-space pattern."""
@@ -182,6 +184,7 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
         WaveletTree(b.l[s : s + bs], "huffman", backend, rrr_block_size)
         for s in range(0, t.n, bs)
     ]
+    blocks = share_vector(blocks)
     return BlockedFMIndex(
         variant,
         t.n,

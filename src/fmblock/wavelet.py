@@ -8,8 +8,9 @@ through it. There is no trie and no object per node: the nodes' bits are
 concatenated in preorder into one bitvector per tree (see bitrank), and
 each symbol keeps one step per node on its path, so rank turns a position
 in that vector into a position in the child node by node, with one rank1
-per level. Code bit 0 goes left, 1 goes right, reading codes from the most
-significant bit.
+per level. The plain trees of an index share one vector, each from its own
+start (share_vector, read_trees). Code bit 0 goes left, 1 goes right,
+reading codes from the most significant bit.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, a u16 symbol and u8 code length per symbol in ascending
@@ -23,7 +24,7 @@ import struct
 import numpy as np
 
 from .bitio import pack_fields, unpack_fields
-from .bitrank import check_stored, make_bitvector, read_nodes
+from .bitrank import check_stored, make_bitvector, plain_directory_bits, read_nodes, read_plain
 
 
 def balanced_codes(symbols, counts=None):
@@ -89,7 +90,7 @@ def _internal_nodes(codes):
 
 
 class WaveletTree:
-    __slots__ = ("length", "bits", "_paths")
+    __slots__ = ("length", "bits", "start", "_paths")
 
     def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15):
         x = np.asarray(x)
@@ -157,13 +158,15 @@ class WaveletTree:
         s in the tree's vector, the ones b before s, and the items of its 0
         and 1 children.
 
-        rank follows a position p in the vector, which starts at the root's
-        s = 0. At a node, the child's start plus the child's share of the
-        node's p - s elements before p is rank1(p) + delta on bit 1 (delta
-        = s1 - b) and p - rank1(p) + delta on bit 0 (delta = s0 - s + b).
-        A path is a tuple of (delta, bit, child start) steps, a leaf
-        starting at 0, and the two steps of a node are shared by every path
-        through it.
+        rank follows a position p in the vector, which starts at r plus the
+        root's s, the tree's start (0 for a tree with no node). At a node,
+        the child's start plus the child's share of the node's p - s
+        elements before p is rank1(p) + delta on bit 1 (delta = s1 - b) and
+        p - rank1(p) + delta on bit 0 (delta = s0 - s + b), where b, like
+        rank1, counts from the tree's start. A path is a tuple of
+        (delta, bit, child start) steps, a leaf starting at 0, and the two
+        steps of a node are shared by every path through it; paths[c] is
+        symbol c's path, None for a symbol the tree does not hold.
         """
         internal = _internal_nodes(codes)
         items = {(0, 0): root_item}
@@ -178,24 +181,25 @@ class WaveletTree:
             s0 = at.get((depth + 1, prefix << 1), (0,))[0]
             s1 = at.get((depth + 1, prefix << 1 | 1), (0,))[0]
             steps[depth, prefix] = ((s0 - start + base, 0, s0), (s1 - base, 1, s1))
-        self._paths = {
-            sym: tuple(
+        self.start = at.get((0, 0), (0,))[0]
+        self._paths = [None] * (max(codes) + 1)
+        for sym, (length, code) in codes.items():
+            self._paths[sym] = tuple(
                 steps[depth, code >> (length - depth)][(code >> (length - 1 - depth)) & 1]
                 for depth in range(length)
             )
-            for sym, (length, code) in codes.items()
-        }
 
     def rank(self, c, r):
         """Occurrences of symbol c among the first r elements."""
         if not 0 <= r <= self.length:
             raise ValueError("rank position out of range")
-        path = self._paths.get(c)
+        paths = self._paths
+        path = paths[c] if 0 <= c < len(paths) else None
         if path is None:
             return 0
         # bits.rank1 per level: binding it once per call measured 6-13% slower
         bits = self.bits
-        p = r
+        p = r + self.start
         for delta, bit, child in path:
             p = bits.rank1(p) + delta if bit else p - bits.rank1(p) + delta
             if p == child:
@@ -206,8 +210,8 @@ class WaveletTree:
         """{symbol: occurrences}, the sizes of the leaves, with one rank1 per node."""
         counts = {}
         ones = {}  # (start, length) of a node -> its ones
-        for sym, path in self._paths.items():
-            start, m = 0, self.length
+        for sym, path in self._items():
+            start, m = self.start, self.length
             for delta, bit, child in path:
                 if (start, m) not in ones:
                     base = child - delta if bit else delta - child + start
@@ -221,7 +225,7 @@ class WaveletTree:
     def codes(self):
         """{symbol: (code length, code)}, read off the bits of the symbol's path."""
         codes = {}
-        for sym, path in self._paths.items():
+        for sym, path in self._items():
             code = 0
             for _, bit, _ in path:
                 code = code << 1 | bit
@@ -230,26 +234,33 @@ class WaveletTree:
 
     @property
     def local_alphabet(self):
-        return sorted(self._paths)
+        return [sym for sym, _ in self._items()]
 
     @property
     def code_length_bits(self):
         """Total code length over the sequence; equals the sum of node lengths."""
         counts = self.symbol_counts()
-        return sum(counts[sym] * len(path) for sym, path in self._paths.items())
+        return sum(counts[sym] * len(path) for sym, path in self._items())
+
+    def _items(self):
+        """(symbol, path) for every symbol of the tree, in ascending order."""
+        return [(sym, path) for sym, path in enumerate(self._paths) if path is not None]
 
     @property
     def payload_bits(self):
-        return self.bits.payload_bits
+        """Plain: the tree's bits, a slice of a vector that may hold other trees."""
+        return self.code_length_bits if self.bits.backend == "plain" else self.bits.payload_bits
 
     @property
     def directory_bits(self):
+        if self.bits.backend == "plain":
+            return plain_directory_bits(self.payload_bits)
         return self.bits.directory_bits
 
     @property
     def codebook_bits(self):
         """16-bit alphabet size, then 16-bit symbol + 8-bit length + code bits each."""
-        return 16 + sum(16 + 8 + len(path) for path in self._paths.values())
+        return 16 + sum(16 + 8 + len(path) for _, path in self._items())
 
     def codebook_section(self):
         by_symbol = self.codes
@@ -262,11 +273,12 @@ class WaveletTree:
         """Plain: the tree's bits. RRR: each node's class fields and offsets, copied as stored."""
         bv = self.bits
         if bv.backend == "plain":
-            return np.packbits(bv.stored_bits(), bitorder="little").tobytes()
+            bits = bv.to_bits(self.start, self.start + self.payload_bits)
+            return np.packbits(bits, bitorder="little").tobytes()
         # nodes lie in preorder, so each one ends where the next starts; the
         # root starts at 0, and a node of no bits shares its start with the
         # next and stores nothing
-        starts = sorted({0} | {child for path in self._paths.values() for _, _, child in path})
+        starts = sorted({0} | {child for _, path in self._items() for _, _, child in path})
         bounds = [start // bv.t for start in starts] + [len(bv.block_classes())]
         return np.packbits(bv.stored_bits(bounds), bitorder="little").tobytes()
 
@@ -303,16 +315,35 @@ def _parse_codebook(body, sigma):
 
 
 def read_trees(sections, lengths, sigma, backend, rrr_block_size):
-    """The trees of (codebook, payload) sections; ValueError or EOFError names a failed check."""
+    """The trees of (codebook, payload) sections; ValueError or EOFError names a failed check.
+
+    Plain trees share one vector, each from a fresh word (see read_plain).
+    """
+    payloads = [payload for _, payload in sections]
+    if backend == "plain":
+        readers = read_plain(payloads)
+    else:
+        # one at a time: an RRR reader holds its section unpacked to a byte per bit
+        readers = (read_nodes(payload, backend, rrr_block_size) for payload in payloads)
     trees = []
     stored = []
-    for (codebook, payload), length in zip(sections, lengths):
-        nodes = read_nodes(payload, backend, rrr_block_size)
+    for (codebook, _), length, nodes in zip(sections, lengths, readers):
         wt = WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes)
         trees.append(wt)
         stored.append((wt.bits, nodes.ends))
     check_stored(stored)
     return trees
+
+
+def share_vector(trees):
+    """Plain trees built one by one, moved into one vector as read_trees lays them out.
+
+    RRR trees are returned as they are.
+    """
+    if trees[0].bits.backend != "plain":
+        return trees
+    readers = read_plain([wt.payload_section() for wt in trees])
+    return [WaveletTree.from_payload(wt.codes, wt.length, nodes) for wt, nodes in zip(trees, readers)]
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,9 +59,30 @@ def test_rank_argument_validation():
 
 def test_plain_directory_sizing():
     v = build_plain([1] * 4096)
-    # one cumulative counter per 512-bit chunk, plus a chunk for rank1(m)
-    assert v.directory_bits == 64 * (4096 // 512 + 1)
+    # one 32-bit counter per 64-bit word, plus a word for rank1(m)
+    assert v.directory_bits == 32 * (4096 // 64 + 1)
     assert v.payload_bits == 4096
+
+
+def test_plain_heap_is_at_most_1_6_bits_per_bit():
+    # 64-bit words and one 32-bit counter per word: 1.5 bits per bit, plus the objects
+    bits = np.random.default_rng(6).integers(0, 2, 1_000_000, dtype=np.uint8)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        v = PlainBitVector(bits)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert v.rank1(v.m) == int(bits.sum())
+    assert 8 * held <= 1.6 * len(bits)
+
+
+def test_plain_tree_of_2_32_bits_is_rejected_before_allocating():
+    with pytest.raises(ValueError, match="plain tree of 2\\^32 bits or more"):
+        PlainBitVector.from_stored([(b"\0", 1 << 32)])
+    assert PlainBitVector.from_stored([(b"\xff", 3)]).ones == 3
 
 
 def test_rrr_worked_block():
@@ -173,7 +196,7 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
         assert [v.rank1(start + j) - base for j in range(len(bits) + 1)] == want
     if backend == "plain":
         assert [start for start, _, _ in steps] == [0, *itertools.accumulate(map(len, nodes[:-1]))]
-        assert v.stored_bits().tolist() == stored.tolist()
+        assert v.to_bits().tolist() == stored.tolist()
     else:
         assert all(start % t == 0 for start, _, _ in steps)
         bounds = [start // t for start, _, _ in steps] + [len(v.block_classes())]

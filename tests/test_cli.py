@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 
 from fmblock import entropy, storage, textcore
@@ -135,6 +138,26 @@ def test_stats_reports_file_and_heap_bytes(banana, tmp_path, capsys, variant):
     got = kv(out)
     assert 0 < int(got["file_bytes"]) == idx.stat().st_size
     assert 0 < int(got["heap_bytes"])
+
+
+def test_stats_heap_bytes_under_an_outer_tracemalloc_session(tmp_path, capsys):
+    text = tmp_path / "t.txt"
+    text.write_bytes(bytes(random.Random(8).choice(b"abcdefgh") for _ in range(30_000)))
+    idx = tmp_path / "t.idx"
+    run(capsys, "build", text, "-o", idx, "--variant", "ssa")
+    code, out, _ = run(capsys, "stats", idx)
+    alone = int(kv(out)["heap_bytes"])
+    assert code == 0 and alone > 0 and not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        ballast = bytearray(1 << 20)
+        code, out, _ = run(capsys, "stats", idx)
+        # the caller's session keeps running, and its megabyte is not the index's
+        assert code == 0 and tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert len(ballast) == 1 << 20
+    assert abs(int(kv(out)["heap_bytes"]) - alone) < alone // 2
 
 
 def test_bench_is_deterministic_per_seed(tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_worked_example_blocks_and_boundaries():
         codes_of("$AB"),
         codes_of("A"),
     ]
-    assert ix.boundary_occ == [[0, 0, 0, 0], [0, 1, 0, 2], [1, 2, 1, 2]]
+    assert ix.boundary_occ.tolist() == [0, 0, 0, 0] + [0, 1, 0, 2] + [1, 2, 1, 2]
 
 
 def test_worked_example_counts_all_variants():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmblock.bitio import pack_fields, unpack_fields
-from fmblock.bitrank import offset_of_value, offset_width, value_of_offset
+from fmblock.bitrank import offset_of_value, offset_width, plain_words, value_of_offset
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import (
     MAGIC,
@@ -21,7 +21,8 @@ from fmblock.storage import (
     save_index,
     serialize,
 )
-from fmblock.textcore import Text, build_text, bwt, naive_count
+from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
+from fmblock.wavelet import read_trees
 from helpers import pattern_batch, random_codes
 
 ALL_VARIANTS = list(IndexVariant)
@@ -300,6 +301,28 @@ def test_plain_payload_padding_bits_are_ignored_at_load():
     assert to_bytes(ix) == raw
 
 
+def test_plain_padding_ones_before_a_spare_word_are_cleared_at_load():
+    # 63 bits fill the payload's eight bytes but for one padding bit; the
+    # tree's spare word, which rank1 at bit 64 reads, must not count it
+    raw = to_bytes(build_index(build_text(b"a" * 62), "ssa"))
+    ix = deserialize(_with_section(raw, PAYLOAD, lambda body: body[:-1] + bytes([body[-1] | 0x80])))
+    bits = ix.blocks[0].bits
+    assert bits.m == 63 and bits.ones == 62 and bits.rank1(64) == 62
+    assert ix.count(b"aa") == 61
+    assert to_bytes(ix) == raw
+
+
+def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
+    class Huge(bytes):
+        def __len__(self):
+            return 1 << 29
+
+    ix = build_index(build_text(b"abracadabra"), "ssa")
+    sections = [(ix.blocks[0].codebook_section(), Huge())]
+    with pytest.raises(ValueError, match="plain tree of 2\\^32 bits or more"):
+        read_trees(sections, [ix.n], ix.sigma, "plain", 15)
+
+
 @pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
 def test_codebook_section_short_of_its_code_bits_is_rejected(variant):
     raw = to_bytes(build_index(build_text(b"abracadabra"), variant))
@@ -325,8 +348,9 @@ def test_boundary_rows_are_the_prefix_symbol_counts(variant):
         assert any(len(wt.codes) == 1 for wt in ix.blocks[1:-1])
     l = np.asarray(bwt(t).l)
     for index in (ix, deserialize(to_bytes(ix))):
-        assert len(index.boundary_occ) == len(index.blocks)
-        for i, row in enumerate(index.boundary_occ):
+        assert len(index.boundary_occ) == len(index.blocks) * t.sigma
+        for i in range(len(index.blocks)):
+            row = index.boundary_occ[i * t.sigma : (i + 1) * t.sigma].tolist()
             assert row == np.bincount(l[: i * index.block_size], minlength=t.sigma).tolist()
 
 
@@ -470,4 +494,33 @@ def test_random_indexes_count_exactly_and_round_trip_byte_identically(data):
         want = naive_count(t, pattern)
         assert ix.count_codes(pattern) == want
         assert back.count_codes(pattern) == want
+    assert to_bytes(back) == raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_plain_fixed_block_trees_share_one_vector_from_word_to_word(data):
+    # a block over two symbols has one node, of b bits: b = 64 or 128 ends its
+    # tree on a word, 56, 57, 63, 65 and 129 just off one; runs of one symbol
+    # make blocks with no node, and block size 1 makes only those
+    sigma = data.draw(st.sampled_from([2, 3, 3, 4, 6]), label="sigma")
+    runs = st.tuples(st.integers(1, sigma - 1), st.integers(1, 40)) if sigma > 2 else st.just((1, 1))
+    codes = [c for c, k in data.draw(st.lists(runs, min_size=1, max_size=40), label="runs") for _ in range(k)]
+    block_size = data.draw(st.sampled_from([1, 56, 57, 63, 64, 65, 128, 129]), label="block_size")
+    t = Text.from_codes(codes, sigma)
+    ix = build_index(t, "fixed_block", block_size)
+    raw = to_bytes(ix)
+    back = deserialize(raw)
+    l = bwt(t).l
+    for index in (ix, back):
+        first = 0
+        for wt in index.blocks:
+            assert wt.bits is index.blocks[0].bits
+            if wt.payload_bits:
+                assert wt.start == first
+            first += 64 * plain_words(wt.payload_bits)
+        for c in range(sigma):
+            assert [index.rank_l(c, j) for j in range(t.n + 1)] == [
+                naive_rank(l, c, j) for j in range(t.n + 1)
+            ]
     assert to_bytes(back) == raw
