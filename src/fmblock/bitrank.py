@@ -11,10 +11,10 @@ Two interchangeable representations:
   fresh word and with its own counters (see plain_words).
 * RrrBitVector stores each t-bit block as a popcount class plus an
   enumerative offset that identifies the block among all t-bit words of
-  that class in ascending numeric order, with (offset position, rank)
-  samples every 32 blocks. The classes are one byte each, so a rank sums
-  the classes since the last sample, and their offset widths through a
-  256-byte translation table, without a Python loop.
+  that class in ascending numeric order, with uint32 (offset position,
+  rank) samples every 32 blocks. The classes are one byte each, so a rank
+  sums the classes since the last sample, and their offset widths through
+  a 256-byte translation table, without a Python loop.
 
 A wavelet tree keeps all its nodes in one vector, in preorder: plain nodes
 joined bit to bit, RRR nodes each starting on a t-bit block. This module
@@ -278,7 +278,9 @@ class RrrBitVector:
         return v
 
     def _setup(self, m, t, classes, offbuf, offbase, offset_bits):
-        """Derive the (offset position, rank) samples from the classes."""
+        """Derive the uint32 (offset position, rank) samples; ValueError first at 2^32 bits or more."""
+        if m >= 1 << 32:
+            raise ValueError("rrr tree of 2^32 bits or more")
         self._classes = np.asarray(classes, dtype=np.uint8).tobytes()
         self._widths = _width_table(t)
         ks = np.frombuffer(self._classes, dtype=np.uint8)
@@ -296,8 +298,8 @@ class RrrBitVector:
         self._offbuf = offbuf
         self._offbase = offbase
         self.offset_bits = offset_bits
-        self._sample_rank = array("q", rank[at].tolist())
-        self._sample_opos = array("q", opos[at].tolist())
+        self._sample_rank = array("I", rank[at].tolist())
+        self._sample_opos = array("I", opos[at].tolist())
 
     def _offset_starts(self):
         """Where each block's offset starts in the offset stream, and the stream's length last."""

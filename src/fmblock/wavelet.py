@@ -6,11 +6,15 @@ assign shorter codes to frequent symbols. An internal node is a proper
 prefix of some code and holds the next code bit of every element routed
 through it. There is no trie and no object per node: the nodes' bits are
 concatenated in preorder into one bitvector per tree (see bitrank), and
-each symbol keeps one step per node on its path, so rank turns a position
-in that vector into a position in the child node by node, with one rank1
-per level. The plain trees of an index share one vector, each from its own
-start (share_vector, read_trees). Code bit 0 goes left, 1 goes right,
-reading codes from the most significant bit.
+each node keeps one signed int per child, a step shared by every symbol's
+path through the node: positive toward the 1-child, zero or negative
+toward the 0-child. rank turns a position in that vector into a position
+in the child, node by node, with one rank1 per level and no early exit.
+Every leaf starts at the end of the tree's last node (`leaf`), past every
+node's start, so a path ends at leaf plus the rank. A plain tree's bits
+run from its start to its leaf. The plain trees of an index share one
+vector, each from its own start (share_vector, read_trees). Code bit 0
+goes left, 1 goes right, reading codes from the most significant bit.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, a u16 symbol and u8 code length per symbol in ascending
@@ -90,7 +94,7 @@ def _internal_nodes(codes):
 
 
 class WaveletTree:
-    __slots__ = ("length", "bits", "start", "_paths")
+    __slots__ = ("length", "bits", "start", "leaf", "_paths")
 
     def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15):
         x = np.asarray(x)
@@ -126,7 +130,7 @@ class WaveletTree:
             one = node.view(bool)
             at[0] = start + -(-len(node) // t) * t
             at[1] = base + int(np.count_nonzero(one))
-            return start, base, seq[~one], seq[one]
+            return start, start + len(node), base, seq[~one], seq[one]
 
         self._assemble(codes, x, split)
         self.bits = make_bitvector(bits[: at[0]], backend, rrr_block_size)
@@ -137,14 +141,18 @@ class WaveletTree:
 
         nodes is a read_nodes reader over the tree's payload section; child
         lengths are the parent's counts of zeros and ones, so an RRR node
-        decodes no block while the tree is rebuilt.
+        decodes no block while the tree is rebuilt. Raises ValueError on a
+        node of no bits, which a tree built from a sequence never has: the
+        codebook then lists symbols the block does not hold.
         """
         wt = cls.__new__(cls)
         wt.length = length
 
         def split(nbits, depth):
+            if not nbits:
+                raise ValueError("empty node")
             start, base, ones = nodes.read(nbits)
-            return start, base, nbits - ones, ones
+            return start, start + nbits, base, nbits - ones, ones
 
         wt._assemble(codes, length, split)
         wt.bits = nodes.vector()
@@ -154,34 +162,38 @@ class WaveletTree:
         """Lay out the nodes in preorder, then build every symbol's path.
 
         split(item, depth) lays out the node that receives `item` (the
-        elements routed through it, or their number) and returns its start
-        s in the tree's vector, the ones b before s, and the items of its 0
-        and 1 children.
+        elements routed through it, or their number), which must hold at
+        least one element, and returns its start s and end in the tree's
+        vector, the ones b before s, and the items of its 0 and 1 children.
 
         rank follows a position p in the vector, which starts at r plus the
-        root's s, the tree's start (0 for a tree with no node). At a node,
-        the child's start plus the child's share of the node's p - s
-        elements before p is rank1(p) + delta on bit 1 (delta = s1 - b) and
-        p - rank1(p) + delta on bit 0 (delta = s0 - s + b), where b, like
-        rank1, counts from the tree's start. A path is a tuple of
-        (delta, bit, child start) steps, a leaf starting at 0, and the two
-        steps of a node are shared by every path through it; paths[c] is
-        symbol c's path, None for a symbol the tree does not hold.
+        root's s, the tree's start (0 for a tree with no node). Every leaf
+        starts at the end of the last node, the tree's `leaf`, past every
+        node's start. At a node, the child's start plus the child's share of
+        the node's p - s elements before p is rank1(p) + step on bit 1
+        (step = s1 - b > 0) and p - rank1(p) - step on bit 0 (step =
+        -(s0 - s + b) <= 0), where b, like rank1, counts from the tree's
+        start. A path is a tuple of steps, and the two steps of a node are
+        shared by every path through it; paths[c] is symbol c's path, None
+        for a symbol the tree does not hold. A path ends at p = leaf plus
+        the rank.
         """
         internal = _internal_nodes(codes)
         items = {(0, 0): root_item}
         at = {}
+        leaf = 0  # the end of the node laid out last
         for depth, prefix in internal:
-            start, base, zero, one = split(items.pop((depth, prefix)), depth)
+            start, leaf, base, zero, one = split(items.pop((depth, prefix)), depth)
             at[depth, prefix] = start, base
             items[depth + 1, prefix << 1] = zero
             items[depth + 1, prefix << 1 | 1] = one
         steps = {}
         for (depth, prefix), (start, base) in at.items():
-            s0 = at.get((depth + 1, prefix << 1), (0,))[0]
-            s1 = at.get((depth + 1, prefix << 1 | 1), (0,))[0]
-            steps[depth, prefix] = ((s0 - start + base, 0, s0), (s1 - base, 1, s1))
+            s0 = at.get((depth + 1, prefix << 1), (leaf,))[0]
+            s1 = at.get((depth + 1, prefix << 1 | 1), (leaf,))[0]
+            steps[depth, prefix] = (start - base - s0, s1 - base)
         self.start = at.get((0, 0), (0,))[0]
+        self.leaf = leaf
         self._paths = [None] * (max(codes) + 1)
         for sym, (length, code) in codes.items():
             self._paths[sym] = tuple(
@@ -200,35 +212,41 @@ class WaveletTree:
         # bits.rank1 per level: binding it once per call measured 6-13% slower
         bits = self.bits
         p = r + self.start
-        for delta, bit, child in path:
-            p = bits.rank1(p) + delta if bit else p - bits.rank1(p) + delta
-            if p == child:
-                return 0
-        return p
+        for step in path:
+            p = bits.rank1(p) + step if step > 0 else p - bits.rank1(p) - step
+        return p - self.leaf
+
+    def _walk(self):
+        """{symbol: leaf size}, and {start: (ones before, ones)} of every internal node.
+
+        Follows every path, with two rank1 calls the first time it reaches a node.
+        """
+        rank1 = self.bits.rank1
+        nodes = {}
+        counts = {}
+        for sym, path in self._items():
+            s, m = self.start, self.length
+            for step in path:
+                if s not in nodes:
+                    b = rank1(s)
+                    nodes[s] = b, rank1(s + m) - b
+                b, ones = nodes[s]
+                s, m = (step + b, ones) if step > 0 else (s - b - step, m - ones)
+            counts[sym] = m
+        return counts, nodes
 
     def symbol_counts(self):
-        """{symbol: occurrences}, the sizes of the leaves, with one rank1 per node."""
-        counts = {}
-        ones = {}  # (start, length) of a node -> its ones
-        for sym, path in self._items():
-            start, m = self.start, self.length
-            for delta, bit, child in path:
-                if (start, m) not in ones:
-                    base = child - delta if bit else delta - child + start
-                    ones[start, m] = self.bits.rank1(start + m) - base
-                m = ones[start, m] if bit else m - ones[start, m]
-                start = child
-            counts[sym] = m
-        return counts
+        """{symbol: occurrences}, the sizes of the leaves."""
+        return self._walk()[0]
 
     @property
     def codes(self):
-        """{symbol: (code length, code)}, read off the bits of the symbol's path."""
+        """{symbol: (code length, code)}, read off the signs of the symbol's path."""
         codes = {}
         for sym, path in self._items():
             code = 0
-            for _, bit, _ in path:
-                code = code << 1 | bit
+            for step in path:
+                code = code << 1 | (step > 0)
             codes[sym] = (len(path), code)
         return codes
 
@@ -248,8 +266,8 @@ class WaveletTree:
 
     @property
     def payload_bits(self):
-        """Plain: the tree's bits, a slice of a vector that may hold other trees."""
-        return self.code_length_bits if self.bits.backend == "plain" else self.bits.payload_bits
+        """Plain: the tree's bits, from its start to the end of its last node, in a shared vector."""
+        return self.leaf - self.start if self.bits.backend == "plain" else self.bits.payload_bits
 
     @property
     def directory_bits(self):
@@ -273,12 +291,11 @@ class WaveletTree:
         """Plain: the tree's bits. RRR: each node's class fields and offsets, copied as stored."""
         bv = self.bits
         if bv.backend == "plain":
-            bits = bv.to_bits(self.start, self.start + self.payload_bits)
+            bits = bv.to_bits(self.start, self.leaf)
             return np.packbits(bits, bitorder="little").tobytes()
-        # nodes lie in preorder, so each one ends where the next starts; the
-        # root starts at 0, and a node of no bits shares its start with the
-        # next and stores nothing
-        starts = sorted({0} | {child for _, path in self._items() for _, _, child in path})
+        # nodes lie in preorder, each on a fresh block, so each one ends
+        # where the next starts; the root starts at 0
+        starts = sorted(self._walk()[1]) or [0]
         bounds = [start // bv.t for start in starts] + [len(bv.block_classes())]
         return np.packbits(bv.stored_bits(bounds), bitorder="little").tobytes()
 

@@ -85,6 +85,13 @@ def test_plain_tree_of_2_32_bits_is_rejected_before_allocating():
     assert PlainBitVector.from_stored([(b"\xff", 3)]).ones == 3
 
 
+def test_rrr_tree_of_2_32_bits_is_rejected_before_allocating():
+    # t = 15 with class 15 stores no offset bits, so no offset buffer is needed
+    with pytest.raises(ValueError, match="rrr tree of 2\\^32 bits or more"):
+        RrrBitVector.from_parts(1 << 32, 15, [15], b"", 0, 0)
+    assert RrrBitVector.from_parts(15, 15, [15], b"", 0, 0).ones == 15
+
+
 def test_rrr_worked_block():
     v = build_rrr("0111100", 7)
     ((cls, off),) = v.blocks()

@@ -1,4 +1,5 @@
 import random
+import struct
 from collections import Counter
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitrank import read_nodes
+from fmblock.bitio import pack_fields
+from fmblock.bitrank import PlainBitVector, RrrBitVector, read_nodes
 from fmblock.wavelet import (
     WaveletTree,
     build_wt,
     huffman_codes,
     read_trees,
+    share_vector,
     wt_rank,
     wt_size_in_bits,
 )
@@ -31,6 +34,9 @@ def test_worked_example_tree():
     assert wt.rank(codes_of("A")[0], 7) == 3
     assert wt.rank(codes_of("N")[0], 3) == 2
     assert wt.rank(codes_of("$")[0], 5) == 1
+    # ranks whose position empties at a node before the leaf
+    assert wt.rank(codes_of("B")[0], 3) == 0
+    assert wt.rank(codes_of("$")[0], 4) == 0
 
 
 def test_huffman_tie_breaks_are_deterministic():
@@ -137,6 +143,36 @@ def test_codes_that_are_not_prefix_free_are_rejected(codes):
 
     with pytest.raises(ValueError, match="prefix-free"):
         WaveletTree.from_payload(codes, 10, NoNodes())
+
+
+@pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
+def test_symbol_counts_make_at_most_two_rank1_calls_per_node(backend, vector, monkeypatch):
+    rng = random.Random(7)
+    seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
+    built = build_wt(seq, "huffman", backend)
+    (loaded,) = read_trees([(built.codebook_section(), built.payload_section())], [len(seq)], 60, backend, 15)
+    calls = []
+    rank1 = vector.rank1
+    monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
+    for wt in (built, loaded, *share_vector([built])):
+        calls.clear()
+        assert wt.symbol_counts() == Counter(seq)
+        # a Huffman tree over k symbols has k - 1 internal nodes
+        assert 0 < len(calls) <= 2 * (len(Counter(seq)) - 1)
+
+
+def test_a_node_of_no_bits_is_rejected_at_load():
+    def codebook(codes):
+        entries = sorted(codes.items())
+        head = b"".join(struct.pack("<HB", sym, length) for sym, (length, _) in entries)
+        fields = pack_fields([code for _, (_, code) in entries], [length for _, (length, _) in entries])
+        return struct.pack("<H", len(entries)) + head + fields
+
+    # symbol 0 fills the block: a leaf of no elements loads, a node of no bits does not
+    (wt,) = read_trees([(codebook({0: (1, 0b1), 1: (1, 0b0)}), b"\xff")], [8], 3, "plain", 15)
+    assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0)
+    with pytest.raises(ValueError, match="empty node"):
+        read_trees([(codebook({0: (1, 0b1), 1: (2, 0b00), 2: (2, 0b01)}), b"\xff")], [8], 3, "plain", 15)
 
 
 def test_size_report_pieces():
