@@ -16,13 +16,14 @@ Two interchangeable representations:
   sums the classes since the last sample, and their offset widths through
   a 256-byte translation table, without a Python loop.
 
-A wavelet tree keeps all its nodes in one vector, in preorder: plain nodes
-joined bit to bit, RRR nodes each starting on a t-bit block. This module
-owns the layout of those nodes in the index file. A plain tree stores its
-raw bits, an RRR tree (stored_bits()) the class fields and then the offsets
-of each node in turn; read_nodes() reads the nodes of a section back one at
-a time and then builds the one vector over them, and read_plain() does so
-for the sections of all plain trees of an index, over one vector.
+A wavelet tree keeps all its nodes in one vector: plain nodes joined bit
+to bit, RRR nodes each starting on a t-bit block. This module owns the
+layout of that vector in the index file, which is the vector's own stored
+form: a plain tree stores its raw bits, an RRR tree (stored_bits()) the
+class fields of all its blocks and then its offset stream. read_nodes()
+reads the nodes of a section back one at a time and then builds the one
+vector over them, and read_plain() does so for the sections of all plain
+trees of an index, over one vector.
 """
 
 import functools
@@ -284,7 +285,8 @@ class RrrBitVector:
         self._classes = np.asarray(classes, dtype=np.uint8).tobytes()
         self._widths = _width_table(t)
         ks = np.frombuffer(self._classes, dtype=np.uint8)
-        opos = self._offset_starts()
+        opos = np.zeros(len(ks) + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8), out=opos[1:])
         rank = np.zeros(len(ks) + 1, dtype=np.int64)
         np.cumsum(ks, out=rank[1:])
         if int(opos[-1]) != offset_bits:
@@ -300,13 +302,6 @@ class RrrBitVector:
         self.offset_bits = offset_bits
         self._sample_rank = array("I", rank[at].tolist())
         self._sample_opos = array("I", opos[at].tolist())
-
-    def _offset_starts(self):
-        """Where each block's offset starts in the offset stream, and the stream's length last."""
-        widths = np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8)
-        opos = np.zeros(len(widths) + 1, dtype=np.int64)
-        np.cumsum(widths, out=opos[1:])
-        return opos
 
     def _block_value(self, blk, opos):
         k = self._classes[blk]
@@ -352,20 +347,11 @@ class RrrBitVector:
         offsets = unpack_fields(self._offbuf, self._offbase, widths)
         return list(zip(self._classes, offsets.tolist()))
 
-    def stored_bits(self, bounds=None):
-        """The class fields, then the offsets, of blocks bounds[i]:bounds[i + 1] for each i in turn.
-
-        bounds defaults to one range over all blocks.
-        """
+    def stored_bits(self):
+        """The class field of every block, then the offset stream, one uint8 (0 or 1) per bit."""
         ks = self.block_classes()
-        bounds = [0, len(ks)] if bounds is None else bounds
         fields = np.unpackbits(ks[:, None], axis=1, bitorder="little")[:, : self.class_field_width]
-        offsets = unpack_bits(*self.offset_stream())
-        opos = self._offset_starts()
-        parts = [np.zeros(0, dtype=np.uint8)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            parts += [fields[lo:hi].ravel(), offsets[opos[lo] : opos[hi]]]
-        return np.concatenate(parts)
+        return np.concatenate([fields.ravel(), unpack_bits(*self.offset_stream())])
 
     @property
     def class_bits(self):
@@ -429,54 +415,50 @@ class _PlainNodes:
 
 
 class _RrrNodes:
-    """RRR nodes of an LSB-first buffer: each one's class fields, then its offsets.
+    """RRR nodes of an LSB-first buffer: the class fields of every node's blocks, then the offsets.
 
-    In the vector each node starts on a t-bit block, so its classes and its
-    offsets are joined to the previous node's as they are.
+    In the vector each node starts on a t-bit block, so the tree's classes
+    and offsets are its nodes', joined as they are.
     """
 
     def __init__(self, buf, t):
         self.t = t
         self.bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-        self.pos = 0
         self.classes = []
-        self.offsets = []
         self.blocks = 0
         self.ones = 0
         self.ends = []  # (bit after the node, ones up to the end of its last block)
         # a class field is at most 6 bits, so its weighted bit sum fits uint8
         self._weights = np.uint8(1) << np.arange(t.bit_length(), dtype=np.uint8)
-        self._widths = np.asarray(offset_widths(t))
 
     def read(self, m):
         t = self.t
         nblocks = (m + t - 1) // t
-        end = self.pos + nblocks * len(self._weights)
-        if end > len(self.bits):
+        width = len(self._weights)
+        pos = self.blocks * width
+        if pos + nblocks * width > len(self.bits):
             raise EOFError("payload truncated")
-        classes = self.bits[self.pos : end].reshape(nblocks, len(self._weights)) @ self._weights
+        classes = self.bits[pos : pos + nblocks * width].reshape(nblocks, width) @ self._weights
         if nblocks and int(classes.max()) > t:
             raise ValueError("rrr class out of range")
-        self.pos = end + int(self._widths[classes].sum())
-        if self.pos > len(self.bits):
-            raise EOFError("rrr offsets truncated")
         start = t * self.blocks
         base = self.ones
         self.blocks += nblocks
         self.ones += int(classes.sum())
         self.classes.append(classes)
-        self.offsets.append(self.bits[end : self.pos])
         self.ends.append((start + m, self.ones))
         return start, base, self.ones - base
 
     def vector(self):
-        if len(self.bits) // 8 > (self.pos + 7) // 8:
-            raise ValueError("payload length")
         classes = np.concatenate([np.zeros(0, dtype=np.uint8), *self.classes])
-        offsets = np.concatenate([np.zeros(0, dtype=np.uint8), *self.offsets])
-        offbuf = np.packbits(offsets, bitorder="little").tobytes()
-        m = self.blocks * self.t
-        return RrrBitVector.from_parts(m, self.t, classes, offbuf, 0, len(offsets))
+        first = self.blocks * len(self._weights)
+        nbits = int(np.asarray(offset_widths(self.t))[classes].sum())
+        if first + nbits > len(self.bits):
+            raise EOFError("rrr offsets truncated")
+        if len(self.bits) // 8 > (first + nbits + 7) // 8:
+            raise ValueError("payload length")
+        offbuf = np.packbits(self.bits[first : first + nbits], bitorder="little").tobytes()
+        return RrrBitVector.from_parts(self.blocks * self.t, self.t, classes, offbuf, 0, nbits)
 
 
 def read_nodes(buf, backend, rrr_block_size=15):

@@ -64,11 +64,28 @@ def cmd_build(args):
         _require(variant.fixed, "--block-size applies to the fixed variants only")
         _require(args.block_size >= 1, "--block-size must be >= 1")
     _require(1 <= args.rrr_block_size <= 63, "--rrr-block-size must be in 1..63")
-    t = _build_text(args.text)
-    started = time.perf_counter()
-    index = build_index(t, variant, args.block_size, args.rrr_block_size)
-    build_seconds = time.perf_counter() - started
-    written = storage.save_index(index, args.output)
+    # opened before the text is read, so that an output that cannot be written
+    # fails before any work; appending truncates nothing until the index is built
+    created = not os.path.exists(args.output)
+    try:
+        out = open(args.output, "ab", buffering=0)  # unbuffered: a failed write raises in serialize
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output!r}: {exc}") from exc
+    written = None
+    try:
+        with out:
+            t = _build_text(args.text)
+            started = time.perf_counter()
+            index = build_index(t, variant, args.block_size, args.rrr_block_size)
+            build_seconds = time.perf_counter() - started
+            try:
+                out.truncate(0)
+                written = storage.serialize(index, out)
+            except OSError as exc:
+                raise CliError(f"cannot write {args.output!r}: {exc}") from exc
+    finally:
+        if written is None and created:
+            os.remove(args.output)
     report = index.size_report()
     print(f"n={index.n}")
     print(f"sigma={index.sigma}")

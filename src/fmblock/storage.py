@@ -1,4 +1,4 @@
-"""Binary serialization of a built index, format version 2.
+"""Binary serialization of a built index, format version 4.
 
 Layout (all integers little-endian):
 
@@ -7,16 +7,18 @@ Layout (all integers little-endian):
            (0 for ssa variants, which are one block of n symbols), u32
            block count
   sections each prefixed with its u32 byte length, in order: remap,
-           c array, then per block a codebook section and a node payload
-           section, and last a checksum section holding the zlib.crc32 of
-           every byte before it
+           c array, then per block a codebook section (the tree's code
+           lengths) and a payload section (its bitvector as stored), and
+           last a checksum section holding the zlib.crc32 of every byte
+           before it
 
 This module owns the header, the framing, remap, c array and checksum; the
 tree writes and parses a block's two sections (wavelet, bitrank). A file
-holds only what cannot be recomputed: rank directories, RRR samples and
-boundary rows are derived at load by the code that derives them at build.
-Deserialization rejects other versions, checks the framing, remap, c array
-and checksum before it parses any tree, then checks the symbol counts; a
+holds only what cannot be recomputed: codes, rank directories, RRR samples
+and boundary rows are derived at load by the code that derives them at
+build. Deserialization rejects every other version (1 and 2 are earlier
+layouts; 3 was never written), checks the framing, remap, c array and
+checksum before it parses any tree, then checks the symbol counts; a
 loaded index answers queries identically to the index that was saved.
 """
 
@@ -27,7 +29,7 @@ from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import read_trees
 
 MAGIC = b"FBFMIDX1"
-VERSION = 2
+VERSION = 4
 
 _HEADER = struct.Struct("<8sHBBQIQI")
 _VARIANT_CODES = {v: i for i, v in enumerate(IndexVariant)}

@@ -2,24 +2,27 @@
 
 Two shapes share one implementation: balanced trees assign every local
 symbol a fixed-width code of ceil(log2 sigma_local) bits, Huffman trees
-assign shorter codes to frequent symbols. An internal node is a proper
-prefix of some code and holds the next code bit of every element routed
-through it. There is no trie and no object per node: the nodes' bits are
-concatenated in preorder into one bitvector per tree (see bitrank), and
-each node keeps one signed int per child, a step shared by every symbol's
-path through the node: positive toward the 1-child, zero or negative
-toward the 0-child. rank turns a position in that vector into a position
-in the child, node by node, with one rank1 per level and no early exit.
-Every leaf starts at the end of the tree's last node (`leaf`), past every
-node's start, so a path ends at leaf plus the rank. A plain tree's bits
-run from its start to its leaf. The plain trees of an index share one
+assign shorter codes to frequent symbols. Either way a tree is its code
+lengths: codes are assigned canonically from them (canonical_codes), so at
+every depth the leaves hold the lowest prefixes and the internal nodes the
+rest. An internal node is a proper prefix of some code and holds the next
+code bit of every element routed through it. There is no trie and no
+object per node: the nodes' bits are concatenated level by level, in
+prefix order within a level, into one bitvector per tree (see bitrank),
+and each node keeps one signed int per child, a step shared by every
+symbol's path through the node: positive toward the 1-child, zero or
+negative toward the 0-child. rank turns a position in that vector into a
+position in the child, node by node, with one rank1 per level and no early
+exit. Every leaf starts at the end of the tree's last node (`leaf`), past
+every node's start, so a path ends at leaf plus the rank. A plain tree's
+bits run from its start to its leaf. The plain trees of an index share one
 vector, each from its own start (share_vector, read_trees). Code bit 0
 goes left, 1 goes right, reading codes from the most significant bit.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
-alphabet size, a u16 symbol and u8 code length per symbol in ascending
-order, then the code values as fields of those lengths) and the payload,
-every node's stored bits (see bitrank) in preorder.
+alphabet size, then a u16 symbol and u8 code length per symbol in
+ascending order, and no code bits) and the payload, its vector as stored
+(see bitrank).
 """
 
 import heapq
@@ -27,70 +30,53 @@ import struct
 
 import numpy as np
 
-from .bitio import pack_fields, unpack_fields
 from .bitrank import check_stored, make_bitvector, plain_directory_bits, read_nodes, read_plain
+
+
+def canonical_codes(lengths):
+    """{symbol: (length, code)} for {symbol: code length}, assigned in (length, symbol) order.
+
+    Each code is the previous one plus one, shifted left by the step in
+    length (DEFLATE's rule, RFC 1951 3.2.2). Under Kraft equality the codes
+    are prefix-free, and at every depth the leaves take the lowest prefixes
+    and the internal nodes the rest.
+    """
+    codes = {}
+    code = prev = 0
+    for length, sym in sorted((length, sym) for sym, length in lengths.items()):
+        code <<= length - prev
+        codes[sym] = (length, code)
+        code += 1
+        prev = length
+    return codes
 
 
 def balanced_codes(symbols, counts=None):
     """Fixed-width codes: the i-th smallest symbol gets code i."""
-    symbols = sorted(symbols)
-    width = max(1, (len(symbols) - 1).bit_length()) if len(symbols) > 1 else 0
-    return {sym: (width, i) for i, sym in enumerate(symbols)}
+    width = (len(symbols) - 1).bit_length()
+    return canonical_codes(dict.fromkeys(symbols, width))
 
 
 def huffman_codes(symbols, counts):
-    """Canonical-order Huffman codes.
+    """Canonical codes of Huffman code lengths.
 
     Ties are broken deterministically: among equal weights the pending tree
     created earliest wins, and leaves are seeded in ascending symbol order.
-    The first of the two merged trees becomes the left (bit 0) child.
+    A merge adds one to the length of every symbol of the two merged trees.
     """
     symbols = sorted(symbols)
-    if len(symbols) == 1:
-        return {symbols[0]: (0, 0)}
-    heap = [(counts[sym], seq, sym) for seq, sym in enumerate(symbols)]
+    lengths = dict.fromkeys(symbols, 0)
+    heap = [(counts[sym], seq, [sym]) for seq, sym in enumerate(symbols)]
     heapq.heapify(heap)
-    children = {}
-    next_seq = len(symbols)
+    seq = len(symbols)
     while len(heap) > 1:
-        fa, sa, a = heapq.heappop(heap)
-        fb, sb, b = heapq.heappop(heap)
-        merged = -len(children) - 1  # negative ids cannot collide with symbols
-        children[merged] = (a, b)
-        heapq.heappush(heap, (fa + fb, next_seq, merged))
-        next_seq += 1
-    codes = {}
-    stack = [(heap[0][2], 0, 0)]
-    while stack:
-        node, length, code = stack.pop()
-        if node in children:
-            left, right = children[node]
-            stack.append((left, length + 1, code << 1))
-            stack.append((right, length + 1, (code << 1) | 1))
-        else:
-            codes[node] = (length, code)
-    return codes
-
-
-def _internal_nodes(codes):
-    """The proper prefixes (depth, prefix) of the codes, in preorder.
-
-    Raises ValueError unless the codes are prefix-free: no two symbols may
-    share a code, and no code may equal a proper prefix of another.
-    """
-    error = "codebook (codes are not prefix-free)"
-    if len(set(codes.values())) != len(codes):
-        raise ValueError(error)
-    prefixes = {
-        (depth, code >> (length - depth))
-        for length, code in codes.values()
-        for depth in range(length)
-    }
-    if not prefixes.isdisjoint(codes.values()):
-        raise ValueError(error)
-    maxlen = max(length for length, _ in codes.values())
-    # padding a prefix to maxlen bits orders subtrees left to right; depth puts parents first
-    return sorted(prefixes, key=lambda node: (node[1] << (maxlen - node[0]), node[0]))
+        fa, _, a = heapq.heappop(heap)
+        fb, _, b = heapq.heappop(heap)
+        for sym in a + b:
+            lengths[sym] += 1
+        heapq.heappush(heap, (fa + fb, seq, a + b))
+        seq += 1
+    return canonical_codes(lengths)
 
 
 class WaveletTree:
@@ -132,18 +118,20 @@ class WaveletTree:
             at[1] = base + int(np.count_nonzero(one))
             return start, start + len(node), base, seq[~one], seq[one]
 
-        self._assemble(codes, x, split)
+        self._assemble(codes, x, split, {})
         self.bits = make_bitvector(bits[: at[0]], backend, rrr_block_size)
 
     @classmethod
-    def from_payload(cls, codes, length, nodes):
+    def from_payload(cls, codes, length, nodes, ints=None):
         """Rebuild a tree whose code assignment is already known.
 
         nodes is a read_nodes reader over the tree's payload section; child
         lengths are the parent's counts of zeros and ones, so an RRR node
-        decodes no block while the tree is rebuilt. Raises ValueError on a
-        node of no bits, which a tree built from a sequence never has: the
-        codebook then lists symbols the block does not hold.
+        decodes no block while the tree is rebuilt. ints, a dict shared by
+        the trees of one index, makes their equal steps one int object.
+        Raises ValueError on a node of no bits, which a tree built from a
+        sequence never has: the codebook then lists symbols the block does
+        not hold.
         """
         wt = cls.__new__(cls)
         wt.length = length
@@ -154,12 +142,12 @@ class WaveletTree:
             start, base, ones = nodes.read(nbits)
             return start, start + nbits, base, nbits - ones, ones
 
-        wt._assemble(codes, length, split)
+        wt._assemble(codes, length, split, {} if ints is None else ints)
         wt.bits = nodes.vector()
         return wt
 
-    def _assemble(self, codes, root_item, split):
-        """Lay out the nodes in preorder, then build every symbol's path.
+    def _assemble(self, codes, root_item, split, ints):
+        """Lay out the nodes level by level, then build every symbol's path.
 
         split(item, depth) lays out the node that receives `item` (the
         elements routed through it, or their number), which must hold at
@@ -174,15 +162,18 @@ class WaveletTree:
         (step = s1 - b > 0) and p - rank1(p) - step on bit 0 (step =
         -(s0 - s + b) <= 0), where b, like rank1, counts from the tree's
         start. A path is a tuple of steps, and the two steps of a node are
-        shared by every path through it; paths[c] is symbol c's path, None
-        for a symbol the tree does not hold. A path ends at p = leaf plus
-        the rank.
+        shared by every path through it, and through ints by every tree that
+        has a step of the same value (trees of one block size repeat many);
+        paths[c] is symbol c's path, None for a symbol the tree does not
+        hold. A path ends at p = leaf plus the rank.
         """
-        internal = _internal_nodes(codes)
+        # the internal nodes are the codes' proper prefixes, laid out by depth and then prefix
+        internal = {(depth, code >> (length - depth)) for length, code in codes.values()
+                    for depth in range(length)}
         items = {(0, 0): root_item}
         at = {}
         leaf = 0  # the end of the node laid out last
-        for depth, prefix in internal:
+        for depth, prefix in sorted(internal):
             start, leaf, base, zero, one = split(items.pop((depth, prefix)), depth)
             at[depth, prefix] = start, base
             items[depth + 1, prefix << 1] = zero
@@ -191,7 +182,8 @@ class WaveletTree:
         for (depth, prefix), (start, base) in at.items():
             s0 = at.get((depth + 1, prefix << 1), (leaf,))[0]
             s1 = at.get((depth + 1, prefix << 1 | 1), (leaf,))[0]
-            steps[depth, prefix] = (start - base - s0, s1 - base)
+            zero, one = start - base - s0, s1 - base
+            steps[depth, prefix] = (ints.setdefault(zero, zero), ints.setdefault(one, one))
         self.start = at.get((0, 0), (0,))[0]
         self.leaf = leaf
         self._paths = [None] * (max(codes) + 1)
@@ -216,8 +208,8 @@ class WaveletTree:
             p = bits.rank1(p) + step if step > 0 else p - bits.rank1(p) - step
         return p - self.leaf
 
-    def _walk(self):
-        """{symbol: leaf size}, and {start: (ones before, ones)} of every internal node.
+    def symbol_counts(self):
+        """{symbol: occurrences}, the sizes of the leaves.
 
         Follows every path, with two rank1 calls the first time it reaches a node.
         """
@@ -233,11 +225,7 @@ class WaveletTree:
                 b, ones = nodes[s]
                 s, m = (step + b, ones) if step > 0 else (s - b - step, m - ones)
             counts[sym] = m
-        return counts, nodes
-
-    def symbol_counts(self):
-        """{symbol: occurrences}, the sizes of the leaves."""
-        return self._walk()[0]
+        return counts
 
     @property
     def codes(self):
@@ -277,58 +265,48 @@ class WaveletTree:
 
     @property
     def codebook_bits(self):
-        """16-bit alphabet size, then 16-bit symbol + 8-bit length + code bits each."""
-        return 16 + sum(16 + 8 + len(path) for _, path in self._items())
+        """16-bit alphabet size, then a 16-bit symbol and an 8-bit code length each."""
+        return 16 + 24 * len(self._items())
 
     def codebook_section(self):
-        by_symbol = self.codes
-        syms = sorted(by_symbol)
-        lengths, codes = zip(*(by_symbol[sym] for sym in syms))
-        head = b"".join(struct.pack("<HB", sym, length) for sym, length in zip(syms, lengths))
-        return struct.pack("<H", len(syms)) + head + pack_fields(codes, lengths)
+        items = self._items()
+        entries = b"".join(struct.pack("<HB", sym, len(path)) for sym, path in items)
+        return struct.pack("<H", len(items)) + entries
 
     def payload_section(self):
-        """Plain: the tree's bits. RRR: each node's class fields and offsets, copied as stored."""
+        """The tree's vector as stored: plain, its bits; RRR, its class fields, then its offsets."""
         bv = self.bits
-        if bv.backend == "plain":
-            bits = bv.to_bits(self.start, self.leaf)
-            return np.packbits(bits, bitorder="little").tobytes()
-        # nodes lie in preorder, each on a fresh block, so each one ends
-        # where the next starts; the root starts at 0
-        starts = sorted(self._walk()[1]) or [0]
-        bounds = [start // bv.t for start in starts] + [len(bv.block_classes())]
-        return np.packbits(bv.stored_bits(bounds), bitorder="little").tobytes()
+        bits = bv.to_bits(self.start, self.leaf) if bv.backend == "plain" else bv.stored_bits()
+        return np.packbits(bits, bitorder="little").tobytes()
 
     def size_in_bits(self):
         return self.payload_bits + self.directory_bits + self.codebook_bits
 
 
 def _parse_codebook(body, sigma):
-    """The codes of a codebook section over symbols below sigma."""
+    """The canonical codes of a codebook section over symbols below sigma.
+
+    The code lengths must meet Kraft's inequality with equality, as those of
+    a Huffman tree do: a single symbol has length 0, and otherwise every
+    internal node has two children.
+    """
     if len(body) < 2:
         raise ValueError("codebook header")
     (sigma_local,) = struct.unpack_from("<H", body, 0)
     if sigma_local < 1:
         raise ValueError("codebook alphabet size")
-    head_len = 2 + 3 * sigma_local
-    if len(body) < head_len:
+    if len(body) < 2 + 3 * sigma_local:
         raise ValueError("codebook entries")
-    entries = list(struct.iter_unpack("<HB", body[2:head_len]))
-    prev = -1
-    for sym, length in entries:
-        if sym <= prev or sym >= sigma:
-            raise ValueError("codebook symbols")
-        if (length == 0) != (sigma_local == 1) or length > 64:
-            raise ValueError("codebook code lengths")
-        prev = sym
-    lengths = [length for _, length in entries]
-    try:
-        values = unpack_fields(body, 8 * head_len, lengths)
-    except EOFError:
-        raise EOFError("codebook bits") from None
-    if len(body) - head_len - (sum(lengths) + 7) // 8 > 0:
+    if len(body) > 2 + 3 * sigma_local:
         raise ValueError("codebook length")
-    return {sym: (length, code) for (sym, length), code in zip(entries, values.tolist())}
+    entries = list(struct.iter_unpack("<HB", body[2:]))
+    syms = [sym for sym, _ in entries]
+    if syms != sorted(set(syms)) or syms[-1] >= sigma:
+        raise ValueError("codebook symbols")
+    lengths = dict(entries)
+    if max(lengths.values()) > 64 or sum(1 << (64 - ln) for ln in lengths.values()) != 1 << 64:
+        raise ValueError("codebook code lengths")
+    return canonical_codes(lengths)
 
 
 def read_trees(sections, lengths, sigma, backend, rrr_block_size):
@@ -344,8 +322,9 @@ def read_trees(sections, lengths, sigma, backend, rrr_block_size):
         readers = (read_nodes(payload, backend, rrr_block_size) for payload in payloads)
     trees = []
     stored = []
+    ints = {}
     for (codebook, _), length, nodes in zip(sections, lengths, readers):
-        wt = WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes)
+        wt = WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes, ints)
         trees.append(wt)
         stored.append((wt.bits, nodes.ends))
     check_stored(stored)
@@ -360,7 +339,8 @@ def share_vector(trees):
     if trees[0].bits.backend != "plain":
         return trees
     readers = read_plain([wt.payload_section() for wt in trees])
-    return [WaveletTree.from_payload(wt.codes, wt.length, nodes) for wt, nodes in zip(trees, readers)]
+    ints = {}
+    return [WaveletTree.from_payload(wt.codes, wt.length, nodes, ints) for wt, nodes in zip(trees, readers)]
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

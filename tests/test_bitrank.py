@@ -186,13 +186,17 @@ def test_from_parts_reconstruction():
 )
 def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     # the nodes of one tree's payload section: a plain node starts right after
-    # the last bit of the one before it, an RRR node after its last offset
+    # the last bit of the one before it; an RRR node's class fields right after
+    # those of the one before it, and its offsets after that node's offsets
     rng = random.Random(t)
     nodes = [[rng.randint(0, 1) for _ in range(m)] for m in (1, t, 100, 700, 3, 0, 9)]
     if backend == "plain":
         stored = np.concatenate(nodes).astype(np.uint8)
     else:
-        stored = np.concatenate([make_bitvector(bits, "rrr", t).stored_bits() for bits in nodes])
+        vectors = [make_bitvector(bits, "rrr", t) for bits in nodes]
+        fields = [bv.stored_bits()[: bv.class_bits] for bv in vectors]
+        offsets = [bv.stored_bits()[bv.class_bits :] for bv in vectors]
+        stored = np.concatenate(fields + offsets)
     buf = np.packbits(stored, bitorder="little").tobytes()
     reader = read_nodes(buf, backend, t)
     steps = [reader.read(len(bits)) for bits in nodes]
@@ -205,9 +209,9 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
         assert [start for start, _, _ in steps] == [0, *itertools.accumulate(map(len, nodes[:-1]))]
         assert v.to_bits().tolist() == stored.tolist()
     else:
-        assert all(start % t == 0 for start, _, _ in steps)
-        bounds = [start // t for start, _, _ in steps] + [len(v.block_classes())]
-        assert v.stored_bits(bounds).tolist() == stored.tolist()
+        padded = [-(-len(bits) // t) * t for bits in nodes[:-1]]
+        assert [start for start, _, _ in steps] == [0, *itertools.accumulate(padded)]
+        assert v.stored_bits().tolist() == stored.tolist()
     with pytest.raises(EOFError, match="payload truncated"):
         read_nodes(buf, backend, t).read(8 * len(buf) * t + 1)
 

@@ -279,3 +279,26 @@ def test_cli_matches_library_counts(tmp_path, capsys):
     got = dict(line.split("\t") for line in out.splitlines())
     for pattern, value in got.items():
         assert int(value) == ix.count(pattern.encode())
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_build_to_an_output_that_cannot_be_written_fails_before_reading(
+    banana, tmp_path, capsys, monkeypatch, where
+):
+    out = tmp_path / "no" / "such" / "x.idx" if where == "missing-dir" else tmp_path
+    monkeypatch.setattr(textcore, "build_text", lambda raw: pytest.fail("the text was indexed"))
+    code, stdout, err = run(capsys, "build", banana, "-o", out)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {str(out)!r}:") and "internal error" not in err
+    assert stdout == ""
+
+
+def test_build_leaves_an_output_it_could_not_fill_as_it_was(banana, tmp_path, capsys):
+    idx = tmp_path / "banana.idx"
+    code, _, _ = run(capsys, "build", tmp_path / "missing.txt", "-o", idx)
+    assert code == 1 and not idx.exists()
+    idx.write_bytes(b"keep")
+    code, _, _ = run(capsys, "build", tmp_path / "missing.txt", "-o", idx)
+    assert code == 1 and idx.read_bytes() == b"keep"
+    code, _, _ = run(capsys, "build", banana, "-o", idx, "--variant", "ssa")
+    assert code == 0 and storage.load_index(idx).count(b"ANA") == 2

@@ -1,8 +1,10 @@
 import hashlib
 import io
 import random
+import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmblock.bitio import pack_fields, unpack_fields
-from fmblock.bitrank import offset_of_value, offset_width, plain_words, value_of_offset
+from fmblock.bitrank import RrrBitVector, offset_of_value, offset_width, plain_words, value_of_offset
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import (
     MAGIC,
+    VERSION,
     CorruptIndexError,
     UnsupportedFormatError,
     deserialize,
@@ -64,19 +67,21 @@ def test_serialization_is_byte_deterministic():
         assert to_bytes(deserialize(raw1)) == raw1
 
 
-# SHA-256 of files written by the format-2 writer that looped over words and
-# RRR blocks in Python; any change to the bytes written fails this test
+# SHA-256 of files written by the first format-4 writer; any change to the
+# bytes written fails this test
 PINNED_FILES = [
-    ("ssa", None, 15, "740240eb63147b85eccd7eacdcdfe10557acbe3c73c718a8e5991ca881452edf"),
-    ("ssa_rrr", None, 15, "b7be5f43c319671d0973ff0872da9c1fbdb74bc3e88d104418f94f98ceb45c0e"),
-    ("fixed_block", 300, 15, "a425c4e88e0a26850b2f24e0efaefbd82ae8c9d0abc1bdc1b37914cd19d17153"),
-    ("fixed_block_rrr", 300, 15, "414858d1a7169fa4b03a749dc3e5975df42aca0dd7cefb4f63f514889a670e67"),
-    ("ssa_rrr", None, 63, "c2b39a6f1934e3061cbd685bd4bd53b3fddf07f1114b46a7c0dd98badc2a2de4"),
-    ("fixed_block_rrr", 300, 5, "f85b295fc2e93c7b8c7c665eb12e93291c54a7554f4d2ec48b4bcb84e89a11b1"),
+    ("ssa", None, 15, "7fa1e4edcba6346d316b6156c9605906b1a136336bde9d23580c20d1e07cd5b9"),
+    ("ssa_rrr", None, 15, "abc962423b5e6ab013f27c63f669192efecc31f07e60cb413ba9eab04d0dbe55"),
+    ("fixed_block", 300, 15, "096eb4c090d39385ee394a363590cc3d7fc2848575ae269c1497aa7abd6e7470"),
+    ("fixed_block_rrr", 300, 15, "b899d19b4c3c4646ce48d5c562e984874a5d6ed7a86272580279154ada1aa913"),
+    ("ssa_rrr", None, 63, "631d49427bdf68ff3f4941232495ddf817728f1be2f8ee4a631e7dab5de0436e"),
+    ("fixed_block_rrr", 300, 5, "53389b384700ad69327003329c9ead02e6cb1ca14dda0391ed4005463299e5e8"),
 ]
 
 
-@pytest.mark.parametrize("variant,block_size,rrr_t,digest", PINNED_FILES)
+@pytest.mark.parametrize(
+    "variant,block_size,rrr_t,digest", PINNED_FILES, ids=[f"{v}-{b}-{t}" for v, b, t, _ in PINNED_FILES]
+)
 def test_saved_bytes_are_pinned(variant, block_size, rrr_t, digest):
     raw = b"fixed block compression boosting " * 50 + bytes(i * i % 256 for i in range(1500))
     ix = build_index(build_text(raw), variant, block_size, rrr_t)
@@ -159,72 +164,38 @@ def test_rrr_padding_ones_are_rejected_at_load():
 
 
 def test_rrr_padding_ones_in_a_middle_node_are_rejected_at_load():
-    # over abracadabra at t = 3, node 101 (codes 1010 and 1011 below it, both
-    # leaves) holds 4 bits, so its last block has 2 bits of padding, and it is
-    # the fourth of five nodes in preorder
-    ix = build_index(build_text(b"abracadabra" * 3), "ssa_rrr", rrr_block_size=3)
+    # over abracadabra at t = 2, node 10 (codes 100 and 101 below it, both
+    # leaves) holds 9 bits, so its last block has 1 bit of padding, and it is
+    # the third of five nodes in level order
+    t = 2
+    ix = build_index(build_text(b"abracadabra" * 3), "ssa_rrr", rrr_block_size=t)
     codes = ix.blocks[0].codes
 
     def below(depth, prefix):
         return [s for s, (ln, code) in codes.items() if ln > depth and code >> (ln - depth) == prefix]
 
-    def preorder(depth, prefix):
-        if not below(depth, prefix):
-            return []
-        return [(depth, prefix)] + preorder(depth + 1, prefix << 1) + preorder(depth + 1, prefix << 1 | 1)
-
-    nodes = preorder(0, 0)
-    target = (3, 0b101)
-    assert target in nodes[:-1] and not preorder(4, 0b1010) and not preorder(4, 0b1011)
+    nodes = sorted({(depth, code >> (ln - depth)) for ln, code in codes.values() for depth in range(ln)})
+    target = (2, 0b10)
+    assert target in nodes[:-1] and not below(3, 0b100) and not below(3, 0b101)
+    sizes = [sum(ix.c[s + 1] - ix.c[s] for s in below(*node)) for node in nodes]
+    blocks = [-(-m // t) for m in sizes]
     raw = to_bytes(ix)
     payload = _sections(raw)[PAYLOAD]
-    # every node's class fields, then its offsets, as (value, width) pairs
-    fields = []
-    pos = 0
-    for node in nodes:
-        m = sum(ix.c[s + 1] - ix.c[s] for s in below(*node))
-        classes = unpack_fields(payload, pos, [2] * -(-m // 3)).tolist()
-        pos += 2 * len(classes)
-        widths = [offset_width(3, k) for k in classes]
-        offsets = unpack_fields(payload, pos, widths).tolist()
-        pos += sum(widths)
-        if node == target:
-            assert m % 3 == 1
-            k, off = classes[-1], offsets[-1]
-            padded = value_of_offset(off, 3, k) | 0b100
-            classes[-1], offsets[-1] = k + 1, offset_of_value(padded, 3, k + 1)
-            widths[-1] = offset_width(3, k + 1)
-        fields += [(k, 2) for k in classes] + list(zip(offsets, widths))
-    assert (pos + 7) // 8 == len(payload)
-    values, widths = zip(*fields)
+    # the class fields of every node's blocks, then their offsets
+    classes = unpack_fields(payload, 0, [2] * sum(blocks)).tolist()
+    widths = [offset_width(t, k) for k in classes]
+    offsets = unpack_fields(payload, 2 * len(classes), widths).tolist()
+    assert (2 * len(classes) + sum(widths) + 7) // 8 == len(payload)
+    at = nodes.index(target)
+    last = sum(blocks[: at + 1]) - 1
+    assert sizes[at] % t == 1
+    k, off = classes[last], offsets[last]
+    padded = value_of_offset(off, t, k) | 0b10
+    classes[last], offsets[last] = k + 1, offset_of_value(padded, t, k + 1)
+    widths[last] = offset_width(t, k + 1)
+    values, widths = classes + offsets, [2] * len(classes) + widths
     with pytest.raises(CorruptIndexError, match="corrupt index: rrr padding bits"):
         deserialize(_with_section(raw, PAYLOAD, lambda body: pack_fields(values, widths)))
-
-
-def test_codebook_that_is_not_prefix_free_is_rejected_at_load():
-    # a and b occur equally often, so the symbol-count check alone passes a
-    # codebook that gives b the code of a
-    ix = build_index(build_text(b"abbaabab" * 3 + b"ba"), "ssa")
-    codes = dict(ix.blocks[0].codes)
-    a, b = 1, 2
-    codes[b] = codes[a]
-    head = bytearray(struct.pack("<H", len(codes)))
-    for sym in sorted(codes):
-        head += struct.pack("<HB", sym, codes[sym][0])
-    lengths, values = zip(*(codes[sym] for sym in sorted(codes)))
-    bits = pack_fields(values, lengths)
-    raw = to_bytes(ix)
-    at = header = struct.calcsize("<8sHBBQIQI")
-    sections = []
-    while at < len(raw):
-        (length,) = struct.unpack_from("<I", raw, at)
-        sections.append(raw[at + 4 : at + 4 + length])
-        at += 4 + length
-    # remap, c array, codebook, payload, checksum
-    sections[2] = bytes(head) + bits
-    body = raw[:header] + b"".join(struct.pack("<I", len(sec)) + sec for sec in sections[:-1])
-    with pytest.raises(CorruptIndexError, match="prefix-free"):
-        deserialize(body + struct.pack("<II", 4, zlib.crc32(body)))
 
 
 _HEADER_SIZE = struct.calcsize("<8sHBBQIQI")
@@ -323,12 +294,20 @@ def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
         read_trees(sections, [ix.n], ix.sigma, "plain", 15)
 
 
-@pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
-def test_codebook_section_short_of_its_code_bits_is_rejected(variant):
-    raw = to_bytes(build_index(build_text(b"abracadabra"), variant))
-    assert deserialize(_with_codebook(raw, lambda body: body)).count(b"abra") == 2
-    with pytest.raises(CorruptIndexError, match="corrupt index: codebook bits"):
-        deserialize(_with_codebook(raw, lambda body: body[:-1]))
+@pytest.mark.parametrize(
+    "text,lengths", [(b"ab" * 4, [1, 1, 1]), (b"a" * 8, [1, 2])], ids=["over-full", "under-full"]
+)
+def test_codebook_lengths_off_kraft_equality_are_rejected(text, lengths):
+    raw = to_bytes(build_index(build_text(text), "ssa"))
+
+    def edit(body):
+        symbols = [sym for sym, _ in struct.iter_unpack("<HB", body[2:])]
+        assert len(symbols) == len(lengths)
+        return body[:2] + b"".join(struct.pack("<HB", sym, ln) for sym, ln in zip(symbols, lengths))
+
+    with pytest.raises(CorruptIndexError) as info:
+        deserialize(_with_codebook(raw, edit))
+    assert str(info.value) == "corrupt index: codebook code lengths"
 
 
 @pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
@@ -431,9 +410,28 @@ def test_every_single_byte_flip_is_rejected_at_load():
 
 def test_version_1_files_are_rejected():
     raw = to_bytes(build_index(build_text(b"BANANA"), "fixed_block", 3))
-    old = raw[:8] + struct.pack("<H", 1) + raw[10:]
-    with pytest.raises(UnsupportedFormatError, match="unsupported format: version 1"):
-        deserialize(old)
+    for version in (1, 2):
+        old = raw[:8] + struct.pack("<H", version) + raw[10:]
+        with pytest.raises(UnsupportedFormatError, match=f"unsupported format: version {version}$"):
+            deserialize(old)
+
+
+def test_format_doc_title_names_the_written_version():
+    doc = (Path(__file__).parents[1] / "docs" / "FORMAT.md").read_text(encoding="utf-8")
+    title = re.match(r"# Index file format \(version (\d+)\)\n", doc)
+    assert title and int(title.group(1)) == VERSION
+
+
+@pytest.mark.parametrize("variant", ["ssa_rrr", "fixed_block_rrr"])
+def test_saving_an_rrr_index_makes_no_rank1_call(variant, monkeypatch):
+    ix = build_index(build_text(b"abracadabra" * 40), variant, 100 if variant == "fixed_block_rrr" else None)
+    calls = []
+    rank1 = RrrBitVector.rank1
+    monkeypatch.setattr(RrrBitVector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
+    raw = to_bytes(ix)
+    assert calls == []
+    monkeypatch.undo()
+    assert to_bytes(deserialize(raw)) == raw
 
 
 def test_file_size_matches_report_within_padding():

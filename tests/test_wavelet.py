@@ -1,3 +1,4 @@
+import heapq
 import random
 import struct
 from collections import Counter
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitio import pack_fields
 from fmblock.bitrank import PlainBitVector, RrrBitVector, read_nodes
 from fmblock.wavelet import (
     WaveletTree,
@@ -37,6 +37,29 @@ def test_worked_example_tree():
     # ranks whose position empties at a node before the leaf
     assert wt.rank(codes_of("B")[0], 3) == 0
     assert wt.rank(codes_of("$")[0], 4) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=60))
+def test_huffman_code_lengths_are_optimal_and_complete(weights):
+    counts = dict(enumerate(weights))
+    codes = huffman_codes(counts.keys(), counts)
+    # an optimal code costs the sum of the weights of all merges
+    heap = list(weights)
+    heapq.heapify(heap)
+    merged = 0
+    while len(heap) > 1:
+        w = heapq.heappop(heap) + heapq.heappop(heap)
+        merged += w
+        heapq.heappush(heap, w)
+    assert sum(counts[sym] * length for sym, (length, _) in codes.items()) == merged
+    longest = max(length for length, _ in codes.values())
+    assert sum(1 << (longest - length) for length, _ in codes.values()) == 1 << longest
+    # canonical: in (length, symbol) order each code is the previous one plus one, shifted
+    order = sorted(codes, key=lambda sym: (codes[sym][0], sym))
+    for a, b in zip(order, order[1:]):
+        (la, ca), (lb, cb) = codes[a], codes[b]
+        assert cb == (ca + 1) << (lb - la)
 
 
 def test_huffman_tie_breaks_are_deterministic():
@@ -127,24 +150,6 @@ def test_codebook_reconstruction_round_trip():
         ]
 
 
-@pytest.mark.parametrize(
-    "codes",
-    [
-        {1: (1, 0b0), 2: (2, 0b01), 3: (1, 0b1)},  # a code extends an earlier symbol's code
-        {1: (2, 0b01), 2: (1, 0b0), 3: (1, 0b1)},  # a code is a prefix of a later one
-        {1: (1, 0b0), 2: (1, 0b0), 3: (1, 0b1)},  # two symbols share a code
-    ],
-    ids=["extends-earlier", "prefix-of-later", "duplicate"],
-)
-def test_codes_that_are_not_prefix_free_are_rejected(codes):
-    class NoNodes:
-        def read(self, nbits):
-            raise AssertionError("no node may be read")
-
-    with pytest.raises(ValueError, match="prefix-free"):
-        WaveletTree.from_payload(codes, 10, NoNodes())
-
-
 @pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
 def test_symbol_counts_make_at_most_two_rank1_calls_per_node(backend, vector, monkeypatch):
     rng = random.Random(7)
@@ -162,24 +167,23 @@ def test_symbol_counts_make_at_most_two_rank1_calls_per_node(backend, vector, mo
 
 
 def test_a_node_of_no_bits_is_rejected_at_load():
-    def codebook(codes):
-        entries = sorted(codes.items())
-        head = b"".join(struct.pack("<HB", sym, length) for sym, (length, _) in entries)
-        fields = pack_fields([code for _, (_, code) in entries], [length for _, (length, _) in entries])
-        return struct.pack("<H", len(entries)) + head + fields
+    def codebook(lengths):
+        entries = b"".join(struct.pack("<HB", sym, length) for sym, length in sorted(lengths.items()))
+        return struct.pack("<H", len(lengths)) + entries
 
-    # symbol 0 fills the block: a leaf of no elements loads, a node of no bits does not
-    (wt,) = read_trees([(codebook({0: (1, 0b1), 1: (1, 0b0)}), b"\xff")], [8], 3, "plain", 15)
+    # symbol 0 (code 0) fills the block: a leaf of no elements loads, a node of no bits does not
+    (wt,) = read_trees([(codebook({0: 1, 1: 1}), b"\0")], [8], 3, "plain", 15)
     assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0)
     with pytest.raises(ValueError, match="empty node"):
-        read_trees([(codebook({0: (1, 0b1), 1: (2, 0b00), 2: (2, 0b01)}), b"\xff")], [8], 3, "plain", 15)
+        read_trees([(codebook({0: 1, 1: 2, 2: 2}), b"\0")], [8], 3, "plain", 15)
 
 
 def test_size_report_pieces():
     seq = codes_of("ANNB$AA")
     wt = build_wt(seq, "huffman", "plain")
     assert wt_size_in_bits(wt) == wt.payload_bits + wt.directory_bits + wt.codebook_bits
-    assert wt.codebook_bits == 16 + sum(16 + 8 + ln for ln, _ in wt.codes.values())
+    # a 16-bit symbol and an 8-bit code length per symbol, and no code bits
+    assert wt.codebook_bits == 16 + 24 * len(wt.codes) == 8 * len(wt.codebook_section())
     assert wt_rank(wt, codes_of("A")[0], 7) == 3
 
 
