@@ -16,14 +16,14 @@ Two interchangeable representations:
   sums the classes since the last sample, and their offset widths through
   a 256-byte translation table, without a Python loop.
 
-A wavelet tree keeps all its nodes in one vector: plain nodes joined bit
-to bit, RRR nodes each starting on a t-bit block. This module owns the
-layout of that vector in the index file, which is the vector's own stored
-form: a plain tree stores its raw bits, an RRR tree (stored_bits()) the
-class fields of all its blocks and then its offset stream. read_nodes()
-reads the nodes of a section back one at a time and then builds the one
-vector over them, and read_plain() does so for the sections of all plain
-trees of an index, over one vector.
+A wavelet tree keeps all its nodes in one vector, joined bit to bit in
+level order under either backend. This module owns the layout of that
+vector in the index file, which is the vector's own stored form: a plain
+tree stores its raw bits, an RRR tree (stored_bits()) its bit count m as a
+u32, then the class fields of all its blocks and then its offset stream.
+read_nodes() builds the vector of a section and routes the tree's nodes
+through it one at a time, with one rank1 per node, and read_plain() does so
+for the sections of all plain trees of an index, over one vector.
 """
 
 import functools
@@ -256,12 +256,15 @@ class RrrBitVector:
             raise ValueError("block size must be in 1..63")
         bits = _as_bit_array(bits)
         m = len(bits)
-        nblocks = (m + t - 1) // t
-        if m % t:
-            bits = np.concatenate([bits, np.zeros(nblocks * t - m, dtype=np.uint8)])
-        # each block's bits, LSB first, in the low bytes of one uint64
-        packed = np.zeros((nblocks, 8), dtype=np.uint8)
-        packed[:, : (t + 7) // 8] = np.packbits(bits.reshape(nblocks, t), axis=1, bitorder="little")
+        full, rem = divmod(m, t)
+        # each block's bits, LSB first, in the low bytes of one uint64; the
+        # last block is packed on its own, so that no padded copy is made
+        packed = np.zeros((full + (rem > 0), 8), dtype=np.uint8)
+        packed[:full, : (t + 7) // 8] = np.packbits(
+            bits[: full * t].reshape(full, t), axis=1, bitorder="little"
+        )
+        if rem:
+            packed[full, : (rem + 7) // 8] = np.packbits(bits[full * t :], bitorder="little")
         values = packed.view("<u8").ravel()
         classes = np.bitwise_count(values).astype(np.int64)
         if t <= _TABLE_MAX_T:
@@ -347,11 +350,40 @@ class RrrBitVector:
         offsets = unpack_fields(self._offbuf, self._offbase, widths)
         return list(zip(self._classes, offsets.tolist()))
 
+    @classmethod
+    def from_stored(cls, buf, t):
+        """The vector whose stored_bits() an LSB-first buffer holds.
+
+        m is checked against the buffer's length before anything sized by
+        m is allocated. Raises EOFError or ValueError naming the failed check.
+        """
+        if len(buf) < 4:
+            raise EOFError("payload truncated")
+        m = int.from_bytes(buf[:4], "little")
+        nblocks = -(-m // t)
+        width = t.bit_length()
+        first = 32 + nblocks * width
+        if first > 8 * len(buf):
+            raise EOFError("payload truncated")
+        # a class field is at most 6 bits, so its weighted bit sum fits uint8
+        weights = np.uint8(1) << np.arange(width, dtype=np.uint8)
+        classes = unpack_bits(buf, 32, first - 32).reshape(nblocks, width) @ weights
+        if nblocks and int(classes.max()) > t:
+            raise ValueError("rrr class out of range")
+        nbits = int(np.asarray(offset_widths(t))[classes].sum())
+        if first + nbits > 8 * len(buf):
+            raise EOFError("rrr offsets truncated")
+        if len(buf) > (first + nbits + 7) // 8:
+            raise ValueError("payload length")
+        offbuf = np.packbits(unpack_bits(buf, first, nbits), bitorder="little").tobytes()
+        return cls.from_parts(m, t, classes, offbuf, 0, nbits)
+
     def stored_bits(self):
-        """The class field of every block, then the offset stream, one uint8 (0 or 1) per bit."""
+        """m as 32 bits, the class field of every block, then the offset stream; a uint8 per bit."""
         ks = self.block_classes()
         fields = np.unpackbits(ks[:, None], axis=1, bitorder="little")[:, : self.class_field_width]
-        return np.concatenate([fields.ravel(), unpack_bits(*self.offset_stream())])
+        head = unpack_bits(self.m.to_bytes(4, "little"), 0, 32)
+        return np.concatenate([head, fields.ravel(), unpack_bits(*self.offset_stream())])
 
     @property
     def class_bits(self):
@@ -363,7 +395,8 @@ class RrrBitVector:
 
     @property
     def payload_bits(self):
-        return self.class_bits + self.offset_bits
+        """The stored bits: the 32-bit count m, the class fields and the offsets."""
+        return 32 + self.class_bits + self.offset_bits
 
     @property
     def directory_bits(self):
@@ -389,76 +422,35 @@ def make_bitvector(bits, backend, rrr_block_size=15):
     raise ValueError(f"unknown bitvector backend: {backend!r}")
 
 
-class _PlainNodes:
-    """Plain nodes of one tree in a shared vector: each one's m bits, joined bit to bit."""
+class _Nodes:
+    """The nodes of one tree in a vector, joined bit to bit from the tree's first bit.
 
-    ends = ()  # no padding to check
+    A node starts where the one before it ended, so the ones before it are
+    the rank1 at that end, carried forward from 0 at the tree's first bit:
+    one rank1 per node.
+    """
 
-    def __init__(self, vector, first, stored):
+    def __init__(self, vector, first, limit, slack):
         self._vector = vector
         self.end = first
-        self._limit = first + stored  # the bits of the tree's payload section
+        self._ones = 0
+        self._limit = limit  # the bits of the tree's payload section
+        self._slack = slack  # of which at most this many may follow its last node
 
     def read(self, m):
-        start = self.end
+        start, base = self.end, self._ones
         self.end += m
         if self.end > self._limit:
             raise EOFError("payload truncated")
-        base = self._vector.rank1(start)
-        return start, base, self._vector.rank1(self.end) - base
+        self._ones = self._vector.rank1(self.end)
+        return start, base, self._ones - base
 
     def vector(self):
-        if self._limit - self.end >= 8:
+        if self._limit - self.end > self._slack:
             raise ValueError("payload length")
-        self._vector._clear(self.end, self._limit)
+        if self.end < self._limit:
+            self._vector._clear(self.end, self._limit)
         return self._vector
-
-
-class _RrrNodes:
-    """RRR nodes of an LSB-first buffer: the class fields of every node's blocks, then the offsets.
-
-    In the vector each node starts on a t-bit block, so the tree's classes
-    and offsets are its nodes', joined as they are.
-    """
-
-    def __init__(self, buf, t):
-        self.t = t
-        self.bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-        self.classes = []
-        self.blocks = 0
-        self.ones = 0
-        self.ends = []  # (bit after the node, ones up to the end of its last block)
-        # a class field is at most 6 bits, so its weighted bit sum fits uint8
-        self._weights = np.uint8(1) << np.arange(t.bit_length(), dtype=np.uint8)
-
-    def read(self, m):
-        t = self.t
-        nblocks = (m + t - 1) // t
-        width = len(self._weights)
-        pos = self.blocks * width
-        if pos + nblocks * width > len(self.bits):
-            raise EOFError("payload truncated")
-        classes = self.bits[pos : pos + nblocks * width].reshape(nblocks, width) @ self._weights
-        if nblocks and int(classes.max()) > t:
-            raise ValueError("rrr class out of range")
-        start = t * self.blocks
-        base = self.ones
-        self.blocks += nblocks
-        self.ones += int(classes.sum())
-        self.classes.append(classes)
-        self.ends.append((start + m, self.ones))
-        return start, base, self.ones - base
-
-    def vector(self):
-        classes = np.concatenate([np.zeros(0, dtype=np.uint8), *self.classes])
-        first = self.blocks * len(self._weights)
-        nbits = int(np.asarray(offset_widths(self.t))[classes].sum())
-        if first + nbits > len(self.bits):
-            raise EOFError("rrr offsets truncated")
-        if len(self.bits) // 8 > (first + nbits + 7) // 8:
-            raise ValueError("payload length")
-        offbuf = np.packbits(self.bits[first : first + nbits], bitorder="little").tobytes()
-        return RrrBitVector.from_parts(self.blocks * self.t, self.t, classes, offbuf, 0, nbits)
 
 
 def read_nodes(buf, backend, rrr_block_size=15):
@@ -468,11 +460,12 @@ def read_nodes(buf, backend, rrr_block_size=15):
     joined vector, the ones before it since the tree's start and its own
     ones; vector() then checks that nothing follows the last node and
     returns that vector. Either raises EOFError or ValueError naming the
-    failed check.
+    failed check, as does read_nodes itself on an RRR section.
     """
     if backend == "plain":
         return read_plain([buf])[0]
-    return _RrrNodes(buf, rrr_block_size)
+    vector = RrrBitVector.from_stored(buf, rrr_block_size)
+    return _Nodes(vector, 0, vector.m, 0)
 
 
 def read_plain(bufs):
@@ -480,33 +473,31 @@ def read_plain(bufs):
 
     Each section starts on a fresh word and takes the words of all its bits.
     A tree's length is only known once its nodes are read, so each reader's
-    vector() clears its tree's padding bits and returns the shared vector.
+    vector() clears its tree's padding bits, at most the 7 of the section's
+    last byte, and returns the shared vector.
     """
     stored = [8 * len(buf) for buf in bufs]
     vector = PlainBitVector.from_stored(list(zip(bufs, stored)))
     firsts = itertools.accumulate((64 * plain_words(m) for m in stored), initial=0)
-    return [_PlainNodes(vector, first, m) for first, m in zip(firsts, stored)]
+    return [_Nodes(vector, first, first + m, 7) for first, m in zip(firsts, stored)]
 
 
-def check_stored(stored):
+def check_stored(vectors):
     """Raise ValueError on RRR fields that read_nodes takes but the encoder cannot write.
 
-    stored holds a (vector, ends) pair per tree, with the ends of a
-    read_nodes reader. Offset fields must be below comb(t, class), and the
-    padding bits after each node zero: child lengths come from class sums,
-    equal to the ranks only then. One offset check over all vectors, on a
-    joined copy of their buffers; fields are read 2^15 at a time, which
-    keeps the temporaries in cache.
+    Offset fields must be below comb(t, class): one check over all vectors,
+    on a joined copy of their buffers; fields are read 2^15 at a time, which
+    keeps the temporaries in cache. Then the bits after m in each vector's
+    last block must be zero, so that its ones are its rank at m.
     """
-    stored = [(bv, ends) for bv, ends in stored if bv.backend == "rrr" and bv.m]
-    if not stored:
+    rrr = [bv for bv in vectors if bv.backend == "rrr" and bv.m]
+    if not rrr:
         return
-    nodes = [bv for bv, _ in stored]
-    streams = [bv.offset_stream() for bv in nodes]
+    streams = [bv.offset_stream() for bv in rrr]
     at = np.cumsum([0] + [8 * len(buf) for buf, _, _ in streams[:-1]]) + [b for _, b, _ in streams]
-    ks = [bv.block_classes() for bv in nodes]
+    ks = [bv.block_classes() for bv in rrr]
     words = as_words(b"".join(buf for buf, _, _ in streams))
-    t = nodes[0].t
+    t = rrr[0].t
     widths = np.array(offset_widths(t))
     limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
     classes = np.concatenate(ks)
@@ -519,7 +510,5 @@ def check_stored(stored):
         part = slice(lo, lo + (1 << 15))
         if np.any(read_fields(words, starts[part], width[part]) >= limits[classes[part]]):
             raise ValueError("rrr offset out of range")
-    for bv, ends in stored:
-        for end, ones in ends:
-            if bv.rank1(end) != ones:
-                raise ValueError("rrr padding bits")
+    if any(bv.rank1(bv.m) != bv.ones for bv in rrr):
+        raise ValueError("rrr padding bits")

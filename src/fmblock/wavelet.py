@@ -14,10 +14,12 @@ symbol's path through the node: positive toward the 1-child, zero or
 negative toward the 0-child. rank turns a position in that vector into a
 position in the child, node by node, with one rank1 per level and no early
 exit. Every leaf starts at the end of the tree's last node (`leaf`), past
-every node's start, so a path ends at leaf plus the rank. A plain tree's
-bits run from its start to its leaf. The plain trees of an index share one
-vector, each from its own start (share_vector, read_trees). Code bit 0
-goes left, 1 goes right, reading codes from the most significant bit.
+every node's start, so a path ends at leaf plus the rank. Under either
+backend the nodes are joined bit to bit, so a tree's bits run from its
+start to its leaf. The plain trees of an index share one vector, each from
+its own start (share_vector, read_trees); an RRR tree has its own, from 0.
+Code bit 0 goes left, 1 goes right, reading codes from the most
+significant bit.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -101,11 +103,8 @@ class WaveletTree:
         for sym, (length, code) in codes.items():
             lens[sym] = length
             codebits[sym] = code
-        # every node's bits in one array, an RRR node from a fresh t-bit
-        # block: at most t - 1 bits of padding for each of the nodes
-        t = rrr_block_size if backend == "rrr" else 1
-        code_bits = sum(freq[sym] * length for sym, (length, _) in codes.items())
-        bits = np.zeros(code_bits + t * len(codes), dtype=np.uint8)
+        # every node's bits in one array, joined bit to bit
+        bits = np.zeros(sum(freq[sym] * length for sym, (length, _) in codes.items()), dtype=np.uint8)
         at = [0, 0]  # where the next node starts, and the ones before it
 
         def split(seq, depth):
@@ -114,21 +113,22 @@ class WaveletTree:
             start, base = at
             bits[start : start + len(node)] = node
             one = node.view(bool)
-            at[0] = start + -(-len(node) // t) * t
+            at[0] = start + len(node)
             at[1] = base + int(np.count_nonzero(one))
-            return start, start + len(node), base, seq[~one], seq[one]
+            return start, at[0], base, seq[~one], seq[one]
 
         self._assemble(codes, x, split, {})
-        self.bits = make_bitvector(bits[: at[0]], backend, rrr_block_size)
+        self.bits = make_bitvector(bits, backend, rrr_block_size)
 
     @classmethod
     def from_payload(cls, codes, length, nodes, ints=None):
         """Rebuild a tree whose code assignment is already known.
 
         nodes is a read_nodes reader over the tree's payload section; child
-        lengths are the parent's counts of zeros and ones, so an RRR node
-        decodes no block while the tree is rebuilt. ints, a dict shared by
-        the trees of one index, makes their equal steps one int object.
+        lengths are the parent's counts of zeros and ones, from one rank1 at
+        the parent's end, so an RRR node decodes at most one block while the
+        tree is rebuilt. ints, a dict shared by the trees of one index,
+        makes their equal steps one int object.
         Raises ValueError on a node of no bits, which a tree built from a
         sequence never has: the codebook then lists symbols the block does
         not hold.
@@ -318,16 +318,14 @@ def read_trees(sections, lengths, sigma, backend, rrr_block_size):
     if backend == "plain":
         readers = read_plain(payloads)
     else:
-        # one at a time: an RRR reader holds its section unpacked to a byte per bit
+        # parsed as their trees are read, so that the checks fail in block order
         readers = (read_nodes(payload, backend, rrr_block_size) for payload in payloads)
-    trees = []
-    stored = []
     ints = {}
-    for (codebook, _), length, nodes in zip(sections, lengths, readers):
-        wt = WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes, ints)
-        trees.append(wt)
-        stored.append((wt.bits, nodes.ends))
-    check_stored(stored)
+    trees = [
+        WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes, ints)
+        for (codebook, _), length, nodes in zip(sections, lengths, readers)
+    ]
+    check_stored([wt.bits for wt in trees])
     return trees
 
 

@@ -185,19 +185,21 @@ def test_from_parts_reconstruction():
     "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
 )
 def test_stored_bits_read_back_at_unaligned_positions(backend, t):
-    # the nodes of one tree's payload section: a plain node starts right after
-    # the last bit of the one before it; an RRR node's class fields right after
-    # those of the one before it, and its offsets after that node's offsets
+    # the nodes of one tree's payload section, joined bit to bit under either
+    # backend: an RRR section holds the u32 bit count, the class fields of the
+    # joined bits' blocks, then their offsets
     rng = random.Random(t)
     nodes = [[rng.randint(0, 1) for _ in range(m)] for m in (1, t, 100, 700, 3, 0, 9)]
+    joined = np.concatenate(nodes).astype(np.uint8)
     if backend == "plain":
-        stored = np.concatenate(nodes).astype(np.uint8)
+        buf = np.packbits(joined, bitorder="little").tobytes()
     else:
-        vectors = [make_bitvector(bits, "rrr", t) for bits in nodes]
-        fields = [bv.stored_bits()[: bv.class_bits] for bv in vectors]
-        offsets = [bv.stored_bits()[bv.class_bits :] for bv in vectors]
-        stored = np.concatenate(fields + offsets)
-    buf = np.packbits(stored, bitorder="little").tobytes()
+        blocks = make_bitvector(joined, "rrr", t).blocks()
+        classes = [k for k, _ in blocks]
+        buf = pack_fields(
+            [len(joined)] + classes + [off for _, off in blocks],
+            [32] + [t.bit_length()] * len(blocks) + [offset_width(t, k) for k in classes],
+        )
     reader = read_nodes(buf, backend, t)
     steps = [reader.read(len(bits)) for bits in nodes]
     v = reader.vector()
@@ -205,13 +207,10 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
         want = [0, *itertools.accumulate(bits)]
         assert ones == want[-1]
         assert [v.rank1(start + j) - base for j in range(len(bits) + 1)] == want
-    if backend == "plain":
-        assert [start for start, _, _ in steps] == [0, *itertools.accumulate(map(len, nodes[:-1]))]
-        assert v.to_bits().tolist() == stored.tolist()
-    else:
-        padded = [-(-len(bits) // t) * t for bits in nodes[:-1]]
-        assert [start for start, _, _ in steps] == [0, *itertools.accumulate(padded)]
-        assert v.stored_bits().tolist() == stored.tolist()
+    assert [start for start, _, _ in steps] == [0, *itertools.accumulate(map(len, nodes[:-1]))]
+    assert v.to_bits().tolist() == joined.tolist()
+    if backend == "rrr":
+        assert np.packbits(v.stored_bits(), bitorder="little").tobytes() == buf
     with pytest.raises(EOFError, match="payload truncated"):
         read_nodes(buf, backend, t).read(8 * len(buf) * t + 1)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitio import pack_fields, unpack_fields
+from fmblock.bitio import pack_fields
 from fmblock.bitrank import RrrBitVector, offset_of_value, offset_width, plain_words, value_of_offset
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import (
@@ -67,15 +67,15 @@ def test_serialization_is_byte_deterministic():
         assert to_bytes(deserialize(raw1)) == raw1
 
 
-# SHA-256 of files written by the first format-4 writer; any change to the
+# SHA-256 of files written by the first format-5 writer; any change to the
 # bytes written fails this test
 PINNED_FILES = [
-    ("ssa", None, 15, "7fa1e4edcba6346d316b6156c9605906b1a136336bde9d23580c20d1e07cd5b9"),
-    ("ssa_rrr", None, 15, "abc962423b5e6ab013f27c63f669192efecc31f07e60cb413ba9eab04d0dbe55"),
-    ("fixed_block", 300, 15, "096eb4c090d39385ee394a363590cc3d7fc2848575ae269c1497aa7abd6e7470"),
-    ("fixed_block_rrr", 300, 15, "b899d19b4c3c4646ce48d5c562e984874a5d6ed7a86272580279154ada1aa913"),
-    ("ssa_rrr", None, 63, "631d49427bdf68ff3f4941232495ddf817728f1be2f8ee4a631e7dab5de0436e"),
-    ("fixed_block_rrr", 300, 5, "53389b384700ad69327003329c9ead02e6cb1ca14dda0391ed4005463299e5e8"),
+    ("ssa", None, 15, "2ea75ec2503283dbb3096110d57c5731accf4d23bbb691162bb0c46ab0f05b09"),
+    ("ssa_rrr", None, 15, "5cfe6c902630f5e30e0133dd62d27976d70cdc06dd7c16c57849bf3c4fd8b7cb"),
+    ("fixed_block", 300, 15, "6a259a4183b4eef2fc705438d0e71e6f6f8ed1a69b12460cf42c196a6b9d53e5"),
+    ("fixed_block_rrr", 300, 15, "d4f1c7f5ec93977e9c5016c726ac131b1dbbfd97b346ca7242a9b3d900857c63"),
+    ("ssa_rrr", None, 63, "2ccbe019c95824ed64744f5c43f666c12da3728e4c541108f7ff303ea8a28d16"),
+    ("fixed_block_rrr", 300, 5, "ccf4748c1a04d759377ba400676b31b0dc470420452b0d021240b45580f2c421"),
 ]
 
 
@@ -120,12 +120,13 @@ def _with_root_blocks(ix, blocks):
     """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced."""
     bv = ix.blocks[0].bits
     classes = [k for k, _ in blocks]
+    # the u32 bit count, the class fields, then the offsets
     payload = pack_fields(
-        classes + [off for _, off in blocks],
-        [bv.class_field_width] * len(blocks) + [offset_width(bv.t, k) for k in classes],
+        [bv.m] + classes + [off for _, off in blocks],
+        [32] + [bv.class_field_width] * len(blocks) + [offset_width(bv.t, k) for k in classes],
     )
     # the payload section is the last one before the 8-byte checksum section
-    old = (len(blocks) * bv.class_field_width + bv.offset_bits + 7) // 8
+    old = (bv.payload_bits + 7) // 8
     raw = to_bytes(ix)[: -8 - old - 4] + struct.pack("<I", len(payload)) + payload
     return raw + struct.pack("<II", 4, zlib.crc32(raw))
 
@@ -163,41 +164,6 @@ def test_rrr_padding_ones_are_rejected_at_load():
         deserialize(_with_root_blocks(ix, blocks))
 
 
-def test_rrr_padding_ones_in_a_middle_node_are_rejected_at_load():
-    # over abracadabra at t = 2, node 10 (codes 100 and 101 below it, both
-    # leaves) holds 9 bits, so its last block has 1 bit of padding, and it is
-    # the third of five nodes in level order
-    t = 2
-    ix = build_index(build_text(b"abracadabra" * 3), "ssa_rrr", rrr_block_size=t)
-    codes = ix.blocks[0].codes
-
-    def below(depth, prefix):
-        return [s for s, (ln, code) in codes.items() if ln > depth and code >> (ln - depth) == prefix]
-
-    nodes = sorted({(depth, code >> (ln - depth)) for ln, code in codes.values() for depth in range(ln)})
-    target = (2, 0b10)
-    assert target in nodes[:-1] and not below(3, 0b100) and not below(3, 0b101)
-    sizes = [sum(ix.c[s + 1] - ix.c[s] for s in below(*node)) for node in nodes]
-    blocks = [-(-m // t) for m in sizes]
-    raw = to_bytes(ix)
-    payload = _sections(raw)[PAYLOAD]
-    # the class fields of every node's blocks, then their offsets
-    classes = unpack_fields(payload, 0, [2] * sum(blocks)).tolist()
-    widths = [offset_width(t, k) for k in classes]
-    offsets = unpack_fields(payload, 2 * len(classes), widths).tolist()
-    assert (2 * len(classes) + sum(widths) + 7) // 8 == len(payload)
-    at = nodes.index(target)
-    last = sum(blocks[: at + 1]) - 1
-    assert sizes[at] % t == 1
-    k, off = classes[last], offsets[last]
-    padded = value_of_offset(off, t, k) | 0b10
-    classes[last], offsets[last] = k + 1, offset_of_value(padded, t, k + 1)
-    widths[last] = offset_width(t, k + 1)
-    values, widths = classes + offsets, [2] * len(classes) + widths
-    with pytest.raises(CorruptIndexError, match="corrupt index: rrr padding bits"):
-        deserialize(_with_section(raw, PAYLOAD, lambda body: pack_fields(values, widths)))
-
-
 _HEADER_SIZE = struct.calcsize("<8sHBBQIQI")
 
 
@@ -231,7 +197,7 @@ def _with_codebook(raw, edit):
 
 # Over b"a" * 8 the root is the only node: 9 bits, one 1 for each a. The
 # codebook section is a u16 entry count, then per entry a u16 symbol and a u8
-# code length, then the code bits; the payload holds the node.
+# code length; the payload holds the node, an RRR one after its u32 bit count.
 TREE_CHECKS = [
     ("ssa", 15, CODEBOOK, lambda body: body[:1], "codebook header"),
     ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 0) + body[2:], "codebook alphabet size"),
@@ -239,13 +205,28 @@ TREE_CHECKS = [
     ("ssa", 15, CODEBOOK, lambda body: body[:2] + struct.pack("<H", 9) + body[4:], "codebook symbols"),
     ("ssa", 15, CODEBOOK, lambda body: body[:4] + bytes([65]) + body[5:], "codebook code lengths"),
     # t = 5 stores 3-bit classes, so a class field can hold 7
-    ("ssa_rrr", 5, PAYLOAD, lambda body: bytes([body[0] | 0b111]) + body[1:], "rrr class out of range"),
-    # t = 63: the 6-bit class of the one block fits the first byte, its offset does not
-    ("ssa_rrr", 63, PAYLOAD, lambda body: body[:1], "rrr offsets truncated"),
+    (
+        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([body[4] | 0b111]) + body[5:],
+        "rrr class out of range",
+    ),
+    # t = 63: the 6-bit class of the one block fits the byte after the count, its offset does not
+    ("ssa_rrr", 63, PAYLOAD, lambda body: body[:5], "rrr offsets truncated"),
     ("ssa", 15, PAYLOAD, lambda body: body[:-1], "payload truncated"),
     ("ssa_rrr", 15, PAYLOAD, lambda body: b"", "payload truncated"),
+    # a further case of a check and variant already listed ends with a name, for a unique test id
+    ("ssa_rrr", 15, PAYLOAD, lambda body: body[:3], "payload truncated", "short-count"),
+    # an m whose class fields run past the section's end
+    (
+        "ssa_rrr", 15, PAYLOAD, lambda body: struct.pack("<I", 2**32 - 1) + body[4:],
+        "payload truncated", "count-past-end",
+    ),
     ("ssa", 15, PAYLOAD, lambda body: body + b"\0", "payload length"),
     ("ssa_rrr", 15, PAYLOAD, lambda body: body + b"\0", "payload length"),
+    # m = 10 still fits the one block, but the nodes route only 9 bits
+    (
+        "ssa_rrr", 15, PAYLOAD, lambda body: struct.pack("<I", 10) + body[4:],
+        "payload length", "count-past-nodes",
+    ),
     # one bit of the root flipped: the tree loads, with the wrong symbol counts
     ("ssa", 15, PAYLOAD, lambda body: bytes([body[0] ^ 1]) + body[1:], "symbol counts"),
 ]
@@ -253,8 +234,11 @@ TREE_CHECKS = [
 
 @pytest.mark.parametrize(
     "variant,rrr_t,which,edit,check",
-    TREE_CHECKS,
-    ids=[f"{check.replace(' ', '-')}-{variant}" for variant, _, _, _, check in TREE_CHECKS],
+    [case[:5] for case in TREE_CHECKS],
+    ids=[
+        "-".join([check.replace(" ", "-"), variant, *name])
+        for variant, _, _, _, check, *name in TREE_CHECKS
+    ],
 )
 def test_tree_section_checks_with_a_valid_checksum(variant, rrr_t, which, edit, check):
     raw = to_bytes(build_index(build_text(b"a" * 8), variant, rrr_block_size=rrr_t))
@@ -410,7 +394,7 @@ def test_every_single_byte_flip_is_rejected_at_load():
 
 def test_version_1_files_are_rejected():
     raw = to_bytes(build_index(build_text(b"BANANA"), "fixed_block", 3))
-    for version in (1, 2):
+    for version in (1, 2, 4):
         old = raw[:8] + struct.pack("<H", version) + raw[10:]
         with pytest.raises(UnsupportedFormatError, match=f"unsupported format: version {version}$"):
             deserialize(old)

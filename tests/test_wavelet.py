@@ -166,6 +166,34 @@ def test_symbol_counts_make_at_most_two_rank1_calls_per_node(backend, vector, mo
         assert 0 < len(calls) <= 2 * (len(Counter(seq)) - 1)
 
 
+@pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
+def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypatch):
+    # each node starts where the one before it ended, so only its end is ranked
+    rng = random.Random(8)
+    seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
+    built = build_wt(seq, "huffman", backend)
+    calls = []
+    rank1 = vector.rank1
+    monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
+    nodes = read_nodes(built.payload_section(), backend)
+    loaded = WaveletTree.from_payload(built.codes, len(seq), nodes)
+    # a Huffman tree over k symbols has k - 1 internal nodes
+    assert len(calls) == len(Counter(seq)) - 1
+    assert calls == sorted(set(calls))
+    monkeypatch.undo()
+    assert [loaded.rank(c, len(seq)) for c in range(60)] == [built.rank(c, len(seq)) for c in range(60)]
+
+
+def test_rrr_trees_lay_nodes_out_as_plain_trees_do():
+    rng = random.Random(9)
+    seq = [int(rng.random() ** 2 * 40) for _ in range(2000)]
+    plain = build_wt(seq, "huffman", "plain")
+    for t in (1, 3, 15, 17):
+        rrr = build_wt(seq, "huffman", "rrr", t)
+        assert (rrr.start, rrr.leaf, rrr._paths) == (plain.start, plain.leaf, plain._paths)
+        assert rrr.bits.to_bits().tolist() == plain.bits.to_bits().tolist()
+
+
 def test_a_node_of_no_bits_is_rejected_at_load():
     def codebook(lengths):
         entries = b"".join(struct.pack("<HB", sym, length) for sym, length in sorted(lengths.items()))
