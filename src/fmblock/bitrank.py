@@ -22,8 +22,10 @@ vector in the index file, which is the vector's own stored form: a plain
 tree stores its raw bits, an RRR tree (stored_bits()) its bit count m as a
 u32, then the class fields of all its blocks and then its offset stream.
 read_nodes() builds the vector of a section and routes the tree's nodes
-through it one at a time, with one rank1 per node, and read_plain() does so
-for the sections of all plain trees of an index, over one vector.
+through it one at a time, with one rank1 per node. read_plain() does so for
+the sections of all plain trees of an index, over one vector, and read_rrr()
+for those of all RRR trees, checking every RRR field before any node is
+routed.
 """
 
 import functools
@@ -464,8 +466,7 @@ def read_nodes(buf, backend, rrr_block_size=15):
     """
     if backend == "plain":
         return read_plain([buf])[0]
-    vector = RrrBitVector.from_stored(buf, rrr_block_size)
-    return _Nodes(vector, 0, vector.m, 0)
+    return read_rrr([buf], rrr_block_size)[0]
 
 
 def read_plain(bufs):
@@ -482,15 +483,26 @@ def read_plain(bufs):
     return [_Nodes(vector, first, first + m, 7) for first, m in zip(firsts, stored)]
 
 
-def check_stored(vectors):
-    """Raise ValueError on RRR fields that read_nodes takes but the encoder cannot write.
+def read_rrr(bufs, t):
+    """A read_nodes reader of each RRR payload section in bufs, each over its own vector.
+
+    Routing a node decodes the block that holds its end, so every section is
+    parsed and its fields checked (see _check_stored) before any node is.
+    """
+    vectors = [RrrBitVector.from_stored(buf, t) for buf in bufs]
+    _check_stored(vectors)
+    return [_Nodes(vector, 0, vector.m, 0) for vector in vectors]
+
+
+def _check_stored(vectors):
+    """Raise ValueError on RRR fields that from_stored takes but the encoder cannot write.
 
     Offset fields must be below comb(t, class): one check over all vectors,
     on a joined copy of their buffers; fields are read 2^15 at a time, which
     keeps the temporaries in cache. Then the bits after m in each vector's
     last block must be zero, so that its ones are its rank at m.
     """
-    rrr = [bv for bv in vectors if bv.backend == "rrr" and bv.m]
+    rrr = [bv for bv in vectors if bv.m]
     if not rrr:
         return
     streams = [bv.offset_stream() for bv in rrr]

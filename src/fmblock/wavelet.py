@@ -32,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .bitrank import check_stored, make_bitvector, plain_directory_bits, read_nodes, read_plain
+from .bitrank import make_bitvector, plain_directory_bits, read_plain, read_rrr
 
 
 def canonical_codes(lengths):
@@ -312,21 +312,17 @@ def _parse_codebook(body, sigma):
 def read_trees(sections, lengths, sigma, backend, rrr_block_size):
     """The trees of (codebook, payload) sections; ValueError or EOFError names a failed check.
 
-    Plain trees share one vector, each from a fresh word (see read_plain).
+    Plain trees share one vector, each from a fresh word (see read_plain);
+    every RRR section is parsed and checked before any tree is read (see
+    read_rrr).
     """
     payloads = [payload for _, payload in sections]
-    if backend == "plain":
-        readers = read_plain(payloads)
-    else:
-        # parsed as their trees are read, so that the checks fail in block order
-        readers = (read_nodes(payload, backend, rrr_block_size) for payload in payloads)
+    readers = read_plain(payloads) if backend == "plain" else read_rrr(payloads, rrr_block_size)
     ints = {}
-    trees = [
+    return [
         WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes, ints)
         for (codebook, _), length, nodes in zip(sections, lengths, readers)
     ]
-    check_stored([wt.bits for wt in trees])
-    return trees
 
 
 def share_vector(trees):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import random
 import re
 import struct
@@ -141,6 +142,19 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
     too_big = [(k, (1 << offset_width(rrr_t, k)) - 1) for k, _ in blocks]
     with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
         deserialize(_with_root_blocks(ix, too_big))
+
+
+@pytest.mark.parametrize("rrr_t,k,off", [(5, 4, 7), (15, 13, 127)])
+def test_rrr_offset_past_the_decode_table_is_rejected_at_load(rrr_t, k, off):
+    # the root's end is in the last block, which reading the tree decodes:
+    # starts[k] + off of the t-bit decode table runs past its 2^t words
+    ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
+    blocks = ix.blocks[0].bits.blocks()
+    assert off < 1 << offset_width(rrr_t, k)
+    assert sum(math.comb(rrr_t, j) for j in range(k)) + off >= 1 << rrr_t
+    blocks[-1] = (k, off)
+    with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
+        deserialize(_with_root_blocks(ix, blocks))
 
 
 def test_out_of_range_rrr_offset_after_the_first_2_15_fields_is_rejected_at_load():
