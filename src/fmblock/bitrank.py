@@ -12,20 +12,23 @@ Two interchangeable representations:
 * RrrBitVector stores each t-bit block as a popcount class plus an
   enumerative offset that identifies the block among all t-bit words of
   that class in ascending numeric order, with uint32 (offset position,
-  rank) samples every 32 blocks. The classes are one byte each, so a rank
-  sums the classes since the last sample, and their offset widths through
-  a 256-byte translation table, without a Python loop.
+  rank) samples every 32 blocks. The classes are one buffer, two 4-bit
+  classes per byte for t <= 15 and one per byte above, so a rank sums the
+  class bytes since the last sample, and their offset widths, each through
+  a 256-byte translation table, without a Python loop. One vector can hold
+  many trees, each from a fresh sample and with its own ranks (see
+  rrr_samples).
 
 A wavelet tree keeps all its nodes in one vector, joined bit to bit in
 level order under either backend. This module owns the layout of that
-vector in the index file, which is the vector's own stored form: a plain
-tree stores its raw bits, an RRR tree (stored_bits()) its bit count m as a
-u32, then the class fields of all its blocks and then its offset stream.
-read_nodes() builds the vector of a section and routes the tree's nodes
-through it one at a time, with one rank1 per node. read_plain() does so for
-the sections of all plain trees of an index, over one vector, and read_rrr()
-for those of all RRR trees, checking every RRR field before any node is
-routed.
+vector in the index file, which is the vector's own stored form
+(stored_bits()): a plain tree stores its raw bits, an RRR tree its bit
+count m as a u32, then the class fields of all its blocks and then its
+offset stream. read_nodes() builds the vector of a section and routes the
+tree's nodes through it one at a time, with one rank1 per node.
+read_plain() does so for the sections of all plain trees of an index, over
+one vector, and read_rrr() for those of all RRR trees, parsing them in one
+pass and checking every RRR field before any node is routed.
 """
 
 import functools
@@ -35,12 +38,13 @@ from array import array
 
 import numpy as np
 
-from .bitio import as_words, pack_fields, read_bits, read_fields, unpack_bits, unpack_fields
+from .bitio import pack_fields, read_bits, read_fields, unpack_bits, unpack_fields
 
 # each byte with its bits in reverse order: bitio's LSB-first bytes to the words' MSB-first ones
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 RRR_SAMPLE_EVERY = 32
 _TABLE_MAX_T = 16
+_NIBBLE_MAX_T = 15
 
 
 def _as_bit_array(bits):
@@ -68,11 +72,6 @@ def plain_words(m):
     so that rank1 at the tree's end reads a word of the tree.
     """
     return ((m + 7) >> 6) + 1
-
-
-def plain_directory_bits(m):
-    """The 32-bit counters of a plain tree of m bits, one per word it takes."""
-    return 32 * plain_words(m)
 
 
 class PlainBitVector:
@@ -149,6 +148,14 @@ class PlainBitVector:
         bits = np.unpackbits(words.astype(">u8").view(np.uint8))
         return bits[start & 63 : (start & 63) + stop - start]
 
+    def stored_bits(self, start=0, stop=None):
+        """The tree of bits start..stop - 1 as stored: its bits (see to_bits)."""
+        return self.to_bits(start, stop)
+
+    def tree_size(self, start, stop):
+        """Bits of the tree of bits start..stop - 1: its stored bits, and its counters."""
+        return stop - start, 32 * plain_words(stop - start)
+
     def _clear(self, end, limit):
         """Zero a tree's padding bits end..limit - 1, the tail of one word.
 
@@ -214,9 +221,19 @@ def offset_widths(t):
 
 
 @functools.cache
-def _width_table(t):
-    """offset_widths(t) as a 256-byte class -> width table for bytes.translate."""
-    return bytes(offset_widths(t)).ljust(256, b"\0")
+def _class_tables(t):
+    """bytes.translate tables of a class byte: its classes' sum, and their offset widths' sum.
+
+    A byte holds two 4-bit classes, the low one first, for t <= 15, and one
+    class above. The third table is the offset width of one class.
+    """
+    widths = offset_widths(t) + (0,) * (255 - t)
+    pairs = [(b & 15, b >> 4) if t <= _NIBBLE_MAX_T else (b, 0) for b in range(256)]
+    return (
+        bytes(lo + hi for lo, hi in pairs),
+        bytes(widths[lo] + widths[hi] for lo, hi in pairs),
+        bytes(widths),
+    )
 
 
 def offset_of_value(value, t, k):
@@ -245,10 +262,29 @@ def value_of_offset(off, t, k):
     return value
 
 
+def rrr_samples(m, t):
+    """Samples an RRR tree of m bits takes in a vector: one per RRR_SAMPLE_EVERY of its blocks, plus one.
+
+    Its blocks end before its last sample's blocks do, so rank1 at the
+    tree's end, and the offset stream at the end of its last block, are
+    counted from a sample of the tree.
+    """
+    return -(-m // t) // RRR_SAMPLE_EVERY + 1
+
+
 class RrrBitVector:
+    """The bits of one or more trees as t-bit blocks, each a class and an offset.
+
+    Each tree starts on a sample, every RRR_SAMPLE_EVERY blocks, and takes
+    rrr_samples of its bit count; the blocks after its last are class 0. A
+    sample holds the ones before it since its tree's first bit, and where
+    its block's offset starts in the one offset stream, so rank1(j) counts
+    the ones from the start of the tree that holds j to j.
+    """
+
     __slots__ = (
-        "m", "t", "ones", "offset_bits", "_classes", "_widths", "_table", "_offbuf", "_offbase",
-        "_sample_rank", "_sample_opos",
+        "m", "t", "ones", "_classes", "_shift", "_mask", "_sample_bytes", "_class_sums",
+        "_width_sums", "_widths", "_table", "_offbuf", "_sample_rank", "_sample_opos",
     )
     backend = "rrr"
 
@@ -256,6 +292,8 @@ class RrrBitVector:
         t = int(block_size)
         if not 1 <= t <= 63:
             raise ValueError("block size must be in 1..63")
+        if len(bits) >= 1 << 32:
+            raise ValueError("rrr tree of 2^32 bits or more")
         bits = _as_bit_array(bits)
         m = len(bits)
         full, rem = divmod(m, t)
@@ -268,64 +306,74 @@ class RrrBitVector:
         if rem:
             packed[full, : (rem + 7) // 8] = np.packbits(bits[full * t :], bitorder="little")
         values = packed.view("<u8").ravel()
-        classes = np.bitwise_count(values).astype(np.int64)
+        classes = np.bitwise_count(values)
         if t <= _TABLE_MAX_T:
             offsets = _offset_table(t)[values]
         else:
             offsets = [offset_of_value(int(v), t, int(k)) for v, k in zip(values, classes)]
         widths = np.asarray(offset_widths(t))[classes]
-        self._setup(m, t, classes, pack_fields(offsets, widths), 0, int(widths.sum()))
+        self._setup(t, [m], classes, pack_fields(offsets, widths), [0])
 
-    @classmethod
-    def from_parts(cls, m, t, classes, offbuf, offbase, offset_bits):
-        """Rebuild from stored fields; offsets stay referenced in place inside offbuf."""
-        v = cls.__new__(cls)
-        v._setup(m, t, classes, offbuf, offbase, offset_bits)
-        return v
+    def _setup(self, t, ms, classes, offbuf, bases):
+        """The vector of trees of ms bits, laid out in turn (see rrr_samples).
 
-    def _setup(self, m, t, classes, offbuf, offbase, offset_bits):
-        """Derive the uint32 (offset position, rank) samples; ValueError first at 2^32 bits or more."""
-        if m >= 1 << 32:
-            raise ValueError("rrr tree of 2^32 bits or more")
-        self._classes = np.asarray(classes, dtype=np.uint8).tobytes()
-        self._widths = _width_table(t)
-        ks = np.frombuffer(self._classes, dtype=np.uint8)
-        opos = np.zeros(len(ks) + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8), out=opos[1:])
-        rank = np.zeros(len(ks) + 1, dtype=np.int64)
-        np.cumsum(ks, out=rank[1:])
-        if int(opos[-1]) != offset_bits:
-            raise ValueError("offset stream length does not match classes")
-        # a sample every RRR_SAMPLE_EVERY blocks, and one at the end
-        at = np.minimum(np.arange(0, len(ks) + RRR_SAMPLE_EVERY, RRR_SAMPLE_EVERY), len(ks))
-        self.m = m
+        classes (uint8) holds the classes of each tree's blocks in turn, and
+        tree i's offsets start at bit bases[i] of offbuf. The caller checks
+        that the samples fit uint32.
+        """
+        every = RRR_SAMPLE_EVERY
+        nblocks = [-(-m // t) for m in ms]
+        taken = [rrr_samples(m, t) for m in ms]
+        full = np.zeros(every * sum(taken), dtype=np.uint8)
+        lengths = [n for nb, s in zip(nblocks, taken) for n in (nb, every * s - nb)]
+        full[np.repeat(np.tile([True, False], len(ms)), lengths)] = classes
+        self._class_sums, self._width_sums, self._widths = _class_tables(t)
+        by_sample = full.reshape(-1, every)
+        ones = by_sample.sum(axis=1, dtype=np.int64)
+        width = np.frombuffer(self._widths, dtype=np.uint8)[by_sample].sum(axis=1, dtype=np.int64)
+        firsts = np.cumsum([0, *taken[:-1]])
+        rank = np.cumsum(ones) - ones
+        rank -= np.repeat(rank[firsts], taken)
+        opos = np.cumsum(width) - width
+        opos += np.repeat(np.asarray(bases) - opos[firsts], taken)
+        self._shift = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
+        self._mask = 0xFF >> 4 * self._shift
+        self._sample_bytes = every >> self._shift
+        self._classes = (full[0::2] | full[1::2] << 4 if self._shift else full).tobytes()
+        self.m = every * t * int(firsts[-1]) + ms[-1]
         self.t = t
-        self.ones = int(rank[-1])
+        self.ones = int(ones.sum())
         self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
         self._offbuf = offbuf
-        self._offbase = offbase
-        self.offset_bits = offset_bits
-        self._sample_rank = array("I", rank[at].tolist())
-        self._sample_opos = array("I", opos[at].tolist())
-
-    def _block_value(self, blk, opos):
-        k = self._classes[blk]
-        w = self._widths[k]
-        off = read_bits(self._offbuf, self._offbase + opos, w) if w else 0
-        if self._table is None:
-            return value_of_offset(off, self.t, k)
-        words, starts = self._table
-        return words[starts[k] + off]
+        self._sample_rank = array("I", rank.astype(np.uint32).tobytes())
+        self._sample_opos = array("I", opos.astype(np.uint32).tobytes())
 
     def rank1(self, j):
         blk, rem = divmod(j, self.t)
         sb = blk >> 5
-        seg = self._classes[sb << 5 : blk]
-        r = self._sample_rank[sb] + sum(seg)
+        classes = self._classes
+        at = blk >> self._shift  # the byte of blk's class
+        seg = classes[sb * self._sample_bytes : at]
+        r = self._sample_rank[sb] + sum(seg.translate(self._class_sums))
+        half = blk & self._shift  # blk's class is its byte's high nibble, after the low one
         if rem:
-            opos = self._sample_opos[sb] + sum(seg.translate(self._widths))
-            value = self._block_value(blk, opos)
-            r += (value & ((1 << rem) - 1)).bit_count()
+            byte = classes[at]
+            opos = self._sample_opos[sb] + sum(seg.translate(self._width_sums))
+            if half:
+                r += byte & 15
+                opos += self._widths[byte & 15]
+                byte >>= 4
+            k = byte & self._mask
+            w = self._widths[k]
+            off = read_bits(self._offbuf, opos, w) if w else 0
+            if self._table is None:
+                value = value_of_offset(off, self.t, k)
+            else:
+                words, starts = self._table
+                value = words[starts[k] + off]
+            return r + (value & ((1 << rem) - 1)).bit_count()
+        if half:
+            r += classes[at] & 15
         return r
 
     def rank(self, bit, j):
@@ -338,58 +386,46 @@ class RrrBitVector:
         bits = (values[:, None] >> np.arange(self.t, dtype=np.uint64)) & np.uint64(1)
         return bits.astype(np.uint8).ravel()[: self.m]
 
-    def block_classes(self):
-        """The class of every block, as a read-only uint8 array."""
-        return np.frombuffer(self._classes, dtype=np.uint8)
+    def block_classes(self, lo=0, hi=None):
+        """The classes of blocks lo..hi - 1, by default those of bits 0..m - 1, as uint8."""
+        hi = -(-self.m // self.t) if hi is None else hi
+        s = self._shift
+        raw = np.frombuffer(self._classes, dtype=np.uint8)[lo >> s : (hi + s) >> s]
+        if s:
+            raw = np.stack([raw & 15, raw >> 4], axis=1).ravel()
+        return raw[lo & s : (lo & s) + hi - lo]
 
-    def offset_stream(self):
-        """The packed offset bits as (buffer, base bit offset, bit count)."""
-        return self._offbuf, self._offbase, self.offset_bits
+    def _opos(self, blk):
+        """Where block blk's offset starts in the offset stream."""
+        seg = self.block_classes(blk & -RRR_SAMPLE_EVERY, blk)
+        return self._sample_opos[blk >> 5] + sum(seg.tobytes().translate(self._widths))
 
     def blocks(self):
-        """Introspection: (class, offset) per block."""
-        widths = np.frombuffer(self._classes.translate(self._widths), dtype=np.uint8)
-        offsets = unpack_fields(self._offbuf, self._offbase, widths)
-        return list(zip(self._classes, offsets.tolist()))
-
-    @classmethod
-    def from_stored(cls, buf, t):
-        """The vector whose stored_bits() an LSB-first buffer holds.
-
-        m is checked against the buffer's length before anything sized by
-        m is allocated. Raises EOFError or ValueError naming the failed check.
-        """
-        if len(buf) < 4:
-            raise EOFError("payload truncated")
-        m = int.from_bytes(buf[:4], "little")
-        nblocks = -(-m // t)
-        width = t.bit_length()
-        first = 32 + nblocks * width
-        if first > 8 * len(buf):
-            raise EOFError("payload truncated")
-        # a class field is at most 6 bits, so its weighted bit sum fits uint8
-        weights = np.uint8(1) << np.arange(width, dtype=np.uint8)
-        classes = unpack_bits(buf, 32, first - 32).reshape(nblocks, width) @ weights
-        if nblocks and int(classes.max()) > t:
-            raise ValueError("rrr class out of range")
-        nbits = int(np.asarray(offset_widths(t))[classes].sum())
-        if first + nbits > 8 * len(buf):
-            raise EOFError("rrr offsets truncated")
-        if len(buf) > (first + nbits + 7) // 8:
-            raise ValueError("payload length")
-        offbuf = np.packbits(unpack_bits(buf, first, nbits), bitorder="little").tobytes()
-        return cls.from_parts(m, t, classes, offbuf, 0, nbits)
-
-    def stored_bits(self):
-        """m as 32 bits, the class field of every block, then the offset stream; a uint8 per bit."""
+        """Introspection: (class, offset) of each block of bits 0..m - 1."""
         ks = self.block_classes()
-        fields = np.unpackbits(ks[:, None], axis=1, bitorder="little")[:, : self.class_field_width]
-        head = unpack_bits(self.m.to_bytes(4, "little"), 0, 32)
-        return np.concatenate([head, fields.ravel(), unpack_bits(*self.offset_stream())])
+        widths = np.frombuffer(ks.tobytes().translate(self._widths), dtype=np.uint8)
+        offsets = unpack_fields(self._offbuf, self._opos(0), widths)
+        return list(zip(ks.tolist(), offsets.tolist()))
 
-    @property
-    def class_bits(self):
-        return len(self._classes) * self.class_field_width
+    def stored_bits(self, start=0, stop=None):
+        """The tree of bits start..stop - 1, all m by default, as stored; a uint8 per bit.
+
+        Its bit count as 32 bits, the class field of each of its blocks,
+        then their offsets; start is the tree's first bit.
+        """
+        stop = self.m if stop is None else stop
+        lo, hi = start // self.t, -(-stop // self.t)
+        fields = np.unpackbits(self.block_classes(lo, hi)[:, None], axis=1, bitorder="little")
+        head = unpack_bits((stop - start).to_bytes(4, "little"), 0, 32)
+        first = self._opos(lo)
+        offsets = unpack_bits(self._offbuf, first, self._opos(hi) - first)
+        return np.concatenate([head, fields[:, : self.class_field_width].ravel(), offsets])
+
+    def tree_size(self, start, stop):
+        """Bits of the tree of bits start..stop - 1: its stored bits, and its samples."""
+        lo, hi = start // self.t, -(-stop // self.t)
+        stored = 32 + (hi - lo) * self.class_field_width + self._opos(hi) - self._opos(lo)
+        return stored, 64 * rrr_samples(stop - start, self.t)
 
     @property
     def class_field_width(self):
@@ -397,8 +433,8 @@ class RrrBitVector:
 
     @property
     def payload_bits(self):
-        """The stored bits: the 32-bit count m, the class fields and the offsets."""
-        return 32 + self.class_bits + self.offset_bits
+        """The stored bits of bits 0..m - 1: the 32-bit count m, the class fields and the offsets."""
+        return self.tree_size(0, self.m)[0]
 
     @property
     def directory_bits(self):
@@ -464,9 +500,14 @@ def read_nodes(buf, backend, rrr_block_size=15):
     returns that vector. Either raises EOFError or ValueError naming the
     failed check, as does read_nodes itself on an RRR section.
     """
+    return read_sections([buf], backend, rrr_block_size)[0]
+
+
+def read_sections(bufs, backend, rrr_block_size=15):
+    """A read_nodes reader of each payload section in bufs, all over one vector."""
     if backend == "plain":
-        return read_plain([buf])[0]
-    return read_rrr([buf], rrr_block_size)[0]
+        return read_plain(bufs)
+    return read_rrr(bufs, rrr_block_size)
 
 
 def read_plain(bufs):
@@ -484,43 +525,73 @@ def read_plain(bufs):
 
 
 def read_rrr(bufs, t):
-    """A read_nodes reader of each RRR payload section in bufs, each over its own vector.
+    """A read_nodes reader of each RRR payload section in bufs, all over one vector.
 
-    Routing a node decodes the block that holds its end, so every section is
-    parsed and its fields checked (see _check_stored) before any node is.
+    Each tree starts on a fresh sample (see rrr_samples). Routing a node
+    decodes the block that holds its end, so every section is parsed, and
+    its fields checked, before any node is (see _parse_rrr). Last, the bits
+    after m in each tree's last block must be zero, as the writer leaves
+    them, so that the tree's ones are its rank at m.
     """
-    vectors = [RrrBitVector.from_stored(buf, t) for buf in bufs]
-    _check_stored(vectors)
-    return [_Nodes(vector, 0, vector.m, 0) for vector in vectors]
+    ms, ones, classes, offbuf, bases = _parse_rrr(bufs, t)
+    vector = RrrBitVector.__new__(RrrBitVector)
+    vector._setup(t, ms, classes, offbuf, bases)
+    firsts = list(itertools.accumulate((RRR_SAMPLE_EVERY * t * rrr_samples(m, t) for m in ms), initial=0))
+    if any(vector.rank1(first + m) != k for first, m, k in zip(firsts, ms, ones)):
+        raise ValueError("rrr padding bits")
+    return [_Nodes(vector, first, first + m, 0) for first, m in zip(firsts, ms)]
 
 
-def _check_stored(vectors):
-    """Raise ValueError on RRR fields that from_stored takes but the encoder cannot write.
+def _parse_rrr(bufs, t):
+    """The fields of RRR payload sections, parsed in one pass.
 
-    Offset fields must be below comb(t, class): one check over all vectors,
-    on a joined copy of their buffers; fields are read 2^15 at a time, which
-    keeps the temporaries in cache. Then the bits after m in each vector's
-    last block must be zero, so that its ones are its rank at m.
+    Returns each section's bit count m and ones, the classes of all their
+    blocks in turn (uint8), and the offset buffer with the bit of it where
+    each section's offsets start: each section's bytes from the one that
+    holds its first offset bit, copied as they are, then a spare word for
+    read_fields. Each check runs over all sections before the next: their
+    lengths against m, the classes, their lengths against the offset
+    widths, and last, over the offset buffer, every offset below
+    comb(t, class). Raises EOFError or ValueError naming the failed check;
+    ValueError before allocating if the copied bytes hold 2^32 bits or
+    more, which the uint32 samples could not address.
     """
-    rrr = [bv for bv in vectors if bv.m]
-    if not rrr:
-        return
-    streams = [bv.offset_stream() for bv in rrr]
-    at = np.cumsum([0] + [8 * len(buf) for buf, _, _ in streams[:-1]]) + [b for _, b, _ in streams]
-    ks = [bv.block_classes() for bv in rrr]
-    words = as_words(b"".join(buf for buf, _, _ in streams))
-    t = rrr[0].t
-    widths = np.array(offset_widths(t))
+    width = t.bit_length()
+    ms, heads = [], []  # and the bit of each section where its offsets start
+    for buf in bufs:
+        ms.append(int.from_bytes(buf[:4], "little"))
+        heads.append(32 + -(-ms[-1] // t) * width)
+        if len(buf) < 4 or heads[-1] > 8 * len(buf):
+            raise EOFError("payload truncated")
+    spans = [len(buf) - (head >> 3) for buf, head in zip(bufs, heads)]
+    if 8 * sum(spans) >= 1 << 32:
+        raise ValueError("rrr offset stream of 2^32 bits or more")
+    # the class fields of all sections, each from its byte 4 to the end of its last field
+    raw = np.frombuffer(b"".join(buf[4 : (head + 7) >> 3] for buf, head in zip(bufs, heads)), np.uint8)
+    keep = np.repeat(np.tile([True, False], len(bufs)), [n for h in heads for n in (h - 32, -h % 8)])
+    fields = np.unpackbits(raw, bitorder="little")[keep].reshape(-1, width)
+    classes = fields @ (np.uint8(1) << np.arange(width, dtype=np.uint8))
+    if len(classes) and int(classes.max()) > t:
+        raise ValueError("rrr class out of range")
+    widths = np.frombuffer(classes.tobytes().translate(_class_tables(t)[2]), dtype=np.uint8)
+    starts = np.zeros(len(widths) + 1, dtype=np.int64)  # each block's offset bit, as if joined
+    np.cumsum(widths, out=starts[1:])
+    ends = np.cumsum([(head - 32) // width for head in heads])  # each section's last block, plus one
+    for buf, head, nbits in zip(bufs, heads, np.diff(starts[ends], prepend=0).tolist()):
+        if head + nbits > 8 * len(buf):
+            raise EOFError("rrr offsets truncated")
+        if len(buf) > (head + nbits + 7) // 8:
+            raise ValueError("payload length")
+    offbuf = b"".join([*(buf[head >> 3 :] for buf, head in zip(bufs, heads)), bytes(16 - sum(spans) % 8)])
+    bases = [8 * at + (head & 7) for at, head in zip(itertools.accumulate(spans, initial=0), heads)]
+    firsts = ends - np.diff(ends, prepend=0)
+    starts = starts[:-1] + np.repeat(np.asarray(bases) - starts[firsts], ends - firsts)
+    words = np.frombuffer(offbuf, dtype="<u8")
     limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
-    classes = np.concatenate(ks)
-    counts = [len(k) for k in ks]
-    width = widths[classes]
-    starts = np.cumsum(width)
-    starts -= width
-    starts += np.repeat(at - starts[np.cumsum(counts) - counts], counts)
+    # 2^15 fields at a time, which keeps the temporaries in cache
     for lo in range(0, len(starts), 1 << 15):
         part = slice(lo, lo + (1 << 15))
-        if np.any(read_fields(words, starts[part], width[part]) >= limits[classes[part]]):
+        if np.any(read_fields(words, starts[part], widths[part]) >= limits[classes[part]]):
             raise ValueError("rrr offset out of range")
-    if any(bv.rank1(bv.m) != bv.ones for bv in rrr):
-        raise ValueError("rrr padding bits")
+    ones = np.concatenate([[0], np.cumsum(classes, dtype=np.int64)])[ends]
+    return ms, np.diff(ones, prepend=0).tolist(), classes, offbuf, bases

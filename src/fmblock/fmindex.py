@@ -2,10 +2,11 @@
 
 Every index splits the BWT into fixed-size blocks, builds one
 Huffman-shaped wavelet tree per block over that block's own local alphabet,
-and derives from the trees a row of absolute rank snapshots at every block
-boundary. The ssa variants are the one-block case: the block size is n, so
-there is one tree over the whole BWT and one all-zero boundary row. The
-*_rrr variants swap the node bitvectors for the compressed representation.
+all over one bitvector, and derives from the trees' symbol counts a row of
+absolute rank snapshots at every block boundary. The ssa variants are the
+one-block case: the block size is n, so there is one tree over the whole
+BWT and one all-zero boundary row. The *_rrr variants swap the bitvector
+for the compressed representation.
 Counting never touches the text: rank over the last column drives the
 backward search.
 """
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import textcore
-from .wavelet import WaveletTree, share_vector
+from .wavelet import WaveletTree, read_trees
 
 
 class IndexVariant(str, Enum):
@@ -75,13 +76,14 @@ class SizeReport:
         }
 
 
-def _boundary_rows(blocks, sigma):
-    """Row i, from item i * sigma on: occurrences of every code in the blocks before block i."""
-    rows = np.zeros((len(blocks), sigma), dtype=np.int64)
-    for i, wt in enumerate(blocks[:-1]):
-        counts = wt.symbol_counts()
-        rows[i + 1, list(counts)] = list(counts.values())
-    return array("q", np.cumsum(rows, axis=0).tobytes())
+def _boundary_rows(counts, sigma):
+    """Row i, from item i * sigma on: occurrences of every code in the blocks before block i.
+
+    counts holds each block's occurrences of every code, sigma per block in turn.
+    """
+    rows = np.zeros((len(counts) // sigma, sigma), dtype=np.int64)
+    np.cumsum(np.reshape(counts, rows.shape)[:-1], axis=0, out=rows[1:])
+    return array("q", rows.tobytes())
 
 
 class BlockedFMIndex:
@@ -94,6 +96,7 @@ class BlockedFMIndex:
         sigma,
         c,
         blocks,
+        counts,
         block_size,
         byte_for_code,
         rrr_block_size=15,
@@ -103,7 +106,7 @@ class BlockedFMIndex:
         self.sigma = sigma
         self.c = [int(x) for x in c]
         self.blocks = blocks
-        self.boundary_occ = _boundary_rows(blocks, sigma)
+        self.boundary_occ = _boundary_rows(counts, sigma)
         self.block_size = block_size
         self.byte_for_code = bytes(byte_for_code)
         self.rrr_block_size = rrr_block_size
@@ -180,17 +183,20 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
     else:
         bs = t.n
     b = textcore.bwt(t)
-    blocks = [
+    trees = [
         WaveletTree(b.l[s : s + bs], "huffman", backend, rrr_block_size)
         for s in range(0, t.n, bs)
     ]
-    blocks = share_vector(blocks)
+    # built one by one, then moved into one vector through the reader a load uses
+    sections = [(wt.codebook_section(), wt.payload_section()) for wt in trees]
+    blocks, counts = read_trees(sections, [wt.length for wt in trees], t.sigma, backend, rrr_block_size)
     return BlockedFMIndex(
         variant,
         t.n,
         t.sigma,
         b.c,
         blocks,
+        counts,
         bs,
         t.byte_for_code,
         rrr_block_size,

@@ -159,7 +159,7 @@ def deserialize(source):
 
     lengths = [min(block_size, n - i * block_size) for i in range(block_count)]
     try:
-        blocks = read_trees(trees, lengths, sigma, backend, rrr_t)
+        blocks, counts = read_trees(trees, lengths, sigma, backend, rrr_t)
     except (ValueError, EOFError) as exc:
         _corrupt(exc)
 
@@ -169,6 +169,7 @@ def deserialize(source):
         sigma,
         c,
         blocks,
+        counts,
         block_size,
         remap,
         rrr_t if backend == "rrr" else 15,

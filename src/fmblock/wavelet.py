@@ -16,10 +16,12 @@ position in the child, node by node, with one rank1 per level and no early
 exit. Every leaf starts at the end of the tree's last node (`leaf`), past
 every node's start, so a path ends at leaf plus the rank. Under either
 backend the nodes are joined bit to bit, so a tree's bits run from its
-start to its leaf. The plain trees of an index share one vector, each from
-its own start (share_vector, read_trees); an RRR tree has its own, from 0.
-Code bit 0 goes left, 1 goes right, reading codes from the most
-significant bit.
+start to its leaf. All the trees of an index share one vector, each from
+its own start (read_trees): a fresh word for plain trees, a fresh sample
+for RRR ones. An index's trees are built one by one, then moved into that
+vector through the reader a load uses, which hands back each tree's leaf
+sizes, the index's symbol counts. Code bit 0 goes left, 1 goes right,
+reading codes from the most significant bit.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -32,7 +34,7 @@ import struct
 
 import numpy as np
 
-from .bitrank import make_bitvector, plain_directory_bits, read_plain, read_rrr
+from .bitrank import make_bitvector, read_sections
 
 
 def canonical_codes(lengths):
@@ -134,7 +136,12 @@ class WaveletTree:
         not hold.
         """
         wt = cls.__new__(cls)
-        wt.length = length
+        wt._read(codes, length, nodes, {} if ints is None else ints)
+        return wt
+
+    def _read(self, codes, length, nodes, ints):
+        """Rebuild the tree as from_payload does, in self; returns its leaf sizes {symbol: count}."""
+        self.length = length
 
         def split(nbits, depth):
             if not nbits:
@@ -142,9 +149,9 @@ class WaveletTree:
             start, base, ones = nodes.read(nbits)
             return start, start + nbits, base, nbits - ones, ones
 
-        wt._assemble(codes, length, split, {} if ints is None else ints)
-        wt.bits = nodes.vector()
-        return wt
+        leaves = self._assemble(codes, length, split, ints)
+        self.bits = nodes.vector()
+        return leaves
 
     def _assemble(self, codes, root_item, split, ints):
         """Lay out the nodes level by level, then build every symbol's path.
@@ -166,6 +173,9 @@ class WaveletTree:
         has a step of the same value (trees of one block size repeat many);
         paths[c] is symbol c's path, None for a symbol the tree does not
         hold. A path ends at p = leaf plus the rank.
+
+        Returns {symbol: the item of its leaf}, what split gave the leaf's
+        parent for it.
         """
         # the internal nodes are the codes' proper prefixes, laid out by depth and then prefix
         internal = {(depth, code >> (length - depth)) for length, code in codes.values()
@@ -192,6 +202,7 @@ class WaveletTree:
                 steps[depth, code >> (length - depth)][(code >> (length - 1 - depth)) & 1]
                 for depth in range(length)
             )
+        return {sym: items[length, code] for sym, (length, code) in codes.items()}
 
     def rank(self, c, r):
         """Occurrences of symbol c among the first r elements."""
@@ -211,7 +222,8 @@ class WaveletTree:
     def symbol_counts(self):
         """{symbol: occurrences}, the sizes of the leaves.
 
-        Follows every path, with two rank1 calls the first time it reaches a node.
+        Follows every path, with two rank1 calls the first time it reaches a
+        node; read_trees gets the same counts with no call of its own.
         """
         rank1 = self.bits.rank1
         nodes = {}
@@ -254,14 +266,13 @@ class WaveletTree:
 
     @property
     def payload_bits(self):
-        """Plain: the tree's bits, from its start to the end of its last node, in a shared vector."""
-        return self.leaf - self.start if self.bits.backend == "plain" else self.bits.payload_bits
+        """The bits of the tree's payload section: those from its start to its leaf, as stored."""
+        return self.bits.tree_size(self.start, self.leaf)[0]
 
     @property
     def directory_bits(self):
-        if self.bits.backend == "plain":
-            return plain_directory_bits(self.payload_bits)
-        return self.bits.directory_bits
+        """The rank directory or samples of the tree's bits in its vector."""
+        return self.bits.tree_size(self.start, self.leaf)[1]
 
     @property
     def codebook_bits(self):
@@ -274,9 +285,8 @@ class WaveletTree:
         return struct.pack("<H", len(items)) + entries
 
     def payload_section(self):
-        """The tree's vector as stored: plain, its bits; RRR, its class fields, then its offsets."""
-        bv = self.bits
-        bits = bv.to_bits(self.start, self.leaf) if bv.backend == "plain" else bv.stored_bits()
+        """The tree's bits as its vector stores them: plain, the bits; RRR, m, class fields, offsets."""
+        bits = self.bits.stored_bits(self.start, self.leaf)
         return np.packbits(bits, bitorder="little").tobytes()
 
     def size_in_bits(self):
@@ -310,31 +320,23 @@ def _parse_codebook(body, sigma):
 
 
 def read_trees(sections, lengths, sigma, backend, rrr_block_size):
-    """The trees of (codebook, payload) sections; ValueError or EOFError names a failed check.
+    """The trees of (codebook, payload) sections, and their symbol counts, sigma per tree in turn.
 
-    Plain trees share one vector, each from a fresh word (see read_plain);
-    every RRR section is parsed and checked before any tree is read (see
-    read_rrr).
+    The trees share one vector, whose sections are all parsed, and an RRR
+    one's fields checked, before any tree is read (see read_plain and
+    read_rrr). A symbol's count is the size of its leaf, from the zero or
+    one count of the last node on its path. ValueError or EOFError names a
+    failed check.
     """
-    payloads = [payload for _, payload in sections]
-    readers = read_plain(payloads) if backend == "plain" else read_rrr(payloads, rrr_block_size)
+    readers = read_sections([payload for _, payload in sections], backend, rrr_block_size)
     ints = {}
-    return [
-        WaveletTree.from_payload(_parse_codebook(codebook, sigma), length, nodes, ints)
-        for (codebook, _), length, nodes in zip(sections, lengths, readers)
-    ]
-
-
-def share_vector(trees):
-    """Plain trees built one by one, moved into one vector as read_trees lays them out.
-
-    RRR trees are returned as they are.
-    """
-    if trees[0].bits.backend != "plain":
-        return trees
-    readers = read_plain([wt.payload_section() for wt in trees])
-    ints = {}
-    return [WaveletTree.from_payload(wt.codes, wt.length, nodes, ints) for wt, nodes in zip(trees, readers)]
+    trees, counts = [], [0] * (len(sections) * sigma)
+    for i, ((codebook, _), length, nodes) in enumerate(zip(sections, lengths, readers)):
+        wt = WaveletTree.__new__(WaveletTree)
+        for sym, size in wt._read(_parse_codebook(codebook, sigma), length, nodes, ints).items():
+            counts[i * sigma + sym] = size
+        trees.append(wt)
+    return trees, counts
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

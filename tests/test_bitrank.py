@@ -19,6 +19,7 @@ from fmblock.bitrank import (
     offset_of_value,
     offset_width,
     read_nodes,
+    read_rrr,
     value_of_offset,
 )
 
@@ -86,10 +87,29 @@ def test_plain_tree_of_2_32_bits_is_rejected_before_allocating():
 
 
 def test_rrr_tree_of_2_32_bits_is_rejected_before_allocating():
-    # t = 15 with class 15 stores no offset bits, so no offset buffer is needed
+    # a range has a length but no bits to copy
     with pytest.raises(ValueError, match="rrr tree of 2\\^32 bits or more"):
-        RrrBitVector.from_parts(1 << 32, 15, [15], b"", 0, 0)
-    assert RrrBitVector.from_parts(15, 15, [15], b"", 0, 0).ones == 15
+        RrrBitVector(range(1 << 32), 15)
+    assert RrrBitVector(range(2), 15).ones == 1
+
+
+def test_rrr_offset_stream_of_2_32_bits_is_rejected_before_allocating():
+    class Sized(bytes):
+        def __len__(self):
+            return self.size
+
+    def sections(*sizes):
+        # sections of m = 0 that claim `sizes` bytes: all but the u32 count would be offsets
+        out = [Sized(bytes(4)) for _ in sizes]
+        for buf, size in zip(out, sizes):
+            buf.size = size
+        return out
+
+    with pytest.raises(ValueError, match="rrr offset stream of 2\\^32 bits or more"):
+        read_rrr(sections(2**28 + 4, 2**28 + 4), 15)
+    # 8 bits fewer pass, and fail the next check, which needs no allocation
+    with pytest.raises(ValueError, match="payload length"):
+        read_rrr(sections(2**28 + 4, 2**28 + 3), 15)
 
 
 def test_rrr_worked_block():
@@ -166,19 +186,9 @@ def test_rrr_offset_width_accounting():
     bits = [1, 0] * 300
     v = build_rrr(bits, 15)
     classes = v.block_classes()
-    assert v.offset_bits == sum(offset_width(15, k) for k in classes)
-    assert v.class_bits == len(classes) * 4
+    # the u32 bit count, a 4-bit class field per block, then the offsets
+    assert v.payload_bits == 32 + len(classes) * 4 + sum(offset_width(15, k) for k in classes)
     assert v.size_in_bits() == v.payload_bits + v.directory_bits
-
-
-def test_from_parts_reconstruction():
-    rng = random.Random(4)
-    bits = [rng.randint(0, 1) for _ in range(700)]
-    v = build_rrr(bits, 15)
-    buf, base, nbits = v.offset_stream()
-    w = RrrBitVector.from_parts(v.m, v.t, v.block_classes(), buf, base, nbits)
-    assert w.to_bits().tolist() == bits
-    assert [w.rank1(j) for j in range(v.m + 1)] == [v.rank1(j) for j in range(v.m + 1)]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmblock.bitio import pack_fields
-from fmblock.bitrank import RrrBitVector, offset_of_value, offset_width, plain_words, value_of_offset
+from fmblock.bitrank import (
+    PlainBitVector,
+    RrrBitVector,
+    offset_of_value,
+    offset_width,
+    plain_words,
+    rrr_samples,
+    value_of_offset,
+)
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import (
     MAGIC,
@@ -432,6 +440,31 @@ def test_saving_an_rrr_index_makes_no_rank1_call(variant, monkeypatch):
     assert to_bytes(deserialize(raw)) == raw
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch):
+    # the boundary rows come from the leaf sizes the node reader already has, so
+    # besides one rank1 per node there are only the checks: one per RRR tree
+    # for its padding bits, and the symbol counts' ranks at n, one per level
+    # of each symbol's path in the last tree
+    text = build_text(b"abracadabra" * 40 + bytes(range(1, 200)) + b"a" * 300)
+    ix = build_index(text, variant, 100 if variant.fixed else None)
+    raw = to_bytes(ix)
+    rrr = variant.bitvector_backend == "rrr"
+    vector = RrrBitVector if rrr else PlainBitVector
+    calls = []
+    rank1 = vector.rank1
+    monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
+    back = deserialize(raw)
+    monkeypatch.undo()
+    # a Huffman tree over k symbols has k - 1 internal nodes
+    nodes = sum(len(wt.codes) - 1 for wt in back.blocks)
+    checks = sum(length for length, _ in back.blocks[-1].codes.values())
+    if variant.fixed:
+        assert any(len(wt.codes) == 1 for wt in back.blocks)
+    assert len(calls) == nodes + rrr * len(back.blocks) + checks
+    assert to_bytes(back) == raw
+
+
 def test_file_size_matches_report_within_padding():
     rng = random.Random(1)
     for variant in ALL_VARIANTS:
@@ -518,5 +551,39 @@ def test_plain_fixed_block_trees_share_one_vector_from_word_to_word(data):
         for c in range(sigma):
             assert [index.rank_l(c, j) for j in range(t.n + 1)] == [
                 naive_rank(l, c, j) for j in range(t.n + 1)
+            ]
+    assert to_bytes(back) == raw
+
+
+@pytest.mark.parametrize("t", [1, 3, 15, 17, 31])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rrr_fixed_block_trees_share_one_vector_from_sample_to_sample(t, data):
+    # over two symbols a block's tree has one node, of b bits: b = t or 2t
+    # ends the tree on a t-bit block, 32t and 64t on a sample (every 32
+    # blocks), and one bit more or less just off one; long runs of one
+    # symbol make blocks with no node, and block size 1 makes only those
+    sizes = {1, t - 1, t, t + 1, 2 * t, 32 * t - 1, 32 * t, 32 * t + 1, 64 * t} - {0}
+    block_size = data.draw(st.sampled_from(sorted(sizes)), label="block_size")
+    sigma = data.draw(st.sampled_from([2, 3, 3, 4, 6]), label="sigma")
+    n = data.draw(st.integers(1, 3000), label="n")
+    run = data.draw(st.sampled_from([1, 1, 10, 300]), label="mean run")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    codes = np.repeat(rng.integers(1, sigma, n), rng.geometric(1 / run, n))[:n].tolist()
+    text = Text.from_codes(codes, sigma)
+    ix = build_index(text, "fixed_block_rrr", block_size, t)
+    raw = to_bytes(ix)
+    back = deserialize(raw)
+    l = bwt(text).l
+    for index in (ix, back):
+        first = 0
+        for wt in index.blocks:
+            assert wt.bits is index.blocks[0].bits
+            if wt.leaf:
+                assert wt.start == first
+            first += 32 * t * rrr_samples(wt.leaf - wt.start, t)
+        for c in range(sigma):
+            assert [index.rank_l(c, j) for j in range(text.n + 1)] == [
+                naive_rank(l, c, j) for j in range(text.n + 1)
             ]
     assert to_bytes(back) == raw
