@@ -283,7 +283,7 @@ class RrrBitVector:
     """
 
     __slots__ = (
-        "m", "t", "ones", "_classes", "_shift", "_mask", "_sample_bytes", "_class_sums",
+        "m", "t", "ones", "_classes", "_shift", "_mask", "_class_sums",
         "_width_sums", "_widths", "_table", "_offbuf", "_sample_rank", "_sample_opos",
     )
     backend = "rrr"
@@ -319,7 +319,7 @@ class RrrBitVector:
 
         classes (uint8) holds the classes of each tree's blocks in turn, and
         tree i's offsets start at bit bases[i] of offbuf. The caller checks
-        that the samples fit uint32.
+        that the samples fit uint32. Returns the ones of each tree.
         """
         every = RRR_SAMPLE_EVERY
         nblocks = [-(-m // t) for m in ms]
@@ -328,17 +328,18 @@ class RrrBitVector:
         lengths = [n for nb, s in zip(nblocks, taken) for n in (nb, every * s - nb)]
         full[np.repeat(np.tile([True, False], len(ms)), lengths)] = classes
         self._class_sums, self._width_sums, self._widths = _class_tables(t)
-        by_sample = full.reshape(-1, every)
-        ones = by_sample.sum(axis=1, dtype=np.int64)
-        width = np.frombuffer(self._widths, dtype=np.uint8)[by_sample].sum(axis=1, dtype=np.int64)
-        firsts = np.cumsum([0, *taken[:-1]])
+        # per sample: the ones of its blocks, and their offset bits
+        ones = full.reshape(-1, every).sum(axis=1, dtype=np.int64)
+        widths = np.frombuffer(full.tobytes().translate(self._widths), dtype=np.uint8)
+        width = widths.reshape(-1, every).sum(axis=1, dtype=np.int64)
+        taken = np.asarray(taken)
+        firsts = np.cumsum(taken) - taken
         rank = np.cumsum(ones) - ones
         rank -= np.repeat(rank[firsts], taken)
         opos = np.cumsum(width) - width
         opos += np.repeat(np.asarray(bases) - opos[firsts], taken)
         self._shift = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
         self._mask = 0xFF >> 4 * self._shift
-        self._sample_bytes = every >> self._shift
         self._classes = (full[0::2] | full[1::2] << 4 if self._shift else full).tobytes()
         self.m = every * t * int(firsts[-1]) + ms[-1]
         self.t = t
@@ -347,13 +348,14 @@ class RrrBitVector:
         self._offbuf = offbuf
         self._sample_rank = array("I", rank.astype(np.uint32).tobytes())
         self._sample_opos = array("I", opos.astype(np.uint32).tobytes())
+        return (rank + ones)[firsts + taken - 1].tolist()
 
     def rank1(self, j):
         blk, rem = divmod(j, self.t)
         sb = blk >> 5
         classes = self._classes
         at = blk >> self._shift  # the byte of blk's class
-        seg = classes[sb * self._sample_bytes : at]
+        seg = classes[sb << 5 >> self._shift : at]
         r = self._sample_rank[sb] + sum(seg.translate(self._class_sums))
         half = blk & self._shift  # blk's class is its byte's high nibble, after the low one
         if rem:
@@ -533,9 +535,9 @@ def read_rrr(bufs, t):
     after m in each tree's last block must be zero, as the writer leaves
     them, so that the tree's ones are its rank at m.
     """
-    ms, ones, classes, offbuf, bases = _parse_rrr(bufs, t)
+    ms, classes, offbuf, bases = _parse_rrr(bufs, t)
     vector = RrrBitVector.__new__(RrrBitVector)
-    vector._setup(t, ms, classes, offbuf, bases)
+    ones = vector._setup(t, ms, classes, offbuf, bases)
     firsts = list(itertools.accumulate((RRR_SAMPLE_EVERY * t * rrr_samples(m, t) for m in ms), initial=0))
     if any(vector.rank1(first + m) != k for first, m, k in zip(firsts, ms, ones)):
         raise ValueError("rrr padding bits")
@@ -545,8 +547,8 @@ def read_rrr(bufs, t):
 def _parse_rrr(bufs, t):
     """The fields of RRR payload sections, parsed in one pass.
 
-    Returns each section's bit count m and ones, the classes of all their
-    blocks in turn (uint8), and the offset buffer with the bit of it where
+    Returns each section's bit count m, the classes of all their blocks in
+    turn (uint8), and the offset buffer with the bit of it where
     each section's offsets start: each section's bytes from the one that
     holds its first offset bit, copied as they are, then a spare word for
     read_fields. Each check runs over all sections before the next: their
@@ -593,5 +595,4 @@ def _parse_rrr(bufs, t):
         part = slice(lo, lo + (1 << 15))
         if np.any(read_fields(words, starts[part], widths[part]) >= limits[classes[part]]):
             raise ValueError("rrr offset out of range")
-    ones = np.concatenate([[0], np.cumsum(classes, dtype=np.int64)])[ends]
-    return ms, np.diff(ones, prepend=0).tolist(), classes, offbuf, bases
+    return ms, classes, offbuf, bases
