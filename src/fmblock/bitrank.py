@@ -548,9 +548,9 @@ def _parse_rrr(bufs, t):
     """The fields of RRR payload sections, parsed in one pass.
 
     Returns each section's bit count m, the classes of all their blocks in
-    turn (uint8), and the offset buffer with the bit of it where
-    each section's offsets start: each section's bytes from the one that
-    holds its first offset bit, copied as they are, then a spare word for
+    turn (uint8), and the offset buffer with the bit of it where each
+    section's offsets start: each section's bytes from the one that holds
+    its first offset bit, copied as they are, then a spare word for
     read_fields. Each check runs over all sections before the next: their
     lengths against m, the classes, their lengths against the offset
     widths, and last, over the offset buffer, every offset below
@@ -578,7 +578,8 @@ def _parse_rrr(bufs, t):
     widths = np.frombuffer(classes.tobytes().translate(_class_tables(t)[2]), dtype=np.uint8)
     starts = np.zeros(len(widths) + 1, dtype=np.int64)  # each block's offset bit, as if joined
     np.cumsum(widths, out=starts[1:])
-    ends = np.cumsum([(head - 32) // width for head in heads])  # each section's last block, plus one
+    nblocks = np.array([(head - 32) // width for head in heads])
+    ends = np.cumsum(nblocks)  # each section's last block, plus one
     for buf, head, nbits in zip(bufs, heads, np.diff(starts[ends], prepend=0).tolist()):
         if head + nbits > 8 * len(buf):
             raise EOFError("rrr offsets truncated")
@@ -586,8 +587,7 @@ def _parse_rrr(bufs, t):
             raise ValueError("payload length")
     offbuf = b"".join([*(buf[head >> 3 :] for buf, head in zip(bufs, heads)), bytes(16 - sum(spans) % 8)])
     bases = [8 * at + (head & 7) for at, head in zip(itertools.accumulate(spans, initial=0), heads)]
-    firsts = ends - np.diff(ends, prepend=0)
-    starts = starts[:-1] + np.repeat(np.asarray(bases) - starts[firsts], ends - firsts)
+    starts = starts[:-1] + np.repeat(np.asarray(bases) - starts[ends - nblocks], nblocks)
     words = np.frombuffer(offbuf, dtype="<u8")
     limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
     # 2^15 fields at a time, which keeps the temporaries in cache
