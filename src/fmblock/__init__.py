@@ -15,10 +15,7 @@ from .fmindex import (
     BlockedFMIndex,
     IndexVariant,
     build_index,
-    count,
     default_block_size,
-    index_size_report,
-    rank_l,
 )
 from .storage import (
     CorruptIndexError,
@@ -38,7 +35,7 @@ from .textcore import (
     naive_rank,
     suffix_array,
 )
-from .wavelet import WaveletTree, build_wt, wt_rank, wt_size_in_bits
+from .wavelet import WaveletTree, build_wt
 
 __version__ = "0.1.0"
 
@@ -61,24 +58,19 @@ __all__ = [
     "bwt",
     "concat_entropy_terms",
     "context_partition",
-    "count",
     "default_block_size",
     "deserialize",
     "fixed_partition",
     "h0",
     "hk",
-    "index_size_report",
     "inverse_bwt",
     "load_index",
     "naive_count",
     "naive_rank",
     "partition_entropy",
-    "rank_l",
     "save_index",
     "serialize",
     "suffix_array",
     "verify_lemma3",
-    "wt_rank",
-    "wt_size_in_bits",
     "__version__",
 ]

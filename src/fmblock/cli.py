@@ -63,6 +63,7 @@ def cmd_build(args):
     if args.block_size is not None:
         _require(variant.fixed, "--block-size applies to the fixed variants only")
         _require(args.block_size >= 1, "--block-size must be >= 1")
+        _require(args.block_size < 1 << 64, "--block-size must be below 2^64")
     _require(1 <= args.rrr_block_size <= 63, "--rrr-block-size must be in 1..63")
     # opened before the text is read, so that an output that cannot be written
     # fails before any work; appending truncates nothing until the index is built

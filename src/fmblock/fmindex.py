@@ -178,6 +178,8 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
         bs = default_block_size(t.n, t.sigma) if block_size is None else int(block_size)
         if bs < 1:
             raise ValueError("block size must be >= 1")
+        if bs >= 1 << 64:
+            raise ValueError("block size must be below 2^64")
     elif block_size is not None:
         raise ValueError("block size applies to the fixed_block variants only")
     else:
@@ -201,15 +203,3 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
         t.byte_for_code,
         rrr_block_size,
     )
-
-
-def rank_l(index, c, j):
-    return index.rank_l(c, j)
-
-
-def count(index, pattern):
-    return index.count(pattern)
-
-
-def index_size_report(index):
-    return index.size_report()

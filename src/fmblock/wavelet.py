@@ -16,12 +16,18 @@ position in the child, node by node, with one rank1 per level and no early
 exit. Every leaf starts at the end of the tree's last node (`leaf`), past
 every node's start, so a path ends at leaf plus the rank. Under either
 backend the nodes are joined bit to bit, so a tree's bits run from its
-start to its leaf. All the trees of an index share one vector, each from
-its own start (read_trees): a fresh word for plain trees, a fresh sample
-for RRR ones. An index's trees are built one by one, then moved into that
-vector through the reader a load uses, which hands back each tree's leaf
-sizes, the index's symbol counts. Code bit 0 goes left, 1 goes right,
-reading codes from the most significant bit.
+start to its leaf. Code bit 0 goes left, 1 goes right, reading codes from
+the most significant bit.
+
+There is one layout path (_read): a node reader over the tree's vector
+(see bitrank's read_nodes) takes the nodes in order, each sized by its
+parent's zero or one count, and hands back the leaf sizes, the symbol
+counts. A built tree encodes its nodes' bits and reads them back through
+a reader over its own vector; a loaded one through a reader over the
+index's. All the trees of an index share one vector, each from its own
+start (read_trees): a fresh word for plain trees, a fresh sample for RRR
+ones. An index's trees are built one by one, then moved into that vector
+through the reader a load uses.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -34,7 +40,7 @@ import struct
 
 import numpy as np
 
-from .bitrank import make_bitvector, read_sections
+from .bitrank import _Nodes, make_bitvector, read_sections
 
 
 def canonical_codes(lengths):
@@ -83,6 +89,42 @@ def huffman_codes(symbols, counts):
     return canonical_codes(lengths)
 
 
+def _internal_nodes(codes):
+    """(depth, prefix) of every internal node, the codes' proper prefixes, in layout order."""
+    return sorted({(depth, code >> (length - depth))
+                   for length, code in codes.values() for depth in range(length)})
+
+
+def _node_bits(x, codes, freq):
+    """The internal nodes' bits of sequence x under codes, joined in layout order (see _read).
+
+    The node at (depth, prefix) holds code bit `depth` of every element
+    routed through it, in sequence order; its 0 elements go on to
+    (depth + 1, prefix << 1) and its 1 elements to (depth + 1, prefix << 1 | 1).
+    freq holds each symbol's count.
+    """
+    lens = np.zeros(max(codes) + 1, dtype=np.int64)
+    codebits = np.zeros_like(lens)
+    for sym, (length, code) in codes.items():
+        lens[sym] = length
+        codebits[sym] = code
+    # [depth, symbol]: the code bit that the symbol's node at that depth holds
+    shifts = np.maximum(lens - 1 - np.arange(lens.max())[:, None], 0)
+    bit_at = ((codebits >> shifts) & 1).astype(np.uint8)
+    bits = np.empty(sum(freq[sym] * length for sym, (length, _) in codes.items()), dtype=np.uint8)
+    seqs = {(0, 0): x}
+    end = 0
+    for depth, prefix in _internal_nodes(codes):
+        seq = seqs.pop((depth, prefix))
+        node = bits[end : end + len(seq)]
+        node[:] = bit_at[depth][seq]
+        end += len(seq)
+        one = node.view(bool)
+        seqs[depth + 1, prefix << 1] = seq[~one]
+        seqs[depth + 1, prefix << 1 | 1] = seq[one]
+    return bits
+
+
 class WaveletTree:
     __slots__ = ("length", "bits", "start", "leaf", "_paths")
 
@@ -99,101 +141,57 @@ class WaveletTree:
         freq = {int(s): int(c) for s, c in zip(syms, counts)}
         make = balanced_codes if shape == "balanced" else huffman_codes
         codes = make(freq.keys(), freq)
-        self.length = len(x)
-        lens = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
-        codebits = np.zeros(int(syms[-1]) + 1, dtype=np.int64)
-        for sym, (length, code) in codes.items():
-            lens[sym] = length
-            codebits[sym] = code
-        # every node's bits in one array, joined bit to bit
-        bits = np.zeros(sum(freq[sym] * length for sym, (length, _) in codes.items()), dtype=np.uint8)
-        at = [0, 0]  # where the next node starts, and the ones before it
-
-        def split(seq, depth):
-            shift = np.maximum(lens - depth - 1, 0)
-            node = ((codebits >> shift) & 1).astype(np.uint8)[seq]
-            start, base = at
-            bits[start : start + len(node)] = node
-            one = node.view(bool)
-            at[0] = start + len(node)
-            at[1] = base + int(np.count_nonzero(one))
-            return start, at[0], base, seq[~one], seq[one]
-
-        self._assemble(codes, x, split, {})
-        self.bits = make_bitvector(bits, backend, rrr_block_size)
-
-    @classmethod
-    def from_payload(cls, codes, length, nodes, ints=None):
-        """Rebuild a tree whose code assignment is already known.
-
-        nodes is a read_nodes reader over the tree's payload section; child
-        lengths are the parent's counts of zeros and ones, from one rank1 at
-        the parent's end, so an RRR node decodes at most one block while the
-        tree is rebuilt. ints, a dict shared by the trees of one index,
-        makes their equal steps one int object.
-        Raises ValueError on a node of no bits, which a tree built from a
-        sequence never has: the codebook then lists symbols the block does
-        not hold.
-        """
-        wt = cls.__new__(cls)
-        wt._read(codes, length, nodes, {} if ints is None else ints)
-        return wt
+        vector = make_bitvector(_node_bits(x, codes, freq), backend, rrr_block_size)
+        self._read(codes, len(x), _Nodes(vector, 0, vector.m, 0), {})
 
     def _read(self, codes, length, nodes, ints):
-        """Rebuild the tree as from_payload does, in self; returns its leaf sizes {symbol: count}."""
-        self.length = length
+        """Lay out the tree's nodes from a node reader, then build every symbol's path.
 
-        def split(nbits, depth):
-            if not nbits:
-                raise ValueError("empty node")
-            start, base, ones = nodes.read(nbits)
-            return start, start + nbits, base, nbits - ones, ones
-
-        leaves = self._assemble(codes, length, split, ints)
-        self.bits = nodes.vector()
-        return leaves
-
-    def _assemble(self, codes, root_item, split, ints):
-        """Lay out the nodes level by level, then build every symbol's path.
-
-        split(item, depth) lays out the node that receives `item` (the
-        elements routed through it, or their number), which must hold at
-        least one element, and returns its start s and end in the tree's
-        vector, the ones b before s, and the items of its 0 and 1 children.
+        nodes is a read_nodes reader over the tree's vector, whether a load
+        parsed it or __init__ built it. The internal nodes are the codes'
+        proper prefixes, read by depth and then prefix; a node's size is its
+        parent's count of zeros or ones, from the one rank1 the reader makes
+        at the parent's end, so an RRR node decodes at most one block. ints,
+        a dict shared by the trees of one index, makes their equal steps one
+        int object. Raises ValueError on a node of no bits, which a tree
+        built from a sequence never has: the codebook then lists symbols the
+        block does not hold.
 
         rank follows a position p in the vector, which starts at r plus the
-        root's s, the tree's start (0 for a tree with no node). Every leaf
-        starts at the end of the last node, the tree's `leaf`, past every
-        node's start. At a node, the child's start plus the child's share of
-        the node's p - s elements before p is rank1(p) + step on bit 1
-        (step = s1 - b > 0) and p - rank1(p) - step on bit 0 (step =
-        -(s0 - s + b) <= 0), where b, like rank1, counts from the tree's
-        start. A path is a tuple of steps, and the two steps of a node are
-        shared by every path through it, and through ints by every tree that
-        has a step of the same value (trees of one block size repeat many);
-        paths[c] is symbol c's path, None for a symbol the tree does not
-        hold. A path ends at p = leaf plus the rank.
+        root's start s, the tree's start (0 for a tree with no node). Every
+        leaf starts at the end of the last node, the tree's `leaf`, past
+        every node's start. At a node with b ones before s, the child's
+        start plus the child's share of the node's p - s elements before p
+        is rank1(p) + step on bit 1 (step = s1 - b > 0) and p - rank1(p) -
+        step on bit 0 (step = -(s0 - s + b) <= 0), where b, like rank1,
+        counts from the tree's start. A path is a tuple of steps, and the two
+        steps of a node are shared by every path through it, and through
+        ints by every tree that has a step of the same value (trees of one
+        block size repeat many); paths[c] is symbol c's path, None for a
+        symbol the tree does not hold. A path ends at p = leaf plus the rank.
 
-        Returns {symbol: the item of its leaf}, what split gave the leaf's
-        parent for it.
+        Returns the leaf sizes {symbol: count}.
         """
-        # the internal nodes are the codes' proper prefixes, laid out by depth and then prefix
-        internal = {(depth, code >> (length - depth)) for length, code in codes.values()
-                    for depth in range(length)}
-        items = {(0, 0): root_item}
+        self.length = length
+        sizes = {(0, 0): length}
         at = {}
-        leaf = 0  # the end of the node laid out last
-        for depth, prefix in sorted(internal):
-            start, leaf, base, zero, one = split(items.pop((depth, prefix)), depth)
+        leaf = 0  # the end of the node read last
+        for depth, prefix in _internal_nodes(codes):
+            m = sizes.pop((depth, prefix))
+            if not m:
+                raise ValueError("empty node")
+            start, base, ones = nodes.read(m)
             at[depth, prefix] = start, base
-            items[depth + 1, prefix << 1] = zero
-            items[depth + 1, prefix << 1 | 1] = one
+            sizes[depth + 1, prefix << 1] = m - ones
+            sizes[depth + 1, prefix << 1 | 1] = ones
+            leaf = start + m
         steps = {}
         for (depth, prefix), (start, base) in at.items():
             s0 = at.get((depth + 1, prefix << 1), (leaf,))[0]
             s1 = at.get((depth + 1, prefix << 1 | 1), (leaf,))[0]
             zero, one = start - base - s0, s1 - base
             steps[depth, prefix] = (ints.setdefault(zero, zero), ints.setdefault(one, one))
+        self.bits = nodes.vector()
         self.start = at.get((0, 0), (0,))[0]
         self.leaf = leaf
         self._paths = [None] * (max(codes) + 1)
@@ -202,7 +200,7 @@ class WaveletTree:
                 steps[depth, code >> (length - depth)][(code >> (length - 1 - depth)) & 1]
                 for depth in range(length)
             )
-        return {sym: items[length, code] for sym, (length, code) in codes.items()}
+        return {sym: sizes[length, code] for sym, (length, code) in codes.items()}
 
     def rank(self, c, r):
         """Occurrences of symbol c among the first r elements."""
@@ -219,26 +217,6 @@ class WaveletTree:
             p = bits.rank1(p) + step if step > 0 else p - bits.rank1(p) - step
         return p - self.leaf
 
-    def symbol_counts(self):
-        """{symbol: occurrences}, the sizes of the leaves.
-
-        Follows every path, with two rank1 calls the first time it reaches a
-        node; read_trees gets the same counts with no call of its own.
-        """
-        rank1 = self.bits.rank1
-        nodes = {}
-        counts = {}
-        for sym, path in self._items():
-            s, m = self.start, self.length
-            for step in path:
-                if s not in nodes:
-                    b = rank1(s)
-                    nodes[s] = b, rank1(s + m) - b
-                b, ones = nodes[s]
-                s, m = (step + b, ones) if step > 0 else (s - b - step, m - ones)
-            counts[sym] = m
-        return counts
-
     @property
     def codes(self):
         """{symbol: (code length, code)}, read off the signs of the symbol's path."""
@@ -251,14 +229,9 @@ class WaveletTree:
         return codes
 
     @property
-    def local_alphabet(self):
-        return [sym for sym, _ in self._items()]
-
-    @property
     def code_length_bits(self):
-        """Total code length over the sequence; equals the sum of node lengths."""
-        counts = self.symbol_counts()
-        return sum(counts[sym] * len(path) for sym, path in self._items())
+        """Total code length over the sequence: the nodes' bits, joined from the tree's start to its leaf."""
+        return self.leaf - self.start
 
     def _items(self):
         """(symbol, path) for every symbol of the tree, in ascending order."""
@@ -341,11 +314,3 @@ def read_trees(sections, lengths, sigma, backend, rrr_block_size):
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):
     return WaveletTree(x, shape, backend, rrr_block_size)
-
-
-def wt_rank(wt, c, r):
-    return wt.rank(c, r)
-
-
-def wt_size_in_bits(wt):
-    return wt.size_in_bits()

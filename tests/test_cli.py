@@ -71,12 +71,13 @@ def test_build_block_size_with_whole_text_variant_errors(banana, tmp_path, capsy
         (("build", "{text}", "-o", "{out}", "--variant", "fixed-rrr", "--rrr-block-size", 64),
          "--rrr-block-size"),
         (("build", "{text}", "-o", "{out}", "--block-size", 0), "--block-size"),
+        (("build", "{text}", "-o", "{out}", "--variant", "fixed", "--block-size", 1 << 64), "--block-size"),
         (("bench", "{out}", "{text}", "--patterns", 0), "--patterns"),
         (("bench", "{out}", "{text}", "--repeats", 0), "--repeats"),
         (("bench", "{out}", "{text}", "--length", 0), "--length"),
         (("entropy", "{text}", "-k", -1), "-k"),
     ],
-    ids=["rrr-block-size", "block-size", "patterns", "repeats", "length", "entropy-k"],
+    ids=["rrr-block-size", "block-size", "block-size-above-u64", "patterns", "repeats", "length", "entropy-k"],
 )
 def test_bad_arguments_fail_before_any_reading(tmp_path, capsys, argv, flag):
     # the input files do not exist: a user error must be reported before reading them

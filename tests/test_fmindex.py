@@ -1,15 +1,10 @@
+import io
 import random
 
 import pytest
 
-from fmblock.fmindex import (
-    IndexVariant,
-    build_index,
-    count,
-    default_block_size,
-    index_size_report,
-    rank_l,
-)
+from fmblock.fmindex import IndexVariant, build_index, default_block_size
+from fmblock.storage import deserialize, serialize
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
 from helpers import codes_of, pattern_batch, random_codes
 
@@ -38,7 +33,7 @@ def test_worked_example_blocks_and_boundaries():
     t = build_text(b"BANANA")
     ix = build_index(t, "fixed_block", block_size=3)
     assert ix.block_size == 3
-    assert [wt.local_alphabet for wt in ix.blocks] == [
+    assert [sorted(wt.codes) for wt in ix.blocks] == [
         codes_of("AN"),
         codes_of("$AB"),
         codes_of("A"),
@@ -76,7 +71,7 @@ def test_rank_l_validation():
     with pytest.raises(ValueError, match="out of range"):
         ix.rank_l(1, 8)
     assert ix.rank_l(99, 5) == 0
-    assert rank_l(ix, 1, 7) == 3
+    assert ix.rank_l(1, 7) == 3
 
 
 def test_counts_match_naive_across_variants():
@@ -117,11 +112,24 @@ def test_block_size_rejected_for_whole_text_variants():
         build_index(t, "fixed_block", block_size=0)
 
 
+def test_block_size_the_header_cannot_hold_is_rejected():
+    # the file stores the block size as a u64
+    t = build_text(b"BANANA")
+    with pytest.raises(ValueError, match="2\\^64"):
+        build_index(t, "fixed_block", block_size=1 << 64)
+    ix = build_index(t, "fixed_block_rrr", block_size=(1 << 64) - 1)
+    sink = io.BytesIO()
+    serialize(ix, sink)
+    back = deserialize(sink.getvalue())
+    assert back.block_size == (1 << 64) - 1 and len(back.blocks) == 1
+    assert back.count(b"ANA") == 2
+
+
 def test_size_report_components_and_total():
     t = build_text(b"BANANA" * 40)
     for variant in ALL_VARIANTS:
         ix = build_index(t, variant, 16 if variant.fixed else None)
-        rep = index_size_report(ix)
+        rep = ix.size_report()
         assert rep.total == sum(rep.components().values())
         assert rep.c_array == 64 * (t.sigma + 1)
         assert rep.remap == 8 * (t.sigma - 1)
@@ -145,6 +153,6 @@ def test_payload_bounded_by_blockwise_entropy_plus_one():
 def test_count_via_module_function_and_bytes():
     t = build_text(b"abracadabra")
     ix = build_index(t, "ssa_rrr")
-    assert count(ix, b"bra") == 2
-    assert count(ix, b"abracadabra") == 1
-    assert count(ix, b"q") == 0
+    assert ix.count(b"bra") == 2
+    assert ix.count(b"abracadabra") == 1
+    assert ix.count(b"q") == 0

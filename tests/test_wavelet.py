@@ -5,18 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitrank import PlainBitVector, RrrBitVector, read_nodes
-from fmblock.wavelet import (
-    WaveletTree,
-    build_wt,
-    huffman_codes,
-    read_trees,
-    wt_rank,
-    wt_size_in_bits,
-)
+from fmblock.bitrank import PlainBitVector, RrrBitVector
+from fmblock.wavelet import build_wt, huffman_codes, read_trees
 from helpers import brute_h0, codes_of
 
 
@@ -142,29 +135,12 @@ def test_codebook_reconstruction_round_trip():
     seq = [rng.randrange(9) for _ in range(257)]
     for backend in ("plain", "rrr"):
         wt = build_wt(seq, "huffman", backend)
-        nodes = read_nodes(wt.payload_section(), backend)
-        rebuilt = WaveletTree.from_payload(wt.codes, wt.length, nodes)
+        sections = [(wt.codebook_section(), wt.payload_section())]
+        (rebuilt,), _ = read_trees(sections, [wt.length], 9, backend, 15)
+        assert rebuilt.codes == wt.codes
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
         ]
-
-
-@pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
-def test_symbol_counts_make_at_most_two_rank1_calls_per_node(backend, vector, monkeypatch):
-    rng = random.Random(7)
-    seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
-    built = build_wt(seq, "huffman", backend)
-    sections = [(built.codebook_section(), built.payload_section())]
-    (loaded,), counts = read_trees(sections, [len(seq)], 60, backend, 15)
-    assert counts == [Counter(seq)[c] for c in range(60)]
-    calls = []
-    rank1 = vector.rank1
-    monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
-    for wt in (built, loaded):
-        calls.clear()
-        assert wt.symbol_counts() == Counter(seq)
-        # a Huffman tree over k symbols has k - 1 internal nodes
-        assert 0 < len(calls) <= 2 * (len(Counter(seq)) - 1)
 
 
 @pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
@@ -173,16 +149,18 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
     rng = random.Random(8)
     seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
     built = build_wt(seq, "huffman", backend)
-    # an RRR section's padding check, before any node is read, is not counted
-    nodes = read_nodes(built.payload_section(), backend)
+    sections = [(built.codebook_section(), built.payload_section())]
     calls = []
     rank1 = vector.rank1
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
-    loaded = WaveletTree.from_payload(built.codes, len(seq), nodes)
-    # a Huffman tree over k symbols has k - 1 internal nodes
-    assert len(calls) == len(Counter(seq)) - 1
-    assert calls == sorted(set(calls))
+    (loaded,), counts = read_trees(sections, [len(seq)], 60, backend, 15)
     monkeypatch.undo()
+    # an RRR section's padding check comes first, before any node is read
+    rrr = backend == "rrr"
+    # a Huffman tree over k symbols has k - 1 internal nodes
+    assert len(calls) == len(Counter(seq)) - 1 + rrr
+    assert calls[rrr:] == sorted(set(calls[rrr:]))
+    assert counts == [Counter(seq)[c] for c in range(60)]
     assert [loaded.rank(c, len(seq)) for c in range(60)] == [built.rank(c, len(seq)) for c in range(60)]
 
 
@@ -211,16 +189,16 @@ def test_a_node_of_no_bits_is_rejected_at_load():
 def test_size_report_pieces():
     seq = codes_of("ANNB$AA")
     wt = build_wt(seq, "huffman", "plain")
-    assert wt_size_in_bits(wt) == wt.payload_bits + wt.directory_bits + wt.codebook_bits
+    assert wt.size_in_bits() == wt.payload_bits + wt.directory_bits + wt.codebook_bits
     # a 16-bit symbol and an 8-bit code length per symbol, and no code bits
     assert wt.codebook_bits == 16 + 24 * len(wt.codes) == 8 * len(wt.codebook_section())
-    assert wt_rank(wt, codes_of("A")[0], 7) == 3
+    assert wt.rank(codes_of("A")[0], 7) == 3
 
 
 @st.composite
 def sequences(draw):
-    """Sequences over up to 40 symbols below 300, of length 1..700, mostly skewed."""
-    alphabet = draw(st.lists(st.integers(0, 299), min_size=2, max_size=40, unique=True))
+    """Sequences over 1 to 40 symbols below 300, of length 1..700, mostly skewed."""
+    alphabet = draw(st.lists(st.integers(0, 299), min_size=1, max_size=40, unique=True))
     n = draw(st.integers(1, 700))
     skew = draw(st.sampled_from([0.0, 1.0, 3.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -230,6 +208,8 @@ def sequences(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(sequences(), st.sampled_from(["plain", "rrr"]), st.sampled_from([1, 3, 15, 16, 17, 63]))
+@example(np.full(1, 0), "plain", 15)
+@example(np.full(33, 299), "rrr", 1)
 def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
     wt = build_wt(seq, "huffman", backend, t)
     sections = (wt.codebook_section(), wt.payload_section())
@@ -238,11 +218,10 @@ def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
     assert counts == np.bincount(seq, minlength=sigma).tolist()
     assert (back.codebook_section(), back.payload_section()) == sections
     assert back.bits.to_bits().tolist() == wt.bits.to_bits().tolist()
+    assert (back.start, back.leaf, back._paths) == (wt.start, wt.leaf, wt._paths)
     at = sorted({0, len(seq), *range(1, len(seq), max(1, len(seq) // 37))})
     for c in [*np.unique(seq).tolist(), 300]:
         prefix = np.concatenate([[0], np.cumsum(seq == c)])
         want = prefix[at].tolist()
         assert [wt.rank(c, j) for j in at] == want
         assert [back.rank(c, j) for j in at] == want
-        if c in wt.codes:
-            assert wt.symbol_counts()[c] == back.symbol_counts()[c] == want[-1]
