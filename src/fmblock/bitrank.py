@@ -24,11 +24,12 @@ level order under either backend. This module owns the layout of that
 vector in the index file, which is the vector's own stored form
 (stored_bits()): a plain tree stores its raw bits, an RRR tree its bit
 count m as a u32, then the class fields of all its blocks and then its
-offset stream. read_nodes() builds the vector of a section and routes the
-tree's nodes through it one at a time, with one rank1 per node.
-read_plain() does so for the sections of all plain trees of an index, over
-one vector, and read_rrr() for those of all RRR trees, parsing them in one
-pass and checking every RRR field before any node is routed.
+offset stream. read_sections() builds one vector of the sections of all
+trees of an index and gives each tree a node reader over it, which routes
+the tree's nodes one at a time, with one rank1 per node, or reports where
+a reader that routed them itself ended. read_plain() does so for plain
+sections and read_rrr() for RRR ones, parsing them in one pass and
+checking every RRR field before any node is routed.
 """
 
 import functools
@@ -467,57 +468,61 @@ class _Nodes:
 
     A node starts where the one before it ended, so the ones before it are
     the rank1 at that end, carried forward from 0 at the tree's first bit:
-    one rank1 per node.
+    one rank1 per node. read(m) takes the next node, of m bits, and returns
+    its start in the vector, the ones before it since the tree's first bit
+    and its own ones; vector() then checks that nothing follows the last
+    node and returns the vector. A caller that routes the nodes itself,
+    between first and limit, ends with close(end) instead. Each raises
+    EOFError or ValueError naming the failed check.
     """
+
+    __slots__ = ("_vector", "first", "end", "limit", "_ones", "_slack")
 
     def __init__(self, vector, first, limit, slack):
         self._vector = vector
-        self.end = first
+        self.first = self.end = first
         self._ones = 0
-        self._limit = limit  # the bits of the tree's payload section
+        self.limit = limit  # the end of the bits of the tree's payload section
         self._slack = slack  # of which at most this many may follow its last node
 
     def read(self, m):
         start, base = self.end, self._ones
         self.end += m
-        if self.end > self._limit:
+        if self.end > self.limit:
             raise EOFError("payload truncated")
         self._ones = self._vector.rank1(self.end)
         return start, base, self._ones - base
 
+    def ranks(self, positions):
+        """The vector's rank1 at each position, counted from the first bit of the tree that holds it."""
+        rank1 = self._vector.rank1
+        return [rank1(j) for j in positions]
+
     def vector(self):
-        if self._limit - self.end > self._slack:
+        return self.close(self.end)
+
+    def close(self, end):
+        """The vector, once the tree's last node ends at end: at most slack bits follow it, cleared."""
+        if self.limit - end > self._slack:
             raise ValueError("payload length")
-        if self.end < self._limit:
-            self._vector._clear(self.end, self._limit)
+        if end < self.limit:
+            self._vector._clear(end, self.limit)
         return self._vector
 
 
-def read_nodes(buf, backend, rrr_block_size=15):
-    """A reader of the nodes stored in buf, in order.
-
-    read(m) takes the next node, of m bits, and returns its start in the
-    joined vector, the ones before it since the tree's start and its own
-    ones; vector() then checks that nothing follows the last node and
-    returns that vector. Either raises EOFError or ValueError naming the
-    failed check, as does read_nodes itself on an RRR section.
-    """
-    return read_sections([buf], backend, rrr_block_size)[0]
-
-
 def read_sections(bufs, backend, rrr_block_size=15):
-    """A read_nodes reader of each payload section in bufs, all over one vector."""
+    """A node reader (_Nodes) of each payload section in bufs, all over one vector."""
     if backend == "plain":
         return read_plain(bufs)
     return read_rrr(bufs, rrr_block_size)
 
 
 def read_plain(bufs):
-    """A read_nodes reader of each plain payload section in bufs, all over one vector.
+    """A node reader of each plain payload section in bufs, all over one vector.
 
     Each section starts on a fresh word and takes the words of all its bits.
     A tree's length is only known once its nodes are read, so each reader's
-    vector() clears its tree's padding bits, at most the 7 of the section's
+    close() clears its tree's padding bits, at most the 7 of the section's
     last byte, and returns the shared vector.
     """
     stored = [8 * len(buf) for buf in bufs]
@@ -527,7 +532,7 @@ def read_plain(bufs):
 
 
 def read_rrr(bufs, t):
-    """A read_nodes reader of each RRR payload section in bufs, all over one vector.
+    """A node reader of each RRR payload section in bufs, all over one vector.
 
     Each tree starts on a fresh sample (see rrr_samples). Routing a node
     decodes the block that holds its end, so every section is parsed, and

@@ -129,22 +129,24 @@ class BlockedFMIndex:
         for code in pattern:
             if not 1 <= code < sigma:
                 return 0
-        b, e = 0, self.n
-        c = self.c
-        for code in reversed(pattern):
-            base = c[code]
-            b = base + self.rank_l(code, b)
-            e = base + self.rank_l(code, e)
-            if b >= e:
-                return 0
-        return e - b
+        return self._count(pattern)
+
+    def _count(self, pattern):
+        """count_codes over codes in 1..sigma - 1."""
+        if not pattern:
+            return self.n
+        # the rows that start with the last code; b = 0 ranks to 0
+        b = self.c[pattern[-1]]
+        e = b + self.rank_l(pattern[-1], self.n)
+        found = self.blocks.narrow(reversed(pattern[:-1]), b, e, self.c, self.boundary_occ, self.block_size)
+        return found[1] - found[0] if found else 0
 
     def count(self, pattern):
         """Occurrences of a byte pattern in the indexed text."""
         codes = self.translate(pattern)
         if codes is None:
             return 0
-        return self.count_codes(codes)
+        return self._count(codes)
 
     @property
     def counter_width(self):

@@ -4,30 +4,32 @@ Two shapes share one implementation: balanced trees assign every local
 symbol a fixed-width code of ceil(log2 sigma_local) bits, Huffman trees
 assign shorter codes to frequent symbols. Either way a tree is its code
 lengths: codes are assigned canonically from them (canonical_codes), so at
-every depth the leaves hold the lowest prefixes and the internal nodes the
-rest. An internal node is a proper prefix of some code and holds the next
-code bit of every element routed through it. There is no trie and no
-object per node: the nodes' bits are concatenated level by level, in
-prefix order within a level, into one bitvector per tree (see bitrank),
-and each node keeps one signed int per child, a step shared by every
-symbol's path through the node: positive toward the 1-child, zero or
-negative toward the 0-child. rank turns a position in that vector into a
-position in the child, node by node, with one rank1 per level and no early
-exit. Every leaf starts at the end of the tree's last node (`leaf`), past
-every node's start, so a path ends at leaf plus the rank. Under either
-backend the nodes are joined bit to bit, so a tree's bits run from its
-start to its leaf. Code bit 0 goes left, 1 goes right, reading codes from
-the most significant bit.
+every depth the leaves hold the lowest prefixes and the internal nodes one
+range above them. An internal node is a proper prefix of some code and
+holds the next code bit of every element routed through it. There is no
+trie and no object per node: the nodes' bits are concatenated level by
+level, in prefix order within a level, into one bitvector (see bitrank).
+Each node has one signed step per child, positive toward the 1-child, zero
+or negative toward the 0-child, and a symbol's path is the steps of its
+code. rank turns a position in the vector into a position in the child,
+node by node, with one rank1 per level. Every leaf starts at the end of
+the tree's last node (`leaf`), past every node's start, so a path ends at
+leaf plus the rank. Under either backend the nodes are joined bit to bit,
+so a tree's bits run from its start to its leaf. Code bit 0 goes left, 1
+goes right, reading codes from the most significant bit.
 
-There is one layout path (_read): a node reader over the tree's vector
-(see bitrank's read_nodes) takes the nodes in order, each sized by its
-parent's zero or one count, and hands back the leaf sizes, the symbol
-counts. A built tree encodes its nodes' bits and reads them back through
-a reader over its own vector; a loaded one through a reader over the
-index's. All the trees of an index share one vector, each from its own
-start (read_trees): a fresh word for plain trees, a fresh sample for RRR
-ones. An index's trees are built one by one, then moved into that vector
-through the reader a load uses.
+All the trees of an index share one vector, each from its own start: a
+fresh word for plain trees, a fresh sample for RRR ones. They also share
+one set of flat path tables (Trees): one entry per (tree, symbol), one
+array of every path's steps, and each tree's start, leaf and length, with
+no Python object per tree, path or step. A WaveletTree is a view of one
+tree's rows. There is one layout path (_read): it reads every tree's nodes
+at once, one depth at a time, from node readers over the vector (see
+bitrank's read_sections), each node sized by its parent's zero or one
+count, and hands back the leaf sizes, the symbol counts. A built tree
+encodes its nodes' bits and reads them back as a one-tree index when its
+steps are first used; an index's trees are built one by one, then moved
+into one vector through the reader a load uses (read_trees).
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -37,6 +39,7 @@ ascending order, and no code bits) and the payload, its vector as stored
 
 import heapq
 import struct
+from array import array
 
 import numpy as np
 
@@ -90,9 +93,23 @@ def huffman_codes(symbols, counts):
 
 
 def _internal_nodes(codes):
-    """(depth, prefix) of every internal node, the codes' proper prefixes, in layout order."""
-    return sorted({(depth, code >> (length - depth))
-                   for length, code in codes.values() for depth in range(length)})
+    """(depth, prefix) of every internal node, the codes' proper prefixes, in layout order.
+
+    From one canonical code to the next, the prefix at any depth shorter
+    than both grows by at most one, so the internal nodes at a depth are
+    one range of prefixes: from that of the first code longer than the
+    depth to that of the last code.
+    """
+    order = sorted(codes.values())
+    longest, last = order[-1]
+    nodes = []
+    k = 0
+    for depth in range(longest):
+        while order[k][0] <= depth:
+            k += 1
+        length, code = order[k]
+        nodes += [(depth, p) for p in range(code >> (length - depth), (last >> (longest - depth)) + 1)]
+    return nodes
 
 
 def _node_bits(x, codes, freq):
@@ -125,8 +142,245 @@ def _node_bits(x, codes, freq):
     return bits
 
 
+def _table(values, small, large):
+    """An array of the integers in values, of typecode small if they all fit it, else large."""
+    fits = np.iinfo(small).min <= values.min(initial=0) and values.max(initial=0) <= np.iinfo(small).max
+    code = small if fits else large
+    return array(code, values.astype(code).tobytes())
+
+
+class Trees:
+    """The wavelet trees of one index, all over one vector, as flat path tables (see _read).
+
+    paths holds one entry per (tree, symbol below sigma), tree by tree: 0
+    for a symbol the tree does not hold, else where the symbol's path
+    starts in steps, shifted left by 8, or'd with 128 and with the path's
+    length. steps holds every path's steps in turn; starts, leaves and
+    lengths hold each tree's start, leaf and number of elements. There is
+    no object per tree: indexing gives a WaveletTree view of one, and
+    narrow takes backward-search steps over them. A tree built from a
+    sequence reads its steps from its nodes on first use (_nodes), as
+    build_index only saves it.
+    """
+
+    __slots__ = ("bits", "sigma", "paths", "steps", "starts", "leaves", "lengths", "_nodes")
+
+    def __getattr__(self, name):
+        if name != "steps":
+            raise AttributeError(name)
+        self.steps = _read(*self._nodes)[0].steps
+        return self.steps
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        n = len(self.lengths)
+        if not -n <= i < n:
+            raise IndexError("tree index out of range")
+        wt = WaveletTree.__new__(WaveletTree)
+        wt._tables, wt._i = self, i % n
+        return wt
+
+    def narrow(self, codes, b, e, c, rows, size):
+        """The backward-search range [b, e) after a step for each code in turn; None once it is empty.
+
+        The trees are the blocks of size symbols of one sequence, rows[i *
+        sigma + x] counts symbol x in the blocks before block i, and c[x]
+        the symbols below x in all of them. 0 < b < e, and every code is in
+        1..sigma - 1. A step ranks each end in the tree of its block, as
+        WaveletTree.rank does, where b's block is that of position b - 1
+        unless b starts e's block. In one block both ends go down the code's
+        path together, and stop where they meet: the range is then empty.
+        In two, each goes down its own, written out twice: a call or a loop
+        per end measured 6-10% slower counts on small blocks.
+        """
+        sigma, paths, steps, starts, leaves = self.sigma, self.paths, self.steps, self.starts, self.leaves
+        rank1 = self.bits.rank1
+        for code in codes:
+            j = (e - 1) // size
+            i = j if b >= j * size else (b - 1) // size
+            if i == j:
+                at = j * sigma + code
+                k = paths[at]
+                if not k:
+                    return None
+                s = starts[j] - j * size
+                b, e = b + s, e + s
+                for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
+                    if step > 0:
+                        b = rank1(b) + step
+                        e = rank1(e) + step
+                    else:
+                        b = b - rank1(b) - step
+                        e = e - rank1(e) - step
+                    if b == e:
+                        return None
+                base = c[code] + rows[at] - leaves[j]
+                b, e = base + b, base + e
+                continue
+            at = i * sigma + code
+            k = paths[at]
+            if k:
+                b += starts[i] - i * size
+                for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
+                    b = rank1(b) + step if step > 0 else b - rank1(b) - step
+                b += c[code] + rows[at] - leaves[i]
+            else:
+                b = c[code] + rows[at]
+            at = j * sigma + code
+            k = paths[at]
+            if k:
+                e += starts[j] - j * size
+                for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
+                    e = rank1(e) + step if step > 0 else e - rank1(e) - step
+                e += c[code] + rows[at] - leaves[j]
+            else:
+                e = c[code] + rows[at]
+            if b >= e:
+                return None
+        return b, e
+
+
+def _read(readers, codebooks, lengths, sigma):
+    """The path tables of trees from their node readers, and their symbol counts.
+
+    readers are node readers (bitrank's read_sections) over one vector, one
+    per tree; codebooks the trees' canonical codes, lengths their element
+    counts, and every symbol is below sigma. All trees are read at once,
+    one depth at a time. A tree's internal nodes at a depth are one range of
+    prefixes (see _internal_nodes), so their children are, in prefix order,
+    the tree's leaves of the next depth, one per code of that length in
+    symbol order, then its internal nodes there, then, if the last code
+    goes to the 0-child of its node at that depth, that node's 1-child,
+    which is empty and not a node. A node's size is its parent's count of
+    zeros or ones, and it starts where the node before it in its tree
+    ended: one rank1 per node, at its end, gives the ones of the node.
+    Raises ValueError on a node of no bits, which a tree built from a
+    sequence never has: the codebook then lists symbols the block does not
+    hold.
+
+    rank follows a position p in the vector, which starts at r plus the
+    root's start s, the tree's start (its first bit for a tree with no
+    node). Every leaf starts at the end of the last node, the tree's
+    `leaf`, past every node's start. At a node with b ones before s, the
+    child's start plus the child's share of the node's p - s elements
+    before p is rank1(p) + step on bit 1 (step = s1 - b > 0) and p -
+    rank1(p) - step on bit 0 (step = -(s0 - s + b) <= 0), where b, like
+    rank1, counts from the tree's start. A symbol's path is its code's steps
+    from the root, and ends at p = leaf plus the rank.
+
+    Returns the tables and each tree's occurrences of every symbol, sigma
+    per tree in turn.
+    """
+    ntrees = len(readers)
+    first = np.array([nodes.first for nodes in readers], dtype=np.int64)
+    limit = np.array([nodes.limit for nodes in readers], dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    tables = Trees()
+    tree, syms, lens, codes, tables.paths = _entries(codebooks, sigma)
+    depth = int(lens.max())
+    per_length = np.bincount(tree * (depth + 1) + lens, minlength=ntrees * (depth + 1)).reshape(ntrees, -1)
+    last = np.cumsum([len(codes) for codes in codebooks]) - 1  # each tree's last code
+    # [tree, depth]: whether the last code goes on to the 1-child of its node there
+    shift = (lens[last][:, None] - 1 - np.arange(max(depth, 1))).clip(0).astype(np.uint64)
+    last_bit = (codes[last][:, None] >> shift & np.uint64(1)).astype(bool)
+    # the internal nodes of the depth being read, tree by tree: their tree and size
+    at = np.flatnonzero(per_length[:, 0] == 0)
+    size = lengths[at]
+    leaf_sizes = [lengths[per_length[:, 0] == 1]]
+    end, ones_end = first.copy(), np.zeros(ntrees, dtype=np.int64)
+    last_at = np.zeros((ntrees, max(depth, 1)), dtype=np.int64)  # per depth, one past each tree's last node
+    node_tree, node_start, node_base, node_child = [], [], [], []
+    total = 0
+    for level in range(depth):
+        k = len(at)
+        edge = np.ones(k + 1, dtype=bool)  # where each tree's nodes here start, and their end
+        edge[1:-1] = at[1:] != at[:-1]
+        lead = np.flatnonzero(edge)
+        tail = lead[1:] - 1
+        lead = lead[:-1]
+        lead_at = np.repeat(lead, tail - lead + 1)
+        before = np.cumsum(size) - size
+        start = end[at] + before - before[lead_at]
+        stop = start + size
+        bad = (size == 0) | (stop > limit[at])
+        if bad.any():
+            raise ValueError("empty node") if size[np.argmax(bad)] == 0 else EOFError("payload truncated")
+        rank = np.array(readers[0].ranks(stop.tolist()), dtype=np.int64)
+        base = np.empty_like(rank)
+        base[1:] = rank[:-1]
+        base[lead] = ones_end[at[lead]]
+        end[at[tail]], ones_end[at[tail]] = stop[tail], rank[tail]
+        last_at[at[tail], level] = total + tail + 1
+        node_tree.append(at)
+        node_start.append(start)
+        node_base.append(base)
+        ones = rank - base
+        child_size = np.repeat(size, 2)
+        child_size[0::2] -= ones
+        child_size[1::2] = ones
+        # the children in prefix order: each tree's leaves, its internal nodes, then maybe an empty 1-child
+        child_tree = np.repeat(at, 2)
+        leaf = np.arange(2 * k) - 2 * np.repeat(lead_at, 2) < per_length[child_tree, level + 1]
+        inner = ~leaf
+        inner[2 * tail + 1] &= last_bit[at[tail], level]
+        leaf_sizes.append(child_size[leaf])
+        total += k
+        node_child.append(np.where(inner, total + np.cumsum(inner) - 1, -1))
+        at, size = child_tree[inner], child_size[inner]
+    for nodes, stop in zip(readers, end.tolist()):
+        tables.bits = nodes.close(stop)
+    tables.sigma = sigma
+    tables.starts = array("q", first.tobytes())
+    tables.leaves = array("q", end.tobytes())
+    tables.lengths = array("q", lengths.tobytes())
+    counts = np.zeros(ntrees * sigma, dtype=np.int64)
+    counts[(tree * sigma + syms)[np.lexsort((syms, tree, lens))]] = np.concatenate(leaf_sizes)
+    # each node's two steps, from its children's starts
+    empty = np.zeros(0, dtype=np.int64)
+    node_tree, node_start, node_base, child = (
+        np.concatenate([empty, *parts]) for parts in (node_tree, node_start, node_base, node_child)
+    )
+    child = child.reshape(-1, 2)
+    child_start = np.where(child >= 0, node_start[child], end[node_tree][:, None])
+    one = child_start[:, 1] - node_base
+    zero = node_start - node_base - child_start[:, 0]
+    # every path's steps, in the order of the entries: at each depth of a
+    # code, its prefix's node and its next bit
+    firsts = np.cumsum(lens) - lens
+    entry = np.repeat(np.arange(len(lens)), lens)
+    level = np.arange(len(entry)) - firsts[entry]
+    below = codes[entry] >> (lens[entry] - 1 - level).astype(np.uint64)
+    # a depth's last node has the last code's prefix there
+    final = last[tree[entry]]
+    final = codes[final] >> (lens[final] - 1 - level).astype(np.uint64)
+    node = last_at[tree[entry], level] - 1 - ((final >> np.uint64(1)) - (below >> np.uint64(1))).astype(np.int64)
+    tables.steps = _table(np.where(below & np.uint64(1), one[node], zero[node]), "i", "q")
+    return tables, counts.tolist()
+
+
+def _entries(codebooks, sigma):
+    """Every (tree, symbol) that trees of canonical codebooks hold, and their path entries (see Trees).
+
+    Returns the trees, symbols, code lengths and codes in canonical
+    (length, symbol) order per tree, and the paths table.
+    """
+    tree = np.repeat(np.arange(len(codebooks)), [len(codes) for codes in codebooks])
+    syms = np.array([sym for codes in codebooks for sym in codes], dtype=np.int64)
+    lens, codes = zip(*(v for codes in codebooks for v in codes.values()))
+    lens, codes = np.array(lens, dtype=np.int64), np.array(codes, dtype=np.uint64)
+    paths = np.zeros(len(codebooks) * sigma, dtype=np.int64)
+    paths[tree * sigma + syms] = (np.cumsum(lens) - lens) << 8 | 128 | lens
+    return tree, syms, lens, codes, _table(paths, "I", "q")
+
+
 class WaveletTree:
-    __slots__ = ("length", "bits", "start", "leaf", "_paths")
+    """One tree: a view of its rows in its index's path tables (see Trees)."""
+
+    __slots__ = ("_tables", "_i")
 
     def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15):
         x = np.asarray(x)
@@ -142,80 +396,46 @@ class WaveletTree:
         make = balanced_codes if shape == "balanced" else huffman_codes
         codes = make(freq.keys(), freq)
         vector = make_bitvector(_node_bits(x, codes, freq), backend, rrr_block_size)
-        self._read(codes, len(x), _Nodes(vector, 0, vector.m, 0), {})
+        # the nodes fill the vector, so the tree starts at 0 and its leaf is m
+        tables = self._tables = Trees()
+        tables.bits, tables.sigma = vector, max(codes) + 1
+        tables.starts, tables.leaves, tables.lengths = (array("q", [v]) for v in (0, vector.m, len(x)))
+        tables.paths = _entries([codes], tables.sigma)[-1]
+        tables._nodes = [_Nodes(vector, 0, vector.m, 0)], [codes], [len(x)], tables.sigma
+        self._i = 0
 
-    def _read(self, codes, length, nodes, ints):
-        """Lay out the tree's nodes from a node reader, then build every symbol's path.
+    @property
+    def bits(self):
+        return self._tables.bits
 
-        nodes is a read_nodes reader over the tree's vector, whether a load
-        parsed it or __init__ built it. The internal nodes are the codes'
-        proper prefixes, read by depth and then prefix; a node's size is its
-        parent's count of zeros or ones, from the one rank1 the reader makes
-        at the parent's end, so an RRR node decodes at most one block. ints,
-        a dict shared by the trees of one index, makes their equal steps one
-        int object. Raises ValueError on a node of no bits, which a tree
-        built from a sequence never has: the codebook then lists symbols the
-        block does not hold.
+    @property
+    def start(self):
+        return self._tables.starts[self._i]
 
-        rank follows a position p in the vector, which starts at r plus the
-        root's start s, the tree's start (0 for a tree with no node). Every
-        leaf starts at the end of the last node, the tree's `leaf`, past
-        every node's start. At a node with b ones before s, the child's
-        start plus the child's share of the node's p - s elements before p
-        is rank1(p) + step on bit 1 (step = s1 - b > 0) and p - rank1(p) -
-        step on bit 0 (step = -(s0 - s + b) <= 0), where b, like rank1,
-        counts from the tree's start. A path is a tuple of steps, and the two
-        steps of a node are shared by every path through it, and through
-        ints by every tree that has a step of the same value (trees of one
-        block size repeat many); paths[c] is symbol c's path, None for a
-        symbol the tree does not hold. A path ends at p = leaf plus the rank.
+    @property
+    def leaf(self):
+        return self._tables.leaves[self._i]
 
-        Returns the leaf sizes {symbol: count}.
-        """
-        self.length = length
-        sizes = {(0, 0): length}
-        at = {}
-        leaf = 0  # the end of the node read last
-        for depth, prefix in _internal_nodes(codes):
-            m = sizes.pop((depth, prefix))
-            if not m:
-                raise ValueError("empty node")
-            start, base, ones = nodes.read(m)
-            at[depth, prefix] = start, base
-            sizes[depth + 1, prefix << 1] = m - ones
-            sizes[depth + 1, prefix << 1 | 1] = ones
-            leaf = start + m
-        steps = {}
-        for (depth, prefix), (start, base) in at.items():
-            s0 = at.get((depth + 1, prefix << 1), (leaf,))[0]
-            s1 = at.get((depth + 1, prefix << 1 | 1), (leaf,))[0]
-            zero, one = start - base - s0, s1 - base
-            steps[depth, prefix] = (ints.setdefault(zero, zero), ints.setdefault(one, one))
-        self.bits = nodes.vector()
-        self.start = at.get((0, 0), (0,))[0]
-        self.leaf = leaf
-        self._paths = [None] * (max(codes) + 1)
-        for sym, (length, code) in codes.items():
-            self._paths[sym] = tuple(
-                steps[depth, code >> (length - depth)][(code >> (length - 1 - depth)) & 1]
-                for depth in range(length)
-            )
-        return {sym: sizes[length, code] for sym, (length, code) in codes.items()}
+    @property
+    def length(self):
+        return self._tables.lengths[self._i]
 
     def rank(self, c, r):
         """Occurrences of symbol c among the first r elements."""
-        if not 0 <= r <= self.length:
+        tables, i = self._tables, self._i
+        if not 0 <= r <= tables.lengths[i]:
             raise ValueError("rank position out of range")
-        paths = self._paths
-        path = paths[c] if 0 <= c < len(paths) else None
-        if path is None:
+        if not 0 <= c < tables.sigma:
+            return 0
+        k = tables.paths[i * tables.sigma + c]
+        if not k:
             return 0
         # bits.rank1 per level: binding it once per call measured 6-13% slower
-        bits = self.bits
-        p = r + self.start
-        for step in path:
+        bits = tables.bits
+        p = r + tables.starts[i]
+        for step in tables.steps[k >> 8 : (k >> 8) + (k & 127)]:
             p = bits.rank1(p) + step if step > 0 else p - bits.rank1(p) - step
-        return p - self.leaf
+        return p - tables.leaves[i]
 
     @property
     def codes(self):
@@ -234,8 +454,9 @@ class WaveletTree:
         return self.leaf - self.start
 
     def _items(self):
-        """(symbol, path) for every symbol of the tree, in ascending order."""
-        return [(sym, path) for sym, path in enumerate(self._paths) if path is not None]
+        """(symbol, path) for every symbol of the tree, in ascending order; a path is a tuple of steps."""
+        steps = self._tables.steps
+        return [(sym, tuple(steps[k >> 8 : (k >> 8) + (k & 127)])) for sym, k in enumerate(self._row()) if k]
 
     @property
     def payload_bits(self):
@@ -247,15 +468,19 @@ class WaveletTree:
         """The rank directory or samples of the tree's bits in its vector."""
         return self.bits.tree_size(self.start, self.leaf)[1]
 
+    def _row(self):
+        """The tree's path entries, one per symbol below sigma (see Trees)."""
+        tables = self._tables
+        return tables.paths[self._i * tables.sigma : (self._i + 1) * tables.sigma]
+
     @property
     def codebook_bits(self):
         """16-bit alphabet size, then a 16-bit symbol and an 8-bit code length each."""
-        return 16 + 24 * len(self._items())
+        return 16 + 24 * sum(1 for k in self._row() if k)
 
     def codebook_section(self):
-        items = self._items()
-        entries = b"".join(struct.pack("<HB", sym, len(path)) for sym, path in items)
-        return struct.pack("<H", len(items)) + entries
+        entries = [struct.pack("<HB", sym, k & 127) for sym, k in enumerate(self._row()) if k]
+        return struct.pack("<H", len(entries)) + b"".join(entries)
 
     def payload_section(self):
         """The tree's bits as its vector stores them: plain, the bits; RRR, m, class fields, offsets."""
@@ -297,19 +522,13 @@ def read_trees(sections, lengths, sigma, backend, rrr_block_size):
 
     The trees share one vector, whose sections are all parsed, and an RRR
     one's fields checked, before any tree is read (see read_plain and
-    read_rrr). A symbol's count is the size of its leaf, from the zero or
-    one count of the last node on its path. ValueError or EOFError names a
-    failed check.
+    read_rrr), and one set of path tables (see _read). A symbol's count is
+    the size of its leaf, from the zero or one count of the last node on
+    its path. ValueError or EOFError names a failed check.
     """
     readers = read_sections([payload for _, payload in sections], backend, rrr_block_size)
-    ints = {}
-    trees, counts = [], [0] * (len(sections) * sigma)
-    for i, ((codebook, _), length, nodes) in enumerate(zip(sections, lengths, readers)):
-        wt = WaveletTree.__new__(WaveletTree)
-        for sym, size in wt._read(_parse_codebook(codebook, sigma), length, nodes, ints).items():
-            counts[i * sigma + sym] = size
-        trees.append(wt)
-    return trees, counts
+    codebooks = [_parse_codebook(codebook, sigma) for codebook, _ in sections]
+    return _read(readers, codebooks, lengths, sigma)
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

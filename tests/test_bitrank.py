@@ -18,8 +18,8 @@ from fmblock.bitrank import (
     make_bitvector,
     offset_of_value,
     offset_width,
-    read_nodes,
     read_rrr,
+    read_sections,
     value_of_offset,
 )
 
@@ -210,7 +210,7 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
             [len(joined)] + classes + [off for _, off in blocks],
             [32] + [t.bit_length()] * len(blocks) + [offset_width(t, k) for k in classes],
         )
-    reader = read_nodes(buf, backend, t)
+    reader = read_sections([buf], backend, t)[0]
     steps = [reader.read(len(bits)) for bits in nodes]
     v = reader.vector()
     for (start, base, ones), bits in zip(steps, nodes):
@@ -222,7 +222,7 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     if backend == "rrr":
         assert np.packbits(v.stored_bits(), bitorder="little").tobytes() == buf
     with pytest.raises(EOFError, match="payload truncated"):
-        read_nodes(buf, backend, t).read(8 * len(buf) * t + 1)
+        read_sections([buf], backend, t)[0].read(8 * len(buf) * t + 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmblock.fmindex import IndexVariant, build_index, default_block_size
 from fmblock.storage import deserialize, serialize
@@ -156,3 +158,51 @@ def test_count_via_module_function_and_bytes():
     assert ix.count(b"bra") == 2
     assert ix.count(b"abracadabra") == 1
     assert ix.count(b"q") == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_two_end_steps_counts_and_block_edges_match_scans(data):
+    # every variant at block sizes 1, 2, 7 and n (the ssa variants are the one-block case)
+    variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
+    sigma = data.draw(st.sampled_from([2, 3, 5, 9]), label="sigma")
+    codes = data.draw(st.lists(st.integers(1, sigma - 1), min_size=1, max_size=90), label="codes")
+    t = Text.from_codes(codes, sigma)
+    size = data.draw(st.sampled_from([1, 2, 7, t.n]), label="block size") if variant.fixed else None
+    ix = build_index(t, variant, size)
+    l = bwt(t).l.tolist()
+    size = ix.block_size
+    # one backward-search step from any range 0 < b < e <= n: both ends ranked in one
+    # descent within a block, each in its own tree across blocks; None once it is empty
+    for _ in range(12):
+        b = data.draw(st.integers(1, t.n - 1), label="b")
+        e = data.draw(st.integers(b + 1, t.n), label="e")
+        code = data.draw(st.integers(1, sigma - 1), label="code")
+        want = (ix.c[code] + naive_rank(l, code, b), ix.c[code] + naive_rank(l, code, e))
+        assert ix.blocks.narrow([code], b, e, ix.c, ix.boundary_occ, size) == (want if want[0] < want[1] else None)
+    # counts, of substrings and of patterns that mostly do not occur
+    patterns = [codes[i : i + k] for i in range(0, len(codes), 3) for k in (1, 2, 5)]
+    patterns += data.draw(st.lists(st.lists(st.integers(0, sigma + 1), max_size=6), max_size=8), label="patterns")
+    for pattern in patterns:
+        assert ix.count_codes(pattern) == naive_count(t, pattern)
+    # every block at its edges, for every code, the sentinel 0 and codes >= sigma: the
+    # scan count or 0, never an entry of the next block's row in the flat tables
+    for i, wt in enumerate(ix.blocks):
+        block = l[i * size : (i + 1) * size]
+        for c in range(sigma + 3):
+            for r in (0, len(block)):
+                assert wt.rank(c, r) == naive_rank(block, c, r)
+                assert ix.rank_l(c, i * size + r) == (naive_rank(l, c, i * size + r) if c < sigma else 0)
+
+
+def test_a_symbol_absent_from_a_block_ranks_zero_there_and_counts_in_the_next():
+    ix = build_index(build_text(b"BANANA"), "fixed_block", 3)
+    a, b, n = codes_of("ABN")
+    # the BWT is A N N | B $ A | A: block 0 holds A and N, block 1 the sentinel, A and B
+    assert sorted(ix.blocks[0].codes) == [a, n] and sorted(ix.blocks[1].codes) == [0, a, b]
+    assert [ix.blocks[0].rank(b, r) for r in range(4)] == [0, 0, 0, 0]
+    assert [ix.rank_l(b, j) for j in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
+    # b = 3 starts block 1, so the step ranks both ends there: one A in rows 3..5, no N
+    assert ix.blocks.narrow([a], 3, 6, ix.c, ix.boundary_occ, 3) == (ix.c[a] + 1, ix.c[a] + 2)
+    assert ix.blocks.narrow([n], 3, 6, ix.c, ix.boundary_occ, 3) is None
+    assert ix.count(b"BA") == 1 and ix.count(b"AB") == 0

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import io
 import math
 import random
 import re
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from fmblock.storage import (
 )
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
 from fmblock.wavelet import read_trees
-from helpers import pattern_batch, random_codes
+from helpers import markov2_codes, pattern_batch, random_codes
 
 ALL_VARIANTS = list(IndexVariant)
 
@@ -587,3 +589,22 @@ def test_rrr_fixed_block_trees_share_one_vector_from_sample_to_sample(t, data):
                 naive_rank(l, c, j) for j in range(text.n + 1)
             ]
     assert to_bytes(back) == raw
+
+
+def test_a_load_keeps_no_object_per_block_and_symbol(tmp_path):
+    # 782 blocks of 256 symbols: every path, step and boundary count sits in a
+    # flat table, about 220 bytes of heap per block here, where one tuple per
+    # (block, symbol) and an int per step held 600
+    t = Text.from_codes(markov2_codes(0, 200_000), 8)
+    path = tmp_path / "markov.fmi"
+    save_index(build_index(t, "fixed_block", 256), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ix = load_index(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ix.blocks) == 782
+    assert held / len(ix.blocks) <= 300

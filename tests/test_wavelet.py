@@ -170,7 +170,7 @@ def test_rrr_trees_lay_nodes_out_as_plain_trees_do():
     plain = build_wt(seq, "huffman", "plain")
     for t in (1, 3, 15, 17):
         rrr = build_wt(seq, "huffman", "rrr", t)
-        assert (rrr.start, rrr.leaf, rrr._paths) == (plain.start, plain.leaf, plain._paths)
+        assert (rrr.start, rrr.leaf, rrr._items()) == (plain.start, plain.leaf, plain._items())
         assert rrr.bits.to_bits().tolist() == plain.bits.to_bits().tolist()
 
 
@@ -218,7 +218,7 @@ def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
     assert counts == np.bincount(seq, minlength=sigma).tolist()
     assert (back.codebook_section(), back.payload_section()) == sections
     assert back.bits.to_bits().tolist() == wt.bits.to_bits().tolist()
-    assert (back.start, back.leaf, back._paths) == (wt.start, wt.leaf, wt._paths)
+    assert (back.start, back.leaf, back._items()) == (wt.start, wt.leaf, wt._items())
     at = sorted({0, len(seq), *range(1, len(seq), max(1, len(seq) // 37))})
     for c in [*np.unique(seq).tolist(), 300]:
         prefix = np.concatenate([[0], np.cumsum(seq == c)])
