@@ -25,11 +25,12 @@ vector in the index file, which is the vector's own stored form
 (stored_bits()): a plain tree stores its raw bits, an RRR tree its bit
 count m as a u32, then the class fields of all its blocks and then its
 offset stream. read_sections() builds one vector of the sections of all
-trees of an index and gives each tree a node reader over it, which routes
-the tree's nodes one at a time, with one rank1 per node, or reports where
-a reader that routed them itself ended. read_plain() does so for plain
-sections and read_rrr() for RRR ones, parsing them in one pass and
-checking every RRR field before any node is routed.
+trees of an index and gives each tree's first bit in it and its limit,
+where its section ends; read_plain() does so for plain sections and
+read_rrr() for RRR ones, parsing them in one pass and checking every RRR
+field before any node is routed. Once the nodes are routed (see wavelet),
+the vector's trim() checks the bits that follow each tree's last node,
+and clears them.
 """
 
 import functools
@@ -59,13 +60,6 @@ def _as_bit_array(bits):
     return arr
 
 
-def _check_rank_args(bit, j, m):
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    if not 0 <= j <= m:
-        raise ValueError("rank position out of range")
-
-
 def plain_words(m):
     """64-bit words a plain tree of m bits takes in a vector.
 
@@ -75,7 +69,24 @@ def plain_words(m):
     return ((m + 7) >> 6) + 1
 
 
-class PlainBitVector:
+class _BitVector:
+    """What both backends share: rank of either bit over rank1, and the size in bits."""
+
+    __slots__ = ()
+
+    def rank(self, bit, j):
+        if bit not in (0, 1):
+            raise ValueError("bit must be 0 or 1")
+        if not 0 <= j <= self.m:
+            raise ValueError("rank position out of range")
+        r = self.rank1(j)
+        return r if bit else j - r
+
+    def size_in_bits(self):
+        return self.payload_bits + self.directory_bits
+
+
+class PlainBitVector(_BitVector):
     """The bits of one or more trees as 64-bit words, with a 32-bit counter per word.
 
     Each tree starts on a word and takes plain_words of its bit count. A word
@@ -89,7 +100,7 @@ class PlainBitVector:
 
     def __init__(self, bits):
         bits = _as_bit_array(bits)
-        self._setup([(np.packbits(bits).tobytes(), len(bits))])
+        self._setup([(np.packbits(bits, bitorder="little").tobytes(), len(bits))])
 
     @classmethod
     def from_stored(cls, parts):
@@ -99,11 +110,11 @@ class PlainBitVector:
         bits after the m-th are ignored.
         """
         v = cls.__new__(cls)
-        v._setup(parts, _REVERSED)
+        v._setup(parts)
         return v
 
-    def _setup(self, parts, table=None):
-        """Words and counters of (bytes, m) parts, MSB first once each byte goes through table.
+    def _setup(self, parts):
+        """Words and counters of (LSB-first bytes, m) parts.
 
         Raises ValueError before allocating if a part has 2^32 bits or more,
         which its 32-bit counters could not count.
@@ -115,7 +126,7 @@ class PlainBitVector:
         at = 0
         for (part, m), size in zip(parts, sizes):
             n = (m + 7) >> 3
-            raw[at : at + n] = part[:n].translate(table)
+            raw[at : at + n] = part[:n].translate(_REVERSED)
             if m & 7:
                 raw[at + n - 1] &= 0xFF << (8 - (m & 7)) & 0xFF
             at += 8 * size
@@ -137,11 +148,6 @@ class PlainBitVector:
         k = j >> 6
         return self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
 
-    def rank(self, bit, j):
-        _check_rank_args(bit, j, self.m)
-        r = self.rank1(j)
-        return r if bit else j - r
-
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
         stop = self.m if stop is None else stop
@@ -157,21 +163,25 @@ class PlainBitVector:
         """Bits of the tree of bits start..stop - 1: its stored bits, and its counters."""
         return stop - start, 32 * plain_words(stop - start)
 
-    def _clear(self, end, limit):
-        """Zero a tree's padding bits end..limit - 1, the tail of one word.
+    def trim(self, ends, limits):
+        """Zero each tree's padding bits ends[i]..limits[i] - 1, the tail of one word.
 
-        Of the counters, only that of the tree's spare word counts them.
+        Tree i's last node ends at ends[i] and its section, whole bytes, at
+        limits[i], the last of which ends the vector; ValueError if more
+        than 7 bits follow a tree's last node. Of the counters, only that of
+        a tree's spare word counts its padding.
         """
-        k = end >> 6
-        tail = (1 << (64 - (end & 63))) - 1 if end < limit else 0
-        cleared = (self._words[k] & tail).bit_count()
-        if cleared:
-            self._words[k] &= ~tail
-            self.ones -= cleared
-            if limit & 63 == 0:
-                self._counts[limit >> 6] -= cleared
-        if limit == self.m:
-            self.m = end
+        if any(limit - end > 7 for end, limit in zip(ends, limits)):
+            raise ValueError("payload length")
+        for end, limit in zip(ends, limits):
+            if end < limit:
+                k, tail = end >> 6, (1 << (64 - (end & 63))) - 1
+                cleared = (self._words[k] & tail).bit_count()
+                self._words[k] &= ~tail
+                self.ones -= cleared
+                if limit & 63 == 0:
+                    self._counts[limit >> 6] -= cleared
+        self.m -= limits[-1] - ends[-1]
 
     @property
     def payload_bits(self):
@@ -180,9 +190,6 @@ class PlainBitVector:
     @property
     def directory_bits(self):
         return 32 * len(self._counts)
-
-    def size_in_bits(self):
-        return self.payload_bits + self.directory_bits
 
 
 @functools.cache
@@ -273,7 +280,7 @@ def rrr_samples(m, t):
     return -(-m // t) // RRR_SAMPLE_EVERY + 1
 
 
-class RrrBitVector:
+class RrrBitVector(_BitVector):
     """The bits of one or more trees as t-bit blocks, each a class and an offset.
 
     Each tree starts on a sample, every RRR_SAMPLE_EVERY blocks, and takes
@@ -379,10 +386,10 @@ class RrrBitVector:
             r += classes[at] & 15
         return r
 
-    def rank(self, bit, j):
-        _check_rank_args(bit, j, self.m)
-        r = self.rank1(j)
-        return r if bit else j - r
+    def trim(self, ends, limits):
+        """ValueError unless each tree's last node, ending at ends[i], ends its section, at limits[i]."""
+        if any(end != limit for end, limit in zip(ends, limits)):
+            raise ValueError("payload length")
 
     def to_bits(self):
         values = np.array([value_of_offset(off, self.t, k) for k, off in self.blocks()], np.uint64)
@@ -443,9 +450,6 @@ class RrrBitVector:
     def directory_bits(self):
         return 64 * len(self._sample_rank)
 
-    def size_in_bits(self):
-        return self.payload_bits + self.directory_bits
-
 
 def build_plain(bits):
     return PlainBitVector(bits)
@@ -463,90 +467,45 @@ def make_bitvector(bits, backend, rrr_block_size=15):
     raise ValueError(f"unknown bitvector backend: {backend!r}")
 
 
-class _Nodes:
-    """The nodes of one tree in a vector, joined bit to bit from the tree's first bit.
-
-    A node starts where the one before it ended, so the ones before it are
-    the rank1 at that end, carried forward from 0 at the tree's first bit:
-    one rank1 per node. read(m) takes the next node, of m bits, and returns
-    its start in the vector, the ones before it since the tree's first bit
-    and its own ones; vector() then checks that nothing follows the last
-    node and returns the vector. A caller that routes the nodes itself,
-    between first and limit, ends with close(end) instead. Each raises
-    EOFError or ValueError naming the failed check.
-    """
-
-    __slots__ = ("_vector", "first", "end", "limit", "_ones", "_slack")
-
-    def __init__(self, vector, first, limit, slack):
-        self._vector = vector
-        self.first = self.end = first
-        self._ones = 0
-        self.limit = limit  # the end of the bits of the tree's payload section
-        self._slack = slack  # of which at most this many may follow its last node
-
-    def read(self, m):
-        start, base = self.end, self._ones
-        self.end += m
-        if self.end > self.limit:
-            raise EOFError("payload truncated")
-        self._ones = self._vector.rank1(self.end)
-        return start, base, self._ones - base
-
-    def ranks(self, positions):
-        """The vector's rank1 at each position, counted from the first bit of the tree that holds it."""
-        rank1 = self._vector.rank1
-        return [rank1(j) for j in positions]
-
-    def vector(self):
-        return self.close(self.end)
-
-    def close(self, end):
-        """The vector, once the tree's last node ends at end: at most slack bits follow it, cleared."""
-        if self.limit - end > self._slack:
-            raise ValueError("payload length")
-        if end < self.limit:
-            self._vector._clear(end, self.limit)
-        return self._vector
-
-
 def read_sections(bufs, backend, rrr_block_size=15):
-    """A node reader (_Nodes) of each payload section in bufs, all over one vector."""
+    """One vector of the payload sections in bufs, and each tree's first bit and limit (its section's end) in it."""
     if backend == "plain":
         return read_plain(bufs)
     return read_rrr(bufs, rrr_block_size)
 
 
 def read_plain(bufs):
-    """A node reader of each plain payload section in bufs, all over one vector.
+    """One vector of the plain payload sections in bufs, and each tree's first bit and limit.
 
-    Each section starts on a fresh word and takes the words of all its bits.
-    A tree's length is only known once its nodes are read, so each reader's
-    close() clears its tree's padding bits, at most the 7 of the section's
-    last byte, and returns the shared vector.
+    Each section starts on a fresh word and takes the words of all its
+    bits: its limit is first + 8 * len(buf). A tree's length is only known
+    once its nodes are read, so trim then clears its padding bits, at most
+    the 7 of the section's last byte.
     """
     stored = [8 * len(buf) for buf in bufs]
+    firsts = list(itertools.accumulate((64 * plain_words(m) for m in stored[:-1]), initial=0))
     vector = PlainBitVector.from_stored(list(zip(bufs, stored)))
-    firsts = itertools.accumulate((64 * plain_words(m) for m in stored), initial=0)
-    return [_Nodes(vector, first, first + m, 7) for first, m in zip(firsts, stored)]
+    return vector, firsts, [first + m for first, m in zip(firsts, stored)]
 
 
 def read_rrr(bufs, t):
-    """A node reader of each RRR payload section in bufs, all over one vector.
+    """One vector of the RRR payload sections in bufs, and each tree's first bit and limit.
 
-    Each tree starts on a fresh sample (see rrr_samples). Routing a node
-    decodes the block that holds its end, so every section is parsed, and
-    its fields checked, before any node is (see _parse_rrr). Last, the bits
-    after m in each tree's last block must be zero, as the writer leaves
-    them, so that the tree's ones are its rank at m.
+    Each tree starts on a fresh sample (see rrr_samples), and its limit is
+    first + m. Routing a node decodes the block that holds its end, so every
+    section is parsed, and its fields checked, before any node is (see
+    _parse_rrr). Last, the bits after m in each tree's last block must be
+    zero, as the writer leaves them, so that the tree's ones are its rank
+    at m.
     """
     ms, classes, offbuf, bases = _parse_rrr(bufs, t)
     vector = RrrBitVector.__new__(RrrBitVector)
     ones = vector._setup(t, ms, classes, offbuf, bases)
-    firsts = list(itertools.accumulate((RRR_SAMPLE_EVERY * t * rrr_samples(m, t) for m in ms), initial=0))
-    if any(vector.rank1(first + m) != k for first, m, k in zip(firsts, ms, ones)):
+    firsts = list(itertools.accumulate((RRR_SAMPLE_EVERY * t * rrr_samples(m, t) for m in ms[:-1]), initial=0))
+    limits = [first + m for first, m in zip(firsts, ms)]
+    if any(vector.rank1(limit) != k for limit, k in zip(limits, ones)):
         raise ValueError("rrr padding bits")
-    return [_Nodes(vector, first, first + m, 0) for first, m in zip(firsts, ms)]
+    return vector, firsts, limits
 
 
 def _parse_rrr(bufs, t):

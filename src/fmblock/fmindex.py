@@ -191,7 +191,7 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
         WaveletTree(b.l[s : s + bs], "huffman", backend, rrr_block_size)
         for s in range(0, t.n, bs)
     ]
-    # built one by one, then moved into one vector through the reader a load uses
+    # built one by one, then moved into one vector, each tree from its first bit, as a load reads them
     sections = [(wt.codebook_section(), wt.payload_section()) for wt in trees]
     blocks, counts = read_trees(sections, [wt.length for wt in trees], t.sigma, backend, rrr_block_size)
     return BlockedFMIndex(

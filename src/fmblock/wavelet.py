@@ -24,12 +24,13 @@ one set of flat path tables (Trees): one entry per (tree, symbol), one
 array of every path's steps, and each tree's start, leaf and length, with
 no Python object per tree, path or step. A WaveletTree is a view of one
 tree's rows. There is one layout path (_read): it reads every tree's nodes
-at once, one depth at a time, from node readers over the vector (see
-bitrank's read_sections), each node sized by its parent's zero or one
-count, and hands back the leaf sizes, the symbol counts. A built tree
-encodes its nodes' bits and reads them back as a one-tree index when its
-steps are first used; an index's trees are built one by one, then moved
-into one vector through the reader a load uses (read_trees).
+at once, one depth at a time, from the vector and each tree's first bit
+and limit in it (see bitrank's read_sections), each node sized by its
+parent's zero or one count, and hands back the leaf sizes, the symbol
+counts. A built tree encodes its nodes' bits into a vector of its own and
+reads them back as a one-tree index when its steps are first used; an
+index's trees are built one by one, then moved into one vector as a load
+reads them (read_trees).
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -43,7 +44,7 @@ from array import array
 
 import numpy as np
 
-from .bitrank import _Nodes, make_bitvector, read_sections
+from .bitrank import make_bitvector, read_sections
 
 
 def canonical_codes(lengths):
@@ -244,12 +245,13 @@ class Trees:
         return b, e
 
 
-def _read(readers, codebooks, lengths, sigma):
-    """The path tables of trees from their node readers, and their symbol counts.
+def _read(bits, firsts, limits, codebooks, lengths, sigma):
+    """The path tables of trees in one vector, and their symbol counts.
 
-    readers are node readers (bitrank's read_sections) over one vector, one
-    per tree; codebooks the trees' canonical codes, lengths their element
-    counts, and every symbol is below sigma. All trees are read at once,
+    Tree i's nodes are joined bit to bit in bits from firsts[i], and its
+    payload section ends at limits[i] (see bitrank's read_sections);
+    codebooks are the trees' canonical codes, lengths their element counts,
+    and every symbol is below sigma. All trees are read at once,
     one depth at a time. A tree's internal nodes at a depth are one range of
     prefixes (see _internal_nodes), so their children are, in prefix order,
     the tree's leaves of the next depth, one per code of that length in
@@ -260,7 +262,9 @@ def _read(readers, codebooks, lengths, sigma):
     ended: one rank1 per node, at its end, gives the ones of the node.
     Raises ValueError on a node of no bits, which a tree built from a
     sequence never has: the codebook then lists symbols the block does not
-    hold.
+    hold; EOFError if a node runs past its tree's limit. Once every node
+    is read, bits.trim checks and clears what follows each tree's last
+    node.
 
     rank follows a position p in the vector, which starts at r plus the
     root's start s, the tree's start (its first bit for a tree with no
@@ -275,9 +279,9 @@ def _read(readers, codebooks, lengths, sigma):
     Returns the tables and each tree's occurrences of every symbol, sigma
     per tree in turn.
     """
-    ntrees = len(readers)
-    first = np.array([nodes.first for nodes in readers], dtype=np.int64)
-    limit = np.array([nodes.limit for nodes in readers], dtype=np.int64)
+    ntrees = len(firsts)
+    first = np.array(firsts, dtype=np.int64)
+    limit = np.array(limits, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     tables = Trees()
     tree, syms, lens, codes, tables.paths = _entries(codebooks, sigma)
@@ -309,7 +313,7 @@ def _read(readers, codebooks, lengths, sigma):
         bad = (size == 0) | (stop > limit[at])
         if bad.any():
             raise ValueError("empty node") if size[np.argmax(bad)] == 0 else EOFError("payload truncated")
-        rank = np.array(readers[0].ranks(stop.tolist()), dtype=np.int64)
+        rank = np.array(list(map(bits.rank1, stop.tolist())), dtype=np.int64)
         base = np.empty_like(rank)
         base[1:] = rank[:-1]
         base[lead] = ones_end[at[lead]]
@@ -331,9 +335,8 @@ def _read(readers, codebooks, lengths, sigma):
         total += k
         node_child.append(np.where(inner, total + np.cumsum(inner) - 1, -1))
         at, size = child_tree[inner], child_size[inner]
-    for nodes, stop in zip(readers, end.tolist()):
-        tables.bits = nodes.close(stop)
-    tables.sigma = sigma
+    bits.trim(end.tolist(), limits)
+    tables.bits, tables.sigma = bits, sigma
     tables.starts = array("q", first.tobytes())
     tables.leaves = array("q", end.tobytes())
     tables.lengths = array("q", lengths.tobytes())
@@ -401,7 +404,7 @@ class WaveletTree:
         tables.bits, tables.sigma = vector, max(codes) + 1
         tables.starts, tables.leaves, tables.lengths = (array("q", [v]) for v in (0, vector.m, len(x)))
         tables.paths = _entries([codes], tables.sigma)[-1]
-        tables._nodes = [_Nodes(vector, 0, vector.m, 0)], [codes], [len(x)], tables.sigma
+        tables._nodes = vector, [0], [vector.m], [codes], [len(x)], tables.sigma
         self._i = 0
 
     @property
@@ -526,9 +529,9 @@ def read_trees(sections, lengths, sigma, backend, rrr_block_size):
     the size of its leaf, from the zero or one count of the last node on
     its path. ValueError or EOFError names a failed check.
     """
-    readers = read_sections([payload for _, payload in sections], backend, rrr_block_size)
+    bits, firsts, limits = read_sections([payload for _, payload in sections], backend, rrr_block_size)
     codebooks = [_parse_codebook(codebook, sigma) for codebook, _ in sections]
-    return _read(readers, codebooks, lengths, sigma)
+    return _read(bits, firsts, limits, codebooks, lengths, sigma)
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fmblock.bitio import as_words, pack_fields, read_fields, unpack_fields
 from fmblock.bitrank import (
+    RRR_SAMPLE_EVERY,
     PlainBitVector,
     RrrBitVector,
     build_plain,
@@ -18,8 +19,10 @@ from fmblock.bitrank import (
     make_bitvector,
     offset_of_value,
     offset_width,
+    plain_words,
     read_rrr,
     read_sections,
+    rrr_samples,
     value_of_offset,
 )
 
@@ -195,34 +198,47 @@ def test_rrr_offset_width_accounting():
     "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
 )
 def test_stored_bits_read_back_at_unaligned_positions(backend, t):
-    # the nodes of one tree's payload section, joined bit to bit under either
-    # backend: an RRR section holds the u32 bit count, the class fields of the
-    # joined bits' blocks, then their offsets
+    # three trees' payload sections, read into one vector in one call, each
+    # of nodes joined bit to bit under either backend: an RRR section holds
+    # the u32 bit count, the class fields of the joined bits' blocks, then
+    # their offsets; the second tree's 63 bits leave one padding bit before its spare word
     rng = random.Random(t)
-    nodes = [[rng.randint(0, 1) for _ in range(m)] for m in (1, t, 100, 700, 3, 0, 9)]
-    joined = np.concatenate(nodes).astype(np.uint8)
+    sizes = [(1, t, 100, 700, 3, 0, 9), (63,), (5, 2 * t + 1)]
+    trees = [[[rng.randint(0, 1) for _ in range(m)] for m in tree] for tree in sizes]
+    joined = [np.array(list(itertools.chain(*nodes)), dtype=np.uint8) for nodes in trees]
     if backend == "plain":
-        buf = np.packbits(joined, bitorder="little").tobytes()
+        bufs = [np.packbits(bits, bitorder="little").tobytes() for bits in joined]
+        # padding ones, which trim clears
+        sections = [buf[:-1] + bytes([buf[-1] | 0xFF << len(bits) % 8 & 0xFF]) for buf, bits in zip(bufs, joined)]
+        spans = [64 * plain_words(8 * len(buf)) for buf in bufs]
+        stored = [8 * len(buf) for buf in bufs]
     else:
-        blocks = make_bitvector(joined, "rrr", t).blocks()
-        classes = [k for k, _ in blocks]
-        buf = pack_fields(
-            [len(joined)] + classes + [off for _, off in blocks],
-            [32] + [t.bit_length()] * len(blocks) + [offset_width(t, k) for k in classes],
-        )
-    reader = read_sections([buf], backend, t)[0]
-    steps = [reader.read(len(bits)) for bits in nodes]
-    v = reader.vector()
-    for (start, base, ones), bits in zip(steps, nodes):
-        want = [0, *itertools.accumulate(bits)]
-        assert ones == want[-1]
-        assert [v.rank1(start + j) - base for j in range(len(bits) + 1)] == want
-    assert [start for start, _, _ in steps] == [0, *itertools.accumulate(map(len, nodes[:-1]))]
-    assert v.to_bits().tolist() == joined.tolist()
-    if backend == "rrr":
-        assert np.packbits(v.stored_bits(), bitorder="little").tobytes() == buf
-    with pytest.raises(EOFError, match="payload truncated"):
-        read_sections([buf], backend, t)[0].read(8 * len(buf) * t + 1)
+        bufs = []
+        for bits in joined:
+            blocks = make_bitvector(bits, "rrr", t).blocks()
+            classes = [k for k, _ in blocks]
+            bufs.append(pack_fields(
+                [len(bits)] + classes + [off for _, off in blocks],
+                [32] + [t.bit_length()] * len(blocks) + [offset_width(t, k) for k in classes],
+            ))
+        sections = bufs
+        spans = [RRR_SAMPLE_EVERY * t * rrr_samples(len(bits), t) for bits in joined]
+        stored = [len(bits) for bits in joined]
+    v, firsts, limits = read_sections(sections, backend, t)
+    # each tree from a fresh word (plain) or sample (RRR), to the end of its section
+    assert firsts == [0, *itertools.accumulate(spans[:-1])]
+    assert limits == [first + m for first, m in zip(firsts, stored)]
+    ends = [first + len(bits) for first, bits in zip(firsts, joined)]
+    for first, bits in zip(firsts, joined):
+        # rank1 counted from the tree's first bit, at every position and so every node boundary
+        assert [v.rank1(first + j) for j in range(len(bits) + 1)] == [0, *itertools.accumulate(bits.tolist())]
+    with pytest.raises(ValueError, match="payload length"):
+        v.trim([end - (8 if backend == "plain" else 1) for end in ends], limits)
+    v.trim(ends, limits)
+    assert v.m == ends[-1] and v.ones == sum(int(bits.sum()) for bits in joined)
+    for first, limit, bits, buf in zip(firsts, limits, joined, bufs):
+        assert v.rank1(limit) == bits.sum()
+        assert np.packbits(v.stored_bits(first, first + len(bits)), bitorder="little").tobytes() == buf
 
 
 @settings(max_examples=200, deadline=None)

@@ -291,6 +291,31 @@ def test_plain_padding_ones_before_a_spare_word_are_cleared_at_load():
     assert to_bytes(ix) == raw
 
 
+def test_plain_padding_bits_of_every_block_are_cleared_at_load():
+    # four blocks, each payload ending in padding bits; the third tree's 63
+    # bits fill its eight bytes but for one, so its spare word's counter
+    # must not count that padding bit either
+    ix = build_index(build_text(b"fixed block compression boosting " * 4), "fixed_block", 40)
+    raw = to_bytes(ix)
+    ms = [wt.leaf - wt.start for wt in ix.blocks]
+    assert len(ms) >= 3 and all(m % 8 for m in ms) and 63 in [m % 64 for m in ms]
+    padded = raw
+    for i, m in enumerate(ms):
+        ones = 0xFF << m % 8 & 0xFF
+        padded = _with_section(padded, PAYLOAD + 2 * i, lambda body, ones=ones: body[:-1] + bytes([body[-1] | ones]))
+    back = deserialize(padded)
+    assert padded != raw and to_bytes(back) == raw
+    bits = back.blocks[0].bits
+    assert bits.ones == ix.blocks[0].bits.ones
+    for wt, m in zip(back.blocks, ms):
+        # the tree's ones at its last node's end and at its section's end
+        want = ix.blocks[0].bits.rank1(wt.leaf)
+        assert bits.rank1(wt.leaf) == bits.rank1(wt.start + 8 * ((m + 7) // 8)) == want
+    assert [back.rank_l(c, j) for c in range(ix.sigma) for j in range(ix.n + 1)] == [
+        ix.rank_l(c, j) for c in range(ix.sigma) for j in range(ix.n + 1)
+    ]
+
+
 def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
     class Huge(bytes):
         def __len__(self):
@@ -444,7 +469,7 @@ def test_saving_an_rrr_index_makes_no_rank1_call(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch):
-    # the boundary rows come from the leaf sizes the node reader already has, so
+    # the boundary rows come from the leaf sizes the node walk already has, so
     # besides one rank1 per node there are only the checks: one per RRR tree
     # for its padding bits, and the symbol counts' ranks at n, one per level
     # of each symbol's path in the last tree
