@@ -31,6 +31,12 @@ read_rrr() for RRR ones, parsing them in one pass and checking every RRR
 field before any node is routed. Once the nodes are routed (see wavelet),
 the vector's trim() checks the bits that follow each tree's last node,
 and clears them.
+
+Each backend also ranks many positions at once: batch_rank1() returns a
+function of an int64 array of positions, over np.frombuffer views of the
+vector's buffers. The plain one is rank1 in numpy; the RRR one first makes
+tables of 5 bytes per block (its class, and the classes and offset widths
+before it since its sample), which live as long as the function does.
 """
 
 import functools
@@ -47,6 +53,7 @@ _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 RRR_SAMPLE_EVERY = 32
 _TABLE_MAX_T = 16
 _NIBBLE_MAX_T = 15
+_ONE = np.uint64(1)
 
 
 def _as_bit_array(bits):
@@ -147,6 +154,23 @@ class PlainBitVector(_BitVector):
     def rank1(self, j):
         k = j >> 6
         return self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
+
+    def batch_rank1(self):
+        """rank1 over int64 arrays of positions: a function of one, over views of the words and counters.
+
+        The shift of 64 - (j & 63) is done as 63 - (j & 63), then 1, so
+        that no word is shifted by 64: C leaves that undefined, and numpy
+        (2.4 gives 0, as Python does) does not document it.
+        """
+        words = np.frombuffer(self._words, dtype=np.uint64)
+        counts = np.frombuffer(self._counts, dtype=np.uint32)
+
+        def rank1(j):
+            k = j >> 6
+            ones = np.bitwise_count(words[k] >> (63 - (j & 63)).view(np.uint64) >> _ONE)
+            return counts[k] + ones.astype(np.int64)
+
+        return rank1
 
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
@@ -270,6 +294,26 @@ def value_of_offset(off, t, k):
     return value
 
 
+@functools.cache
+def _comb_table(t):
+    """comb(p, k) at [p, k] for p < t and k <= t, as uint64."""
+    return np.array([[math.comb(p, k) for k in range(t + 1)] for p in range(t)], dtype=np.uint64)
+
+
+def _values_of_offsets(off, t, k):
+    """value_of_offset of every (offset, class) in the arrays off (uint64, overwritten) and k, as uint64."""
+    comb = _comb_table(t)
+    value = np.zeros_like(off)
+    left = k.astype(np.intp)  # the ones not yet placed
+    for p in range(t - 1, -1, -1):
+        skip = comb[p, left]  # once every one is placed, comb(p, 0) = 1, above the offset left, 0
+        take = off >= skip
+        off -= skip * take
+        value |= take.astype(np.uint64) << np.uint64(p)
+        left -= take
+    return value
+
+
 def rrr_samples(m, t):
     """Samples an RRR tree of m bits takes in a vector: one per RRR_SAMPLE_EVERY of its blocks, plus one.
 
@@ -320,7 +364,9 @@ class RrrBitVector(_BitVector):
         else:
             offsets = [offset_of_value(int(v), t, int(k)) for v, k in zip(values, classes)]
         widths = np.asarray(offset_widths(t))[classes]
-        self._setup(t, [m], classes, pack_fields(offsets, widths), [0])
+        offbuf = pack_fields(offsets, widths)
+        # whole words with a spare one, as _parse_rrr leaves them, for read_fields
+        self._setup(t, [m], classes, offbuf + bytes(16 - len(offbuf) % 8), [0])
 
     def _setup(self, t, ms, classes, offbuf, bases):
         """The vector of trees of ms bits, laid out in turn (see rrr_samples).
@@ -385,6 +431,49 @@ class RrrBitVector(_BitVector):
         if half:
             r += classes[at] & 15
         return r
+
+    def batch_rank1(self):
+        """rank1 over int64 arrays of positions: a function of one, over views of the vector's buffers.
+
+        It makes two tables first: every block's class, and, in 32 bits, the
+        classes and the offset widths of the blocks before it since its
+        sample, each in 11 bits. A rank then reads its block's entries and
+        its sample, its offset with read_fields, and decodes it: through the
+        decode table for t <= 16, enumeratively above.
+        """
+        t = self.t
+        classes = self.block_classes(0, RRR_SAMPLE_EVERY * len(self._sample_rank))
+        widths = np.frombuffer(_class_tables(t)[2], dtype=np.uint8)
+        # a sample's 32 classes of at most 63 sum below 2^11, and so do their offset widths
+        fields = widths[classes].astype(np.uint32)
+        fields <<= 11
+        fields |= classes
+        fields = fields.reshape(-1, RRR_SAMPLE_EVERY)
+        before = np.cumsum(fields, axis=1, dtype=np.uint32)
+        before -= fields
+        before = before.ravel()
+        sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
+        sample_opos = np.frombuffer(self._sample_opos, dtype=np.uint32)
+        offsets = np.frombuffer(self._offbuf, dtype="<u8")
+        table = self._table
+        if table is not None:
+            words, starts = np.frombuffer(table[0], dtype=np.uint16), np.asarray(table[1])
+
+        def rank1(j):
+            blk = j // t
+            entry = before[blk]
+            sb = blk >> 5
+            k = classes[blk]
+            opos = sample_opos[sb] + (entry >> 11).astype(np.int64)
+            off = read_fields(offsets, opos, widths[k])
+            if table is None:
+                value = _values_of_offsets(off, t, k)
+            else:
+                value = words[starts[k] + off.astype(np.int64)]
+            low = np.bitwise_count(value & ((_ONE << (j - blk * t).view(np.uint64)) - _ONE))
+            return sample_rank[sb] + (entry & 2047).astype(np.int64) + low
+
+        return rank1
 
     def trim(self, ends, limits):
         """ValueError unless each tree's last node, ending at ends[i], ends its section, at limits[i]."""

@@ -8,7 +8,9 @@ one-block case: the block size is n, so there is one tree over the whole
 BWT and one all-zero boundary row. The *_rrr variants swap the bitvector
 for the compressed representation.
 Counting never touches the text: rank over the last column drives the
-backward search.
+backward search. count searches one pattern; count_many searches many
+together, each step ranking both ends of every live range in numpy (see
+wavelet's Trees.batch_rank), and gives the same counts.
 """
 
 from array import array
@@ -19,6 +21,13 @@ import numpy as np
 
 from . import textcore
 from .wavelet import WaveletTree, read_trees
+
+# patterns per chunk of count_many, which bounds its temporaries
+_COUNT_CHUNK = 1 << 15
+# live ranges at or below which count_many steps each in turn (see
+# Trees.narrow): a numpy round costs about as much as 8 ranges' scalar steps,
+# so a long pattern left on its own does not pay a round per code
+_SCALAR_TAIL = 8
 
 
 class IndexVariant(str, Enum):
@@ -147,6 +156,61 @@ class BlockedFMIndex:
         if codes is None:
             return 0
         return self._count(codes)
+
+    def count_many(self, patterns):
+        """[self.count(p) for p in patterns], with every pattern's backward search run together.
+
+        The patterns go _COUNT_CHUNK at a time, so that a batch of any size
+        keeps the temporaries bounded.
+        """
+        patterns = list(patterns)
+        rank = self.blocks.batch_rank()
+        counts = []
+        for lo in range(0, len(patterns), _COUNT_CHUNK):
+            counts += self._count_chunk(patterns[lo : lo + _COUNT_CHUNK], rank)
+        return counts
+
+    def _count_chunk(self, patterns, rank):
+        """count_many of one chunk: a step ranks both ends of every live range at once.
+
+        rank is the trees' batch_rank. The codes of all patterns are one
+        array, each pattern's in turn. A range is live until it is empty or
+        its pattern is consumed, and the last _SCALAR_TAIL live ones step in
+        turn, as count does.
+        """
+        lut = np.zeros(256, dtype=np.uint16)  # 0 for a byte the text lacks
+        lut[np.frombuffer(self.byte_for_code, dtype=np.uint8)] = np.arange(1, self.sigma)
+        codes = lut[np.frombuffer(b"".join(patterns), dtype=np.uint8)]
+        lengths = np.array([len(p) for p in patterns], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        begins = ends - lengths
+        counts = np.where(lengths == 0, self.n, 0)
+        live = lengths > 0
+        live[np.searchsorted(ends, np.flatnonzero(codes == 0), side="right")] = False
+        live = np.flatnonzero(live)
+        c = np.array(self.c, dtype=np.int64)
+        rows = np.frombuffer(self.boundary_occ, dtype=np.int64)
+        size = min(self.block_size, self.n)  # the same blocks, in int64
+        at = ends[live] - 1  # each live pattern's code of the last step
+        b, e = c[codes[at]], c[codes[at] + 1]
+        while True:
+            done = at == begins[live]
+            counts[live[done]] = e[done] - b[done]
+            live, at, b, e = (v[~done] for v in (live, at, b, e))
+            if len(live) <= _SCALAR_TAIL:
+                for i, a, lo, hi in zip(live.tolist(), at.tolist(), b.tolist(), e.tolist()):
+                    rest = reversed(codes[begins[i] : a].tolist())
+                    found = self.blocks.narrow(rest, lo, hi, self.c, self.boundary_occ, self.block_size)
+                    counts[i] = found[1] - found[0] if found else 0
+                return counts.tolist()
+            at -= 1
+            x = np.tile(codes[at], 2)
+            j = np.concatenate([b, e])
+            blk = np.maximum(j - 1, 0) // size  # rank_l's block: that of position j - 1, and 0 for j = 0
+            j = c[x] + rows[blk * self.sigma + x] + rank(blk, x, j - blk * size)
+            b, e = j[: len(at)], j[len(at) :]
+            keep = b < e
+            live, at, b, e = (v[keep] for v in (live, at, b, e))
 
     @property
     def counter_width(self):

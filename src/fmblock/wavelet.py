@@ -32,6 +32,11 @@ reads them back as a one-tree index when its steps are first used; an
 index's trees are built one by one, then moved into one vector as a load
 reads them (read_trees).
 
+Trees.narrow takes one backward search's steps over the trees, one rank1
+call per level. Trees.batch_rank ranks many (tree, symbol, position)
+triples at once over views of the same tables, one level per round, each
+round one call of the vector's batch rank1.
+
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
 ascending order, and no code bits) and the payload, its vector as stored
@@ -243,6 +248,41 @@ class Trees:
             if b >= e:
                 return None
         return b, e
+
+    def batch_rank(self):
+        """WaveletTree.rank over int64 arrays: a function of (trees, codes, r), over views of the tables.
+
+        It gives the occurrences of codes[i] among the first r[i] elements
+        of tree trees[i]; every code is below sigma. The ranks go down their
+        paths together, one level per round, each round one call of the
+        vector's batch_rank1: sorted by path length, longest first, the
+        ranks still descending at a level are a prefix of them.
+        """
+        sigma = self.sigma
+        paths = np.frombuffer(self.paths, dtype=self.paths.typecode)
+        steps = np.frombuffer(self.steps, dtype=self.steps.typecode)
+        starts = np.frombuffer(self.starts, dtype=np.int64)
+        leaves = np.frombuffer(self.leaves, dtype=np.int64)
+        rank1 = self.bits.batch_rank1()
+
+        def rank(trees, codes, r):
+            k = paths[trees * sigma + codes].astype(np.int64)
+            order = np.argsort(-(k & 127).astype(np.int8), kind="stable")  # a radix sort, on int8
+            k, trees = k[order], trees[order]
+            lens = k & 127
+            p = r[order] + starts[trees]
+            first = k >> 8
+            # at each level, the ranks whose paths are longer
+            for d, live in enumerate((len(lens) - np.cumsum(np.bincount(lens))[:-1]).tolist()):
+                step = steps[first[:live] + d]
+                at = p[:live]
+                ones = rank1(at)
+                p[:live] = np.where(step > 0, ones + step, at - ones - step)
+            ranks = np.empty_like(p)
+            ranks[order] = np.where(k != 0, p - leaves[trees], 0)
+            return ranks
+
+        return rank
 
 
 def _read(bits, firsts, limits, codebooks, lengths, sigma):

@@ -241,6 +241,33 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
         assert np.packbits(v.stored_bits(first, first + len(bits)), bitorder="little").tobytes() == buf
 
 
+@pytest.mark.parametrize(
+    "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
+)
+def test_batch_rank1_equals_rank1_over_three_trees(backend, t):
+    # one vector of three trees' sections, as a load reads them: the batch rank
+    # at every position, so at every multiple of 64 (a shift by 64 in scalar
+    # rank1) and at each tree's first bit and limit, equals the scalar one
+    rng = random.Random(t)
+    joined = [np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8) for m in (700, 63, 2 * t + 1)]
+    if backend == "plain":
+        sections = [np.packbits(bits, bitorder="little").tobytes() for bits in joined]
+    else:
+        sections = []
+        for bits in joined:
+            blocks = make_bitvector(bits, "rrr", t).blocks()
+            classes = [k for k, _ in blocks]
+            sections.append(pack_fields(
+                [len(bits)] + classes + [off for _, off in blocks],
+                [32] + [t.bit_length()] * len(blocks) + [offset_width(t, k) for k in classes],
+            ))
+    v, firsts, limits = read_sections(sections, backend, t)
+    v.trim([first + len(bits) for first, bits in zip(firsts, joined)], limits)
+    positions = np.arange(limits[-1] + 1)
+    assert {*firsts, *limits, *range(0, limits[-1] + 1, 64)} <= set(positions.tolist())
+    assert v.batch_rank1()(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 64), st.integers(0, 2**64 - 1))))
 def test_read_fields_matches_the_written_fields(fields):
@@ -292,7 +319,11 @@ def bit_arrays(draw):
 @given(bit_arrays())
 def test_rank1_equals_the_prefix_sum_at_every_position(bits):
     prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)]).tolist()
+    # an RRR vector built straight from bits pads pack_fields' offset stream,
+    # which has no spare word, as a load does, so that the batch rank's
+    # read_fields can read the word after every offset
     vectors = [PlainBitVector(bits)] + [RrrBitVector(bits, t) for t in (1, 3, 15, 16, 17, 63)]
     for v in vectors:
         assert [v.rank1(j) for j in range(len(bits) + 1)] == prefix, (v.backend, getattr(v, "t", None))
+        assert v.batch_rank1()(np.arange(len(bits) + 1)).tolist() == prefix, (v.backend, getattr(v, "t", None))
         assert v.ones == prefix[-1]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from fmblock import entropy, storage, textcore
+from fmblock import entropy, fmindex, storage, textcore
 from fmblock.cli import main
 from fmblock.fmindex import build_index
 from fmblock.textcore import build_text
@@ -103,6 +103,32 @@ def test_count_patterns_inline_and_from_file(banana, tmp_path, capsys):
     assert out.splitlines() == ["A\t3", "NA\t2", "ZZZ\t0"]
 
 
+def test_count_prints_every_line_in_input_order(tmp_path, capsys):
+    # a many-block fixed_block_rrr index, and more patterns than the scalar tail:
+    # each line is the pattern and index.count of it, in the order given, for
+    # the -p patterns first, then the file's, an empty line (n) and a byte the
+    # text lacks (0) among them
+    raw = bytes(random.Random(4).choice(b"acgt") for _ in range(3000))
+    text = tmp_path / "t.txt"
+    text.write_bytes(raw)
+    idx = tmp_path / "t.idx"
+    code, _, _ = run(capsys, "build", text, "-o", idx, "--variant", "fixed-rrr", "--block-size", 64)
+    assert code == 0
+    ix = storage.load_index(idx)
+    assert len(ix.blocks) > 40
+    inline = [b"acg", b"tt"]
+    listed = [raw[i : i + k] for i in range(0, 2800, 97) for k in (3, 9, 40)] + [b"", b"acxg", b"ga"]
+    plist = tmp_path / "patterns.txt"
+    plist.write_bytes(b"\n".join(listed) + b"\n")
+    code, out, err = run(capsys, "count", idx, "-p", "acg", "-p", "tt", "--patterns-file", plist)
+    assert code == 0 and err == ""
+    patterns = inline + listed
+    assert out.splitlines() == [f"{p.decode()}\t{ix.count(p)}" for p in patterns]
+    assert f"\t{ix.n}" in out and "acxg\t0" in out
+    code, out, err = run(capsys, "count", idx)
+    assert code == 1 and out == "" and "no patterns given" in err
+
+
 def test_count_without_patterns_is_user_error(banana, tmp_path, capsys):
     idx = tmp_path / "banana.idx"
     run(capsys, "build", banana, "-o", idx)
@@ -172,12 +198,26 @@ def test_bench_is_deterministic_per_seed(tmp_path, capsys):
     code, out2, _ = run(capsys, *args)
     got1, got2 = kv(out1), kv(out2)
     assert got1["counts_sum"] == got2["counts_sum"]
+    # the same patterns in one count_many batch, checked against the point counts
+    assert float(got1["batch_mean_us"]) > 0
+    assert float(got1["batch_speedup"]) == pytest.approx(float(got1["mean_us"]) / float(got1["batch_mean_us"]), rel=0.01)
     assert got1["patterns"] == "64"
     # csv row: variant,b,bits_per_symbol,mean_us
     row = out1.splitlines()[-1].split(",")
     assert row[0] == "fixed_block_rrr"
     assert int(row[1]) > 0
     assert float(row[2]) > 0
+
+
+def test_bench_exits_2_when_the_batch_counts_differ(tmp_path, capsys, monkeypatch):
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"abracadabra alakazam " * 30)
+    idx = tmp_path / "t.idx"
+    run(capsys, "build", text, "-o", idx, "--variant", "ssa")
+    monkeypatch.setattr(fmindex.BlockedFMIndex, "count_many", lambda self, patterns: [0] * len(patterns))
+    code, _, err = run(capsys, "bench", idx, text, "--patterns", 8, "--length", 3, "--repeats", 1)
+    assert code == 2
+    assert "batch counts" in err
 
 
 def test_bench_pattern_longer_than_text_is_user_error(tmp_path, capsys):

@@ -1,14 +1,16 @@
 import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmblock import fmindex
 from fmblock.fmindex import IndexVariant, build_index, default_block_size
 from fmblock.storage import deserialize, serialize
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
-from helpers import codes_of, pattern_batch, random_codes
+from helpers import brute_count, codes_of, pattern_batch, random_codes
 
 ALL_VARIANTS = list(IndexVariant)
 
@@ -206,3 +208,35 @@ def test_a_symbol_absent_from_a_block_ranks_zero_there_and_counts_in_the_next():
     assert ix.blocks.narrow([a], 3, 6, ix.c, ix.boundary_occ, 3) == (ix.c[a] + 1, ix.c[a] + 2)
     assert ix.blocks.narrow([n], 3, 6, ix.c, ix.boundary_occ, 3) is None
     assert ix.count(b"BA") == 1 and ix.count(b"AB") == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_count_many_equals_count_and_the_scan(data):
+    # every variant at block sizes 1, 2, 3 and n, where nearly every step's ends
+    # fall in two blocks, and every RRR block size class: 1, the table's 15 and
+    # 16, and the enumerative 17 and 63; with the scalar tail off, every range
+    # steps in numpy rounds to the end
+    variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
+    raw = data.draw(st.binary(min_size=1, max_size=120).map(lambda b: bytes(97 + x % 4 for x in b)), label="text")
+    size = data.draw(st.sampled_from([1, 2, 3, len(raw)]), label="block size") if variant.fixed else None
+    t = data.draw(st.sampled_from([1, 15, 16, 17, 63]), label="rrr block size")
+    ix = build_index(build_text(raw), variant, size, t)
+    windows = st.tuples(st.integers(0, len(raw)), st.integers(0, 12)).map(lambda w: raw[w[0] : w[0] + w[1]])
+    extra = st.sampled_from([b"", b"e", b"ae", b"a" * (len(raw) + 1), raw + raw[:1]])
+    patterns = data.draw(st.lists(st.one_of(windows, extra, st.binary(max_size=5)), max_size=40), label="patterns")
+    patterns += patterns[:3]  # duplicates
+    tail = data.draw(st.sampled_from([0, fmindex._SCALAR_TAIL]), label="scalar tail")
+    with mock.patch.object(fmindex, "_SCALAR_TAIL", tail):
+        got = ix.count_many(patterns)
+        assert ix.count_many([]) == []
+    assert got == [ix.count(p) for p in patterns]
+    assert got == [brute_count(list(raw), list(p)) if p else ix.n for p in patterns]
+
+
+def test_count_many_keeps_memory_bounded_in_chunks():
+    # a batch longer than one chunk counts each chunk on its own, in input order
+    ix = build_index(build_text(b"abracadabra"), "fixed_block_rrr", 2)
+    patterns = [b"a", b"bra", b"", b"zz", b"cad"] * 7
+    with mock.patch.object(fmindex, "_COUNT_CHUNK", 4), mock.patch.object(fmindex, "_SCALAR_TAIL", 0):
+        assert ix.count_many(patterns) == [5, 2, ix.n, 0, 1] * 7
