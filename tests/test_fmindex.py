@@ -213,13 +213,13 @@ def test_a_symbol_absent_from_a_block_ranks_zero_there_and_counts_in_the_next():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_count_many_equals_count_and_the_scan(data):
-    # every variant at block sizes 1, 2, 3 and n, where nearly every step's ends
-    # fall in two blocks, and every RRR block size class: 1, the table's 15 and
-    # 16, and the enumerative 17 and 63; with the scalar tail off, every range
-    # steps in numpy rounds to the end
+    # every variant at block sizes 1, 2, 3 (where nearly every step's ends fall
+    # in two blocks), n - 1 and n, and every RRR block size class: 1, the
+    # table's 15 and 16, and the enumerative 17 and 63; with the scalar tail
+    # off, every range steps in numpy rounds to the end
     variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
     raw = data.draw(st.binary(min_size=1, max_size=120).map(lambda b: bytes(97 + x % 4 for x in b)), label="text")
-    size = data.draw(st.sampled_from([1, 2, 3, len(raw)]), label="block size") if variant.fixed else None
+    size = data.draw(st.sampled_from([1, 2, 3, len(raw), len(raw) + 1]), label="block size") if variant.fixed else None
     t = data.draw(st.sampled_from([1, 15, 16, 17, 63]), label="rrr block size")
     ix = build_index(build_text(raw), variant, size, t)
     windows = st.tuples(st.integers(0, len(raw)), st.integers(0, 12)).map(lambda w: raw[w[0] : w[0] + w[1]])
