@@ -28,20 +28,27 @@ offset stream. read_sections() builds one vector of the sections of all
 trees of an index and gives each tree's first bit in it and its limit,
 where its section ends; read_plain() does so for plain sections and
 read_rrr() for RRR ones, parsing them in one pass and checking every RRR
-field before any node is routed. Once the nodes are routed (see wavelet),
-the vector's trim() checks the bits that follow each tree's last node,
-and clears them.
+field before any node is routed. Neither loops over the sections in
+Python: the sections are sliced and joined by map, and every check and
+table is made over all of them at once. Once the nodes are routed (see
+wavelet), the vector's trim() checks the bits that follow each tree's last
+node, and clears them, for all trees at once.
 
-Each backend also ranks many positions at once: batch_rank1() returns a
-function of an int64 array of positions, over np.frombuffer views of the
-vector's buffers. The plain one is rank1 in numpy; the RRR one first makes
-tables of 5 bytes per block (its class, and the classes and offset widths
-before it since its sample), which live as long as the function does.
+Each backend also ranks many positions at once, in two forms over
+np.frombuffer views of the vector's buffers. batch_rank1() returns a
+function of an int64 array of positions, for count_many's many rounds:
+the plain one is rank1 in numpy; the RRR one first makes tables of 5
+bytes per block (its class, and the classes and offset widths before it
+since its sample), which live as long as the function does.
+rank1_many(positions) ranks once, for a load's few positions per tree
+depth: plain, it is batch_rank1's; RRR, each position sums its own
+sample's classes, with no table over all blocks.
 """
 
 import functools
 import itertools
 import math
+import operator
 from array import array
 
 import numpy as np
@@ -54,6 +61,8 @@ RRR_SAMPLE_EVERY = 32
 _TABLE_MAX_T = 16
 _NIBBLE_MAX_T = 15
 _ONE = np.uint64(1)
+_NIBBLES = np.array([0, 4], dtype=np.uint8)  # the shifts of a class byte's low and high class
+_SAMPLE_BLOCKS = np.arange(RRR_SAMPLE_EVERY)
 
 
 def _as_bit_array(bits):
@@ -68,7 +77,7 @@ def _as_bit_array(bits):
 
 
 def plain_words(m):
-    """64-bit words a plain tree of m bits takes in a vector.
+    """64-bit words a plain tree of m bits takes in a vector; m may be a numpy array.
 
     Its bytes padded to a word, plus one word when they fill the last one,
     so that rank1 at the tree's end reads a word of the tree.
@@ -107,7 +116,7 @@ class PlainBitVector(_BitVector):
 
     def __init__(self, bits):
         bits = _as_bit_array(bits)
-        self._setup([(np.packbits(bits, bitorder="little").tobytes(), len(bits))])
+        self._setup([np.packbits(bits, bitorder="little").tobytes()], [len(bits)])
 
     @classmethod
     def from_stored(cls, parts):
@@ -117,38 +126,43 @@ class PlainBitVector(_BitVector):
         bits after the m-th are ignored.
         """
         v = cls.__new__(cls)
-        v._setup(parts)
+        v._setup(*zip(*parts))
         return v
 
-    def _setup(self, parts):
-        """Words and counters of (LSB-first bytes, m) parts.
+    def _setup(self, bufs, ms):
+        """Words and counters of the first ms[i] bits of each LSB-first buffer bufs[i], in turn.
 
-        Raises ValueError before allocating if a part has 2^32 bits or more,
-        which its 32-bit counters could not count.
+        The buffers are joined in one pass, each padded with zero bytes to
+        the words it takes, and every word and counter is made over the
+        whole vector at once. Raises ValueError before allocating if a part
+        has 2^32 bits or more, which its 32-bit counters could not count.
         """
-        if any(m >= 1 << 32 for _, m in parts):
+        ms = np.asarray(ms, dtype=np.int64)
+        if (ms >= 1 << 32).any():
             raise ValueError("plain tree of 2^32 bits or more")
-        sizes = [plain_words(m) for _, m in parts]
-        raw = bytearray(8 * sum(sizes))
-        at = 0
-        for (part, m), size in zip(parts, sizes):
-            n = (m + 7) >> 3
-            raw[at : at + n] = part[:n].translate(_REVERSED)
-            if m & 7:
-                raw[at + n - 1] &= 0xFF << (8 - (m & 7)) & 0xFF
-            at += 8 * size
+        used = (ms + 7) >> 3
+        sizes = plain_words(ms)
+        firsts = np.cumsum(sizes) - sizes
+        parts = map(operator.getitem, bufs, map(slice, used.tolist()))
+        pads = map(bytes, (8 * sizes - used).tolist())
+        raw = bytearray().join(itertools.chain.from_iterable(zip(parts, pads))).translate(_REVERSED)
+        # the bits after m in a part's last byte, now its low ones
+        cut = np.flatnonzero(ms & 7)
+        np.frombuffer(raw, dtype=np.uint8)[8 * firsts[cut] + used[cut] - 1] &= (
+            0xFF << (8 - (ms[cut] & 7)) & 0xFF
+        ).astype(np.uint8)
         words = np.frombuffer(raw, dtype=np.uint64)
-        words[:] = np.frombuffer(raw, dtype=">u8")  # each word's first byte to its top
+        words.byteswap(inplace=True)  # each word's first byte to its top, as big-endian words read
         ones = np.bitwise_count(words)
-        before = np.cumsum(ones, dtype=np.int64)
+        before = ones.astype(np.int64)
+        np.cumsum(before, out=before)  # in int64 throughout: from uint8 it takes three times as long
         before -= ones
-        firsts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
         before -= np.repeat(before[firsts], sizes)
         counts = bytearray(4 * len(words))
         np.frombuffer(counts, dtype=np.uint32)[:] = before
         self._words = memoryview(raw).cast("Q")
         self._counts = memoryview(counts).cast("I")
-        self.m = 64 * int(firsts[-1]) + parts[-1][1]
+        self.m = 64 * int(firsts[-1]) + int(ms[-1])
         self.ones = int(ones.sum())
 
     def rank1(self, j):
@@ -156,21 +170,20 @@ class PlainBitVector(_BitVector):
         return self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
 
     def batch_rank1(self):
-        """rank1 over int64 arrays of positions: a function of one, over views of the words and counters.
+        """rank1 over int64 arrays of positions: a function of one, rank1_many, which makes no table."""
+        return self.rank1_many
+
+    def rank1_many(self, j):
+        """rank1 of every position in the int64 array j, over views of the words and counters.
 
         The shift of 64 - (j & 63) is done as 63 - (j & 63), then 1, so
         that no word is shifted by 64: C leaves that undefined, and numpy
         (2.4 gives 0, as Python does) does not document it.
         """
-        words = np.frombuffer(self._words, dtype=np.uint64)
-        counts = np.frombuffer(self._counts, dtype=np.uint32)
-
-        def rank1(j):
-            k = j >> 6
-            ones = np.bitwise_count(words[k] >> (63 - (j & 63)).view(np.uint64) >> _ONE)
-            return counts[k] + ones.astype(np.int64)
-
-        return rank1
+        k = j >> 6
+        word = np.frombuffer(self._words, dtype=np.uint64)[k]
+        ones = np.bitwise_count(word >> (63 - (j & 63)).view(np.uint64) >> _ONE)
+        return np.frombuffer(self._counts, dtype=np.uint32)[k] + ones.astype(np.int64)
 
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
@@ -193,19 +206,24 @@ class PlainBitVector(_BitVector):
         Tree i's last node ends at ends[i] and its section, whole bytes, at
         limits[i], the last of which ends the vector; ValueError if more
         than 7 bits follow a tree's last node. Of the counters, only that of
-        a tree's spare word counts its padding.
+        a tree's spare word counts its padding. All trees are trimmed at
+        once: no two share a word.
         """
-        if any(limit - end > 7 for end, limit in zip(ends, limits)):
+        ends, limits = np.asarray(ends, dtype=np.int64), np.asarray(limits, dtype=np.int64)
+        if (limits - ends > 7).any():
             raise ValueError("payload length")
-        for end, limit in zip(ends, limits):
-            if end < limit:
-                k, tail = end >> 6, (1 << (64 - (end & 63))) - 1
-                cleared = (self._words[k] & tail).bit_count()
-                self._words[k] &= ~tail
-                self.ones -= cleared
-                if limit & 63 == 0:
-                    self._counts[limit >> 6] -= cleared
-        self.m -= limits[-1] - ends[-1]
+        padded = ends < limits
+        end, limit = ends[padded], limits[padded]
+        words = np.frombuffer(self._words, dtype=np.uint64)
+        k = end >> 6
+        # the word's bits from end on, its low 64 - (end & 63), shifted in two steps as in batch_rank1
+        tail = ((_ONE << (63 - (end & 63)).view(np.uint64)) << _ONE) - _ONE
+        cleared = np.bitwise_count(words[k] & tail)
+        words[k] &= ~tail
+        self.ones -= int(cleared.sum())
+        spare = limit & 63 == 0
+        np.frombuffer(self._counts, dtype=np.uint32)[limit[spare] >> 6] -= cleared[spare]
+        self.m -= int(limits[-1] - ends[-1])
 
     @property
     def payload_bits(self):
@@ -227,7 +245,7 @@ def _decode_table(t):
     starts = np.zeros(t + 2, dtype=np.int64)
     np.cumsum(np.bincount(classes, minlength=t + 1), out=starts[1:])
     words = values[np.argsort(classes, kind="stable")]
-    return array("H", words.tobytes()), tuple(starts.tolist())
+    return array("H", words.tobytes()), array("q", starts.tobytes())
 
 
 @functools.cache
@@ -235,6 +253,7 @@ def _offset_table(t):
     """Offset of every t-bit word within its class; the encoder's inverse of _decode_table."""
     words, starts = _decode_table(t)
     offsets = np.empty(1 << t, dtype=np.int64)
+    starts = np.frombuffer(starts, dtype=np.int64)
     offsets[np.frombuffer(words, dtype=np.uint16)] = np.arange(1 << t) - np.repeat(
         starts[:-1], np.diff(starts)
     )
@@ -266,6 +285,11 @@ def _class_tables(t):
         bytes(widths[lo] + widths[hi] for lo, hi in pairs),
         bytes(widths),
     )
+
+
+def _class_widths(t):
+    """The offset width of each class byte value, as uint8; the classes above t have none."""
+    return np.frombuffer(_class_tables(t)[2], dtype=np.uint8)
 
 
 def offset_of_value(value, t, k):
@@ -319,7 +343,7 @@ def rrr_samples(m, t):
 
     Its blocks end before its last sample's blocks do, so rank1 at the
     tree's end, and the offset stream at the end of its last block, are
-    counted from a sample of the tree.
+    counted from a sample of the tree. m may be a numpy array.
     """
     return -(-m // t) // RRR_SAMPLE_EVERY + 1
 
@@ -373,20 +397,21 @@ class RrrBitVector(_BitVector):
 
         classes (uint8) holds the classes of each tree's blocks in turn, and
         tree i's offsets start at bit bases[i] of offbuf. The caller checks
-        that the samples fit uint32. Returns the ones of each tree.
+        that the samples fit uint32. Returns the ones of each tree, as int64.
         """
         every = RRR_SAMPLE_EVERY
-        nblocks = [-(-m // t) for m in ms]
-        taken = [rrr_samples(m, t) for m in ms]
-        full = np.zeros(every * sum(taken), dtype=np.uint8)
-        lengths = [n for nb, s in zip(nblocks, taken) for n in (nb, every * s - nb)]
+        ms = np.asarray(ms, dtype=np.int64)
+        nblocks = -(-ms // t)
+        taken = rrr_samples(ms, t)
+        full = np.zeros(every * int(taken.sum()), dtype=np.uint8)
+        lengths = np.stack([nblocks, every * taken - nblocks], axis=1).ravel()
         full[np.repeat(np.tile([True, False], len(ms)), lengths)] = classes
         self._class_sums, self._width_sums, self._widths = _class_tables(t)
         # per sample: the ones of its blocks, and their offset bits
-        ones = full.reshape(-1, every).sum(axis=1, dtype=np.int64)
+        # summed in uint16, which holds 32 classes or widths, and twice as fast as in int64
+        ones = full.reshape(-1, every).sum(axis=1, dtype=np.uint16).astype(np.int64)
         widths = np.frombuffer(full.tobytes().translate(self._widths), dtype=np.uint8)
-        width = widths.reshape(-1, every).sum(axis=1, dtype=np.int64)
-        taken = np.asarray(taken)
+        width = widths.reshape(-1, every).sum(axis=1, dtype=np.uint16).astype(np.int64)
         firsts = np.cumsum(taken) - taken
         rank = np.cumsum(ones) - ones
         rank -= np.repeat(rank[firsts], taken)
@@ -395,14 +420,14 @@ class RrrBitVector(_BitVector):
         self._shift = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
         self._mask = 0xFF >> 4 * self._shift
         self._classes = (full[0::2] | full[1::2] << 4 if self._shift else full).tobytes()
-        self.m = every * t * int(firsts[-1]) + ms[-1]
+        self.m = every * t * int(firsts[-1]) + int(ms[-1])
         self.t = t
         self.ones = int(ones.sum())
         self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
         self._offbuf = offbuf
         self._sample_rank = array("I", rank.astype(np.uint32).tobytes())
         self._sample_opos = array("I", opos.astype(np.uint32).tobytes())
-        return (rank + ones)[firsts + taken - 1].tolist()
+        return (rank + ones)[firsts + taken - 1]
 
     def rank1(self, j):
         blk, rem = divmod(j, self.t)
@@ -438,12 +463,14 @@ class RrrBitVector(_BitVector):
         It makes two tables first: every block's class, and, in 32 bits, the
         classes and the offset widths of the blocks before it since its
         sample, each in 11 bits. A rank then reads its block's entries and
-        its sample, its offset with read_fields, and decodes it: through the
-        decode table for t <= 16, enumeratively above.
+        its sample, its offset with read_fields, and decodes it (see
+        _block_ones). The tables cost a pass over every block and 5 bytes
+        per block, which the many rounds of count_many repay: it is the
+        faster form there, and rank1_many the faster at load.
         """
         t = self.t
         classes = self.block_classes(0, RRR_SAMPLE_EVERY * len(self._sample_rank))
-        widths = np.frombuffer(_class_tables(t)[2], dtype=np.uint8)
+        widths = _class_widths(t)
         # a sample's 32 classes of at most 63 sum below 2^11, and so do their offset widths
         fields = widths[classes].astype(np.uint32)
         fields <<= 11
@@ -454,30 +481,60 @@ class RrrBitVector(_BitVector):
         before = before.ravel()
         sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
         sample_opos = np.frombuffer(self._sample_opos, dtype=np.uint32)
-        offsets = np.frombuffer(self._offbuf, dtype="<u8")
-        table = self._table
-        if table is not None:
-            words, starts = np.frombuffer(table[0], dtype=np.uint16), np.asarray(table[1])
 
         def rank1(j):
             blk = j // t
             entry = before[blk]
             sb = blk >> 5
-            k = classes[blk]
             opos = sample_opos[sb] + (entry >> 11).astype(np.int64)
-            off = read_fields(offsets, opos, widths[k])
-            if table is None:
-                value = _values_of_offsets(off, t, k)
-            else:
-                value = words[starts[k] + off.astype(np.int64)]
-            low = np.bitwise_count(value & ((_ONE << (j - blk * t).view(np.uint64)) - _ONE))
+            low = self._block_ones(classes[blk], opos, j - blk * t)
             return sample_rank[sb] + (entry & 2047).astype(np.int64) + low
 
         return rank1
 
+    def rank1_many(self, j):
+        """rank1 of every position in the int64 array j, each from its own sample's window.
+
+        A position sums the classes and the offset widths of its sample's
+        blocks before its own, reads its offset with read_fields and decodes
+        it. No table is made, per block or kept across calls, so a call
+        costs only its positions: a load ranks a few node ends per tree
+        depth, where batch_rank1's tables would cost more than the ranks.
+        """
+        t = self.t
+        widths = _class_widths(t)
+        blk = j // t
+        sb = blk >> 5
+        window = np.frombuffer(self._classes, dtype=np.uint8).reshape(-1, RRR_SAMPLE_EVERY >> self._shift)[sb]
+        if self._shift:  # two classes per byte, the low one first
+            window = (window[:, :, None] >> _NIBBLES & 15).reshape(len(j), RRR_SAMPLE_EVERY)
+        within = blk & (RRR_SAMPLE_EVERY - 1)
+        before = _SAMPLE_BLOCKS < within[:, None]  # the blocks before blk in its sample
+        ones = (window * before).sum(axis=1, dtype=np.int64)
+        opos = (widths[window] * before).sum(axis=1, dtype=np.int64)
+        opos += np.frombuffer(self._sample_opos, dtype=np.uint32)[sb]
+        ones += self._block_ones(window[np.arange(len(j)), within], opos, j - blk * t)
+        return np.frombuffer(self._sample_rank, dtype=np.uint32)[sb] + ones
+
+    def _block_ones(self, k, opos, rem):
+        """The ones in the first rem bits of blocks of classes k whose offsets start at bits opos (int64, overwritten).
+
+        The offsets are read with read_fields and decoded through the decode
+        table for t <= 16, enumeratively above.
+        """
+        t = self.t
+        off = read_fields(np.frombuffer(self._offbuf, dtype="<u8"), opos, _class_widths(t)[k])
+        if self._table is None:
+            value = _values_of_offsets(off, t, k)
+        else:
+            words, starts = self._table
+            at = np.frombuffer(starts, dtype=np.int64)[k] + off.astype(np.int64)
+            value = np.frombuffer(words, dtype=np.uint16)[at]
+        return np.bitwise_count(value & ((_ONE << rem.view(np.uint64)) - _ONE)).astype(np.int64)
+
     def trim(self, ends, limits):
         """ValueError unless each tree's last node, ending at ends[i], ends its section, at limits[i]."""
-        if any(end != limit for end, limit in zip(ends, limits)):
+        if np.any(np.asarray(ends) != np.asarray(limits)):
             raise ValueError("payload length")
 
     def to_bits(self):
@@ -571,10 +628,12 @@ def read_plain(bufs):
     once its nodes are read, so trim then clears its padding bits, at most
     the 7 of the section's last byte.
     """
-    stored = [8 * len(buf) for buf in bufs]
-    firsts = list(itertools.accumulate((64 * plain_words(m) for m in stored[:-1]), initial=0))
-    vector = PlainBitVector.from_stored(list(zip(bufs, stored)))
-    return vector, firsts, [first + m for first, m in zip(firsts, stored)]
+    stored = 8 * np.fromiter(map(len, bufs), dtype=np.int64, count=len(bufs))
+    spans = 64 * plain_words(stored)
+    firsts = np.cumsum(spans) - spans
+    vector = PlainBitVector.__new__(PlainBitVector)
+    vector._setup(bufs, stored)
+    return vector, firsts.tolist(), (firsts + stored).tolist()
 
 
 def read_rrr(bufs, t):
@@ -585,67 +644,84 @@ def read_rrr(bufs, t):
     section is parsed, and its fields checked, before any node is (see
     _parse_rrr). Last, the bits after m in each tree's last block must be
     zero, as the writer leaves them, so that the tree's ones are its rank
-    at m.
+    at m: one rank1_many call ranks every tree's limit.
     """
     ms, classes, offbuf, bases = _parse_rrr(bufs, t)
     vector = RrrBitVector.__new__(RrrBitVector)
     ones = vector._setup(t, ms, classes, offbuf, bases)
-    firsts = list(itertools.accumulate((RRR_SAMPLE_EVERY * t * rrr_samples(m, t) for m in ms[:-1]), initial=0))
-    limits = [first + m for first, m in zip(firsts, ms)]
-    if any(vector.rank1(limit) != k for limit, k in zip(limits, ones)):
+    spans = RRR_SAMPLE_EVERY * t * rrr_samples(ms, t)
+    firsts = np.cumsum(spans) - spans
+    limits = firsts + ms
+    if np.any(vector.rank1_many(limits) != ones):
         raise ValueError("rrr padding bits")
-    return vector, firsts, limits
+    return vector, firsts.tolist(), limits.tolist()
 
 
 def _parse_rrr(bufs, t):
     """The fields of RRR payload sections, parsed in one pass.
 
-    Returns each section's bit count m, the classes of all their blocks in
-    turn (uint8), and the offset buffer with the bit of it where each
-    section's offsets start: each section's bytes from the one that holds
-    its first offset bit, copied as they are, then a spare word for
+    Returns each section's bit count m (int64), the classes of all their
+    blocks in turn (uint8), and the offset buffer with the bit of it where
+    each section's offsets start: each section's bytes from the one that
+    holds its first offset bit, copied as they are, then a spare word for
     read_fields. Each check runs over all sections before the next: their
     lengths against m, the classes, their lengths against the offset
     widths, and last, over the offset buffer, every offset below
     comb(t, class). Raises EOFError or ValueError naming the failed check;
     ValueError before allocating if the copied bytes hold 2^32 bits or
-    more, which the uint32 samples could not address.
+    more, which the uint32 samples could not address. The sections are
+    sliced and joined by map, with no Python loop over them.
     """
     width = t.bit_length()
-    ms, heads = [], []  # and the bit of each section where its offsets start
-    for buf in bufs:
-        ms.append(int.from_bytes(buf[:4], "little"))
-        heads.append(32 + -(-ms[-1] // t) * width)
-        if len(buf) < 4 or heads[-1] > 8 * len(buf):
-            raise EOFError("payload truncated")
-    spans = [len(buf) - (head >> 3) for buf, head in zip(bufs, heads)]
-    if 8 * sum(spans) >= 1 << 32:
+    size = np.fromiter(map(len, bufs), dtype=np.int64, count=len(bufs))
+    if (size < 4).any():
+        raise EOFError("payload truncated")
+    ms = np.frombuffer(b"".join(map(operator.getitem, bufs, itertools.repeat(slice(4)))), dtype="<u4")
+    ms = ms.astype(np.int64)
+    heads = 32 + -(-ms // t) * width  # the bit of each section where its offsets start
+    if (heads > 8 * size).any():
+        raise EOFError("payload truncated")
+    spans = size - (heads >> 3)
+    if 8 * int(spans.sum()) >= 1 << 32:
         raise ValueError("rrr offset stream of 2^32 bits or more")
-    # the class fields of all sections, each from its byte 4 to the end of its last field
-    raw = np.frombuffer(b"".join(buf[4 : (head + 7) >> 3] for buf, head in zip(bufs, heads)), np.uint8)
-    keep = np.repeat(np.tile([True, False], len(bufs)), [n for h in heads for n in (h - 32, -h % 8)])
-    fields = np.unpackbits(raw, bitorder="little")[keep].reshape(-1, width)
-    classes = fields @ (np.uint8(1) << np.arange(width, dtype=np.uint8))
+    # the class fields of all sections, each from its byte 4 to the end of its
+    # last field, padded with zero bytes to whole groups of 8 fields, width bytes each
+    nblocks = (heads - 32) // width
+    groups = -(-nblocks // 8)
+    fields = map(operator.getitem, bufs, map(slice, itertools.repeat(4), ((heads + 7) >> 3).tolist()))
+    pads = map(bytes, (width * groups - ((heads - 25) >> 3)).tolist())
+    raw = np.frombuffer(b"".join(itertools.chain.from_iterable(zip(fields, pads))), dtype=np.uint8)
+    group = np.zeros((len(raw) // width, 8), dtype=np.uint8)
+    group[:, :width] = raw.reshape(-1, width)
+    fields = group.view("<u8") >> np.arange(0, 8 * width, width, dtype=np.uint64)
+    fields &= np.uint64((1 << width) - 1)
+    keep = np.repeat(np.tile([True, False], len(bufs)), np.stack([nblocks, 8 * groups - nblocks], axis=1).ravel())
+    classes = fields.astype(np.uint8).ravel()[keep]
     if len(classes) and int(classes.max()) > t:
         raise ValueError("rrr class out of range")
     widths = np.frombuffer(classes.tobytes().translate(_class_tables(t)[2]), dtype=np.uint8)
-    starts = np.zeros(len(widths) + 1, dtype=np.int64)  # each block's offset bit, as if joined
-    np.cumsum(widths, out=starts[1:])
-    nblocks = np.array([(head - 32) // width for head in heads])
-    ends = np.cumsum(nblocks)  # each section's last block, plus one
-    for buf, head, nbits in zip(bufs, heads, np.diff(starts[ends], prepend=0).tolist()):
-        if head + nbits > 8 * len(buf):
-            raise EOFError("rrr offsets truncated")
-        if len(buf) > (head + nbits + 7) // 8:
-            raise ValueError("payload length")
-    offbuf = b"".join([*(buf[head >> 3 :] for buf, head in zip(bufs, heads)), bytes(16 - sum(spans) % 8)])
-    bases = [8 * at + (head & 7) for at, head in zip(itertools.accumulate(spans, initial=0), heads)]
-    starts = starts[:-1] + np.repeat(np.asarray(bases) - starts[ends - nblocks], nblocks)
+    # only the blocks with offset bits: classes 0 and t have none, and are often half the blocks
+    held = np.flatnonzero(widths)
+    widths, kinds = widths[held], classes[held]
+    starts = np.zeros(len(held) + 1, dtype=np.int64)  # each one's offset bit, as if joined
+    starts[1:] = widths
+    np.cumsum(starts, out=starts)  # in int64 throughout: from uint8 it takes twice as long
+    ends = np.searchsorted(held, np.cumsum(nblocks))  # each section's last such block, plus one
+    stops = heads + np.diff(starts[ends], prepend=0)  # the bit of each section where its offsets end
+    if (stops > 8 * size).any():
+        raise EOFError("rrr offsets truncated")
+    if (size > (stops + 7) // 8).any():
+        raise ValueError("payload length")
+    tails = map(operator.getitem, bufs, map(slice, (heads >> 3).tolist(), itertools.repeat(None)))
+    offbuf = b"".join(itertools.chain(tails, [bytes(16 - int(spans.sum()) % 8)]))
+    bases = 8 * (np.cumsum(spans) - spans) + (heads & 7)
+    counts = np.diff(ends, prepend=0)
+    starts = starts[:-1] + np.repeat(bases - starts[ends - counts], counts)
     words = np.frombuffer(offbuf, dtype="<u8")
     limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
     # 2^15 fields at a time, which keeps the temporaries in cache
-    for lo in range(0, len(starts), 1 << 15):
+    for lo in range(0, len(held), 1 << 15):
         part = slice(lo, lo + (1 << 15))
-        if np.any(read_fields(words, starts[part], widths[part]) >= limits[classes[part]]):
+        if np.any(read_fields(words, starts[part], widths[part]) >= limits[kinds[part]]):
             raise ValueError("rrr offset out of range")
     return ms, classes, offbuf, bases

@@ -124,7 +124,9 @@ def cmd_stats(args):
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        started = time.perf_counter()
         index = _load_index(args.index)
+        load_seconds = time.perf_counter() - started
         gc.collect()
         heap_bytes = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -143,6 +145,8 @@ def cmd_stats(args):
     print(f"bits_per_symbol={report.bits_per_symbol:.4f}")
     print(f"file_bytes={os.path.getsize(args.index)}")
     print(f"heap_bytes={heap_bytes}")
+    # the load above, timed under tracemalloc, which slows it
+    print(f"load_seconds={load_seconds:.6f}")
     return 0
 
 

@@ -13,14 +13,13 @@ together, each step ranking both ends of every live range in numpy (see
 wavelet's Trees.batch_rank), and gives the same counts.
 """
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import textcore
-from .wavelet import WaveletTree, read_trees
+from .wavelet import WaveletTree, _table, read_trees
 
 # patterns per chunk of count_many, which bounds its temporaries
 _COUNT_CHUNK = 1 << 15
@@ -88,11 +87,12 @@ class SizeReport:
 def _boundary_rows(counts, sigma):
     """Row i, from item i * sigma on: occurrences of every code in the blocks before block i.
 
-    counts holds each block's occurrences of every code, sigma per block in turn.
+    counts holds each block's occurrences of every code, sigma per block in
+    turn. Every entry is at most n, so the rows are 32-bit while n fits.
     """
     rows = np.zeros((len(counts) // sigma, sigma), dtype=np.int64)
     np.cumsum(np.reshape(counts, rows.shape)[:-1], axis=0, out=rows[1:])
-    return array("q", rows.tobytes())
+    return _table(rows, "I", "q")
 
 
 class BlockedFMIndex:
@@ -189,7 +189,7 @@ class BlockedFMIndex:
         live[np.searchsorted(ends, np.flatnonzero(codes == 0), side="right")] = False
         live = np.flatnonzero(live)
         c = np.array(self.c, dtype=np.int64)
-        rows = np.frombuffer(self.boundary_occ, dtype=np.int64)
+        rows = np.frombuffer(self.boundary_occ, dtype=self.boundary_occ.typecode)
         size = min(self.block_size, self.n)  # the same blocks, in int64
         at = ends[live] - 1  # each live pattern's code of the last step
         b, e = c[codes[at]], c[codes[at] + 1]

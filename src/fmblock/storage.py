@@ -26,6 +26,8 @@ loaded index answers queries identically to the index that was saved.
 import struct
 import zlib
 
+import numpy as np
+
 from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import read_trees
 
@@ -33,6 +35,7 @@ MAGIC = b"FBFMIDX1"
 VERSION = 5
 
 _HEADER = struct.Struct("<8sHBBQIQI")
+_U32 = struct.Struct("<I")
 _VARIANT_CODES = {v: i for i, v in enumerate(IndexVariant)}
 _VARIANTS = list(IndexVariant)
 
@@ -98,6 +101,26 @@ class _SectionCursor:
         self.at = start + length
         return self.data[start : start + length]
 
+    def blocks(self, count):
+        """The next count blocks' (codebook, payload) section bodies, walked with no call per section.
+
+        A missing or truncated section fails as next fails on it; only then
+        is its name formatted.
+        """
+        data, at, size = self.data, self.at, len(self.data)
+        length = _U32.unpack_from
+        bodies = []
+        for k in range(2 * count):
+            start = at + 4
+            end = start + length(data, at)[0] if start <= size else start
+            if end > size:
+                self.at = at
+                self.next(f"{('codebook', 'payload')[k & 1]} {k >> 1}")
+            bodies.append(data[start:end])
+            at = end
+        self.at = at
+        return list(zip(bodies[0::2], bodies[1::2]))
+
     def finish(self):
         if self.at != len(self.data):
             _corrupt("trailing data")
@@ -137,10 +160,7 @@ def deserialize(source):
     cursor = _SectionCursor(data)
     remap = cursor.next("remap")
     c_body = cursor.next("c array")
-    trees = [
-        (cursor.next(f"codebook {i}"), cursor.next(f"payload {i}"))
-        for i in range(block_count)
-    ]
+    trees = cursor.blocks(block_count)
     checked = cursor.at
     crc_body = cursor.next("checksum")
     cursor.finish()
@@ -157,7 +177,9 @@ def deserialize(source):
     if crc_body != struct.pack("<I", zlib.crc32(memoryview(data)[:checked])):
         _corrupt("checksum")
 
-    lengths = [min(block_size, n - i * block_size) for i in range(block_count)]
+    # every block holds block_size symbols but the last, which holds the rest
+    lengths = np.full(block_count, min(block_size, n), dtype=np.int64)
+    lengths[-1] = n - (block_count - 1) * block_size
     try:
         blocks, counts = read_trees(trees, lengths, sigma, backend, rrr_t)
     except (ValueError, EOFError) as exc:

@@ -23,14 +23,18 @@ fresh word for plain trees, a fresh sample for RRR ones. They also share
 one set of flat path tables (Trees): one entry per (tree, symbol), one
 array of every path's steps, and each tree's start, leaf and length, with
 no Python object per tree, path or step. A WaveletTree is a view of one
-tree's rows. There is one layout path (_read): it reads every tree's nodes
-at once, one depth at a time, from the vector and each tree's first bit
-and limit in it (see bitrank's read_sections), each node sized by its
-parent's zero or one count, and hands back the leaf sizes, the symbol
-counts. A built tree encodes its nodes' bits into a vector of its own and
-reads them back as a one-tree index when its steps are first used; an
-index's trees are built one by one, then moved into one vector as a load
-reads them (read_trees).
+tree's rows. A load runs no Python loop over trees or nodes: it parses
+every tree's codebook section in one pass, with every tree's canonical
+codes computed at once (_parse_codebooks), and there is one layout path
+(_read): it reads every tree's nodes at once, one depth at a time, from
+the vector and each tree's first bit and limit in it (see bitrank's
+read_sections), each node sized by its parent's zero or one count, the
+ends of a depth's nodes ranked in one call of the vector's rank1_many, and
+hands back the leaf sizes, the symbol counts. A built tree encodes its
+nodes' bits into a vector of its own and reads them back through the same
+path, as a one-tree index, when its steps are first used; an index's trees
+are built one by one, then moved into one vector as a load reads them
+(read_trees).
 
 Trees.narrow takes one backward search's steps over the trees, one rank1
 call per level. Trees.batch_rank ranks many (tree, symbol, position)
@@ -285,26 +289,27 @@ class Trees:
         return rank
 
 
-def _read(bits, firsts, limits, codebooks, lengths, sigma):
+def _read(bits, firsts, limits, codebook, lengths, sigma):
     """The path tables of trees in one vector, and their symbol counts.
 
     Tree i's nodes are joined bit to bit in bits from firsts[i], and its
     payload section ends at limits[i] (see bitrank's read_sections);
-    codebooks are the trees' canonical codes, lengths their element counts,
-    and every symbol is below sigma. All trees are read at once,
-    one depth at a time. A tree's internal nodes at a depth are one range of
+    codebook holds the trees' canonical codes as _parse_codebooks gives
+    them, lengths their element counts, and every symbol is below sigma.
+    All trees are read at once, one depth at a time, with no Python loop
+    over trees or nodes. A tree's internal nodes at a depth are one range of
     prefixes (see _internal_nodes), so their children are, in prefix order,
     the tree's leaves of the next depth, one per code of that length in
     symbol order, then its internal nodes there, then, if the last code
     goes to the 0-child of its node at that depth, that node's 1-child,
     which is empty and not a node. A node's size is its parent's count of
     zeros or ones, and it starts where the node before it in its tree
-    ended: one rank1 per node, at its end, gives the ones of the node.
-    Raises ValueError on a node of no bits, which a tree built from a
-    sequence never has: the codebook then lists symbols the block does not
-    hold; EOFError if a node runs past its tree's limit. Once every node
-    is read, bits.trim checks and clears what follows each tree's last
-    node.
+    ended: so the ones of every node of a depth come from one call of
+    bits.rank1_many, at their ends. Raises ValueError on a node of no bits,
+    which a tree built from a sequence never has: the codebook then lists
+    symbols the block does not hold; EOFError if a node runs past its
+    tree's limit. Once every node is read, bits.trim checks and clears
+    what follows each tree's last node.
 
     rank follows a position p in the vector, which starts at r plus the
     root's start s, the tree's start (its first bit for a tree with no
@@ -323,11 +328,12 @@ def _read(bits, firsts, limits, codebooks, lengths, sigma):
     first = np.array(firsts, dtype=np.int64)
     limit = np.array(limits, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
+    tree, syms, lens, codes = codebook
     tables = Trees()
-    tree, syms, lens, codes, tables.paths = _entries(codebooks, sigma)
+    tables.paths = _paths(codebook, ntrees, sigma)
     depth = int(lens.max())
     per_length = np.bincount(tree * (depth + 1) + lens, minlength=ntrees * (depth + 1)).reshape(ntrees, -1)
-    last = np.cumsum([len(codes) for codes in codebooks]) - 1  # each tree's last code
+    last = np.cumsum(per_length.sum(axis=1)) - 1  # each tree's last code
     # [tree, depth]: whether the last code goes on to the 1-child of its node there
     shift = (lens[last][:, None] - 1 - np.arange(max(depth, 1))).clip(0).astype(np.uint64)
     last_bit = (codes[last][:, None] >> shift & np.uint64(1)).astype(bool)
@@ -353,7 +359,7 @@ def _read(bits, firsts, limits, codebooks, lengths, sigma):
         bad = (size == 0) | (stop > limit[at])
         if bad.any():
             raise ValueError("empty node") if size[np.argmax(bad)] == 0 else EOFError("payload truncated")
-        rank = np.array(list(map(bits.rank1, stop.tolist())), dtype=np.int64)
+        rank = bits.rank1_many(stop)
         base = np.empty_like(rank)
         base[1:] = rank[:-1]
         base[lead] = ones_end[at[lead]]
@@ -375,7 +381,7 @@ def _read(bits, firsts, limits, codebooks, lengths, sigma):
         total += k
         node_child.append(np.where(inner, total + np.cumsum(inner) - 1, -1))
         at, size = child_tree[inner], child_size[inner]
-    bits.trim(end.tolist(), limits)
+    bits.trim(end, limit)
     tables.bits, tables.sigma = bits, sigma
     tables.starts = array("q", first.tobytes())
     tables.leaves = array("q", end.tobytes())
@@ -405,19 +411,12 @@ def _read(bits, firsts, limits, codebooks, lengths, sigma):
     return tables, counts.tolist()
 
 
-def _entries(codebooks, sigma):
-    """Every (tree, symbol) that trees of canonical codebooks hold, and their path entries (see Trees).
-
-    Returns the trees, symbols, code lengths and codes in canonical
-    (length, symbol) order per tree, and the paths table.
-    """
-    tree = np.repeat(np.arange(len(codebooks)), [len(codes) for codes in codebooks])
-    syms = np.array([sym for codes in codebooks for sym in codes], dtype=np.int64)
-    lens, codes = zip(*(v for codes in codebooks for v in codes.values()))
-    lens, codes = np.array(lens, dtype=np.int64), np.array(codes, dtype=np.uint64)
-    paths = np.zeros(len(codebooks) * sigma, dtype=np.int64)
+def _paths(codebook, ntrees, sigma):
+    """The paths table (see Trees) of ntrees trees of a codebook as _parse_codebooks gives it."""
+    tree, syms, lens, _ = codebook
+    paths = np.zeros(ntrees * sigma, dtype=np.int64)
     paths[tree * sigma + syms] = (np.cumsum(lens) - lens) << 8 | 128 | lens
-    return tree, syms, lens, codes, _table(paths, "I", "q")
+    return _table(paths, "I", "q")
 
 
 class WaveletTree:
@@ -443,8 +442,13 @@ class WaveletTree:
         tables = self._tables = Trees()
         tables.bits, tables.sigma = vector, max(codes) + 1
         tables.starts, tables.leaves, tables.lengths = (array("q", [v]) for v in (0, vector.m, len(x)))
-        tables.paths = _entries([codes], tables.sigma)[-1]
-        tables._nodes = vector, [0], [vector.m], [codes], [len(x)], tables.sigma
+        # its codebook in _parse_codebooks' form: codes is in canonical order, and
+        # a balanced tree's codes need not meet Kraft's inequality with equality
+        lens, values = zip(*codes.values())
+        syms = np.fromiter(codes, dtype=np.int64, count=len(codes))
+        codebook = np.zeros_like(syms), syms, np.array(lens, dtype=np.int64), np.array(values, dtype=np.uint64)
+        tables.paths = _paths(codebook, 1, tables.sigma)
+        tables._nodes = vector, [0], [vector.m], codebook, [len(x)], tables.sigma
         self._i = 0
 
     @property
@@ -522,8 +526,12 @@ class WaveletTree:
         return 16 + 24 * sum(1 for k in self._row() if k)
 
     def codebook_section(self):
-        entries = [struct.pack("<HB", sym, k & 127) for sym, k in enumerate(self._row()) if k]
-        return struct.pack("<H", len(entries)) + b"".join(entries)
+        row = self._row()
+        row = np.frombuffer(row, dtype=row.typecode)
+        entries = np.empty(np.count_nonzero(row), dtype=_ENTRY)
+        entries["sym"] = np.flatnonzero(row)
+        entries["len"] = row[entries["sym"]] & 127
+        return struct.pack("<H", len(entries)) + entries.tobytes()
 
     def payload_section(self):
         """The tree's bits as its vector stores them: plain, the bits; RRR, m, class fields, offsets."""
@@ -534,30 +542,65 @@ class WaveletTree:
         return self.payload_bits + self.directory_bits + self.codebook_bits
 
 
-def _parse_codebook(body, sigma):
-    """The canonical codes of a codebook section over symbols below sigma.
+# a codebook entry: a u16 symbol and a u8 code length
+_ENTRY = np.dtype([("sym", "<u2"), ("len", "u1")])
+_ONE = np.uint64(1)
+
+
+def _parse_codebooks(bodies, sigma):
+    """The canonical codes of codebook sections over symbols below sigma, all parsed at once.
 
     The code lengths must meet Kraft's inequality with equality, as those of
     a Huffman tree do: a single symbol has length 0, and otherwise every
-    internal node has two children.
+    internal node has two children. Each check runs over every section
+    before the next, so a damaged section fails the check it fails alone:
+    the header, the alphabet size, the entries against it, the symbols,
+    then the code lengths. Raises ValueError naming the failed check.
+
+    Returns the tree, symbol, code length (int64) and code (uint64) of
+    every entry, in canonical (length, symbol) order per tree, tree by
+    tree. In that order a code is its tree's sum of 2^(64 - length) over
+    the codes before it, shifted right by 64 - length (canonical_codes'
+    rule, with a one-symbol tree's code 0). The same running sums, in
+    uint64, check Kraft equality exactly for lengths up to 64.
     """
-    if len(body) < 2:
+    size = np.fromiter(map(len, bodies), dtype=np.int64, count=len(bodies))
+    if (size < 2).any():
         raise ValueError("codebook header")
-    (sigma_local,) = struct.unpack_from("<H", body, 0)
-    if sigma_local < 1:
+    raw = np.frombuffer(b"".join(bodies), dtype=np.uint8)
+    at = np.cumsum(size) - size
+    count = raw[at] | raw[at + 1].astype(np.int64) << 8
+    if (count < 1).any():
         raise ValueError("codebook alphabet size")
-    if len(body) < 2 + 3 * sigma_local:
+    if (size < 2 + 3 * count).any():
         raise ValueError("codebook entries")
-    if len(body) > 2 + 3 * sigma_local:
+    if (size > 2 + 3 * count).any():
         raise ValueError("codebook length")
-    entries = list(struct.iter_unpack("<HB", body[2:]))
-    syms = [sym for sym, _ in entries]
-    if syms != sorted(set(syms)) or syms[-1] >= sigma:
+    body = np.ones(len(raw), dtype=bool)
+    body[at] = body[at + 1] = False
+    entries = raw[body].view(_ENTRY)
+    tree = np.repeat(np.arange(len(bodies)), count)
+    syms = entries["sym"].astype(np.int64)
+    lens = entries["len"].astype(np.int64)
+    same = tree[1:] == tree[:-1]
+    if (syms >= sigma).any() or (same & (syms[1:] <= syms[:-1])).any():
         raise ValueError("codebook symbols")
-    lengths = dict(entries)
-    if max(lengths.values()) > 64 or sum(1 << (64 - ln) for ln in lengths.values()) != 1 << 64:
+    if (lens > 64).any():
         raise ValueError("codebook code lengths")
-    return canonical_codes(lengths)
+    order = np.argsort(tree * 65 + lens, kind="stable")
+    syms, lens = syms[order], lens[order]
+    shift = (64 - np.maximum(lens, 1)).astype(np.uint64)
+    weight = _ONE << shift
+    weight[lens == 0] = 0  # 2^64
+    total = np.cumsum(weight)  # mod 2^64
+    below = total - weight
+    # each tree's sum is 2^64 exactly when it is 0 mod 2^64 and, code by code,
+    # never passed 2^64: a weight is at most 2^63, so passing it makes the
+    # running sum fall, unless the last weight reaches just 2^64
+    if (below[np.cumsum(count) - count] != 0).any() or total[-1] != 0 or (same & (below[1:] <= below[:-1])).any():
+        raise ValueError("codebook code lengths")
+    codes = below >> shift
+    return tree, syms, lens, codes
 
 
 def read_trees(sections, lengths, sigma, backend, rrr_block_size):
@@ -569,9 +612,9 @@ def read_trees(sections, lengths, sigma, backend, rrr_block_size):
     the size of its leaf, from the zero or one count of the last node on
     its path. ValueError or EOFError names a failed check.
     """
-    bits, firsts, limits = read_sections([payload for _, payload in sections], backend, rrr_block_size)
-    codebooks = [_parse_codebook(codebook, sigma) for codebook, _ in sections]
-    return _read(bits, firsts, limits, codebooks, lengths, sigma)
+    codebooks, payloads = zip(*sections)
+    bits, firsts, limits = read_sections(payloads, backend, rrr_block_size)
+    return _read(bits, firsts, limits, _parse_codebooks(codebooks, sigma), lengths, sigma)
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

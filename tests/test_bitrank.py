@@ -327,3 +327,22 @@ def test_rank1_equals_the_prefix_sum_at_every_position(bits):
         assert [v.rank1(j) for j in range(len(bits) + 1)] == prefix, (v.backend, getattr(v, "t", None))
         assert v.batch_rank1()(np.arange(len(bits) + 1)).tolist() == prefix, (v.backend, getattr(v, "t", None))
         assert v.ones == prefix[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(bit_arrays(), min_size=1, max_size=4),
+    st.sampled_from([("plain", 15)] + [("rrr", t) for t in (1, 3, 4, 15, 16, 17, 31, 63)]),
+)
+def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, backend_t):
+    # each tree's section as its own vector stores it, all read into one
+    # vector; rank1_many, at every position in one call, equals rank1, and
+    # so it does on no position
+    backend, t = backend_t
+    sections = [np.packbits(make_bitvector(bits, backend, t).stored_bits(), bitorder="little").tobytes() for bits in trees]
+    v, firsts, limits = read_sections(sections, backend, t)
+    v.trim([first + len(bits) for first, bits in zip(firsts, trees)], limits)
+    positions = np.concatenate([np.arange(first, first + len(bits) + 1) for first, bits in zip(firsts, trees)])
+    assert v.rank1_many(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
+    assert v.rank1_many(positions[::-1].copy()).tolist() == [v.rank1(j) for j in positions[::-1].tolist()]
+    assert v.rank1_many(np.zeros(0, dtype=np.int64)).tolist() == []

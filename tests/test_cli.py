@@ -167,6 +167,18 @@ def test_stats_reports_file_and_heap_bytes(banana, tmp_path, capsys, variant):
     assert 0 < int(got["heap_bytes"])
 
 
+@pytest.mark.parametrize("variant", ["ssa", "fixed-rrr"])
+def test_stats_reports_the_load_time_last(banana, tmp_path, capsys, variant):
+    idx = tmp_path / "banana.idx"
+    run(capsys, "build", banana, "-o", idx, "--variant", variant)
+    code, out, _ = run(capsys, "stats", idx)
+    assert code == 0
+    lines = out.splitlines()
+    # a new key after every earlier line, which stay as they were
+    assert lines[-2].startswith("heap_bytes=") and lines[-1].startswith("load_seconds=")
+    assert 0 < float(kv(out)["load_seconds"]) < 60
+
+
 def test_stats_heap_bytes_under_an_outer_tracemalloc_session(tmp_path, capsys):
     text = tmp_path / "t.txt"
     text.write_bytes(bytes(random.Random(8).choice(b"abcdefgh") for _ in range(30_000)))

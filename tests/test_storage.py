@@ -469,26 +469,34 @@ def test_saving_an_rrr_index_makes_no_rank1_call(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch):
-    # the boundary rows come from the leaf sizes the node walk already has, so
-    # besides one rank1 per node there are only the checks: one per RRR tree
-    # for its padding bits, and the symbol counts' ranks at n, one per level
-    # of each symbol's path in the last tree
+    # scalar rank1 calls are only the symbol counts' check: its ranks at n, one
+    # per level of each symbol's path in the last tree. The vectorised
+    # rank1_many ranks each internal node once, at its end, and each RRR tree's
+    # limit once for its padding bits; the boundary rows come from the leaf
+    # sizes the node walk already has
     text = build_text(b"abracadabra" * 40 + bytes(range(1, 200)) + b"a" * 300)
     ix = build_index(text, variant, 100 if variant.fixed else None)
     raw = to_bytes(ix)
     rrr = variant.bitvector_backend == "rrr"
     vector = RrrBitVector if rrr else PlainBitVector
-    calls = []
-    rank1 = vector.rank1
+    calls, many = [], []
+    rank1, rank1_many = vector.rank1, vector.rank1_many
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
+    monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
     back = deserialize(raw)
     monkeypatch.undo()
-    # a Huffman tree over k symbols has k - 1 internal nodes
-    nodes = sum(len(wt.codes) - 1 for wt in back.blocks)
-    checks = sum(length for length, _ in back.blocks[-1].codes.values())
+    assert len(calls) == sum(length for length, _ in back.blocks[-1].codes.values())
     if variant.fixed:
         assert any(len(wt.codes) == 1 for wt in back.blocks)
-    assert len(calls) == nodes + rrr * len(back.blocks) + checks
+    if rrr:
+        assert many.pop(0) == [wt.leaf for wt in back.blocks]
+    # a Huffman tree over k symbols has k - 1 internal nodes, which lie
+    # between its start and its leaf, where the last one ends
+    ends = sorted(j for level in many for j in level)
+    assert len(ends) == len(set(ends)) == sum(len(wt.codes) - 1 for wt in back.blocks)
+    for wt in back.blocks:
+        mine = [j for j in ends if wt.start < j <= wt.leaf]
+        assert len(mine) == len(wt.codes) - 1 and mine[-1:] == [wt.leaf][: len(mine)]
     assert to_bytes(back) == raw
 
 
@@ -633,3 +641,24 @@ def test_a_load_keeps_no_object_per_block_and_symbol(tmp_path):
         tracemalloc.stop()
     assert len(ix.blocks) == 782
     assert held / len(ix.blocks) <= 300
+
+
+@pytest.mark.parametrize("variant", ["fixed_block", "fixed_block_rrr"])
+@pytest.mark.parametrize("block_size", [1, 2])
+def test_a_load_reads_one_tree_per_symbol_or_pair(variant, block_size):
+    # n trees of one symbol each (no node) or n / 2 of at most two: every
+    # depth's nodes, and every RRR tree's padding check, are read at once
+    codes = random_codes(random.Random(block_size), 300, 9)
+    t = Text.from_codes(codes, 9)
+    ix = build_index(t, variant, block_size)
+    raw = to_bytes(ix)
+    back = deserialize(raw)
+    assert len(back.blocks) == -(-t.n // block_size)
+    assert to_bytes(back) == raw
+    assert back.boundary_occ == ix.boundary_occ
+    patterns = [codes[at : at + ln] for at in range(0, 290, 7) for ln in (1, 2, 5)]
+    want = [naive_count(t, p) for p in patterns]
+    assert [back.count_codes(p) for p in patterns] == want
+    l = bwt(t).l
+    for c in range(9):
+        assert [back.rank_l(c, j) for j in range(0, t.n + 1, 3)] == [naive_rank(l, c, j) for j in range(0, t.n + 1, 3)]

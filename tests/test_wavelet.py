@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmblock.bitrank import PlainBitVector, RrrBitVector
-from fmblock.wavelet import build_wt, huffman_codes, read_trees
+from fmblock.wavelet import _parse_codebooks, build_wt, canonical_codes, huffman_codes, read_trees
 from helpers import brute_h0, codes_of
 
 
@@ -145,21 +145,31 @@ def test_codebook_reconstruction_round_trip():
 
 @pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
 def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypatch):
-    # each node starts where the one before it ended, so only its end is ranked
+    # no scalar rank1 call: each node starts where the one before it ended, so
+    # only its end is ranked, in one rank1_many call per depth with the ends of
+    # every node there
     rng = random.Random(8)
     seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
     built = build_wt(seq, "huffman", backend)
     sections = [(built.codebook_section(), built.payload_section())]
-    calls = []
-    rank1 = vector.rank1
+    calls, many = [], []
+    rank1, rank1_many = vector.rank1, vector.rank1_many
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
+    monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
     (loaded,), counts = read_trees(sections, [len(seq)], 60, backend, 15)
     monkeypatch.undo()
-    # an RRR section's padding check comes first, before any node is read
+    assert calls == []
+    # an RRR section's padding check comes first, before any node is read: one position, the tree's limit
     rrr = backend == "rrr"
-    # a Huffman tree over k symbols has k - 1 internal nodes
-    assert len(calls) == len(Counter(seq)) - 1 + rrr
-    assert calls[rrr:] == sorted(set(calls[rrr:]))
+    if rrr:
+        assert many.pop(0) == [loaded.leaf]
+    depth = max(length for length, _ in built.codes.values())
+    assert len(many) == depth
+    # a Huffman tree over k symbols has k - 1 internal nodes, laid out level by
+    # level: their ends rise from the tree's start to its leaf, each once
+    ends = [j for level in many for j in level]
+    assert len(ends) == len(Counter(seq)) - 1
+    assert ends == sorted(set(ends)) and loaded.start < ends[0] and ends[-1] == loaded.leaf
     assert counts == [Counter(seq)[c] for c in range(60)]
     assert [loaded.rank(c, len(seq)) for c in range(60)] == [built.rank(c, len(seq)) for c in range(60)]
 
@@ -225,3 +235,80 @@ def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
         want = prefix[at].tolist()
         assert [wt.rank(c, j) for j in at] == want
         assert [back.rank(c, j) for j in at] == want
+
+
+@st.composite
+def kraft_trees(draw):
+    """Code lengths of a full binary tree, {symbol: length}: one symbol of length 0, or up to 64 deep.
+
+    A tree grows by splitting a leaf into two one level deeper; splitting the
+    deepest leaf again and again reaches lengths from 33 to 64.
+    """
+    depths = [0]
+    for _ in range(draw(st.integers(0, 70))):
+        open_leaves = [i for i, d in enumerate(depths) if d < 64]
+        deepest = max(open_leaves, key=lambda i: depths[i])
+        i = deepest if draw(st.booleans()) else draw(st.sampled_from(open_leaves))
+        depths[i] += 1
+        depths.append(depths[i])
+    syms = draw(st.lists(st.integers(0, 299), min_size=len(depths), max_size=len(depths), unique=True))
+    return dict(zip(syms, depths))
+
+
+def codebook_section(lengths):
+    entries = b"".join(struct.pack("<HB", sym, length) for sym, length in sorted(lengths.items()))
+    return struct.pack("<H", len(lengths)) + entries
+
+
+def parse_error(bodies):
+    with pytest.raises(ValueError) as info:
+        _parse_codebooks(bodies, 300)
+    return str(info.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(kraft_trees(), min_size=1, max_size=6),
+    st.data(),
+)
+def test_codebooks_parsed_at_once_equal_canonical_codes_tree_by_tree(trees, data):
+    bodies = [codebook_section(lengths) for lengths in trees]
+    tree, syms, lens, codes = _parse_codebooks(bodies, 300)
+    assert tree.tolist() == [i for i, lengths in enumerate(trees) for _ in lengths]
+    got = list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist()))
+    want = [
+        (i, sym, length, code)
+        for i, lengths in enumerate(trees)
+        for sym, (length, code) in canonical_codes(lengths).items()
+    ]
+    assert got == want
+    # breaking only the k-th tree fails the check that breaking it alone fails
+    k = data.draw(st.integers(0, len(trees) - 1), label="k")
+    lengths = trees[k]
+    breaks = [codebook_section(lengths) + b"\0"]
+    if len(lengths) > 1:
+        # the second entry takes the first one's symbol
+        body = codebook_section(lengths)
+        breaks.append(body[:5] + body[2:4] + body[7:])
+    sym = data.draw(st.sampled_from(sorted(lengths)), label="lengthened")
+    breaks.append(codebook_section({**lengths, sym: lengths[sym] + 1}))
+    if len(lengths) > 1:
+        # every code one bit shorter: Kraft's sum is 2^65, 0 mod 2^64
+        breaks.append(codebook_section({sym: length - 1 for sym, length in lengths.items()}))
+    for broken in breaks:
+        alone = parse_error([broken])
+        assert alone in ("codebook length", "codebook symbols", "codebook code lengths")
+        assert parse_error(bodies[:k] + [broken] + bodies[k + 1 :]) == alone
+
+
+def test_a_one_symbol_tree_and_a_64_deep_tree_parse_together():
+    # a caterpillar: lengths 1, 2, ..., 63, 64, 64, whose Kraft sum is 2^64
+    # only when taken exactly, past any float
+    deep = {sym: min(sym + 1, 64) for sym in range(65)}
+    tree, syms, lens, codes = _parse_codebooks([codebook_section({5: 0}), codebook_section(deep)], 300)
+    assert list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist())) == [(0, 5, 0, 0)] + [
+        (1, sym, length, code) for sym, (length, code) in canonical_codes(deep).items()
+    ]
+    assert codes[-1] == 2**64 - 1
+    assert parse_error([codebook_section({5: 0}), codebook_section({**deep, 64: 65})]) == "codebook code lengths"
+    assert parse_error([codebook_section({**deep, 63: 63})]) == "codebook code lengths"
