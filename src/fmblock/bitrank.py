@@ -118,17 +118,6 @@ class PlainBitVector(_BitVector):
         bits = _as_bit_array(bits)
         self._setup([np.packbits(bits, bitorder="little").tobytes()], [len(bits)])
 
-    @classmethod
-    def from_stored(cls, parts):
-        """One vector over the first m bits of each (LSB-first buffer, m) part, in turn.
-
-        The buffers are in bitio's layout and hold at least their m bits;
-        bits after the m-th are ignored.
-        """
-        v = cls.__new__(cls)
-        v._setup(*zip(*parts))
-        return v
-
     def _setup(self, bufs, ms):
         """Words and counters of the first ms[i] bits of each LSB-first buffer bufs[i], in turn.
 

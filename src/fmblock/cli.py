@@ -99,7 +99,8 @@ def cmd_build(args):
 
 
 def _patterns_from_args(args):
-    patterns = [p.encode("utf-8") for p in args.pattern or []]
+    # argv's bytes, as the OS gave them: a non-UTF-8 byte arrives as a surrogate escape
+    patterns = [os.fsencode(p) for p in args.pattern or []]
     if args.patterns_file:
         patterns.extend(_read_file(args.patterns_file).splitlines())
     if not patterns:

@@ -14,7 +14,8 @@ Layout (all integers little-endian):
            byte before it
 
 This module owns the header, the framing, remap, c array and checksum; the
-tree writes and parses a block's two sections (wavelet, bitrank). A file
+tree writes and parses a block's two sections (wavelet, bitrank). A load
+walks the framing of every section in one loop (_sections). A file
 holds only what cannot be recomputed: codes, rank directories, RRR samples
 and boundary rows are derived at load by the code that derives them at
 build. Deserialization rejects every other version (1, 2 and 4 are
@@ -86,44 +87,30 @@ def serialize(index, sink):
     return written
 
 
-class _SectionCursor:
-    def __init__(self, data):
-        self.data = data
-        self.at = _HEADER.size
+def _sections(data, count):
+    """Every section body after the header, and where the checksum section starts.
 
-    def next(self, name):
-        if self.at + 4 > len(self.data):
-            _corrupt(f"missing {name} section")
-        (length,) = struct.unpack_from("<I", self.data, self.at)
-        start = self.at + 4
-        if start + length > len(self.data):
-            _corrupt(f"truncated {name} section")
-        self.at = start + length
-        return self.data[start : start + length]
-
-    def blocks(self, count):
-        """The next count blocks' (codebook, payload) section bodies, walked with no call per section.
-
-        A missing or truncated section fails as next fails on it; only then
-        is its name formatted.
-        """
-        data, at, size = self.data, self.at, len(self.data)
-        length = _U32.unpack_from
-        bodies = []
-        for k in range(2 * count):
-            start = at + 4
-            end = start + length(data, at)[0] if start <= size else start
-            if end > size:
-                self.at = at
-                self.next(f"{('codebook', 'payload')[k & 1]} {k >> 1}")
-            bodies.append(data[start:end])
-            at = end
-        self.at = at
-        return list(zip(bodies[0::2], bodies[1::2]))
-
-    def finish(self):
-        if self.at != len(self.data):
-            _corrupt("trailing data")
+    The sections of an index of count blocks are the remap, the c array, a
+    codebook and a payload per block, then the checksum. One loop walks
+    them all and formats a section's name only when it is missing or
+    truncated. Bytes after the checksum section are trailing data.
+    """
+    length, at, size = _U32.unpack_from, _HEADER.size, len(data)
+    bodies = []
+    for k in range(2 * count + 3):
+        start = at + 4
+        end = start + length(data, at)[0] if start <= size else start
+        if end > size:
+            if 2 <= k <= 2 * count + 1:
+                name = f"{('codebook', 'payload')[k & 1]} {(k - 2) >> 1}"
+            else:
+                name = ("remap", "c array", "checksum")[min(k, 2)]
+            _corrupt(f"{'missing' if start > size else 'truncated'} {name} section")
+        bodies.append(data[start:end])
+        at = end
+    if at != size:
+        _corrupt("trailing data")
+    return bodies, at - 4 - len(bodies[-1])
 
 
 def deserialize(source):
@@ -157,13 +144,8 @@ def deserialize(source):
     if block_size < 1 or block_count != (n + block_size - 1) // block_size:
         _corrupt("block count")
 
-    cursor = _SectionCursor(data)
-    remap = cursor.next("remap")
-    c_body = cursor.next("c array")
-    trees = cursor.blocks(block_count)
-    checked = cursor.at
-    crc_body = cursor.next("checksum")
-    cursor.finish()
+    sections, checked = _sections(data, block_count)
+    remap, c_body, crc_body = sections[0], sections[1], sections[-1]
 
     if len(remap) != sigma - 1 or list(remap) != sorted(set(remap)):
         _corrupt("remap")
@@ -180,6 +162,7 @@ def deserialize(source):
     # every block holds block_size symbols but the last, which holds the rest
     lengths = np.full(block_count, min(block_size, n), dtype=np.int64)
     lengths[-1] = n - (block_count - 1) * block_size
+    trees = zip(sections[2:-1:2], sections[3:-1:2])
     try:
         blocks, counts = read_trees(trees, lengths, sigma, backend, rrr_t)
     except (ValueError, EOFError) as exc:

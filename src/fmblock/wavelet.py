@@ -30,11 +30,12 @@ codes computed at once (_parse_codebooks), and there is one layout path
 the vector and each tree's first bit and limit in it (see bitrank's
 read_sections), each node sized by its parent's zero or one count, the
 ends of a depth's nodes ranked in one call of the vector's rank1_many, and
-hands back the leaf sizes, the symbol counts. A built tree encodes its
-nodes' bits into a vector of its own and reads them back through the same
-path, as a one-tree index, when its steps are first used; an index's trees
-are built one by one, then moved into one vector as a load reads them
-(read_trees).
+hands back the leaf sizes, the symbol counts. A built tree lays out its
+nodes' bits in the order _read reads them, level by level and each level
+in prefix order, with one FIFO queue from the root (_node_bits), into a
+vector of its own, and reads them back through the same path, as a
+one-tree index, when its steps are first used; an index's trees are built
+one by one, then moved into one vector as a load reads them (read_trees).
 
 Trees.narrow takes one backward search's steps over the trees, one rank1
 call per level. Trees.batch_rank ranks many (tree, symbol, position)
@@ -50,6 +51,7 @@ ascending order, and no code bits) and the payload, its vector as stored
 import heapq
 import struct
 from array import array
+from collections import deque
 
 import numpy as np
 
@@ -102,53 +104,33 @@ def huffman_codes(symbols, counts):
     return canonical_codes(lengths)
 
 
-def _internal_nodes(codes):
-    """(depth, prefix) of every internal node, the codes' proper prefixes, in layout order.
+def _node_bits(x, counts, lens, codes):
+    """The internal nodes' bits of sequence x, joined in layout order (see _read).
 
-    From one canonical code to the next, the prefix at any depth shorter
-    than both grows by at most one, so the internal nodes at a depth are
-    one range of prefixes: from that of the first code longer than the
-    depth to that of the last code.
+    counts, lens and codes hold each symbol's count, code length and code.
+    A node holds code bit `depth` of every element routed through it, in
+    sequence order. A FIFO queue from the root visits the nodes level by
+    level, each level in prefix order, which is the order _read reads them
+    in: a node's 0-elements, then its 1-elements, join the back of the
+    queue as its children. A child with no elements (the missing 1-child
+    of an incomplete balanced tree) and a leaf (its elements' codes end at
+    its depth) hold no bits.
     """
-    order = sorted(codes.values())
-    longest, last = order[-1]
-    nodes = []
-    k = 0
-    for depth in range(longest):
-        while order[k][0] <= depth:
-            k += 1
-        length, code = order[k]
-        nodes += [(depth, p) for p in range(code >> (length - depth), (last >> (longest - depth)) + 1)]
-    return nodes
-
-
-def _node_bits(x, codes, freq):
-    """The internal nodes' bits of sequence x under codes, joined in layout order (see _read).
-
-    The node at (depth, prefix) holds code bit `depth` of every element
-    routed through it, in sequence order; its 0 elements go on to
-    (depth + 1, prefix << 1) and its 1 elements to (depth + 1, prefix << 1 | 1).
-    freq holds each symbol's count.
-    """
-    lens = np.zeros(max(codes) + 1, dtype=np.int64)
-    codebits = np.zeros_like(lens)
-    for sym, (length, code) in codes.items():
-        lens[sym] = length
-        codebits[sym] = code
     # [depth, symbol]: the code bit that the symbol's node at that depth holds
     shifts = np.maximum(lens - 1 - np.arange(lens.max())[:, None], 0)
-    bit_at = ((codebits >> shifts) & 1).astype(np.uint8)
-    bits = np.empty(sum(freq[sym] * length for sym, (length, _) in codes.items()), dtype=np.uint8)
-    seqs = {(0, 0): x}
+    bit_at = ((codes >> shifts) & 1).astype(np.uint8)
+    bits = np.empty(int(counts @ lens), dtype=np.uint8)
+    queue = deque([(0, x)])
     end = 0
-    for depth, prefix in _internal_nodes(codes):
-        seq = seqs.pop((depth, prefix))
+    while queue:
+        depth, seq = queue.popleft()
+        if not len(seq) or lens[seq[0]] == depth:
+            continue
         node = bits[end : end + len(seq)]
         node[:] = bit_at[depth][seq]
         end += len(seq)
         one = node.view(bool)
-        seqs[depth + 1, prefix << 1] = seq[~one]
-        seqs[depth + 1, prefix << 1 | 1] = seq[one]
+        queue += (depth + 1, seq[~one]), (depth + 1, seq[one])
     return bits
 
 
@@ -295,21 +277,23 @@ def _read(bits, firsts, limits, codebook, lengths, sigma):
     Tree i's nodes are joined bit to bit in bits from firsts[i], and its
     payload section ends at limits[i] (see bitrank's read_sections);
     codebook holds the trees' canonical codes as _parse_codebooks gives
-    them, lengths their element counts, and every symbol is below sigma.
-    All trees are read at once, one depth at a time, with no Python loop
-    over trees or nodes. A tree's internal nodes at a depth are one range of
-    prefixes (see _internal_nodes), so their children are, in prefix order,
-    the tree's leaves of the next depth, one per code of that length in
-    symbol order, then its internal nodes there, then, if the last code
+    them, lengths their element counts, and every symbol is below sigma. All
+    trees are read at once, one depth at a time, with no Python loop over
+    trees or nodes. From one canonical code to the next, the prefix at any
+    depth shorter than both grows by at most one, so a tree's internal nodes
+    at a depth are one range of prefixes: from that of its first code longer
+    than the depth to that of its last code. Their children are, in prefix
+    order, the tree's leaves of the next depth, one per code of that length
+    in symbol order, then its internal nodes there, then, if the last code
     goes to the 0-child of its node at that depth, that node's 1-child,
     which is empty and not a node. A node's size is its parent's count of
-    zeros or ones, and it starts where the node before it in its tree
-    ended: so the ones of every node of a depth come from one call of
+    zeros or ones, and it starts where the node before it in its tree ended:
+    so the ones of every node of a depth come from one call of
     bits.rank1_many, at their ends. Raises ValueError on a node of no bits,
     which a tree built from a sequence never has: the codebook then lists
-    symbols the block does not hold; EOFError if a node runs past its
-    tree's limit. Once every node is read, bits.trim checks and clears
-    what follows each tree's last node.
+    symbols the block does not hold; EOFError if a node runs past its tree's
+    limit. Once every node is read, bits.trim checks and clears what follows
+    each tree's last node.
 
     rank follows a position p in the vector, which starts at r plus the
     root's start s, the tree's start (its first bit for a tree with no
@@ -430,23 +414,25 @@ class WaveletTree:
             raise ValueError("empty sequence")
         if shape not in ("balanced", "huffman"):
             raise ValueError(f"unknown tree shape: {shape!r}")
-        syms, counts = np.unique(x, return_counts=True)
-        if int(syms[0]) < 0:
+        if int(x.min()) < 0:
             raise ValueError("symbols must be non-negative")
-        x = x.astype(np.min_scalar_type(int(syms[-1])), copy=False)
-        freq = {int(s): int(c) for s, c in zip(syms, counts)}
+        counts = np.bincount(x)
+        x = x.astype(np.min_scalar_type(len(counts) - 1), copy=False)
         make = balanced_codes if shape == "balanced" else huffman_codes
-        codes = make(freq.keys(), freq)
-        vector = make_bitvector(_node_bits(x, codes, freq), backend, rrr_block_size)
+        codes = make(np.flatnonzero(counts).tolist(), counts.tolist())
+        # the canonical order's symbols, code lengths and codes, then each symbol's length and code
+        syms = np.fromiter(codes, dtype=np.int64, count=len(codes))
+        lens, values = np.array(list(codes.values()), dtype=np.int64).T
+        sym_lens, sym_codes = np.zeros((2, len(counts)), dtype=np.int64)
+        sym_lens[syms], sym_codes[syms] = lens, values
+        vector = make_bitvector(_node_bits(x, counts, sym_lens, sym_codes), backend, rrr_block_size)
         # the nodes fill the vector, so the tree starts at 0 and its leaf is m
         tables = self._tables = Trees()
-        tables.bits, tables.sigma = vector, max(codes) + 1
+        tables.bits, tables.sigma = vector, len(counts)
         tables.starts, tables.leaves, tables.lengths = (array("q", [v]) for v in (0, vector.m, len(x)))
-        # its codebook in _parse_codebooks' form: codes is in canonical order, and
-        # a balanced tree's codes need not meet Kraft's inequality with equality
-        lens, values = zip(*codes.values())
-        syms = np.fromiter(codes, dtype=np.int64, count=len(codes))
-        codebook = np.zeros_like(syms), syms, np.array(lens, dtype=np.int64), np.array(values, dtype=np.uint64)
+        # its codebook in _parse_codebooks' form: a balanced tree's codes need
+        # not meet Kraft's inequality with equality, so it is not parsed
+        codebook = np.zeros_like(syms), syms, lens, values.astype(np.uint64)
         tables.paths = _paths(codebook, 1, tables.sigma)
         tables._nodes = vector, [0], [vector.m], codebook, [len(x)], tables.sigma
         self._i = 0

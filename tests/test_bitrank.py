@@ -83,12 +83,6 @@ def test_plain_heap_is_at_most_1_6_bits_per_bit():
     assert 8 * held <= 1.6 * len(bits)
 
 
-def test_plain_tree_of_2_32_bits_is_rejected_before_allocating():
-    with pytest.raises(ValueError, match="plain tree of 2\\^32 bits or more"):
-        PlainBitVector.from_stored([(b"\0", 1 << 32)])
-    assert PlainBitVector.from_stored([(b"\xff", 3)]).ones == 3
-
-
 def test_rrr_tree_of_2_32_bits_is_rejected_before_allocating():
     # a range has a length but no bits to copy
     with pytest.raises(ValueError, match="rrr tree of 2\\^32 bits or more"):

@@ -129,6 +129,19 @@ def test_count_prints_every_line_in_input_order(tmp_path, capsys):
     assert code == 1 and out == "" and "no patterns given" in err
 
 
+def test_count_pattern_of_a_non_utf8_byte_counts_that_byte(tmp_path, capsys):
+    # on POSIX, an argv byte that is not UTF-8 reaches main as a surrogate escape
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"a\xffb\xff\xffc")
+    idx = tmp_path / "t.idx"
+    run(capsys, "build", text, "-o", idx, "--variant", "ssa")
+    ix = storage.load_index(idx)
+    code, out, err = run(capsys, "count", idx, "-p", "\udcff")
+    assert code == 0 and err == ""
+    count = ix.count(b"\xff")
+    assert count == 3 and out == f"\ufffd\t{count}\n"
+
+
 def test_count_without_patterns_is_user_error(banana, tmp_path, capsys):
     idx = tmp_path / "banana.idx"
     run(capsys, "build", banana, "-o", idx)

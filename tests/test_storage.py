@@ -396,6 +396,32 @@ def test_truncation_is_rejected():
         deserialize(raw + b"\x00")
 
 
+@pytest.mark.parametrize("variant", ["fixed_block", "fixed_block_rrr"])
+def test_every_section_walk_error_names_its_section(variant):
+    ix = build_index(build_text(b"fixed block compression boosting"), variant, 8)
+    raw = to_bytes(ix)
+    blocks = len(ix.blocks)
+    assert blocks == 5
+    names = ["remap", "c array"] + [f"{kind} {i}" for i in range(blocks) for kind in ("codebook", "payload")]
+    names.append("checksum")
+    at = struct.calcsize("<8sHBBQIQI")
+    for name in names:
+        (length,) = struct.unpack_from("<I", raw, at)
+        for cut in range(at, at + 4):
+            with pytest.raises(CorruptIndexError) as info:
+                deserialize(raw[:cut])
+            assert str(info.value) == f"corrupt index: missing {name} section"
+        for cut in range(at + 4, at + 4 + length):
+            with pytest.raises(CorruptIndexError) as info:
+                deserialize(raw[:cut])
+            assert str(info.value) == f"corrupt index: truncated {name} section"
+        at += 4 + length
+    assert at == len(raw)
+    with pytest.raises(CorruptIndexError) as info:
+        deserialize(raw + b"\x00")
+    assert str(info.value) == "corrupt index: trailing data"
+
+
 def test_tampered_fields_are_rejected():
     ix = build_index(build_text(b"BANANA"), "fixed_block", 3)
     raw = to_bytes(ix)

@@ -9,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmblock.bitrank import PlainBitVector, RrrBitVector
-from fmblock.wavelet import _parse_codebooks, build_wt, canonical_codes, huffman_codes, read_trees
+from fmblock.wavelet import (
+    _node_bits,
+    _parse_codebooks,
+    balanced_codes,
+    build_wt,
+    canonical_codes,
+    huffman_codes,
+    read_trees,
+)
 from helpers import brute_h0, codes_of
 
 
@@ -125,6 +133,8 @@ def test_validation_errors():
         build_wt([])
     with pytest.raises(ValueError, match="shape"):
         build_wt([1], "fibonacci")
+    with pytest.raises(ValueError, match="symbols must be non-negative"):
+        build_wt([3, -1, 2])
     wt = build_wt([1, 2, 3])
     with pytest.raises(ValueError, match="out of range"):
         wt.rank(1, 4)
@@ -203,6 +213,56 @@ def test_size_report_pieces():
     # a 16-bit symbol and an 8-bit code length per symbol, and no code bits
     assert wt.codebook_bits == 16 + 24 * len(wt.codes) == 8 * len(wt.codebook_section())
     assert wt.rank(codes_of("A")[0], 7) == 3
+
+
+@st.composite
+def layout_sequences(draw):
+    """Sequences of one symbol, of up to 9 or 24 symbols, of symbols up to 2,000, or of Fibonacci weights."""
+    kind = draw(st.sampled_from(["one", "small", "wide", "fibonacci"]))
+    if kind == "one":
+        return [draw(st.integers(0, 2000))] * draw(st.integers(1, 50))
+    if kind == "fibonacci":
+        # k Fibonacci weights give a Huffman code k - 1 deep, and every k here is above 17
+        k = draw(st.integers(18, 21))
+        weights = [1, 1]
+        while len(weights) < k:
+            weights.append(weights[-1] + weights[-2])
+        syms = draw(st.lists(st.integers(0, 600), min_size=len(weights), max_size=len(weights), unique=True))
+        seq = [sym for sym, w in zip(syms, weights) for _ in range(w)]
+        draw(st.randoms(use_true_random=False)).shuffle(seq)
+        return seq
+    top = 2000 if kind == "wide" else draw(st.sampled_from([8, 23]))
+    return draw(st.lists(st.integers(0, top), min_size=1, max_size=300))
+
+
+def layout_by_depth(seq, codes):
+    """The node bits of a tree, from its codes alone: per depth, the elements whose codes are
+    longer, stably sorted by their prefix at that depth, each giving its code bit there."""
+    lens = np.array([codes[x][0] for x in seq], dtype=np.int64)
+    values = np.array([codes[x][1] for x in seq], dtype=np.int64)
+    out = []
+    for depth in range(int(lens.max())):
+        deeper = lens > depth
+        prefix = values[deeper] >> (lens[deeper] - depth)
+        bit = values[deeper] >> (lens[deeper] - 1 - depth) & 1
+        out.append(bit[np.argsort(prefix, kind="stable")])
+    return np.concatenate([np.zeros(0, dtype=np.int64), *out]).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout_sequences(), st.sampled_from(["huffman", "balanced"]))
+@example([0, 1, 2, 0, 2, 1, 1], "balanced")
+@example([300, 301, 302, 303, 304, 300], "balanced")
+def test_node_bits_equal_a_layout_by_depth(seq, shape):
+    counts = np.bincount(seq)
+    make = huffman_codes if shape == "huffman" else balanced_codes
+    codes = make(np.flatnonzero(counts).tolist(), counts.tolist())
+    lens, values = np.zeros((2, len(counts)), dtype=np.int64)
+    for sym, (length, code) in codes.items():
+        lens[sym], values[sym] = length, code
+    want = layout_by_depth(seq, codes)
+    assert _node_bits(np.array(seq), counts, lens, values).tolist() == want
+    assert build_wt(seq, shape, "plain").bits.to_bits().tolist() == want
 
 
 @st.composite
