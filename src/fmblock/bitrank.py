@@ -20,19 +20,22 @@ Two interchangeable representations:
   rrr_samples).
 
 A wavelet tree keeps all its nodes in one vector, joined bit to bit in
-level order under either backend. This module owns the layout of that
-vector in the index file, which is the vector's own stored form
-(stored_bits()): a plain tree stores its raw bits, an RRR tree its bit
-count m as a u32, then the class fields of all its blocks and then its
-offset stream. read_sections() builds one vector of the sections of all
-trees of an index and gives each tree's first bit in it and its limit,
-where its section ends; read_plain() does so for plain sections and
-read_rrr() for RRR ones, parsing them in one pass and checking every RRR
-field before any node is routed. Neither loops over the sections in
-Python: the sections are sliced and joined by map, and every check and
-table is made over all of them at once. Once the nodes are routed (see
-wavelet), the vector's trim() checks the bits that follow each tree's last
-node, and clears them, for all trees at once.
+level order under either backend, and all the trees of an index share
+one: tree_firsts() gives each tree's first bit in it, the one rule for
+where trees start. A build makes the vector once, from every tree's bits
+and bit count (make_bitvector()), and a load from every tree's section.
+This module owns the layout of a tree in the index file, which is the
+vector's own stored form (stored_bits()): a plain tree stores its raw
+bits, an RRR tree its bit count m as a u32, then the class fields of all
+its blocks and then its offset stream. read_sections() builds one vector
+of the sections of all trees of an index and gives each tree's first bit
+in it and its limit, where its section ends; read_plain() does so for
+plain sections and read_rrr() for RRR ones, parsing them in one pass and
+checking every RRR field before any node is routed. Neither loops over
+the sections in Python: the sections are sliced and joined by map, and
+every check and table is made over all of them at once. Once the nodes
+are routed (see wavelet), the vector's trim() checks the bits that
+follow each tree's last node, and clears them, for all trees at once.
 
 Each backend also ranks many positions at once, in two forms over
 np.frombuffer views of the vector's buffers. batch_rank1() returns a
@@ -86,7 +89,7 @@ def plain_words(m):
 
 
 class _BitVector:
-    """What both backends share: rank of either bit over rank1, and the size in bits."""
+    """What both backends share: rank of either bit over rank1."""
 
     __slots__ = ()
 
@@ -98,9 +101,6 @@ class _BitVector:
         r = self.rank1(j)
         return r if bit else j - r
 
-    def size_in_bits(self):
-        return self.payload_bits + self.directory_bits
-
 
 class PlainBitVector(_BitVector):
     """The bits of one or more trees as 64-bit words, with a 32-bit counter per word.
@@ -111,35 +111,27 @@ class PlainBitVector(_BitVector):
     from the start of the tree that holds j to j.
     """
 
-    __slots__ = ("_words", "_counts", "m", "ones")
+    __slots__ = ("_words", "_counts", "m")
     backend = "plain"
 
-    def __init__(self, bits):
+    def __init__(self, bits, ms=None):
+        """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
+        ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
+        firsts = tree_firsts(ms) >> 3  # each tree's first byte
         bits = _as_bit_array(bits)
-        self._setup([np.packbits(bits, bitorder="little").tobytes()], [len(bits)])
+        raw = bytearray(8 * int(plain_words(ms).sum()))
+        view = np.frombuffer(raw, dtype=np.uint8)
+        for first, stop, m in zip(firsts.tolist(), np.cumsum(ms).tolist(), ms.tolist()):
+            view[first : first + ((m + 7) >> 3)] = np.packbits(bits[stop - m : stop])
+        self._setup(raw, ms)
 
-    def _setup(self, bufs, ms):
-        """Words and counters of the first ms[i] bits of each LSB-first buffer bufs[i], in turn.
+    def _setup(self, raw, ms):
+        """The vector of the bytes raw, in bit order, which hold trees of ms bits in turn (see tree_firsts).
 
-        The buffers are joined in one pass, each padded with zero bytes to
-        the words it takes, and every word and counter is made over the
-        whole vector at once. Raises ValueError before allocating if a part
-        has 2^32 bits or more, which its 32-bit counters could not count.
+        Every word and counter is made over the whole vector at once.
         """
-        ms = np.asarray(ms, dtype=np.int64)
-        if (ms >= 1 << 32).any():
-            raise ValueError("plain tree of 2^32 bits or more")
-        used = (ms + 7) >> 3
         sizes = plain_words(ms)
         firsts = np.cumsum(sizes) - sizes
-        parts = map(operator.getitem, bufs, map(slice, used.tolist()))
-        pads = map(bytes, (8 * sizes - used).tolist())
-        raw = bytearray().join(itertools.chain.from_iterable(zip(parts, pads))).translate(_REVERSED)
-        # the bits after m in a part's last byte, now its low ones
-        cut = np.flatnonzero(ms & 7)
-        np.frombuffer(raw, dtype=np.uint8)[8 * firsts[cut] + used[cut] - 1] &= (
-            0xFF << (8 - (ms[cut] & 7)) & 0xFF
-        ).astype(np.uint8)
         words = np.frombuffer(raw, dtype=np.uint64)
         words.byteswap(inplace=True)  # each word's first byte to its top, as big-endian words read
         ones = np.bitwise_count(words)
@@ -152,7 +144,6 @@ class PlainBitVector(_BitVector):
         self._words = memoryview(raw).cast("Q")
         self._counts = memoryview(counts).cast("I")
         self.m = 64 * int(firsts[-1]) + int(ms[-1])
-        self.ones = int(ones.sum())
 
     def rank1(self, j):
         k = j >> 6
@@ -209,18 +200,9 @@ class PlainBitVector(_BitVector):
         tail = ((_ONE << (63 - (end & 63)).view(np.uint64)) << _ONE) - _ONE
         cleared = np.bitwise_count(words[k] & tail)
         words[k] &= ~tail
-        self.ones -= int(cleared.sum())
         spare = limit & 63 == 0
         np.frombuffer(self._counts, dtype=np.uint32)[limit[spare] >> 6] -= cleared[spare]
         self.m -= int(limits[-1] - ends[-1])
-
-    @property
-    def payload_bits(self):
-        return self.m
-
-    @property
-    def directory_bits(self):
-        return 32 * len(self._counts)
 
 
 @functools.cache
@@ -337,6 +319,21 @@ def rrr_samples(m, t):
     return -(-m // t) // RRR_SAMPLE_EVERY + 1
 
 
+def tree_firsts(ms, t=None):
+    """Each tree's first bit, as int64, in a vector of trees of ms bits in turn.
+
+    A plain tree (t None) takes 64 * plain_words(m) bits, from a fresh word,
+    and an RRR tree of t-bit blocks 32 t * rrr_samples(m, t), from a fresh
+    sample. Raises ValueError if a tree has 2^32 bits or more, which its
+    32-bit counters or sample ranks could not count.
+    """
+    ms = np.asarray(ms, dtype=np.int64)
+    if (ms >= 1 << 32).any():
+        raise ValueError(f"{'plain' if t is None else 'rrr'} tree of 2^32 bits or more")
+    spans = 64 * plain_words(ms) if t is None else RRR_SAMPLE_EVERY * t * rrr_samples(ms, t)
+    return np.cumsum(spans) - spans
+
+
 class RrrBitVector(_BitVector):
     """The bits of one or more trees as t-bit blocks, each a class and an offset.
 
@@ -348,28 +345,36 @@ class RrrBitVector(_BitVector):
     """
 
     __slots__ = (
-        "m", "t", "ones", "_classes", "_shift", "_mask", "_class_sums",
+        "m", "t", "_classes", "_shift", "_mask", "_class_sums",
         "_width_sums", "_widths", "_table", "_offbuf", "_sample_rank", "_sample_opos",
     )
     backend = "rrr"
 
-    def __init__(self, bits, block_size=15):
+    def __init__(self, bits, block_size=15, ms=None):
+        """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree.
+
+        The trees' offsets are one stream, each tree's after the last one's.
+        """
         t = int(block_size)
         if not 1 <= t <= 63:
             raise ValueError("block size must be in 1..63")
-        if len(bits) >= 1 << 32:
-            raise ValueError("rrr tree of 2^32 bits or more")
+        ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
+        tree_firsts(ms, t)  # checks every tree's size before the bits are copied
         bits = _as_bit_array(bits)
-        m = len(bits)
-        full, rem = divmod(m, t)
-        # each block's bits, LSB first, in the low bytes of one uint64; the
-        # last block is packed on its own, so that no padded copy is made
-        packed = np.zeros((full + (rem > 0), 8), dtype=np.uint8)
-        packed[:full, : (t + 7) // 8] = np.packbits(
-            bits[: full * t].reshape(full, t), axis=1, bitorder="little"
-        )
-        if rem:
-            packed[full, : (rem + 7) // 8] = np.packbits(bits[full * t :], bitorder="little")
+        nblocks = -(-ms // t)
+        # each block's bits, LSB first, in the low bytes of one uint64; a
+        # tree's last block is packed on its own, so that no padded copy is made
+        packed = np.zeros((int(nblocks.sum()), 8), dtype=np.uint8)
+        row = stop = 0
+        for m in ms.tolist():
+            full, rem = divmod(m, t)
+            tree = bits[stop : stop + m]
+            packed[row : row + full, : (t + 7) // 8] = np.packbits(
+                tree[: full * t].reshape(full, t), axis=1, bitorder="little"
+            )
+            if rem:
+                packed[row + full, : (rem + 7) // 8] = np.packbits(tree[full * t :], bitorder="little")
+            row, stop = row + full + (rem > 0), stop + m
         values = packed.view("<u8").ravel()
         classes = np.bitwise_count(values)
         if t <= _TABLE_MAX_T:
@@ -377,9 +382,14 @@ class RrrBitVector(_BitVector):
         else:
             offsets = [offset_of_value(int(v), t, int(k)) for v, k in zip(values, classes)]
         widths = np.asarray(offset_widths(t))[classes]
+        before = np.zeros(len(widths) + 1, dtype=np.int64)  # each block's first offset bit, then the end
+        np.cumsum(widths, out=before[1:])
+        if before[-1] >= 1 << 32:
+            raise ValueError("rrr offset stream of 2^32 bits or more")
         offbuf = pack_fields(offsets, widths)
+        bases = before[np.cumsum(nblocks) - nblocks]  # each tree's first offset bit
         # whole words with a spare one, as _parse_rrr leaves them, for read_fields
-        self._setup(t, [m], classes, offbuf + bytes(16 - len(offbuf) % 8), [0])
+        self._setup(t, ms, classes, offbuf + bytes(16 - len(offbuf) % 8), bases)
 
     def _setup(self, t, ms, classes, offbuf, bases):
         """The vector of trees of ms bits, laid out in turn (see rrr_samples).
@@ -411,7 +421,6 @@ class RrrBitVector(_BitVector):
         self._classes = (full[0::2] | full[1::2] << 4 if self._shift else full).tobytes()
         self.m = every * t * int(firsts[-1]) + int(ms[-1])
         self.t = t
-        self.ones = int(ones.sum())
         self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
         self._offbuf = offbuf
         self._sample_rank = array("I", rank.astype(np.uint32).tobytes())
@@ -576,15 +585,6 @@ class RrrBitVector(_BitVector):
     def class_field_width(self):
         return self.t.bit_length()
 
-    @property
-    def payload_bits(self):
-        """The stored bits of bits 0..m - 1: the 32-bit count m, the class fields and the offsets."""
-        return self.tree_size(0, self.m)[0]
-
-    @property
-    def directory_bits(self):
-        return 64 * len(self._sample_rank)
-
 
 def build_plain(bits):
     return PlainBitVector(bits)
@@ -594,11 +594,12 @@ def build_rrr(bits, block_size=15):
     return RrrBitVector(bits, block_size)
 
 
-def make_bitvector(bits, backend, rrr_block_size=15):
+def make_bitvector(bits, backend, rrr_block_size=15, ms=None):
+    """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
     if backend == "plain":
-        return PlainBitVector(bits)
+        return PlainBitVector(bits, ms)
     if backend == "rrr":
-        return RrrBitVector(bits, rrr_block_size)
+        return RrrBitVector(bits, rrr_block_size, ms)
     raise ValueError(f"unknown bitvector backend: {backend!r}")
 
 
@@ -613,15 +614,18 @@ def read_plain(bufs):
     """One vector of the plain payload sections in bufs, and each tree's first bit and limit.
 
     Each section starts on a fresh word and takes the words of all its
-    bits: its limit is first + 8 * len(buf). A tree's length is only known
+    bits: its limit is first + 8 * len(buf). The sections are joined in one
+    pass, each padded with zero bytes to the words it takes, after the
+    sizes are checked (see tree_firsts). A tree's length is only known
     once its nodes are read, so trim then clears its padding bits, at most
     the 7 of the section's last byte.
     """
     stored = 8 * np.fromiter(map(len, bufs), dtype=np.int64, count=len(bufs))
-    spans = 64 * plain_words(stored)
-    firsts = np.cumsum(spans) - spans
+    firsts = tree_firsts(stored)
+    pads = map(bytes, (8 * plain_words(stored) - (stored >> 3)).tolist())
+    raw = bytearray().join(itertools.chain.from_iterable(zip(bufs, pads))).translate(_REVERSED)
     vector = PlainBitVector.__new__(PlainBitVector)
-    vector._setup(bufs, stored)
+    vector._setup(raw, stored)
     return vector, firsts.tolist(), (firsts + stored).tolist()
 
 
@@ -638,8 +642,7 @@ def read_rrr(bufs, t):
     ms, classes, offbuf, bases = _parse_rrr(bufs, t)
     vector = RrrBitVector.__new__(RrrBitVector)
     ones = vector._setup(t, ms, classes, offbuf, bases)
-    spans = RRR_SAMPLE_EVERY * t * rrr_samples(ms, t)
-    firsts = np.cumsum(spans) - spans
+    firsts = tree_firsts(ms, t)
     limits = firsts + ms
     if np.any(vector.rank1_many(limits) != ones):
         raise ValueError("rrr padding bits")

@@ -1,16 +1,16 @@
 """Backward-search count index over the BWT.
 
-Every index splits the BWT into fixed-size blocks, builds one
-Huffman-shaped wavelet tree per block over that block's own local alphabet,
-all over one bitvector, and derives from the trees' symbol counts a row of
-absolute rank snapshots at every block boundary. The ssa variants are the
-one-block case: the block size is n, so there is one tree over the whole
-BWT and one all-zero boundary row. The *_rrr variants swap the bitvector
-for the compressed representation.
-Counting never touches the text: rank over the last column drives the
-backward search. count searches one pattern; count_many searches many
-together, each step ranking both ends of every live range in numpy (see
-wavelet's Trees.batch_rank), and gives the same counts.
+An index is the c array, the byte remap and one wavelet.WaveletTree of
+the BWT: one Huffman-shaped tree per fixed-size block, over that block's
+own local alphabet, all over one bitvector, with a row of symbol counts
+at every block boundary. The ssa variants are the one-block case: the
+block size is n, so there is one tree over the whole BWT and one all-zero
+boundary row. The *_rrr variants swap the bitvector for the compressed
+representation.
+Counting never touches the text: the tree's rank over the last column
+drives the backward search. count searches one pattern; count_many
+searches many together, each step ranking both ends of every live range
+in numpy (see WaveletTree.batch_rank), and gives the same counts.
 """
 
 from dataclasses import dataclass
@@ -19,12 +19,12 @@ from enum import Enum
 import numpy as np
 
 from . import textcore
-from .wavelet import WaveletTree, _table, read_trees
+from .wavelet import WaveletTree
 
 # patterns per chunk of count_many, which bounds its temporaries
 _COUNT_CHUNK = 1 << 15
 # live ranges at or below which count_many steps each in turn (see
-# Trees.narrow): a numpy round costs about as much as 8 ranges' scalar steps,
+# WaveletTree.narrow): a numpy round costs about as much as 8 ranges' scalar steps,
 # so a long pattern left on its own does not pay a round per code
 _SCALAR_TAIL = 8
 
@@ -84,17 +84,6 @@ class SizeReport:
         }
 
 
-def _boundary_rows(counts, sigma):
-    """Row i, from item i * sigma on: occurrences of every code in the blocks before block i.
-
-    counts holds each block's occurrences of every code, sigma per block in
-    turn. Every entry is at most n, so the rows are 32-bit while n fits.
-    """
-    rows = np.zeros((len(counts) // sigma, sigma), dtype=np.int64)
-    np.cumsum(np.reshape(counts, rows.shape)[:-1], axis=0, out=rows[1:])
-    return _table(rows, "I", "q")
-
-
 class BlockedFMIndex:
     """Count-only FM-index; construct through build_index or storage.deserialize."""
 
@@ -105,7 +94,6 @@ class BlockedFMIndex:
         sigma,
         c,
         blocks,
-        counts,
         block_size,
         byte_for_code,
         rrr_block_size=15,
@@ -115,7 +103,6 @@ class BlockedFMIndex:
         self.sigma = sigma
         self.c = [int(x) for x in c]
         self.blocks = blocks
-        self.boundary_occ = _boundary_rows(counts, sigma)
         self.block_size = block_size
         self.byte_for_code = bytes(byte_for_code)
         self.rrr_block_size = rrr_block_size
@@ -123,14 +110,7 @@ class BlockedFMIndex:
 
     def rank_l(self, c, j):
         """Occurrences of code c in the first j BWT symbols."""
-        if not 0 <= j <= self.n:
-            raise ValueError("rank position out of range")
-        if j == 0 or not 0 <= c < self.sigma:
-            return 0
-        # the block of position j - 1, so that j = n needs no special case
-        bi = (j - 1) // self.block_size
-        before = self.boundary_occ[bi * self.sigma + c]
-        return before + self.blocks[bi].rank(c, j - bi * self.block_size)
+        return self.blocks.rank(c, j)
 
     def count_codes(self, pattern):
         """Backward search over a code-space pattern."""
@@ -147,7 +127,7 @@ class BlockedFMIndex:
         # the rows that start with the last code; b = 0 ranks to 0
         b = self.c[pattern[-1]]
         e = b + self.rank_l(pattern[-1], self.n)
-        found = self.blocks.narrow(reversed(pattern[:-1]), b, e, self.c, self.boundary_occ, self.block_size)
+        found = self.blocks.narrow(reversed(pattern[:-1]), b, e, self.c)
         return found[1] - found[0] if found else 0
 
     def count(self, pattern):
@@ -173,7 +153,7 @@ class BlockedFMIndex:
     def _count_chunk(self, patterns, rank):
         """count_many of one chunk: a step ranks both ends of every live range at once.
 
-        rank is the trees' batch_rank. The codes of all patterns are one
+        rank is the blocks' batch_rank. The codes of all patterns are one
         array, each pattern's in turn. A range is live until it is empty or
         its pattern is consumed, and the last _SCALAR_TAIL live ones step in
         turn, as count does.
@@ -189,8 +169,6 @@ class BlockedFMIndex:
         live[np.searchsorted(ends, np.flatnonzero(codes == 0), side="right")] = False
         live = np.flatnonzero(live)
         c = np.array(self.c, dtype=np.int64)
-        rows = np.frombuffer(self.boundary_occ, dtype=self.boundary_occ.typecode)
-        size = min(self.block_size, self.n)  # the same blocks, in int64
         at = ends[live] - 1  # each live pattern's code of the last step
         b, e = c[codes[at]], c[codes[at] + 1]
         while True:
@@ -200,14 +178,12 @@ class BlockedFMIndex:
             if len(live) <= _SCALAR_TAIL:
                 for i, a, lo, hi in zip(live.tolist(), at.tolist(), b.tolist(), e.tolist()):
                     rest = reversed(codes[begins[i] : a].tolist())
-                    found = self.blocks.narrow(rest, lo, hi, self.c, self.boundary_occ, self.block_size)
+                    found = self.blocks.narrow(rest, lo, hi, self.c)
                     counts[i] = found[1] - found[0] if found else 0
                 return counts.tolist()
             at -= 1
             x = np.tile(codes[at], 2)
-            j = np.concatenate([b, e])
-            blk = np.maximum(j - 1, 0) // size  # rank_l's block: that of position j - 1, and 0 for j = 0
-            j = c[x] + rows[blk * self.sigma + x] + rank(blk, x, j - blk * size)
+            j = c[x] + rank(x, np.concatenate([b, e]))
             b, e = j[: len(at)], j[len(at) :]
             keep = b < e
             live, at, b, e = (v[keep] for v in (live, at, b, e))
@@ -251,20 +227,14 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
     else:
         bs = t.n
     b = textcore.bwt(t)
-    trees = [
-        WaveletTree(b.l[s : s + bs], "huffman", backend, rrr_block_size)
-        for s in range(0, t.n, bs)
-    ]
-    # built one by one, then moved into one vector, each tree from its first bit, as a load reads them
-    sections = [(wt.codebook_section(), wt.payload_section()) for wt in trees]
-    blocks, counts = read_trees(sections, [wt.length for wt in trees], t.sigma, backend, rrr_block_size)
+    # t.sigma, not the BWT's largest code plus one: a Text may lack its top codes
+    blocks = WaveletTree(b.l, "huffman", backend, rrr_block_size, bs, t.sigma)
     return BlockedFMIndex(
         variant,
         t.n,
         t.sigma,
         b.c,
         blocks,
-        counts,
         bs,
         t.byte_for_code,
         rrr_block_size,

@@ -27,8 +27,6 @@ loaded index answers queries identically to the index that was saved.
 import struct
 import zlib
 
-import numpy as np
-
 from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import read_trees
 
@@ -159,12 +157,9 @@ def deserialize(source):
     if crc_body != struct.pack("<I", zlib.crc32(memoryview(data)[:checked])):
         _corrupt("checksum")
 
-    # every block holds block_size symbols but the last, which holds the rest
-    lengths = np.full(block_count, min(block_size, n), dtype=np.int64)
-    lengths[-1] = n - (block_count - 1) * block_size
     trees = zip(sections[2:-1:2], sections[3:-1:2])
     try:
-        blocks, counts = read_trees(trees, lengths, sigma, backend, rrr_t)
+        blocks, _ = read_trees(trees, n, block_size, sigma, backend, rrr_t)
     except (ValueError, EOFError) as exc:
         _corrupt(exc)
 
@@ -174,7 +169,6 @@ def deserialize(source):
         sigma,
         c,
         blocks,
-        counts,
         block_size,
         remap,
         rrr_t if backend == "rrr" else 15,

@@ -1,4 +1,4 @@
-"""Wavelet trees over the local alphabet of the indexed sequence.
+"""Wavelet trees over the local alphabet of each block of a sequence.
 
 Two shapes share one implementation: balanced trees assign every local
 symbol a fixed-width code of ceil(log2 sigma_local) bits, Huffman trees
@@ -18,29 +18,34 @@ leaf plus the rank. Under either backend the nodes are joined bit to bit,
 so a tree's bits run from its start to its leaf. Code bit 0 goes left, 1
 goes right, reading codes from the most significant bit.
 
-All the trees of an index share one vector, each from its own start: a
-fresh word for plain trees, a fresh sample for RRR ones. They also share
-one set of flat path tables (Trees): one entry per (tree, symbol), one
-array of every path's steps, and each tree's start, leaf and length, with
-no Python object per tree, path or step. A WaveletTree is a view of one
-tree's rows. A load runs no Python loop over trees or nodes: it parses
-every tree's codebook section in one pass, with every tree's canonical
-codes computed at once (_parse_codebooks), and there is one layout path
-(_read): it reads every tree's nodes at once, one depth at a time, from
-the vector and each tree's first bit and limit in it (see bitrank's
-read_sections), each node sized by its parent's zero or one count, the
-ends of a depth's nodes ranked in one call of the vector's rank1_many, and
-hands back the leaf sizes, the symbol counts. A built tree lays out its
-nodes' bits in the order _read reads them, level by level and each level
-in prefix order, with one FIFO queue from the root (_node_bits), into a
-vector of its own, and reads them back through the same path, as a
-one-tree index, when its steps are first used; an index's trees are built
-one by one, then moved into one vector as a load reads them (read_trees).
+A sequence's wavelet trees are one per fixed block of it (the ssa
+variants are one block) and share one vector, each from its own start: a
+fresh word for plain trees, a fresh sample for RRR ones (see bitrank's
+tree_firsts). They also share one set of flat tables (WaveletTree): one
+path entry per (tree, symbol), one array of every path's steps, each
+tree's start, leaf and length, and the boundary rows, the symbol counts
+before each block, with no Python object per tree, path or step. A Block
+is a view of one tree's rows. WaveletTree.rank ranks over the whole
+sequence: a symbol's row in the block, plus its rank in the block's tree.
 
-Trees.narrow takes one backward search's steps over the trees, one rank1
-call per level. Trees.batch_rank ranks many (tree, symbol, position)
-triples at once over views of the same tables, one level per round, each
-round one call of the vector's batch rank1.
+A build and a load share one layout path (_read): it reads every tree's
+nodes at once, one depth at a time, from the vector and each tree's first
+bit and limit in it, each node sized by its parent's zero or one count,
+the ends of a depth's nodes ranked in one call of the vector's
+rank1_many, and sums the leaf sizes, the symbol counts, into the boundary
+rows. A build (WaveletTree(x, ...)) computes each block's canonical codes
+and its nodes' bits, in the order _read reads them, level by level and
+each level in prefix order, with one FIFO queue from the root
+(_node_bits); one make_bitvector call puts every tree's bits in one
+vector, and _read lays them out. A load (read_trees) parses every tree's
+codebook section in one pass, with every tree's canonical codes computed
+at once (_parse_codebooks), reads every payload section into one vector
+(see bitrank's read_sections), and runs _read.
+
+WaveletTree.narrow takes one backward search's steps, one rank1 call per
+level. WaveletTree.batch_rank ranks many (symbol, position) pairs at once
+over views of the same tables, one level per round, each round one call
+of the vector's batch rank1.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -55,7 +60,7 @@ from collections import deque
 
 import numpy as np
 
-from .bitrank import make_bitvector, read_sections
+from .bitrank import make_bitvector, read_sections, tree_firsts
 
 
 def canonical_codes(lengths):
@@ -141,55 +146,115 @@ def _table(values, small, large):
     return array(code, values.astype(code).tobytes())
 
 
-class Trees:
-    """The wavelet trees of one index, all over one vector, as flat path tables (see _read).
+class WaveletTree:
+    """A sequence's wavelet trees, one per block of block_size elements, over one vector (see _read).
 
     paths holds one entry per (tree, symbol below sigma), tree by tree: 0
     for a symbol the tree does not hold, else where the symbol's path
     starts in steps, shifted left by 8, or'd with 128 and with the path's
     length. steps holds every path's steps in turn; starts, leaves and
-    lengths hold each tree's start, leaf and number of elements. There is
-    no object per tree: indexing gives a WaveletTree view of one, and
-    narrow takes backward-search steps over them. A tree built from a
-    sequence reads its steps from its nodes on first use (_nodes), as
-    build_index only saves it.
+    lengths hold each tree's start, leaf and number of elements; rows, from
+    item i * sigma on, the occurrences of every symbol in the blocks before
+    block i. There is no object per tree: len() is the number of trees and
+    indexing gives a Block view of one. rank, narrow and batch_rank take
+    positions in the whole sequence, and find the block of each.
     """
 
-    __slots__ = ("bits", "sigma", "paths", "steps", "starts", "leaves", "lengths", "_nodes")
+    __slots__ = ("bits", "n", "block_size", "sigma", "paths", "steps", "starts", "leaves", "lengths", "rows")
 
-    def __getattr__(self, name):
-        if name != "steps":
-            raise AttributeError(name)
-        self.steps = _read(*self._nodes)[0].steps
-        return self.steps
+    def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15, block_size=None, sigma=None):
+        """The trees of x's blocks of block_size elements (by default one block), over symbols below sigma.
+
+        sigma defaults to x's largest symbol plus one. Each block's tree has
+        codes of the given shape from the block's own symbol counts, and
+        its nodes' bits in layout order (_node_bits). One make_bitvector
+        call puts every tree's bits in one vector, and _read lays them out
+        as a load does.
+        """
+        x = np.asarray(x)
+        if len(x) == 0:
+            raise ValueError("empty sequence")
+        if shape not in ("balanced", "huffman"):
+            raise ValueError(f"unknown tree shape: {shape!r}")
+        if int(x.min()) < 0:
+            raise ValueError("symbols must be non-negative")
+        top = int(x.max())
+        self.sigma = sigma = top + 1 if sigma is None else sigma
+        if top >= sigma:
+            raise ValueError("symbols must be below sigma")
+        self.n = n = len(x)
+        self.block_size = size = n if block_size is None else min(int(block_size), n)
+        x = x.astype(np.min_scalar_type(sigma - 1), copy=False)
+        make = balanced_codes if shape == "balanced" else huffman_codes
+        parts, books = [], []
+        for s in range(0, n, size):
+            block = x[s : s + size]
+            counts = np.bincount(block, minlength=sigma)
+            codes = make(np.flatnonzero(counts).tolist(), counts.tolist())
+            # the canonical order's symbols, code lengths and codes, then each symbol's length and code
+            syms = np.fromiter(codes, dtype=np.int64, count=len(codes))
+            lens, values = np.array(list(codes.values()), dtype=np.int64).T
+            sym_lens, sym_codes = np.zeros((2, sigma), dtype=np.int64)
+            sym_lens[syms], sym_codes[syms] = lens, values
+            parts.append(_node_bits(block, counts, sym_lens, sym_codes))
+            books.append(np.stack([np.full_like(syms, len(books)), syms, lens, values]))
+        ms = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        bits = make_bitvector(np.concatenate(parts), backend, rrr_block_size, ms)
+        first = tree_firsts(ms, rrr_block_size if backend == "rrr" else None)
+        # the codebook in _parse_codebooks' form: a balanced tree's codes need
+        # not meet Kraft's inequality with equality, so it is not parsed
+        tree, syms, lens, codes = np.concatenate(books, axis=1)
+        _read(self, bits, first, first + ms, (tree, syms, lens, codes.astype(np.uint64)))
 
     def __len__(self):
         return len(self.lengths)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
         n = len(self.lengths)
         if not -n <= i < n:
             raise IndexError("tree index out of range")
-        wt = WaveletTree.__new__(WaveletTree)
-        wt._tables, wt._i = self, i % n
-        return wt
+        return Block(self, i % n)
 
-    def narrow(self, codes, b, e, c, rows, size):
+    def rank(self, c, j):
+        """Occurrences of symbol c among the first j elements.
+
+        They are c's row in the block of element j - 1, so that j = n needs
+        no special case, plus c's rank in that block's tree.
+        """
+        if not 0 <= j <= self.n:
+            raise ValueError("rank position out of range")
+        if j == 0 or not 0 <= c < self.sigma:
+            return 0
+        i = (j - 1) // self.block_size
+        at = i * self.sigma + c
+        k = self.paths[at]
+        if not k:
+            return self.rows[at]
+        # bits.rank1 per level: binding it once per call measured 6-13% slower
+        bits = self.bits
+        p = j - i * self.block_size + self.starts[i]
+        for step in self.steps[k >> 8 : (k >> 8) + (k & 127)]:
+            p = bits.rank1(p) + step if step > 0 else p - bits.rank1(p) - step
+        return self.rows[at] + p - self.leaves[i]
+
+    @property
+    def code_length_bits(self):
+        """Total code length over the sequence: every tree's bits, from its start to its leaf."""
+        return sum(self.leaves) - sum(self.starts)
+
+    def narrow(self, codes, b, e, c):
         """The backward-search range [b, e) after a step for each code in turn; None once it is empty.
 
-        The trees are the blocks of size symbols of one sequence, rows[i *
-        sigma + x] counts symbol x in the blocks before block i, and c[x]
-        the symbols below x in all of them. 0 < b < e, and every code is in
-        1..sigma - 1. A step ranks each end in the tree of its block, as
-        WaveletTree.rank does, where b's block is that of position b - 1
-        unless b starts e's block. In one block both ends go down the code's
-        path together, and stop where they meet: the range is then empty.
-        In two, each goes down its own, written out twice: a call or a loop
-        per end measured 6-10% slower counts on small blocks.
+        c[x] counts the symbols below x in the sequence. 0 < b < e, and
+        every code is in 1..sigma - 1. A step ranks each end as rank does,
+        where b's block is that of position b - 1 unless b starts e's
+        block. In one block both ends go down the code's path together, and
+        stop where they meet: the range is then empty. In two, each goes
+        down its own, written out twice: a call or a loop per end measured
+        6-10% slower counts on small blocks.
         """
         sigma, paths, steps, starts, leaves = self.sigma, self.paths, self.steps, self.starts, self.leaves
+        rows, size = self.rows, self.block_size
         rank1 = self.bits.rank1
         for code in codes:
             j = (e - 1) // size
@@ -236,27 +301,31 @@ class Trees:
         return b, e
 
     def batch_rank(self):
-        """WaveletTree.rank over int64 arrays: a function of (trees, codes, r), over views of the tables.
+        """rank over int64 arrays: a function of (codes, j), over views of the tables.
 
-        It gives the occurrences of codes[i] among the first r[i] elements
-        of tree trees[i]; every code is below sigma. The ranks go down their
-        paths together, one level per round, each round one call of the
-        vector's batch_rank1: sorted by path length, longest first, the
-        ranks still descending at a level are a prefix of them.
+        It gives the occurrences of codes[i] among the first j[i] elements;
+        every code is below sigma. Each is a row plus a rank in a tree, as
+        in rank, and the tree ranks go down their paths together, one level
+        per round, each round one call of the vector's batch_rank1: sorted
+        by path length, longest first, the ranks still descending at a
+        level are a prefix of them.
         """
-        sigma = self.sigma
+        sigma, size = self.sigma, self.block_size
         paths = np.frombuffer(self.paths, dtype=self.paths.typecode)
         steps = np.frombuffer(self.steps, dtype=self.steps.typecode)
+        rows = np.frombuffer(self.rows, dtype=self.rows.typecode)
         starts = np.frombuffer(self.starts, dtype=np.int64)
         leaves = np.frombuffer(self.leaves, dtype=np.int64)
         rank1 = self.bits.batch_rank1()
 
-        def rank(trees, codes, r):
-            k = paths[trees * sigma + codes].astype(np.int64)
+        def rank(codes, j):
+            tree = np.maximum(j - 1, 0) // size  # block 0 for j = 0
+            row = tree * sigma + codes
+            k = paths[row].astype(np.int64)
             order = np.argsort(-(k & 127).astype(np.int8), kind="stable")  # a radix sort, on int8
-            k, trees = k[order], trees[order]
+            p = (j - tree * size + starts[tree])[order]
+            k, tree = k[order], tree[order]
             lens = k & 127
-            p = r[order] + starts[trees]
             first = k >> 8
             # at each level, the ranks whose paths are longer
             for d, live in enumerate((len(lens) - np.cumsum(np.bincount(lens))[:-1]).tolist()):
@@ -264,36 +333,107 @@ class Trees:
                 at = p[:live]
                 ones = rank1(at)
                 p[:live] = np.where(step > 0, ones + step, at - ones - step)
-            ranks = np.empty_like(p)
-            ranks[order] = np.where(k != 0, p - leaves[trees], 0)
+            ranks = rows[row].astype(np.int64)
+            ranks[order] += np.where(k != 0, p - leaves[tree], 0)
             return ranks
 
         return rank
 
 
-def _read(bits, firsts, limits, codebook, lengths, sigma):
-    """The path tables of trees in one vector, and their symbol counts.
+class Block:
+    """One block's tree: a view of its rows in its sequence's WaveletTree."""
 
-    Tree i's nodes are joined bit to bit in bits from firsts[i], and its
-    payload section ends at limits[i] (see bitrank's read_sections);
-    codebook holds the trees' canonical codes as _parse_codebooks gives
-    them, lengths their element counts, and every symbol is below sigma. All
-    trees are read at once, one depth at a time, with no Python loop over
-    trees or nodes. From one canonical code to the next, the prefix at any
-    depth shorter than both grows by at most one, so a tree's internal nodes
-    at a depth are one range of prefixes: from that of its first code longer
-    than the depth to that of its last code. Their children are, in prefix
-    order, the tree's leaves of the next depth, one per code of that length
-    in symbol order, then its internal nodes there, then, if the last code
-    goes to the 0-child of its node at that depth, that node's 1-child,
-    which is empty and not a node. A node's size is its parent's count of
-    zeros or ones, and it starts where the node before it in its tree ended:
-    so the ones of every node of a depth come from one call of
-    bits.rank1_many, at their ends. Raises ValueError on a node of no bits,
-    which a tree built from a sequence never has: the codebook then lists
-    symbols the block does not hold; EOFError if a node runs past its tree's
-    limit. Once every node is read, bits.trim checks and clears what follows
-    each tree's last node.
+    __slots__ = ("_tree", "_i")
+
+    def __init__(self, tree, i):
+        self._tree, self._i = tree, i
+
+    @property
+    def bits(self):
+        return self._tree.bits
+
+    @property
+    def start(self):
+        return self._tree.starts[self._i]
+
+    @property
+    def leaf(self):
+        return self._tree.leaves[self._i]
+
+    @property
+    def codes(self):
+        """{symbol: (code length, code)}, read off the signs of the symbol's path."""
+        codes = {}
+        for sym, path in self._items():
+            code = 0
+            for step in path:
+                code = code << 1 | (step > 0)
+            codes[sym] = (len(path), code)
+        return codes
+
+    def _items(self):
+        """(symbol, path) for every symbol of the tree, in ascending order; a path is a tuple of steps."""
+        steps = self._tree.steps
+        return [(sym, tuple(steps[k >> 8 : (k >> 8) + (k & 127)])) for sym, k in enumerate(self._row()) if k]
+
+    @property
+    def payload_bits(self):
+        """The bits of the tree's payload section: those from its start to its leaf, as stored."""
+        return self.bits.tree_size(self.start, self.leaf)[0]
+
+    @property
+    def directory_bits(self):
+        """The rank directory or samples of the tree's bits in its vector."""
+        return self.bits.tree_size(self.start, self.leaf)[1]
+
+    def _row(self):
+        """The tree's path entries, one per symbol below sigma (see WaveletTree)."""
+        tree = self._tree
+        return tree.paths[self._i * tree.sigma : (self._i + 1) * tree.sigma]
+
+    @property
+    def codebook_bits(self):
+        """16-bit alphabet size, then a 16-bit symbol and an 8-bit code length each."""
+        return 16 + 24 * sum(1 for k in self._row() if k)
+
+    def codebook_section(self):
+        row = self._row()
+        row = np.frombuffer(row, dtype=row.typecode)
+        entries = np.empty(np.count_nonzero(row), dtype=_ENTRY)
+        entries["sym"] = np.flatnonzero(row)
+        entries["len"] = row[entries["sym"]] & 127
+        return struct.pack("<H", len(entries)) + entries.tobytes()
+
+    def payload_section(self):
+        """The tree's bits as its vector stores them: plain, the bits; RRR, m, class fields, offsets."""
+        bits = self.bits.stored_bits(self.start, self.leaf)
+        return np.packbits(bits, bitorder="little").tobytes()
+
+
+def _read(wt, bits, firsts, limits, codebook):
+    """Fill wt's path tables and boundary rows from its trees in one vector; returns their symbol counts.
+
+    wt holds its sequence's length n, block size and sigma. Tree i, of block
+    i, has its nodes joined bit to bit in bits from firsts[i], to limits[i]
+    at most (see bitrank's read_sections); codebook holds the trees'
+    canonical codes as _parse_codebooks gives them, and every symbol is
+    below sigma. Every tree holds block_size elements but the last, which
+    holds the rest. All trees are read at once, one depth at a time, with no
+    Python loop over trees or nodes. From one canonical code to the next,
+    the prefix at any depth shorter than both grows by at most one, so a
+    tree's internal nodes at a depth are one range of prefixes: from that of
+    its first code longer than the depth to that of its last code. Their
+    children are, in prefix order, the tree's leaves of the next depth, one
+    per code of that length in symbol order, then its internal nodes there,
+    then, if the last code goes to the 0-child of its node at that depth,
+    that node's 1-child, which is empty and not a node. A node's size is its
+    parent's count of zeros or ones, and it starts where the node before it
+    in its tree ended: so the ones of every node of a depth come from one
+    call of bits.rank1_many, at their ends. Raises ValueError on a node of
+    no bits, which a tree built from a sequence never has: the codebook then
+    lists symbols the block does not hold; EOFError if a node runs past its
+    tree's limit. Once every node is read, bits.trim checks and clears what
+    follows each tree's last node.
 
     rank follows a position p in the vector, which starts at r plus the
     root's start s, the tree's start (its first bit for a tree with no
@@ -305,16 +445,19 @@ def _read(bits, firsts, limits, codebook, lengths, sigma):
     rank1, counts from the tree's start. A symbol's path is its code's steps
     from the root, and ends at p = leaf plus the rank.
 
-    Returns the tables and each tree's occurrences of every symbol, sigma
-    per tree in turn.
+    The boundary rows sum the symbol counts, each tree's occurrences of
+    every symbol, which are returned as int64, sigma per tree in turn.
     """
-    ntrees = len(firsts)
+    sigma, ntrees = wt.sigma, len(firsts)
     first = np.array(firsts, dtype=np.int64)
     limit = np.array(limits, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = np.full(ntrees, wt.block_size, dtype=np.int64)
+    lengths[-1] = wt.n - (ntrees - 1) * wt.block_size
     tree, syms, lens, codes = codebook
-    tables = Trees()
-    tables.paths = _paths(codebook, ntrees, sigma)
+    path_at = np.cumsum(lens) - lens  # where each entry's path starts in steps
+    paths = np.zeros(ntrees * sigma, dtype=np.int64)
+    paths[tree * sigma + syms] = path_at << 8 | 128 | lens
+    wt.paths = _table(paths, "I", "q")
     depth = int(lens.max())
     per_length = np.bincount(tree * (depth + 1) + lens, minlength=ntrees * (depth + 1)).reshape(ntrees, -1)
     last = np.cumsum(per_length.sum(axis=1)) - 1  # each tree's last code
@@ -366,12 +509,13 @@ def _read(bits, firsts, limits, codebook, lengths, sigma):
         node_child.append(np.where(inner, total + np.cumsum(inner) - 1, -1))
         at, size = child_tree[inner], child_size[inner]
     bits.trim(end, limit)
-    tables.bits, tables.sigma = bits, sigma
-    tables.starts = array("q", first.tobytes())
-    tables.leaves = array("q", end.tobytes())
-    tables.lengths = array("q", lengths.tobytes())
+    wt.bits = bits
+    wt.starts = array("q", first.tobytes())
+    wt.leaves = array("q", end.tobytes())
+    wt.lengths = array("q", lengths.tobytes())
     counts = np.zeros(ntrees * sigma, dtype=np.int64)
     counts[(tree * sigma + syms)[np.lexsort((syms, tree, lens))]] = np.concatenate(leaf_sizes)
+    wt.rows = _boundary_rows(counts, sigma)
     # each node's two steps, from its children's starts
     empty = np.zeros(0, dtype=np.int64)
     node_tree, node_start, node_base, child = (
@@ -383,149 +527,26 @@ def _read(bits, firsts, limits, codebook, lengths, sigma):
     zero = node_start - node_base - child_start[:, 0]
     # every path's steps, in the order of the entries: at each depth of a
     # code, its prefix's node and its next bit
-    firsts = np.cumsum(lens) - lens
     entry = np.repeat(np.arange(len(lens)), lens)
-    level = np.arange(len(entry)) - firsts[entry]
+    level = np.arange(len(entry)) - path_at[entry]
     below = codes[entry] >> (lens[entry] - 1 - level).astype(np.uint64)
     # a depth's last node has the last code's prefix there
     final = last[tree[entry]]
     final = codes[final] >> (lens[final] - 1 - level).astype(np.uint64)
     node = last_at[tree[entry], level] - 1 - ((final >> np.uint64(1)) - (below >> np.uint64(1))).astype(np.int64)
-    tables.steps = _table(np.where(below & np.uint64(1), one[node], zero[node]), "i", "q")
-    return tables, counts.tolist()
+    wt.steps = _table(np.where(below & np.uint64(1), one[node], zero[node]), "i", "q")
+    return counts
 
 
-def _paths(codebook, ntrees, sigma):
-    """The paths table (see Trees) of ntrees trees of a codebook as _parse_codebooks gives it."""
-    tree, syms, lens, _ = codebook
-    paths = np.zeros(ntrees * sigma, dtype=np.int64)
-    paths[tree * sigma + syms] = (np.cumsum(lens) - lens) << 8 | 128 | lens
-    return _table(paths, "I", "q")
+def _boundary_rows(counts, sigma):
+    """Row i, from item i * sigma on: occurrences of every symbol in the blocks before block i.
 
-
-class WaveletTree:
-    """One tree: a view of its rows in its index's path tables (see Trees)."""
-
-    __slots__ = ("_tables", "_i")
-
-    def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15):
-        x = np.asarray(x)
-        if len(x) == 0:
-            raise ValueError("empty sequence")
-        if shape not in ("balanced", "huffman"):
-            raise ValueError(f"unknown tree shape: {shape!r}")
-        if int(x.min()) < 0:
-            raise ValueError("symbols must be non-negative")
-        counts = np.bincount(x)
-        x = x.astype(np.min_scalar_type(len(counts) - 1), copy=False)
-        make = balanced_codes if shape == "balanced" else huffman_codes
-        codes = make(np.flatnonzero(counts).tolist(), counts.tolist())
-        # the canonical order's symbols, code lengths and codes, then each symbol's length and code
-        syms = np.fromiter(codes, dtype=np.int64, count=len(codes))
-        lens, values = np.array(list(codes.values()), dtype=np.int64).T
-        sym_lens, sym_codes = np.zeros((2, len(counts)), dtype=np.int64)
-        sym_lens[syms], sym_codes[syms] = lens, values
-        vector = make_bitvector(_node_bits(x, counts, sym_lens, sym_codes), backend, rrr_block_size)
-        # the nodes fill the vector, so the tree starts at 0 and its leaf is m
-        tables = self._tables = Trees()
-        tables.bits, tables.sigma = vector, len(counts)
-        tables.starts, tables.leaves, tables.lengths = (array("q", [v]) for v in (0, vector.m, len(x)))
-        # its codebook in _parse_codebooks' form: a balanced tree's codes need
-        # not meet Kraft's inequality with equality, so it is not parsed
-        codebook = np.zeros_like(syms), syms, lens, values.astype(np.uint64)
-        tables.paths = _paths(codebook, 1, tables.sigma)
-        tables._nodes = vector, [0], [vector.m], codebook, [len(x)], tables.sigma
-        self._i = 0
-
-    @property
-    def bits(self):
-        return self._tables.bits
-
-    @property
-    def start(self):
-        return self._tables.starts[self._i]
-
-    @property
-    def leaf(self):
-        return self._tables.leaves[self._i]
-
-    @property
-    def length(self):
-        return self._tables.lengths[self._i]
-
-    def rank(self, c, r):
-        """Occurrences of symbol c among the first r elements."""
-        tables, i = self._tables, self._i
-        if not 0 <= r <= tables.lengths[i]:
-            raise ValueError("rank position out of range")
-        if not 0 <= c < tables.sigma:
-            return 0
-        k = tables.paths[i * tables.sigma + c]
-        if not k:
-            return 0
-        # bits.rank1 per level: binding it once per call measured 6-13% slower
-        bits = tables.bits
-        p = r + tables.starts[i]
-        for step in tables.steps[k >> 8 : (k >> 8) + (k & 127)]:
-            p = bits.rank1(p) + step if step > 0 else p - bits.rank1(p) - step
-        return p - tables.leaves[i]
-
-    @property
-    def codes(self):
-        """{symbol: (code length, code)}, read off the signs of the symbol's path."""
-        codes = {}
-        for sym, path in self._items():
-            code = 0
-            for step in path:
-                code = code << 1 | (step > 0)
-            codes[sym] = (len(path), code)
-        return codes
-
-    @property
-    def code_length_bits(self):
-        """Total code length over the sequence: the nodes' bits, joined from the tree's start to its leaf."""
-        return self.leaf - self.start
-
-    def _items(self):
-        """(symbol, path) for every symbol of the tree, in ascending order; a path is a tuple of steps."""
-        steps = self._tables.steps
-        return [(sym, tuple(steps[k >> 8 : (k >> 8) + (k & 127)])) for sym, k in enumerate(self._row()) if k]
-
-    @property
-    def payload_bits(self):
-        """The bits of the tree's payload section: those from its start to its leaf, as stored."""
-        return self.bits.tree_size(self.start, self.leaf)[0]
-
-    @property
-    def directory_bits(self):
-        """The rank directory or samples of the tree's bits in its vector."""
-        return self.bits.tree_size(self.start, self.leaf)[1]
-
-    def _row(self):
-        """The tree's path entries, one per symbol below sigma (see Trees)."""
-        tables = self._tables
-        return tables.paths[self._i * tables.sigma : (self._i + 1) * tables.sigma]
-
-    @property
-    def codebook_bits(self):
-        """16-bit alphabet size, then a 16-bit symbol and an 8-bit code length each."""
-        return 16 + 24 * sum(1 for k in self._row() if k)
-
-    def codebook_section(self):
-        row = self._row()
-        row = np.frombuffer(row, dtype=row.typecode)
-        entries = np.empty(np.count_nonzero(row), dtype=_ENTRY)
-        entries["sym"] = np.flatnonzero(row)
-        entries["len"] = row[entries["sym"]] & 127
-        return struct.pack("<H", len(entries)) + entries.tobytes()
-
-    def payload_section(self):
-        """The tree's bits as its vector stores them: plain, the bits; RRR, m, class fields, offsets."""
-        bits = self.bits.stored_bits(self.start, self.leaf)
-        return np.packbits(bits, bitorder="little").tobytes()
-
-    def size_in_bits(self):
-        return self.payload_bits + self.directory_bits + self.codebook_bits
+    counts holds each block's occurrences of every symbol, sigma per block
+    in turn. Every entry is at most n, so the rows are 32-bit while n fits.
+    """
+    rows = np.zeros((len(counts) // sigma, sigma), dtype=np.int64)
+    np.cumsum(np.reshape(counts, rows.shape)[:-1], axis=0, out=rows[1:])
+    return _table(rows, "I", "q")
 
 
 # a codebook entry: a u16 symbol and a u8 code length
@@ -589,18 +610,20 @@ def _parse_codebooks(bodies, sigma):
     return tree, syms, lens, codes
 
 
-def read_trees(sections, lengths, sigma, backend, rrr_block_size):
-    """The trees of (codebook, payload) sections, and their symbol counts, sigma per tree in turn.
+def read_trees(sections, n, block_size, sigma, backend, rrr_block_size):
+    """The WaveletTree of a sequence of n symbols below sigma from its blocks' (codebook, payload) sections.
 
-    The trees share one vector, whose sections are all parsed, and an RRR
-    one's fields checked, before any tree is read (see read_plain and
-    read_rrr), and one set of path tables (see _read). A symbol's count is
-    the size of its leaf, from the zero or one count of the last node on
-    its path. ValueError or EOFError names a failed check.
+    Also returns its symbol counts, sigma per tree in turn (see _read). The
+    sections are all parsed into one vector, and an RRR one's fields
+    checked, before any tree is read (see read_plain and read_rrr). A
+    symbol's count is the size of its leaf, from the zero or one count of
+    the last node on its path. ValueError or EOFError names a failed check.
     """
     codebooks, payloads = zip(*sections)
     bits, firsts, limits = read_sections(payloads, backend, rrr_block_size)
-    return _read(bits, firsts, limits, _parse_codebooks(codebooks, sigma), lengths, sigma)
+    wt = WaveletTree.__new__(WaveletTree)
+    wt.n, wt.block_size, wt.sigma = n, min(block_size, n), sigma
+    return wt, _read(wt, bits, firsts, limits, _parse_codebooks(codebooks, sigma))
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

@@ -23,6 +23,7 @@ from fmblock.bitrank import (
     read_rrr,
     read_sections,
     rrr_samples,
+    tree_firsts,
     value_of_offset,
 )
 
@@ -47,7 +48,7 @@ def test_plain_matches_scan():
         for j in range(0, m + 1, max(1, m // 97)):
             assert v.rank(1, j) == cumulative_rank(bits, 1, j)
             assert v.rank(0, j) == j - v.rank(1, j)
-        assert v.ones == sum(bits)
+        assert v.rank1(v.m) == sum(bits)
         assert v.to_bits().tolist() == bits
 
 
@@ -63,9 +64,8 @@ def test_rank_argument_validation():
 
 def test_plain_directory_sizing():
     v = build_plain([1] * 4096)
-    # one 32-bit counter per 64-bit word, plus a word for rank1(m)
-    assert v.directory_bits == 32 * (4096 // 64 + 1)
-    assert v.payload_bits == 4096
+    # the bits, then one 32-bit counter per 64-bit word, plus a word for rank1(m)
+    assert v.tree_size(0, v.m) == (4096, 32 * (4096 // 64 + 1))
 
 
 def test_plain_heap_is_at_most_1_6_bits_per_bit():
@@ -87,7 +87,8 @@ def test_rrr_tree_of_2_32_bits_is_rejected_before_allocating():
     # a range has a length but no bits to copy
     with pytest.raises(ValueError, match="rrr tree of 2\\^32 bits or more"):
         RrrBitVector(range(1 << 32), 15)
-    assert RrrBitVector(range(2), 15).ones == 1
+    v = RrrBitVector(range(2), 15)
+    assert v.rank1(v.m) == 1
 
 
 def test_rrr_offset_stream_of_2_32_bits_is_rejected_before_allocating():
@@ -152,9 +153,9 @@ def test_rrr_block_size_validation():
 def test_rrr_compresses_sparse_input():
     m = 4096
     v = build_rrr([0] * m, 15)
-    assert v.size_in_bits() < m // 2
+    assert sum(v.tree_size(0, v.m)) < m // 2
     dense = build_rrr([1] * m, 15)
-    assert dense.size_in_bits() < m // 2
+    assert sum(dense.tree_size(0, dense.m)) < m // 2
 
 
 def test_enumerative_offsets_are_numeric_rank():
@@ -184,8 +185,9 @@ def test_rrr_offset_width_accounting():
     v = build_rrr(bits, 15)
     classes = v.block_classes()
     # the u32 bit count, a 4-bit class field per block, then the offsets
-    assert v.payload_bits == 32 + len(classes) * 4 + sum(offset_width(15, k) for k in classes)
-    assert v.size_in_bits() == v.payload_bits + v.directory_bits
+    stored, samples = v.tree_size(0, v.m)
+    assert stored == 32 + len(classes) * 4 + sum(offset_width(15, k) for k in classes)
+    assert samples == 64 * len(v._sample_rank)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +231,7 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     with pytest.raises(ValueError, match="payload length"):
         v.trim([end - (8 if backend == "plain" else 1) for end in ends], limits)
     v.trim(ends, limits)
-    assert v.m == ends[-1] and v.ones == sum(int(bits.sum()) for bits in joined)
+    assert v.m == ends[-1] and [v.rank1(end) for end in ends] == [int(bits.sum()) for bits in joined]
     for first, limit, bits, buf in zip(firsts, limits, joined, bufs):
         assert v.rank1(limit) == bits.sum()
         assert np.packbits(v.stored_bits(first, first + len(bits)), bitorder="little").tobytes() == buf
@@ -320,7 +322,7 @@ def test_rank1_equals_the_prefix_sum_at_every_position(bits):
     for v in vectors:
         assert [v.rank1(j) for j in range(len(bits) + 1)] == prefix, (v.backend, getattr(v, "t", None))
         assert v.batch_rank1()(np.arange(len(bits) + 1)).tolist() == prefix, (v.backend, getattr(v, "t", None))
-        assert v.ones == prefix[-1]
+        assert v.rank1(v.m) == prefix[-1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -340,3 +342,33 @@ def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, bac
     assert v.rank1_many(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
     assert v.rank1_many(positions[::-1].copy()).tolist() == [v.rank1(j) for j in positions[::-1].tolist()]
     assert v.rank1_many(np.zeros(0, dtype=np.int64)).tolist() == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(bit_arrays(), min_size=1, max_size=4),
+    st.sampled_from([("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]),
+)
+def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(trees, backend_t):
+    # one make_bitvector call over the trees' joined bits and bit counts lays
+    # each tree out from the first bit read_sections gives it, with the same
+    # words and counters, or classes and sample ranks; a built RRR offset
+    # stream is one run of offsets, so only its sample positions differ
+    backend, t = backend_t
+    ms = [len(bits) for bits in trees]
+    built = make_bitvector(np.concatenate(trees), backend, t, ms)
+    sections = [np.packbits(make_bitvector(bits, backend, t).stored_bits(), bitorder="little").tobytes() for bits in trees]
+    loaded, firsts, limits = read_sections(sections, backend, t)
+    ends = [first + m for first, m in zip(firsts, ms)]
+    loaded.trim(ends, limits)
+    assert tree_firsts(ms, None if backend == "plain" else t).tolist() == firsts
+    assert built.m == loaded.m == ends[-1]
+    if backend == "plain":
+        assert built._words == loaded._words and built._counts == loaded._counts
+    else:
+        assert built._classes == loaded._classes and built._sample_rank == loaded._sample_rank
+    for first, end, bits in zip(firsts, ends, trees):
+        assert [built.rank1(j) for j in range(first, end + 1)] == [0, *itertools.accumulate(bits.tolist())]
+        assert np.packbits(built.stored_bits(first, end), bitorder="little").tobytes() == np.packbits(
+            loaded.stored_bits(first, end), bitorder="little"
+        ).tobytes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock import fmindex
+from fmblock import fmindex, wavelet
 from fmblock.fmindex import IndexVariant, build_index, default_block_size
 from fmblock.storage import deserialize, serialize
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
@@ -42,7 +42,7 @@ def test_worked_example_blocks_and_boundaries():
         codes_of("$AB"),
         codes_of("A"),
     ]
-    assert ix.boundary_occ.tolist() == [0, 0, 0, 0] + [0, 1, 0, 2] + [1, 2, 1, 2]
+    assert ix.blocks.rows.tolist() == [0, 0, 0, 0] + [0, 1, 0, 2] + [1, 2, 1, 2]
 
 
 def test_worked_example_counts_all_variants():
@@ -150,8 +150,7 @@ def test_payload_bounded_by_blockwise_entropy_plus_one():
 
     l = bwt(t).l
     blockwise = partition_entropy(l, fixed_partition(t.n, 128))
-    total_code_bits = sum(wt.code_length_bits for wt in ix.blocks)
-    assert total_code_bits <= blockwise + t.n + 1e-6
+    assert ix.blocks.code_length_bits <= blockwise + t.n + 1e-6
 
 
 def test_count_via_module_function_and_bytes():
@@ -181,7 +180,7 @@ def test_two_end_steps_counts_and_block_edges_match_scans(data):
         e = data.draw(st.integers(b + 1, t.n), label="e")
         code = data.draw(st.integers(1, sigma - 1), label="code")
         want = (ix.c[code] + naive_rank(l, code, b), ix.c[code] + naive_rank(l, code, e))
-        assert ix.blocks.narrow([code], b, e, ix.c, ix.boundary_occ, size) == (want if want[0] < want[1] else None)
+        assert ix.blocks.narrow([code], b, e, ix.c) == (want if want[0] < want[1] else None)
     # counts, of substrings and of patterns that mostly do not occur
     patterns = [codes[i : i + k] for i in range(0, len(codes), 3) for k in (1, 2, 5)]
     patterns += data.draw(st.lists(st.lists(st.integers(0, sigma + 1), max_size=6), max_size=8), label="patterns")
@@ -189,11 +188,11 @@ def test_two_end_steps_counts_and_block_edges_match_scans(data):
         assert ix.count_codes(pattern) == naive_count(t, pattern)
     # every block at its edges, for every code, the sentinel 0 and codes >= sigma: the
     # scan count or 0, never an entry of the next block's row in the flat tables
-    for i, wt in enumerate(ix.blocks):
+    for i in range(len(ix.blocks)):
         block = l[i * size : (i + 1) * size]
         for c in range(sigma + 3):
             for r in (0, len(block)):
-                assert wt.rank(c, r) == naive_rank(block, c, r)
+                assert ix.blocks.rank(c, i * size + r) - ix.blocks.rank(c, i * size) == naive_rank(block, c, r)
                 assert ix.rank_l(c, i * size + r) == (naive_rank(l, c, i * size + r) if c < sigma else 0)
 
 
@@ -202,11 +201,11 @@ def test_a_symbol_absent_from_a_block_ranks_zero_there_and_counts_in_the_next():
     a, b, n = codes_of("ABN")
     # the BWT is A N N | B $ A | A: block 0 holds A and N, block 1 the sentinel, A and B
     assert sorted(ix.blocks[0].codes) == [a, n] and sorted(ix.blocks[1].codes) == [0, a, b]
-    assert [ix.blocks[0].rank(b, r) for r in range(4)] == [0, 0, 0, 0]
+    assert [ix.blocks.rank(b, r) for r in range(4)] == [0, 0, 0, 0]
     assert [ix.rank_l(b, j) for j in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
     # b = 3 starts block 1, so the step ranks both ends there: one A in rows 3..5, no N
-    assert ix.blocks.narrow([a], 3, 6, ix.c, ix.boundary_occ, 3) == (ix.c[a] + 1, ix.c[a] + 2)
-    assert ix.blocks.narrow([n], 3, 6, ix.c, ix.boundary_occ, 3) is None
+    assert ix.blocks.narrow([a], 3, 6, ix.c) == (ix.c[a] + 1, ix.c[a] + 2)
+    assert ix.blocks.narrow([n], 3, 6, ix.c) is None
     assert ix.count(b"BA") == 1 and ix.count(b"AB") == 0
 
 
@@ -240,3 +239,22 @@ def test_count_many_keeps_memory_bounded_in_chunks():
     patterns = [b"a", b"bra", b"", b"zz", b"cad"] * 7
     with mock.patch.object(fmindex, "_COUNT_CHUNK", 4), mock.patch.object(fmindex, "_SCALAR_TAIL", 0):
         assert ix.count_many(patterns) == [5, 2, ix.n, 0, 1] * 7
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_build_makes_one_vector_and_parses_no_section(variant, monkeypatch):
+    # every block's tree goes into one vector in one make_bitvector call, with
+    # each tree's bit count, and is laid out as a load lays it out, with no
+    # payload section read and no codebook parsed
+    calls = []
+    make = wavelet.make_bitvector
+    monkeypatch.setattr(wavelet, "make_bitvector", lambda *args: calls.append(args) or make(*args))
+    for name in ("read_sections", "_parse_codebooks"):
+        monkeypatch.setattr(wavelet, name, mock.Mock(side_effect=AssertionError(name)))
+    t = build_text(b"fixed block compression boosting " * 20)
+    ix = build_index(t, variant, 50 if variant.fixed else None)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert len(ix.blocks) == (-(-t.n // 50) if variant.fixed else 1)
+    assert calls[0][3].tolist() == [wt.leaf - wt.start for wt in ix.blocks]
+    assert ix.count(b"block") == 20 and ix.count_many([b"boost", b"blocks"]) == [20, 0]

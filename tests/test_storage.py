@@ -137,7 +137,7 @@ def _with_root_blocks(ix, blocks):
         [32] + [bv.class_field_width] * len(blocks) + [offset_width(bv.t, k) for k in classes],
     )
     # the payload section is the last one before the 8-byte checksum section
-    old = (bv.payload_bits + 7) // 8
+    old = (ix.blocks[0].payload_bits + 7) // 8
     raw = to_bytes(ix)[: -8 - old - 4] + struct.pack("<I", len(payload)) + payload
     return raw + struct.pack("<II", 4, zlib.crc32(raw))
 
@@ -276,7 +276,7 @@ def test_plain_payload_padding_bits_are_ignored_at_load():
     raw = to_bytes(build_index(build_text(b"a" * 8), "ssa"))
     # the root holds 9 bits, so the last payload byte has 7 bits of padding
     ix = deserialize(_with_section(raw, PAYLOAD, lambda body: body[:-1] + bytes([body[-1] | 0x80])))
-    assert ix.blocks[0].bits.ones == 8 and ix.count(b"aa") == 7
+    assert ix.blocks[0].bits.rank1(ix.blocks[0].leaf) == 8 and ix.count(b"aa") == 7
     assert to_bytes(ix) == raw
 
 
@@ -286,7 +286,7 @@ def test_plain_padding_ones_before_a_spare_word_are_cleared_at_load():
     raw = to_bytes(build_index(build_text(b"a" * 62), "ssa"))
     ix = deserialize(_with_section(raw, PAYLOAD, lambda body: body[:-1] + bytes([body[-1] | 0x80])))
     bits = ix.blocks[0].bits
-    assert bits.m == 63 and bits.ones == 62 and bits.rank1(64) == 62
+    assert bits.m == 63 and bits.rank1(bits.m) == 62 and bits.rank1(64) == 62
     assert ix.count(b"aa") == 61
     assert to_bytes(ix) == raw
 
@@ -306,7 +306,7 @@ def test_plain_padding_bits_of_every_block_are_cleared_at_load():
     back = deserialize(padded)
     assert padded != raw and to_bytes(back) == raw
     bits = back.blocks[0].bits
-    assert bits.ones == ix.blocks[0].bits.ones
+    assert [bits.rank1(wt.leaf) for wt in back.blocks] == [ix.blocks[0].bits.rank1(wt.leaf) for wt in ix.blocks]
     for wt, m in zip(back.blocks, ms):
         # the tree's ones at its last node's end and at its section's end
         want = ix.blocks[0].bits.rank1(wt.leaf)
@@ -324,7 +324,7 @@ def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
     ix = build_index(build_text(b"abracadabra"), "ssa")
     sections = [(ix.blocks[0].codebook_section(), Huge())]
     with pytest.raises(ValueError, match="plain tree of 2\\^32 bits or more"):
-        read_trees(sections, [ix.n], ix.sigma, "plain", 15)
+        read_trees(sections, ix.n, ix.n, ix.sigma, "plain", 15)
 
 
 @pytest.mark.parametrize(
@@ -357,12 +357,12 @@ def test_boundary_rows_are_the_prefix_symbol_counts(variant):
     t = build_text(b"a" * 400 + bytes(rng.randrange(1, 256) for _ in range(400)))
     ix = build_index(t, variant, 16 if variant.fixed else None)
     if variant.fixed:
-        assert any(len(wt.codes) == 1 for wt in ix.blocks[1:-1])
+        assert any(len(ix.blocks[i].codes) == 1 for i in range(1, len(ix.blocks) - 1))
     l = np.asarray(bwt(t).l)
     for index in (ix, deserialize(to_bytes(ix))):
-        assert len(index.boundary_occ) == len(index.blocks) * t.sigma
+        assert len(index.blocks.rows) == len(index.blocks) * t.sigma
         for i in range(len(index.blocks)):
-            row = index.boundary_occ[i * t.sigma : (i + 1) * t.sigma].tolist()
+            row = index.blocks.rows[i * t.sigma : (i + 1) * t.sigma].tolist()
             assert row == np.bincount(l[: i * index.block_size], minlength=t.sigma).tolist()
 
 
@@ -681,10 +681,37 @@ def test_a_load_reads_one_tree_per_symbol_or_pair(variant, block_size):
     back = deserialize(raw)
     assert len(back.blocks) == -(-t.n // block_size)
     assert to_bytes(back) == raw
-    assert back.boundary_occ == ix.boundary_occ
+    assert back.blocks.rows == ix.blocks.rows
     patterns = [codes[at : at + ln] for at in range(0, 290, 7) for ln in (1, 2, 5)]
     want = [naive_count(t, p) for p in patterns]
     assert [back.count_codes(p) for p in patterns] == want
     l = bwt(t).l
     for c in range(9):
         assert [back.rank_l(c, j) for j in range(0, t.n + 1, 3)] == [naive_rank(l, c, j) for j in range(0, t.n + 1, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_built_index_equals_its_loaded_copy(data):
+    # a build lays its trees out as a load does: the same tables, the same
+    # plain words and counters or RRR classes and sample ranks (a built RRR
+    # offset stream is one run, a loaded one keeps each section's tail
+    # bytes, so their sample positions differ), and the same saved bytes
+    variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
+    rrr_t = data.draw(st.sampled_from([1, 15, 16, 63]), label="rrr_t")
+    sigma = data.draw(st.integers(2, 12), label="sigma")
+    n = data.draw(st.integers(1, 600), label="n")
+    t = Text.from_codes(random_codes(random.Random(data.draw(st.integers(0, 2**32), label="seed")), n, sigma), sigma)
+    block_size = data.draw(st.sampled_from([1, 2, 63, 64, 65, n, n + 1]), label="block_size") if variant.fixed else None
+    ix = build_index(t, variant, block_size, rrr_t)
+    raw = to_bytes(ix)
+    back = deserialize(raw)
+    for name in ("paths", "steps", "starts", "leaves", "lengths", "rows"):
+        assert getattr(back.blocks, name) == getattr(ix.blocks, name), name
+    built, loaded = ix.blocks.bits, back.blocks.bits
+    assert built.m == loaded.m
+    if variant.bitvector_backend == "plain":
+        assert built._words == loaded._words and built._counts == loaded._counts
+    else:
+        assert built._classes == loaded._classes and built._sample_rank == loaded._sample_rank
+    assert to_bytes(back) == raw

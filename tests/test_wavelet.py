@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fmblock.bitrank import PlainBitVector, RrrBitVector
 from fmblock.wavelet import (
+    WaveletTree,
     _node_bits,
     _parse_codebooks,
     balanced_codes,
@@ -30,7 +31,7 @@ def test_worked_example_tree():
     # the three nodes in preorder, joined into one vector
     assert tree_bits(wt) == "0111100" + "0011" + "10"
     # most frequent symbol gets the shortest code
-    assert wt.codes[codes_of("A")[0]] == (1, 0)
+    assert wt[0].codes[codes_of("A")[0]] == (1, 0)
     assert wt.rank(codes_of("A")[0], 7) == 3
     assert wt.rank(codes_of("N")[0], 3) == 2
     assert wt.rank(codes_of("$")[0], 5) == 1
@@ -112,7 +113,7 @@ def test_balanced_payload_is_exactly_fixed_width():
         wt = build_wt(seq, "balanced", "plain")
         width = (len(set(seq)) - 1).bit_length()
         assert wt.code_length_bits == 500 * width
-        assert wt.payload_bits == wt.code_length_bits
+        assert wt[0].payload_bits == wt.code_length_bits
 
 
 def test_huffman_payload_within_entropy_plus_one():
@@ -145,9 +146,9 @@ def test_codebook_reconstruction_round_trip():
     seq = [rng.randrange(9) for _ in range(257)]
     for backend in ("plain", "rrr"):
         wt = build_wt(seq, "huffman", backend)
-        sections = [(wt.codebook_section(), wt.payload_section())]
-        (rebuilt,), _ = read_trees(sections, [wt.length], 9, backend, 15)
-        assert rebuilt.codes == wt.codes
+        sections = [(wt[0].codebook_section(), wt[0].payload_section())]
+        rebuilt, _ = read_trees(sections, len(seq), len(seq), 9, backend, 15)
+        assert rebuilt[0].codes == wt[0].codes
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
         ]
@@ -161,26 +162,26 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
     rng = random.Random(8)
     seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
     built = build_wt(seq, "huffman", backend)
-    sections = [(built.codebook_section(), built.payload_section())]
+    sections = [(built[0].codebook_section(), built[0].payload_section())]
     calls, many = [], []
     rank1, rank1_many = vector.rank1, vector.rank1_many
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
     monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
-    (loaded,), counts = read_trees(sections, [len(seq)], 60, backend, 15)
+    loaded, counts = read_trees(sections, len(seq), len(seq), 60, backend, 15)
     monkeypatch.undo()
     assert calls == []
     # an RRR section's padding check comes first, before any node is read: one position, the tree's limit
     rrr = backend == "rrr"
     if rrr:
-        assert many.pop(0) == [loaded.leaf]
-    depth = max(length for length, _ in built.codes.values())
+        assert many.pop(0) == [loaded[0].leaf]
+    depth = max(length for length, _ in built[0].codes.values())
     assert len(many) == depth
     # a Huffman tree over k symbols has k - 1 internal nodes, laid out level by
     # level: their ends rise from the tree's start to its leaf, each once
     ends = [j for level in many for j in level]
     assert len(ends) == len(Counter(seq)) - 1
-    assert ends == sorted(set(ends)) and loaded.start < ends[0] and ends[-1] == loaded.leaf
-    assert counts == [Counter(seq)[c] for c in range(60)]
+    assert ends == sorted(set(ends)) and loaded[0].start < ends[0] and ends[-1] == loaded[0].leaf
+    assert counts.tolist() == [Counter(seq)[c] for c in range(60)]
     assert [loaded.rank(c, len(seq)) for c in range(60)] == [built.rank(c, len(seq)) for c in range(60)]
 
 
@@ -190,7 +191,7 @@ def test_rrr_trees_lay_nodes_out_as_plain_trees_do():
     plain = build_wt(seq, "huffman", "plain")
     for t in (1, 3, 15, 17):
         rrr = build_wt(seq, "huffman", "rrr", t)
-        assert (rrr.start, rrr.leaf, rrr._items()) == (plain.start, plain.leaf, plain._items())
+        assert (rrr[0].start, rrr[0].leaf, rrr[0]._items()) == (plain[0].start, plain[0].leaf, plain[0]._items())
         assert rrr.bits.to_bits().tolist() == plain.bits.to_bits().tolist()
 
 
@@ -200,18 +201,19 @@ def test_a_node_of_no_bits_is_rejected_at_load():
         return struct.pack("<H", len(lengths)) + entries
 
     # symbol 0 (code 0) fills the block: a leaf of no elements loads, a node of no bits does not
-    (wt,), counts = read_trees([(codebook({0: 1, 1: 1}), b"\0")], [8], 3, "plain", 15)
-    assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0) and counts == [8, 0, 0]
+    wt, counts = read_trees([(codebook({0: 1, 1: 1}), b"\0")], 8, 8, 3, "plain", 15)
+    assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0) and counts.tolist() == [8, 0, 0]
     with pytest.raises(ValueError, match="empty node"):
-        read_trees([(codebook({0: 1, 1: 2, 2: 2}), b"\0")], [8], 3, "plain", 15)
+        read_trees([(codebook({0: 1, 1: 2, 2: 2}), b"\0")], 8, 8, 3, "plain", 15)
 
 
 def test_size_report_pieces():
     seq = codes_of("ANNB$AA")
     wt = build_wt(seq, "huffman", "plain")
-    assert wt.size_in_bits() == wt.payload_bits + wt.directory_bits + wt.codebook_bits
+    block = wt[0]
+    assert (block.payload_bits, block.directory_bits) == block.bits.tree_size(block.start, block.leaf)
     # a 16-bit symbol and an 8-bit code length per symbol, and no code bits
-    assert wt.codebook_bits == 16 + 24 * len(wt.codes) == 8 * len(wt.codebook_section())
+    assert block.codebook_bits == 16 + 24 * len(block.codes) == 8 * len(block.codebook_section())
     assert wt.rank(codes_of("A")[0], 7) == 3
 
 
@@ -282,19 +284,49 @@ def sequences(draw):
 @example(np.full(33, 299), "rrr", 1)
 def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
     wt = build_wt(seq, "huffman", backend, t)
-    sections = (wt.codebook_section(), wt.payload_section())
+    sections = (wt[0].codebook_section(), wt[0].payload_section())
     sigma = int(seq.max()) + 1
-    (back,), counts = read_trees([sections], [len(seq)], sigma, backend, t)
-    assert counts == np.bincount(seq, minlength=sigma).tolist()
-    assert (back.codebook_section(), back.payload_section()) == sections
+    back, counts = read_trees([sections], len(seq), len(seq), sigma, backend, t)
+    assert counts.tolist() == np.bincount(seq, minlength=sigma).tolist()
+    assert (back[0].codebook_section(), back[0].payload_section()) == sections
     assert back.bits.to_bits().tolist() == wt.bits.to_bits().tolist()
-    assert (back.start, back.leaf, back._items()) == (wt.start, wt.leaf, wt._items())
+    assert (back[0].start, back[0].leaf, back[0]._items()) == (wt[0].start, wt[0].leaf, wt[0]._items())
     at = sorted({0, len(seq), *range(1, len(seq), max(1, len(seq) // 37))})
     for c in [*np.unique(seq).tolist(), 300]:
         prefix = np.concatenate([[0], np.cumsum(seq == c)])
         want = prefix[at].tolist()
         assert [wt.rank(c, j) for j in at] == want
         assert [back.rank(c, j) for j in at] == want
+
+
+@st.composite
+def blocked_trees(draw):
+    """A WaveletTree over blocks of b = 1, 2, n - 1, n or n + 1, with its sequence: n up to 150, 1 to 30 symbols."""
+    sigma = draw(st.integers(1, 30))
+    seq = np.array(draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=150)))
+    n = len(seq)
+    b = draw(st.sampled_from([1, 2, max(n - 1, 1), n, n + 1]))
+    shape = draw(st.sampled_from(["huffman", "balanced"]))
+    backend, t = draw(st.sampled_from([("plain", 15)] + [("rrr", t) for t in (1, 15, 16, 63)]))
+    return WaveletTree(seq, shape, backend, t, block_size=b), seq
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocked_trees())
+def test_rank_over_blocks_equals_a_scan(tree_seq):
+    # every symbol up to sigma, which no block holds, at every position, by
+    # rank and by batch_rank: a row of the block of position j - 1, plus a
+    # rank in its tree
+    wt, seq = tree_seq
+    n, sigma = len(seq), int(seq.max()) + 1
+    assert len(wt) == -(-n // min(wt.block_size, n))
+    rank = wt.batch_rank()
+    at = np.arange(n + 1)
+    for c in range(sigma + 1):
+        prefix = np.concatenate([[0], np.cumsum(seq == c)]).tolist()
+        assert [wt.rank(c, j) for j in range(n + 1)] == prefix
+        if c < sigma:
+            assert rank(np.full(n + 1, c), at).tolist() == prefix
 
 
 @st.composite
