@@ -2,10 +2,10 @@
 
 Fields of 0..64 bits are packed LSB-first: bit i of a field at bit offset
 p is bit (p + i) % 8 of byte (p + i) // 8, and a stream is zero-padded to
-a whole byte. pack_fields writes consecutive fields, unpack_fields reads
-them back, and read_bits reads one field for a scalar rank. unpack_fields
-is built on as_words and read_fields, which read fields at any offsets.
-unpack_bits reads single bits from any offset, to copy stored offset streams.
+a whole byte. pack_fields writes consecutive fields and unpack_fields reads
+them back, built on as_words and read_fields, which read fields at any
+offsets. unpack_bits reads single bits from any offset, to copy stored
+offset streams. A scalar RRR rank reads its one offset inline (see bitrank).
 """
 
 import numpy as np
@@ -58,17 +58,6 @@ def unpack_bits(buf, start, count):
     """The `count` bits from bit `start` of buf on, one uint8 (0 or 1) per bit."""
     raw = np.frombuffer(buf, dtype=np.uint8)[start >> 3 : (start + count + 7) >> 3]
     return np.unpackbits(raw, bitorder="little")[start & 7 : (start & 7) + count]
-
-
-def read_bits(buf, pos, width):
-    """Read a `width`-bit unsigned field at bit offset `pos` from an LSB-first buffer."""
-    if width == 0:
-        return 0
-    byte = pos >> 3
-    shift = pos & 7
-    nbytes = (shift + width + 7) >> 3
-    chunk = int.from_bytes(buf[byte:byte + nbytes], "little")
-    return (chunk >> shift) & ((1 << width) - 1)
 
 
 def as_words(buf):

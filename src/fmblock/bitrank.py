@@ -37,6 +37,12 @@ every check and table is made over all of them at once. Once the nodes
 are routed (see wavelet), the vector's trim() checks the bits that
 follow each tree's last node, and clears them, for all trees at once.
 
+Each backend also takes both ends of a backward-search step in one tree
+down a symbol's path, level by level: descend() ranks both ends of a level
+in one call, with rank1's arithmetic inline. The RRR one walks the first
+end's sample once, and the second end reuses that walk and the decoded
+block where they share them.
+
 Each backend also ranks many positions at once, in two forms over
 np.frombuffer views of the vector's buffers. batch_rank1() returns a
 function of an int64 array of positions, for count_many's many rounds:
@@ -56,7 +62,7 @@ from array import array
 
 import numpy as np
 
-from .bitio import pack_fields, read_bits, read_fields, unpack_bits, unpack_fields
+from .bitio import pack_fields, read_fields, unpack_bits, unpack_fields
 
 # each byte with its bits in reverse order: bitio's LSB-first bytes to the words' MSB-first ones
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -148,6 +154,28 @@ class PlainBitVector(_BitVector):
     def rank1(self, j):
         k = j >> 6
         return self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
+
+    def descend(self, steps, b, e):
+        """Both ends b < e of one tree down a path's signed steps, level by level; None once they meet.
+
+        Each level ranks both ends as rank1 does, inline, and takes each to
+        rank1 + step on a positive step, else to its position - rank1 - step
+        (see wavelet's _read). Returns the ends (b, e) at the path's end.
+        """
+        words, counts = self._words, self._counts
+        for step in steps:
+            k = b >> 6
+            rb = counts[k] + (words[k] >> (64 - (b & 63))).bit_count()
+            k = e >> 6
+            re = counts[k] + (words[k] >> (64 - (e & 63))).bit_count()
+            if step > 0:
+                b, e = rb + step, re + step
+            else:
+                b -= rb + step
+                e -= re + step
+            if b == e:
+                return None
+        return b, e
 
     def batch_rank1(self):
         """rank1 over int64 arrays of positions: a function of one, rank1_many, which makes no table."""
@@ -346,7 +374,7 @@ class RrrBitVector(_BitVector):
 
     __slots__ = (
         "m", "t", "_classes", "_shift", "_mask", "_class_sums",
-        "_width_sums", "_widths", "_table", "_offbuf", "_sample_rank", "_sample_opos",
+        "_width_sums", "_widths", "_table", "_offbuf", "_sample_rank", "_sample_opos", "_descent",
     )
     backend = "rrr"
 
@@ -425,6 +453,12 @@ class RrrBitVector(_BitVector):
         self._offbuf = offbuf
         self._sample_rank = array("I", rank.astype(np.uint32).tobytes())
         self._sample_opos = array("I", opos.astype(np.uint32).tobytes())
+        # all that descend reads, in one tuple: one attribute load a call, not
+        # fourteen, which the one or two levels of most descents would feel
+        self._descent = (
+            t, self._shift, self._mask, self._classes, self._class_sums, self._width_sums, self._widths,
+            self._sample_rank, self._sample_opos, self._offbuf, *(self._table or (None, None)),
+        )
         return (rank + ones)[firsts + taken - 1]
 
     def rank1(self, j):
@@ -444,7 +478,10 @@ class RrrBitVector(_BitVector):
                 byte >>= 4
             k = byte & self._mask
             w = self._widths[k]
-            off = read_bits(self._offbuf, opos, w) if w else 0
+            off = 0
+            if w:  # classes 0 and t, often half the blocks, have no offset bits
+                chunk = int.from_bytes(self._offbuf[opos >> 3 : (opos >> 3) + ((opos & 7) + w + 7 >> 3)], "little")
+                off = chunk >> (opos & 7) & (1 << w) - 1
             if self._table is None:
                 value = value_of_offset(off, self.t, k)
             else:
@@ -454,6 +491,75 @@ class RrrBitVector(_BitVector):
         if half:
             r += classes[at] & 15
         return r
+
+    def descend(self, steps, b, e):
+        """Both ends b < e of one tree down a path's signed steps, level by level; None once they meet.
+
+        Each level ranks both ends as rank1 does, inline, and moves them as
+        the plain descend does. b's rank walks its sample's class bytes once
+        and decodes b's block. e's rank takes the same decoded block if e
+        falls in it; else, in the same sample, it goes on summing the class
+        bytes from b's to its own; else it starts from its own sample.
+        """
+        t, s, mask, classes, class_sums, width_sums, widths, sample_rank, sample_opos, offbuf, words, starts = (
+            self._descent
+        )
+        for step in steps:
+            blk, rem = divmod(b, t)
+            last, erem = divmod(e, t)
+            sb = blk >> 5
+            at = blk >> s
+            seg = classes[sb << 5 >> s : at]
+            # the ones and the offset position at b's class byte, then at b's block
+            r = sample_rank[sb] + sum(seg.translate(class_sums))
+            o = sample_opos[sb] + sum(seg.translate(width_sums))
+            rb, ob, byte = r, o, classes[at]
+            if blk & s:
+                rb += byte & 15
+                ob += widths[byte & 15]
+                byte >>= 4
+            if rem or last == blk:
+                k = byte & mask
+                w = widths[k]
+                off = 0
+                if w:
+                    chunk = int.from_bytes(offbuf[ob >> 3 : (ob >> 3) + ((ob & 7) + w + 7 >> 3)], "little")
+                    off = chunk >> (ob & 7) & (1 << w) - 1
+                value = value_of_offset(off, t, k) if words is None else words[starts[k] + off]
+                if last == blk:
+                    re = rb + (value & (1 << erem) - 1).bit_count()
+                rb += (value & (1 << rem) - 1).bit_count()
+            if last != blk:
+                if last >> 5 == sb:
+                    seg = classes[at : last >> s]
+                else:
+                    sb = last >> 5
+                    seg = classes[sb << 5 >> s : last >> s]
+                    r, o = sample_rank[sb], sample_opos[sb]
+                re = r + sum(seg.translate(class_sums))
+                o += sum(seg.translate(width_sums))
+                byte = classes[last >> s]
+                if last & s:
+                    re += byte & 15
+                    o += widths[byte & 15]
+                    byte >>= 4
+                if erem:
+                    k = byte & mask
+                    w = widths[k]
+                    off = 0
+                    if w:
+                        chunk = int.from_bytes(offbuf[o >> 3 : (o >> 3) + ((o & 7) + w + 7 >> 3)], "little")
+                        off = chunk >> (o & 7) & (1 << w) - 1
+                    value = value_of_offset(off, t, k) if words is None else words[starts[k] + off]
+                    re += (value & (1 << erem) - 1).bit_count()
+            if step > 0:
+                b, e = rb + step, re + step
+            else:
+                b -= rb + step
+                e -= re + step
+            if b == e:
+                return None
+        return b, e
 
     def batch_rank1(self):
         """rank1 over int64 arrays of positions: a function of one, over views of the vector's buffers.

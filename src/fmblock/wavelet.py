@@ -42,10 +42,12 @@ codebook section in one pass, with every tree's canonical codes computed
 at once (_parse_codebooks), reads every payload section into one vector
 (see bitrank's read_sections), and runs _read.
 
-WaveletTree.narrow takes one backward search's steps, one rank1 call per
-level. WaveletTree.batch_rank ranks many (symbol, position) pairs at once
-over views of the same tables, one level per round, each round one call
-of the vector's batch rank1.
+WaveletTree.narrow takes one backward search's steps: the two ends of a
+step in one block go down the code's path in one call of the vector's
+descend, and ends in two blocks one rank1 call per level each.
+WaveletTree.batch_rank ranks many (symbol, position) pairs at once over
+views of the same tables, one level per round, each round one call of the
+vector's batch rank1.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -248,14 +250,15 @@ class WaveletTree:
         c[x] counts the symbols below x in the sequence. 0 < b < e, and
         every code is in 1..sigma - 1. A step ranks each end as rank does,
         where b's block is that of position b - 1 unless b starts e's
-        block. In one block both ends go down the code's path together, and
-        stop where they meet: the range is then empty. In two, each goes
-        down its own, written out twice: a call or a loop per end measured
-        6-10% slower counts on small blocks.
+        block. In one block both ends go down the code's path together, in
+        one call of the vector's descend, which stops where they meet: the
+        range is then empty. In two, each goes down its own, written out
+        twice: a call or a loop per end measured 6-10% slower counts on
+        small blocks.
         """
         sigma, paths, steps, starts, leaves = self.sigma, self.paths, self.steps, self.starts, self.leaves
         rows, size = self.rows, self.block_size
-        rank1 = self.bits.rank1
+        rank1, descend = self.bits.rank1, self.bits.descend
         for code in codes:
             j = (e - 1) // size
             i = j if b >= j * size else (b - 1) // size
@@ -265,18 +268,11 @@ class WaveletTree:
                 if not k:
                     return None
                 s = starts[j] - j * size
-                b, e = b + s, e + s
-                for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
-                    if step > 0:
-                        b = rank1(b) + step
-                        e = rank1(e) + step
-                    else:
-                        b = b - rank1(b) - step
-                        e = e - rank1(e) - step
-                    if b == e:
-                        return None
+                ends = descend(steps[k >> 8 : (k >> 8) + (k & 127)], b + s, e + s)
+                if ends is None:
+                    return None
                 base = c[code] + rows[at] - leaves[j]
-                b, e = base + b, base + e
+                b, e = base + ends[0], base + ends[1]
                 continue
             at = i * sigma + code
             k = paths[at]

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -372,3 +373,65 @@ def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(
         assert np.packbits(built.stored_bits(first, end), bitorder="little").tobytes() == np.packbits(
             loaded.stored_bits(first, end), bitorder="little"
         ).tobytes()
+
+
+def rank1_walks(v, steps, b, e):
+    """Both ends down the steps as two rank1 walks, level by level; None once they meet."""
+    for step in steps:
+        rb, re = v.rank1(b), v.rank1(e)
+        b, e = (rb + step, re + step) if step > 0 else (b - rb - step, e - re - step)
+        if b == e:
+            return None
+    return b, e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_descend_equals_two_rank1_walks(data):
+    # a vector of several trees, each spanning at least 3 samples, at three
+    # densities (sparse and dense bits make class 0 and class t blocks); the
+    # ends start in one block, in the two blocks of one class byte, in two
+    # samples, or at the tree's limit, and each level's step keeps both in the
+    # tree, as a path's steps do, and then may bring them together
+    backend, t = data.draw(st.sampled_from([("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]), label="vector")
+    unit = 64 if backend == "plain" else t  # a word or a block
+    sample = RRR_SAMPLE_EVERY * unit
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ms = [int(m) for m in rng.integers(64 * unit, 70 * unit + 100, data.draw(st.integers(2, 3), label="trees"))]
+    density = data.draw(st.sampled_from([0.05, 0.5, 0.95]), label="density")
+    v = make_bitvector((rng.random(sum(ms)) < density).astype(np.uint8), backend, t, ms)
+    firsts = tree_firsts(ms, None if backend == "plain" else t).tolist()
+    for _ in range(20):
+        tree = data.draw(st.integers(0, len(ms) - 1), label="tree")
+        first, limit = firsts[tree], firsts[tree] + ms[tree]
+        kind = data.draw(st.sampled_from(["block", "byte", "samples", "limit"]), label="ends")
+        if kind == "block":
+            b = first + unit * data.draw(st.integers(0, ms[tree] // unit - 1)) + data.draw(st.integers(0, unit - 1))
+            e = data.draw(st.integers(b + 1, min(b - (b - first) % unit + unit, limit)))
+        elif kind == "byte":  # an even block, the low class of its byte, and the odd one after it
+            lo = first + 2 * unit * data.draw(st.integers(0, ms[tree] // (2 * unit) - 1))
+            b = data.draw(st.integers(lo, lo + unit - 1))
+            e = data.draw(st.integers(lo + unit, lo + 2 * unit - 1))
+        elif kind == "samples":
+            b = data.draw(st.integers(first, first + sample - 1))
+            e = data.draw(st.integers(first + sample, limit))
+        else:
+            b, e = data.draw(st.integers(first, limit - 1)), limit
+        # each level's step, from the two walks' ranks: positive, each end to
+        # rank1 + step, else to its position - rank1 - step, kept in [first, limit]
+        steps, lo, hi = [], b, e
+        for _ in range(data.draw(st.integers(1, 6), label="levels")):
+            rb, re = v.rank1(lo), v.rank1(hi)
+            if data.draw(st.booleans()) and max(1, first - rb) <= limit - re:
+                step = data.draw(st.integers(max(1, first - rb), limit - re))
+                lo, hi = rb + step, re + step
+            else:
+                step = -data.draw(st.integers(max(0, first - lo + rb), limit - hi + re))
+                lo, hi = lo - rb - step, hi - re - step
+            steps.append(step)
+            if lo == hi:  # the ends met: the rest of the path is not walked
+                steps += data.draw(st.lists(st.integers(-limit, limit), max_size=3))
+                break
+        want = rank1_walks(v, steps, b, e)
+        assert v.descend(array("q", steps), b, e) == want, (kind, b, e, steps)
+        assert v.descend(steps, b, e) == want

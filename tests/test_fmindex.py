@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmblock import fmindex, wavelet
+from fmblock.bitrank import RrrBitVector
 from fmblock.fmindex import IndexVariant, build_index, default_block_size
 from fmblock.storage import deserialize, serialize
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
@@ -194,6 +195,31 @@ def test_two_end_steps_counts_and_block_edges_match_scans(data):
             for r in (0, len(block)):
                 assert ix.blocks.rank(c, i * size + r) - ix.blocks.rank(c, i * size) == naive_rank(block, c, r)
                 assert ix.rank_l(c, i * size + r) == (naive_rank(l, c, i * size + r) if c < sigma else 0)
+
+
+@pytest.mark.parametrize("variant", [IndexVariant.SSA_RRR, IndexVariant.FIXED_BLOCK_RRR])
+@pytest.mark.parametrize("t", [1, 15, 16, 63])
+def test_one_block_steps_across_rrr_samples_count_as_the_scan(variant, t, monkeypatch):
+    # a 6,000-symbol text, in one tree or in blocks of 3,000 symbols, so that each
+    # tree spans several RRR samples at every block size t (3 at t = 63) and the
+    # ends of a step in one tree are often in different samples; descend is
+    # watched to see that they are
+    rng = random.Random(t)
+    codes = random_codes(rng, 6000, 5)
+    text = Text.from_codes(codes, 5)
+    ix = build_index(text, variant, text.n // 2 if variant.fixed else None, t)
+    apart = []
+    descend = RrrBitVector.descend
+    monkeypatch.setattr(
+        RrrBitVector,
+        "descend",
+        lambda v, steps, b, e: apart.append(b // t >> 5 != e // t >> 5) or descend(v, steps, b, e),
+    )
+    patterns = [codes[i : i + k] for i in range(0, len(codes), 97) for k in (2, 3, 6, 12)]
+    patterns += [random_codes(rng, k, 5) for k in (2, 4, 6, 8) for _ in range(10)]
+    for pattern in patterns:
+        assert ix.count_codes(pattern) == naive_count(text, pattern), pattern
+    assert sum(apart) >= 10 and not all(apart)
 
 
 def test_a_symbol_absent_from_a_block_ranks_zero_there_and_counts_in_the_next():
