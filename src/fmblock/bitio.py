@@ -2,10 +2,11 @@
 
 Fields of 0..64 bits are packed LSB-first: bit i of a field at bit offset
 p is bit (p + i) % 8 of byte (p + i) // 8, and a stream is zero-padded to
-a whole byte. pack_fields writes consecutive fields and unpack_fields reads
-them back, built on as_words and read_fields, which read fields at any
-offsets. unpack_bits reads single bits from any offset, to copy stored
-offset streams. A scalar RRR rank reads its one offset inline (see bitrank).
+a whole byte. pack_fields writes consecutive fields and read_fields reads
+fields at any offsets, from the stream as little-endian uint64 words with
+a spare word after the last field's. unpack_bits reads single bits from
+any offset, to copy stored offset streams. A scalar RRR rank reads its one
+offset inline (see bitrank).
 """
 
 import numpy as np
@@ -38,38 +39,18 @@ def pack_fields(values, widths):
     return np.packbits(bits, bitorder="little").tobytes()
 
 
-def unpack_fields(buf, start, widths):
-    """The consecutive fields of the given widths from bit `start` of buf on, as uint64.
-
-    Raises EOFError if the fields run past the end of buf.
-    """
-    widths = np.asarray(widths, dtype=np.int64)
-    starts = widths.cumsum()
-    end = start + (int(starts[-1]) if len(starts) else 0)
-    if end > 8 * len(buf):
-        raise EOFError("bit stream exhausted")
-    first = start >> 3
-    starts -= widths
-    starts += start - 8 * first
-    return read_fields(as_words(buf[first : (end + 7) >> 3]), starts, widths)
-
-
 def unpack_bits(buf, start, count):
     """The `count` bits from bit `start` of buf on, one uint8 (0 or 1) per bit."""
     raw = np.frombuffer(buf, dtype=np.uint8)[start >> 3 : (start + count + 7) >> 3]
     return np.unpackbits(raw, bitorder="little")[start & 7 : (start & 7) + count]
 
 
-def as_words(buf):
-    """An LSB-first buffer as little-endian uint64 words, plus one zero word for read_fields."""
-    return np.frombuffer(bytes(buf) + bytes(16 - len(buf) % 8), dtype="<u8")
-
-
 def read_fields(words, starts, widths):
-    """The fields at the bit offsets `starts` of as_words output, as uint64.
+    """The fields at the bit offsets `starts` of a stream as little-endian uint64 words, as uint64.
 
     `widths` holds one width per field, or one width for all of them.
-    `starts` (int64) is overwritten.
+    `starts` (int64) is overwritten. The word after each field's first one
+    is read too, so the words end in a spare one.
     """
     at = starts >> 6
     shift = starts.view(np.uint64)

@@ -35,7 +35,8 @@ checking every RRR field before any node is routed. Neither loops over
 the sections in Python: the sections are sliced and joined by map, and
 every check and table is made over all of them at once. Once the nodes
 are routed (see wavelet), the vector's trim() checks the bits that
-follow each tree's last node, and clears them, for all trees at once.
+follow each tree's last node, for all trees at once; plain padding bits
+are left as read, since no rank reads past a tree's last node.
 
 Each backend also takes both ends of a backward-search step in one tree
 down a symbol's path, level by level: descend() ranks both ends of a level
@@ -62,7 +63,7 @@ from array import array
 
 import numpy as np
 
-from .bitio import pack_fields, read_fields, unpack_bits, unpack_fields
+from .bitio import pack_fields, read_fields, unpack_bits
 
 # each byte with its bits in reverse order: bitio's LSB-first bytes to the words' MSB-first ones
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -209,27 +210,15 @@ class PlainBitVector(_BitVector):
         return stop - start, 32 * plain_words(stop - start)
 
     def trim(self, ends, limits):
-        """Zero each tree's padding bits ends[i]..limits[i] - 1, the tail of one word.
+        """End the vector at the last tree's last node; ValueError if more than 7 bits follow a tree's.
 
         Tree i's last node ends at ends[i] and its section, whole bytes, at
-        limits[i], the last of which ends the vector; ValueError if more
-        than 7 bits follow a tree's last node. Of the counters, only that of
-        a tree's spare word counts its padding. All trees are trimmed at
-        once: no two share a word.
+        limits[i], the last of which ends the vector. The bits between are
+        the padding of the section's last byte: they stay as read, since no
+        rank reads past a tree's last node.
         """
-        ends, limits = np.asarray(ends, dtype=np.int64), np.asarray(limits, dtype=np.int64)
-        if (limits - ends > 7).any():
+        if (np.asarray(limits) - np.asarray(ends) > 7).any():
             raise ValueError("payload length")
-        padded = ends < limits
-        end, limit = ends[padded], limits[padded]
-        words = np.frombuffer(self._words, dtype=np.uint64)
-        k = end >> 6
-        # the word's bits from end on, its low 64 - (end & 63), shifted in two steps as in batch_rank1
-        tail = ((_ONE << (63 - (end & 63)).view(np.uint64)) << _ONE) - _ONE
-        cleared = np.bitwise_count(words[k] & tail)
-        words[k] &= ~tail
-        spare = limit & 63 == 0
-        np.frombuffer(self._counts, dtype=np.uint32)[limit[spare] >> 6] -= cleared[spare]
         self.m -= int(limits[-1] - ends[-1])
 
 
@@ -661,10 +650,17 @@ class RrrBitVector(_BitVector):
         return self._sample_opos[blk >> 5] + sum(seg.tobytes().translate(self._widths))
 
     def blocks(self):
-        """Introspection: (class, offset) of each block of bits 0..m - 1."""
+        """Introspection: (class, offset) of each block of bits 0..m - 1.
+
+        Each block's offset is counted from its sample's: a loaded stream
+        skips bits between trees (see _parse_rrr).
+        """
         ks = self.block_classes()
         widths = np.frombuffer(ks.tobytes().translate(self._widths), dtype=np.uint8)
-        offsets = unpack_fields(self._offbuf, self._opos(0), widths)
+        blk = np.arange(len(ks))
+        starts = np.cumsum(widths, dtype=np.int64) - widths
+        starts += np.frombuffer(self._sample_opos, dtype=np.uint32)[blk >> 5] - starts[blk & -RRR_SAMPLE_EVERY]
+        offsets = read_fields(np.frombuffer(self._offbuf, dtype="<u8"), starts, widths)
         return list(zip(ks.tolist(), offsets.tolist()))
 
     def stored_bits(self, start=0, stop=None):
@@ -723,8 +719,8 @@ def read_plain(bufs):
     bits: its limit is first + 8 * len(buf). The sections are joined in one
     pass, each padded with zero bytes to the words it takes, after the
     sizes are checked (see tree_firsts). A tree's length is only known
-    once its nodes are read, so trim then clears its padding bits, at most
-    the 7 of the section's last byte.
+    once its nodes are read, so trim then checks that at most the 7 bits
+    of the section's last byte follow them.
     """
     stored = 8 * np.fromiter(map(len, bufs), dtype=np.int64, count=len(bufs))
     firsts = tree_firsts(stored)

@@ -85,19 +85,12 @@ class SizeReport:
 
 
 class BlockedFMIndex:
-    """Count-only FM-index; construct through build_index or storage.deserialize."""
+    """Count-only FM-index; construct through build_index or storage.deserialize.
 
-    def __init__(
-        self,
-        variant,
-        n,
-        sigma,
-        c,
-        blocks,
-        block_size,
-        byte_for_code,
-        rrr_block_size=15,
-    ):
+    rrr_block_size is 0 for a plain variant, as its file's header stores it.
+    """
+
+    def __init__(self, variant, n, sigma, c, blocks, block_size, byte_for_code, rrr_block_size):
         self.variant = IndexVariant(variant)
         self.n = n
         self.sigma = sigma
@@ -212,7 +205,8 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
 
     block_size applies to the fixed_block variants only and defaults to
     default_block_size(n, sigma); passing it with an ssa variant is an error.
-    The ssa variants use one block of n symbols.
+    The ssa variants use one block of n symbols. rrr_block_size applies to
+    the *_rrr variants only: a plain index carries 0, as its file does.
     """
     variant = IndexVariant(variant)
     backend = variant.bitvector_backend
@@ -227,15 +221,7 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
     else:
         bs = t.n
     b = textcore.bwt(t)
+    rrr_block_size = rrr_block_size if backend == "rrr" else 0
     # t.sigma, not the BWT's largest code plus one: a Text may lack its top codes
     blocks = WaveletTree(b.l, "huffman", backend, rrr_block_size, bs, t.sigma)
-    return BlockedFMIndex(
-        variant,
-        t.n,
-        t.sigma,
-        b.c,
-        blocks,
-        bs,
-        t.byte_for_code,
-        rrr_block_size,
-    )
+    return BlockedFMIndex(variant, t.n, t.sigma, b.c, blocks, bs, t.byte_for_code, rrr_block_size)

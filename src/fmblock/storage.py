@@ -20,8 +20,10 @@ holds only what cannot be recomputed: codes, rank directories, RRR samples
 and boundary rows are derived at load by the code that derives them at
 build. Deserialization rejects every other version (1, 2 and 4 are
 earlier layouts; 3 was never written), checks the framing, remap, c array
-and checksum before it parses any tree, then checks the symbol counts; a
-loaded index answers queries identically to the index that was saved.
+and checksum before it parses any tree, then checks the c array's symbol
+counts against the trees' leaf sizes, which the tree read sums (rank_l at
+n reads them, with no rank); a loaded index answers queries identically to
+the index that was saved.
 """
 
 import struct
@@ -58,7 +60,7 @@ def serialize(index, sink):
         MAGIC,
         VERSION,
         _VARIANT_CODES[variant],
-        index.rrr_block_size if variant.bitvector_backend == "rrr" else 0,
+        index.rrr_block_size,
         index.n,
         index.sigma,
         index.block_size if variant.fixed else 0,
@@ -159,20 +161,12 @@ def deserialize(source):
 
     trees = zip(sections[2:-1:2], sections[3:-1:2])
     try:
-        blocks, _ = read_trees(trees, n, block_size, sigma, backend, rrr_t)
+        blocks = read_trees(trees, n, block_size, sigma, backend, rrr_t)
     except (ValueError, EOFError) as exc:
         _corrupt(exc)
 
-    index = BlockedFMIndex(
-        variant,
-        n,
-        sigma,
-        c,
-        blocks,
-        block_size,
-        remap,
-        rrr_t if backend == "rrr" else 15,
-    )
+    index = BlockedFMIndex(variant, n, sigma, c, blocks, block_size, remap, rrr_t)
+    # rank_l at n is each symbol's total of leaf sizes, which _read summed
     for code in range(sigma):
         if index.rank_l(code, n) != c[code + 1] - c[code]:
             _corrupt("symbol counts")

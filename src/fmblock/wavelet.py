@@ -23,20 +23,21 @@ variants are one block) and share one vector, each from its own start: a
 fresh word for plain trees, a fresh sample for RRR ones (see bitrank's
 tree_firsts). They also share one set of flat tables (WaveletTree): one
 path entry per (tree, symbol), one array of every path's steps, each
-tree's start, leaf and length, and the boundary rows, the symbol counts
-before each block, with no Python object per tree, path or step. A Block
-is a view of one tree's rows. WaveletTree.rank ranks over the whole
-sequence: a symbol's row in the block, plus its rank in the block's tree.
+tree's start and leaf, the boundary rows, the symbol counts before each
+block, and every symbol's total, with no Python object per tree, path or
+step. A Block is a view of one tree's rows. WaveletTree.rank ranks over
+the whole sequence: a symbol's row in the block, plus its rank in the
+block's tree; at the sequence's end, the symbol's total, with no rank.
 
 A build and a load share one layout path (_read): it reads every tree's
 nodes at once, one depth at a time, from the vector and each tree's first
 bit and limit in it, each node sized by its parent's zero or one count,
 the ends of a depth's nodes ranked in one call of the vector's
 rank1_many, and sums the leaf sizes, the symbol counts, into the boundary
-rows. A build (WaveletTree(x, ...)) computes each block's canonical codes
-and its nodes' bits, in the order _read reads them, level by level and
-each level in prefix order, with one FIFO queue from the root
-(_node_bits); one make_bitvector call puts every tree's bits in one
+rows and the totals. A build (WaveletTree(x, ...)) computes each block's
+canonical codes and its nodes' bits, in the order _read reads them, level
+by level and each level in prefix order, with one FIFO queue from the
+root (_node_bits); one make_bitvector call puts every tree's bits in one
 vector, and _read lays them out. A load (read_trees) parses every tree's
 codebook section in one pass, with every tree's canonical codes computed
 at once (_parse_codebooks), reads every payload section into one vector
@@ -154,15 +155,16 @@ class WaveletTree:
     paths holds one entry per (tree, symbol below sigma), tree by tree: 0
     for a symbol the tree does not hold, else where the symbol's path
     starts in steps, shifted left by 8, or'd with 128 and with the path's
-    length. steps holds every path's steps in turn; starts, leaves and
-    lengths hold each tree's start, leaf and number of elements; rows, from
-    item i * sigma on, the occurrences of every symbol in the blocks before
-    block i. There is no object per tree: len() is the number of trees and
-    indexing gives a Block view of one. rank, narrow and batch_rank take
-    positions in the whole sequence, and find the block of each.
+    length. steps holds every path's steps in turn; starts and leaves hold
+    each tree's start and leaf; rows, from item i * sigma on, the
+    occurrences of every symbol in the blocks before block i; totals, those
+    in every block. There is no object per tree: len() is the number of
+    trees and indexing gives a Block view of one. rank, narrow and
+    batch_rank take positions in the whole sequence, and find the block of
+    each.
     """
 
-    __slots__ = ("bits", "n", "block_size", "sigma", "paths", "steps", "starts", "leaves", "lengths", "rows")
+    __slots__ = ("bits", "n", "block_size", "sigma", "paths", "steps", "starts", "leaves", "rows", "totals")
 
     def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15, block_size=None, sigma=None):
         """The trees of x's blocks of block_size elements (by default one block), over symbols below sigma.
@@ -209,10 +211,10 @@ class WaveletTree:
         _read(self, bits, first, first + ms, (tree, syms, lens, codes.astype(np.uint64)))
 
     def __len__(self):
-        return len(self.lengths)
+        return len(self.starts)
 
     def __getitem__(self, i):
-        n = len(self.lengths)
+        n = len(self.starts)
         if not -n <= i < n:
             raise IndexError("tree index out of range")
         return Block(self, i % n)
@@ -220,13 +222,15 @@ class WaveletTree:
     def rank(self, c, j):
         """Occurrences of symbol c among the first j elements.
 
-        They are c's row in the block of element j - 1, so that j = n needs
-        no special case, plus c's rank in that block's tree.
+        They are c's row in the block of element j - 1 plus c's rank in that
+        block's tree; at j = n, c's total, with no rank.
         """
         if not 0 <= j <= self.n:
             raise ValueError("rank position out of range")
         if j == 0 or not 0 <= c < self.sigma:
             return 0
+        if j == self.n:
+            return self.totals[c]
         i = (j - 1) // self.block_size
         at = i * self.sigma + c
         k = self.paths[at]
@@ -407,7 +411,7 @@ class Block:
 
 
 def _read(wt, bits, firsts, limits, codebook):
-    """Fill wt's path tables and boundary rows from its trees in one vector; returns their symbol counts.
+    """Fill wt's path tables, boundary rows and symbol totals from its trees in one vector.
 
     wt holds its sequence's length n, block size and sigma. Tree i, of block
     i, has its nodes joined bit to bit in bits from firsts[i], to limits[i]
@@ -428,8 +432,8 @@ def _read(wt, bits, firsts, limits, codebook):
     call of bits.rank1_many, at their ends. Raises ValueError on a node of
     no bits, which a tree built from a sequence never has: the codebook then
     lists symbols the block does not hold; EOFError if a node runs past its
-    tree's limit. Once every node is read, bits.trim checks and clears what
-    follows each tree's last node.
+    tree's limit. Once every node is read, bits.trim checks what follows
+    each tree's last node, which no rank reads.
 
     rank follows a position p in the vector, which starts at r plus the
     root's start s, the tree's start (its first bit for a tree with no
@@ -441,8 +445,9 @@ def _read(wt, bits, firsts, limits, codebook):
     rank1, counts from the tree's start. A symbol's path is its code's steps
     from the root, and ends at p = leaf plus the rank.
 
-    The boundary rows sum the symbol counts, each tree's occurrences of
-    every symbol, which are returned as int64, sigma per tree in turn.
+    A tree's occurrences of a symbol are the size of its leaf. The boundary
+    rows sum them over the blocks before each block, and the totals, which
+    rank returns at n, over every block.
     """
     sigma, ntrees = wt.sigma, len(firsts)
     first = np.array(firsts, dtype=np.int64)
@@ -508,10 +513,11 @@ def _read(wt, bits, firsts, limits, codebook):
     wt.bits = bits
     wt.starts = array("q", first.tobytes())
     wt.leaves = array("q", end.tobytes())
-    wt.lengths = array("q", lengths.tobytes())
-    counts = np.zeros(ntrees * sigma, dtype=np.int64)
-    counts[(tree * sigma + syms)[np.lexsort((syms, tree, lens))]] = np.concatenate(leaf_sizes)
-    wt.rows = _boundary_rows(counts, sigma)
+    counts = np.zeros((ntrees, sigma), dtype=np.int64)
+    counts.flat[(tree * sigma + syms)[np.lexsort((syms, tree, lens))]] = np.concatenate(leaf_sizes)
+    # every entry is at most n, so the rows and totals are 32-bit while n fits
+    upto = np.cumsum(counts, axis=0)
+    wt.rows, wt.totals = _table(upto - counts, "I", "q"), _table(upto[-1], "I", "q")
     # each node's two steps, from its children's starts
     empty = np.zeros(0, dtype=np.int64)
     node_tree, node_start, node_base, child = (
@@ -531,18 +537,6 @@ def _read(wt, bits, firsts, limits, codebook):
     final = codes[final] >> (lens[final] - 1 - level).astype(np.uint64)
     node = last_at[tree[entry], level] - 1 - ((final >> np.uint64(1)) - (below >> np.uint64(1))).astype(np.int64)
     wt.steps = _table(np.where(below & np.uint64(1), one[node], zero[node]), "i", "q")
-    return counts
-
-
-def _boundary_rows(counts, sigma):
-    """Row i, from item i * sigma on: occurrences of every symbol in the blocks before block i.
-
-    counts holds each block's occurrences of every symbol, sigma per block
-    in turn. Every entry is at most n, so the rows are 32-bit while n fits.
-    """
-    rows = np.zeros((len(counts) // sigma, sigma), dtype=np.int64)
-    np.cumsum(np.reshape(counts, rows.shape)[:-1], axis=0, out=rows[1:])
-    return _table(rows, "I", "q")
 
 
 # a codebook entry: a u16 symbol and a u8 code length
@@ -609,17 +603,18 @@ def _parse_codebooks(bodies, sigma):
 def read_trees(sections, n, block_size, sigma, backend, rrr_block_size):
     """The WaveletTree of a sequence of n symbols below sigma from its blocks' (codebook, payload) sections.
 
-    Also returns its symbol counts, sigma per tree in turn (see _read). The
-    sections are all parsed into one vector, and an RRR one's fields
+    The sections are all parsed into one vector, and an RRR one's fields
     checked, before any tree is read (see read_plain and read_rrr). A
-    symbol's count is the size of its leaf, from the zero or one count of
-    the last node on its path. ValueError or EOFError names a failed check.
+    symbol's count in a tree is the size of its leaf, from the zero or one
+    count of the last node on its path (see _read). ValueError or EOFError
+    names a failed check.
     """
     codebooks, payloads = zip(*sections)
     bits, firsts, limits = read_sections(payloads, backend, rrr_block_size)
     wt = WaveletTree.__new__(WaveletTree)
     wt.n, wt.block_size, wt.sigma = n, min(block_size, n), sigma
-    return wt, _read(wt, bits, firsts, limits, _parse_codebooks(codebooks, sigma))
+    _read(wt, bits, firsts, limits, _parse_codebooks(codebooks, sigma))
+    return wt
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):

@@ -1,0 +1,52 @@
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from fmblock.fmindex import IndexVariant, build_index
+from fmblock.storage import deserialize, serialize
+from fmblock.textcore import build_text
+
+
+def benchmark_inputs():
+    """perfbench/inputs.py, the benchmark's texts and oracle counts, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# the default block sizes, and block size 64: hundreds of trees per text;
+# RRR there also at t = 1, 16 (a class per byte) and 63 (enumerative offsets),
+# and ssa_rrr at those t: one tree over many samples, so count's one-tree
+# descents meet every class layout with their ends in different samples
+BUILDS = (
+    [(v, None, 15) for v in IndexVariant]
+    + [(v, 64, 15) for v in IndexVariant if v.fixed]
+    + [(IndexVariant.FIXED_BLOCK_RRR, 64, t) for t in (1, 16, 63)]
+    + [(IndexVariant.SSA_RRR, None, t) for t in (1, 16, 63)]
+)
+
+
+@pytest.mark.parametrize("workload", ["stdlib-read", "markov-boost"])
+def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
+    mix = benchmark_inputs().prepare(workload, 1, 30_000, 300, 100)
+    patterns = [p for _, p in mix.patterns] + mix.batch
+    text = build_text(mix.raw)
+    for variant, block_size, t in BUILDS:
+        built = build_index(text, variant, block_size, t)
+        sink = io.BytesIO()
+        serialize(built, sink)
+        loaded = deserialize(sink.getvalue())
+        # the loaded copy saves the built index's bytes
+        again = io.BytesIO()
+        serialize(loaded, again)
+        assert again.getvalue() == sink.getvalue(), (variant, block_size, t)
+        for index in (built, loaded):
+            got = index.count_many(patterns)
+            assert got == [index.count(p) for p in patterns], (variant, block_size, t)
+            assert got == mix.expected + mix.batch_expected, (variant, block_size, t)

@@ -24,7 +24,7 @@ from fmblock.bitrank import (
     rrr_samples,
     value_of_offset,
 )
-from fmblock.fmindex import IndexVariant, build_index
+from fmblock.fmindex import BlockedFMIndex, IndexVariant, build_index
 from fmblock.storage import (
     MAGIC,
     VERSION,
@@ -272,6 +272,32 @@ def test_tree_section_checks_with_a_valid_checksum(variant, rrr_t, which, edit, 
     assert str(info.value) == f"corrupt index: {check}"
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_c_array_that_disagrees_with_the_trees_is_rejected(variant):
+    # one a counted as a b: the c array still passes its own checks (c[0] = 0,
+    # one sentinel, monotone, c[sigma] = n) but not the trees' symbol counts;
+    # the fixed variants hold several blocks
+    ix = build_index(build_text(b"abracadabra" * 4), variant, 8 if variant.fixed else None)
+    assert len(ix.blocks) > 1 if variant.fixed else len(ix.blocks) == 1
+    raw = to_bytes(ix)
+    c = list(ix.c)
+    c[2] += 1  # codes 1 and 2 are a (20 of them) and b (8)
+    assert c[:2] == [0, 1] and c[-1] == ix.n and c == sorted(c)
+    assert to_bytes(deserialize(_with_section(raw, 1, lambda body: body))) == raw
+    with pytest.raises(CorruptIndexError) as info:
+        deserialize(_with_section(raw, 1, lambda body: struct.pack(f"<{ix.sigma + 1}Q", *c)))
+    assert str(info.value) == "corrupt index: symbol counts"
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("rrr_t", [1, 7, 15, 63])
+def test_a_loaded_index_has_the_built_rrr_block_size(variant, rrr_t):
+    # a plain index carries 0, as its header does
+    ix = build_index(build_text(b"abracadabra"), variant, 4 if variant.fixed else None, rrr_t)
+    assert ix.rrr_block_size == (rrr_t if variant.bitvector_backend == "rrr" else 0)
+    assert deserialize(to_bytes(ix)).rrr_block_size == ix.rrr_block_size
+
+
 def test_plain_payload_padding_bits_are_ignored_at_load():
     raw = to_bytes(build_index(build_text(b"a" * 8), "ssa"))
     # the root holds 9 bits, so the last payload byte has 7 bits of padding
@@ -280,21 +306,21 @@ def test_plain_payload_padding_bits_are_ignored_at_load():
     assert to_bytes(ix) == raw
 
 
-def test_plain_padding_ones_before_a_spare_word_are_cleared_at_load():
-    # 63 bits fill the payload's eight bytes but for one padding bit; the
-    # tree's spare word, which rank1 at bit 64 reads, must not count it
+def test_plain_padding_ones_before_a_spare_word_are_ignored_at_load():
+    # 63 bits fill the payload's eight bytes but for one padding bit, which
+    # the counter of the tree's spare word counts: no rank reads that far
     raw = to_bytes(build_index(build_text(b"a" * 62), "ssa"))
     ix = deserialize(_with_section(raw, PAYLOAD, lambda body: body[:-1] + bytes([body[-1] | 0x80])))
     bits = ix.blocks[0].bits
-    assert bits.m == 63 and bits.rank1(bits.m) == 62 and bits.rank1(64) == 62
+    assert bits.m == 63 and bits.rank1(bits.m) == 62
     assert ix.count(b"aa") == 61
     assert to_bytes(ix) == raw
 
 
-def test_plain_padding_bits_of_every_block_are_cleared_at_load():
+def test_plain_padding_bits_of_every_block_are_ignored_at_load():
     # four blocks, each payload ending in padding bits; the third tree's 63
-    # bits fill its eight bytes but for one, so its spare word's counter
-    # must not count that padding bit either
+    # bits fill its eight bytes but for one, which its spare word's counter
+    # counts, and no rank reads
     ix = build_index(build_text(b"fixed block compression boosting " * 4), "fixed_block", 40)
     raw = to_bytes(ix)
     ms = [wt.leaf - wt.start for wt in ix.blocks]
@@ -307,10 +333,6 @@ def test_plain_padding_bits_of_every_block_are_cleared_at_load():
     assert padded != raw and to_bytes(back) == raw
     bits = back.blocks[0].bits
     assert [bits.rank1(wt.leaf) for wt in back.blocks] == [ix.blocks[0].bits.rank1(wt.leaf) for wt in ix.blocks]
-    for wt, m in zip(back.blocks, ms):
-        # the tree's ones at its last node's end and at its section's end
-        want = ix.blocks[0].bits.rank1(wt.leaf)
-        assert bits.rank1(wt.leaf) == bits.rank1(wt.start + 8 * ((m + 7) // 8)) == want
     assert [back.rank_l(c, j) for c in range(ix.sigma) for j in range(ix.n + 1)] == [
         ix.rank_l(c, j) for c in range(ix.sigma) for j in range(ix.n + 1)
     ]
@@ -495,23 +517,24 @@ def test_saving_an_rrr_index_makes_no_rank1_call(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch):
-    # scalar rank1 calls are only the symbol counts' check: its ranks at n, one
-    # per level of each symbol's path in the last tree. The vectorised
-    # rank1_many ranks each internal node once, at its end, and each RRR tree's
-    # limit once for its padding bits; the boundary rows come from the leaf
-    # sizes the node walk already has
+    # no scalar rank1 call: the symbol counts' check takes rank_l at n, once
+    # per symbol, which reads the totals of the leaf sizes the node walk
+    # already has, as the boundary rows do. The vectorised rank1_many ranks
+    # each internal node once, at its end, and each RRR tree's limit once
+    # for its padding bits
     text = build_text(b"abracadabra" * 40 + bytes(range(1, 200)) + b"a" * 300)
     ix = build_index(text, variant, 100 if variant.fixed else None)
     raw = to_bytes(ix)
     rrr = variant.bitvector_backend == "rrr"
     vector = RrrBitVector if rrr else PlainBitVector
-    calls, many = [], []
-    rank1, rank1_many = vector.rank1, vector.rank1_many
+    calls, many, ranked = [], [], []
+    rank1, rank1_many, rank_l = vector.rank1, vector.rank1_many, BlockedFMIndex.rank_l
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
     monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
+    monkeypatch.setattr(BlockedFMIndex, "rank_l", lambda self, c, j: ranked.append((c, j)) or rank_l(self, c, j))
     back = deserialize(raw)
     monkeypatch.undo()
-    assert len(calls) == sum(length for length, _ in back.blocks[-1].codes.values())
+    assert calls == [] and ranked == [(c, ix.n) for c in range(ix.sigma)]
     if variant.fixed:
         assert any(len(wt.codes) == 1 for wt in back.blocks)
     if rrr:
@@ -669,6 +692,18 @@ def test_a_load_keeps_no_object_per_block_and_symbol(tmp_path):
     assert held / len(ix.blocks) <= 300
 
 
+@pytest.mark.parametrize("rrr_t", [1, 15, 16, 63])
+def test_a_loaded_rrr_vector_of_many_trees_reads_back_its_blocks(rrr_t):
+    # a loaded offset stream keeps each section's tail bytes, so it skips
+    # bits between trees, which a built one does not
+    ix = build_index(build_text(b"fixed block compression boosting " * 20), "fixed_block_rrr", 100, rrr_t)
+    back = deserialize(to_bytes(ix))
+    assert len(back.blocks) > 2
+    built, loaded = ix.blocks.bits, back.blocks.bits
+    assert loaded.blocks() == built.blocks()
+    assert loaded.to_bits().tolist() == built.to_bits().tolist()
+
+
 @pytest.mark.parametrize("variant", ["fixed_block", "fixed_block_rrr"])
 @pytest.mark.parametrize("block_size", [1, 2])
 def test_a_load_reads_one_tree_per_symbol_or_pair(variant, block_size):
@@ -706,7 +741,7 @@ def test_a_built_index_equals_its_loaded_copy(data):
     ix = build_index(t, variant, block_size, rrr_t)
     raw = to_bytes(ix)
     back = deserialize(raw)
-    for name in ("paths", "steps", "starts", "leaves", "lengths", "rows"):
+    for name in ("paths", "steps", "starts", "leaves", "rows", "totals"):
         assert getattr(back.blocks, name) == getattr(ix.blocks, name), name
     built, loaded = ix.blocks.bits, back.blocks.bits
     assert built.m == loaded.m

@@ -147,7 +147,7 @@ def test_codebook_reconstruction_round_trip():
     for backend in ("plain", "rrr"):
         wt = build_wt(seq, "huffman", backend)
         sections = [(wt[0].codebook_section(), wt[0].payload_section())]
-        rebuilt, _ = read_trees(sections, len(seq), len(seq), 9, backend, 15)
+        rebuilt = read_trees(sections, len(seq), len(seq), 9, backend, 15)
         assert rebuilt[0].codes == wt[0].codes
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
@@ -167,7 +167,7 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
     rank1, rank1_many = vector.rank1, vector.rank1_many
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
     monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
-    loaded, counts = read_trees(sections, len(seq), len(seq), 60, backend, 15)
+    loaded = read_trees(sections, len(seq), len(seq), 60, backend, 15)
     monkeypatch.undo()
     assert calls == []
     # an RRR section's padding check comes first, before any node is read: one position, the tree's limit
@@ -181,7 +181,7 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
     ends = [j for level in many for j in level]
     assert len(ends) == len(Counter(seq)) - 1
     assert ends == sorted(set(ends)) and loaded[0].start < ends[0] and ends[-1] == loaded[0].leaf
-    assert counts.tolist() == [Counter(seq)[c] for c in range(60)]
+    assert loaded.totals.tolist() == [Counter(seq)[c] for c in range(60)]
     assert [loaded.rank(c, len(seq)) for c in range(60)] == [built.rank(c, len(seq)) for c in range(60)]
 
 
@@ -201,8 +201,8 @@ def test_a_node_of_no_bits_is_rejected_at_load():
         return struct.pack("<H", len(lengths)) + entries
 
     # symbol 0 (code 0) fills the block: a leaf of no elements loads, a node of no bits does not
-    wt, counts = read_trees([(codebook({0: 1, 1: 1}), b"\0")], 8, 8, 3, "plain", 15)
-    assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0) and counts.tolist() == [8, 0, 0]
+    wt = read_trees([(codebook({0: 1, 1: 1}), b"\0")], 8, 8, 3, "plain", 15)
+    assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0) and wt.totals.tolist() == [8, 0, 0]
     with pytest.raises(ValueError, match="empty node"):
         read_trees([(codebook({0: 1, 1: 2, 2: 2}), b"\0")], 8, 8, 3, "plain", 15)
 
@@ -286,8 +286,8 @@ def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
     wt = build_wt(seq, "huffman", backend, t)
     sections = (wt[0].codebook_section(), wt[0].payload_section())
     sigma = int(seq.max()) + 1
-    back, counts = read_trees([sections], len(seq), len(seq), sigma, backend, t)
-    assert counts.tolist() == np.bincount(seq, minlength=sigma).tolist()
+    back = read_trees([sections], len(seq), len(seq), sigma, backend, t)
+    assert back.totals.tolist() == np.bincount(seq, minlength=sigma).tolist()
     assert (back[0].codebook_section(), back[0].payload_section()) == sections
     assert back.bits.to_bits().tolist() == wt.bits.to_bits().tolist()
     assert (back[0].start, back[0].leaf, back[0]._items()) == (wt[0].start, wt[0].leaf, wt[0]._items())
