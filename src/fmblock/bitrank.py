@@ -46,10 +46,13 @@ block where they share them.
 
 Each backend also ranks many positions at once, in two forms over
 np.frombuffer views of the vector's buffers. batch_rank1() returns a
-function of an int64 array of positions, for count_many's many rounds:
-the plain one is rank1 in numpy; the RRR one first makes tables of 5
-bytes per block (its class, and the classes and offset widths before it
-since its sample), which live as long as the function does.
+function of an int64 array of positions, for count_many's many rounds,
+and binds every view and table it reads once, so that a round is only
+its arithmetic: the plain one is rank1 in numpy; the RRR one first makes
+tables of 5 bytes per block (its class, and the classes and offset widths
+before it since its sample), which live as long as the function does,
+and up to t = 16 reads each offset from one unaligned uint32 view of the
+offset stream, one element per byte, with no read_fields call.
 rank1_many(positions) ranks once, for a load's few positions per tree
 depth: plain, it is batch_rank1's; RRR, each position sums its own
 sample's classes, with no table over all blocks.
@@ -179,20 +182,24 @@ class PlainBitVector(_BitVector):
         return b, e
 
     def batch_rank1(self):
-        """rank1 over int64 arrays of positions: a function of one, rank1_many, which makes no table."""
-        return self.rank1_many
+        """rank1 over int64 arrays of positions: a function of one, over views of the words and counters made once.
+
+        It returns uint32 ranks. The shift of 64 - (j & 63) is done as 63 -
+        (j & 63), then 1, so that no word is shifted by 64: C leaves that
+        undefined, and numpy (2.4 gives 0, as Python does) does not document it.
+        """
+        words = np.frombuffer(self._words, dtype=np.uint64)
+        counts = np.frombuffer(self._counts, dtype=np.uint32)
+
+        def rank1(j):
+            k = j >> 6
+            return counts[k] + np.bitwise_count(words[k] >> (63 - (j & 63)).view(np.uint64) >> _ONE)
+
+        return rank1
 
     def rank1_many(self, j):
-        """rank1 of every position in the int64 array j, over views of the words and counters.
-
-        The shift of 64 - (j & 63) is done as 63 - (j & 63), then 1, so
-        that no word is shifted by 64: C leaves that undefined, and numpy
-        (2.4 gives 0, as Python does) does not document it.
-        """
-        k = j >> 6
-        word = np.frombuffer(self._words, dtype=np.uint64)[k]
-        ones = np.bitwise_count(word >> (63 - (j & 63)).view(np.uint64) >> _ONE)
-        return np.frombuffer(self._counts, dtype=np.uint32)[k] + ones.astype(np.int64)
+        """rank1 of every position in the int64 array j, as int64: batch_rank1's, which makes no table."""
+        return self.batch_rank1()(j).astype(np.int64)
 
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
@@ -556,10 +563,16 @@ class RrrBitVector(_BitVector):
         It makes two tables first: every block's class, and, in 32 bits, the
         classes and the offset widths of the blocks before it since its
         sample, each in 11 bits. A rank then reads its block's entries and
-        its sample, its offset with read_fields, and decodes it (see
-        _block_ones). The tables cost a pass over every block and 5 bytes
-        per block, which the many rounds of count_many repay: it is the
-        faster form there, and rank1_many the faster at load.
+        its sample, and its block's offset, and decodes it. The tables cost
+        a pass over every block and 5 bytes per block, which the many rounds
+        of count_many repay: it is the faster form there, and rank1_many the
+        faster at load. Every view a rank reads is bound here, once per call.
+        Up to t = 16 an offset is at most 14 bits wide, so the 4 bytes from
+        the one that holds its first bit hold it: one unaligned uint32 view
+        of the offset buffer, one element per byte (the buffer ends in a
+        spare word), reads it, shifted and masked by its class, and the
+        decode table decodes it; the ranks are uint32. Above, _block_ones
+        reads it with read_fields and decodes it enumeratively.
         """
         t = self.t
         classes = self.block_classes(0, RRR_SAMPLE_EVERY * len(self._sample_rank))
@@ -573,15 +586,28 @@ class RrrBitVector(_BitVector):
         before -= fields
         before = before.ravel()
         sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
-        sample_opos = np.frombuffer(self._sample_opos, dtype=np.uint32)
+        # int64, so that the offset positions are: numpy gathers by int64 indices faster than by uint32 ones
+        sample_opos = np.frombuffer(self._sample_opos, dtype=np.uint32).astype(np.int64)
+        if self._table is None:
+            block_ones = self._block_ones
+        else:
+            view = np.ndarray(len(self._offbuf) - 3, dtype="<u4", buffer=self._offbuf, strides=(1,))
+            words = np.frombuffer(self._table[0], dtype=np.uint16)
+            starts = np.frombuffer(self._table[1], dtype=np.int64)
+            masks = (np.uint32(1) << widths) - np.uint32(1)  # each class's offset bits
+            low = (np.uint16(1) << np.arange(t, dtype=np.uint16)) - np.uint16(1)  # a block's bits before rem
+
+            def block_ones(k, opos, rem):
+                k = k.astype(np.intp)
+                off = view[opos >> 3] >> (opos & 7) & masks[k]
+                return np.bitwise_count(words[starts[k] + off] & low[rem])
 
         def rank1(j):
             blk = j // t
-            entry = before[blk]
             sb = blk >> 5
-            opos = sample_opos[sb] + (entry >> 11).astype(np.int64)
-            low = self._block_ones(classes[blk], opos, j - blk * t)
-            return sample_rank[sb] + (entry & 2047).astype(np.int64) + low
+            entry = before[blk]
+            opos = sample_opos[sb] + (entry >> 11)
+            return sample_rank[sb] + (entry & 2047) + block_ones(classes[blk], opos, j - blk * t)
 
         return rank1
 

@@ -13,6 +13,7 @@ searches many together, each step ranking both ends of every live range
 in numpy (see WaveletTree.batch_rank), and gives the same counts.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,8 +25,12 @@ from .wavelet import WaveletTree
 # patterns per chunk of count_many, which bounds its temporaries
 _COUNT_CHUNK = 1 << 15
 # live ranges at or below which count_many steps each in turn (see
-# WaveletTree.narrow): a numpy round costs about as much as 8 ranges' scalar steps,
-# so a long pattern left on its own does not pay a round per code
+# WaveletTree.narrow), and ranks at or below which its batch_rank finishes
+# their paths with scalar rank1s, so that a long pattern or a deep code left
+# on its own does not pay a numpy round per code or level. A level round of
+# 85 ranks costs about as much as 40 plain or 14 RRR scalar rank1s (1 MB
+# stdlib text, 2 cores), and tails of 4 to 32 counted the benchmark batch
+# within noise of each other, for either use: one constant serves both
 _SCALAR_TAIL = 8
 
 
@@ -134,10 +139,12 @@ class BlockedFMIndex:
         """[self.count(p) for p in patterns], with every pattern's backward search run together.
 
         The patterns go _COUNT_CHUNK at a time, so that a batch of any size
-        keeps the temporaries bounded.
+        keeps the temporaries bounded. The blocks' batch_rank, and the
+        tables it makes, wait for a chunk's first numpy round: a batch of
+        _SCALAR_TAIL patterns or fewer makes none.
         """
         patterns = list(patterns)
-        rank = self.blocks.batch_rank()
+        rank = functools.cache(lambda: self.blocks.batch_rank(_SCALAR_TAIL))
         counts = []
         for lo in range(0, len(patterns), _COUNT_CHUNK):
             counts += self._count_chunk(patterns[lo : lo + _COUNT_CHUNK], rank)
@@ -146,7 +153,7 @@ class BlockedFMIndex:
     def _count_chunk(self, patterns, rank):
         """count_many of one chunk: a step ranks both ends of every live range at once.
 
-        rank is the blocks' batch_rank. The codes of all patterns are one
+        rank() gives the blocks' batch_rank. The codes of all patterns are one
         array, each pattern's in turn. A range is live until it is empty or
         its pattern is consumed, and the last _SCALAR_TAIL live ones step in
         turn, as count does.
@@ -176,7 +183,7 @@ class BlockedFMIndex:
                 return counts.tolist()
             at -= 1
             x = np.tile(codes[at], 2)
-            j = c[x] + rank(x, np.concatenate([b, e]))
+            j = c[x] + rank()(x, np.concatenate([b, e]))
             b, e = j[: len(at)], j[len(at) :]
             keep = b < e
             live, at, b, e = (v[keep] for v in (live, at, b, e))

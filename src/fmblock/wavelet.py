@@ -48,7 +48,8 @@ step in one block go down the code's path in one call of the vector's
 descend, and ends in two blocks one rank1 call per level each.
 WaveletTree.batch_rank ranks many (symbol, position) pairs at once over
 views of the same tables, one level per round, each round one call of the
-vector's batch rank1.
+vector's batch_rank1, until few ranks still descend: those finish their
+paths one at a time with the vector's rank1.
 
 A tree owns the layout of its two index-file sections: the codebook (u16
 alphabet size, then a u16 symbol and u8 code length per symbol in
@@ -300,7 +301,7 @@ class WaveletTree:
                 return None
         return b, e
 
-    def batch_rank(self):
+    def batch_rank(self, tail):
         """rank over int64 arrays: a function of (codes, j), over views of the tables.
 
         It gives the occurrences of codes[i] among the first j[i] elements;
@@ -308,7 +309,9 @@ class WaveletTree:
         in rank, and the tree ranks go down their paths together, one level
         per round, each round one call of the vector's batch_rank1: sorted
         by path length, longest first, the ranks still descending at a
-        level are a prefix of them.
+        level are a prefix of them. Once tail or fewer are, they finish
+        their paths one at a time with the vector's rank1, as rank does: a
+        round costs about as much as tail scalar ranks.
         """
         sigma, size = self.sigma, self.block_size
         paths = np.frombuffer(self.paths, dtype=self.paths.typecode)
@@ -317,6 +320,7 @@ class WaveletTree:
         starts = np.frombuffer(self.starts, dtype=np.int64)
         leaves = np.frombuffer(self.leaves, dtype=np.int64)
         rank1 = self.bits.batch_rank1()
+        scalar, path_steps = self.bits.rank1, self.steps
 
         def rank(codes, j):
             tree = np.maximum(j - 1, 0) // size  # block 0 for j = 0
@@ -329,10 +333,18 @@ class WaveletTree:
             first = k >> 8
             # at each level, the ranks whose paths are longer
             for d, live in enumerate((len(lens) - np.cumsum(np.bincount(lens))[:-1]).tolist()):
+                if live <= tail:
+                    deep = p[:live].tolist()
+                    for i, (at, f, n) in enumerate(zip(deep, first[:live].tolist(), lens[:live].tolist())):
+                        for step in path_steps[f + d : f + n]:
+                            at = scalar(at) + step if step > 0 else at - scalar(at) - step
+                        deep[i] = at
+                    p[:live] = deep
+                    break
                 step = steps[first[:live] + d]
                 at = p[:live]
-                ones = rank1(at)
-                p[:live] = np.where(step > 0, ones + step, at - ones - step)
+                q = rank1(at) + step
+                p[:live] = np.where(step > 0, q, at - q)
             ranks = rows[row].astype(np.int64)
             ranks[order] += np.where(k != 0, p - leaves[tree], 0)
             return ranks

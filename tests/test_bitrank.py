@@ -238,14 +238,24 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
 
 
 @pytest.mark.parametrize(
-    "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
+    "backend,t,middle",
+    [pytest.param("plain", 15, False, id="plain-15")]
+    + [pytest.param("rrr", t, False, id=f"rrr-{t}") for t in (1, 3, 15, 16, 17, 63)]
+    + [pytest.param("rrr", t, True, id=f"rrr-{t}-middle") for t in (15, 16, 17, 63)],
 )
-def test_batch_rank1_equals_rank1_over_three_trees(backend, t):
+def test_batch_rank1_equals_rank1_over_three_trees(backend, t, middle):
     # one vector of three trees' sections, as a load reads them: the batch rank
     # at every position, so at every multiple of 64 (a shift by 64 in scalar
-    # rank1) and at each tree's first bit and limit, equals the scalar one
+    # rank1) and at each tree's first bit and limit, equals the scalar one.
+    # middle: every whole block of class t // 2, so the offsets are all of the
+    # widest width (13 bits at t = 15, 14 at 16) and start at every bit shift
     rng = random.Random(t)
     joined = [np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8) for m in (700, 63, 2 * t + 1)]
+    if middle:
+        for bits in joined:
+            for lo in range(0, len(bits) - t + 1, t):
+                bits[lo : lo + t] = 0
+                bits[[lo + i for i in rng.sample(range(t), t // 2)]] = 1
     if backend == "plain":
         sections = [np.packbits(bits, bitorder="little").tobytes() for bits in joined]
     else:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock import fmindex, wavelet
+from fmblock import bitrank, fmindex, wavelet
 from fmblock.bitrank import RrrBitVector
 from fmblock.fmindex import IndexVariant, build_index, default_block_size
 from fmblock.storage import deserialize, serialize
@@ -265,6 +265,64 @@ def test_count_many_keeps_memory_bounded_in_chunks():
     patterns = [b"a", b"bra", b"", b"zz", b"cad"] * 7
     with mock.patch.object(fmindex, "_COUNT_CHUNK", 4), mock.patch.object(fmindex, "_SCALAR_TAIL", 0):
         assert ix.count_many(patterns) == [5, 2, ix.n, 0, 1] * 7
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_count_many_of_a_few_patterns_makes_no_batch_table(variant, monkeypatch):
+    # _SCALAR_TAIL patterns or fewer step in turn from the first step, so no
+    # numpy round runs and the vector makes no batch table
+    ix = build_index(build_text(b"abracadabra" * 30), variant, 40 if variant.fixed else None)
+    for name in ("PlainBitVector", "RrrBitVector"):
+        monkeypatch.setattr(getattr(bitrank, name), "batch_rank1", mock.Mock(side_effect=AssertionError(name)))
+    patterns = [b"abra", b"cad", b"", b"zz", b"a", b"racadabraa", b"dabra", b"b"][: fmindex._SCALAR_TAIL]
+    assert ix.count_many(patterns) == [ix.count(p) for p in patterns]
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("t", [15, 16, 17, 63])
+def test_count_many_finishes_deep_paths_with_scalar_ranks(variant, t, monkeypatch):
+    # symbol counts 1, 1, 2, 3, 5, ..., 144 make Huffman codes up to about 12
+    # bits, deeper than the scalar tail: a step of a batch wider than the tail
+    # ranks the shallow levels in numpy rounds, and once few ranks still
+    # descend, they finish their paths with the vector's rank1
+    fib = [1, 1]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    codes = [c for c, k in enumerate(fib, 1) for _ in range(k)]
+    rng = random.Random(t)
+    rng.shuffle(codes)
+    text = Text.from_codes(codes, 13)
+    ix = build_index(text, variant, text.n // 2 if variant.fixed else None, t)
+    vector = type(ix.blocks.bits)
+    step, calls = [], []  # the rounds and the scalar ranks of the step being ranked, then of each step
+    batch_rank1, rank1, batch_rank = vector.batch_rank1, vector.rank1, wavelet.WaveletTree.batch_rank
+
+    def watched_batch_rank1(v):
+        rounds = batch_rank1(v)
+        return lambda j: step.append("round") or rounds(j)
+
+    def watched_batch_rank(wt, tail):
+        rank = batch_rank(wt, tail)
+
+        def watched(x, j):
+            step.clear()
+            ranks = rank(x, j)
+            calls.append(list(step))
+            return ranks
+
+        return watched
+
+    monkeypatch.setattr(vector, "batch_rank1", watched_batch_rank1)
+    monkeypatch.setattr(vector, "rank1", lambda v, j: step.append("rank1") or rank1(v, j))
+    monkeypatch.setattr(wavelet.WaveletTree, "batch_rank", watched_batch_rank)
+    patterns = [bytes(p) for p in pattern_batch(rng, codes, 13, extracted=60, adversarial=20)]
+    got = ix.count_many(patterns)
+    monkeypatch.undo()
+    assert got == [ix.count(p) for p in patterns]
+    assert got == [naive_count(text, p) for p in patterns]
+    # some step has numpy rounds, then scalar ranks, and never a round after them
+    assert any("round" in s and "rank1" in s for s in calls)
+    assert all("round" not in s[s.index("rank1") :] for s in calls if "rank1" in s)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
