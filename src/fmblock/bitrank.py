@@ -50,12 +50,13 @@ function of an int64 array of positions, for count_many's many rounds,
 and binds every view and table it reads once, so that a round is only
 its arithmetic: the plain one is rank1 in numpy; the RRR one first makes
 tables of 5 bytes per block (its class, and the classes and offset widths
-before it since its sample), which live as long as the function does,
-and up to t = 16 reads each offset from one unaligned uint32 view of the
-offset stream, one element per byte, with no read_fields call.
+before it since its sample), which live as long as the function does.
 rank1_many(positions) ranks once, for a load's few positions per tree
 depth: plain, it is batch_rank1's; RRR, each position sums its own
-sample's classes, with no table over all blocks.
+sample's classes, with no table over all blocks. Both RRR forms read and
+decode their blocks' offsets through one function (_block_ones): up to t
+= 16 from one unaligned uint32 view of the offset stream, one element per
+byte, through the decode table, and above with read_fields, enumeratively.
 """
 
 import functools
@@ -563,22 +564,16 @@ class RrrBitVector(_BitVector):
         It makes two tables first: every block's class, and, in 32 bits, the
         classes and the offset widths of the blocks before it since its
         sample, each in 11 bits. A rank then reads its block's entries and
-        its sample, and its block's offset, and decodes it. The tables cost
-        a pass over every block and 5 bytes per block, which the many rounds
-        of count_many repay: it is the faster form there, and rank1_many the
-        faster at load. Every view a rank reads is bound here, once per call.
-        Up to t = 16 an offset is at most 14 bits wide, so the 4 bytes from
-        the one that holds its first bit hold it: one unaligned uint32 view
-        of the offset buffer, one element per byte (the buffer ends in a
-        spare word), reads it, shifted and masked by its class, and the
-        decode table decodes it; the ranks are uint32. Above, _block_ones
-        reads it with read_fields and decodes it enumeratively.
+        its sample, and its block's offset, and decodes it (see _block_ones).
+        The tables cost a pass over every block and 5 bytes per block, which
+        the many rounds of count_many repay: it is the faster form there, and
+        rank1_many the faster at load. Every view a rank reads is bound here,
+        once per call.
         """
         t = self.t
         classes = self.block_classes(0, RRR_SAMPLE_EVERY * len(self._sample_rank))
-        widths = _class_widths(t)
         # a sample's 32 classes of at most 63 sum below 2^11, and so do their offset widths
-        fields = widths[classes].astype(np.uint32)
+        fields = _class_widths(t)[classes].astype(np.uint32)
         fields <<= 11
         fields |= classes
         fields = fields.reshape(-1, RRR_SAMPLE_EVERY)
@@ -588,19 +583,7 @@ class RrrBitVector(_BitVector):
         sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
         # int64, so that the offset positions are: numpy gathers by int64 indices faster than by uint32 ones
         sample_opos = np.frombuffer(self._sample_opos, dtype=np.uint32).astype(np.int64)
-        if self._table is None:
-            block_ones = self._block_ones
-        else:
-            view = np.ndarray(len(self._offbuf) - 3, dtype="<u4", buffer=self._offbuf, strides=(1,))
-            words = np.frombuffer(self._table[0], dtype=np.uint16)
-            starts = np.frombuffer(self._table[1], dtype=np.int64)
-            masks = (np.uint32(1) << widths) - np.uint32(1)  # each class's offset bits
-            low = (np.uint16(1) << np.arange(t, dtype=np.uint16)) - np.uint16(1)  # a block's bits before rem
-
-            def block_ones(k, opos, rem):
-                k = k.astype(np.intp)
-                off = view[opos >> 3] >> (opos & 7) & masks[k]
-                return np.bitwise_count(words[starts[k] + off] & low[rem])
+        block_ones = self._block_ones()
 
         def rank1(j):
             blk = j // t
@@ -615,10 +598,10 @@ class RrrBitVector(_BitVector):
         """rank1 of every position in the int64 array j, each from its own sample's window.
 
         A position sums the classes and the offset widths of its sample's
-        blocks before its own, reads its offset with read_fields and decodes
-        it. No table is made, per block or kept across calls, so a call
-        costs only its positions: a load ranks a few node ends per tree
-        depth, where batch_rank1's tables would cost more than the ranks.
+        blocks before its own, then reads its offset and decodes it (see
+        _block_ones). No table is made, per block or kept across calls, so
+        a call costs only its positions: a load ranks a few node ends per
+        tree depth, where batch_rank1's tables would cost more than the ranks.
         """
         t = self.t
         widths = _class_widths(t)
@@ -632,24 +615,44 @@ class RrrBitVector(_BitVector):
         ones = (window * before).sum(axis=1, dtype=np.int64)
         opos = (widths[window] * before).sum(axis=1, dtype=np.int64)
         opos += np.frombuffer(self._sample_opos, dtype=np.uint32)[sb]
-        ones += self._block_ones(window[np.arange(len(j)), within], opos, j - blk * t)
+        ones += self._block_ones()(window[np.arange(len(j)), within], opos, j - blk * t)
         return np.frombuffer(self._sample_rank, dtype=np.uint32)[sb] + ones
 
-    def _block_ones(self, k, opos, rem):
-        """The ones in the first rem bits of blocks of classes k whose offsets start at bits opos (int64, overwritten).
+    def _block_ones(self):
+        """The ones in the first rem bits of blocks: a function of arrays (k, opos, rem), over views made once.
 
-        The offsets are read with read_fields and decoded through the decode
-        table for t <= 16, enumeratively above.
+        The blocks are of classes k (uint8) and their offsets start at bits
+        opos (int64, which it may overwrite); the ones are uint8. Up to t =
+        16 an offset is at most 14 bits wide, so the 4 bytes from the one
+        that holds its first bit hold it: one unaligned uint32 view of the
+        offset buffer, one element per byte (the buffer ends in a spare
+        word), reads it, shifted and masked by its class, and the decode
+        table decodes it. Above, read_fields reads it and it is decoded
+        enumeratively. Both of batch_rank1's and rank1_many's ranks read
+        their offsets here.
         """
         t = self.t
-        off = read_fields(np.frombuffer(self._offbuf, dtype="<u8"), opos, _class_widths(t)[k])
+        widths = _class_widths(t)
         if self._table is None:
-            value = _values_of_offsets(off, t, k)
-        else:
-            words, starts = self._table
-            at = np.frombuffer(starts, dtype=np.int64)[k] + off.astype(np.int64)
-            value = np.frombuffer(words, dtype=np.uint16)[at]
-        return np.bitwise_count(value & ((_ONE << rem.view(np.uint64)) - _ONE)).astype(np.int64)
+            stream = np.frombuffer(self._offbuf, dtype="<u8")
+
+            def block_ones(k, opos, rem):
+                value = _values_of_offsets(read_fields(stream, opos, widths[k]), t, k)
+                return np.bitwise_count(value & ((_ONE << rem.view(np.uint64)) - _ONE))
+
+            return block_ones
+        view = np.ndarray(len(self._offbuf) - 3, dtype="<u4", buffer=self._offbuf, strides=(1,))
+        words = np.frombuffer(self._table[0], dtype=np.uint16)
+        starts = np.frombuffer(self._table[1], dtype=np.int64)
+        masks = (np.uint32(1) << widths) - np.uint32(1)  # each class's offset bits
+        low = (np.uint16(1) << np.arange(t, dtype=np.uint16)) - np.uint16(1)  # a block's bits before rem
+
+        def block_ones(k, opos, rem):
+            k = k.astype(np.intp)
+            off = view[opos >> 3] >> (opos & 7) & masks[k]
+            return np.bitwise_count(words[starts[k] + off] & low[rem])
+
+        return block_ones
 
     def trim(self, ends, limits):
         """ValueError unless each tree's last node, ending at ends[i], ends its section, at limits[i]."""

@@ -310,8 +310,9 @@ class WaveletTree:
         per round, each round one call of the vector's batch_rank1: sorted
         by path length, longest first, the ranks still descending at a
         level are a prefix of them. Once tail or fewer are, they finish
-        their paths one at a time with the vector's rank1, as rank does: a
-        round costs about as much as tail scalar ranks.
+        their paths one at a time with the vector's rank1, as rank does:
+        tail is where a numpy round stops paying for itself (see
+        fmindex._SCALAR_TAIL).
         """
         sigma, size = self.sigma, self.block_size
         paths = np.frombuffer(self.paths, dtype=self.paths.typecode)
