@@ -14,6 +14,7 @@ in numpy (see WaveletTree.batch_rank), and gives the same counts.
 """
 
 import functools
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,6 +94,8 @@ class BlockedFMIndex:
     """Count-only FM-index; construct through build_index or storage.deserialize.
 
     rrr_block_size is 0 for a plain variant, as its file's header stores it.
+    build_phases maps each phase of build_index to its seconds; a loaded
+    index has none.
     """
 
     def __init__(self, variant, n, sigma, c, blocks, block_size, byte_for_code, rrr_block_size):
@@ -105,6 +108,7 @@ class BlockedFMIndex:
         self.byte_for_code = bytes(byte_for_code)
         self.rrr_block_size = rrr_block_size
         self.translate = textcore.code_translator(self.byte_for_code)
+        self.build_phases = {}
 
     def rank_l(self, c, j):
         """Occurrences of code c in the first j BWT symbols."""
@@ -227,8 +231,19 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
         raise ValueError("block size applies to the fixed_block variants only")
     else:
         bs = t.n
-    b = textcore.bwt(t)
+    started = time.perf_counter()
+    sa = textcore.suffix_array(t)
+    sorted_at = time.perf_counter()
+    b = textcore.bwt(t, sa)
+    del sa
+    transformed_at = time.perf_counter()
     rrr_block_size = rrr_block_size if backend == "rrr" else 0
     # t.sigma, not the BWT's largest code plus one: a Text may lack its top codes
     blocks = WaveletTree(b.l, "huffman", backend, rrr_block_size, bs, t.sigma)
-    return BlockedFMIndex(variant, t.n, t.sigma, b.c, blocks, bs, t.byte_for_code, rrr_block_size)
+    index = BlockedFMIndex(variant, t.n, t.sigma, b.c, blocks, bs, t.byte_for_code, rrr_block_size)
+    index.build_phases = {
+        "suffix_array": sorted_at - started,
+        "bwt": transformed_at - sorted_at,
+        "trees": time.perf_counter() - transformed_at,
+    }
+    return index

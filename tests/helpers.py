@@ -44,6 +44,23 @@ def brute_suffix_array(data):
     return sorted(range(n), key=lambda i: seq[i:])
 
 
+def check_suffix_array(data, sa):
+    """Whether sa is data's suffix array, in O(n) numpy (Burkhardt & Kärkkäinen's
+    checker): it must be a permutation in which each suffix is below the next
+    by its first symbol, or by the slot of the suffix one position on."""
+    data = np.asarray(data, dtype=np.int64)
+    sa = np.asarray(sa, dtype=np.int64)
+    n = len(data)
+    if len(sa) != n or not np.array_equal(np.sort(sa), np.arange(n)):
+        return False
+    slot = np.empty(n + 1, dtype=np.int64)
+    slot[sa] = np.arange(n)
+    slot[n] = -1  # the empty suffix
+    a, b = sa[:-1], sa[1:]
+    first, then = data[a], data[b]
+    return bool(np.all((first < then) | ((first == then) & (slot[a + 1] < slot[b + 1]))))
+
+
 def brute_bwt(data):
     seq = [int(x) for x in data]
     n = len(seq)

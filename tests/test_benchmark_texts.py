@@ -7,7 +7,8 @@ import pytest
 
 from fmblock.fmindex import IndexVariant, build_index
 from fmblock.storage import deserialize, serialize
-from fmblock.textcore import build_text
+from fmblock.textcore import build_text, bwt, inverse_bwt, suffix_array
+from helpers import check_suffix_array
 
 
 def benchmark_inputs():
@@ -50,3 +51,14 @@ def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
             got = index.count_many(patterns)
             assert got == [index.count(p) for p in patterns], (variant, block_size, t)
             assert got == mix.expected + mix.batch_expected, (variant, block_size, t)
+
+
+@pytest.mark.parametrize("workload", ["stdlib-read", "markov-boost"])
+def test_suffix_array_of_the_full_benchmark_texts(workload):
+    # the benchmark's own text, at its default 1 MB, as perfbench/inputs.prepare makes it
+    inputs = benchmark_inputs()
+    raw = inputs.markov_text(1_000_000) if workload == "markov-boost" else inputs.stdlib_slice(1_000_000)
+    text = build_text(raw)
+    sa = suffix_array(text)
+    assert check_suffix_array(text.data, sa)
+    assert inverse_bwt(bwt(text, sa)) == text

@@ -44,6 +44,19 @@ def test_build_writes_index_and_reports(banana, tmp_path, capsys):
     assert float(got["build_seconds"]) >= 0.0
 
 
+@pytest.mark.parametrize("variant", ["ssa", "fixed-rrr"])
+def test_build_prints_each_phase_within_build_seconds(banana, tmp_path, capsys, variant):
+    code, out, _ = run(capsys, "build", banana, "-o", tmp_path / "b.idx", "--variant", variant)
+    assert code == 0
+    got = kv(out)
+    phases = ["suffix_array", "bwt", "trees"]  # the phases of build_index
+    for name in ["build", "text", *phases, "serialize"]:
+        assert float(got[f"{name}_seconds"]) >= 0.0
+    # each figure is printed rounded to the microsecond
+    inside = sum(float(got[f"{name}_seconds"]) for name in phases)
+    assert inside <= float(got["build_seconds"]) + 2e-6
+
+
 def test_build_default_block_size_is_reported(banana, tmp_path, capsys):
     idx = tmp_path / "a.idx"
     code, out, _ = run(capsys, "build", banana, "-o", idx, "--variant", "fixed-rrr")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from helpers import (
     brute_bwt,
     brute_count,
     brute_suffix_array,
+    check_suffix_array,
     codes_of,
+    markov2_codes,
     random_codes,
     random_text,
 )
@@ -80,8 +83,9 @@ def assert_suffix_order(codes, sigma):
     assert sa.tolist() == brute_suffix_array(t.data)
 
 
-# the packed first stage holds q = 62 // w symbols, w = bit length of sigma-1:
-# q = 62 at sigma 2, 20 at sigma 8, 8 at sigma 97 and 6 at sigma 257
+# the packed first stage holds q = (64 - B) // w symbols, B the bit length of n
+# and w that of sigma-1: below n = 64, q = 58-63 at sigma 2, 19-21 at sigma 8,
+# 8-9 at sigma 97 and 6-7 at sigma 257
 SIGMAS = st.sampled_from([2, 3, 8, 97, 256, 257])
 
 
@@ -107,10 +111,24 @@ def test_suffix_array_property_unary_and_periodic_texts(case, n):
 
 
 @settings(max_examples=200, deadline=None)
+@given(coded(lengths=60), st.integers(2, 12), st.lists(st.integers(0, 10**6), max_size=4))
+def test_suffix_array_property_repeated_blocks_with_edits(case, copies, edits):
+    # copies of a block share long prefixes, so more than half the suffixes
+    # outlast stage 1, as on the benchmark texts, and the rounds in text order run
+    block, sigma = case
+    codes = block * copies
+    for at in edits:
+        if codes:
+            codes[at % len(codes)] = 1 + at % (sigma - 1)
+    assert_suffix_order(codes, sigma)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_suffix_array_property_texts_shorter_than_the_packed_window(data):
     sigma = data.draw(SIGMAS)
-    q = 62 // (sigma - 1).bit_length()
+    # the window at n = 1, so that the longest texts pass the window at their n
+    q = 63 // (sigma - 1).bit_length()
     codes = data.draw(st.lists(st.integers(1, sigma - 1), max_size=q))
     assert_suffix_order(codes, sigma)
 
@@ -118,9 +136,58 @@ def test_suffix_array_property_texts_shorter_than_the_packed_window(data):
 def test_suffix_array_extreme_alphabets():
     rng = random.Random(4)
     for sigma in (2, 257):
-        for n in (0, 1, 5, 61, 62, 63, 200):
+        for n in (0, 1, 5, 56, 57, 58, 61, 62, 63, 200):
             assert_suffix_order(random_codes(rng, n, sigma), sigma)
             assert_suffix_order([sigma - 1] * n, sigma)
+
+
+def test_check_suffix_array_rejects_a_wrong_order():
+    t = build_text(b"MISSISSIPPI")
+    sa = suffix_array(t)
+    assert check_suffix_array(t.data, sa)
+    swapped = sa.copy()
+    swapped[[4, 5]] = swapped[[5, 4]]
+    assert not check_suffix_array(t.data, swapped)
+    assert not check_suffix_array(t.data, np.zeros(t.n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [2**21 - 1, 2**21])
+def test_suffix_array_on_both_sides_of_the_packed_round_key(n):
+    # below n = 2^21 a round packs two ranks and a position in 64 bits; from
+    # there on it argsorts the two ranks. A random binary text leaves most
+    # suffixes sharing stage 1's 21 symbols, so both sides run their rounds
+    codes = np.random.default_rng(n).integers(1, 3, n - 1)
+    t = Text(np.append(codes, 0), 3, b"ab")
+    assert check_suffix_array(t.data, suffix_array(t))
+
+
+def _fibonacci_word(n):
+    a, b = [1], [1, 2]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+PEAK_TEXTS = {
+    "fibonacci": lambda n: (_fibonacci_word(n), 3),
+    "markov": lambda n: (markov2_codes(3, n, 8), 8),
+    "random": lambda n: (np.random.default_rng(0).integers(1, 3, n).tolist(), 3),
+}
+
+
+# the tracemalloc peak, in bytes per symbol, of the argsort-based sort that
+# the packed sort replaced, on each of these texts at n = 2^18
+@pytest.mark.parametrize("name, before", [("fibonacci", 36.26), ("markov", 32.61), ("random", 21.26)])
+def test_suffix_array_peak_memory_per_symbol(name, before):
+    t = Text.from_codes(*PEAK_TEXTS[name](2**18 - 1))
+    tracemalloc.start()
+    try:
+        sa = suffix_array(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check_suffix_array(t.data, sa)
+    assert peak <= before * t.n
 
 
 def test_bwt_worked_example():
