@@ -230,7 +230,7 @@ def bwt(t, sa=None):
     """BWT of the text; pass its suffix array when the caller already has it."""
     if sa is None:
         sa = suffix_array(t)
-    l = t.data[(sa - 1) % t.n]
+    l = t.data[sa - 1]  # sa[i] = 0 reads index -1: the sentinel, the text's last symbol
     c = np.zeros(t.sigma + 1, dtype=np.int64)
     np.cumsum(symbol_counts(t), out=c[1:])
     return Bwt(l, c.tolist(), t.sigma, t.byte_for_code)

@@ -3,7 +3,7 @@
 Two shapes share one implementation: balanced trees assign every local
 symbol a fixed-width code of ceil(log2 sigma_local) bits, Huffman trees
 assign shorter codes to frequent symbols. Either way a tree is its code
-lengths: codes are assigned canonically from them (canonical_codes), so at
+lengths: codes are assigned canonically from them (_canonical), so at
 every depth the leaves hold the lowest prefixes and the internal nodes one
 range above them. An internal node is a proper prefix of some code and
 holds the next code bit of every element routed through it. There is no
@@ -34,14 +34,17 @@ nodes at once, one depth at a time, from the vector and each tree's first
 bit and limit in it, each node sized by its parent's zero or one count,
 the ends of a depth's nodes ranked in one call of the vector's
 rank1_many, and sums the leaf sizes, the symbol counts, into the boundary
-rows and the totals. A build (WaveletTree(x, ...)) computes each block's
-canonical codes and its nodes' bits, in the order _read reads them, level
-by level and each level in prefix order, with one FIFO queue from the
-root (_node_bits); one make_bitvector call puts every tree's bits in one
-vector, and _read lays them out. A load (read_trees) parses every tree's
-codebook section in one pass, with every tree's canonical codes computed
-at once (_parse_codebooks), reads every payload section into one vector
-(see bitrank's read_sections), and runs _read.
+rows and the totals. Build and load make every tree's codes from its code
+lengths at once, with one rule (_canonical). A build (WaveletTree(x, ...))
+counts every block's symbols in one bincount, takes Huffman code lengths
+per block (huffman_lengths) or ceil(log2 k) bits for a balanced tree's k
+symbols, and writes each block's nodes' bits in the order _read reads
+them, level by level and each level in prefix order, with one FIFO queue
+from the root (_node_bits); one make_bitvector call puts every tree's bits
+in one vector, and _read lays them out. A load (read_trees) parses and
+checks every codebook section in one pass (_parse_codebooks), reads every
+payload section into one vector (see bitrank's read_sections), and runs
+_read.
 
 WaveletTree.narrow takes one backward search's steps: the two ends of a
 step in one block go down the code's path in one call of the vector's
@@ -67,50 +70,26 @@ import numpy as np
 from .bitrank import make_bitvector, read_sections, tree_firsts
 
 
-def canonical_codes(lengths):
-    """{symbol: (length, code)} for {symbol: code length}, assigned in (length, symbol) order.
-
-    Each code is the previous one plus one, shifted left by the step in
-    length (DEFLATE's rule, RFC 1951 3.2.2). Under Kraft equality the codes
-    are prefix-free, and at every depth the leaves take the lowest prefixes
-    and the internal nodes the rest.
-    """
-    codes = {}
-    code = prev = 0
-    for length, sym in sorted((length, sym) for sym, length in lengths.items()):
-        code <<= length - prev
-        codes[sym] = (length, code)
-        code += 1
-        prev = length
-    return codes
-
-
-def balanced_codes(symbols, counts=None):
-    """Fixed-width codes: the i-th smallest symbol gets code i."""
-    width = (len(symbols) - 1).bit_length()
-    return canonical_codes(dict.fromkeys(symbols, width))
-
-
-def huffman_codes(symbols, counts):
-    """Canonical codes of Huffman code lengths.
+def huffman_lengths(weights):
+    """Huffman code lengths of weights, in their order.
 
     Ties are broken deterministically: among equal weights the pending tree
-    created earliest wins, and leaves are seeded in ascending symbol order.
-    A merge adds one to the length of every symbol of the two merged trees.
+    created earliest wins, and leaves are seeded in the order of weights.
+    A merge adds one to the length of every leaf of the two merged trees.
     """
-    symbols = sorted(symbols)
-    lengths = dict.fromkeys(symbols, 0)
-    heap = [(counts[sym], seq, [sym]) for seq, sym in enumerate(symbols)]
+    lengths = [0] * len(weights)
+    heap = [(w, i, [i]) for i, w in enumerate(weights)]
     heapq.heapify(heap)
-    seq = len(symbols)
+    seq = len(weights)
     while len(heap) > 1:
         fa, _, a = heapq.heappop(heap)
         fb, _, b = heapq.heappop(heap)
-        for sym in a + b:
-            lengths[sym] += 1
-        heapq.heappush(heap, (fa + fb, seq, a + b))
+        a += b
+        for i in a:
+            lengths[i] += 1
+        heapq.heappush(heap, (fa + fb, seq, a))
         seq += 1
-    return canonical_codes(lengths)
+    return lengths
 
 
 def _node_bits(x, counts, lens, codes):
@@ -171,10 +150,10 @@ class WaveletTree:
         """The trees of x's blocks of block_size elements (by default one block), over symbols below sigma.
 
         sigma defaults to x's largest symbol plus one. Each block's tree has
-        codes of the given shape from the block's own symbol counts, and
-        its nodes' bits in layout order (_node_bits). One make_bitvector
-        call puts every tree's bits in one vector, and _read lays them out
-        as a load does.
+        code lengths of the given shape from the block's own symbol counts,
+        codes from them as a load's (_canonical), and its nodes' bits in
+        layout order (_node_bits). One make_bitvector call puts every tree's
+        bits in one vector, and _read lays them out as a load does.
         """
         x = np.asarray(x)
         if len(x) == 0:
@@ -188,28 +167,30 @@ class WaveletTree:
         if top >= sigma:
             raise ValueError("symbols must be below sigma")
         self.n = n = len(x)
+        if block_size is not None and block_size < 1:
+            raise ValueError("block size must be >= 1")
         self.block_size = size = n if block_size is None else min(int(block_size), n)
         x = x.astype(np.min_scalar_type(sigma - 1), copy=False)
-        make = balanced_codes if shape == "balanced" else huffman_codes
-        parts, books = [], []
-        for s in range(0, n, size):
-            block = x[s : s + size]
-            counts = np.bincount(block, minlength=sigma)
-            codes = make(np.flatnonzero(counts).tolist(), counts.tolist())
-            # the canonical order's symbols, code lengths and codes, then each symbol's length and code
-            syms = np.fromiter(codes, dtype=np.int64, count=len(codes))
-            lens, values = np.array(list(codes.values()), dtype=np.int64).T
-            sym_lens, sym_codes = np.zeros((2, sigma), dtype=np.int64)
-            sym_lens[syms], sym_codes[syms] = lens, values
-            parts.append(_node_bits(block, counts, sym_lens, sym_codes))
-            books.append(np.stack([np.full_like(syms, len(books)), syms, lens, values]))
+        # [tree, symbol]: the symbol's count in the tree's block (numpy reuses
+        # the key's temporaries in place: one int64 array of n at a time)
+        counts = np.bincount(np.arange(n) // size * sigma + x, minlength=-(-n // size) * sigma).reshape(-1, sigma)
+        tree, syms = np.nonzero(counts)
+        k = np.count_nonzero(counts, axis=1)  # each tree's symbols
+        if shape == "balanced":
+            lens = np.repeat(np.ceil(np.log2(k)).astype(np.int64), k)
+        else:
+            weights, ends = counts[tree, syms].tolist(), np.cumsum(k).tolist()
+            lens = np.array([length for s, e in zip([0, *ends], ends) for length in huffman_lengths(weights[s:e])])
+        tree, syms, lens, codes = codebook = _canonical(tree, syms, lens)
+        # [length or code, tree, symbol]: the symbol's code length and code in the tree
+        table = np.zeros((2, *counts.shape), dtype=np.int64)
+        table[:, tree, syms] = lens, codes.astype(np.int64)
+        parts = [_node_bits(x[s : s + size], counts[i], *table[:, i]) for i, s in enumerate(range(0, n, size))]
+        del counts, table  # before _read makes its own tables
         ms = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
         bits = make_bitvector(np.concatenate(parts), backend, rrr_block_size, ms)
         first = tree_firsts(ms, rrr_block_size if backend == "rrr" else None)
-        # the codebook in _parse_codebooks' form: a balanced tree's codes need
-        # not meet Kraft's inequality with equality, so it is not parsed
-        tree, syms, lens, codes = np.concatenate(books, axis=1)
-        _read(self, bits, first, first + ms, (tree, syms, lens, codes.astype(np.uint64)))
+        _read(self, bits, first, first + ms, codebook)
 
     def __len__(self):
         return len(self.starts)
@@ -429,7 +410,7 @@ def _read(wt, bits, firsts, limits, codebook):
     wt holds its sequence's length n, block size and sigma. Tree i, of block
     i, has its nodes joined bit to bit in bits from firsts[i], to limits[i]
     at most (see bitrank's read_sections); codebook holds the trees'
-    canonical codes as _parse_codebooks gives them, and every symbol is
+    canonical codes as _canonical gives them, and every symbol is
     below sigma. Every tree holds block_size elements but the last, which
     holds the rest. All trees are read at once, one depth at a time, with no
     Python loop over trees or nodes. From one canonical code to the next,
@@ -557,6 +538,30 @@ _ENTRY = np.dtype([("sym", "<u2"), ("len", "u1")])
 _ONE = np.uint64(1)
 
 
+def _canonical(tree, syms, lens):
+    """Every tree's canonical codes from its code lengths, all at once, as _read takes them.
+
+    Entries come tree by tree, each tree's in ascending symbol order; the
+    result is (tree, symbol, length as int64, code as uint64) in canonical
+    (tree, length, symbol) order. There a code is the sum of 2^(64 - length)
+    over its tree's codes before it, shifted right by 64 - length: the
+    previous code plus one, shifted left by the step in length (DEFLATE's
+    rule, RFC 1951 3.2.2), and a one-symbol tree's code is 0. The sum
+    restarts at each tree, since a balanced tree's lengths need not meet
+    Kraft's inequality with equality. Under equality the codes are
+    prefix-free, and at every depth the leaves take the lowest prefixes and
+    the internal nodes the rest. Lengths are at most 64.
+    """
+    order = np.argsort(tree * 65 + lens, kind="stable")
+    tree, syms, lens = tree[order], syms[order], lens[order]
+    shift = (64 - np.maximum(lens, 1)).astype(np.uint64)
+    weight = _ONE << shift
+    weight[lens == 0] = 0  # 2^64
+    below = np.cumsum(weight) - weight  # mod 2^64
+    below -= below[np.searchsorted(tree, tree)]  # from the tree's first code
+    return tree, syms, lens, below >> shift
+
+
 def _parse_codebooks(bodies, sigma):
     """The canonical codes of codebook sections over symbols below sigma, all parsed at once.
 
@@ -566,13 +571,9 @@ def _parse_codebooks(bodies, sigma):
     before the next, so a damaged section fails the check it fails alone:
     the header, the alphabet size, the entries against it, the symbols,
     then the code lengths. Raises ValueError naming the failed check.
-
-    Returns the tree, symbol, code length (int64) and code (uint64) of
-    every entry, in canonical (length, symbol) order per tree, tree by
-    tree. In that order a code is its tree's sum of 2^(64 - length) over
-    the codes before it, shifted right by 64 - length (canonical_codes'
-    rule, with a one-symbol tree's code 0). The same running sums, in
-    uint64, check Kraft equality exactly for lengths up to 64.
+    Returns _canonical's codes; each tree's running sums of 2^(64 -
+    length) in uint64, its codes shifted back, check Kraft equality exactly
+    for lengths up to 64.
     """
     size = np.fromiter(map(len, bodies), dtype=np.int64, count=len(bodies))
     if (size < 2).any():
@@ -597,20 +598,16 @@ def _parse_codebooks(bodies, sigma):
         raise ValueError("codebook symbols")
     if (lens > 64).any():
         raise ValueError("codebook code lengths")
-    order = np.argsort(tree * 65 + lens, kind="stable")
-    syms, lens = syms[order], lens[order]
+    _, _, lens, codes = codebook = _canonical(tree, syms, lens)
     shift = (64 - np.maximum(lens, 1)).astype(np.uint64)
-    weight = _ONE << shift
-    weight[lens == 0] = 0  # 2^64
-    total = np.cumsum(weight)  # mod 2^64
-    below = total - weight
+    below = codes << shift  # the tree's sum before each code
+    total = (below + (_ONE << shift) * (lens > 0))[np.cumsum(count) - 1]  # mod 2^64
     # each tree's sum is 2^64 exactly when it is 0 mod 2^64 and, code by code,
     # never passed 2^64: a weight is at most 2^63, so passing it makes the
     # running sum fall, unless the last weight reaches just 2^64
-    if (below[np.cumsum(count) - count] != 0).any() or total[-1] != 0 or (same & (below[1:] <= below[:-1])).any():
+    if (total != 0).any() or (same & (below[1:] <= below[:-1])).any():
         raise ValueError("codebook code lengths")
-    codes = below >> shift
-    return tree, syms, lens, codes
+    return codebook
 
 
 def read_trees(sections, n, block_size, sigma, backend, rrr_block_size):

@@ -68,6 +68,23 @@ def brute_bwt(data):
     return [seq[(i - 1) % n] for i in rows]
 
 
+def canonical_codes(lengths):
+    """{symbol: (length, code)} for {symbol: code length}, assigned in (length, symbol) order.
+
+    The reference for the library's canonical codes: each code is the
+    previous one plus one, shifted left by the step in length (DEFLATE's
+    rule, RFC 1951 3.2.2), one symbol at a time in Python integers.
+    """
+    codes = {}
+    code = prev = 0
+    for length, sym in sorted((length, sym) for sym, length in lengths.items()):
+        code <<= length - prev
+        codes[sym] = (length, code)
+        code += 1
+        prev = length
+    return codes
+
+
 def brute_count(codes, pattern):
     """Quadratic overlapping-occurrence scan, independent of the library."""
     m = len(pattern)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import sys
@@ -51,6 +52,29 @@ def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
             got = index.count_many(patterns)
             assert got == [index.count(p) for p in patterns], (variant, block_size, t)
             assert got == mix.expected + mix.batch_expected, (variant, block_size, t)
+
+
+# the sha256 of each variant's index of the markov-boost text (1 MB, seeded)
+# at its default block size; the stdlib-read text is left out, since it is a
+# slice of the installed Python's own sources
+MARKOV_DIGESTS = {
+    "ssa": "9f13f98beaf57d0aeb5d02e2f45282c7e24033cdf5bae4026d27aeecc94a063a",
+    "ssa_rrr": "a80166b185e773953e42b6394da7b981a8821fe499884af87763469932a832b4",
+    "fixed_block": "6f7bff574862b4cdfc711d4fde10879bdcafafade944aeb4823d8fd1e1306cad",
+    "fixed_block_rrr": "0188252ff003e7251be14a34372df1a11035839878937c0f4c93f04bfc80811e",
+}
+
+
+@pytest.fixture(scope="module")
+def markov_text():
+    return build_text(benchmark_inputs().markov_text(1_000_000))
+
+
+@pytest.mark.parametrize("variant", list(MARKOV_DIGESTS))
+def test_saved_bytes_of_the_markov_benchmark_text_are_pinned(markov_text, variant):
+    sink = io.BytesIO()
+    serialize(build_index(markov_text, variant), sink)
+    assert hashlib.sha256(sink.getvalue()).hexdigest() == MARKOV_DIGESTS[variant]
 
 
 @pytest.mark.parametrize("workload", ["stdlib-read", "markov-boost"])

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from fmblock.bitrank import PlainBitVector, RrrBitVector
 from fmblock.wavelet import (
     WaveletTree,
+    _canonical,
     _node_bits,
     _parse_codebooks,
-    balanced_codes,
     build_wt,
-    canonical_codes,
-    huffman_codes,
+    huffman_lengths,
     read_trees,
 )
-from helpers import brute_h0, codes_of
+from helpers import brute_h0, canonical_codes, codes_of
 
 
 def tree_bits(wt):
@@ -40,11 +39,19 @@ def test_worked_example_tree():
     assert wt.rank(codes_of("$")[0], 4) == 0
 
 
+def canonical(lengths):
+    """{symbol: (length, code)} from _canonical, for {symbol: code length} of one tree."""
+    syms = np.array(sorted(lengths), dtype=np.int64)
+    lens = np.array([lengths[sym] for sym in syms.tolist()], dtype=np.int64)
+    _, syms, lens, codes = _canonical(np.zeros_like(syms), syms, lens)
+    return {sym: (length, code) for sym, length, code in zip(syms.tolist(), lens.tolist(), codes.tolist())}
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=60))
 def test_huffman_code_lengths_are_optimal_and_complete(weights):
     counts = dict(enumerate(weights))
-    codes = huffman_codes(counts.keys(), counts)
+    codes = canonical(dict(enumerate(huffman_lengths(weights))))
     # an optimal code costs the sum of the weights of all merges
     heap = list(weights)
     heapq.heapify(heap)
@@ -64,12 +71,13 @@ def test_huffman_code_lengths_are_optimal_and_complete(weights):
 
 
 def test_huffman_tie_breaks_are_deterministic():
-    counts = {0: 1, 1: 1, 2: 1, 3: 1}
-    codes = huffman_codes(counts.keys(), counts)
+    lengths = huffman_lengths([1, 1, 1, 1])
     # equal weights: earliest-created trees merge first, smallest symbol first
-    assert codes == {0: (2, 0), 1: (2, 1), 2: (2, 2), 3: (2, 3)}
-    rebuilt = huffman_codes(counts.keys(), counts)
-    assert rebuilt == codes
+    assert canonical(dict(enumerate(lengths))) == {0: (2, 0), 1: (2, 1), 2: (2, 2), 3: (2, 3)}
+    assert huffman_lengths([1, 1, 1, 1]) == lengths
+    # the merged pair (weight 2) ties with both leaves of weight 2 and, created
+    # last, waits: had it won the tie, the lengths would be 3, 3, 1, 2
+    assert huffman_lengths([1, 1, 2, 2]) == [2, 2, 2, 2]
 
 
 def test_ranks_match_scan_both_shapes_and_backends():
@@ -132,6 +140,9 @@ def test_huffman_payload_within_entropy_plus_one():
 def test_validation_errors():
     with pytest.raises(ValueError, match="empty"):
         build_wt([])
+    for b in (0, -3):
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            WaveletTree([1, 2, 3], block_size=b)
     with pytest.raises(ValueError, match="shape"):
         build_wt([1], "fibonacci")
     with pytest.raises(ValueError, match="symbols must be non-negative"):
@@ -257,8 +268,11 @@ def layout_by_depth(seq, codes):
 @example([300, 301, 302, 303, 304, 300], "balanced")
 def test_node_bits_equal_a_layout_by_depth(seq, shape):
     counts = np.bincount(seq)
-    make = huffman_codes if shape == "huffman" else balanced_codes
-    codes = make(np.flatnonzero(counts).tolist(), counts.tolist())
+    syms = np.flatnonzero(counts).tolist()
+    if shape == "huffman":
+        codes = canonical(dict(zip(syms, huffman_lengths(counts[syms].tolist()))))
+    else:
+        codes = canonical(dict.fromkeys(syms, (len(syms) - 1).bit_length()))
     lens, values = np.zeros((2, len(counts)), dtype=np.int64)
     for sym, (length, code) in codes.items():
         lens[sym], values[sym] = length, code
@@ -405,3 +419,30 @@ def test_a_one_symbol_tree_and_a_64_deep_tree_parse_together():
     assert codes[-1] == 2**64 - 1
     assert parse_error([codebook_section({5: 0}), codebook_section({**deep, 64: 65})]) == "codebook code lengths"
     assert parse_error([codebook_section({**deep, 63: 63})]) == "codebook code lengths"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 299), min_size=1, max_size=40, unique=True), min_size=1, max_size=6))
+def test_canonical_codes_of_balanced_trees_equal_the_reference(alphabets):
+    # fixed-width codes, ceil(log2 k) bits for k symbols, fall short of Kraft
+    # equality unless k is a power of two: a build assigns their codes with
+    # the load's rule all the same, each tree's sum from 0, though a load
+    # rejects them
+    trees = [dict.fromkeys(alphabet, (len(alphabet) - 1).bit_length()) for alphabet in alphabets]
+    tree = np.repeat(np.arange(len(trees)), [len(lengths) for lengths in trees])
+    syms = np.array([sym for lengths in trees for sym in sorted(lengths)], dtype=np.int64)
+    lens = np.array([lengths[sym] for lengths in trees for sym in sorted(lengths)], dtype=np.int64)
+    got = list(zip(*(a.tolist() for a in _canonical(tree, syms, lens))))
+    want = [
+        (i, sym, length, code)
+        for i, lengths in enumerate(trees)
+        for sym, (length, code) in canonical_codes(lengths).items()
+    ]
+    assert got == want
+    # the i-th smallest symbol gets code i
+    assert [code for _, _, _, code in got] == [i for alphabet in alphabets for i in range(len(alphabet))]
+    bodies = [codebook_section(lengths) for lengths in trees]
+    if any(len(alphabet) & (len(alphabet) - 1) for alphabet in alphabets):
+        assert parse_error(bodies) == "codebook code lengths"
+    else:
+        assert _parse_codebooks(bodies, 300)[3].tolist() == [code for *_, code in want]
