@@ -23,7 +23,8 @@ A wavelet tree keeps all its nodes in one vector, joined bit to bit in
 level order under either backend, and all the trees of an index share
 one: tree_firsts() gives each tree's first bit in it, the one rule for
 where trees start. A build makes the vector once, from every tree's bits
-and bit count (make_bitvector()), and a load from every tree's section.
+and bit count (make_bitvector()), and a load from every tree's section;
+each names the vector by its RRR block size t alone, 0 for plain.
 This module owns the layout of a tree in the index file, which is the
 vector's own stored form (stored_bits()): a plain tree stores its raw
 bits, an RRR tree its bit count m as a u32, then the class fields of all
@@ -40,9 +41,10 @@ are left as read, since no rank reads past a tree's last node.
 
 Each backend also takes both ends of a backward-search step in one tree
 down a symbol's path, level by level: descend() ranks both ends of a level
-in one call, with rank1's arithmetic inline. The RRR one walks the first
-end's sample once, and the second end reuses that walk and the decoded
-block where they share them.
+in one call, with rank1's arithmetic inline, and returns both ends at the
+path's end, even where they met on the way; only the caller decides that
+a range is empty. The RRR one decodes one block for both ends when they
+fall in it, and else ranks the second end from its own sample.
 
 Each backend also ranks many positions at once, in two forms over
 np.frombuffer views of the vector's buffers. batch_rank1() returns a
@@ -123,7 +125,6 @@ class PlainBitVector(_BitVector):
     """
 
     __slots__ = ("_words", "_counts", "m")
-    backend = "plain"
 
     def __init__(self, bits, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
@@ -161,11 +162,12 @@ class PlainBitVector(_BitVector):
         return self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
 
     def descend(self, steps, b, e):
-        """Both ends b < e of one tree down a path's signed steps, level by level; None once they meet.
+        """Both ends b <= e of one tree down a path's signed steps, level by level, to (b, e) at its end.
 
         Each level ranks both ends as rank1 does, inline, and takes each to
         rank1 + step on a positive step, else to its position - rank1 - step
-        (see wavelet's _read). Returns the ends (b, e) at the path's end.
+        (see wavelet's _read). The ends walk the whole path even once they
+        meet: only the caller (wavelet's narrow) decides a range is empty.
         """
         words, counts = self._words, self._counts
         for step in steps:
@@ -178,8 +180,6 @@ class PlainBitVector(_BitVector):
             else:
                 b -= rb + step
                 e -= re + step
-            if b == e:
-                return None
         return b, e
 
     def batch_rank1(self):
@@ -344,18 +344,18 @@ def rrr_samples(m, t):
     return -(-m // t) // RRR_SAMPLE_EVERY + 1
 
 
-def tree_firsts(ms, t=None):
+def tree_firsts(ms, t=0):
     """Each tree's first bit, as int64, in a vector of trees of ms bits in turn.
 
-    A plain tree (t None) takes 64 * plain_words(m) bits, from a fresh word,
+    A plain tree (t = 0) takes 64 * plain_words(m) bits, from a fresh word,
     and an RRR tree of t-bit blocks 32 t * rrr_samples(m, t), from a fresh
     sample. Raises ValueError if a tree has 2^32 bits or more, which its
     32-bit counters or sample ranks could not count.
     """
     ms = np.asarray(ms, dtype=np.int64)
     if (ms >= 1 << 32).any():
-        raise ValueError(f"{'plain' if t is None else 'rrr'} tree of 2^32 bits or more")
-    spans = 64 * plain_words(ms) if t is None else RRR_SAMPLE_EVERY * t * rrr_samples(ms, t)
+        raise ValueError(f"{'rrr' if t else 'plain'} tree of 2^32 bits or more")
+    spans = RRR_SAMPLE_EVERY * t * rrr_samples(ms, t) if t else 64 * plain_words(ms)
     return np.cumsum(spans) - spans
 
 
@@ -373,7 +373,6 @@ class RrrBitVector(_BitVector):
         "m", "t", "_classes", "_shift", "_mask", "_class_sums",
         "_width_sums", "_widths", "_table", "_offbuf", "_sample_rank", "_sample_opos", "_descent",
     )
-    backend = "rrr"
 
     def __init__(self, bits, block_size=15, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree.
@@ -382,7 +381,7 @@ class RrrBitVector(_BitVector):
         """
         t = int(block_size)
         if not 1 <= t <= 63:
-            raise ValueError("block size must be in 1..63")
+            raise ValueError("rrr block size must be in 1..63")
         ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
         tree_firsts(ms, t)  # checks every tree's size before the bits are copied
         bits = _as_bit_array(bits)
@@ -490,13 +489,12 @@ class RrrBitVector(_BitVector):
         return r
 
     def descend(self, steps, b, e):
-        """Both ends b < e of one tree down a path's signed steps, level by level; None once they meet.
+        """Both ends b <= e of one tree down a path's signed steps, level by level, to (b, e) at its end.
 
         Each level ranks both ends as rank1 does, inline, and moves them as
-        the plain descend does. b's rank walks its sample's class bytes once
-        and decodes b's block. e's rank takes the same decoded block if e
-        falls in it; else, in the same sample, it goes on summing the class
-        bytes from b's to its own; else it starts from its own sample.
+        the plain descend does, the whole path through. b's rank walks its
+        sample's class bytes and decodes b's block. e's rank takes the same
+        decoded block if e falls in it, else it starts from its own sample.
         """
         t, s, mask, classes, class_sums, width_sums, widths, sample_rank, sample_opos, offbuf, words, starts = (
             self._descent
@@ -505,36 +503,31 @@ class RrrBitVector(_BitVector):
             blk, rem = divmod(b, t)
             last, erem = divmod(e, t)
             sb = blk >> 5
-            at = blk >> s
-            seg = classes[sb << 5 >> s : at]
+            seg = classes[sb << 5 >> s : blk >> s]
             # the ones and the offset position at b's class byte, then at b's block
-            r = sample_rank[sb] + sum(seg.translate(class_sums))
+            rb = sample_rank[sb] + sum(seg.translate(class_sums))
             o = sample_opos[sb] + sum(seg.translate(width_sums))
-            rb, ob, byte = r, o, classes[at]
+            byte = classes[blk >> s]
             if blk & s:
                 rb += byte & 15
-                ob += widths[byte & 15]
+                o += widths[byte & 15]
                 byte >>= 4
             if rem or last == blk:
                 k = byte & mask
                 w = widths[k]
                 off = 0
                 if w:
-                    chunk = int.from_bytes(offbuf[ob >> 3 : (ob >> 3) + ((ob & 7) + w + 7 >> 3)], "little")
-                    off = chunk >> (ob & 7) & (1 << w) - 1
+                    chunk = int.from_bytes(offbuf[o >> 3 : (o >> 3) + ((o & 7) + w + 7 >> 3)], "little")
+                    off = chunk >> (o & 7) & (1 << w) - 1
                 value = value_of_offset(off, t, k) if words is None else words[starts[k] + off]
                 if last == blk:
                     re = rb + (value & (1 << erem) - 1).bit_count()
                 rb += (value & (1 << rem) - 1).bit_count()
             if last != blk:
-                if last >> 5 == sb:
-                    seg = classes[at : last >> s]
-                else:
-                    sb = last >> 5
-                    seg = classes[sb << 5 >> s : last >> s]
-                    r, o = sample_rank[sb], sample_opos[sb]
-                re = r + sum(seg.translate(class_sums))
-                o += sum(seg.translate(width_sums))
+                sb = last >> 5
+                seg = classes[sb << 5 >> s : last >> s]
+                re = sample_rank[sb] + sum(seg.translate(class_sums))
+                o = sample_opos[sb] + sum(seg.translate(width_sums))
                 byte = classes[last >> s]
                 if last & s:
                     re += byte & 15
@@ -554,8 +547,6 @@ class RrrBitVector(_BitVector):
             else:
                 b -= rb + step
                 e -= re + step
-            if b == e:
-                return None
         return b, e
 
     def batch_rank1(self):
@@ -725,20 +716,17 @@ def build_rrr(bits, block_size=15):
     return RrrBitVector(bits, block_size)
 
 
-def make_bitvector(bits, backend, rrr_block_size=15, ms=None):
-    """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
-    if backend == "plain":
-        return PlainBitVector(bits, ms)
-    if backend == "rrr":
-        return RrrBitVector(bits, rrr_block_size, ms)
-    raise ValueError(f"unknown bitvector backend: {backend!r}")
+def make_bitvector(bits, t, ms=None):
+    """The vector of bits, plain for t = 0 else of t-bit RRR blocks: trees of ms[i] bits in turn, one by default."""
+    return RrrBitVector(bits, t, ms) if t else PlainBitVector(bits, ms)
 
 
-def read_sections(bufs, backend, rrr_block_size=15):
-    """One vector of the payload sections in bufs, and each tree's first bit and limit (its section's end) in it."""
-    if backend == "plain":
-        return read_plain(bufs)
-    return read_rrr(bufs, rrr_block_size)
+def read_sections(bufs, t):
+    """One vector of payload sections, plain for t = 0 else of t-bit RRR blocks, and each tree's first bit and limit.
+
+    A tree's limit is where its section ends in the vector.
+    """
+    return read_rrr(bufs, t) if t else read_plain(bufs)
 
 
 def read_plain(bufs):

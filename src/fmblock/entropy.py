@@ -107,9 +107,6 @@ class Partition:
         edges = [0] + self.boundaries + [self.n]
         return list(zip(edges[:-1], edges[1:]))
 
-    def block_sizes(self):
-        return [e - s for s, e in self.blocks()]
-
 
 def context_partition(b, t, k, sa=None):
     """Split the BWT at the boundaries of equal length-k cyclic contexts.

@@ -217,10 +217,14 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
     block_size applies to the fixed_block variants only and defaults to
     default_block_size(n, sigma); passing it with an ssa variant is an error.
     The ssa variants use one block of n symbols. rrr_block_size applies to
-    the *_rrr variants only: a plain index carries 0, as its file does.
+    the *_rrr variants only, and must be in 1..63: a plain index carries 0,
+    as its file does, and this one number names its trees' vector.
     """
     variant = IndexVariant(variant)
-    backend = variant.bitvector_backend
+    if variant.bitvector_backend == "plain":
+        rrr_block_size = 0
+    elif not 1 <= rrr_block_size <= 63:
+        raise ValueError("rrr block size must be in 1..63")
     if variant.fixed:
         bs = default_block_size(t.n, t.sigma) if block_size is None else int(block_size)
         if bs < 1:
@@ -237,9 +241,8 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
     b = textcore.bwt(t, sa)
     del sa
     transformed_at = time.perf_counter()
-    rrr_block_size = rrr_block_size if backend == "rrr" else 0
     # t.sigma, not the BWT's largest code plus one: a Text may lack its top codes
-    blocks = WaveletTree(b.l, "huffman", backend, rrr_block_size, bs, t.sigma)
+    blocks = WaveletTree(b.l, "huffman", rrr_block_size, bs, t.sigma)
     index = BlockedFMIndex(variant, t.n, t.sigma, b.c, blocks, bs, t.byte_for_code, rrr_block_size)
     index.build_phases = {
         "suffix_array": sorted_at - started,

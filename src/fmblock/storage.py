@@ -130,11 +130,7 @@ def deserialize(source):
     variant = _VARIANTS[vcode]
     if n < 1 or not 2 <= sigma <= 257:
         _corrupt("header ranges")
-    backend = variant.bitvector_backend
-    if backend == "rrr":
-        if not 1 <= rrr_t <= 63:
-            _corrupt("rrr block size")
-    elif rrr_t != 0:
+    if not (1 <= rrr_t <= 63 if variant.bitvector_backend == "rrr" else rrr_t == 0):
         _corrupt("rrr block size")
     if not variant.fixed:
         # an ssa index is one block of n symbols, stored as block size 0
@@ -161,7 +157,7 @@ def deserialize(source):
 
     trees = zip(sections[2:-1:2], sections[3:-1:2])
     try:
-        blocks = read_trees(trees, n, block_size, sigma, backend, rrr_t)
+        blocks = read_trees(trees, n, block_size, sigma, rrr_t)
     except (ValueError, EOFError) as exc:
         _corrupt(exc)
 

@@ -214,17 +214,6 @@ class Bwt:
         if len(self.c) != sigma + 1 or self.c[0] != 0 or self.c[sigma] != self.n:
             raise ValueError("inconsistent cumulative counts")
 
-    @classmethod
-    def from_sequence(cls, l, sigma=None, byte_for_code=b""):
-        """Build directly from a last-column sequence, recomputing the counts."""
-        l = np.asarray(l)
-        if sigma is None:
-            sigma = int(l.max()) + 1
-        counts = np.bincount(l, minlength=sigma)
-        c = np.zeros(sigma + 1, dtype=np.int64)
-        np.cumsum(counts, out=c[1:])
-        return cls(l, c.tolist(), sigma, byte_for_code)
-
 
 def bwt(t, sa=None):
     """BWT of the text; pass its suffix array when the caller already has it."""

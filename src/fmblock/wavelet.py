@@ -47,8 +47,9 @@ payload section into one vector (see bitrank's read_sections), and runs
 _read.
 
 WaveletTree.narrow takes one backward search's steps: the two ends of a
-step in one block go down the code's path in one call of the vector's
-descend, and ends in two blocks one rank1 call per level each.
+step in one block go down the code's whole path in one call of the
+vector's descend, and ends in two blocks one rank1 call per level each;
+narrow alone then tests, once per step, whether the range is empty.
 WaveletTree.batch_rank ranks many (symbol, position) pairs at once over
 views of the same tables, one level per round, each round one call of the
 vector's batch_rank1, until few ranks still descend: those finish their
@@ -146,14 +147,15 @@ class WaveletTree:
 
     __slots__ = ("bits", "n", "block_size", "sigma", "paths", "steps", "starts", "leaves", "rows", "totals")
 
-    def __init__(self, x, shape="huffman", backend="plain", rrr_block_size=15, block_size=None, sigma=None):
+    def __init__(self, x, shape="huffman", rrr_block_size=0, block_size=None, sigma=None):
         """The trees of x's blocks of block_size elements (by default one block), over symbols below sigma.
 
         sigma defaults to x's largest symbol plus one. Each block's tree has
         code lengths of the given shape from the block's own symbol counts,
         codes from them as a load's (_canonical), and its nodes' bits in
         layout order (_node_bits). One make_bitvector call puts every tree's
-        bits in one vector, and _read lays them out as a load does.
+        bits in one vector, plain for rrr_block_size 0, else RRR, and _read
+        lays them out as a load does.
         """
         x = np.asarray(x)
         if len(x) == 0:
@@ -188,8 +190,8 @@ class WaveletTree:
         parts = [_node_bits(x[s : s + size], counts[i], *table[:, i]) for i, s in enumerate(range(0, n, size))]
         del counts, table  # before _read makes its own tables
         ms = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-        bits = make_bitvector(np.concatenate(parts), backend, rrr_block_size, ms)
-        first = tree_firsts(ms, rrr_block_size if backend == "rrr" else None)
+        bits = make_bitvector(np.concatenate(parts), rrr_block_size, ms)
+        first = tree_firsts(ms, rrr_block_size)
         _read(self, bits, first, first + ms, codebook)
 
     def __len__(self):
@@ -237,10 +239,10 @@ class WaveletTree:
         every code is in 1..sigma - 1. A step ranks each end as rank does,
         where b's block is that of position b - 1 unless b starts e's
         block. In one block both ends go down the code's path together, in
-        one call of the vector's descend, which stops where they meet: the
-        range is then empty. In two, each goes down its own, written out
-        twice: a call or a loop per end measured 6-10% slower counts on
-        small blocks.
+        one call of the vector's descend, which walks the whole path. In
+        two, each goes down its own, written out twice: a call or a loop per
+        end measured 6-10% slower counts on small blocks. Either way the
+        range is tested for emptiness once, after the step, and only here.
         """
         sigma, paths, steps, starts, leaves = self.sigma, self.paths, self.steps, self.starts, self.leaves
         rows, size = self.rows, self.block_size
@@ -251,33 +253,32 @@ class WaveletTree:
             if i == j:
                 at = j * sigma + code
                 k = paths[at]
-                if not k:
-                    return None
-                s = starts[j] - j * size
-                ends = descend(steps[k >> 8 : (k >> 8) + (k & 127)], b + s, e + s)
-                if ends is None:
-                    return None
-                base = c[code] + rows[at] - leaves[j]
-                b, e = base + ends[0], base + ends[1]
-                continue
-            at = i * sigma + code
-            k = paths[at]
-            if k:
-                b += starts[i] - i * size
-                for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
-                    b = rank1(b) + step if step > 0 else b - rank1(b) - step
-                b += c[code] + rows[at] - leaves[i]
+                if k:
+                    s = starts[j] - j * size
+                    b, e = descend(steps[k >> 8 : (k >> 8) + (k & 127)], b + s, e + s)
+                    base = c[code] + rows[at] - leaves[j]
+                    b, e = base + b, base + e
+                else:
+                    b = e = c[code] + rows[at]
             else:
-                b = c[code] + rows[at]
-            at = j * sigma + code
-            k = paths[at]
-            if k:
-                e += starts[j] - j * size
-                for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
-                    e = rank1(e) + step if step > 0 else e - rank1(e) - step
-                e += c[code] + rows[at] - leaves[j]
-            else:
-                e = c[code] + rows[at]
+                at = i * sigma + code
+                k = paths[at]
+                if k:
+                    b += starts[i] - i * size
+                    for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
+                        b = rank1(b) + step if step > 0 else b - rank1(b) - step
+                    b += c[code] + rows[at] - leaves[i]
+                else:
+                    b = c[code] + rows[at]
+                at = j * sigma + code
+                k = paths[at]
+                if k:
+                    e += starts[j] - j * size
+                    for step in steps[k >> 8 : (k >> 8) + (k & 127)]:
+                        e = rank1(e) + step if step > 0 else e - rank1(e) - step
+                    e += c[code] + rows[at] - leaves[j]
+                else:
+                    e = c[code] + rows[at]
             if b >= e:
                 return None
         return b, e
@@ -610,17 +611,18 @@ def _parse_codebooks(bodies, sigma):
     return codebook
 
 
-def read_trees(sections, n, block_size, sigma, backend, rrr_block_size):
+def read_trees(sections, n, block_size, sigma, rrr_block_size):
     """The WaveletTree of a sequence of n symbols below sigma from its blocks' (codebook, payload) sections.
 
-    The sections are all parsed into one vector, and an RRR one's fields
-    checked, before any tree is read (see read_plain and read_rrr). A
+    The sections are all parsed into one vector, plain for rrr_block_size
+    0, and an RRR one's fields checked, before any tree is read (see
+    bitrank's read_sections). A
     symbol's count in a tree is the size of its leaf, from the zero or one
     count of the last node on its path (see _read). ValueError or EOFError
     names a failed check.
     """
     codebooks, payloads = zip(*sections)
-    bits, firsts, limits = read_sections(payloads, backend, rrr_block_size)
+    bits, firsts, limits = read_sections(payloads, rrr_block_size)
     wt = WaveletTree.__new__(WaveletTree)
     wt.n, wt.block_size, wt.sigma = n, min(block_size, n), sigma
     _read(wt, bits, firsts, limits, _parse_codebooks(codebooks, sigma))
@@ -628,4 +630,4 @@ def read_trees(sections, n, block_size, sigma, backend, rrr_block_size):
 
 
 def build_wt(x, shape="huffman", backend="plain", rrr_block_size=15):
-    return WaveletTree(x, shape, backend, rrr_block_size)
+    return WaveletTree(x, shape, rrr_block_size if backend == "rrr" else 0)

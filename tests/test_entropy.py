@@ -86,7 +86,6 @@ def test_partition_validation_and_blocks():
     p = Partition(7, [3, 6])
     assert p.blocks() == [(0, 3), (3, 6), (6, 7)]
     assert p.block_count == 3
-    assert p.block_sizes() == [3, 3, 1]
     with pytest.raises(ValueError):
         Partition(7, [0])
     with pytest.raises(ValueError):

@@ -130,6 +130,21 @@ def test_block_size_the_header_cannot_hold_is_rejected():
     assert back.count(b"ANA") == 2
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("rrr_t", [-1, 0, 64])
+def test_a_bad_rrr_block_size_is_rejected_before_the_suffix_sort(variant, rrr_t, monkeypatch):
+    # an RRR variant rejects it before any expensive work; a plain one
+    # carries 0 whatever it is given, as its file does
+    monkeypatch.setattr(fmindex.textcore, "suffix_array", mock.Mock(side_effect=AssertionError("suffix_array")))
+    t = build_text(b"BANANA")
+    if variant.bitvector_backend == "rrr":
+        with pytest.raises(ValueError, match="^rrr block size must be in 1\\.\\.63$"):
+            build_index(t, variant, rrr_block_size=rrr_t)
+    else:
+        monkeypatch.undo()
+        assert build_index(t, variant, rrr_block_size=rrr_t).rrr_block_size == 0
+
+
 def test_size_report_components_and_total():
     t = build_text(b"BANANA" * 40)
     for variant in ALL_VARIANTS:
@@ -340,5 +355,5 @@ def test_a_build_makes_one_vector_and_parses_no_section(variant, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     assert len(ix.blocks) == (-(-t.n // 50) if variant.fixed else 1)
-    assert calls[0][3].tolist() == [wt.leaf - wt.start for wt in ix.blocks]
+    assert calls[0][1] == ix.rrr_block_size and calls[0][2].tolist() == [wt.leaf - wt.start for wt in ix.blocks]
     assert ix.count(b"block") == 20 and ix.count_many([b"boost", b"blocks"]) == [20, 0]

@@ -346,7 +346,7 @@ def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
     ix = build_index(build_text(b"abracadabra"), "ssa")
     sections = [(ix.blocks[0].codebook_section(), Huge())]
     with pytest.raises(ValueError, match="plain tree of 2\\^32 bits or more"):
-        read_trees(sections, ix.n, ix.n, ix.sigma, "plain", 15)
+        read_trees(sections, ix.n, ix.n, ix.sigma, 0)
 
 
 @pytest.mark.parametrize(

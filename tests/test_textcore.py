@@ -227,9 +227,9 @@ def test_inverse_bwt_round_trip_random():
 
 def test_inverse_bwt_rejects_malformed_input():
     with pytest.raises(ValueError, match="malformed BWT"):
-        inverse_bwt(Bwt.from_sequence([1, 1], sigma=2))
+        inverse_bwt(Bwt([1, 1], [0, 0, 2], 2))
     with pytest.raises(ValueError, match="malformed BWT"):
-        inverse_bwt(Bwt.from_sequence([0, 1, 0], sigma=2))
+        inverse_bwt(Bwt([0, 1, 0], [0, 2, 3], 2))
 
 
 def test_naive_count_worked_examples():

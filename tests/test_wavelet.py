@@ -158,7 +158,7 @@ def test_codebook_reconstruction_round_trip():
     for backend in ("plain", "rrr"):
         wt = build_wt(seq, "huffman", backend)
         sections = [(wt[0].codebook_section(), wt[0].payload_section())]
-        rebuilt = read_trees(sections, len(seq), len(seq), 9, backend, 15)
+        rebuilt = read_trees(sections, len(seq), len(seq), 9, 15 if backend == "rrr" else 0)
         assert rebuilt[0].codes == wt[0].codes
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
@@ -178,7 +178,7 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
     rank1, rank1_many = vector.rank1, vector.rank1_many
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
     monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
-    loaded = read_trees(sections, len(seq), len(seq), 60, backend, 15)
+    loaded = read_trees(sections, len(seq), len(seq), 60, 15 if backend == "rrr" else 0)
     monkeypatch.undo()
     assert calls == []
     # an RRR section's padding check comes first, before any node is read: one position, the tree's limit
@@ -212,10 +212,10 @@ def test_a_node_of_no_bits_is_rejected_at_load():
         return struct.pack("<H", len(lengths)) + entries
 
     # symbol 0 (code 0) fills the block: a leaf of no elements loads, a node of no bits does not
-    wt = read_trees([(codebook({0: 1, 1: 1}), b"\0")], 8, 8, 3, "plain", 15)
+    wt = read_trees([(codebook({0: 1, 1: 1}), b"\0")], 8, 8, 3, 0)
     assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0) and wt.totals.tolist() == [8, 0, 0]
     with pytest.raises(ValueError, match="empty node"):
-        read_trees([(codebook({0: 1, 1: 2, 2: 2}), b"\0")], 8, 8, 3, "plain", 15)
+        read_trees([(codebook({0: 1, 1: 2, 2: 2}), b"\0")], 8, 8, 3, 0)
 
 
 def test_size_report_pieces():
@@ -300,7 +300,7 @@ def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
     wt = build_wt(seq, "huffman", backend, t)
     sections = (wt[0].codebook_section(), wt[0].payload_section())
     sigma = int(seq.max()) + 1
-    back = read_trees([sections], len(seq), len(seq), sigma, backend, t)
+    back = read_trees([sections], len(seq), len(seq), sigma, t if backend == "rrr" else 0)
     assert back.totals.tolist() == np.bincount(seq, minlength=sigma).tolist()
     assert (back[0].codebook_section(), back[0].payload_section()) == sections
     assert back.bits.to_bits().tolist() == wt.bits.to_bits().tolist()
@@ -321,8 +321,8 @@ def blocked_trees(draw):
     n = len(seq)
     b = draw(st.sampled_from([1, 2, max(n - 1, 1), n, n + 1]))
     shape = draw(st.sampled_from(["huffman", "balanced"]))
-    backend, t = draw(st.sampled_from([("plain", 15)] + [("rrr", t) for t in (1, 15, 16, 63)]))
-    return WaveletTree(seq, shape, backend, t, block_size=b), seq
+    t = draw(st.sampled_from([0, 1, 15, 16, 63]))  # 0: plain
+    return WaveletTree(seq, shape, t, block_size=b), seq
 
 
 @settings(max_examples=80, deadline=None)
