@@ -4,8 +4,7 @@ Fields of 0..64 bits are packed LSB-first: bit i of a field at bit offset
 p is bit (p + i) % 8 of byte (p + i) // 8, and a stream is zero-padded to
 a whole byte. pack_fields writes consecutive fields and read_fields reads
 fields at any offsets, from the stream as little-endian uint64 words with
-a spare word after the last field's. unpack_bits reads single bits from
-any offset, to copy stored offset streams. A scalar RRR rank reads its one
+a spare word after the last field's. A scalar RRR rank reads its one
 offset inline (see bitrank).
 """
 
@@ -37,12 +36,6 @@ def pack_fields(values, widths):
         bits[at : at + len(chunk)] = chunk
         at += len(chunk)
     return np.packbits(bits, bitorder="little").tobytes()
-
-
-def unpack_bits(buf, start, count):
-    """The `count` bits from bit `start` of buf on, one uint8 (0 or 1) per bit."""
-    raw = np.frombuffer(buf, dtype=np.uint8)[start >> 3 : (start + count + 7) >> 3]
-    return np.unpackbits(raw, bitorder="little")[start & 7 : (start & 7) + count]
 
 
 def read_fields(words, starts, widths):

@@ -9,15 +9,22 @@ Two interchangeable representations:
   shifted right, with no mask to build: a rank is one counter plus one
   shift and one popcount. One vector can hold many trees, each from a
   fresh word and with its own counters (see plain_words).
-* RrrBitVector stores each t-bit block as a popcount class plus an
-  enumerative offset that identifies the block among all t-bit words of
-  that class in ascending numeric order, with uint32 (offset position,
-  rank) samples every 32 blocks. The classes are one buffer, two 4-bit
+* RrrBitVector cuts the bits into t-bit blocks and the blocks into
+  samples of 32, and stores each sample as one of three kinds, whichever
+  is smaller: RRR, each block's popcount class and then an enumerative
+  offset that identifies the block among all t-bit words of that class in
+  ascending numeric order; or the sorted uint16 positions of the sample's
+  ones, or of its zeros, when they are few (Kärkkäinen, Kempa and
+  Puglisi's hybrid bitvector). All samples' bytes are one stream; each
+  sample has two uint32 values, its rank and a pointer into the stream
+  whose top two bits give its kind. A RRR sample's classes are two 4-bit
   classes per byte for t <= 15 and one per byte above, so a rank sums the
-  class bytes since the last sample, and their offset widths, each through
-  a 256-byte translation table, without a Python loop. One vector can hold
-  many trees, each from a fresh sample and with its own ranks (see
-  rrr_samples).
+  class bytes before its block, and their offset widths, each through a
+  256-byte translation table, without a Python loop, and reads its
+  block's offset with at most two aligned reads of a uint64 view of the
+  stream; a sparse sample's rank is one bisect of its positions, through
+  a uint16 view. One vector can hold many trees, each from a fresh sample
+  and with its own ranks (see rrr_samples).
 
 A wavelet tree keeps all its nodes in one vector, joined bit to bit in
 level order under either backend, and all the trees of an index share
@@ -27,38 +34,41 @@ and bit count (make_bitvector()), and a load from every tree's section;
 each names the vector by its RRR block size t alone, 0 for plain.
 This module owns the layout of a tree in the index file, which is the
 vector's own stored form (stored_bits()): a plain tree stores its raw
-bits, an RRR tree its bit count m as a u32, then the class fields of all
-its blocks and then its offset stream. read_sections() builds one vector
-of the sections of all trees of an index and gives each tree's first bit
-in it and its limit, where its section ends; read_plain() does so for
-plain sections and read_rrr() for RRR ones, parsing them in one pass and
-checking every RRR field before any node is routed. Neither loops over
-the sections in Python: the sections are sliced and joined by map, and
-every check and table is made over all of them at once. Once the nodes
-are routed (see wavelet), the vector's trim() checks the bits that
-follow each tree's last node, for all trees at once; plain padding bits
-are left as read, since no rank reads past a tree's last node.
+bits, an RRR tree its bit count m as a u32, then a kind byte per sample
+and the samples' bytes as the stream holds them. read_sections() builds
+one vector of the sections of all trees of an index and gives each
+tree's first bit in it and its limit, where its section ends;
+read_plain() does so for plain sections and read_rrr() for RRR ones,
+slicing them in one pass and checking every sample before any node is
+routed. Neither loops over the sections in Python: the sections are
+sliced and joined by map, and every check and table is made over all of
+them at once. Once the nodes are routed (see wavelet), the vector's
+trim() checks the bits that follow each tree's last node, for all trees
+at once; plain padding bits are left as read, since no rank reads past a
+tree's last node.
 
 Each backend also takes both ends of a backward-search step in one tree
 down a symbol's path, level by level: descend() ranks both ends of a level
 in one call, with rank1's arithmetic inline, and returns both ends at the
 path's end, even where they met on the way; only the caller decides that
 a range is empty. The RRR one decodes one block for both ends when they
-fall in it, and else ranks the second end from its own sample.
+fall in it, searches a sparse sample's positions for e from b's, and
+else ranks the second end from its own sample.
 
 Each backend also ranks many positions at once, in two forms over
 np.frombuffer views of the vector's buffers. batch_rank1() returns a
 function of an int64 array of positions, for count_many's many rounds,
 and binds every view and table it reads once, so that a round is only
 its arithmetic: the plain one is rank1 in numpy; the RRR one first makes
-tables of 5 bytes per block (its class, and the classes and offset widths
-before it since its sample), which live as long as the function does.
-rank1_many(positions) ranks once, for a load's few positions per tree
-depth: plain, it is batch_rank1's; RRR, each position sums its own
-sample's classes, with no table over all blocks. Both RRR forms read and
-decode their blocks' offsets through one function (_block_ones): up to t
-= 16 from one unaligned uint32 view of the offset stream, one element per
-byte, through the decode table, and above with read_fields, enumeratively.
+tables per block (its class, its bits in a sparse sample, and the ones
+and offset widths before it since its sample), which live as long as the
+function does. rank1_many(positions) ranks once, for a load's few
+positions per tree depth: plain, it is batch_rank1's; RRR, each position
+compares its sparse sample's positions or sums its RRR sample's classes,
+with no table over all blocks. Both RRR forms read their blocks' offsets
+through _offset_reader: up to t = 16 from one unaligned uint32 view of
+the stream, one element per byte, and above with read_fields; and decode
+them through _decoder, with the decode table or enumeratively.
 """
 
 import functools
@@ -66,10 +76,11 @@ import itertools
 import math
 import operator
 from array import array
+from bisect import bisect_left
 
 import numpy as np
 
-from .bitio import pack_fields, read_fields, unpack_bits
+from .bitio import pack_fields, read_fields
 
 # each byte with its bits in reverse order: bitio's LSB-first bytes to the words' MSB-first ones
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -77,8 +88,12 @@ RRR_SAMPLE_EVERY = 32
 _TABLE_MAX_T = 16
 _NIBBLE_MAX_T = 15
 _ONE = np.uint64(1)
-_NIBBLES = np.array([0, 4], dtype=np.uint8)  # the shifts of a class byte's low and high class
-_SAMPLE_BLOCKS = np.arange(RRR_SAMPLE_EVERY)
+_MAX_POSITIONS = 63  # the most positions a sparse sample holds: its kind byte's count field
+_SLOTS = np.arange(_MAX_POSITIONS)
+# a sample pointer's top two bits: its sample is sparse, and then its positions are its zeros'
+_SPARSE = 1 << 31
+_ZEROS = 1 << 30
+_AT = _ZEROS - 1  # the byte of the stream where the sample starts
 
 
 def _as_bit_array(bits):
@@ -338,8 +353,7 @@ def rrr_samples(m, t):
     """Samples an RRR tree of m bits takes in a vector: one per RRR_SAMPLE_EVERY of its blocks, plus one.
 
     Its blocks end before its last sample's blocks do, so rank1 at the
-    tree's end, and the offset stream at the end of its last block, are
-    counted from a sample of the tree. m may be a numpy array.
+    tree's end is counted from a sample of the tree. m may be a numpy array.
     """
     return -(-m // t) // RRR_SAMPLE_EVERY + 1
 
@@ -360,124 +374,170 @@ def tree_firsts(ms, t=0):
 
 
 class RrrBitVector(_BitVector):
-    """The bits of one or more trees as t-bit blocks, each a class and an offset.
+    """The bits of one or more trees as samples of 32 t-bit blocks, each of one of three kinds.
 
-    Each tree starts on a sample, every RRR_SAMPLE_EVERY blocks, and takes
-    rrr_samples of its bit count; the blocks after its last are class 0. A
-    sample holds the ones before it since its tree's first bit, and where
-    its block's offset starts in the one offset stream, so rank1(j) counts
-    the ones from the start of the tree that holds j to j.
+    Each tree starts on a sample and takes rrr_samples of its bit count; the
+    blocks after its last are all zero. A sample is stored in whichever
+    kind is smaller (see __init__), as bytes in the one stream of samples:
+    RRR, the class of each block and then their offsets, padded to an even
+    byte count; or the sorted uint16 positions in its 32 t bits of its ones,
+    or of its zeros. Each sample holds the ones before it since its tree's
+    first bit, and a pointer: the byte of the stream where it starts, with
+    its kind in the top two bits, so rank1(j) counts the ones from the start
+    of the tree that holds j to j. A sparse sample's count is the distance to
+    the next sample's pointer over 2; the last sample's next is where the
+    samples end.
     """
 
     __slots__ = (
-        "m", "t", "_classes", "_shift", "_mask", "_class_sums",
-        "_width_sums", "_widths", "_table", "_offbuf", "_sample_rank", "_sample_opos", "_descent",
+        "m", "t", "_stream", "_words", "_pos", "_ptr", "_sample_rank", "_shift", "_mask",
+        "_class_sums", "_width_sums", "_widths", "_table", "_descent",
     )
 
     def __init__(self, bits, block_size=15, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree.
 
-        The trees' offsets are one stream, each tree's after the last one's.
+        Each sample takes the kind that is smaller: sparse if its minority bit
+        occurs at most 63 times and two bytes each are fewer than its RRR
+        bytes, ones on a tie of ones and zeros; else RRR.
         """
         t = int(block_size)
         if not 1 <= t <= 63:
             raise ValueError("rrr block size must be in 1..63")
         ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
-        tree_firsts(ms, t)  # checks every tree's size before the bits are copied
+        firsts = tree_firsts(ms, t) // t  # each tree's first block; checks every tree's size before the bits are copied
         bits = _as_bit_array(bits)
-        nblocks = -(-ms // t)
-        # each block's bits, LSB first, in the low bytes of one uint64; a
-        # tree's last block is packed on its own, so that no padded copy is made
-        packed = np.zeros((int(nblocks.sum()), 8), dtype=np.uint8)
-        row = stop = 0
-        for m in ms.tolist():
+        span = RRR_SAMPLE_EVERY * t
+        cb = RRR_SAMPLE_EVERY >> int(t <= _NIBBLE_MAX_T)
+        # each block's bits, LSB first, in the low bytes of one uint64, every
+        # sample's 32 in a row; a tree's last block is packed on its own, so
+        # that no padded copy is made
+        packed = np.zeros((RRR_SAMPLE_EVERY * int(rrr_samples(ms, t).sum()), 8), dtype=np.uint8)
+        for row, stop, m in zip(firsts.tolist(), np.cumsum(ms).tolist(), ms.tolist()):
             full, rem = divmod(m, t)
-            tree = bits[stop : stop + m]
+            tree = bits[stop - m : stop]
             packed[row : row + full, : (t + 7) // 8] = np.packbits(
                 tree[: full * t].reshape(full, t), axis=1, bitorder="little"
             )
             if rem:
                 packed[row + full, : (rem + 7) // 8] = np.packbits(tree[full * t :], bitorder="little")
-            row, stop = row + full + (rem > 0), stop + m
-        values = packed.view("<u8").ravel()
+        values = packed.view("<u8").reshape(-1, RRR_SAMPLE_EVERY)
         classes = np.bitwise_count(values)
-        if t <= _TABLE_MAX_T:
-            offsets = _offset_table(t)[values]
-        else:
-            offsets = [offset_of_value(int(v), t, int(k)) for v, k in zip(values, classes)]
-        widths = np.asarray(offset_widths(t))[classes]
-        before = np.zeros(len(widths) + 1, dtype=np.int64)  # each block's first offset bit, then the end
-        np.cumsum(widths, out=before[1:])
-        if before[-1] >= 1 << 32:
+        widths = np.frombuffer(classes.tobytes().translate(_class_tables(t)[2]), dtype=np.uint8).reshape(classes.shape)
+        ones = classes.sum(axis=1, dtype=np.int64)
+        halves = (widths.sum(axis=1, dtype=np.int64) + 15) >> 4  # a RRR sample's offset bytes over 2
+        count = np.minimum(ones, span - ones)
+        zeros = count < ones
+        sparse = (count <= _MAX_POSITIONS) & (2 * count < cb + 2 * halves)
+        size = np.where(sparse, 2 * count, cb + 2 * halves)
+        if 8 * int(size.sum()) >= 1 << 32:
             raise ValueError("rrr offset stream of 2^32 bits or more")
-        offbuf = pack_fields(offsets, widths)
-        bases = before[np.cumsum(nblocks) - nblocks]  # each tree's first offset bit
-        # whole words with a spare one, as _parse_rrr leaves them, for read_fields
-        self._setup(t, ms, classes, offbuf + bytes(16 - len(offbuf) % 8), bases)
+        kinds = np.where(sparse, 128 | zeros << 6 | count, halves).astype(np.uint8)
+        at = np.cumsum(size) - size  # where each sample starts in the stream
+        stream = np.zeros(int(size.sum()) + 16 - int(size.sum()) % 8, dtype=np.uint8)
+        # a RRR sample's class bytes, then its offsets, padded to an even byte count by one more field
+        rrr = np.flatnonzero(~sparse)
+        k = classes[rrr]
+        stream[at[rrr, None] + np.arange(cb)] = k[:, 0::2] | k[:, 1::2] << 4 if cb < RRR_SAMPLE_EVERY else k
+        if t <= _TABLE_MAX_T:
+            offsets = _offset_table(t)[values[rrr]]
+        else:
+            offsets = [[offset_of_value(int(v), t, int(c)) for v, c in zip(*row)] for row in zip(values[rrr], k)]
+        fields = np.zeros((len(rrr), RRR_SAMPLE_EVERY + 1), dtype=np.uint64)
+        fields[:, :-1] = np.asarray(offsets, dtype=np.uint64).reshape(-1, RRR_SAMPLE_EVERY)
+        width = np.zeros(fields.shape, dtype=np.int64)
+        width[:, :-1] = widths[rrr]
+        width[:, -1] = 16 * halves[rrr] - widths[rrr].sum(axis=1, dtype=np.int64)
+        fields = np.frombuffer(pack_fields(fields.ravel(), width.ravel()), dtype=np.uint8)
+        held = 2 * halves[rrr]  # each sample's offset bytes, one run in fields
+        stream[np.repeat(at[rrr] + cb - (np.cumsum(held) - held), held) + np.arange(len(fields))] = fields
+        # a sparse sample's positions of its minority bit, 16 bits each
+        kept = np.flatnonzero(sparse)
+        window = values[kept].view(np.uint8).reshape(-1, 8)[:, : (t + 7) // 8]
+        window = np.unpackbits(window, axis=1, bitorder="little")[:, :t].reshape(len(kept), span)
+        row, pos = np.nonzero(window != zeros[kept, None])
+        stream.view("<u2")[(at[kept[row]] >> 1) + np.arange(len(row)) - np.searchsorted(row, row)] = pos
+        self._setup(t, ms, kinds, stream.tobytes())
 
-    def _setup(self, t, ms, classes, offbuf, bases):
-        """The vector of trees of ms bits, laid out in turn (see rrr_samples).
+    def _setup(self, t, ms, kinds, stream):
+        """The vector of trees of ms bits, laid out in turn (see rrr_samples), from their samples.
 
-        classes (uint8) holds the classes of each tree's blocks in turn, and
-        tree i's offsets start at bit bases[i] of offbuf. The caller checks
-        that the samples fit uint32. Returns the ones of each tree, as int64.
+        kinds (uint8) holds each sample's kind byte, as a payload section
+        stores it (see read_rrr), and stream the samples' bytes in turn,
+        then zero bytes to a whole word and a spare word, for the offset
+        reads. The caller checks that every sample's bytes lie in stream,
+        and that the samples fit uint32. Returns the ones of each tree, as
+        int64.
         """
         every = RRR_SAMPLE_EVERY
         ms = np.asarray(ms, dtype=np.int64)
-        nblocks = -(-ms // t)
-        taken = rrr_samples(ms, t)
-        full = np.zeros(every * int(taken.sum()), dtype=np.uint8)
-        lengths = np.stack([nblocks, every * taken - nblocks], axis=1).ravel()
-        full[np.repeat(np.tile([True, False], len(ms)), lengths)] = classes
+        s = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
+        cb = every >> s
+        kinds = kinds.astype(np.int64)
+        sparse = kinds >= 128
+        count = np.where(sparse, kinds & _MAX_POSITIONS, kinds)
+        size = 2 * count + cb * ~sparse
+        ptr = np.zeros(len(kinds) + 1, dtype=np.int64)
+        np.cumsum(size, out=ptr[1:])
+        # a sparse one's ones are its count, or its bits less it; a RRR one's, its classes' sum
+        ones = np.where(kinds >> 6 == 3, every * t - count, count)
         self._class_sums, self._width_sums, self._widths = _class_tables(t)
-        # per sample: the ones of its blocks, and their offset bits
-        # summed in uint16, which holds 32 classes or widths, and twice as fast as in int64
-        ones = full.reshape(-1, every).sum(axis=1, dtype=np.uint16).astype(np.int64)
-        widths = np.frombuffer(full.tobytes().translate(self._widths), dtype=np.uint8)
-        width = widths.reshape(-1, every).sum(axis=1, dtype=np.uint16).astype(np.int64)
+        rrr = np.flatnonzero(~sparse)
+        raw = np.frombuffer(stream, dtype=np.uint8)[ptr[rrr, None] + np.arange(cb)].tobytes().translate(self._class_sums)
+        ones[rrr] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, cb).sum(axis=1, dtype=np.int64)
+        ptr[:-1] |= sparse * kinds >> 6 << 30
+        taken = rrr_samples(ms, t)
         firsts = np.cumsum(taken) - taken
         rank = np.cumsum(ones) - ones
         rank -= np.repeat(rank[firsts], taken)
-        opos = np.cumsum(width) - width
-        opos += np.repeat(np.asarray(bases) - opos[firsts], taken)
-        self._shift = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
-        self._mask = 0xFF >> 4 * self._shift
-        self._classes = (full[0::2] | full[1::2] << 4 if self._shift else full).tobytes()
-        self.m = every * t * int(firsts[-1]) + int(ms[-1])
         self.t = t
-        self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
-        self._offbuf = offbuf
+        self.m = every * t * int(firsts[-1]) + int(ms[-1])
+        self._shift = s
+        self._mask = 0xFF >> 4 * s
+        self._stream = stream
+        self._words = memoryview(stream).cast("Q")
+        self._pos = memoryview(stream).cast("H")
+        self._ptr = array("I", ptr.astype(np.uint32).tobytes())
         self._sample_rank = array("I", rank.astype(np.uint32).tobytes())
-        self._sample_opos = array("I", opos.astype(np.uint32).tobytes())
+        self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
         # all that descend reads, in one tuple: one attribute load a call, not
-        # fourteen, which the one or two levels of most descents would feel
+        # sixteen, which the one or two levels of most descents would feel
         self._descent = (
-            t, self._shift, self._mask, self._classes, self._class_sums, self._width_sums, self._widths,
-            self._sample_rank, self._sample_opos, self._offbuf, *(self._table or (None, None)),
+            t, s, self._mask, cb << 3, every * t, stream, self._words, self._pos, self._ptr, self._sample_rank,
+            self._class_sums, self._width_sums, self._widths, *(self._table or (None, None)),
         )
         return (rank + ones)[firsts + taken - 1]
 
     def rank1(self, j):
         blk, rem = divmod(j, self.t)
         sb = blk >> 5
-        classes = self._classes
-        at = blk >> self._shift  # the byte of blk's class
-        seg = classes[sb << 5 >> self._shift : at]
+        at = self._ptr[sb]
+        if at >= _SPARSE:  # the positions below j's in the sample, of its ones or its zeros
+            p = j - sb * RRR_SAMPLE_EVERY * self.t
+            lo = (at & _AT) >> 1
+            c = bisect_left(self._pos, p, lo, (self._ptr[sb + 1] & _AT) >> 1) - lo
+            return self._sample_rank[sb] + (p - c if at & _ZEROS else c)
+        stream = self._stream
+        i = at + ((blk & 31) >> self._shift)  # the byte of blk's class
+        seg = stream[at:i]
         r = self._sample_rank[sb] + sum(seg.translate(self._class_sums))
         half = blk & self._shift  # blk's class is its byte's high nibble, after the low one
         if rem:
-            byte = classes[at]
-            opos = self._sample_opos[sb] + sum(seg.translate(self._width_sums))
+            byte = stream[i]
+            # the offsets start after the sample's class bytes
+            o = (at + (RRR_SAMPLE_EVERY >> self._shift) << 3) + sum(seg.translate(self._width_sums))
             if half:
                 r += byte & 15
-                opos += self._widths[byte & 15]
+                o += self._widths[byte & 15]
                 byte >>= 4
             k = byte & self._mask
             w = self._widths[k]
             off = 0
             if w:  # classes 0 and t, often half the blocks, have no offset bits
-                chunk = int.from_bytes(self._offbuf[opos >> 3 : (opos >> 3) + ((opos & 7) + w + 7 >> 3)], "little")
-                off = chunk >> (opos & 7) & (1 << w) - 1
+                off = self._words[o >> 6] >> (o & 63)
+                if (o & 63) + w > 64:
+                    off |= self._words[(o >> 6) + 1] << 64 - (o & 63)
+                off &= (1 << w) - 1
             if self._table is None:
                 value = value_of_offset(off, self.t, k)
             else:
@@ -485,63 +545,92 @@ class RrrBitVector(_BitVector):
                 value = words[starts[k] + off]
             return r + (value & ((1 << rem) - 1)).bit_count()
         if half:
-            r += classes[at] & 15
+            r += stream[i] & 15
         return r
 
     def descend(self, steps, b, e):
         """Both ends b <= e of one tree down a path's signed steps, level by level, to (b, e) at its end.
 
         Each level ranks both ends as rank1 does, inline, and moves them as
-        the plain descend does, the whole path through. b's rank walks its
-        sample's class bytes and decodes b's block. e's rank takes the same
-        decoded block if e falls in it, else it starts from its own sample.
+        the plain descend does, the whole path through. In a sparse sample,
+        e's search starts from b's; in a RRR one, b's rank walks its
+        sample's class bytes and decodes b's block, and e's takes the same
+        decoded block if e falls in it. Else e is ranked from its own sample.
         """
-        t, s, mask, classes, class_sums, width_sums, widths, sample_rank, sample_opos, offbuf, words, starts = (
-            self._descent
-        )
+        (
+            t, s, mask, head, span, stream, words, pos, ptrs, sample_rank,
+            class_sums, width_sums, widths, table, starts,
+        ) = self._descent
         for step in steps:
             blk, rem = divmod(b, t)
-            last, erem = divmod(e, t)
             sb = blk >> 5
-            seg = classes[sb << 5 >> s : blk >> s]
-            # the ones and the offset position at b's class byte, then at b's block
-            rb = sample_rank[sb] + sum(seg.translate(class_sums))
-            o = sample_opos[sb] + sum(seg.translate(width_sums))
-            byte = classes[blk >> s]
-            if blk & s:
-                rb += byte & 15
-                o += widths[byte & 15]
-                byte >>= 4
-            if rem or last == blk:
-                k = byte & mask
-                w = widths[k]
-                off = 0
-                if w:
-                    chunk = int.from_bytes(offbuf[o >> 3 : (o >> 3) + ((o & 7) + w + 7 >> 3)], "little")
-                    off = chunk >> (o & 7) & (1 << w) - 1
-                value = value_of_offset(off, t, k) if words is None else words[starts[k] + off]
-                if last == blk:
-                    re = rb + (value & (1 << erem) - 1).bit_count()
-                rb += (value & (1 << rem) - 1).bit_count()
-            if last != blk:
-                sb = last >> 5
-                seg = classes[sb << 5 >> s : last >> s]
-                re = sample_rank[sb] + sum(seg.translate(class_sums))
-                o = sample_opos[sb] + sum(seg.translate(width_sums))
-                byte = classes[last >> s]
-                if last & s:
-                    re += byte & 15
+            at = ptrs[sb]
+            re = -1
+            if at >= _SPARSE:
+                p = b - sb * span
+                lo = (at & _AT) >> 1
+                hi = (ptrs[sb + 1] & _AT) >> 1
+                c = bisect_left(pos, p, lo, hi)
+                rb = sample_rank[sb] + (p - c + lo if at & _ZEROS else c - lo)
+                q = e - sb * span
+                if q < span:
+                    c = bisect_left(pos, q, c, hi)
+                    re = sample_rank[sb] + (q - c + lo if at & _ZEROS else c - lo)
+            else:
+                last, erem = divmod(e, t)
+                i = at + ((blk & 31) >> s)
+                seg = stream[at:i]
+                # the ones and the offset position at b's class byte, then at b's block
+                rb = sample_rank[sb] + sum(seg.translate(class_sums))
+                o = (at << 3) + head + sum(seg.translate(width_sums))
+                byte = stream[i]
+                if blk & s:
+                    rb += byte & 15
                     o += widths[byte & 15]
                     byte >>= 4
-                if erem:
+                if rem or last == blk:
                     k = byte & mask
                     w = widths[k]
                     off = 0
                     if w:
-                        chunk = int.from_bytes(offbuf[o >> 3 : (o >> 3) + ((o & 7) + w + 7 >> 3)], "little")
-                        off = chunk >> (o & 7) & (1 << w) - 1
-                    value = value_of_offset(off, t, k) if words is None else words[starts[k] + off]
-                    re += (value & (1 << erem) - 1).bit_count()
+                        off = words[o >> 6] >> (o & 63)
+                        if (o & 63) + w > 64:
+                            off |= words[(o >> 6) + 1] << 64 - (o & 63)
+                        off &= (1 << w) - 1
+                    value = value_of_offset(off, t, k) if table is None else table[starts[k] + off]
+                    if last == blk:
+                        re = rb + (value & (1 << erem) - 1).bit_count()
+                    rb += (value & (1 << rem) - 1).bit_count()
+            if re < 0:
+                blk, rem = divmod(e, t)
+                sb = blk >> 5
+                at = ptrs[sb]
+                if at >= _SPARSE:
+                    p = e - sb * span
+                    lo = (at & _AT) >> 1
+                    c = bisect_left(pos, p, lo, (ptrs[sb + 1] & _AT) >> 1) - lo
+                    re = sample_rank[sb] + (p - c if at & _ZEROS else c)
+                else:
+                    i = at + ((blk & 31) >> s)
+                    seg = stream[at:i]
+                    re = sample_rank[sb] + sum(seg.translate(class_sums))
+                    o = (at << 3) + head + sum(seg.translate(width_sums))
+                    byte = stream[i]
+                    if blk & s:
+                        re += byte & 15
+                        o += widths[byte & 15]
+                        byte >>= 4
+                    if rem:
+                        k = byte & mask
+                        w = widths[k]
+                        off = 0
+                        if w:
+                            off = words[o >> 6] >> (o & 63)
+                            if (o & 63) + w > 64:
+                                off |= words[(o >> 6) + 1] << 64 - (o & 63)
+                            off &= (1 << w) - 1
+                        value = value_of_offset(off, t, k) if table is None else table[starts[k] + off]
+                        re += (value & (1 << rem) - 1).bit_count()
             if step > 0:
                 b, e = rb + step, re + step
             else:
@@ -550,100 +639,228 @@ class RrrBitVector(_BitVector):
         return b, e
 
     def batch_rank1(self):
-        """rank1 over int64 arrays of positions: a function of one, over views of the vector's buffers.
+        """rank1 over int64 arrays of positions: a function of one, over views of tables made once per call.
 
-        It makes two tables first: every block's class, and, in 32 bits, the
-        classes and the offset widths of the blocks before it since its
-        sample, each in 11 bits. A rank then reads its block's entries and
-        its sample, and its block's offset, and decodes it (see _block_ones).
-        The tables cost a pass over every block and 5 bytes per block, which
-        the many rounds of count_many repay: it is the faster form there, and
-        rank1_many the faster at load. Every view a rank reads is bound here,
-        once per call.
+        The tables hold each block's class (0 in a sparse sample), its bits
+        if its sample is sparse, and, in 32 bits, the ones and the offset
+        widths of the blocks before it since its sample, each in 11 bits. A
+        rank then reads its sample and its block's entries, and its block's
+        offset, which it decodes (0 of class 0) and ors with the block's
+        sparse bits: the same arithmetic for every kind. The tables cost a
+        pass over every block and 7 bytes per block (13 above t = 16), which
+        the many rounds of count_many repay: it is the faster form there,
+        and rank1_many the faster at load. Every view a rank reads is bound
+        here, once per call.
         """
         t = self.t
-        classes = self.block_classes(0, RRR_SAMPLE_EVERY * len(self._sample_rank))
+        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
+        rrr = np.flatnonzero(ptr[:-1] < _SPARSE)
+        classes = np.zeros((len(ptr) - 1, RRR_SAMPLE_EVERY), dtype=np.uint8)
+        classes[rrr] = self._classes(ptr[rrr])
         # a sample's 32 classes of at most 63 sum below 2^11, and so do their offset widths
-        fields = _class_widths(t)[classes].astype(np.uint32)
+        fields = np.frombuffer(classes.tobytes().translate(self._widths), dtype=np.uint8).astype(np.uint32)
         fields <<= 11
-        fields |= classes
-        fields = fields.reshape(-1, RRR_SAMPLE_EVERY)
+        fields |= classes.ravel()
+        fields = fields.reshape(classes.shape)
+        sparse, values = self._sparse_values(ptr)
+        bits = np.zeros(classes.shape, dtype=values.dtype)
+        bits[sparse] = values
+        fields[sparse] = np.bitwise_count(values)
         before = np.cumsum(fields, axis=1, dtype=np.uint32)
         before -= fields
-        before = before.ravel()
-        sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
+        before, classes, bits = before.ravel(), classes.ravel(), bits.ravel()
         # int64, so that the offset positions are: numpy gathers by int64 indices faster than by uint32 ones
-        sample_opos = np.frombuffer(self._sample_opos, dtype=np.uint32).astype(np.int64)
-        block_ones = self._block_ones()
+        base = np.where(ptr[:-1] < _SPARSE, ptr[:-1] + (RRR_SAMPLE_EVERY >> self._shift) << 3, 0)
+        sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
+        read, decode = self._offset_reader(), self._decoder()
+        low = (np.ones(1, dtype=values.dtype) << np.arange(t, dtype=values.dtype)) - values.dtype.type(1)
 
         def rank1(j):
             blk = j // t
             sb = blk >> 5
             entry = before[blk]
-            opos = sample_opos[sb] + (entry >> 11)
-            return sample_rank[sb] + (entry & 2047) + block_ones(classes[blk], opos, j - blk * t)
+            k = classes[blk].astype(np.intp)  # numpy gathers by intp indices faster than by uint8 ones
+            value = decode(k, read(k, base[sb] + (entry >> 11))) | bits[blk]
+            return sample_rank[sb] + (entry & 2047) + np.bitwise_count(value & low[j - blk * t])
 
         return rank1
 
     def rank1_many(self, j):
-        """rank1 of every position in the int64 array j, each from its own sample's window.
+        """rank1 of every position in the int64 array j, each from its own sample, as int64.
 
-        A position sums the classes and the offset widths of its sample's
-        blocks before its own, then reads its offset and decodes it (see
-        _block_ones). No table is made, per block or kept across calls, so
-        a call costs only its positions: a load ranks a few node ends per
-        tree depth, where batch_rank1's tables would cost more than the ranks.
+        In a sparse sample a position compares its sample's at most 63
+        positions with its own. In a RRR one it sums the classes and the
+        offset widths of its sample's blocks before its own, then reads its
+        offset and decodes it. No table is made, per block or kept across
+        calls, so a call costs only its positions: a load ranks a few node
+        ends per tree depth, where batch_rank1's tables would cost more than
+        the ranks.
         """
         t = self.t
-        widths = _class_widths(t)
         blk = j // t
         sb = blk >> 5
-        window = np.frombuffer(self._classes, dtype=np.uint8).reshape(-1, RRR_SAMPLE_EVERY >> self._shift)[sb]
-        if self._shift:  # two classes per byte, the low one first
-            window = (window[:, :, None] >> _NIBBLES & 15).reshape(len(j), RRR_SAMPLE_EVERY)
-        within = blk & (RRR_SAMPLE_EVERY - 1)
-        before = _SAMPLE_BLOCKS < within[:, None]  # the blocks before blk in its sample
-        ones = (window * before).sum(axis=1, dtype=np.int64)
-        opos = (widths[window] * before).sum(axis=1, dtype=np.int64)
-        opos += np.frombuffer(self._sample_opos, dtype=np.uint32)[sb]
-        ones += self._block_ones()(window[np.arange(len(j)), within], opos, j - blk * t)
+        ptr = np.frombuffer(self._ptr, dtype=np.uint32)
+        at = ptr[sb].astype(np.int64)
+        rrr = at < _SPARSE
+        # a sparse sample's positions below j's, of its next at most 63 stream
+        # elements those before the next sample's; none for a RRR sample
+        lo = (at & _AT) >> 1
+        held = (((ptr[sb + 1] & _AT) >> 1) - lo) * ~rrr
+        slots = _SLOTS[: held.max(initial=0)]
+        p = (j - sb * RRR_SAMPLE_EVERY * t) * ~rrr
+        pos = np.frombuffer(self._stream, dtype="<u2").take(lo[:, None] + slots, mode="clip")
+        c = ((pos < p[:, None]) & (slots < held[:, None])).sum(axis=1)
+        ones = np.where(at & _ZEROS, p - c, c)
+        # a RRR sample's class bytes before j's block's, summed as rank1 sums
+        # them, then the low class of that byte if j's is the high one; none
+        # for a sparse sample, whose block is taken as one of class 0
+        cb = RRR_SAMPLE_EVERY >> self._shift
+        raw = np.frombuffer(self._stream, dtype=np.uint8).take(at[:, None] + _SLOTS[:cb], mode="clip")
+        i = ((blk & (RRR_SAMPLE_EVERY - 1)) >> self._shift) * rrr  # the byte of j's block's class
+        before = _SLOTS[:cb] < i[:, None]
+        sums, widths = (
+            (np.frombuffer(raw.tobytes().translate(table), dtype=np.uint8).reshape(raw.shape) * before).sum(axis=1, dtype=np.int64)
+            for table in (self._class_sums, self._width_sums)
+        )
+        ones += sums
+        opos = widths + (at + cb << 3)
+        k = raw[np.arange(len(j)), i]
+        if self._shift:
+            half = blk & rrr  # j's class is its byte's high nibble, after the low one
+            ones += (k & 15) * half
+            opos += _class_widths(t)[k & 15] * half
+            k = np.where(half, k >> 4, k & 15)
+        k *= rrr
+        opos *= rrr
+        value = self._decoder()(k, self._offset_reader()(k, opos))
+        ones += np.bitwise_count(value & (_ONE << (j - blk * t).astype(np.uint64)) - _ONE)
         return np.frombuffer(self._sample_rank, dtype=np.uint32)[sb] + ones
 
-    def _block_ones(self):
-        """The ones in the first rem bits of blocks: a function of arrays (k, opos, rem), over views made once.
+    def _classes(self, at):
+        """The classes (uint8) of the 32 blocks of each RRR sample at byte at[i] of the stream, one row each."""
+        k = np.frombuffer(self._stream, dtype=np.uint8)[at[:, None] + np.arange(RRR_SAMPLE_EVERY >> self._shift)]
+        if self._shift:  # two classes per byte, the low one first
+            k = np.stack([k & 15, k >> 4], axis=2).reshape(len(at), RRR_SAMPLE_EVERY)
+        return k
 
-        The blocks are of classes k (uint8) and their offsets start at bits
-        opos (int64, which it may overwrite); the ones are uint8. Up to t =
-        16 an offset is at most 14 bits wide, so the 4 bytes from the one
-        that holds its first bit hold it: one unaligned uint32 view of the
-        offset buffer, one element per byte (the buffer ends in a spare
-        word), reads it, shifted and masked by its class, and the decode
-        table decodes it. Above, read_fields reads it and it is decoded
-        enumeratively. Both of batch_rank1's and rank1_many's ranks read
-        their offsets here.
+    def _rrr_blocks(self, at):
+        """The classes (uint8) and offset starts (int64) of the 32 blocks of each RRR sample at byte at[i] of the stream.
+
+        A sample's offsets start after its class bytes, each after the
+        offset widths of the blocks before it: 32 of at most 60 bits sum in
+        uint16.
+        """
+        k = self._classes(at)
+        widths = np.frombuffer(k.tobytes().translate(self._widths), dtype=np.uint8).reshape(k.shape)
+        opos = np.cumsum(widths, axis=1, dtype=np.uint16)
+        opos -= widths
+        return k, opos + (at + (RRR_SAMPLE_EVERY >> self._shift) << 3)[:, None]
+
+    def _positions(self, ptr):
+        """The positions of every sparse sample in turn, as int64, and the sample of each; ptr is _ptr as int64."""
+        sparse = np.flatnonzero(ptr[:-1] >= _SPARSE)
+        lo = (ptr[sparse] & _AT) >> 1
+        count = ((ptr[sparse + 1] & _AT) >> 1) - lo
+        idx = np.arange(int(count.sum())) + np.repeat(lo - (np.cumsum(count) - count), count)
+        return np.repeat(sparse, count), np.frombuffer(self._stream, dtype="<u2")[idx].astype(np.int64)
+
+    def _sparse_values(self, ptr):
+        """The sparse samples, and the t bits of each of their blocks, LSB first, one row per sample.
+
+        The bits are uint16 up to t = 16, else uint64: a ones sample's are
+        its positions' bits, a zeros one's their complement; ptr is _ptr as int64.
         """
         t = self.t
-        widths = _class_widths(t)
+        sparse = np.flatnonzero(ptr[:-1] >= _SPARSE)
+        sample, pos = self._positions(ptr)
+        dtype = np.uint16 if t <= _TABLE_MAX_T else np.uint64
+        values = np.zeros((len(sparse), RRR_SAMPLE_EVERY), dtype=dtype)
+        blk = np.searchsorted(sparse, sample) * RRR_SAMPLE_EVERY + pos // t
+        first = np.flatnonzero(np.diff(blk, prepend=-1))  # each block's first position; they are sorted
+        if len(blk):
+            bits = np.ones(1, dtype=dtype) << (pos % t).astype(dtype)
+            values.ravel()[blk[first]] = np.bitwise_or.reduceat(bits, first)
+        values[ptr[sparse] >> 30 == 3] ^= (np.ones(1, dtype=dtype) << dtype(t)) - dtype(1)
+        return sparse, values
+
+    def _offset_reader(self):
+        """A function (k, opos) that reads the offsets of blocks of classes k (uint8) at bits opos (int64) of the stream.
+
+        Up to t = 16 an offset is at most 14 bits wide, so the 4 bytes from
+        the one that holds its first bit hold it: one unaligned uint32 view
+        of the stream, one element per byte (the stream ends in a spare
+        word), reads it, as int64. Above, read_fields reads it, as uint64.
+        Every view it reads is bound here.
+        """
+        widths = _class_widths(self.t)
+        if self.t > _TABLE_MAX_T:
+            stream = np.frombuffer(self._stream, dtype="<u8")
+            return lambda k, opos: read_fields(stream, opos, widths[k])
+        view = np.ndarray(len(self._stream) - 3, dtype="<u4", buffer=self._stream, strides=(1,))
+        masks = (np.uint32(1) << widths) - np.uint32(1)  # each class's offset bits
+        return lambda k, opos: view[opos >> 3] >> (opos & 7) & masks[k]
+
+    def _decoder(self):
+        """A function (k, off) that decodes the t-bit blocks of classes k and offsets off, as _offset_reader reads them.
+
+        Up to t = 16 through the decode table, as uint16; above
+        enumeratively, as uint64, overwriting off.
+        """
+        t = self.t
         if self._table is None:
-            stream = np.frombuffer(self._offbuf, dtype="<u8")
-
-            def block_ones(k, opos, rem):
-                value = _values_of_offsets(read_fields(stream, opos, widths[k]), t, k)
-                return np.bitwise_count(value & ((_ONE << rem.view(np.uint64)) - _ONE))
-
-            return block_ones
-        view = np.ndarray(len(self._offbuf) - 3, dtype="<u4", buffer=self._offbuf, strides=(1,))
+            return lambda k, off: _values_of_offsets(off, t, k)
         words = np.frombuffer(self._table[0], dtype=np.uint16)
         starts = np.frombuffer(self._table[1], dtype=np.int64)
-        masks = (np.uint32(1) << widths) - np.uint32(1)  # each class's offset bits
-        low = (np.uint16(1) << np.arange(t, dtype=np.uint16)) - np.uint16(1)  # a block's bits before rem
+        return lambda k, off: words[starts[k] + off]
 
-        def block_ones(k, opos, rem):
-            k = k.astype(np.intp)
-            off = view[opos >> 3] >> (opos & 7) & masks[k]
-            return np.bitwise_count(words[starts[k] + off] & low[rem])
+    def _values(self):
+        """Every block's t bits, LSB first, as uint64, over all the vector's samples, whatever their kind."""
+        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
+        values = np.zeros((len(ptr) - 1, RRR_SAMPLE_EVERY), dtype=np.uint64)
+        rrr = np.flatnonzero(ptr[:-1] < _SPARSE)
+        k, opos = self._rrr_blocks(ptr[rrr])
+        values[rrr] = self._decoder()(k, self._offset_reader()(k, opos))
+        sparse, values[sparse] = self._sparse_values(ptr)
+        return values.ravel()
 
-        return block_ones
+    def _check(self, ms):
+        """ValueError unless every sample is as a writer leaves it, of trees of ms bits; before any rank.
+
+        Over the RRR samples: classes above t ("rrr class out of range"),
+        offset bytes other than their classes' widths give ("rrr sample
+        kind") and offsets at or above comb(t, class) ("rrr offset out of
+        range"); over the sparse ones: positions not strictly ascending, past
+        the sample's bits, or for ones past its tree's ("rrr positions").
+        Each check runs over all samples before the next.
+        """
+        t = self.t
+        span = RRR_SAMPLE_EVERY * t
+        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
+        rrr = ptr[:-1] < _SPARSE
+        at = ptr[:-1][rrr]
+        cb = RRR_SAMPLE_EVERY >> self._shift
+        raw = np.frombuffer(self._stream, dtype=np.uint8)[at[:, None] + np.arange(cb)]
+        top = np.maximum(raw & 15, raw >> 4) if self._shift else raw
+        if top.max(initial=0) > t:
+            raise ValueError("rrr class out of range")
+        widths = np.frombuffer(raw.tobytes().translate(self._width_sums), dtype=np.uint8).reshape(raw.shape)
+        halves = (widths.sum(axis=1, dtype=np.int64) + 15) >> 4
+        if np.any((ptr[1:][rrr] & _AT) - at != cb + 2 * halves):
+            raise ValueError("rrr sample kind")
+        read = self._offset_reader()
+        limits = np.array([math.comb(t, c) for c in range(t + 1)], dtype=np.int64 if t <= _TABLE_MAX_T else np.uint64)
+        # 1,024 samples at a time, which keeps the temporaries in cache
+        for lo in range(0, len(at), 1024):
+            k, opos = self._rrr_blocks(at[lo : lo + 1024])
+            if np.any(read(k, opos) >= limits[k]):
+                raise ValueError("rrr offset out of range")
+        sample, pos = self._positions(ptr)
+        taken = rrr_samples(np.asarray(ms, dtype=np.int64), t)
+        # each sample's bits of its tree, past which a ones sample holds none
+        inside = np.repeat(np.asarray(ms) + span * (np.cumsum(taken) - taken), taken) - span * np.arange(len(ptr) - 1)
+        limit = np.where(ptr[sample] >> 30 == 2, np.minimum(inside[sample], span), span)
+        if np.any(pos >= limit) or np.any((np.diff(pos) <= 0) & (np.diff(sample) == 0)):
+            raise ValueError("rrr positions")
 
     def trim(self, ends, limits):
         """ValueError unless each tree's last node, ending at ends[i], ends its section, at limits[i]."""
@@ -651,61 +868,50 @@ class RrrBitVector(_BitVector):
             raise ValueError("payload length")
 
     def to_bits(self):
-        values = np.array([value_of_offset(off, self.t, k) for k, off in self.blocks()], np.uint64)
-        bits = (values[:, None] >> np.arange(self.t, dtype=np.uint64)) & np.uint64(1)
+        values = self._values()[: -(-self.m // self.t)]
+        bits = (values[:, None] >> np.arange(self.t, dtype=np.uint64)) & _ONE
         return bits.astype(np.uint8).ravel()[: self.m]
 
-    def block_classes(self, lo=0, hi=None):
-        """The classes of blocks lo..hi - 1, by default those of bits 0..m - 1, as uint8."""
-        hi = -(-self.m // self.t) if hi is None else hi
-        s = self._shift
-        raw = np.frombuffer(self._classes, dtype=np.uint8)[lo >> s : (hi + s) >> s]
-        if s:
-            raw = np.stack([raw & 15, raw >> 4], axis=1).ravel()
-        return raw[lo & s : (lo & s) + hi - lo]
-
-    def _opos(self, blk):
-        """Where block blk's offset starts in the offset stream."""
-        seg = self.block_classes(blk & -RRR_SAMPLE_EVERY, blk)
-        return self._sample_opos[blk >> 5] + sum(seg.tobytes().translate(self._widths))
-
     def blocks(self):
-        """Introspection: (class, offset) of each block of bits 0..m - 1.
+        """Introspection: (class, offset) of each block of bits 0..m - 1, whatever its sample's kind."""
+        values = self._values()[: -(-self.m // self.t)]
+        classes = np.bitwise_count(values)
+        if self.t <= _TABLE_MAX_T:
+            offsets = _offset_table(self.t)[values].tolist()
+        else:
+            offsets = [offset_of_value(v, self.t, k) for v, k in zip(values.tolist(), classes.tolist())]
+        return list(zip(classes.tolist(), offsets))
 
-        Each block's offset is counted from its sample's: a loaded stream
-        skips bits between trees (see _parse_rrr).
-        """
-        ks = self.block_classes()
-        widths = np.frombuffer(ks.tobytes().translate(self._widths), dtype=np.uint8)
-        blk = np.arange(len(ks))
-        starts = np.cumsum(widths, dtype=np.int64) - widths
-        starts += np.frombuffer(self._sample_opos, dtype=np.uint32)[blk >> 5] - starts[blk & -RRR_SAMPLE_EVERY]
-        offsets = read_fields(np.frombuffer(self._offbuf, dtype="<u8"), starts, widths)
-        return list(zip(ks.tolist(), offsets.tolist()))
+    def sample_kinds(self):
+        """How many samples of the vector are of each kind: {"rrr": ..., "ones": ..., "zeros": ...}."""
+        kinds = np.bincount(np.frombuffer(self._ptr, dtype=np.uint32)[:-1] >> 30, minlength=4)
+        return {"rrr": int(kinds[0]), "ones": int(kinds[2]), "zeros": int(kinds[3])}
+
+    def _section(self, start, stop):
+        """The samples of the tree of bits start..stop - 1: the first, one past the last, and their pointers as int64."""
+        lo = start // (RRR_SAMPLE_EVERY * self.t)
+        hi = lo + int(rrr_samples(stop - start, self.t))
+        return np.frombuffer(self._ptr, dtype=np.uint32)[lo : hi + 1].astype(np.int64)
 
     def stored_bits(self, start=0, stop=None):
         """The tree of bits start..stop - 1, all m by default, as stored; a uint8 per bit.
 
-        Its bit count as 32 bits, the class field of each of its blocks,
-        then their offsets; start is the tree's first bit.
+        Its bit count as a u32, each sample's kind byte, then the samples'
+        bytes as the stream holds them; start is the tree's first bit.
         """
         stop = self.m if stop is None else stop
-        lo, hi = start // self.t, -(-stop // self.t)
-        fields = np.unpackbits(self.block_classes(lo, hi)[:, None], axis=1, bitorder="little")
-        head = unpack_bits((stop - start).to_bytes(4, "little"), 0, 32)
-        first = self._opos(lo)
-        offsets = unpack_bits(self._offbuf, first, self._opos(hi) - first)
-        return np.concatenate([head, fields[:, : self.class_field_width].ravel(), offsets])
+        ptr = self._section(start, stop)
+        at = ptr & _AT
+        size = np.diff(at)
+        cb = RRR_SAMPLE_EVERY >> self._shift
+        kinds = np.where(ptr[:-1] >= _SPARSE, ptr[:-1] >> 24 & 0xC0 | size >> 1, (size - cb) >> 1)
+        raw = (stop - start).to_bytes(4, "little") + kinds.astype(np.uint8).tobytes() + self._stream[at[0] : at[-1]]
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
 
     def tree_size(self, start, stop):
-        """Bits of the tree of bits start..stop - 1: its stored bits, and its samples."""
-        lo, hi = start // self.t, -(-stop // self.t)
-        stored = 32 + (hi - lo) * self.class_field_width + self._opos(hi) - self._opos(lo)
-        return stored, 64 * rrr_samples(stop - start, self.t)
-
-    @property
-    def class_field_width(self):
-        return self.t.bit_length()
+        """Bits of the tree of bits start..stop - 1: its stored bits, and its samples' ranks and pointers."""
+        ptr = self._section(start, stop) & _AT
+        return 32 + 8 * (len(ptr) - 1 + int(ptr[-1] - ptr[0])), 64 * (len(ptr) - 1)
 
 
 def build_plain(bits):
@@ -753,14 +959,15 @@ def read_rrr(bufs, t):
 
     Each tree starts on a fresh sample (see rrr_samples), and its limit is
     first + m. Routing a node decodes the block that holds its end, so every
-    section is parsed, and its fields checked, before any node is (see
-    _parse_rrr). Last, the bits after m in each tree's last block must be
-    zero, as the writer leaves them, so that the tree's ones are its rank
-    at m: one rank1_many call ranks every tree's limit.
+    section is parsed (_parse_rrr), and every sample checked (see _check),
+    before any node is. Last, the bits after m in each tree's last sample
+    must be zero, as the writer leaves them, so that the tree's ones are its
+    rank at m: one rank1_many call ranks every tree's limit.
     """
-    ms, classes, offbuf, bases = _parse_rrr(bufs, t)
+    ms, kinds, stream = _parse_rrr(bufs, t)
     vector = RrrBitVector.__new__(RrrBitVector)
-    ones = vector._setup(t, ms, classes, offbuf, bases)
+    ones = vector._setup(t, ms, kinds, stream)
+    vector._check(ms)
     firsts = tree_firsts(ms, t)
     limits = firsts + ms
     if np.any(vector.rank1_many(limits) != ones):
@@ -769,70 +976,43 @@ def read_rrr(bufs, t):
 
 
 def _parse_rrr(bufs, t):
-    """The fields of RRR payload sections, parsed in one pass.
+    """The fields of RRR payload sections, sliced in one pass.
 
-    Returns each section's bit count m (int64), the classes of all their
-    blocks in turn (uint8), and the offset buffer with the bit of it where
-    each section's offsets start: each section's bytes from the one that
-    holds its first offset bit, copied as they are, then a spare word for
-    read_fields. Each check runs over all sections before the next: their
-    lengths against m, the classes, their lengths against the offset
-    widths, and last, over the offset buffer, every offset below
-    comb(t, class). Raises EOFError or ValueError naming the failed check;
-    ValueError before allocating if the copied bytes hold 2^32 bits or
-    more, which the uint32 samples could not address. The sections are
-    sliced and joined by map, with no Python loop over them.
+    A section is its tree's bit count m as a u32, one kind byte per sample
+    (see rrr_samples), then the samples' bytes. Returns each section's m
+    (int64), the kind bytes of all sections in turn (uint8), and the
+    samples' bytes of all sections in turn, then zero bytes to a whole word
+    and a spare word, as RrrBitVector._setup takes them. A kind byte gives
+    its sample's bytes: 0ccccccc a RRR sample of class bytes and 2c offset
+    bytes, 10cccccc the c positions of its ones, 11cccccc of its zeros, two
+    bytes each. Raises EOFError or ValueError naming the failed check: a
+    section shorter than its count or its kind bytes ("payload truncated"),
+    the samples' bytes over the uint32 limit, checked before they are copied
+    ("rrr offset stream of 2^32 bits or more"), then a section shorter or
+    longer than its samples ("rrr offsets truncated", "payload length"). The
+    sections are sliced and joined by map, with no Python loop over them.
     """
-    width = t.bit_length()
     size = np.fromiter(map(len, bufs), dtype=np.int64, count=len(bufs))
     if (size < 4).any():
         raise EOFError("payload truncated")
     ms = np.frombuffer(b"".join(map(operator.getitem, bufs, itertools.repeat(slice(4)))), dtype="<u4")
     ms = ms.astype(np.int64)
-    heads = 32 + -(-ms // t) * width  # the bit of each section where its offsets start
-    if (heads > 8 * size).any():
+    taken = rrr_samples(ms, t)
+    heads = 4 + taken  # the byte of each section where its samples start
+    if (heads > size).any():
         raise EOFError("payload truncated")
-    spans = size - (heads >> 3)
-    if 8 * int(spans.sum()) >= 1 << 32:
+    body = size - heads
+    if 8 * int(body.sum()) >= 1 << 32:
         raise ValueError("rrr offset stream of 2^32 bits or more")
-    # the class fields of all sections, each from its byte 4 to the end of its
-    # last field, padded with zero bytes to whole groups of 8 fields, width bytes each
-    nblocks = (heads - 32) // width
-    groups = -(-nblocks // 8)
-    fields = map(operator.getitem, bufs, map(slice, itertools.repeat(4), ((heads + 7) >> 3).tolist()))
-    pads = map(bytes, (width * groups - ((heads - 25) >> 3)).tolist())
-    raw = np.frombuffer(b"".join(itertools.chain.from_iterable(zip(fields, pads))), dtype=np.uint8)
-    group = np.zeros((len(raw) // width, 8), dtype=np.uint8)
-    group[:, :width] = raw.reshape(-1, width)
-    fields = group.view("<u8") >> np.arange(0, 8 * width, width, dtype=np.uint64)
-    fields &= np.uint64((1 << width) - 1)
-    keep = np.repeat(np.tile([True, False], len(bufs)), np.stack([nblocks, 8 * groups - nblocks], axis=1).ravel())
-    classes = fields.astype(np.uint8).ravel()[keep]
-    if len(classes) and int(classes.max()) > t:
-        raise ValueError("rrr class out of range")
-    widths = np.frombuffer(classes.tobytes().translate(_class_tables(t)[2]), dtype=np.uint8)
-    # only the blocks with offset bits: classes 0 and t have none, and are often half the blocks
-    held = np.flatnonzero(widths)
-    widths, kinds = widths[held], classes[held]
-    starts = np.zeros(len(held) + 1, dtype=np.int64)  # each one's offset bit, as if joined
-    starts[1:] = widths
-    np.cumsum(starts, out=starts)  # in int64 throughout: from uint8 it takes twice as long
-    ends = np.searchsorted(held, np.cumsum(nblocks))  # each section's last such block, plus one
-    stops = heads + np.diff(starts[ends], prepend=0)  # the bit of each section where its offsets end
-    if (stops > 8 * size).any():
+    kinds = b"".join(map(operator.getitem, bufs, map(slice, itertools.repeat(4), heads.tolist())))
+    kinds = np.frombuffer(kinds, dtype=np.uint8)
+    count = kinds.astype(np.int64)
+    sparse = count >= 128
+    count[sparse] &= _MAX_POSITIONS
+    need = np.add.reduceat(2 * count + (RRR_SAMPLE_EVERY >> int(t <= _NIBBLE_MAX_T)) * ~sparse, np.cumsum(taken) - taken)
+    if (body < need).any():
         raise EOFError("rrr offsets truncated")
-    if (size > (stops + 7) // 8).any():
+    if (body > need).any():
         raise ValueError("payload length")
-    tails = map(operator.getitem, bufs, map(slice, (heads >> 3).tolist(), itertools.repeat(None)))
-    offbuf = b"".join(itertools.chain(tails, [bytes(16 - int(spans.sum()) % 8)]))
-    bases = 8 * (np.cumsum(spans) - spans) + (heads & 7)
-    counts = np.diff(ends, prepend=0)
-    starts = starts[:-1] + np.repeat(bases - starts[ends - counts], counts)
-    words = np.frombuffer(offbuf, dtype="<u8")
-    limits = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint64)
-    # 2^15 fields at a time, which keeps the temporaries in cache
-    for lo in range(0, len(held), 1 << 15):
-        part = slice(lo, lo + (1 << 15))
-        if np.any(read_fields(words, starts[part], widths[part]) >= limits[kinds[part]]):
-            raise ValueError("rrr offset out of range")
-    return ms, classes, offbuf, bases
+    tails = map(operator.getitem, bufs, map(slice, heads.tolist(), itertools.repeat(None)))
+    return ms, kinds, b"".join(itertools.chain(tails, [bytes(16 - int(body.sum()) % 8)]))

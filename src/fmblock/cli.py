@@ -153,6 +153,9 @@ def cmd_stats(args):
     print(f"bits_per_symbol={report.bits_per_symbol:.4f}")
     print(f"file_bytes={os.path.getsize(args.index)}")
     print(f"heap_bytes={heap_bytes}")
+    if index.rrr_block_size:
+        for kind, count in index.blocks.bits.sample_kinds().items():
+            print(f"rrr_samples_{kind}={count}")
     # the load above, timed under tracemalloc, which slows it
     print(f"load_seconds={load_seconds:.6f}")
     return 0

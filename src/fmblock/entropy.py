@@ -122,10 +122,13 @@ def context_partition(b, t, k, sa=None):
     if sa is None:
         sa = suffix_array(t)
     n = t.n
-    data = t.data.astype(np.int64)
+    # the text repeated to n + k symbols, so that rotation i's symbol j, at
+    # (i + j) % n, is padded[i + j]: one gather per context column
+    padded = np.resize(t.data, n + k)
     diff = np.zeros(n - 1, dtype=bool)
     for j in range(k):
-        diff |= data[(sa[:-1] + j) % n] != data[(sa[1:] + j) % n]
+        column = padded[j:][sa]
+        diff |= column[:-1] != column[1:]
     return Partition(n, (np.nonzero(diff)[0] + 1).tolist())
 
 

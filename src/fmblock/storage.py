@@ -1,4 +1,4 @@
-"""Binary serialization of a built index, format version 5.
+"""Binary serialization of a built index, format version 6.
 
 Layout (all integers little-endian):
 
@@ -9,7 +9,8 @@ Layout (all integers little-endian):
   sections each prefixed with its u32 byte length, in order: remap,
            c array, then per block a codebook section (the tree's code
            lengths) and a payload section (its bitvector as stored, the
-           nodes joined bit to bit; an RRR one from its u32 bit count),
+           nodes joined bit to bit; an RRR one from its u32 bit count, then
+           a kind byte per sample and the samples' bytes),
            and last a checksum section holding the zlib.crc32 of every
            byte before it
 
@@ -18,7 +19,7 @@ tree writes and parses a block's two sections (wavelet, bitrank). A load
 walks the framing of every section in one loop (_sections). A file
 holds only what cannot be recomputed: codes, rank directories, RRR samples
 and boundary rows are derived at load by the code that derives them at
-build. Deserialization rejects every other version (1, 2 and 4 are
+build. Deserialization rejects every other version (1, 2, 4 and 5 are
 earlier layouts; 3 was never written), checks the framing, remap, c array
 and checksum before it parses any tree, then checks the c array's symbol
 counts against the trees' leaf sizes, which the tree read sums (rank_l at
@@ -33,7 +34,7 @@ from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import read_trees
 
 MAGIC = b"FBFMIDX1"
-VERSION = 5
+VERSION = 6
 
 _HEADER = struct.Struct("<8sHBBQIQI")
 _U32 = struct.Struct("<I")

@@ -400,7 +400,7 @@ class Block:
         return struct.pack("<H", len(entries)) + entries.tobytes()
 
     def payload_section(self):
-        """The tree's bits as its vector stores them: plain, the bits; RRR, m, class fields, offsets."""
+        """The tree's bits as its vector stores them: plain, the bits; RRR, m, kind bytes, samples."""
         bits = self.bits.stored_bits(self.start, self.leaf)
         return np.packbits(bits, bitorder="little").tobytes()
 

@@ -1,7 +1,11 @@
 """Shared generators and brute-force reference implementations for the tests."""
 
+import struct
+
 import numpy as np
 
+from fmblock.bitio import pack_fields
+from fmblock.bitrank import offset_width
 from fmblock.textcore import Text
 
 BANANA_ALPHABET = {"$": 0, "A": 1, "B": 2, "N": 3}
@@ -116,3 +120,25 @@ def pattern_batch(rng, codes, sigma, extracted=80, adversarial=20, max_len=12):
     out.append([0])  # sentinel is never a legal pattern symbol
     out.append([sigma + 3])  # neither is an out-of-range code
     return out
+
+
+def rrr_section(m, t, blocks):
+    """An RRR payload section of m bits from its blocks' (class, offset) pairs, every sample stored as RRR.
+
+    Written field by field from the format: m as a u32, one kind byte per
+    sample of 32 blocks (the blocks after the last given are class 0), its
+    offset bytes over 2, then each sample's class bytes (two 4-bit classes
+    a byte, the low one first, up to t = 15) and its offsets, padded to an
+    even byte count.
+    """
+    samples = -(-m // t) // 32 + 1
+    blocks = list(blocks) + [(0, 0)] * (32 * samples - len(blocks))
+    kinds, body = bytearray(), bytearray()
+    for s in range(0, len(blocks), 32):
+        classes = [k for k, _ in blocks[s : s + 32]]
+        offsets = pack_fields([off for _, off in blocks[s : s + 32]], [offset_width(t, k) for k in classes])
+        offsets += bytes(len(offsets) % 2)
+        kinds.append(len(offsets) // 2)
+        body += bytes(lo | hi << 4 for lo, hi in zip(classes[0::2], classes[1::2])) if t <= 15 else bytes(classes)
+        body += offsets
+    return struct.pack("<I", m) + kinds + body

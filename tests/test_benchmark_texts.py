@@ -58,10 +58,10 @@ def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
 # at its default block size; the stdlib-read text is left out, since it is a
 # slice of the installed Python's own sources
 MARKOV_DIGESTS = {
-    "ssa": "9f13f98beaf57d0aeb5d02e2f45282c7e24033cdf5bae4026d27aeecc94a063a",
-    "ssa_rrr": "a80166b185e773953e42b6394da7b981a8821fe499884af87763469932a832b4",
-    "fixed_block": "6f7bff574862b4cdfc711d4fde10879bdcafafade944aeb4823d8fd1e1306cad",
-    "fixed_block_rrr": "0188252ff003e7251be14a34372df1a11035839878937c0f4c93f04bfc80811e",
+    "ssa": "ecf1af4eec0034cf859ce2fba7396483e3dbda051839446bd942ce7f794a4998",
+    "ssa_rrr": "2d44c23425358fa12a86a9b0f21497bea973c370542874032cf5955b207c5aaa",
+    "fixed_block": "71d67146dc125c408d40a1ce19a5efbe9c765b5b2d9c41d56be1bf72965daf15",
+    "fixed_block_rrr": "f4a173892477c068f1ad7e3f57b9f4ce6e9447fb7aa11718b1c71da60b1365cd",
 }
 
 

@@ -27,6 +27,7 @@ from fmblock.bitrank import (
     tree_firsts,
     value_of_offset,
 )
+from helpers import rrr_section
 
 
 def cumulative_rank(bits, bit, j):
@@ -98,17 +99,18 @@ def test_rrr_offset_stream_of_2_32_bits_is_rejected_before_allocating():
             return self.size
 
     def sections(*sizes):
-        # sections of m = 0 that claim `sizes` bytes: all but the u32 count would be offsets
-        out = [Sized(bytes(4)) for _ in sizes]
+        # sections of m = 0, one ones sample of no position, that claim
+        # `sizes` bytes: all but the count and the kind byte would be samples
+        out = [Sized(bytes(4) + bytes([0x80])) for _ in sizes]
         for buf, size in zip(out, sizes):
             buf.size = size
         return out
 
     with pytest.raises(ValueError, match="rrr offset stream of 2\\^32 bits or more"):
-        read_rrr(sections(2**28 + 4, 2**28 + 4), 15)
+        read_rrr(sections(2**28 + 5, 2**28 + 5), 15)
     # 8 bits fewer pass, and fail the next check, which needs no allocation
     with pytest.raises(ValueError, match="payload length"):
-        read_rrr(sections(2**28 + 4, 2**28 + 3), 15)
+        read_rrr(sections(2**28 + 5, 2**28 + 4), 15)
 
 
 def test_rrr_worked_block():
@@ -182,12 +184,16 @@ def test_combinadic_matches_tables_beyond_table_limit():
 
 
 def test_rrr_offset_width_accounting():
+    # 40 blocks of 7 or 8 ones, in two RRR samples, the second padded with class-0 blocks
     bits = [1, 0] * 300
     v = build_rrr(bits, 15)
-    classes = v.block_classes()
-    # the u32 bit count, a 4-bit class field per block, then the offsets
+    classes = [k for k, _ in v.blocks()] + [0] * 24
+    assert v.sample_kinds() == {"rrr": 2, "ones": 0, "zeros": 0}
+    # the u32 bit count, a kind byte per sample, then each sample's 16 class
+    # bytes and its offsets, padded to an even byte count
+    offsets = [sum(offset_width(15, k) for k in classes[s : s + 32]) for s in (0, 32)]
     stored, samples = v.tree_size(0, v.m)
-    assert stored == 32 + len(classes) * 4 + sum(offset_width(15, k) for k in classes)
+    assert stored == 32 + 2 * 8 + sum(8 * 16 + 16 * -(-bits // 16) for bits in offsets)
     assert samples == 64 * len(v._sample_rank)
 
 
@@ -197,8 +203,8 @@ def test_rrr_offset_width_accounting():
 def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     # three trees' payload sections, read into one vector in one call, each
     # of nodes joined bit to bit under either backend: an RRR section holds
-    # the u32 bit count, the class fields of the joined bits' blocks, then
-    # their offsets; the second tree's 63 bits leave one padding bit before its spare word
+    # the u32 bit count, then its samples, here all RRR, written field by
+    # field (rrr_section); the second tree's 63 bits leave one padding bit before its spare word
     rng = random.Random(t)
     sizes = [(1, t, 100, 700, 3, 0, 9), (63,), (5, 2 * t + 1)]
     trees = [[[rng.randint(0, 1) for _ in range(m)] for m in tree] for tree in sizes]
@@ -210,14 +216,7 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
         spans = [64 * plain_words(8 * len(buf)) for buf in bufs]
         stored = [8 * len(buf) for buf in bufs]
     else:
-        bufs = []
-        for bits in joined:
-            blocks = make_bitvector(bits, t).blocks()
-            classes = [k for k, _ in blocks]
-            bufs.append(pack_fields(
-                [len(bits)] + classes + [off for _, off in blocks],
-                [32] + [t.bit_length()] * len(blocks) + [offset_width(t, k) for k in classes],
-            ))
+        bufs = [rrr_section(len(bits), t, make_bitvector(bits, t).blocks()) for bits in joined]
         sections = bufs
         spans = [RRR_SAMPLE_EVERY * t * rrr_samples(len(bits), t) for bits in joined]
         stored = [len(bits) for bits in joined]
@@ -259,14 +258,7 @@ def test_batch_rank1_equals_rank1_over_three_trees(backend, t, middle):
     if backend == "plain":
         sections = [np.packbits(bits, bitorder="little").tobytes() for bits in joined]
     else:
-        sections = []
-        for bits in joined:
-            blocks = make_bitvector(bits, t).blocks()
-            classes = [k for k, _ in blocks]
-            sections.append(pack_fields(
-                [len(bits)] + classes + [off for _, off in blocks],
-                [32] + [t.bit_length()] * len(blocks) + [offset_width(t, k) for k in classes],
-            ))
+        sections = [rrr_section(len(bits), t, make_bitvector(bits, t).blocks()) for bits in joined]
     v, firsts, limits = read_sections(sections, t if backend == "rrr" else 0)
     v.trim([first + len(bits) for first, bits in zip(firsts, joined)], limits)
     positions = np.arange(limits[-1] + 1)
@@ -361,8 +353,7 @@ def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
 def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(trees, t):
     # one make_bitvector call over the trees' joined bits and bit counts lays
     # each tree out from the first bit read_sections gives it, with the same
-    # words and counters (t = 0, plain), or classes and sample ranks; a built
-    # RRR offset stream is one run of offsets, so only its sample positions differ
+    # words and counters (t = 0, plain), or sample stream, pointers and ranks
     ms = [len(bits) for bits in trees]
     built = make_bitvector(np.concatenate(trees), t, ms)
     sections = [np.packbits(make_bitvector(bits, t).stored_bits(), bitorder="little").tobytes() for bits in trees]
@@ -374,7 +365,7 @@ def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(
     if t == 0:
         assert built._words == loaded._words and built._counts == loaded._counts
     else:
-        assert built._classes == loaded._classes and built._sample_rank == loaded._sample_rank
+        assert (built._stream, built._ptr, built._sample_rank) == (loaded._stream, loaded._ptr, loaded._sample_rank)
     for first, end, bits in zip(firsts, ends, trees):
         assert [built.rank1(j) for j in range(first, end + 1)] == [0, *itertools.accumulate(bits.tolist())]
         assert np.packbits(built.stored_bits(first, end), bitorder="little").tobytes() == np.packbits(
@@ -438,3 +429,42 @@ def test_descend_equals_two_rank1_walks(data):
         assert rank1_walks(v, steps, b, e) == (lo, hi)
         assert v.descend(array("q", steps), b, e) == (lo, hi), (kind, b, e, steps)
         assert v.descend(steps, b, e) == (lo, hi)
+
+
+@st.composite
+def mixed_samples(draw):
+    """Bits whose samples mix the kinds: runs of zeros or ones, sparse ones, sparse zeros and dense bits."""
+    t = draw(st.sampled_from([1, 7, 15, 16, 63]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["zeros", "ones", "sparse", "sparse zeros", "dense"]), min_size=1, max_size=6)):
+        m = RRR_SAMPLE_EVERY * t * draw(st.integers(0, 3)) + draw(st.integers(0, RRR_SAMPLE_EVERY * t))
+        density = {"zeros": 0, "ones": 1, "sparse": 0.02, "sparse zeros": 0.98, "dense": 0.5}[kind]
+        parts.append((rng.random(m) < density).astype(np.uint8))
+    return t, np.concatenate(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_samples(), st.data())
+def test_every_rank_form_equals_the_prefix_sum_over_mixed_sample_kinds(case, data):
+    t, bits = case
+    v = RrrBitVector(bits, t)
+    assert sum(v.sample_kinds().values()) == len(v._sample_rank) == rrr_samples(len(bits), t)
+    prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
+    positions = np.arange(len(bits) + 1)
+    assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
+    assert v.batch_rank1()(positions).tolist() == prefix.tolist()
+    assert v.rank1_many(positions).tolist() == prefix.tolist()
+    # descend down steps of either sign, each end moved as the prefix sum says
+    for _ in range(20):
+        b = data.draw(st.integers(0, len(bits)))
+        e = data.draw(st.integers(b, len(bits)))
+        steps, lo, hi = [], b, e
+        for step in data.draw(st.lists(st.sampled_from([0, -1, 1]), min_size=1, max_size=4)):
+            nlo, nhi = (prefix[lo] + step, prefix[hi] + step) if step > 0 else (lo - prefix[lo] - step, hi - prefix[hi] - step)
+            if nhi > len(bits):
+                break
+            steps.append(step)
+            lo, hi = nlo, nhi
+        assert v.descend(steps, b, e) == (lo, hi)
+    assert v.to_bits().tolist() == bits.tolist()

@@ -7,6 +7,7 @@ from fmblock import entropy, fmindex, storage, textcore
 from fmblock.cli import main
 from fmblock.fmindex import build_index
 from fmblock.textcore import build_text
+from helpers import markov2_codes
 
 
 def kv(out):
@@ -200,9 +201,31 @@ def test_stats_reports_the_load_time_last(banana, tmp_path, capsys, variant):
     code, out, _ = run(capsys, "stats", idx)
     assert code == 0
     lines = out.splitlines()
-    # a new key after every earlier line, which stay as they were
-    assert lines[-2].startswith("heap_bytes=") and lines[-1].startswith("load_seconds=")
+    # a new key after every earlier line, which stay as they were; an RRR
+    # index's sample kinds come between the heap and the load time
+    kinds = 3 if variant == "fixed-rrr" else 0
+    assert lines[-2 - kinds].startswith("heap_bytes=") and lines[-1].startswith("load_seconds=")
     assert 0 < float(kv(out)["load_seconds"]) < 60
+
+
+@pytest.mark.parametrize("variant", ["ssa", "ssa-rrr", "fixed-rrr"])
+def test_stats_counts_the_sample_kinds_of_an_rrr_index(tmp_path, capsys, variant):
+    # an order-2 Markov text's nodes hold long runs of one bit, so some
+    # samples are stored as the positions of their few ones or zeros
+    text = tmp_path / "markov.txt"
+    text.write_bytes(bytes(96 + c for c in markov2_codes(3, 20_000)))
+    idx = tmp_path / "markov.idx"
+    run(capsys, "build", text, "-o", idx, "--variant", variant)
+    code, out, _ = run(capsys, "stats", idx)
+    assert code == 0
+    got = kv(out)
+    kinds = {key: int(value) for key, value in got.items() if key.startswith("rrr_samples_")}
+    if variant == "ssa":
+        assert kinds == {}
+        return
+    assert list(kinds) == ["rrr_samples_rrr", "rrr_samples_ones", "rrr_samples_zeros"]
+    assert sum(kinds.values()) == len(storage.load_index(idx).blocks.bits._sample_rank)
+    assert kinds["rrr_samples_ones"] + kinds["rrr_samples_zeros"] > 0
 
 
 def test_stats_heap_bytes_under_an_outer_tracemalloc_session(tmp_path, capsys):

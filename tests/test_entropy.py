@@ -122,6 +122,21 @@ def test_context_partition_block_count_bound():
             assert part.block_count <= min(sigma**k if k else 1, t.n)
 
 
+def test_context_partition_equals_brute_force_contexts_for_k_up_to_2n_plus_1():
+    # a block ends wherever two adjacent rotations' first k symbols differ,
+    # read cyclically, so for k > n a context wraps round the text more than once
+    rng = random.Random(29)
+    for _ in range(300):
+        t = random_text(rng, rng.randint(1, 12), rng.choice([2, 3, 5]))
+        b = bwt(t)
+        data = t.data.tolist()
+        rotations = sorted(range(t.n), key=lambda i: data[i:] + data[:i])  # the BWT's row order
+        for k in range(2 * t.n + 2):
+            contexts = [tuple(data[(i + j) % t.n] for j in range(k)) for i in rotations]
+            want = [r for r in range(1, t.n) if contexts[r] != contexts[r - 1]]
+            assert context_partition(b, t, k).boundaries == want, (data, k)
+
+
 def test_partition_entropy_values():
     assert partition_entropy([1, 1, 2, 2], Partition(4, [2])) == 0.0
     assert close(partition_entropy([1, 1, 2, 2], Partition(4, [])), 4.0)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitio import pack_fields
 from fmblock.bitrank import (
     PlainBitVector,
     RrrBitVector,
@@ -37,7 +36,7 @@ from fmblock.storage import (
 )
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
 from fmblock.wavelet import read_trees
-from helpers import markov2_codes, pattern_batch, random_codes
+from helpers import markov2_codes, pattern_batch, random_codes, rrr_section
 
 ALL_VARIANTS = list(IndexVariant)
 
@@ -78,15 +77,15 @@ def test_serialization_is_byte_deterministic():
         assert to_bytes(deserialize(raw1)) == raw1
 
 
-# SHA-256 of files written by the first format-5 writer; any change to the
+# SHA-256 of files written by the first format-6 writer; any change to the
 # bytes written fails this test
 PINNED_FILES = [
-    ("ssa", None, 15, "2ea75ec2503283dbb3096110d57c5731accf4d23bbb691162bb0c46ab0f05b09"),
-    ("ssa_rrr", None, 15, "5cfe6c902630f5e30e0133dd62d27976d70cdc06dd7c16c57849bf3c4fd8b7cb"),
-    ("fixed_block", 300, 15, "6a259a4183b4eef2fc705438d0e71e6f6f8ed1a69b12460cf42c196a6b9d53e5"),
-    ("fixed_block_rrr", 300, 15, "d4f1c7f5ec93977e9c5016c726ac131b1dbbfd97b346ca7242a9b3d900857c63"),
-    ("ssa_rrr", None, 63, "2ccbe019c95824ed64744f5c43f666c12da3728e4c541108f7ff303ea8a28d16"),
-    ("fixed_block_rrr", 300, 5, "ccf4748c1a04d759377ba400676b31b0dc470420452b0d021240b45580f2c421"),
+    ("ssa", None, 15, "5b07ca8ef6e6cedb398484276aafc13aaa688d9dcf7e097bcd0e9bab8a63936d"),
+    ("ssa_rrr", None, 15, "35f51cdb2da35b2590dda54f82387da008c287456221e7ad0068e70f1846c8d4"),
+    ("fixed_block", 300, 15, "a0af199424d368b50bbea5bdb1c9fda03b43689a686fe2c58ad7a2a9ace37f1d"),
+    ("fixed_block_rrr", 300, 15, "bf582b35ae80ccb088d716a9418cffa3cfeb1b223444d024c68621d9c8266043"),
+    ("ssa_rrr", None, 63, "9fc39e5c2481628c3315ed533bd77e4727e7c37bb6f7ecbfb8be421a52eff187"),
+    ("fixed_block_rrr", 300, 5, "8aa2c03342d8b359c383b8f75654f3707b5aecbe90f238c64fa65d05e0842c3e"),
 ]
 
 
@@ -128,14 +127,9 @@ def test_ssa_header_block_size_other_than_zero_is_rejected(variant):
 
 
 def _with_root_blocks(ix, blocks):
-    """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced."""
+    """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced, every sample stored as RRR."""
     bv = ix.blocks[0].bits
-    classes = [k for k, _ in blocks]
-    # the u32 bit count, the class fields, then the offsets
-    payload = pack_fields(
-        [bv.m] + classes + [off for _, off in blocks],
-        [32] + [bv.class_field_width] * len(blocks) + [offset_width(bv.t, k) for k in classes],
-    )
+    payload = rrr_section(bv.m, bv.t, blocks)
     # the payload section is the last one before the 8-byte checksum section
     old = (ix.blocks[0].payload_bits + 7) // 8
     raw = to_bytes(ix)[: -8 - old - 4] + struct.pack("<I", len(payload)) + payload
@@ -148,7 +142,7 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
     # the only one whose class k has comb(t, k) > 1 offsets
     ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
     blocks = ix.blocks[0].bits.blocks()
-    assert to_bytes(deserialize(_with_root_blocks(ix, blocks))) == to_bytes(ix)
+    assert deserialize(_with_root_blocks(ix, blocks)).count(b"aa") == 7
     too_big = [(k, (1 << offset_width(rrr_t, k)) - 1) for k, _ in blocks]
     with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
         deserialize(_with_root_blocks(ix, too_big))
@@ -221,20 +215,35 @@ def _with_codebook(raw, edit):
 
 # Over b"a" * 8 the root is the only node: 9 bits, one 1 for each a. The
 # codebook section is a u16 entry count, then per entry a u16 symbol and a u8
-# code length; the payload holds the node, an RRR one after its u32 bit count.
+# code length; the payload holds the node, an RRR one after its u32 bit count
+# as one sample (its kind byte at byte 4): the 8 positions of its ones.
 TREE_CHECKS = [
     ("ssa", 15, CODEBOOK, lambda body: body[:1], "codebook header"),
     ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 0) + body[2:], "codebook alphabet size"),
     ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 200) + body[2:], "codebook entries"),
     ("ssa", 15, CODEBOOK, lambda body: body[:2] + struct.pack("<H", 9) + body[4:], "codebook symbols"),
     ("ssa", 15, CODEBOOK, lambda body: body[:4] + bytes([65]) + body[5:], "codebook code lengths"),
-    # t = 5 stores 3-bit classes, so a class field can hold 7
+    # t = 5 stores a 4-bit class, so a class byte can hold 7: a RRR sample of
+    # no offset bytes, whose first block is of class 7
     (
-        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([body[4] | 0b111]) + body[5:],
+        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([0, 7]) + bytes(15),
         "rrr class out of range",
     ),
-    # t = 63: the 6-bit class of the one block fits the byte after the count, its offset does not
+    # the kind byte fits, the positions it counts do not
     ("ssa_rrr", 63, PAYLOAD, lambda body: body[:5], "rrr offsets truncated"),
+    # a sample's kind byte that gives its RRR offsets 2 bytes more than its classes do
+    (
+        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([1, 5]) + bytes(17),
+        "rrr sample kind",
+    ),
+    # the positions of the ones, unsorted, repeated, past the tree's 9 bits or past the sample's 160
+    ("ssa_rrr", 5, PAYLOAD, lambda body: body[:5] + body[7:9] + body[5:7] + body[9:], "rrr positions", "unsorted"),
+    ("ssa_rrr", 5, PAYLOAD, lambda body: body[:5] + body[5:7] * 2 + body[9:], "rrr positions", "repeated"),
+    ("ssa_rrr", 5, PAYLOAD, lambda body: body[:-2] + struct.pack("<H", 9), "rrr positions", "past-the-tree"),
+    (
+        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([0xC1]) + struct.pack("<H", 160),
+        "rrr positions", "past-the-sample",
+    ),
     ("ssa", 15, PAYLOAD, lambda body: body[:-1], "payload truncated"),
     ("ssa_rrr", 15, PAYLOAD, lambda body: b"", "payload truncated"),
     # a further case of a check and variant already listed ends with a name, for a unique test id
@@ -491,7 +500,7 @@ def test_every_single_byte_flip_is_rejected_at_load():
 
 def test_version_1_files_are_rejected():
     raw = to_bytes(build_index(build_text(b"BANANA"), "fixed_block", 3))
-    for version in (1, 2, 4):
+    for version in (1, 2, 4, 5):
         old = raw[:8] + struct.pack("<H", version) + raw[10:]
         with pytest.raises(UnsupportedFormatError, match=f"unsupported format: version {version}$"):
             deserialize(old)
@@ -729,9 +738,8 @@ def test_a_load_reads_one_tree_per_symbol_or_pair(variant, block_size):
 @given(st.data())
 def test_a_built_index_equals_its_loaded_copy(data):
     # a build lays its trees out as a load does: the same tables, the same
-    # plain words and counters or RRR classes and sample ranks (a built RRR
-    # offset stream is one run, a loaded one keeps each section's tail
-    # bytes, so their sample positions differ), and the same saved bytes
+    # plain words and counters or RRR sample stream, pointers and ranks, and
+    # the same saved bytes
     variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
     rrr_t = data.draw(st.sampled_from([1, 15, 16, 63]), label="rrr_t")
     sigma = data.draw(st.integers(2, 12), label="sigma")
@@ -748,5 +756,5 @@ def test_a_built_index_equals_its_loaded_copy(data):
     if variant.bitvector_backend == "plain":
         assert built._words == loaded._words and built._counts == loaded._counts
     else:
-        assert built._classes == loaded._classes and built._sample_rank == loaded._sample_rank
+        assert (built._stream, built._ptr, built._sample_rank) == (loaded._stream, loaded._ptr, loaded._sample_rank)
     assert to_bytes(back) == raw
