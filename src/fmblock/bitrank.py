@@ -33,14 +33,16 @@ where trees start. A build makes the vector once, from every tree's bits
 and bit count (make_bitvector()), and a load from every tree's section;
 each names the vector by its RRR block size t alone, 0 for plain.
 This module owns the layout of a tree in the index file, which is the
-vector's own stored form (stored_bits()): a plain tree stores its raw
+vector's own stored form (section_bytes()): a plain tree stores its raw
 bits, an RRR tree its bit count m as a u32, then a kind byte per sample
 and the samples' bytes as the stream holds them. read_sections() builds
 one vector of the sections of all trees of an index and gives each
 tree's first bit in it and its limit, where its section ends;
 read_plain() does so for plain sections and read_rrr() for RRR ones,
-slicing them in one pass and checking every sample before any node is
-routed. Neither loops over the sections in Python: the sections are
+slicing them in one pass. An RRR vector, built or loaded, is made by one
+routine (RrrBitVector._setup), which checks every sample as it makes the
+samples' ranks, so none is ranked, and no node routed, unchecked.
+Neither read loops over the sections in Python: the sections are
 sliced and joined by map, and every check and table is made over all of
 them at once. Once the nodes are routed (see wavelet), the vector's
 trim() checks the bits that follow each tree's last node, for all trees
@@ -224,9 +226,9 @@ class PlainBitVector(_BitVector):
         bits = np.unpackbits(words.astype(">u8").view(np.uint8))
         return bits[start & 63 : (start & 63) + stop - start]
 
-    def stored_bits(self, start=0, stop=None):
-        """The tree of bits start..stop - 1 as stored: its bits (see to_bits)."""
-        return self.to_bits(start, stop)
+    def section_bytes(self, start=0, stop=None):
+        """The payload section of the tree of bits start..stop - 1, all m by default: its bits, LSB first, in whole bytes."""
+        return np.packbits(self.to_bits(start, stop), bitorder="little").tobytes()
 
     def tree_size(self, start, stop):
         """Bits of the tree of bits start..stop - 1: its stored bits, and its counters."""
@@ -296,11 +298,6 @@ def _class_tables(t):
         bytes(widths[lo] + widths[hi] for lo, hi in pairs),
         bytes(widths),
     )
-
-
-def _class_widths(t):
-    """The offset width of each class byte value, as uint8; the classes above t have none."""
-    return np.frombuffer(_class_tables(t)[2], dtype=np.uint8)
 
 
 def offset_of_value(value, t, k):
@@ -460,41 +457,66 @@ class RrrBitVector(_BitVector):
         self._setup(t, ms, kinds, stream.tobytes())
 
     def _setup(self, t, ms, kinds, stream):
-        """The vector of trees of ms bits, laid out in turn (see rrr_samples), from their samples.
+        """The vector of trees of ms bits (int64), laid out in turn (see rrr_samples), from their samples, each checked.
 
         kinds (uint8) holds each sample's kind byte, as a payload section
         stores it (see read_rrr), and stream the samples' bytes in turn,
         then zero bytes to a whole word and a spare word, for the offset
-        reads. The caller checks that every sample's bytes lie in stream,
-        and that the samples fit uint32. Returns the ones of each tree, as
-        int64.
+        reads; the caller checks that every sample's bytes lie in stream,
+        and that the samples fit uint32. A build and a load both make their
+        vector here. ValueError unless every sample is as a writer leaves
+        it, each check over all samples before the next: over the RRR
+        samples, classes above t ("rrr class out of range"), offset bytes
+        other than their classes' widths give ("rrr sample kind") and
+        offsets at or above comb(t, class) ("rrr offset out of range"); over
+        the sparse ones, positions not strictly ascending, past the sample's
+        bits, or for ones past its tree's ("rrr positions"); last, ones
+        after a tree's m bits, so that its ones are its rank at m ("rrr
+        padding bits"), in one rank1_many call at every tree's end.
         """
-        every = RRR_SAMPLE_EVERY
-        ms = np.asarray(ms, dtype=np.int64)
+        span = RRR_SAMPLE_EVERY * t
         s = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
-        cb = every >> s
+        cb = RRR_SAMPLE_EVERY >> s
         kinds = kinds.astype(np.int64)
         sparse = kinds >= 128
         count = np.where(sparse, kinds & _MAX_POSITIONS, kinds)
-        size = 2 * count + cb * ~sparse
         ptr = np.zeros(len(kinds) + 1, dtype=np.int64)
-        np.cumsum(size, out=ptr[1:])
-        # a sparse one's ones are its count, or its bits less it; a RRR one's, its classes' sum
-        ones = np.where(kinds >> 6 == 3, every * t - count, count)
+        np.cumsum(2 * count + cb * ~sparse, out=ptr[1:])
+        ptr[:-1] |= sparse * kinds >> 6 << 30
+        self.t, self._shift, self._stream = t, s, stream
         self._class_sums, self._width_sums, self._widths = _class_tables(t)
         rrr = np.flatnonzero(~sparse)
-        raw = np.frombuffer(stream, dtype=np.uint8)[ptr[rrr, None] + np.arange(cb)].tobytes().translate(self._class_sums)
-        ones[rrr] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, cb).sum(axis=1, dtype=np.int64)
-        ptr[:-1] |= sparse * kinds >> 6 << 30
+        at = ptr[rrr]
+        k = self._classes(at)  # every RRR block's class, the one gather of the class bytes
+        if k.max(initial=0) > t:
+            raise ValueError("rrr class out of range")
+        widths = np.frombuffer(k.tobytes().translate(self._widths), dtype=np.uint8).reshape(k.shape)
+        if np.any(count[rrr] != (widths.sum(axis=1, dtype=np.int64) + 15) >> 4):
+            raise ValueError("rrr sample kind")
+        del widths  # before the offset walk, whose peak it would add to
+        read = self._offset_reader()
+        limits = np.array([math.comb(t, c) for c in range(t + 1)], dtype=np.int64 if t <= _TABLE_MAX_T else np.uint64)
+        # 512 samples at a time: the offset reads' int64 temporaries over every
+        # sample at once would take several times the file's bytes
+        for lo in range(0, len(at), 512):
+            part = k[lo : lo + 512]
+            if np.any(read(part, self._offset_starts(part, at[lo : lo + 512])) >= limits[part]):
+                raise ValueError("rrr offset out of range")
         taken = rrr_samples(ms, t)
         firsts = np.cumsum(taken) - taken
+        sample, pos = self._positions(ptr)
+        # each sample's bits of its tree, past which a ones sample holds none
+        inside = np.repeat(ms + span * firsts, taken) - span * np.arange(len(kinds))
+        limit = np.where(ptr[sample] >> 30 == 2, np.minimum(inside[sample], span), span)
+        if np.any(pos >= limit) or np.any((np.diff(pos) <= 0) & (np.diff(sample) == 0)):
+            raise ValueError("rrr positions")
+        # a sparse one's ones are its count, or its bits less it; a RRR one's, its classes' sum
+        ones = np.where(kinds >> 6 == 3, span - count, count)
+        ones[rrr] = k.sum(axis=1, dtype=np.int64)
         rank = np.cumsum(ones) - ones
         rank -= np.repeat(rank[firsts], taken)
-        self.t = t
-        self.m = every * t * int(firsts[-1]) + int(ms[-1])
-        self._shift = s
+        self.m = span * int(firsts[-1]) + int(ms[-1])
         self._mask = 0xFF >> 4 * s
-        self._stream = stream
         self._words = memoryview(stream).cast("Q")
         self._pos = memoryview(stream).cast("H")
         self._ptr = array("I", ptr.astype(np.uint32).tobytes())
@@ -503,10 +525,11 @@ class RrrBitVector(_BitVector):
         # all that descend reads, in one tuple: one attribute load a call, not
         # sixteen, which the one or two levels of most descents would feel
         self._descent = (
-            t, s, self._mask, cb << 3, every * t, stream, self._words, self._pos, self._ptr, self._sample_rank,
+            t, s, self._mask, cb << 3, span, stream, self._words, self._pos, self._ptr, self._sample_rank,
             self._class_sums, self._width_sums, self._widths, *(self._table or (None, None)),
         )
-        return (rank + ones)[firsts + taken - 1]
+        if np.any(self.rank1_many(span * firsts + ms) != (rank + ones)[firsts + taken - 1]):
+            raise ValueError("rrr padding bits")
 
     def rank1(self, j):
         blk, rem = divmod(j, self.t)
@@ -728,7 +751,7 @@ class RrrBitVector(_BitVector):
         if self._shift:
             half = blk & rrr  # j's class is its byte's high nibble, after the low one
             ones += (k & 15) * half
-            opos += _class_widths(t)[k & 15] * half
+            opos += np.frombuffer(self._widths, dtype=np.uint8)[k & 15] * half
             k = np.where(half, k >> 4, k & 15)
         k *= rrr
         opos *= rrr
@@ -738,23 +761,25 @@ class RrrBitVector(_BitVector):
 
     def _classes(self, at):
         """The classes (uint8) of the 32 blocks of each RRR sample at byte at[i] of the stream, one row each."""
-        k = np.frombuffer(self._stream, dtype=np.uint8)[at[:, None] + np.arange(RRR_SAMPLE_EVERY >> self._shift)]
+        cb = RRR_SAMPLE_EVERY >> self._shift
+        # a view of the stream's cb bytes from each of its bytes, one row each:
+        # a sample's class bytes are one row, gathered with no index per byte
+        k = np.ndarray((max(len(self._stream) - cb + 1, 0), cb), np.uint8, self._stream, strides=(1, 1))[at]
         if self._shift:  # two classes per byte, the low one first
             k = np.stack([k & 15, k >> 4], axis=2).reshape(len(at), RRR_SAMPLE_EVERY)
         return k
 
-    def _rrr_blocks(self, at):
-        """The classes (uint8) and offset starts (int64) of the 32 blocks of each RRR sample at byte at[i] of the stream.
+    def _offset_starts(self, k, at):
+        """The offset starts (int64) of the blocks of classes k (_classes' rows) of the RRR samples at bytes at of the stream.
 
         A sample's offsets start after its class bytes, each after the
         offset widths of the blocks before it: 32 of at most 60 bits sum in
         uint16.
         """
-        k = self._classes(at)
         widths = np.frombuffer(k.tobytes().translate(self._widths), dtype=np.uint8).reshape(k.shape)
         opos = np.cumsum(widths, axis=1, dtype=np.uint16)
         opos -= widths
-        return k, opos + (at + (RRR_SAMPLE_EVERY >> self._shift) << 3)[:, None]
+        return opos + (at + (RRR_SAMPLE_EVERY >> self._shift) << 3)[:, None]
 
     def _positions(self, ptr):
         """The positions of every sparse sample in turn, as int64, and the sample of each; ptr is _ptr as int64."""
@@ -792,7 +817,7 @@ class RrrBitVector(_BitVector):
         word), reads it, as int64. Above, read_fields reads it, as uint64.
         Every view it reads is bound here.
         """
-        widths = _class_widths(self.t)
+        widths = np.frombuffer(self._widths, dtype=np.uint8)  # each class byte value's, 0 above t
         if self.t > _TABLE_MAX_T:
             stream = np.frombuffer(self._stream, dtype="<u8")
             return lambda k, opos: read_fields(stream, opos, widths[k])
@@ -818,49 +843,10 @@ class RrrBitVector(_BitVector):
         ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
         values = np.zeros((len(ptr) - 1, RRR_SAMPLE_EVERY), dtype=np.uint64)
         rrr = np.flatnonzero(ptr[:-1] < _SPARSE)
-        k, opos = self._rrr_blocks(ptr[rrr])
-        values[rrr] = self._decoder()(k, self._offset_reader()(k, opos))
+        k = self._classes(ptr[rrr])
+        values[rrr] = self._decoder()(k, self._offset_reader()(k, self._offset_starts(k, ptr[rrr])))
         sparse, values[sparse] = self._sparse_values(ptr)
         return values.ravel()
-
-    def _check(self, ms):
-        """ValueError unless every sample is as a writer leaves it, of trees of ms bits; before any rank.
-
-        Over the RRR samples: classes above t ("rrr class out of range"),
-        offset bytes other than their classes' widths give ("rrr sample
-        kind") and offsets at or above comb(t, class) ("rrr offset out of
-        range"); over the sparse ones: positions not strictly ascending, past
-        the sample's bits, or for ones past its tree's ("rrr positions").
-        Each check runs over all samples before the next.
-        """
-        t = self.t
-        span = RRR_SAMPLE_EVERY * t
-        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
-        rrr = ptr[:-1] < _SPARSE
-        at = ptr[:-1][rrr]
-        cb = RRR_SAMPLE_EVERY >> self._shift
-        raw = np.frombuffer(self._stream, dtype=np.uint8)[at[:, None] + np.arange(cb)]
-        top = np.maximum(raw & 15, raw >> 4) if self._shift else raw
-        if top.max(initial=0) > t:
-            raise ValueError("rrr class out of range")
-        widths = np.frombuffer(raw.tobytes().translate(self._width_sums), dtype=np.uint8).reshape(raw.shape)
-        halves = (widths.sum(axis=1, dtype=np.int64) + 15) >> 4
-        if np.any((ptr[1:][rrr] & _AT) - at != cb + 2 * halves):
-            raise ValueError("rrr sample kind")
-        read = self._offset_reader()
-        limits = np.array([math.comb(t, c) for c in range(t + 1)], dtype=np.int64 if t <= _TABLE_MAX_T else np.uint64)
-        # 1,024 samples at a time, which keeps the temporaries in cache
-        for lo in range(0, len(at), 1024):
-            k, opos = self._rrr_blocks(at[lo : lo + 1024])
-            if np.any(read(k, opos) >= limits[k]):
-                raise ValueError("rrr offset out of range")
-        sample, pos = self._positions(ptr)
-        taken = rrr_samples(np.asarray(ms, dtype=np.int64), t)
-        # each sample's bits of its tree, past which a ones sample holds none
-        inside = np.repeat(np.asarray(ms) + span * (np.cumsum(taken) - taken), taken) - span * np.arange(len(ptr) - 1)
-        limit = np.where(ptr[sample] >> 30 == 2, np.minimum(inside[sample], span), span)
-        if np.any(pos >= limit) or np.any((np.diff(pos) <= 0) & (np.diff(sample) == 0)):
-            raise ValueError("rrr positions")
 
     def trim(self, ends, limits):
         """ValueError unless each tree's last node, ending at ends[i], ends its section, at limits[i]."""
@@ -893,8 +879,8 @@ class RrrBitVector(_BitVector):
         hi = lo + int(rrr_samples(stop - start, self.t))
         return np.frombuffer(self._ptr, dtype=np.uint32)[lo : hi + 1].astype(np.int64)
 
-    def stored_bits(self, start=0, stop=None):
-        """The tree of bits start..stop - 1, all m by default, as stored; a uint8 per bit.
+    def section_bytes(self, start=0, stop=None):
+        """The payload section of the tree of bits start..stop - 1, all m by default.
 
         Its bit count as a u32, each sample's kind byte, then the samples'
         bytes as the stream holds them; start is the tree's first bit.
@@ -905,8 +891,7 @@ class RrrBitVector(_BitVector):
         size = np.diff(at)
         cb = RRR_SAMPLE_EVERY >> self._shift
         kinds = np.where(ptr[:-1] >= _SPARSE, ptr[:-1] >> 24 & 0xC0 | size >> 1, (size - cb) >> 1)
-        raw = (stop - start).to_bytes(4, "little") + kinds.astype(np.uint8).tobytes() + self._stream[at[0] : at[-1]]
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return (stop - start).to_bytes(4, "little") + kinds.astype(np.uint8).tobytes() + self._stream[at[0] : at[-1]]
 
     def tree_size(self, start, stop):
         """Bits of the tree of bits start..stop - 1: its stored bits, and its samples' ranks and pointers."""
@@ -959,20 +944,14 @@ def read_rrr(bufs, t):
 
     Each tree starts on a fresh sample (see rrr_samples), and its limit is
     first + m. Routing a node decodes the block that holds its end, so every
-    section is parsed (_parse_rrr), and every sample checked (see _check),
-    before any node is. Last, the bits after m in each tree's last sample
-    must be zero, as the writer leaves them, so that the tree's ones are its
-    rank at m: one rank1_many call ranks every tree's limit.
+    section is parsed (_parse_rrr), and the vector made from them checks
+    every sample (see RrrBitVector._setup), before any node is.
     """
     ms, kinds, stream = _parse_rrr(bufs, t)
     vector = RrrBitVector.__new__(RrrBitVector)
-    ones = vector._setup(t, ms, kinds, stream)
-    vector._check(ms)
+    vector._setup(t, ms, kinds, stream)
     firsts = tree_firsts(ms, t)
-    limits = firsts + ms
-    if np.any(vector.rank1_many(limits) != ones):
-        raise ValueError("rrr padding bits")
-    return vector, firsts.tolist(), limits.tolist()
+    return vector, firsts.tolist(), (firsts + ms).tolist()
 
 
 def _parse_rrr(bufs, t):

@@ -401,8 +401,7 @@ class Block:
 
     def payload_section(self):
         """The tree's bits as its vector stores them: plain, the bits; RRR, m, kind bytes, samples."""
-        bits = self.bits.stored_bits(self.start, self.leaf)
-        return np.packbits(bits, bitorder="little").tobytes()
+        return self.bits.section_bytes(self.start, self.leaf)
 
 
 def _read(wt, bits, firsts, limits, codebook):

@@ -233,7 +233,7 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     v.trim(ends, limits)
     assert v.m == ends[-1] and [v.rank1(end) for end in ends] == [int(bits.sum()) for bits in joined]
     for first, bits, buf in zip(firsts, joined, bufs):
-        assert np.packbits(v.stored_bits(first, first + len(bits)), bitorder="little").tobytes() == buf
+        assert v.section_bytes(first, first + len(bits)) == buf
 
 
 @pytest.mark.parametrize(
@@ -336,7 +336,7 @@ def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
     # each tree's section as its own vector stores it, all read into one
     # vector, plain for t = 0; rank1_many, at every position in one call,
     # equals rank1, and so it does on no position
-    sections = [np.packbits(make_bitvector(bits, t).stored_bits(), bitorder="little").tobytes() for bits in trees]
+    sections = [make_bitvector(bits, t).section_bytes() for bits in trees]
     v, firsts, limits = read_sections(sections, t)
     v.trim([first + len(bits) for first, bits in zip(firsts, trees)], limits)
     positions = np.concatenate([np.arange(first, first + len(bits) + 1) for first, bits in zip(firsts, trees)])
@@ -356,7 +356,7 @@ def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(
     # words and counters (t = 0, plain), or sample stream, pointers and ranks
     ms = [len(bits) for bits in trees]
     built = make_bitvector(np.concatenate(trees), t, ms)
-    sections = [np.packbits(make_bitvector(bits, t).stored_bits(), bitorder="little").tobytes() for bits in trees]
+    sections = [make_bitvector(bits, t).section_bytes() for bits in trees]
     loaded, firsts, limits = read_sections(sections, t)
     ends = [first + m for first, m in zip(firsts, ms)]
     loaded.trim(ends, limits)
@@ -368,9 +368,7 @@ def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(
         assert (built._stream, built._ptr, built._sample_rank) == (loaded._stream, loaded._ptr, loaded._sample_rank)
     for first, end, bits in zip(firsts, ends, trees):
         assert [built.rank1(j) for j in range(first, end + 1)] == [0, *itertools.accumulate(bits.tolist())]
-        assert np.packbits(built.stored_bits(first, end), bitorder="little").tobytes() == np.packbits(
-            loaded.stored_bits(first, end), bitorder="little"
-        ).tobytes()
+        assert built.section_bytes(first, end) == loaded.section_bytes(first, end)
 
 
 def rank1_walks(v, steps, b, e):
