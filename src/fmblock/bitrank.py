@@ -20,11 +20,22 @@ Two interchangeable representations:
   whose top two bits give its kind. A RRR sample's classes are two 4-bit
   classes per byte for t <= 15 and one per byte above, so a rank sums the
   class bytes before its block, and their offset widths, each through a
-  256-byte translation table, without a Python loop, and reads its
-  block's offset with at most two aligned reads of a uint64 view of the
-  stream; a sparse sample's rank is one bisect of its positions, through
-  a uint16 view. One vector can hold many trees, each from a fresh sample
-  and with its own ranks (see rrr_samples).
+  256-byte translation table and zlib.adler32, without a Python loop, and
+  reads its block's offset with at most two aligned reads of a uint64
+  view of the stream; a sparse sample's rank is one bisect of its
+  positions, through a uint16 view. One vector can hold many trees, each
+  from a fresh sample and with its own ranks (see rrr_samples).
+
+Up to t = 16 a block is decoded with one lookup in a table of the
+(t - 1)-bit words of classes 0..(t - 1) // 2 (_decode_table), which every
+vector of that t shares: 19,816 bytes at t = 15 and 32 KiB at t = 16,
+against the 2^t words of every class. Two symmetries of the enumerative
+code cover what it leaves out: an offset past its class's words with a
+clear top bit is a word with the top bit set, one class lower (the
+top-bit peel), and a word of an upper class is the complement of one of
+a lower class (the complement). A rank reads at most the low t - 1 bits
+of its block, so the peeled top bit never enters it. Above t = 16 a
+block is decoded enumeratively.
 
 A wavelet tree keeps all its nodes in one vector, joined bit to bit in
 level order under either backend, and all the trees of an index share
@@ -64,13 +75,18 @@ and binds every view and table it reads once, so that a round is only
 its arithmetic: the plain one is rank1 in numpy; the RRR one first makes
 tables per block (its class, its bits in a sparse sample, and the ones
 and offset widths before it since its sample), which live as long as the
-function does. rank1_many(positions) ranks once, for a load's few
-positions per tree depth: plain, it is batch_rank1's; RRR, each position
-compares its sparse sample's positions or sums its RRR sample's classes,
-with no table over all blocks. Both RRR forms read their blocks' offsets
-through _offset_reader: up to t = 16 from one unaligned uint32 view of
-the stream, one element per byte, and above with read_fields; and decode
-them through _decoder, with the decode table or enumeratively.
+function does; up to t = 16 it also makes every t-bit word in (class,
+offset) order from the decode table (_word_table), which dies with the
+function, so that a round decodes in one gather. rank1_many(positions)
+ranks once, for a load's few positions per tree depth: plain, it is
+batch_rank1's; RRR, each position compares its sparse sample's positions
+or sums its RRR sample's classes, with no table over all blocks. Both
+RRR forms read their blocks' offsets through _offset_reader: up to
+t = 16 from one unaligned uint32 view of the stream, one element per
+byte, and above with read_fields;
+and decode them through _decoder, by the decode table's peel and
+complement in numpy or enumeratively, but for batch_rank1's rounds up to
+t = 16, which gather from _word_table's words.
 """
 
 import functools
@@ -79,6 +95,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_left
+from zlib import adler32
 
 import numpy as np
 
@@ -91,7 +108,7 @@ _TABLE_MAX_T = 16
 _NIBBLE_MAX_T = 15
 _ONE = np.uint64(1)
 _MAX_POSITIONS = 63  # the most positions a sparse sample holds: its kind byte's count field
-_SLOTS = np.arange(_MAX_POSITIONS)
+_SLOTS = np.arange(_MAX_POSITIONS, dtype=np.uint8)
 # a sample pointer's top two bits: its sample is sparse, and then its positions are its zeros'
 _SPARSE = 1 << 31
 _ZEROS = 1 << 30
@@ -249,27 +266,37 @@ class PlainBitVector(_BitVector):
 
 @functools.cache
 def _decode_table(t):
-    """All t-bit words in (class, offset) order, and the index where each class starts.
+    """What decodes a t-bit block, 1 <= t <= 16: (words, starts, splits, kmax, flip).
 
-    The word of class k and offset o is words[starts[k] + o]; t <= 16 fits 'H'.
+    words holds the (t - 1)-bit words of classes 0..kmax = (t - 1) // 2 in
+    (class, offset) order, as 'H'. Two symmetries of the enumerative code
+    cover the rest. The top-bit peel: a block of class k whose offset is at
+    or above splits[k] = comb(t - 1, k) has its top bit set, and its low
+    t - 1 bits are the word of class k - 1 at offset - splits[k]; below, the
+    word of class k at the offset. The complement: a (t - 1)-bit word of
+    class c at offset o is words[starts[c] + o] for c <= kmax, and above it
+    is the complement (xor flip) of the word of class t - 1 - c at
+    comb(t - 1, c) - 1 - o, which is words[starts[c] - o].
     """
-    values = np.arange(1 << t, dtype=np.uint16)
-    classes = np.bitwise_count(values)
-    starts = np.zeros(t + 2, dtype=np.int64)
-    np.cumsum(np.bincount(classes, minlength=t + 1), out=starts[1:])
-    words = values[np.argsort(classes, kind="stable")]
-    return array("H", words.tobytes()), array("q", starts.tobytes())
+    n = t - 1
+    kmax = n >> 1
+    sizes = [math.comb(n, c) for c in range(n + 1)]
+    starts = list(itertools.accumulate(sizes[:kmax], initial=0))
+    starts += [starts[n - c] + sizes[c] - 1 for c in range(kmax + 1, n + 1)]
+    values = np.arange(1 << n, dtype=np.uint16)
+    words = values[np.argsort(np.bitwise_count(values), kind="stable")[: starts[kmax] + sizes[kmax]]]
+    splits = tuple(math.comb(n, k) for k in range(t + 1))
+    return array("H", words.tobytes()), tuple(starts), splits, kmax, (1 << n) - 1
 
 
 @functools.cache
 def _offset_table(t):
-    """Offset of every t-bit word within its class; the encoder's inverse of _decode_table."""
-    words, starts = _decode_table(t)
-    offsets = np.empty(1 << t, dtype=np.int64)
-    starts = np.frombuffer(starts, dtype=np.int64)
-    offsets[np.frombuffer(words, dtype=np.uint16)] = np.arange(1 << t) - np.repeat(
-        starts[:-1], np.diff(starts)
-    )
+    """Offset of every t-bit word within its class, as uint16: the encoder's table, t <= 16."""
+    values = np.arange(1 << t, dtype=np.uint16)
+    order = np.argsort(np.bitwise_count(values), kind="stable")  # every word in (class, offset) order
+    sizes = [math.comb(t, k) for k in range(t + 1)]
+    offsets = np.empty(1 << t, dtype=np.uint16)
+    offsets[order] = np.concatenate([np.arange(size, dtype=np.uint16) for size in sizes])
     return offsets
 
 
@@ -344,6 +371,51 @@ def _values_of_offsets(off, t, k):
         value |= take.astype(np.uint64) << np.uint64(p)
         left -= take
     return value
+
+
+@functools.cache
+def _table_decoder(t):
+    """A function (k, off) that decodes t-bit blocks of classes k and offsets off (int64 arrays) as uint16, t <= 16.
+
+    It takes _decode_table's top-bit peel and complement in numpy: a row per
+    class below its split, then one per class at or above, gives the
+    (t - 1)-bit class it reads (clamped where no offset reaches: class 0 at
+    its split, class t below), the offset's sign and the word's start as the
+    offset's, and what to xor with the word: the complement, the top bit.
+    """
+    table, starts, splits, kmax, flip = _decode_table(t)
+    words = np.frombuffer(table, dtype=np.uint16)
+    rows = [(min(max(k - top, 0), t - 1), splits[k] * top, top) for top in (0, 1) for k in range(t + 1)]
+    sign = np.array([1 if c <= kmax else -1 for c, _, _ in rows])
+    base = np.array([starts[c] - s * sub for (c, sub, _), s in zip(rows, sign.tolist())])
+    xor = np.array([(flip if c > kmax else 0) | top << t - 1 for c, _, top in rows], dtype=np.uint16)
+    splits = np.array(splits)
+
+    def decode(k, off):
+        row = k + (off >= splits[k]) * (t + 1)
+        return words[base[row] + sign[row] * off] ^ xor[row]
+
+    return decode
+
+
+def _word_table(t):
+    """Every t-bit word in (class, offset) order (uint16), and where each class starts (int64), t <= 16.
+
+    It is made from the decode table, with no cache: 2^t words, which only
+    a caller's life keeps. The (t - 1)-bit words in that order are the
+    table's, then the complements of its first classes' words, reversed;
+    the t-bit words of class k are the (t - 1)-bit ones of class k, then
+    those of class k - 1 with the top bit set.
+    """
+    table, _, splits, kmax, flip = _decode_table(t)
+    n = t - 1
+    words = np.frombuffer(table, dtype=np.uint16)
+    low = np.concatenate([words, words[: sum(splits[: n - kmax])][::-1] ^ np.uint16(flip)])
+    high = low | np.uint16(1 << n)
+    at = list(itertools.accumulate(splits, initial=0))  # where each (t - 1)-bit class starts; class t is empty
+    parts = [part for k in range(t + 1) for part in (low[at[k] : at[k + 1]], high[at[k - 1] : at[k]] if k else low[:0])]
+    sizes = np.array([math.comb(t, k) for k in range(t + 1)])
+    return np.concatenate(parts), np.cumsum(sizes) - sizes
 
 
 def rrr_samples(m, t):
@@ -491,28 +563,43 @@ class RrrBitVector(_BitVector):
         if k.max(initial=0) > t:
             raise ValueError("rrr class out of range")
         widths = np.frombuffer(k.tobytes().translate(self._widths), dtype=np.uint8).reshape(k.shape)
-        if np.any(count[rrr] != (widths.sum(axis=1, dtype=np.int64) + 15) >> 4):
+        if np.any(count[rrr] != (widths.sum(axis=1, dtype=np.uint16) + 15) >> 4):  # 32 widths of at most 60
             raise ValueError("rrr sample kind")
         del widths  # before the offset walk, whose peak it would add to
         read = self._offset_reader()
-        limits = np.array([math.comb(t, c) for c in range(t + 1)], dtype=np.int64 if t <= _TABLE_MAX_T else np.uint64)
-        # 512 samples at a time: the offset reads' int64 temporaries over every
-        # sample at once would take several times the file's bytes
-        for lo in range(0, len(at), 512):
-            part = k[lo : lo + 512]
-            if np.any(read(part, self._offset_starts(part, at[lo : lo + 512])) >= limits[part]):
+        # up to t = 16 in uint32, which every offset and its bit in the stream fit
+        narrow = t <= _TABLE_MAX_T
+        limits = np.array([math.comb(t, c) for c in range(t + 1)], dtype=np.uint32 if narrow else np.uint64)
+        starts = at.astype(np.uint32) if narrow else at
+        # an eighth of the samples at a time, 64 at least: the offset reads'
+        # temporaries over every sample at once would take several times the
+        # file's bytes, and a fixed count would cost a small file as a large one
+        step = max(64, len(at) >> 3)
+        for lo in range(0, len(at), step):
+            part = k[lo : lo + step]
+            # take gathers by uint8 classes faster than indexing, at this size
+            if np.any(read(part, self._offset_starts(part, starts[lo : lo + step])) >= limits.take(part)):
                 raise ValueError("rrr offset out of range")
         taken = rrr_samples(ms, t)
         firsts = np.cumsum(taken) - taken
-        sample, pos = self._positions(ptr)
-        # each sample's bits of its tree, past which a ones sample holds none
-        inside = np.repeat(ms + span * firsts, taken) - span * np.arange(len(kinds))
-        limit = np.where(ptr[sample] >> 30 == 2, np.minimum(inside[sample], span), span)
-        if np.any(pos >= limit) or np.any((np.diff(pos) <= 0) & (np.diff(sample) == 0)):
+        # a sparse sample's positions ascend if each of its stream elements but
+        # its last is below the next, and then lie in it if its last does: in
+        # its bits, or in its tree's bits in it for a ones sample, past which
+        # it holds none. The flags are one byte per element, and no array is
+        # made per position
+        u2 = np.frombuffer(stream, dtype="<u2", count=int(ptr[-1]) >> 1)
+        follows = np.repeat(sparse, np.diff(ptr & _AT) >> 1)  # whether each element is a sparse sample's
+        held = np.flatnonzero(sparse & (count > 0))
+        last = ((ptr[held] & _AT) >> 1) + count[held] - 1
+        follows[last] = False
+        inside = (np.repeat(ms + span * firsts, taken) - span * np.arange(len(kinds)))[held]
+        limit = np.where(kinds[held] >> 6 == 2, np.minimum(inside, span), span)
+        if np.any(u2[1:] <= u2[:-1], where=follows[:-1]) or np.any(u2[last] >= limit):
             raise ValueError("rrr positions")
+        del follows
         # a sparse one's ones are its count, or its bits less it; a RRR one's, its classes' sum
         ones = np.where(kinds >> 6 == 3, span - count, count)
-        ones[rrr] = k.sum(axis=1, dtype=np.int64)
+        ones[rrr] = k.sum(axis=1, dtype=np.uint16)  # 32 classes of at most 63
         rank = np.cumsum(ones) - ones
         rank -= np.repeat(rank[firsts], taken)
         self.m = span * int(firsts[-1]) + int(ms[-1])
@@ -526,7 +613,7 @@ class RrrBitVector(_BitVector):
         # sixteen, which the one or two levels of most descents would feel
         self._descent = (
             t, s, self._mask, cb << 3, span, stream, self._words, self._pos, self._ptr, self._sample_rank,
-            self._class_sums, self._width_sums, self._widths, *(self._table or (None, None)),
+            self._class_sums, self._width_sums, self._widths, *(self._table or (None,) * 5),
         )
         if np.any(self.rank1_many(span * firsts + ms) != (rank + ones)[firsts + taken - 1]):
             raise ValueError("rrr padding bits")
@@ -543,12 +630,14 @@ class RrrBitVector(_BitVector):
         stream = self._stream
         i = at + ((blk & 31) >> self._shift)  # the byte of blk's class
         seg = stream[at:i]
-        r = self._sample_rank[sb] + sum(seg.translate(self._class_sums))
+        # adler32's low half is 1 plus the byte sum mod 65,521: exact here,
+        # where at most 31 bytes of at most 255 sum below 65,521
+        r = self._sample_rank[sb] + (adler32(seg.translate(self._class_sums)) & 0xFFFF) - 1
         half = blk & self._shift  # blk's class is its byte's high nibble, after the low one
         if rem:
             byte = stream[i]
             # the offsets start after the sample's class bytes
-            o = (at + (RRR_SAMPLE_EVERY >> self._shift) << 3) + sum(seg.translate(self._width_sums))
+            o = (at + (RRR_SAMPLE_EVERY >> self._shift) << 3) + (adler32(seg.translate(self._width_sums)) & 0xFFFF) - 1
             if half:
                 r += byte & 15
                 o += self._widths[byte & 15]
@@ -564,8 +653,11 @@ class RrrBitVector(_BitVector):
             if self._table is None:
                 value = value_of_offset(off, self.t, k)
             else:
-                words, starts = self._table
-                value = words[starts[k] + off]
+                words, starts, splits, kmax, flip = self._table
+                if off >= splits[k]:  # the top bit, which rem < t leaves out of the rank
+                    off -= splits[k]
+                    k -= 1
+                value = words[starts[k] + off] if k <= kmax else words[starts[k] - off] ^ flip
             return r + (value & ((1 << rem) - 1)).bit_count()
         if half:
             r += stream[i] & 15
@@ -582,7 +674,7 @@ class RrrBitVector(_BitVector):
         """
         (
             t, s, mask, head, span, stream, words, pos, ptrs, sample_rank,
-            class_sums, width_sums, widths, table, starts,
+            class_sums, width_sums, widths, table, starts, splits, kmax, flip,
         ) = self._descent
         for step in steps:
             blk, rem = divmod(b, t)
@@ -604,8 +696,8 @@ class RrrBitVector(_BitVector):
                 i = at + ((blk & 31) >> s)
                 seg = stream[at:i]
                 # the ones and the offset position at b's class byte, then at b's block
-                rb = sample_rank[sb] + sum(seg.translate(class_sums))
-                o = (at << 3) + head + sum(seg.translate(width_sums))
+                rb = sample_rank[sb] + (adler32(seg.translate(class_sums)) & 0xFFFF) - 1
+                o = (at << 3) + head + (adler32(seg.translate(width_sums)) & 0xFFFF) - 1
                 byte = stream[i]
                 if blk & s:
                     rb += byte & 15
@@ -620,7 +712,13 @@ class RrrBitVector(_BitVector):
                         if (o & 63) + w > 64:
                             off |= words[(o >> 6) + 1] << 64 - (o & 63)
                         off &= (1 << w) - 1
-                    value = value_of_offset(off, t, k) if table is None else table[starts[k] + off]
+                    if table is None:
+                        value = value_of_offset(off, t, k)
+                    else:
+                        if off >= splits[k]:
+                            off -= splits[k]
+                            k -= 1
+                        value = table[starts[k] + off] if k <= kmax else table[starts[k] - off] ^ flip
                     if last == blk:
                         re = rb + (value & (1 << erem) - 1).bit_count()
                     rb += (value & (1 << rem) - 1).bit_count()
@@ -636,8 +734,8 @@ class RrrBitVector(_BitVector):
                 else:
                     i = at + ((blk & 31) >> s)
                     seg = stream[at:i]
-                    re = sample_rank[sb] + sum(seg.translate(class_sums))
-                    o = (at << 3) + head + sum(seg.translate(width_sums))
+                    re = sample_rank[sb] + (adler32(seg.translate(class_sums)) & 0xFFFF) - 1
+                    o = (at << 3) + head + (adler32(seg.translate(width_sums)) & 0xFFFF) - 1
                     byte = stream[i]
                     if blk & s:
                         re += byte & 15
@@ -652,7 +750,13 @@ class RrrBitVector(_BitVector):
                             if (o & 63) + w > 64:
                                 off |= words[(o >> 6) + 1] << 64 - (o & 63)
                             off &= (1 << w) - 1
-                        value = value_of_offset(off, t, k) if table is None else table[starts[k] + off]
+                        if table is None:
+                            value = value_of_offset(off, t, k)
+                        else:
+                            if off >= splits[k]:
+                                off -= splits[k]
+                                k -= 1
+                            value = table[starts[k] + off] if k <= kmax else table[starts[k] - off] ^ flip
                         re += (value & (1 << rem) - 1).bit_count()
             if step > 0:
                 b, e = rb + step, re + step
@@ -696,6 +800,10 @@ class RrrBitVector(_BitVector):
         base = np.where(ptr[:-1] < _SPARSE, ptr[:-1] + (RRR_SAMPLE_EVERY >> self._shift) << 3, 0)
         sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
         read, decode = self._offset_reader(), self._decoder()
+        if self._table is not None:
+            # every t-bit word, made for this function's life, so that a round decodes in one gather
+            words, firsts = _word_table(t)
+            decode = lambda k, off: words[firsts[k] + off]
         low = (np.ones(1, dtype=values.dtype) << np.arange(t, dtype=values.dtype)) - values.dtype.type(1)
 
         def rank1(j):
@@ -724,40 +832,44 @@ class RrrBitVector(_BitVector):
         sb = blk >> 5
         ptr = np.frombuffer(self._ptr, dtype=np.uint32)
         at = ptr[sb].astype(np.int64)
-        rrr = at < _SPARSE
-        # a sparse sample's positions below j's, of its next at most 63 stream
-        # elements those before the next sample's; none for a RRR sample
-        lo = (at & _AT) >> 1
-        held = (((ptr[sb + 1] & _AT) >> 1) - lo) * ~rrr
-        slots = _SLOTS[: held.max(initial=0)]
-        p = (j - sb * RRR_SAMPLE_EVERY * t) * ~rrr
-        pos = np.frombuffer(self._stream, dtype="<u2").take(lo[:, None] + slots, mode="clip")
-        c = ((pos < p[:, None]) & (slots < held[:, None])).sum(axis=1)
-        ones = np.where(at & _ZEROS, p - c, c)
-        # a RRR sample's class bytes before j's block's, summed as rank1 sums
-        # them, then the low class of that byte if j's is the high one; none
-        # for a sparse sample, whose block is taken as one of class 0
-        cb = RRR_SAMPLE_EVERY >> self._shift
-        raw = np.frombuffer(self._stream, dtype=np.uint8).take(at[:, None] + _SLOTS[:cb], mode="clip")
-        i = ((blk & (RRR_SAMPLE_EVERY - 1)) >> self._shift) * rrr  # the byte of j's block's class
-        before = _SLOTS[:cb] < i[:, None]
-        sums, widths = (
-            (np.frombuffer(raw.tobytes().translate(table), dtype=np.uint8).reshape(raw.shape) * before).sum(axis=1, dtype=np.int64)
-            for table in (self._class_sums, self._width_sums)
-        )
-        ones += sums
-        opos = widths + (at + cb << 3)
-        k = raw[np.arange(len(j)), i]
-        if self._shift:
-            half = blk & rrr  # j's class is its byte's high nibble, after the low one
-            ones += (k & 15) * half
-            opos += np.frombuffer(self._widths, dtype=np.uint8)[k & 15] * half
-            k = np.where(half, k >> 4, k & 15)
-        k *= rrr
-        opos *= rrr
-        value = self._decoder()(k, self._offset_reader()(k, opos))
-        ones += np.bitwise_count(value & (_ONE << (j - blk * t).astype(np.uint64)) - _ONE)
-        return np.frombuffer(self._sample_rank, dtype=np.uint32)[sb] + ones
+        ones = np.frombuffer(self._sample_rank, dtype=np.uint32)[sb].astype(np.int64)
+        # the positions in sparse samples, then those in RRR ones; a call
+        # with none of a kind skips its numpy calls
+        q = np.flatnonzero(at >= _SPARSE)
+        if len(q):
+            # a sparse sample's positions below j's, of a row of the stream's
+            # uint16 elements, as many as the most any of j's samples holds:
+            # a view with a row from each element, so that no index is made
+            # per element. Its rows end at the stream's end, so a sample's
+            # positions start at its row's shift, 0 but near the end
+            kind, lo = at[q] & _ZEROS, (at[q] & _AT) >> 1
+            held = (((ptr[sb[q] + 1] & _AT) >> 1) - lo).astype(np.uint8)
+            width = int(held.max())
+            rows = len(self._stream) // 2 - width + 1
+            row = np.minimum(lo, rows - 1)
+            pos = np.ndarray((rows, width), "<u2", self._stream, strides=(2, 2))[row]
+            p = j[q] - sb[q] * RRR_SAMPLE_EVERY * t
+            # uint8 wraps a slot before the shift to 194 or more, past every count
+            run = _SLOTS[:width] - (lo - row).astype(np.uint8)[:, None] < held[:, None]
+            c = ((pos < p[:, None]) & run).sum(axis=1)
+            ones[q] += np.where(kind, p - c, c)
+        r = np.flatnonzero(at < _SPARSE)
+        if len(r):
+            # a RRR sample's classes before j's block's, and their offset
+            # widths; then j's block's offset, decoded
+            blk, at = blk[r], at[r]
+            k = self._classes(at)
+            b = blk & (RRR_SAMPLE_EVERY - 1)
+            before = k * (_SLOTS[:RRR_SAMPLE_EVERY] < b[:, None])  # class 0 has no offset bits
+            # each class and its offset width, in the low and high 16 bits, summed at once
+            sums = np.frombuffer(self._widths, dtype=np.uint8).astype(np.uint32) << 16 | np.arange(256, dtype=np.uint32)
+            sums = sums.take(before).sum(axis=1, dtype=np.uint32)
+            opos = (sums >> 16).astype(np.int64)
+            opos += at + (RRR_SAMPLE_EVERY >> self._shift) << 3
+            k = k[np.arange(len(r)), b]
+            value = self._decoder()(k, self._offset_reader()(k, opos))
+            ones[r] += (sums & 0xFFFF) + np.bitwise_count(value & (_ONE << (j[r] - blk * t).astype(np.uint64)) - _ONE)
+        return ones
 
     def _classes(self, at):
         """The classes (uint8) of the 32 blocks of each RRR sample at byte at[i] of the stream, one row each."""
@@ -770,11 +882,12 @@ class RrrBitVector(_BitVector):
         return k
 
     def _offset_starts(self, k, at):
-        """The offset starts (int64) of the blocks of classes k (_classes' rows) of the RRR samples at bytes at of the stream.
+        """The offset starts of the blocks of classes k (_classes' rows) of the RRR samples at bytes at of the stream.
 
         A sample's offsets start after its class bytes, each after the
         offset widths of the blocks before it: 32 of at most 60 bits sum in
-        uint16.
+        uint16. The starts take at's dtype: int64, or uint32 for the load's
+        offset checks up to t = 16.
         """
         widths = np.frombuffer(k.tobytes().translate(self._widths), dtype=np.uint8).reshape(k.shape)
         opos = np.cumsum(widths, axis=1, dtype=np.uint16)
@@ -814,8 +927,9 @@ class RrrBitVector(_BitVector):
         Up to t = 16 an offset is at most 14 bits wide, so the 4 bytes from
         the one that holds its first bit hold it: one unaligned uint32 view
         of the stream, one element per byte (the stream ends in a spare
-        word), reads it, as int64. Above, read_fields reads it, as uint64.
-        Every view it reads is bound here.
+        word), reads it, as int64, or as uint32 from uint32 bits opos.
+        Above, read_fields reads it, as uint64. Every view it reads is bound
+        here.
         """
         widths = np.frombuffer(self._widths, dtype=np.uint8)  # each class byte value's, 0 above t
         if self.t > _TABLE_MAX_T:
@@ -828,15 +942,11 @@ class RrrBitVector(_BitVector):
     def _decoder(self):
         """A function (k, off) that decodes the t-bit blocks of classes k and offsets off, as _offset_reader reads them.
 
-        Up to t = 16 through the decode table, as uint16; above
-        enumeratively, as uint64, overwriting off.
+        Up to t = 16 through the decode table (see _table_decoder), as
+        uint16; above enumeratively, as uint64, overwriting off.
         """
         t = self.t
-        if self._table is None:
-            return lambda k, off: _values_of_offsets(off, t, k)
-        words = np.frombuffer(self._table[0], dtype=np.uint16)
-        starts = np.frombuffer(self._table[1], dtype=np.int64)
-        return lambda k, off: words[starts[k] + off]
+        return (lambda k, off: _values_of_offsets(off, t, k)) if self._table is None else _table_decoder(t)
 
     def _values(self):
         """Every block's t bits, LSB first, as uint64, over all the vector's samples, whatever their kind."""

@@ -512,15 +512,20 @@ def _read(wt, bits, firsts, limits, codebook):
     # every entry is at most n, so the rows and totals are 32-bit while n fits
     upto = np.cumsum(counts, axis=0)
     wt.rows, wt.totals = _table(upto - counts, "I", "q"), _table(upto[-1], "I", "q")
-    # each node's two steps, from its children's starts
+    # each node's two steps, from its children's starts: its step on bit b
+    # at 2 * node + b. Each array is dropped once read, here and below, as
+    # they would add to the load's peak
+    del counts, upto, leaf_sizes
     empty = np.zeros(0, dtype=np.int64)
     node_tree, node_start, node_base, child = (
         np.concatenate([empty, *parts]) for parts in (node_tree, node_start, node_base, node_child)
     )
+    del node_child
     child = child.reshape(-1, 2)
-    child_start = np.where(child >= 0, node_start[child], end[node_tree][:, None])
-    one = child_start[:, 1] - node_base
-    zero = node_start - node_base - child_start[:, 0]
+    node_steps = np.where(child >= 0, node_start[child], end[node_tree][:, None])
+    node_steps[:, 0] = node_start - node_steps[:, 0]
+    node_steps -= node_base[:, None]
+    del node_tree, node_start, node_base, child
     # every path's steps, in the order of the entries: at each depth of a
     # code, its prefix's node and its next bit
     entry = np.repeat(np.arange(len(lens)), lens)
@@ -529,8 +534,16 @@ def _read(wt, bits, firsts, limits, codebook):
     # a depth's last node has the last code's prefix there
     final = last[tree[entry]]
     final = codes[final] >> (lens[final] - 1 - level).astype(np.uint64)
-    node = last_at[tree[entry], level] - 1 - ((final >> np.uint64(1)) - (below >> np.uint64(1))).astype(np.int64)
-    wt.steps = _table(np.where(below & np.uint64(1), one[node], zero[node]), "i", "q")
+    node = last_at[tree[entry], level] - 1
+    del entry, level
+    final >>= np.uint64(1)
+    final -= below >> np.uint64(1)
+    node -= final.view(np.int64)
+    del final
+    node <<= 1
+    node |= (below & np.uint64(1)).astype(np.int64)
+    del below
+    wt.steps = _table(node_steps.ravel()[node], "i", "q")
 
 
 # a codebook entry: a u16 symbol and a u8 code length

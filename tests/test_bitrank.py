@@ -26,6 +26,8 @@ from fmblock.bitrank import (
     rrr_samples,
     tree_firsts,
     value_of_offset,
+    _decode_table,
+    _word_table,
 )
 from helpers import rrr_section
 
@@ -169,6 +171,48 @@ def test_enumerative_offsets_are_numeric_rank():
             for off, w in enumerate(same_class):
                 assert offset_of_value(w, t, k) == off
                 assert value_of_offset(off, t, k) == w
+
+
+@pytest.mark.parametrize("t", range(1, 17))
+def test_every_block_decodes_at_every_rem(t):
+    # every t-bit block, as each (class, offset) pair in turn, in one tree of
+    # RRR samples only (rrr_section), so that every block is decoded through
+    # the decode table, its top-bit peel and its complement: every rank form
+    # at every position, so at every rem of every block, and to_bits equal
+    # the blocks' value_of_offset
+    blocks = [(k, off) for k in range(t + 1) for off in range(math.comb(t, k))]
+    values = np.array([value_of_offset(off, t, k) for k, off in blocks], dtype=np.int64)
+    bits = (values[:, None] >> np.arange(t) & 1).astype(np.uint8).ravel()
+    prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
+    v, _, _ = read_rrr([rrr_section(len(bits), t, blocks)], t)
+    assert v.sample_kinds()["rrr"] == len(v._sample_rank)
+    positions = np.arange(len(bits) + 1)
+    assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
+    assert v.rank1_many(positions).tolist() == prefix.tolist()
+    assert v.batch_rank1()(positions).tolist() == prefix.tolist()
+    assert v.to_bits().tolist() == bits.tolist()
+    assert v.blocks() == blocks
+    # the table batch_rank1 makes holds every word, top bit and all
+    assert _word_table(t)[0].tolist() == values.tolist()
+    # descend's two decodes: b's block, and e's own block t bits on (in the
+    # first block, e's rank from b's decode)
+    b = np.maximum(positions - t, 0).tolist()
+    assert [v.descend((1,), lo, hi) for lo, hi in zip(b, positions.tolist())] == list(zip(prefix[b] + 1, prefix + 1))
+
+
+def test_the_t_15_decode_table_keeps_at_most_24_kib():
+    # (t - 1)-bit words of the lower half of the classes: 9,908 of them, 19,816 bytes
+    _decode_table.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = _decode_table(15)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table[0]) == sum(math.comb(14, c) for c in range(8))
+    assert held <= 24 * 1024
 
 
 def test_combinadic_matches_tables_beyond_table_limit():

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import itertools
 import math
 import random
 import re
@@ -22,6 +23,7 @@ from fmblock.bitrank import (
     plain_words,
     rrr_samples,
     value_of_offset,
+    _decode_table,
 )
 from fmblock.fmindex import BlockedFMIndex, IndexVariant, build_index
 from fmblock.storage import (
@@ -151,11 +153,29 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
 @pytest.mark.parametrize("rrr_t,k,off", [(5, 4, 7), (15, 13, 127)])
 def test_rrr_offset_past_the_decode_table_is_rejected_at_load(rrr_t, k, off):
     # the root's end is in the last block, which reading the tree decodes:
-    # starts[k] + off of the t-bit decode table runs past its 2^t words
+    # starts[k] + off runs past the 2^t words of every t-bit word in (class,
+    # offset) order, the table batch_rank1 makes, and the decode table holds
+    # fewer words still
     ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
     blocks = ix.blocks[0].bits.blocks()
     assert off < 1 << offset_width(rrr_t, k)
     assert sum(math.comb(rrr_t, j) for j in range(k)) + off >= 1 << rrr_t
+    blocks[-1] = (k, off)
+    with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
+        deserialize(_with_root_blocks(ix, blocks))
+
+
+@pytest.mark.parametrize("rrr_t,k,off", [(15, 11, 2047), (16, 13, 1023)])
+def test_rrr_offset_past_an_upper_class_is_rejected_at_load(rrr_t, k, off):
+    # a class above (t - 1) / 2 decodes, after the top-bit peel, as the
+    # complement of the word at starts[k - 1] - (off - splits[k]): an offset
+    # at or above comb(t, k) reads below the decode table, where an array
+    # index wraps to its end with no error
+    ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
+    blocks = ix.blocks[0].bits.blocks()
+    assert 2 * k > rrr_t - 1 and math.comb(rrr_t, k) <= off < 1 << offset_width(rrr_t, k)
+    _, starts, splits, _, _ = _decode_table(rrr_t)
+    assert off >= splits[k] and starts[k - 1] - (off - splits[k]) < 0
     blocks[-1] = (k, off)
     with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
         deserialize(_with_root_blocks(ix, blocks))
@@ -528,13 +548,17 @@ def test_edits_with_a_valid_checksum_are_rejected_or_count_alike():
 
 def test_an_rrr_load_peaks_within_a_multiple_of_its_file():
     # 400,000 Zipf-drawn symbols of 40: about 3,660 samples, nearly all RRR.
-    # The sample checks read the offsets in a bounded walk, a few hundred
+    # The sample checks read the offsets in a bounded walk, an eighth of the
     # samples at a time; over all samples at once their int64 temporaries
     # took a peak of 16.6 times the file's bytes here. The bound is 1.5 times
-    # the 7.3 measured with a walk of 1,024 samples at a time
+    # the 7.3 measured with a walk of 1,024 samples at a time. 400,000
+    # symbols of an order-2 Markov chain make mostly sparse samples, and
+    # small trees in fixed blocks, so there the positions check and the
+    # arrays the tree reads hold per path step set the peak
     rng = np.random.default_rng(29)
-    t = Text.from_codes((rng.zipf(1.3, 400_000) % 39 + 1).tolist(), 40)
-    for variant in ("ssa_rrr", "fixed_block_rrr"):
+    zipf = Text.from_codes((rng.zipf(1.3, 400_000) % 39 + 1).tolist(), 40)
+    markov = Text.from_codes(markov2_codes(0, 400_000), 8)
+    for t, variant in itertools.product((zipf, markov), ("ssa_rrr", "fixed_block_rrr")):
         raw = to_bytes(build_index(t, variant))
         deserialize(raw)  # the decode table, made once per process, is not the load's
         gc.collect()
