@@ -40,25 +40,20 @@ block is decoded enumeratively.
 A wavelet tree keeps all its nodes in one vector, joined bit to bit in
 level order under either backend, and all the trees of an index share
 one: tree_firsts() gives each tree's first bit in it, the one rule for
-where trees start. A build makes the vector once, from every tree's bits
-and bit count (make_bitvector()), and a load from every tree's section;
-each names the vector by its RRR block size t alone, 0 for plain.
-This module owns the layout of a tree in the index file, which is the
-vector's own stored form (section_bytes()): a plain tree stores its raw
-bits, an RRR tree its bit count m as a u32, then a kind byte per sample
-and the samples' bytes as the stream holds them. read_sections() builds
-one vector of the sections of all trees of an index and gives each
-tree's first bit in it and its limit, where its section ends;
-read_plain() does so for plain sections and read_rrr() for RRR ones,
-slicing them in one pass. An RRR vector, built or loaded, is made by one
-routine (RrrBitVector._setup), which checks every sample as it makes the
-samples' ranks, so none is ranked, and no node routed, unchecked.
-Neither read loops over the sections in Python: the sections are
-sliced and joined by map, and every check and table is made over all of
-them at once. Once the nodes are routed (see wavelet), the vector's
-trim() checks the bits that follow each tree's last node, for all trees
-at once; plain padding bits are left as read, since no rank reads past a
-tree's last node.
+where trees start, for a build and a load alike. A build makes the vector
+once, from every tree's bits and bit count (make_bitvector()), and a load
+from the index file's payload section; each names the vector by its RRR
+block size t alone (the vector's t), 0 for plain. This module owns the
+payload section, which is the vector's own stored form, written whole
+(payload()) and read whole (read_payload()): every tree's bit count m as
+a u32, then, plain, each tree's bits in whole bytes; RRR, every sample's
+kind byte, then the stream of the samples' bytes as it is. Neither loops
+over trees in Python: every check and table is made over all of them at
+once. An RRR vector, built or loaded, is made by one routine
+(RrrBitVector._setup), which checks every sample as it makes the samples'
+ranks, so none is ranked, and no node routed, unchecked. The padding bits
+of a plain tree's last byte are cleared at load, as a build leaves them,
+since no rank reads past a tree's last node.
 
 Each backend also takes both ends of a backward-search step in one tree
 down a symbol's path, level by level: descend() ranks both ends of a level
@@ -92,7 +87,6 @@ t = 16, which gather from _word_table's words.
 import functools
 import itertools
 import math
-import operator
 from array import array
 from bisect import bisect_left
 from zlib import adler32
@@ -104,6 +98,8 @@ from .bitio import pack_fields, read_fields
 # each byte with its bits in reverse order: bitio's LSB-first bytes to the words' MSB-first ones
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 RRR_SAMPLE_EVERY = 32
+# the RRR block sizes t: a block's t bits fit one uint64, and its class a byte
+RRR_BLOCK_SIZES = range(1, 64)
 _TABLE_MAX_T = 16
 _NIBBLE_MAX_T = 15
 _ONE = np.uint64(1)
@@ -135,6 +131,12 @@ def plain_words(m):
     return ((m + 7) >> 6) + 1
 
 
+def _plain_bytes(ms):
+    """Which bytes of a plain vector of trees of ms bits (int64) hold a tree's bits: the first ceil(m / 8) of its words."""
+    held = (ms + 7) >> 3
+    return np.repeat(np.tile([True, False], len(ms)), np.stack([held, 8 * plain_words(ms) - held], axis=1).ravel())
+
+
 class _BitVector:
     """What both backends share: rank of either bit over rank1."""
 
@@ -159,6 +161,7 @@ class PlainBitVector(_BitVector):
     """
 
     __slots__ = ("_words", "_counts", "m")
+    t = 0  # no RRR blocks: see tree_firsts
 
     def __init__(self, bits, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
@@ -243,25 +246,18 @@ class PlainBitVector(_BitVector):
         bits = np.unpackbits(words.astype(">u8").view(np.uint8))
         return bits[start & 63 : (start & 63) + stop - start]
 
-    def section_bytes(self, start=0, stop=None):
-        """The payload section of the tree of bits start..stop - 1, all m by default: its bits, LSB first, in whole bytes."""
-        return np.packbits(self.to_bits(start, stop), bitorder="little").tobytes()
+    def payload(self, ms):
+        """The payload section of the vector's trees of ms bits (int64): each m as a u32, then each tree's bytes, LSB first.
 
-    def tree_size(self, start, stop):
-        """Bits of the tree of bits start..stop - 1: its stored bits, and its counters."""
-        return stop - start, 32 * plain_words(stop - start)
-
-    def trim(self, ends, limits):
-        """End the vector at the last tree's last node; ValueError if more than 7 bits follow a tree's.
-
-        Tree i's last node ends at ends[i] and its section, whole bytes, at
-        limits[i], the last of which ends the vector. The bits between are
-        the padding of the section's last byte: they stay as read, since no
-        rank reads past a tree's last node.
+        A tree's bytes are the first ceil(m / 8) of its words, whose bits
+        after m are zero, as a build and a load leave them.
         """
-        if (np.asarray(limits) - np.asarray(ends) > 7).any():
-            raise ValueError("payload length")
-        self.m -= int(limits[-1] - ends[-1])
+        raw = np.frombuffer(self._words, dtype=np.uint64).astype(">u8").view(np.uint8)
+        return ms.astype("<u4").tobytes() + raw[_plain_bytes(ms)].tobytes().translate(_REVERSED)
+
+    def stored_bits(self, ms):
+        """Bits of the vector's trees of ms bits (int64): in the payload section, byte padding aside, and in the counters."""
+        return 32 * len(ms) + int(ms.sum()), 32 * len(self._counts)
 
 
 @functools.cache
@@ -471,8 +467,8 @@ class RrrBitVector(_BitVector):
         bytes, ones on a tie of ones and zeros; else RRR.
         """
         t = int(block_size)
-        if not 1 <= t <= 63:
-            raise ValueError("rrr block size must be in 1..63")
+        if t not in RRR_BLOCK_SIZES:
+            raise ValueError(f"rrr block size must be in {RRR_BLOCK_SIZES[0]}..{RRR_BLOCK_SIZES[-1]}")
         ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
         firsts = tree_firsts(ms, t) // t  # each tree's first block; checks every tree's size before the bits are copied
         bits = _as_bit_array(bits)
@@ -503,7 +499,7 @@ class RrrBitVector(_BitVector):
             raise ValueError("rrr offset stream of 2^32 bits or more")
         kinds = np.where(sparse, 128 | zeros << 6 | count, halves).astype(np.uint8)
         at = np.cumsum(size) - size  # where each sample starts in the stream
-        stream = np.zeros(int(size.sum()) + 16 - int(size.sum()) % 8, dtype=np.uint8)
+        stream = np.zeros(int(size.sum()), dtype=np.uint8)
         # a RRR sample's class bytes, then its offsets, padded to an even byte count by one more field
         rrr = np.flatnonzero(~sparse)
         k = classes[rrr]
@@ -526,18 +522,20 @@ class RrrBitVector(_BitVector):
         window = np.unpackbits(window, axis=1, bitorder="little")[:, :t].reshape(len(kept), span)
         row, pos = np.nonzero(window != zeros[kept, None])
         stream.view("<u2")[(at[kept[row]] >> 1) + np.arange(len(row)) - np.searchsorted(row, row)] = pos
-        self._setup(t, ms, kinds, stream.tobytes())
+        self._setup(t, ms, kinds, stream)
 
-    def _setup(self, t, ms, kinds, stream):
+    def _setup(self, t, ms, kinds, samples):
         """The vector of trees of ms bits (int64), laid out in turn (see rrr_samples), from their samples, each checked.
 
-        kinds (uint8) holds each sample's kind byte, as a payload section
-        stores it (see read_rrr), and stream the samples' bytes in turn,
-        then zero bytes to a whole word and a spare word, for the offset
-        reads; the caller checks that every sample's bytes lie in stream,
-        and that the samples fit uint32. A build and a load both make their
-        vector here. ValueError unless every sample is as a writer leaves
-        it, each check over all samples before the next: over the RRR
+        kinds (uint8) holds each sample's kind byte, as the payload section
+        stores it (see read_payload), and samples the samples' bytes in
+        turn, a buffer of fewer than 2^32 bits, which the caller checks. The
+        stream is those bytes, copied once, then zero bytes to a whole word
+        and a spare word, for the offset reads. A build and a load both make
+        their vector here. EOFError or ValueError unless the samples' bytes
+        are those their kind bytes give ("rrr offsets truncated", "payload
+        length") and every sample is as a writer leaves it, each check over
+        all samples before the next: over the RRR
         samples, classes above t ("rrr class out of range"), offset bytes
         other than their classes' widths give ("rrr sample kind") and
         offsets at or above comb(t, class) ("rrr offset out of range"); over
@@ -554,6 +552,11 @@ class RrrBitVector(_BitVector):
         count = np.where(sparse, kinds & _MAX_POSITIONS, kinds)
         ptr = np.zeros(len(kinds) + 1, dtype=np.int64)
         np.cumsum(2 * count + cb * ~sparse, out=ptr[1:])
+        if len(samples) < ptr[-1]:
+            raise EOFError("rrr offsets truncated")
+        if len(samples) > ptr[-1]:
+            raise ValueError("payload length")
+        stream = b"".join([samples, bytes(16 - len(samples) % 8)])
         ptr[:-1] |= sparse * kinds >> 6 << 30
         self.t, self._shift, self._stream = t, s, stream
         self._class_sums, self._width_sums, self._widths = _class_tables(t)
@@ -958,11 +961,6 @@ class RrrBitVector(_BitVector):
         sparse, values[sparse] = self._sparse_values(ptr)
         return values.ravel()
 
-    def trim(self, ends, limits):
-        """ValueError unless each tree's last node, ending at ends[i], ends its section, at limits[i]."""
-        if np.any(np.asarray(ends) != np.asarray(limits)):
-            raise ValueError("payload length")
-
     def to_bits(self):
         values = self._values()[: -(-self.m // self.t)]
         bits = (values[:, None] >> np.arange(self.t, dtype=np.uint64)) & _ONE
@@ -983,30 +981,23 @@ class RrrBitVector(_BitVector):
         kinds = np.bincount(np.frombuffer(self._ptr, dtype=np.uint32)[:-1] >> 30, minlength=4)
         return {"rrr": int(kinds[0]), "ones": int(kinds[2]), "zeros": int(kinds[3])}
 
-    def _section(self, start, stop):
-        """The samples of the tree of bits start..stop - 1: the first, one past the last, and their pointers as int64."""
-        lo = start // (RRR_SAMPLE_EVERY * self.t)
-        hi = lo + int(rrr_samples(stop - start, self.t))
-        return np.frombuffer(self._ptr, dtype=np.uint32)[lo : hi + 1].astype(np.int64)
+    def payload(self, ms):
+        """The payload section of the vector's trees of ms bits (int64): each m as a u32, every sample's kind byte, then the samples' bytes.
 
-    def section_bytes(self, start=0, stop=None):
-        """The payload section of the tree of bits start..stop - 1, all m by default.
-
-        Its bit count as a u32, each sample's kind byte, then the samples'
-        bytes as the stream holds them; start is the tree's first bit.
+        The kind bytes are the pointers' top bits and the samples' byte
+        counts (see read_payload), and the samples' bytes the stream as it
+        is, but its padding.
         """
-        stop = self.m if stop is None else stop
-        ptr = self._section(start, stop)
-        at = ptr & _AT
-        size = np.diff(at)
+        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
+        size = np.diff(ptr & _AT)
         cb = RRR_SAMPLE_EVERY >> self._shift
         kinds = np.where(ptr[:-1] >= _SPARSE, ptr[:-1] >> 24 & 0xC0 | size >> 1, (size - cb) >> 1)
-        return (stop - start).to_bytes(4, "little") + kinds.astype(np.uint8).tobytes() + self._stream[at[0] : at[-1]]
+        return ms.astype("<u4").tobytes() + kinds.astype(np.uint8).tobytes() + self._stream[: self._ptr[-1] & _AT]
 
-    def tree_size(self, start, stop):
-        """Bits of the tree of bits start..stop - 1: its stored bits, and its samples' ranks and pointers."""
-        ptr = self._section(start, stop) & _AT
-        return 32 + 8 * (len(ptr) - 1 + int(ptr[-1] - ptr[0])), 64 * (len(ptr) - 1)
+    def stored_bits(self, ms):
+        """Bits of the vector's trees of ms bits (int64): in the payload section, and in the samples' ranks and pointers."""
+        samples = len(self._ptr) - 1
+        return 32 * len(ms) + 8 * (samples + (self._ptr[-1] & _AT)), 64 * samples
 
 
 def build_plain(bits):
@@ -1022,86 +1013,47 @@ def make_bitvector(bits, t, ms=None):
     return RrrBitVector(bits, t, ms) if t else PlainBitVector(bits, ms)
 
 
-def read_sections(bufs, t):
-    """One vector of payload sections, plain for t = 0 else of t-bit RRR blocks, and each tree's first bit and limit.
+def read_payload(buf, t, count):
+    """The vector of an index file's payload section of count trees, plain for t = 0 else of t-bit RRR blocks, and each tree's m.
 
-    A tree's limit is where its section ends in the vector.
+    The section holds every tree's bit count m as a u32, returned as
+    int64, then, plain, each tree's ceil(m / 8) bytes, LSB first, in turn;
+    RRR, every sample's kind byte, then every sample's bytes. A kind byte
+    gives its sample's bytes: 0ccccccc a RRR sample of class bytes and 2c
+    offset bytes, 10cccccc the c positions of its ones, 11cccccc of its
+    zeros, two bytes each. Every size derived from a stored m is checked
+    against the section's length before anything of that size is made.
+    Raises EOFError or ValueError naming the failed check: a section
+    shorter than its counts, than the plain bytes or the RRR kind bytes
+    its ms give ("payload truncated"), or longer than the plain bytes
+    ("payload length"); the RRR samples' bytes over the uint32 limit,
+    checked before they are copied ("rrr offset stream of 2^32 bits or
+    more"); then the RRR vector's own checks (RrrBitVector._setup). The
+    padding bits of a plain tree's last byte are ignored: they are
+    cleared, as a build leaves them.
     """
-    return read_rrr(bufs, t) if t else read_plain(bufs)
-
-
-def read_plain(bufs):
-    """One vector of the plain payload sections in bufs, and each tree's first bit and limit.
-
-    Each section starts on a fresh word and takes the words of all its
-    bits: its limit is first + 8 * len(buf). The sections are joined in one
-    pass, each padded with zero bytes to the words it takes, after the
-    sizes are checked (see tree_firsts). A tree's length is only known
-    once its nodes are read, so trim then checks that at most the 7 bits
-    of the section's last byte follow them.
-    """
-    stored = 8 * np.fromiter(map(len, bufs), dtype=np.int64, count=len(bufs))
-    firsts = tree_firsts(stored)
-    pads = map(bytes, (8 * plain_words(stored) - (stored >> 3)).tolist())
-    raw = bytearray().join(itertools.chain.from_iterable(zip(bufs, pads))).translate(_REVERSED)
-    vector = PlainBitVector.__new__(PlainBitVector)
-    vector._setup(raw, stored)
-    return vector, firsts.tolist(), (firsts + stored).tolist()
-
-
-def read_rrr(bufs, t):
-    """One vector of the RRR payload sections in bufs, and each tree's first bit and limit.
-
-    Each tree starts on a fresh sample (see rrr_samples), and its limit is
-    first + m. Routing a node decodes the block that holds its end, so every
-    section is parsed (_parse_rrr), and the vector made from them checks
-    every sample (see RrrBitVector._setup), before any node is.
-    """
-    ms, kinds, stream = _parse_rrr(bufs, t)
-    vector = RrrBitVector.__new__(RrrBitVector)
-    vector._setup(t, ms, kinds, stream)
-    firsts = tree_firsts(ms, t)
-    return vector, firsts.tolist(), (firsts + ms).tolist()
-
-
-def _parse_rrr(bufs, t):
-    """The fields of RRR payload sections, sliced in one pass.
-
-    A section is its tree's bit count m as a u32, one kind byte per sample
-    (see rrr_samples), then the samples' bytes. Returns each section's m
-    (int64), the kind bytes of all sections in turn (uint8), and the
-    samples' bytes of all sections in turn, then zero bytes to a whole word
-    and a spare word, as RrrBitVector._setup takes them. A kind byte gives
-    its sample's bytes: 0ccccccc a RRR sample of class bytes and 2c offset
-    bytes, 10cccccc the c positions of its ones, 11cccccc of its zeros, two
-    bytes each. Raises EOFError or ValueError naming the failed check: a
-    section shorter than its count or its kind bytes ("payload truncated"),
-    the samples' bytes over the uint32 limit, checked before they are copied
-    ("rrr offset stream of 2^32 bits or more"), then a section shorter or
-    longer than its samples ("rrr offsets truncated", "payload length"). The
-    sections are sliced and joined by map, with no Python loop over them.
-    """
-    size = np.fromiter(map(len, bufs), dtype=np.int64, count=len(bufs))
-    if (size < 4).any():
+    head = 4 * count
+    if len(buf) < head:
         raise EOFError("payload truncated")
-    ms = np.frombuffer(b"".join(map(operator.getitem, bufs, itertools.repeat(slice(4)))), dtype="<u4")
-    ms = ms.astype(np.int64)
-    taken = rrr_samples(ms, t)
-    heads = 4 + taken  # the byte of each section where its samples start
-    if (heads > size).any():
+    ms = np.frombuffer(buf, dtype="<u4", count=count).astype(np.int64)
+    if t:
+        samples = int(rrr_samples(ms, t).sum())
+        if len(buf) < head + samples:
+            raise EOFError("payload truncated")
+        if 8 * (len(buf) - head - samples) >= 1 << 32:
+            raise ValueError("rrr offset stream of 2^32 bits or more")
+        vector = RrrBitVector.__new__(RrrBitVector)
+        vector._setup(t, ms, np.frombuffer(buf, np.uint8, samples, head), memoryview(buf)[head + samples :])
+        return vector, ms
+    held = head + int(((ms + 7) >> 3).sum())
+    if len(buf) < held:
         raise EOFError("payload truncated")
-    body = size - heads
-    if 8 * int(body.sum()) >= 1 << 32:
-        raise ValueError("rrr offset stream of 2^32 bits or more")
-    kinds = b"".join(map(operator.getitem, bufs, map(slice, itertools.repeat(4), heads.tolist())))
-    kinds = np.frombuffer(kinds, dtype=np.uint8)
-    count = kinds.astype(np.int64)
-    sparse = count >= 128
-    count[sparse] &= _MAX_POSITIONS
-    need = np.add.reduceat(2 * count + (RRR_SAMPLE_EVERY >> int(t <= _NIBBLE_MAX_T)) * ~sparse, np.cumsum(taken) - taken)
-    if (body < need).any():
-        raise EOFError("rrr offsets truncated")
-    if (body > need).any():
+    if len(buf) > held:
         raise ValueError("payload length")
-    tails = map(operator.getitem, bufs, map(slice, heads.tolist(), itertools.repeat(None)))
-    return ms, kinds, b"".join(itertools.chain(tails, [bytes(16 - int(body.sum()) % 8)]))
+    raw = bytearray(8 * int(plain_words(ms).sum()))
+    view = np.frombuffer(raw, dtype=np.uint8)
+    view[_plain_bytes(ms)] = np.frombuffer(buf, dtype=np.uint8, offset=head)
+    view[(tree_firsts(ms) >> 3) + (ms >> 3)] &= ((1 << (ms & 7)) - 1).astype(np.uint8)
+    vector = PlainBitVector.__new__(PlainBitVector)
+    vector._setup(raw.translate(_REVERSED), ms)
+    return vector, ms

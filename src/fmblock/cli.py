@@ -17,6 +17,7 @@ import tracemalloc
 
 from . import entropy as ent
 from . import storage, textcore
+from .bitrank import RRR_BLOCK_SIZES
 from .fmindex import IndexVariant, build_index
 
 VARIANT_BY_FLAG = {
@@ -64,7 +65,7 @@ def cmd_build(args):
         _require(variant.fixed, "--block-size applies to the fixed variants only")
         _require(args.block_size >= 1, "--block-size must be >= 1")
         _require(args.block_size < 1 << 64, "--block-size must be below 2^64")
-    _require(1 <= args.rrr_block_size <= 63, "--rrr-block-size must be in 1..63")
+    _require(args.rrr_block_size in RRR_BLOCK_SIZES, f"--rrr-block-size must be in {RRR_BLOCK_SIZES[0]}..{RRR_BLOCK_SIZES[-1]}")
     # opened before the text is read, so that an output that cannot be written
     # fails before any work; appending truncates nothing until the index is built
     created = not os.path.exists(args.output)

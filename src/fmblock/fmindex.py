@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import textcore
+from .bitrank import RRR_BLOCK_SIZES
 from .wavelet import WaveletTree
 
 # patterns per chunk of count_many, which bounds its temporaries
@@ -198,14 +199,15 @@ class BlockedFMIndex:
         return self.n.bit_length()
 
     def size_report(self):
+        payload, directories, codebooks = self.blocks.size_bits()
         return SizeReport(
             n=self.n,
             variant=self.variant.value,
-            wavelet_payload=sum(wt.payload_bits for wt in self.blocks),
-            rank_directories=sum(wt.directory_bits for wt in self.blocks),
+            wavelet_payload=payload,
+            rank_directories=directories,
             # row 0 is all zeros, so the model does not charge for it
             boundary_occ=(len(self.blocks) - 1) * self.sigma * self.counter_width,
-            codebooks=sum(wt.codebook_bits for wt in self.blocks),
+            codebooks=codebooks,
             c_array=64 * (self.sigma + 1),
             remap=8 * (self.sigma - 1),
         )
@@ -217,14 +219,15 @@ def build_index(t, variant, block_size=None, rrr_block_size=15):
     block_size applies to the fixed_block variants only and defaults to
     default_block_size(n, sigma); passing it with an ssa variant is an error.
     The ssa variants use one block of n symbols. rrr_block_size applies to
-    the *_rrr variants only, and must be in 1..63: a plain index carries 0,
-    as its file does, and this one number names its trees' vector.
+    the *_rrr variants only, and must be in bitrank's RRR_BLOCK_SIZES: a
+    plain index carries 0, as its file does, and this one number names its
+    trees' vector.
     """
     variant = IndexVariant(variant)
     if variant.bitvector_backend == "plain":
         rrr_block_size = 0
-    elif not 1 <= rrr_block_size <= 63:
-        raise ValueError("rrr block size must be in 1..63")
+    elif rrr_block_size not in RRR_BLOCK_SIZES:
+        raise ValueError(f"rrr block size must be in {RRR_BLOCK_SIZES[0]}..{RRR_BLOCK_SIZES[-1]}")
     if variant.fixed:
         bs = default_block_size(t.n, t.sigma) if block_size is None else int(block_size)
         if bs < 1:

@@ -1,4 +1,4 @@
-"""Binary serialization of a built index, format version 6.
+"""Binary serialization of a built index, format version 7.
 
 Layout (all integers little-endian):
 
@@ -7,39 +7,38 @@ Layout (all integers little-endian):
            (0 for ssa variants, which are one block of n symbols), u32
            block count
   sections each prefixed with its u32 byte length, in order: remap,
-           c array, then per block a codebook section (the tree's code
-           lengths) and a payload section (its bitvector as stored, the
-           nodes joined bit to bit; an RRR one from its u32 bit count, then
-           a kind byte per sample and the samples' bytes),
-           and last a checksum section holding the zlib.crc32 of every
-           byte before it
+           c array, codebooks (every tree's code lengths), payload (every
+           tree's bit count, then the trees' one bitvector as stored) and
+           checksum, the zlib.crc32 of every byte before it: five
+           sections, whatever the block count
 
 This module owns the header, the framing, remap, c array and checksum; the
-tree writes and parses a block's two sections (wavelet, bitrank). A load
-walks the framing of every section in one loop (_sections). A file
-holds only what cannot be recomputed: codes, rank directories, RRR samples
-and boundary rows are derived at load by the code that derives them at
-build. Deserialization rejects every other version (1, 2, 4 and 5 are
-earlier layouts; 3 was never written), checks the framing, remap, c array
-and checksum before it parses any tree, then checks the c array's symbol
-counts against the trees' leaf sizes, which the tree read sums (rank_l at
-n reads them, with no rank); a loaded index answers queries identically to
-the index that was saved.
+trees write and parse the codebooks and payload sections, each whole
+(wavelet, bitrank). A file holds only what cannot be recomputed: codes,
+rank directories, RRR samples and boundary rows are derived at load by
+the code that derives them at build. Deserialization rejects every other
+version (1, 2, 4, 5 and 6 are earlier layouts; 3 was never written),
+checks the framing, remap, c array and checksum before it parses any
+tree, then checks the c array's symbol counts against the trees' leaf
+sizes, which the tree read sums (rank_l at n reads them, with no rank); a
+loaded index answers queries identically to the index that was saved.
 """
 
 import struct
 import zlib
 
+from .bitrank import RRR_BLOCK_SIZES
 from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import read_trees
 
 MAGIC = b"FBFMIDX1"
-VERSION = 6
+VERSION = 7
 
 _HEADER = struct.Struct("<8sHBBQIQI")
 _U32 = struct.Struct("<I")
 _VARIANT_CODES = {v: i for i, v in enumerate(IndexVariant)}
 _VARIANTS = list(IndexVariant)
+_SECTIONS = ("remap", "c array", "codebooks", "payload", "checksum")
 
 
 class UnsupportedFormatError(ValueError):
@@ -67,10 +66,7 @@ def serialize(index, sink):
         index.block_size if variant.fixed else 0,
         len(index.blocks),
     )
-    sections = [bytes(index.byte_for_code)]
-    sections.append(struct.pack(f"<{index.sigma + 1}Q", *index.c))
-    for wt in index.blocks:
-        sections += [wt.codebook_section(), wt.payload_section()]
+    sections = [bytes(index.byte_for_code), struct.pack(f"<{index.sigma + 1}Q", *index.c), *index.blocks.sections()]
     chunks = [header]
     for body in sections:
         chunks += [struct.pack("<I", len(body)), body]
@@ -88,30 +84,25 @@ def serialize(index, sink):
     return written
 
 
-def _sections(data, count):
-    """Every section body after the header, and where the checksum section starts.
+def _sections(data):
+    """Every section body after the header, as a view of data, and where the checksum section starts.
 
-    The sections of an index of count blocks are the remap, the c array, a
-    codebook and a payload per block, then the checksum. One loop walks
-    them all and formats a section's name only when it is missing or
-    truncated. Bytes after the checksum section are trailing data.
+    A section that is missing or truncated is named (_SECTIONS). Bytes
+    after the checksum section are trailing data.
     """
-    length, at, size = _U32.unpack_from, _HEADER.size, len(data)
+    view, at, size = memoryview(data), _HEADER.size, len(data)
     bodies = []
-    for k in range(2 * count + 3):
+    for name in _SECTIONS:
         start = at + 4
-        end = start + length(data, at)[0] if start <= size else start
-        if end > size:
-            if 2 <= k <= 2 * count + 1:
-                name = f"{('codebook', 'payload')[k & 1]} {(k - 2) >> 1}"
-            else:
-                name = ("remap", "c array", "checksum")[min(k, 2)]
-            _corrupt(f"{'missing' if start > size else 'truncated'} {name} section")
-        bodies.append(data[start:end])
-        at = end
+        if start > size:
+            _corrupt(f"missing {name} section")
+        at = start + _U32.unpack_from(data, start - 4)[0]
+        if at > size:
+            _corrupt(f"truncated {name} section")
+        bodies.append(view[start:at])
     if at != size:
         _corrupt("trailing data")
-    return bodies, at - 4 - len(bodies[-1])
+    return bodies, start - 4
 
 
 def deserialize(source):
@@ -131,7 +122,7 @@ def deserialize(source):
     variant = _VARIANTS[vcode]
     if n < 1 or not 2 <= sigma <= 257:
         _corrupt("header ranges")
-    if not (1 <= rrr_t <= 63 if variant.bitvector_backend == "rrr" else rrr_t == 0):
+    if not (rrr_t in RRR_BLOCK_SIZES if variant.bitvector_backend == "rrr" else rrr_t == 0):
         _corrupt("rrr block size")
     if not variant.fixed:
         # an ssa index is one block of n symbols, stored as block size 0
@@ -141,8 +132,7 @@ def deserialize(source):
     if block_size < 1 or block_count != (n + block_size - 1) // block_size:
         _corrupt("block count")
 
-    sections, checked = _sections(data, block_count)
-    remap, c_body, crc_body = sections[0], sections[1], sections[-1]
+    (remap, c_body, codebooks, payload, crc_body), checked = _sections(data)
 
     if len(remap) != sigma - 1 or list(remap) != sorted(set(remap)):
         _corrupt("remap")
@@ -156,9 +146,8 @@ def deserialize(source):
     if crc_body != struct.pack("<I", zlib.crc32(memoryview(data)[:checked])):
         _corrupt("checksum")
 
-    trees = zip(sections[2:-1:2], sections[3:-1:2])
     try:
-        blocks = read_trees(trees, n, block_size, sigma, rrr_t)
+        blocks = read_trees(codebooks, payload, n, block_size, sigma, rrr_t)
     except (ValueError, EOFError) as exc:
         _corrupt(exc)
 

@@ -30,21 +30,22 @@ the whole sequence: a symbol's row in the block, plus its rank in the
 block's tree; at the sequence's end, the symbol's total, with no rank.
 
 A build and a load share one layout path (_read): it reads every tree's
-nodes at once, one depth at a time, from the vector and each tree's first
-bit and limit in it, each node sized by its parent's zero or one count,
-the ends of a depth's nodes ranked in one call of the vector's
-rank1_many, and sums the leaf sizes, the symbol counts, into the boundary
-rows and the totals. Build and load make every tree's codes from its code
-lengths at once, with one rule (_canonical). A build (WaveletTree(x, ...))
-counts every block's symbols in one bincount, takes Huffman code lengths
-per block (huffman_lengths) or ceil(log2 k) bits for a balanced tree's k
-symbols, and writes each block's nodes' bits in the order _read reads
-them, level by level and each level in prefix order, with one FIFO queue
-from the root (_node_bits); one make_bitvector call puts every tree's bits
-in one vector, and _read lays them out. A load (read_trees) parses and
-checks every codebook section in one pass (_parse_codebooks), reads every
-payload section into one vector (see bitrank's read_sections), and runs
-_read.
+nodes at once, one depth at a time, from the vector and each tree's bit
+count, which gives its first bit and its limit, each node sized by its
+parent's zero or one count, the ends of a depth's nodes ranked in one
+call of the vector's rank1_many, and sums the leaf sizes, the symbol
+counts, into the boundary rows and the totals. Build and load make every tree's codes from its code
+lengths at once, with one rule (_canonical), and place every tree in the
+vector by one rule, from the trees' bit counts (bitrank's tree_firsts). A
+build (WaveletTree(x, ...)) counts every block's symbols in one bincount,
+takes Huffman code lengths per block (huffman_lengths) or ceil(log2 k)
+bits for a balanced tree's k symbols, and writes each block's nodes' bits
+in the order _read reads them, level by level and each level in prefix
+order, with one FIFO queue from the root (_node_bits); one make_bitvector
+call puts every tree's bits in one vector, and _read lays them out. A load
+(read_trees) reads the payload section into one vector (see bitrank's
+read_payload), parses and checks the codebooks section in one pass
+(_parse_codebooks), and runs _read.
 
 WaveletTree.narrow takes one backward search's steps: the two ends of a
 step in one block go down the code's whole path in one call of the
@@ -55,20 +56,20 @@ views of the same tables, one level per round, each round one call of the
 vector's batch_rank1, until few ranks still descend: those finish their
 paths one at a time with the vector's rank1.
 
-A tree owns the layout of its two index-file sections: the codebook (u16
-alphabet size, then a u16 symbol and u8 code length per symbol in
-ascending order, and no code bits) and the payload, its vector as stored
-(see bitrank).
+The trees own two index-file sections, each written whole (sections) and
+read whole (read_trees): the codebooks, a u16 code count per tree in
+block order, then every tree's entries in turn, a u16 symbol and a u8
+code length per symbol in ascending order, and no code bits; and the
+payload, their vector as stored (see bitrank).
 """
 
 import heapq
-import struct
 from array import array
 from collections import deque
 
 import numpy as np
 
-from .bitrank import make_bitvector, read_sections, tree_firsts
+from .bitrank import make_bitvector, read_payload, tree_firsts
 
 
 def huffman_lengths(weights):
@@ -190,9 +191,7 @@ class WaveletTree:
         parts = [_node_bits(x[s : s + size], counts[i], *table[:, i]) for i, s in enumerate(range(0, n, size))]
         del counts, table  # before _read makes its own tables
         ms = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-        bits = make_bitvector(np.concatenate(parts), rrr_block_size, ms)
-        first = tree_firsts(ms, rrr_block_size)
-        _read(self, bits, first, first + ms, codebook)
+        _read(self, make_bitvector(np.concatenate(parts), rrr_block_size, ms), ms, codebook)
 
     def __len__(self):
         return len(self.starts)
@@ -231,6 +230,28 @@ class WaveletTree:
     def code_length_bits(self):
         """Total code length over the sequence: every tree's bits, from its start to its leaf."""
         return sum(self.leaves) - sum(self.starts)
+
+    def _ms(self):
+        """Each tree's bits, from its start to its leaf, as int64."""
+        return np.frombuffer(self.leaves, dtype=np.int64) - np.frombuffer(self.starts, dtype=np.int64)
+
+    def sections(self):
+        """The trees' two index-file sections, each made whole: the codebooks and the payload (see read_trees)."""
+        paths = np.frombuffer(self.paths, dtype=self.paths.typecode).reshape(-1, self.sigma)
+        tree, syms = np.nonzero(paths)
+        entries = np.empty(len(syms), dtype=_ENTRY)
+        entries["sym"], entries["len"] = syms, paths[tree, syms] & 127
+        counts = np.count_nonzero(paths, axis=1).astype("<u2")
+        return counts.tobytes() + entries.tobytes(), self.bits.payload(self._ms())
+
+    def size_bits(self):
+        """The trees' bits, all trees together: (payload, rank directories, codebooks).
+
+        The payload and the codebooks as their sections store them, and the
+        rank directories or samples as the vector holds them.
+        """
+        payload, directories = self.bits.stored_bits(self._ms())
+        return payload, directories, 16 * len(self) + 24 * int(np.count_nonzero(self.paths))
 
     def narrow(self, codes, b, e, c):
         """The backward-search range [b, e) after a step for each code in turn; None once it is empty.
@@ -368,50 +389,19 @@ class Block:
 
     def _items(self):
         """(symbol, path) for every symbol of the tree, in ascending order; a path is a tuple of steps."""
-        steps = self._tree.steps
-        return [(sym, tuple(steps[k >> 8 : (k >> 8) + (k & 127)])) for sym, k in enumerate(self._row()) if k]
-
-    @property
-    def payload_bits(self):
-        """The bits of the tree's payload section: those from its start to its leaf, as stored."""
-        return self.bits.tree_size(self.start, self.leaf)[0]
-
-    @property
-    def directory_bits(self):
-        """The rank directory or samples of the tree's bits in its vector."""
-        return self.bits.tree_size(self.start, self.leaf)[1]
-
-    def _row(self):
-        """The tree's path entries, one per symbol below sigma (see WaveletTree)."""
-        tree = self._tree
-        return tree.paths[self._i * tree.sigma : (self._i + 1) * tree.sigma]
-
-    @property
-    def codebook_bits(self):
-        """16-bit alphabet size, then a 16-bit symbol and an 8-bit code length each."""
-        return 16 + 24 * sum(1 for k in self._row() if k)
-
-    def codebook_section(self):
-        row = self._row()
-        row = np.frombuffer(row, dtype=row.typecode)
-        entries = np.empty(np.count_nonzero(row), dtype=_ENTRY)
-        entries["sym"] = np.flatnonzero(row)
-        entries["len"] = row[entries["sym"]] & 127
-        return struct.pack("<H", len(entries)) + entries.tobytes()
-
-    def payload_section(self):
-        """The tree's bits as its vector stores them: plain, the bits; RRR, m, kind bytes, samples."""
-        return self.bits.section_bytes(self.start, self.leaf)
+        tree, steps = self._tree, self._tree.steps
+        row = tree.paths[self._i * tree.sigma : (self._i + 1) * tree.sigma]
+        return [(sym, tuple(steps[k >> 8 : (k >> 8) + (k & 127)])) for sym, k in enumerate(row) if k]
 
 
-def _read(wt, bits, firsts, limits, codebook):
+def _read(wt, bits, ms, codebook):
     """Fill wt's path tables, boundary rows and symbol totals from its trees in one vector.
 
     wt holds its sequence's length n, block size and sigma. Tree i, of block
-    i, has its nodes joined bit to bit in bits from firsts[i], to limits[i]
-    at most (see bitrank's read_sections); codebook holds the trees'
-    canonical codes as _canonical gives them, and every symbol is
-    below sigma. Every tree holds block_size elements but the last, which
+    i, has its ms[i] bits of nodes joined bit to bit in bits, from its first
+    bit, which tree_firsts(ms, bits.t) gives it, to its limit, first + m;
+    codebook holds the trees' canonical codes as _canonical gives them, and
+    every symbol is below sigma. Every tree holds block_size elements but the last, which
     holds the rest. All trees are read at once, one depth at a time, with no
     Python loop over trees or nodes. From one canonical code to the next,
     the prefix at any depth shorter than both grows by at most one, so a
@@ -426,8 +416,8 @@ def _read(wt, bits, firsts, limits, codebook):
     call of bits.rank1_many, at their ends. Raises ValueError on a node of
     no bits, which a tree built from a sequence never has: the codebook then
     lists symbols the block does not hold; EOFError if a node runs past its
-    tree's limit. Once every node is read, bits.trim checks what follows
-    each tree's last node, which no rank reads.
+    tree's limit ("payload truncated"). Once every node is read, every
+    tree's last node must end at its limit ("payload length").
 
     rank follows a position p in the vector, which starts at r plus the
     root's start s, the tree's start (its first bit for a tree with no
@@ -443,9 +433,9 @@ def _read(wt, bits, firsts, limits, codebook):
     rows sum them over the blocks before each block, and the totals, which
     rank returns at n, over every block.
     """
-    sigma, ntrees = wt.sigma, len(firsts)
-    first = np.array(firsts, dtype=np.int64)
-    limit = np.array(limits, dtype=np.int64)
+    sigma, ntrees = wt.sigma, len(ms)
+    first = tree_firsts(ms, bits.t)
+    limit = first + ms
     lengths = np.full(ntrees, wt.block_size, dtype=np.int64)
     lengths[-1] = wt.n - (ntrees - 1) * wt.block_size
     tree, syms, lens, codes = codebook
@@ -503,7 +493,8 @@ def _read(wt, bits, firsts, limits, codebook):
         total += k
         node_child.append(np.where(inner, total + np.cumsum(inner) - 1, -1))
         at, size = child_tree[inner], child_size[inner]
-    bits.trim(end, limit)
+    if (end != limit).any():
+        raise ValueError("payload length")
     wt.bits = bits
     wt.starts = array("q", first.tobytes())
     wt.leaves = array("q", end.tobytes())
@@ -575,35 +566,31 @@ def _canonical(tree, syms, lens):
     return tree, syms, lens, below >> shift
 
 
-def _parse_codebooks(bodies, sigma):
-    """The canonical codes of codebook sections over symbols below sigma, all parsed at once.
+def _parse_codebooks(body, count, sigma):
+    """The canonical codes of a codebooks section of count trees over symbols below sigma, parsed whole.
 
-    The code lengths must meet Kraft's inequality with equality, as those of
-    a Huffman tree do: a single symbol has length 0, and otherwise every
-    internal node has two children. Each check runs over every section
-    before the next, so a damaged section fails the check it fails alone:
-    the header, the alphabet size, the entries against it, the symbols,
-    then the code lengths. Raises ValueError naming the failed check.
-    Returns _canonical's codes; each tree's running sums of 2^(64 -
-    length) in uint64, its codes shifted back, check Kraft equality exactly
-    for lengths up to 64.
+    The section holds a u16 code count per tree, then every tree's (u16
+    symbol, u8 code length) entries in turn. The code lengths must meet
+    Kraft's inequality with equality, as those of a Huffman tree do: a
+    single symbol has length 0, and otherwise every internal node has two
+    children. Each check runs over every tree before the next: the counts,
+    the alphabet sizes, the entries against them, the symbols, then the
+    code lengths. Raises ValueError naming the failed check. Returns
+    _canonical's codes; each tree's running sums of 2^(64 - length) in
+    uint64, its codes shifted back, check Kraft equality exactly for
+    lengths up to 64.
     """
-    size = np.fromiter(map(len, bodies), dtype=np.int64, count=len(bodies))
-    if (size < 2).any():
+    if len(body) < 2 * count:
         raise ValueError("codebook header")
-    raw = np.frombuffer(b"".join(bodies), dtype=np.uint8)
-    at = np.cumsum(size) - size
-    count = raw[at] | raw[at + 1].astype(np.int64) << 8
-    if (count < 1).any():
+    sizes = np.frombuffer(body, dtype="<u2", count=count).astype(np.int64)
+    if (sizes < 1).any():
         raise ValueError("codebook alphabet size")
-    if (size < 2 + 3 * count).any():
+    if len(body) < 2 * count + 3 * int(sizes.sum()):
         raise ValueError("codebook entries")
-    if (size > 2 + 3 * count).any():
+    if len(body) > 2 * count + 3 * int(sizes.sum()):
         raise ValueError("codebook length")
-    body = np.ones(len(raw), dtype=bool)
-    body[at] = body[at + 1] = False
-    entries = raw[body].view(_ENTRY)
-    tree = np.repeat(np.arange(len(bodies)), count)
+    entries = np.frombuffer(body, dtype=_ENTRY, offset=2 * count)
+    tree = np.repeat(np.arange(count), sizes)
     syms = entries["sym"].astype(np.int64)
     lens = entries["len"].astype(np.int64)
     same = tree[1:] == tree[:-1]
@@ -614,7 +601,7 @@ def _parse_codebooks(bodies, sigma):
     _, _, lens, codes = codebook = _canonical(tree, syms, lens)
     shift = (64 - np.maximum(lens, 1)).astype(np.uint64)
     below = codes << shift  # the tree's sum before each code
-    total = (below + (_ONE << shift) * (lens > 0))[np.cumsum(count) - 1]  # mod 2^64
+    total = (below + (_ONE << shift) * (lens > 0))[np.cumsum(sizes) - 1]  # mod 2^64
     # each tree's sum is 2^64 exactly when it is 0 mod 2^64 and, code by code,
     # never passed 2^64: a weight is at most 2^63, so passing it makes the
     # running sum fall, unless the last weight reaches just 2^64
@@ -623,21 +610,21 @@ def _parse_codebooks(bodies, sigma):
     return codebook
 
 
-def read_trees(sections, n, block_size, sigma, rrr_block_size):
-    """The WaveletTree of a sequence of n symbols below sigma from its blocks' (codebook, payload) sections.
+def read_trees(codebooks, payload, n, block_size, sigma, rrr_block_size):
+    """The WaveletTree of a sequence of n symbols below sigma from its codebooks and payload sections.
 
-    The sections are all parsed into one vector, plain for rrr_block_size
-    0, and an RRR one's fields checked, before any tree is read (see
-    bitrank's read_sections). A
+    The payload is read into one vector, plain for rrr_block_size 0, and
+    an RRR one's samples checked, before the codebooks are parsed (see
+    bitrank's read_payload), and both before any tree is read. A
     symbol's count in a tree is the size of its leaf, from the zero or one
     count of the last node on its path (see _read). ValueError or EOFError
     names a failed check.
     """
-    codebooks, payloads = zip(*sections)
-    bits, firsts, limits = read_sections(payloads, rrr_block_size)
     wt = WaveletTree.__new__(WaveletTree)
     wt.n, wt.block_size, wt.sigma = n, min(block_size, n), sigma
-    _read(wt, bits, firsts, limits, _parse_codebooks(codebooks, sigma))
+    count = -(-n // wt.block_size)
+    bits, ms = read_payload(payload, rrr_block_size, count)
+    _read(wt, bits, ms, _parse_codebooks(codebooks, count, sigma))
     return wt
 
 

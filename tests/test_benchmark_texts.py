@@ -58,10 +58,10 @@ def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
 # at its default block size; the stdlib-read text is left out, since it is a
 # slice of the installed Python's own sources
 MARKOV_DIGESTS = {
-    "ssa": "ecf1af4eec0034cf859ce2fba7396483e3dbda051839446bd942ce7f794a4998",
-    "ssa_rrr": "2d44c23425358fa12a86a9b0f21497bea973c370542874032cf5955b207c5aaa",
-    "fixed_block": "71d67146dc125c408d40a1ce19a5efbe9c765b5b2d9c41d56be1bf72965daf15",
-    "fixed_block_rrr": "f4a173892477c068f1ad7e3f57b9f4ce6e9447fb7aa11718b1c71da60b1365cd",
+    "ssa": "9c682c2d324d639f71e2aabbc034d3a508f70ae5c4d2970f6a8eea35a5fa53a8",
+    "ssa_rrr": "873b9c62fcacc9a03a6b368a04b34a004d64bb4db27af3a0d02432490c4f40cb",
+    "fixed_block": "69ace40a5fb3dc3222a14e5c9f6130a57864572a43659dd72448a06e93b9155e",
+    "fixed_block_rrr": "4532b18f71606be99fe537d3cf85446812ad99f29e00cee80cce3b7312d96165",
 }
 
 

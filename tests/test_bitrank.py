@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import struct
 import tracemalloc
 from array import array
 
@@ -21,15 +22,14 @@ from fmblock.bitrank import (
     offset_of_value,
     offset_width,
     plain_words,
-    read_rrr,
-    read_sections,
+    read_payload,
     rrr_samples,
     tree_firsts,
     value_of_offset,
     _decode_table,
     _word_table,
 )
-from helpers import rrr_section
+from helpers import rrr_payload
 
 
 def cumulative_rank(bits, bit, j):
@@ -68,8 +68,8 @@ def test_rank_argument_validation():
 
 def test_plain_directory_sizing():
     v = build_plain([1] * 4096)
-    # the bits, then one 32-bit counter per 64-bit word, plus a word for rank1(m)
-    assert v.tree_size(0, v.m) == (4096, 32 * (4096 // 64 + 1))
+    # the u32 bit count and the bits, then one 32-bit counter per 64-bit word, plus a word for rank1(m)
+    assert v.stored_bits(np.array([v.m])) == (32 + 4096, 32 * (4096 // 64 + 1))
 
 
 def test_plain_heap_is_at_most_1_6_bits_per_bit():
@@ -100,19 +100,19 @@ def test_rrr_offset_stream_of_2_32_bits_is_rejected_before_allocating():
         def __len__(self):
             return self.size
 
-    def sections(*sizes):
-        # sections of m = 0, one ones sample of no position, that claim
-        # `sizes` bytes: all but the count and the kind byte would be samples
-        out = [Sized(bytes(4) + bytes([0x80])) for _ in sizes]
-        for buf, size in zip(out, sizes):
-            buf.size = size
-        return out
+    def payload(size):
+        # two trees of m = 0, each one ones sample of no position, in a
+        # section that claims `size` bytes: all but the counts and the kind
+        # bytes would be samples
+        buf = Sized(bytes(8) + bytes([0x80, 0x80]))
+        buf.size = size
+        return buf
 
     with pytest.raises(ValueError, match="rrr offset stream of 2\\^32 bits or more"):
-        read_rrr(sections(2**28 + 5, 2**28 + 5), 15)
-    # 8 bits fewer pass, and fail the next check, which needs no allocation
-    with pytest.raises(ValueError, match="payload length"):
-        read_rrr(sections(2**28 + 5, 2**28 + 4), 15)
+        read_payload(payload(10 + 2**29), 15, 2)
+    # 8 bits fewer pass, to the samples' own bytes, which are none
+    v, ms = read_payload(payload(10 + 2**29 - 1), 15, 2)
+    assert ms.tolist() == [0, 0] and v.sample_kinds() == {"rrr": 0, "ones": 2, "zeros": 0}
 
 
 def test_rrr_worked_block():
@@ -158,9 +158,9 @@ def test_rrr_block_size_validation():
 def test_rrr_compresses_sparse_input():
     m = 4096
     v = build_rrr([0] * m, 15)
-    assert sum(v.tree_size(0, v.m)) < m // 2
+    assert sum(v.stored_bits(np.array([m]))) < m // 2
     dense = build_rrr([1] * m, 15)
-    assert sum(dense.tree_size(0, dense.m)) < m // 2
+    assert sum(dense.stored_bits(np.array([m]))) < m // 2
 
 
 def test_enumerative_offsets_are_numeric_rank():
@@ -176,7 +176,7 @@ def test_enumerative_offsets_are_numeric_rank():
 @pytest.mark.parametrize("t", range(1, 17))
 def test_every_block_decodes_at_every_rem(t):
     # every t-bit block, as each (class, offset) pair in turn, in one tree of
-    # RRR samples only (rrr_section), so that every block is decoded through
+    # RRR samples only (rrr_payload), so that every block is decoded through
     # the decode table, its top-bit peel and its complement: every rank form
     # at every position, so at every rem of every block, and to_bits equal
     # the blocks' value_of_offset
@@ -184,7 +184,7 @@ def test_every_block_decodes_at_every_rem(t):
     values = np.array([value_of_offset(off, t, k) for k, off in blocks], dtype=np.int64)
     bits = (values[:, None] >> np.arange(t) & 1).astype(np.uint8).ravel()
     prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
-    v, _, _ = read_rrr([rrr_section(len(bits), t, blocks)], t)
+    v, _ = read_payload(rrr_payload(t, [(len(bits), blocks)]), t, 1)
     assert v.sample_kinds()["rrr"] == len(v._sample_rank)
     positions = np.arange(len(bits) + 1)
     assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
@@ -236,7 +236,7 @@ def test_rrr_offset_width_accounting():
     # the u32 bit count, a kind byte per sample, then each sample's 16 class
     # bytes and its offsets, padded to an even byte count
     offsets = [sum(offset_width(15, k) for k in classes[s : s + 32]) for s in (0, 32)]
-    stored, samples = v.tree_size(0, v.m)
+    stored, samples = v.stored_bits(np.array([v.m]))
     assert stored == 32 + 2 * 8 + sum(8 * 16 + 16 * -(-bits // 16) for bits in offsets)
     assert samples == 64 * len(v._sample_rank)
 
@@ -245,39 +245,37 @@ def test_rrr_offset_width_accounting():
     "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
 )
 def test_stored_bits_read_back_at_unaligned_positions(backend, t):
-    # three trees' payload sections, read into one vector in one call, each
-    # of nodes joined bit to bit under either backend: an RRR section holds
-    # the u32 bit count, then its samples, here all RRR, written field by
-    # field (rrr_section); the second tree's 63 bits leave one padding bit before its spare word
+    # three trees' payload, read into one vector in one call, each of nodes
+    # joined bit to bit under either backend: the u32 bit counts, then the
+    # bits, plain, each tree's in whole bytes; RRR, every sample's kind byte
+    # and then its bytes, here every sample RRR, written field by field
+    # (rrr_payload). The second tree's 63 bits leave one padding bit before
+    # its spare word
     rng = random.Random(t)
     sizes = [(1, t, 100, 700, 3, 0, 9), (63,), (5, 2 * t + 1)]
     trees = [[[rng.randint(0, 1) for _ in range(m)] for m in tree] for tree in sizes]
     joined = [np.array(list(itertools.chain(*nodes)), dtype=np.uint8) for nodes in trees]
+    counts = struct.pack("<3I", *map(len, joined))
     if backend == "plain":
+        t = 0
         bufs = [np.packbits(bits, bitorder="little").tobytes() for bits in joined]
-        # padding ones, which no rank reads: it stops at a tree's last node
-        sections = [buf[:-1] + bytes([buf[-1] | 0xFF << len(bits) % 8 & 0xFF]) for buf, bits in zip(bufs, joined)]
-        spans = [64 * plain_words(8 * len(buf)) for buf in bufs]
-        stored = [8 * len(buf) for buf in bufs]
+        written = counts + b"".join(bufs)
+        # padding ones, which no rank reads: a load clears them
+        payload = counts + b"".join(buf[:-1] + bytes([buf[-1] | 0xFF << len(bits) % 8 & 0xFF]) for buf, bits in zip(bufs, joined))
+        spans = [64 * plain_words(len(bits)) for bits in joined]
     else:
-        bufs = [rrr_section(len(bits), t, make_bitvector(bits, t).blocks()) for bits in joined]
-        sections = bufs
+        payload = written = rrr_payload(t, [(len(bits), make_bitvector(bits, t).blocks()) for bits in joined])
         spans = [RRR_SAMPLE_EVERY * t * rrr_samples(len(bits), t) for bits in joined]
-        stored = [len(bits) for bits in joined]
-    v, firsts, limits = read_sections(sections, t if backend == "rrr" else 0)
-    # each tree from a fresh word (plain) or sample (RRR), to the end of its section
+    v, ms = read_payload(payload, t, 3)
+    assert ms.tolist() == list(map(len, joined))
+    # each tree from a fresh word (plain) or sample (RRR)
+    firsts = tree_firsts(ms, v.t).tolist()
     assert firsts == [0, *itertools.accumulate(spans[:-1])]
-    assert limits == [first + m for first, m in zip(firsts, stored)]
-    ends = [first + len(bits) for first, bits in zip(firsts, joined)]
     for first, bits in zip(firsts, joined):
         # rank1 counted from the tree's first bit, at every position and so every node boundary
         assert [v.rank1(first + j) for j in range(len(bits) + 1)] == [0, *itertools.accumulate(bits.tolist())]
-    with pytest.raises(ValueError, match="payload length"):
-        v.trim([end - (8 if backend == "plain" else 1) for end in ends], limits)
-    v.trim(ends, limits)
-    assert v.m == ends[-1] and [v.rank1(end) for end in ends] == [int(bits.sum()) for bits in joined]
-    for first, bits, buf in zip(firsts, joined, bufs):
-        assert v.section_bytes(first, first + len(bits)) == buf
+    assert v.m == firsts[-1] + ms[-1]
+    assert v.payload(ms) == written
 
 
 @pytest.mark.parametrize(
@@ -300,11 +298,13 @@ def test_batch_rank1_equals_rank1_over_three_trees(backend, t, middle):
                 bits[lo : lo + t] = 0
                 bits[[lo + i for i in rng.sample(range(t), t // 2)]] = 1
     if backend == "plain":
-        sections = [np.packbits(bits, bitorder="little").tobytes() for bits in joined]
+        t = 0
+        payload = struct.pack("<3I", *map(len, joined)) + b"".join(np.packbits(bits, bitorder="little").tobytes() for bits in joined)
     else:
-        sections = [rrr_section(len(bits), t, make_bitvector(bits, t).blocks()) for bits in joined]
-    v, firsts, limits = read_sections(sections, t if backend == "rrr" else 0)
-    v.trim([first + len(bits) for first, bits in zip(firsts, joined)], limits)
+        payload = rrr_payload(t, [(len(bits), make_bitvector(bits, t).blocks()) for bits in joined])
+    v, ms = read_payload(payload, t, 3)
+    firsts = tree_firsts(ms, t)
+    limits = (firsts + ms).tolist()
     positions = np.arange(limits[-1] + 1)
     assert {*firsts, *limits, *range(0, limits[-1] + 1, 64)} <= set(positions.tolist())
     assert v.batch_rank1()(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
@@ -371,18 +371,26 @@ def test_rank1_equals_the_prefix_sum_at_every_position(bits):
         assert v.rank1(v.m) == prefix[-1]
 
 
+def joined_payload(trees, t):
+    """The payload section of trees, from each tree's own vector: every tree's count, then (RRR) kind bytes, then bytes."""
+    parts = [make_bitvector(bits, t).payload(np.array([len(bits)])) for bits in trees]
+    heads = [4 + (int(rrr_samples(len(bits), t)) if t else 0) for bits in trees]
+    return b"".join(
+        [*(part[:4] for part in parts), *(part[4:h] for part, h in zip(parts, heads)), *(part[h:] for part, h in zip(parts, heads))]
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(bit_arrays(), min_size=1, max_size=4),
     st.sampled_from([0, 1, 3, 4, 15, 16, 17, 31, 63]),
 )
 def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
-    # each tree's section as its own vector stores it, all read into one
-    # vector, plain for t = 0; rank1_many, at every position in one call,
-    # equals rank1, and so it does on no position
-    sections = [make_bitvector(bits, t).section_bytes() for bits in trees]
-    v, firsts, limits = read_sections(sections, t)
-    v.trim([first + len(bits) for first, bits in zip(firsts, trees)], limits)
+    # the trees' payload, from each tree's own vector, read into one vector,
+    # plain for t = 0; rank1_many, at every position in one call, equals
+    # rank1, and so it does on no position
+    v, ms = read_payload(joined_payload(trees, t), t, len(trees))
+    firsts = tree_firsts(ms, t).tolist()
     positions = np.concatenate([np.arange(first, first + len(bits) + 1) for first, bits in zip(firsts, trees)])
     assert v.rank1_many(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
     assert v.rank1_many(positions[::-1].copy()).tolist() == [v.rank1(j) for j in positions[::-1].tolist()]
@@ -396,23 +404,23 @@ def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
 )
 def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(trees, t):
     # one make_bitvector call over the trees' joined bits and bit counts lays
-    # each tree out from the first bit read_sections gives it, with the same
-    # words and counters (t = 0, plain), or sample stream, pointers and ranks
-    ms = [len(bits) for bits in trees]
+    # each tree out where a load of their payload, from each tree's own
+    # vector, does (tree_firsts), with the same words and counters (t = 0,
+    # plain), or sample stream, pointers and ranks, and writes that payload
+    ms = np.array([len(bits) for bits in trees], dtype=np.int64)
     built = make_bitvector(np.concatenate(trees), t, ms)
-    sections = [make_bitvector(bits, t).section_bytes() for bits in trees]
-    loaded, firsts, limits = read_sections(sections, t)
-    ends = [first + m for first, m in zip(firsts, ms)]
-    loaded.trim(ends, limits)
-    assert tree_firsts(ms, t).tolist() == firsts
-    assert built.m == loaded.m == ends[-1]
+    payload = joined_payload(trees, t)
+    loaded, loaded_ms = read_payload(payload, t, len(trees))
+    assert loaded_ms.tolist() == ms.tolist()
+    firsts = tree_firsts(ms, t).tolist()
+    assert built.m == loaded.m == firsts[-1] + ms[-1]
     if t == 0:
         assert built._words == loaded._words and built._counts == loaded._counts
     else:
         assert (built._stream, built._ptr, built._sample_rank) == (loaded._stream, loaded._ptr, loaded._sample_rank)
-    for first, end, bits in zip(firsts, ends, trees):
-        assert [built.rank1(j) for j in range(first, end + 1)] == [0, *itertools.accumulate(bits.tolist())]
-        assert built.section_bytes(first, end) == loaded.section_bytes(first, end)
+    for first, bits in zip(firsts, trees):
+        assert [built.rank1(j) for j in range(first, first + len(bits) + 1)] == [0, *itertools.accumulate(bits.tolist())]
+    assert built.payload(ms) == loaded.payload(ms) == payload
 
 
 def rank1_walks(v, steps, b, e):

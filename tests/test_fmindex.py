@@ -344,11 +344,11 @@ def test_count_many_finishes_deep_paths_with_scalar_ranks(variant, t, monkeypatc
 def test_a_build_makes_one_vector_and_parses_no_section(variant, monkeypatch):
     # every block's tree goes into one vector in one make_bitvector call, with
     # each tree's bit count, and is laid out as a load lays it out, with no
-    # payload section read and no codebook parsed
+    # payload read and no codebook parsed
     calls = []
     make = wavelet.make_bitvector
     monkeypatch.setattr(wavelet, "make_bitvector", lambda *args: calls.append(args) or make(*args))
-    for name in ("read_sections", "_parse_codebooks"):
+    for name in ("read_payload", "_parse_codebooks"):
         monkeypatch.setattr(wavelet, name, mock.Mock(side_effect=AssertionError(name)))
     t = build_text(b"fixed block compression boosting " * 20)
     ix = build_index(t, variant, 50 if variant.fixed else None)

@@ -37,8 +37,7 @@ from fmblock.storage import (
     serialize,
 )
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
-from fmblock.wavelet import read_trees
-from helpers import markov2_codes, pattern_batch, random_codes, rrr_section
+from helpers import markov2_codes, pattern_batch, random_codes, rrr_payload
 
 ALL_VARIANTS = list(IndexVariant)
 
@@ -79,15 +78,15 @@ def test_serialization_is_byte_deterministic():
         assert to_bytes(deserialize(raw1)) == raw1
 
 
-# SHA-256 of files written by the first format-6 writer; any change to the
+# SHA-256 of files written by the first format-7 writer; any change to the
 # bytes written fails this test
 PINNED_FILES = [
-    ("ssa", None, 15, "5b07ca8ef6e6cedb398484276aafc13aaa688d9dcf7e097bcd0e9bab8a63936d"),
-    ("ssa_rrr", None, 15, "35f51cdb2da35b2590dda54f82387da008c287456221e7ad0068e70f1846c8d4"),
-    ("fixed_block", 300, 15, "a0af199424d368b50bbea5bdb1c9fda03b43689a686fe2c58ad7a2a9ace37f1d"),
-    ("fixed_block_rrr", 300, 15, "bf582b35ae80ccb088d716a9418cffa3cfeb1b223444d024c68621d9c8266043"),
-    ("ssa_rrr", None, 63, "9fc39e5c2481628c3315ed533bd77e4727e7c37bb6f7ecbfb8be421a52eff187"),
-    ("fixed_block_rrr", 300, 5, "8aa2c03342d8b359c383b8f75654f3707b5aecbe90f238c64fa65d05e0842c3e"),
+    ("ssa", None, 15, "db941906da6e45c676e8c38fb4dcc28a8c55b6dc6482780ce7dc189ce5d760c7"),
+    ("ssa_rrr", None, 15, "2a4ec86dd5053cdb922620e2f947588047947a3a559c8b42b5534d01b2f996a2"),
+    ("fixed_block", 300, 15, "b5f74ba540f6d99a3ae59c09b5f72b783f19aa8ad45da34d8cd7c1a76c6134b6"),
+    ("fixed_block_rrr", 300, 15, "2c70e7555c8675d399b44504bacced60958ad15178632b31beae8fe9ee58dd50"),
+    ("ssa_rrr", None, 63, "2e324a80e25d148adc6ad59626b4217a353f8e8fb82c748a04e50ba16d632c81"),
+    ("fixed_block_rrr", 300, 5, "41d346a73692841e8919d193e5e5169c0e383528688d06e8143a8469e09b355f"),
 ]
 
 
@@ -131,11 +130,7 @@ def test_ssa_header_block_size_other_than_zero_is_rejected(variant):
 def _with_root_blocks(ix, blocks):
     """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced, every sample stored as RRR."""
     bv = ix.blocks[0].bits
-    payload = rrr_section(bv.m, bv.t, blocks)
-    # the payload section is the last one before the 8-byte checksum section
-    old = (ix.blocks[0].payload_bits + 7) // 8
-    raw = to_bytes(ix)[: -8 - old - 4] + struct.pack("<I", len(payload)) + payload
-    return raw + struct.pack("<II", 4, zlib.crc32(raw))
+    return _with_section(to_bytes(ix), PAYLOAD, lambda body: rrr_payload(bv.t, [(bv.m, blocks)]))
 
 
 @pytest.mark.parametrize("rrr_t", [3, 17, 63])
@@ -224,19 +219,20 @@ def _with_section(raw, which, edit):
     return body + struct.pack("<II", 4, zlib.crc32(body))
 
 
-# the sections of a one-block index: remap, c array, codebook, payload, checksum
+# the sections of an index: remap, c array, codebooks, payload, checksum
 CODEBOOK, PAYLOAD = 2, 3
 
 
 def _with_codebook(raw, edit):
-    """Saved bytes of a one-block index with edit(codebook section) in place of its codebook."""
+    """Saved bytes of a one-block index with edit(codebooks section) in place of its codebooks."""
     return _with_section(raw, CODEBOOK, edit)
 
 
 # Over b"a" * 8 the root is the only node: 9 bits, one 1 for each a. The
-# codebook section is a u16 entry count, then per entry a u16 symbol and a u8
-# code length; the payload holds the node, an RRR one after its u32 bit count
-# as one sample (its kind byte at byte 4): the 8 positions of its ones.
+# codebooks section of one tree is a u16 entry count, then per entry a u16
+# symbol and a u8 code length; the payload holds the tree's u32 bit count,
+# then the node: plain, its two bytes; RRR, one sample (its kind byte at
+# byte 4): the 8 positions of its ones.
 TREE_CHECKS = [
     ("ssa", 15, CODEBOOK, lambda body: body[:1], "codebook header"),
     ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 0) + body[2:], "codebook alphabet size"),
@@ -281,7 +277,7 @@ TREE_CHECKS = [
         "payload length", "count-past-nodes",
     ),
     # one bit of the root flipped: the tree loads, with the wrong symbol counts
-    ("ssa", 15, PAYLOAD, lambda body: bytes([body[0] ^ 1]) + body[1:], "symbol counts"),
+    ("ssa", 15, PAYLOAD, lambda body: body[:4] + bytes([body[4] ^ 1]) + body[5:], "symbol counts"),
 ]
 
 
@@ -298,6 +294,26 @@ def test_tree_section_checks_with_a_valid_checksum(variant, rrr_t, which, edit, 
     assert to_bytes(deserialize(_with_section(raw, which, lambda body: body))) == raw
     with pytest.raises(CorruptIndexError) as info:
         deserialize(_with_section(raw, which, edit))
+    assert str(info.value) == f"corrupt index: {check}"
+
+
+# a root of n bits over b"a" * (n - 1), its stored m one bit more or less:
+# its bytes then need one byte more or less than the section holds, or the
+# same bytes, and the root ends before m or runs past it
+PLAIN_M_CHECKS = [
+    (8, 1, "payload truncated", "one-more-byte"),
+    (9, -1, "payload length", "one-byte-fewer"),
+    (9, 1, "payload length", "past-the-nodes"),
+    (10, -1, "payload truncated", "short-of-the-nodes"),
+]
+
+
+@pytest.mark.parametrize("n,delta,check", [case[:3] for case in PLAIN_M_CHECKS], ids=[case[3] for case in PLAIN_M_CHECKS])
+def test_a_plain_m_other_than_the_bits_its_nodes_route_is_rejected(n, delta, check):
+    raw = to_bytes(build_index(build_text(b"a" * (n - 1)), "ssa"))
+    assert struct.unpack_from("<I", _sections(raw)[PAYLOAD]) == (n,)
+    with pytest.raises(CorruptIndexError) as info:
+        deserialize(_with_section(raw, PAYLOAD, lambda body: struct.pack("<I", n + delta) + body[4:]))
     assert str(info.value) == f"corrupt index: {check}"
 
 
@@ -336,8 +352,8 @@ def test_plain_payload_padding_bits_are_ignored_at_load():
 
 
 def test_plain_padding_ones_before_a_spare_word_are_ignored_at_load():
-    # 63 bits fill the payload's eight bytes but for one padding bit, which
-    # the counter of the tree's spare word counts: no rank reads that far
+    # 63 bits fill the tree's eight bytes but for one padding bit, which the
+    # load clears, as a build leaves it: no rank reads that far
     raw = to_bytes(build_index(build_text(b"a" * 62), "ssa"))
     ix = deserialize(_with_section(raw, PAYLOAD, lambda body: body[:-1] + bytes([body[-1] | 0x80])))
     bits = ix.blocks[0].bits
@@ -347,17 +363,21 @@ def test_plain_padding_ones_before_a_spare_word_are_ignored_at_load():
 
 
 def test_plain_padding_bits_of_every_block_are_ignored_at_load():
-    # four blocks, each payload ending in padding bits; the third tree's 63
-    # bits fill its eight bytes but for one, which its spare word's counter
-    # counts, and no rank reads
+    # four blocks, each tree's bytes ending in padding bits; the third tree's
+    # 63 bits fill its eight bytes but for one, which no rank reads
     ix = build_index(build_text(b"fixed block compression boosting " * 4), "fixed_block", 40)
     raw = to_bytes(ix)
     ms = [wt.leaf - wt.start for wt in ix.blocks]
     assert len(ms) >= 3 and all(m % 8 for m in ms) and 63 in [m % 64 for m in ms]
-    padded = raw
-    for i, m in enumerate(ms):
-        ones = 0xFF << m % 8 & 0xFF
-        padded = _with_section(padded, PAYLOAD + 2 * i, lambda body, ones=ones: body[:-1] + bytes([body[-1] | ones]))
+
+    def pad(body):
+        # after the u32 counts, each tree's bytes in turn
+        body = bytearray(body)
+        for m, start in zip(ms, itertools.accumulate([(m + 7) // 8 for m in ms], initial=4 * len(ms))):
+            body[start + (m - 1) // 8] |= 0xFF << m % 8 & 0xFF
+        return bytes(body)
+
+    padded = _with_section(raw, PAYLOAD, pad)
     back = deserialize(padded)
     assert padded != raw and to_bytes(back) == raw
     bits = back.blocks[0].bits
@@ -368,14 +388,23 @@ def test_plain_padding_bits_of_every_block_are_ignored_at_load():
 
 
 def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
-    class Huge(bytes):
-        def __len__(self):
-            return 1 << 29
-
-    ix = build_index(build_text(b"abracadabra"), "ssa")
-    sections = [(ix.blocks[0].codebook_section(), Huge())]
+    # a u32 m of 2^32 - 1 bits, whose bytes pad to 2^32 bits, in a section of
+    # a few: rejected before anything of m's size is made, where the vector
+    # alone would take 768 MiB. A build rejects a tree of 2^32 bits before it
+    # copies any
+    raw = to_bytes(build_index(build_text(b"abracadabra"), "ssa"))
+    huge = _with_section(raw, PAYLOAD, lambda body: struct.pack("<I", 2**32 - 1) + body[4:])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptIndexError, match="corrupt index: payload truncated"):
+            deserialize(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     with pytest.raises(ValueError, match="plain tree of 2\\^32 bits or more"):
-        read_trees(sections, ix.n, ix.n, ix.sigma, 0)
+        PlainBitVector(range(1 << 32))
 
 
 @pytest.mark.parametrize(
@@ -453,8 +482,8 @@ def test_every_section_walk_error_names_its_section(variant):
     raw = to_bytes(ix)
     blocks = len(ix.blocks)
     assert blocks == 5
-    names = ["remap", "c array"] + [f"{kind} {i}" for i in range(blocks) for kind in ("codebook", "payload")]
-    names.append("checksum")
+    # five sections, whatever the block count
+    names = ["remap", "c array", "codebooks", "payload", "checksum"]
     at = struct.calcsize("<8sHBBQIQI")
     for name in names:
         (length,) = struct.unpack_from("<I", raw, at)
@@ -573,7 +602,7 @@ def test_an_rrr_load_peaks_within_a_multiple_of_its_file():
 
 def test_version_1_files_are_rejected():
     raw = to_bytes(build_index(build_text(b"BANANA"), "fixed_block", 3))
-    for version in (1, 2, 4, 5):
+    for version in (1, 2, 4, 5, 6):
         old = raw[:8] + struct.pack("<H", version) + raw[10:]
         with pytest.raises(UnsupportedFormatError, match=f"unsupported format: version {version}$"):
             deserialize(old)
@@ -639,12 +668,14 @@ def test_file_size_matches_report_within_padding():
         ix = build_index(t, variant, 80 if variant.fixed else None)
         raw = to_bytes(ix)
         rep = ix.size_report()
-        # directories and boundary rows are derived at load, the checksum is stored
+        # directories and boundary rows are derived at load, the checksum is
+        # stored; a plain tree's bytes may end in up to 7 padding bits, an RRR
+        # vector's are whole
         stored = rep.total - rep.rank_directories - rep.boundary_occ + 32
-        nsections = 3 + 2 * len(ix.blocks)
-        header_bits = 8 * struct.calcsize("<8sHBBQIQI") + 32 * nsections
+        header_bits = 8 * struct.calcsize("<8sHBBQIQI") + 32 * 5
+        padding = 0 if variant.bitvector_backend == "rrr" else 7 * len(ix.blocks)
         assert 8 * len(raw) >= stored + header_bits
-        assert 8 * len(raw) <= stored + header_bits + 7 * nsections
+        assert 8 * len(raw) <= stored + header_bits + padding
 
 
 def test_write_failure_reports_progress():
@@ -711,9 +742,9 @@ def test_plain_fixed_block_trees_share_one_vector_from_word_to_word(data):
         first = 0
         for wt in index.blocks:
             assert wt.bits is index.blocks[0].bits
-            if wt.payload_bits:
+            if wt.leaf - wt.start:
                 assert wt.start == first
-            first += 64 * plain_words(wt.payload_bits)
+            first += 64 * plain_words(wt.leaf - wt.start)
         for c in range(sigma):
             assert [index.rank_l(c, j) for j in range(t.n + 1)] == [
                 naive_rank(l, c, j) for j in range(t.n + 1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitrank import PlainBitVector, RrrBitVector
+from fmblock.bitrank import PlainBitVector, RrrBitVector, plain_words
 from fmblock.wavelet import (
     WaveletTree,
     _canonical,
@@ -121,7 +121,8 @@ def test_balanced_payload_is_exactly_fixed_width():
         wt = build_wt(seq, "balanced", "plain")
         width = (len(set(seq)) - 1).bit_length()
         assert wt.code_length_bits == 500 * width
-        assert wt[0].payload_bits == wt.code_length_bits
+        # and its payload, after the tree's u32 bit count
+        assert wt.size_bits()[0] == 32 + wt.code_length_bits
 
 
 def test_huffman_payload_within_entropy_plus_one():
@@ -157,8 +158,7 @@ def test_codebook_reconstruction_round_trip():
     seq = [rng.randrange(9) for _ in range(257)]
     for backend in ("plain", "rrr"):
         wt = build_wt(seq, "huffman", backend)
-        sections = [(wt[0].codebook_section(), wt[0].payload_section())]
-        rebuilt = read_trees(sections, len(seq), len(seq), 9, 15 if backend == "rrr" else 0)
+        rebuilt = read_trees(*wt.sections(), len(seq), len(seq), 9, 15 if backend == "rrr" else 0)
         assert rebuilt[0].codes == wt[0].codes
         assert [rebuilt.rank(c, j) for c in range(9) for j in (0, 100, 257)] == [
             wt.rank(c, j) for c in range(9) for j in (0, 100, 257)
@@ -173,15 +173,15 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
     rng = random.Random(8)
     seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
     built = build_wt(seq, "huffman", backend)
-    sections = [(built[0].codebook_section(), built[0].payload_section())]
+    sections = built.sections()
     calls, many = [], []
     rank1, rank1_many = vector.rank1, vector.rank1_many
     monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
     monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
-    loaded = read_trees(sections, len(seq), len(seq), 60, 15 if backend == "rrr" else 0)
+    loaded = read_trees(*sections, len(seq), len(seq), 60, 15 if backend == "rrr" else 0)
     monkeypatch.undo()
     assert calls == []
-    # an RRR section's padding check comes first, before any node is read: one position, the tree's limit
+    # an RRR payload's padding check comes first, before any node is read: one position, the tree's limit
     rrr = backend == "rrr"
     if rrr:
         assert many.pop(0) == [loaded[0].leaf]
@@ -211,20 +211,26 @@ def test_a_node_of_no_bits_is_rejected_at_load():
         entries = b"".join(struct.pack("<HB", sym, length) for sym, length in sorted(lengths.items()))
         return struct.pack("<H", len(lengths)) + entries
 
-    # symbol 0 (code 0) fills the block: a leaf of no elements loads, a node of no bits does not
-    wt = read_trees([(codebook({0: 1, 1: 1}), b"\0")], 8, 8, 3, 0)
+    # symbol 0 (code 0) fills the block: a leaf of no elements loads, a node
+    # of no bits does not; the root holds 8 zero bits
+    root = struct.pack("<I", 8) + b"\0"
+    wt = read_trees(codebook({0: 1, 1: 1}), root, 8, 8, 3, 0)
     assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0) and wt.totals.tolist() == [8, 0, 0]
     with pytest.raises(ValueError, match="empty node"):
-        read_trees([(codebook({0: 1, 1: 2, 2: 2}), b"\0")], 8, 8, 3, 0)
+        read_trees(codebook({0: 1, 1: 2, 2: 2}), root, 8, 8, 3, 0)
 
 
 def test_size_report_pieces():
     seq = codes_of("ANNB$AA")
     wt = build_wt(seq, "huffman", "plain")
-    block = wt[0]
-    assert (block.payload_bits, block.directory_bits) == block.bits.tree_size(block.start, block.leaf)
-    # a 16-bit symbol and an 8-bit code length per symbol, and no code bits
-    assert block.codebook_bits == 16 + 24 * len(block.codes) == 8 * len(block.codebook_section())
+    payload, directories, codebooks = wt.size_bits()
+    m = wt.code_length_bits
+    # the u32 bit count and the bits, stored in whole bytes; one 32-bit
+    # counter per word the tree takes
+    assert (payload, directories) == (32 + m, 32 * plain_words(m))
+    assert 8 * len(wt.sections()[1]) == 32 + 8 * -(-m // 8)
+    # a 16-bit code count, then a 16-bit symbol and an 8-bit code length per symbol, and no code bits
+    assert codebooks == 16 + 24 * len(wt[0].codes) == 8 * len(wt.sections()[0])
     assert wt.rank(codes_of("A")[0], 7) == 3
 
 
@@ -298,11 +304,11 @@ def sequences(draw):
 @example(np.full(33, 299), "rrr", 1)
 def test_built_and_loaded_trees_agree_at_every_node_boundary(seq, backend, t):
     wt = build_wt(seq, "huffman", backend, t)
-    sections = (wt[0].codebook_section(), wt[0].payload_section())
+    sections = wt.sections()
     sigma = int(seq.max()) + 1
-    back = read_trees([sections], len(seq), len(seq), sigma, t if backend == "rrr" else 0)
+    back = read_trees(*sections, len(seq), len(seq), sigma, t if backend == "rrr" else 0)
     assert back.totals.tolist() == np.bincount(seq, minlength=sigma).tolist()
-    assert (back[0].codebook_section(), back[0].payload_section()) == sections
+    assert back.sections() == sections
     assert back.bits.to_bits().tolist() == wt.bits.to_bits().tolist()
     assert (back[0].start, back[0].leaf, back[0]._items()) == (wt[0].start, wt[0].leaf, wt[0]._items())
     at = sorted({0, len(seq), *range(1, len(seq), max(1, len(seq) // 37))})
@@ -362,14 +368,16 @@ def kraft_trees(draw):
     return dict(zip(syms, depths))
 
 
-def codebook_section(lengths):
-    entries = b"".join(struct.pack("<HB", sym, length) for sym, length in sorted(lengths.items()))
-    return struct.pack("<H", len(lengths)) + entries
+def codebooks(trees):
+    """The codebooks section of trees, each {symbol: code length}, or its (symbol, length) entries in order."""
+    entries = [sorted(tree.items()) if isinstance(tree, dict) else tree for tree in trees]
+    counts = struct.pack(f"<{len(entries)}H", *map(len, entries))
+    return counts + b"".join(struct.pack("<HB", sym, length) for tree in entries for sym, length in tree)
 
 
-def parse_error(bodies):
+def parse_error(trees, extra=b""):
     with pytest.raises(ValueError) as info:
-        _parse_codebooks(bodies, 300)
+        _parse_codebooks(codebooks(trees) + extra, len(trees), 300)
     return str(info.value)
 
 
@@ -379,8 +387,7 @@ def parse_error(bodies):
     st.data(),
 )
 def test_codebooks_parsed_at_once_equal_canonical_codes_tree_by_tree(trees, data):
-    bodies = [codebook_section(lengths) for lengths in trees]
-    tree, syms, lens, codes = _parse_codebooks(bodies, 300)
+    tree, syms, lens, codes = _parse_codebooks(codebooks(trees), len(trees), 300)
     assert tree.tolist() == [i for i, lengths in enumerate(trees) for _ in lengths]
     got = list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist()))
     want = [
@@ -389,36 +396,38 @@ def test_codebooks_parsed_at_once_equal_canonical_codes_tree_by_tree(trees, data
         for sym, (length, code) in canonical_codes(lengths).items()
     ]
     assert got == want
+    # a byte past the last entry, alone or after other trees
+    assert parse_error(trees[:1], b"\0") == parse_error(trees, b"\0") == "codebook length"
     # breaking only the k-th tree fails the check that breaking it alone fails
     k = data.draw(st.integers(0, len(trees) - 1), label="k")
     lengths = trees[k]
-    breaks = [codebook_section(lengths) + b"\0"]
+    breaks = []
     if len(lengths) > 1:
         # the second entry takes the first one's symbol
-        body = codebook_section(lengths)
-        breaks.append(body[:5] + body[2:4] + body[7:])
+        entries = sorted(lengths.items())
+        breaks.append([entries[0], (entries[0][0], entries[1][1]), *entries[2:]])
     sym = data.draw(st.sampled_from(sorted(lengths)), label="lengthened")
-    breaks.append(codebook_section({**lengths, sym: lengths[sym] + 1}))
+    breaks.append({**lengths, sym: lengths[sym] + 1})
     if len(lengths) > 1:
         # every code one bit shorter: Kraft's sum is 2^65, 0 mod 2^64
-        breaks.append(codebook_section({sym: length - 1 for sym, length in lengths.items()}))
+        breaks.append({sym: length - 1 for sym, length in lengths.items()})
     for broken in breaks:
         alone = parse_error([broken])
-        assert alone in ("codebook length", "codebook symbols", "codebook code lengths")
-        assert parse_error(bodies[:k] + [broken] + bodies[k + 1 :]) == alone
+        assert alone in ("codebook symbols", "codebook code lengths")
+        assert parse_error(trees[:k] + [broken] + trees[k + 1 :]) == alone
 
 
 def test_a_one_symbol_tree_and_a_64_deep_tree_parse_together():
     # a caterpillar: lengths 1, 2, ..., 63, 64, 64, whose Kraft sum is 2^64
     # only when taken exactly, past any float
     deep = {sym: min(sym + 1, 64) for sym in range(65)}
-    tree, syms, lens, codes = _parse_codebooks([codebook_section({5: 0}), codebook_section(deep)], 300)
+    tree, syms, lens, codes = _parse_codebooks(codebooks([{5: 0}, deep]), 2, 300)
     assert list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist())) == [(0, 5, 0, 0)] + [
         (1, sym, length, code) for sym, (length, code) in canonical_codes(deep).items()
     ]
     assert codes[-1] == 2**64 - 1
-    assert parse_error([codebook_section({5: 0}), codebook_section({**deep, 64: 65})]) == "codebook code lengths"
-    assert parse_error([codebook_section({**deep, 63: 63})]) == "codebook code lengths"
+    assert parse_error([{5: 0}, {**deep, 64: 65}]) == "codebook code lengths"
+    assert parse_error([{**deep, 63: 63}]) == "codebook code lengths"
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,8 +450,7 @@ def test_canonical_codes_of_balanced_trees_equal_the_reference(alphabets):
     assert got == want
     # the i-th smallest symbol gets code i
     assert [code for _, _, _, code in got] == [i for alphabet in alphabets for i in range(len(alphabet))]
-    bodies = [codebook_section(lengths) for lengths in trees]
     if any(len(alphabet) & (len(alphabet) - 1) for alphabet in alphabets):
-        assert parse_error(bodies) == "codebook code lengths"
+        assert parse_error(trees) == "codebook code lengths"
     else:
-        assert _parse_codebooks(bodies, 300)[3].tolist() == [code for *_, code in want]
+        assert _parse_codebooks(codebooks(trees), len(trees), 300)[3].tolist() == [code for *_, code in want]
