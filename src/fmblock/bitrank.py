@@ -1043,7 +1043,7 @@ def read_payload(buf, t, count):
         if 8 * (len(buf) - head - samples) >= 1 << 32:
             raise ValueError("rrr offset stream of 2^32 bits or more")
         vector = RrrBitVector.__new__(RrrBitVector)
-        vector._setup(t, ms, np.frombuffer(buf, np.uint8, samples, head), memoryview(buf)[head + samples :])
+        vector._setup(t, ms, np.frombuffer(buf, dtype=np.uint8, count=samples, offset=head), memoryview(buf)[head + samples :])
         return vector, ms
     held = head + int(((ms + 7) >> 3).sum())
     if len(buf) < held:

@@ -229,7 +229,7 @@ class WaveletTree:
     @property
     def code_length_bits(self):
         """Total code length over the sequence: every tree's bits, from its start to its leaf."""
-        return sum(self.leaves) - sum(self.starts)
+        return int(self._ms().sum())
 
     def _ms(self):
         """Each tree's bits, from its start to its leaf, as int64."""
