@@ -15,16 +15,21 @@ Two interchangeable representations:
   offset that identifies the block among all t-bit words of that class in
   ascending numeric order; or the sorted uint16 positions of the sample's
   ones, or of its zeros, when they are few (Kärkkäinen, Kempa and
-  Puglisi's hybrid bitvector). All samples' bytes are one stream; each
-  sample has two uint32 values, its rank and a pointer into the stream
-  whose top two bits give its kind. A RRR sample's classes are two 4-bit
-  classes per byte for t <= 15 and one per byte above, so a rank sums the
-  class bytes before its block, and their offset widths, each through a
-  256-byte translation table and zlib.adler32, without a Python loop, and
-  reads its block's offset with at most two aligned reads of a uint64
-  view of the stream; a sparse sample's rank is one bisect of its
-  positions, through a uint16 view. One vector can hold many trees, each
-  from a fresh sample and with its own ranks (see rrr_samples).
+  Puglisi's hybrid bitvector). All samples' bytes are one stream. The
+  samples' ranks and stream positions are two-level (González,
+  Grabowski, Mäkinen and Navarro): each superblock of 32 to 128 samples
+  has a 64-bit rank and a 32-bit stream position, and each sample one
+  uint32, its 16-bit rank and 14-bit position since its superblock's and
+  its 2-bit kind, where a rank and a pointer took two. A RRR sample's
+  classes are two 4-bit classes per byte for t <= 15 and one per byte
+  above, so a rank sums the class bytes before its block, and their
+  offset widths, each through a 256-byte translation table and
+  zlib.adler32, without a Python loop, and reads its block's offset with
+  at most two aligned reads of a uint64 view of the stream; a sparse
+  sample's rank is one bisect of its positions, through a uint16 view. One vector can hold many trees, each
+  from a fresh sample (see rrr_samples); its ranks count from the
+  vector's first bit, not the tree's (see tree_bases), so that ranks since
+  a superblock's fit 16 bits where a tree starts inside it.
 
 Up to t = 16 a block is decoded with one lookup in a table of the
 (t - 1)-bit words of classes 0..(t - 1) // 2 (_decode_table), which every
@@ -105,10 +110,14 @@ _NIBBLE_MAX_T = 15
 _ONE = np.uint64(1)
 _MAX_POSITIONS = 63  # the most positions a sparse sample holds: its kind byte's count field
 _SLOTS = np.arange(_MAX_POSITIONS, dtype=np.uint8)
-# a sample pointer's top two bits: its sample is sparse, and then its positions are its zeros'
-_SPARSE = 1 << 31
-_ZEROS = 1 << 30
-_AT = _ZEROS - 1  # the byte of the stream where the sample starts
+# a sample's entry (see RrrBitVector): the ones before it since its
+# superblock's first sample in the top 16 bits, then two kind bits (it is
+# sparse, and then its positions are its zeros'), then, in the low 14, the
+# 2-byte element of the stream where it starts since its superblock's first
+# sample (every sample takes an even count of bytes)
+_SPARSE = 1 << 15
+_ZEROS = 1 << 14
+_AT = _ZEROS - 1
 
 
 def _as_bit_array(bits):
@@ -239,6 +248,10 @@ class PlainBitVector(_BitVector):
         """rank1 of every position in the int64 array j, as int64: batch_rank1's, which makes no table."""
         return self.batch_rank1()(j).astype(np.int64)
 
+    def tree_bases(self, firsts):
+        """The ones before each tree's first bit, at firsts (int64), as rank1 counts them: none, as each tree's counters start at 0."""
+        return np.zeros(len(firsts), dtype=np.int64)
+
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
         stop = self.m if stop is None else stop
@@ -321,6 +334,42 @@ def _class_tables(t):
         bytes(widths[lo] + widths[hi] for lo, hi in pairs),
         bytes(widths),
     )
+
+
+@functools.cache
+def _low_masks(t):
+    """(1 << i) - 1 for i = 0..t: the masks of a block's bits below a position in it, and of an offset's bits."""
+    return tuple((1 << i) - 1 for i in range(t + 1))
+
+
+@functools.cache
+def _many_tables(t):
+    """rank1_many's and _offset_reader's numpy tables of a class k <= t: (sums, masks), both uint32.
+
+    sums holds k's offset width in the high 16 bits and k in the low 16, so
+    that one sum over a sample's classes gives both; masks holds k's offset
+    bits, up to t = 16, and is None above, where read_fields masks.
+    """
+    widths = np.array(offset_widths(t), dtype=np.uint32)
+    masks = (np.uint32(1) << widths) - np.uint32(1) if t <= _TABLE_MAX_T else None
+    return widths << 16 | np.arange(t + 1, dtype=np.uint32), masks
+
+
+@functools.cache
+def _superblock_log(t):
+    """log2 of the samples per superblock of a t-bit vector, a power of two S: the largest with S·32·t <= 2^16 and S times the largest sample's bytes below 2^14.
+
+    So every rank and start since the superblock's fits its 16 or 14 bits. A
+    sample's bytes are at most its class bytes and its widest offsets, or a
+    sparse sample's 63 positions: 128 samples up to t = 16, 64 up to 32, 32
+    above.
+    """
+    cb = RRR_SAMPLE_EVERY >> int(t <= _NIBBLE_MAX_T)
+    largest = max(cb + 2 * ((RRR_SAMPLE_EVERY * max(offset_widths(t)) + 15) >> 4), 2 * _MAX_POSITIONS)
+    log = 0
+    while (2 << log) * RRR_SAMPLE_EVERY * t <= 1 << 16 and (2 << log) * largest < 1 << 14:
+        log += 1
+    return log
 
 
 def offset_of_value(value, t, k):
@@ -446,16 +495,22 @@ class RrrBitVector(_BitVector):
     kind is smaller (see __init__), as bytes in the one stream of samples:
     RRR, the class of each block and then their offsets, padded to an even
     byte count; or the sorted uint16 positions in its 32 t bits of its ones,
-    or of its zeros. Each sample holds the ones before it since its tree's
-    first bit, and a pointer: the byte of the stream where it starts, with
-    its kind in the top two bits, so rank1(j) counts the ones from the start
-    of the tree that holds j to j. A sparse sample's count is the distance to
-    the next sample's pointer over 2; the last sample's next is where the
-    samples end.
+    or of its zeros. The samples' ranks and where each starts are two-level
+    (González, Grabowski, Mäkinen and Navarro's directories): the samples
+    fall in superblocks of 2^_superblock_log(t) each, and each superblock
+    has the ones before it since the vector's first bit, in _ranks (int64),
+    and the 2-byte element of the stream where it starts, in _bases
+    (uint32). Each sample has one uint32 entry in _entries: the ones before
+    it and its first element, each since its superblock's, and its kind
+    (see _SPARSE), in 4 bytes where a rank and a pointer took 8. So
+    rank1(j) counts the ones from the vector's first bit to j, whichever
+    tree holds j (see tree_bases). A sparse sample's count is the distance
+    from its first element to the next sample's; one more entry, after the
+    last sample's, gives where the samples end.
     """
 
     __slots__ = (
-        "m", "t", "_stream", "_words", "_pos", "_ptr", "_sample_rank", "_shift", "_mask",
+        "m", "t", "_stream", "_words", "_pos", "_entries", "_ranks", "_bases", "_log", "_shift", "_mask",
         "_class_sums", "_width_sums", "_widths", "_table", "_descent",
     )
 
@@ -542,7 +597,10 @@ class RrrBitVector(_BitVector):
         the sparse ones, positions not strictly ascending, past the sample's
         bits, or for ones past its tree's ("rrr positions"); last, ones
         after a tree's m bits, so that its ones are its rank at m ("rrr
-        padding bits"), in one rank1_many call at every tree's end.
+        padding bits"), in one rank1_many call at every tree's end. The
+        samples' ranks count from the vector's first bit, not their tree's:
+        ranks since a superblock's first sample then fit 16 bits, as they
+        would not where a tree starts in it.
         """
         span = RRR_SAMPLE_EVERY * t
         s = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
@@ -557,7 +615,6 @@ class RrrBitVector(_BitVector):
         if len(samples) > ptr[-1]:
             raise ValueError("payload length")
         stream = b"".join([samples, bytes(16 - len(samples) % 8)])
-        ptr[:-1] |= sparse * kinds >> 6 << 30
         self.t, self._shift, self._stream = t, s, stream
         self._class_sums, self._width_sums, self._widths = _class_tables(t)
         rrr = np.flatnonzero(~sparse)
@@ -591,9 +648,9 @@ class RrrBitVector(_BitVector):
         # it holds none. The flags are one byte per element, and no array is
         # made per position
         u2 = np.frombuffer(stream, dtype="<u2", count=int(ptr[-1]) >> 1)
-        follows = np.repeat(sparse, np.diff(ptr & _AT) >> 1)  # whether each element is a sparse sample's
+        follows = np.repeat(sparse, np.diff(ptr) >> 1)  # whether each element is a sparse sample's
         held = np.flatnonzero(sparse & (count > 0))
-        last = ((ptr[held] & _AT) >> 1) + count[held] - 1
+        last = (ptr[held] >> 1) + count[held] - 1
         follows[last] = False
         inside = (np.repeat(ms + span * firsts, taken) - span * np.arange(len(kinds)))[held]
         limit = np.where(kinds[held] >> 6 == 2, np.minimum(inside, span), span)
@@ -603,66 +660,91 @@ class RrrBitVector(_BitVector):
         # a sparse one's ones are its count, or its bits less it; a RRR one's, its classes' sum
         ones = np.where(kinds >> 6 == 3, span - count, count)
         ones[rrr] = k.sum(axis=1, dtype=np.uint16)  # 32 classes of at most 63
-        rank = np.cumsum(ones) - ones
-        rank -= np.repeat(rank[firsts], taken)
+        rank = np.zeros(len(ptr), dtype=np.int64)  # and the ones of every sample, at the end
+        np.cumsum(ones, out=rank[1:])
+        del k, at, starts
+        # the two-level tables: each superblock's first sample's rank and
+        # 2-byte element, and each sample's since them, with its kind
+        # between, made in place in entries and ptr, with one temporary over
+        # every sample at a time
+        self._log = log = _superblock_log(t)
+        step, n = 1 << log, len(ptr)
+        self._ranks = array("q", rank[::step].tobytes())
+        entries = np.repeat(rank[::step], step)[:n]
+        np.subtract(rank, entries, out=entries)
+        entries <<= 16
+        ptr >>= 1
+        self._bases = array("I", ptr[::step].astype(np.uint32).tobytes())
+        ptr -= np.repeat(ptr[::step], step)[:n]
+        entries |= ptr
+        entries[:-1] |= sparse * kinds >> 6 << 14
+        self._entries = array("I", entries.astype(np.uint32).tobytes())
+        del entries, ptr
         self.m = span * int(firsts[-1]) + int(ms[-1])
         self._mask = 0xFF >> 4 * s
         self._words = memoryview(stream).cast("Q")
         self._pos = memoryview(stream).cast("H")
-        self._ptr = array("I", ptr.astype(np.uint32).tobytes())
-        self._sample_rank = array("I", rank.astype(np.uint32).tobytes())
         self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
         # all that descend reads, in one tuple: one attribute load a call, not
         # sixteen, which the one or two levels of most descents would feel
         self._descent = (
-            t, s, self._mask, cb << 3, span, stream, self._words, self._pos, self._ptr, self._sample_rank,
-            self._class_sums, self._width_sums, self._widths, *(self._table or (None,) * 5),
+            t, s, self._mask, cb << 3, span, log, stream, self._words, self._pos, self._entries, self._ranks,
+            self._bases, self._class_sums, self._width_sums, self._widths, _low_masks(t), *(self._table or (None,) * 5),
         )
-        if np.any(self.rank1_many(span * firsts + ms) != (rank + ones)[firsts + taken - 1]):
+        if np.any(self.rank1_many(span * firsts + ms) != rank[firsts + taken]):
             raise ValueError("rrr padding bits")
 
     def rank1(self, j):
-        blk, rem = divmod(j, self.t)
-        sb = blk >> 5
-        at = self._ptr[sb]
-        if at >= _SPARSE:  # the positions below j's in the sample, of its ones or its zeros
-            p = j - sb * RRR_SAMPLE_EVERY * self.t
-            lo = (at & _AT) >> 1
-            c = bisect_left(self._pos, p, lo, (self._ptr[sb + 1] & _AT) >> 1) - lo
-            return self._sample_rank[sb] + (p - c if at & _ZEROS else c)
-        stream = self._stream
-        i = at + ((blk & 31) >> self._shift)  # the byte of blk's class
+        (
+            t, s, mask, head, span, log, stream, words, pos, entries, ranks, bases,
+            class_sums, width_sums, widths, lows, table, starts, splits, kmax, flip,
+        ) = self._descent
+        # the kind bits written out, as in descend
+        sb = j // span
+        x = entries[sb]
+        top = sb >> log
+        base = bases[top]
+        if x & 32768:  # the positions below j's in the sample, of its ones or its zeros
+            p = j % span
+            lo = base + (x & 16383)
+            # the next sample's start: since the superblock's, 0 only if it
+            # starts there or in the next superblock, at its base
+            n = entries[sb + 1] & 16383
+            c = bisect_left(pos, p, lo, base + n if n else bases[(sb + 1) >> log]) - lo
+            return ranks[top] + (x >> 16) + (p - c if x & 16384 else c)
+        blk = j // t
+        at = (base + (x & 16383)) << 1
+        i = at + ((blk & 31) >> s)  # the byte of blk's class
         seg = stream[at:i]
-        # adler32's low half is 1 plus the byte sum mod 65,521: exact here,
+        # adler32's low half from 0 is the byte sum mod 65,521: exact here,
         # where at most 31 bytes of at most 255 sum below 65,521
-        r = self._sample_rank[sb] + (adler32(seg.translate(self._class_sums)) & 0xFFFF) - 1
-        half = blk & self._shift  # blk's class is its byte's high nibble, after the low one
+        r = ranks[top] + (x >> 16) + (adler32(seg.translate(class_sums), 0) & 0xFFFF)
+        rem = j - blk * t
         if rem:
             byte = stream[i]
             # the offsets start after the sample's class bytes
-            o = (at + (RRR_SAMPLE_EVERY >> self._shift) << 3) + (adler32(seg.translate(self._width_sums)) & 0xFFFF) - 1
-            if half:
+            o = (at << 3) + head + (adler32(seg.translate(width_sums), 0) & 0xFFFF)
+            if blk & s:  # blk's class is its byte's high nibble, after the low one
                 r += byte & 15
-                o += self._widths[byte & 15]
+                o += widths[byte & 15]
                 byte >>= 4
-            k = byte & self._mask
-            w = self._widths[k]
+            k = byte & mask
+            w = widths[k]
             off = 0
             if w:  # classes 0 and t, often half the blocks, have no offset bits
-                off = self._words[o >> 6] >> (o & 63)
+                off = words[o >> 6] >> (o & 63)
                 if (o & 63) + w > 64:
-                    off |= self._words[(o >> 6) + 1] << 64 - (o & 63)
-                off &= (1 << w) - 1
-            if self._table is None:
-                value = value_of_offset(off, self.t, k)
+                    off |= words[(o >> 6) + 1] << 64 - (o & 63)
+                off &= lows[w]
+            if table is None:
+                value = value_of_offset(off, t, k)
             else:
-                words, starts, splits, kmax, flip = self._table
                 if off >= splits[k]:  # the top bit, which rem < t leaves out of the rank
                     off -= splits[k]
                     k -= 1
-                value = words[starts[k] + off] if k <= kmax else words[starts[k] - off] ^ flip
-            return r + (value & ((1 << rem) - 1)).bit_count()
-        if half:
+                value = table[starts[k] + off] if k <= kmax else table[starts[k] - off] ^ flip
+            return r + (value & lows[rem]).bit_count()
+        if blk & s:
             r += stream[i] & 15
         return r
 
@@ -670,37 +752,49 @@ class RrrBitVector(_BitVector):
         """Both ends b <= e of one tree down a path's signed steps, level by level, to (b, e) at its end.
 
         Each level ranks both ends as rank1 does, inline, and moves them as
-        the plain descend does, the whole path through. In a sparse sample,
-        e's search starts from b's; in a RRR one, b's rank walks its
-        sample's class bytes and decodes b's block, and e's takes the same
-        decoded block if e falls in it. Else e is ranked from its own sample.
+        the plain descend does, the whole path through. b's sample is looked
+        up in the two-level tables; e takes that lookup when it falls in the
+        same sample, and its superblock's when it falls in the same
+        superblock. In a sparse sample, e's search starts from b's; in a RRR
+        one, b's rank walks its sample's class bytes and decodes b's block,
+        and e's takes the same decoded block if e falls in it. Else e is
+        ranked in its own sample. The kind bits are written out (_SPARSE is
+        32768, _ZEROS 16384 and _AT 16383), as constants read faster.
         """
         (
-            t, s, mask, head, span, stream, words, pos, ptrs, sample_rank,
-            class_sums, width_sums, widths, table, starts, splits, kmax, flip,
+            t, s, mask, head, span, log, stream, words, pos, entries, ranks, bases,
+            class_sums, width_sums, widths, lows, table, starts, splits, kmax, flip,
         ) = self._descent
         for step in steps:
-            blk, rem = divmod(b, t)
-            sb = blk >> 5
-            at = ptrs[sb]
+            sb = b // span
+            x = entries[sb]
+            top = sb >> log
+            ar, aa = ranks[top], bases[top]
+            r = ar + (x >> 16)
             re = -1
-            if at >= _SPARSE:
-                p = b - sb * span
-                lo = (at & _AT) >> 1
-                hi = (ptrs[sb + 1] & _AT) >> 1
+            if x & 32768:
+                p = b % span
+                lo = aa + (x & 16383)
+                # the next sample's start: since the superblock's, 0 only if
+                # it starts there or in the next superblock, at its base
+                n = entries[sb + 1] & 16383
+                hi = aa + n if n else bases[(sb + 1) >> log]
                 c = bisect_left(pos, p, lo, hi)
-                rb = sample_rank[sb] + (p - c + lo if at & _ZEROS else c - lo)
-                q = e - sb * span
+                rb = r + (p - c + lo if x & 16384 else c - lo)
+                q = e - b + p
                 if q < span:
                     c = bisect_left(pos, q, c, hi)
-                    re = sample_rank[sb] + (q - c + lo if at & _ZEROS else c - lo)
+                    re = r + (q - c + lo if x & 16384 else c - lo)
             else:
-                last, erem = divmod(e, t)
+                blk = b // t
+                rem = b - blk * t
+                last = e // t
+                at = (aa + (x & 16383)) << 1
                 i = at + ((blk & 31) >> s)
                 seg = stream[at:i]
                 # the ones and the offset position at b's class byte, then at b's block
-                rb = sample_rank[sb] + (adler32(seg.translate(class_sums)) & 0xFFFF) - 1
-                o = (at << 3) + head + (adler32(seg.translate(width_sums)) & 0xFFFF) - 1
+                rb = r + (adler32(seg.translate(class_sums), 0) & 0xFFFF)
+                o = (at << 3) + head + (adler32(seg.translate(width_sums), 0) & 0xFFFF)
                 byte = stream[i]
                 if blk & s:
                     rb += byte & 15
@@ -714,7 +808,7 @@ class RrrBitVector(_BitVector):
                         off = words[o >> 6] >> (o & 63)
                         if (o & 63) + w > 64:
                             off |= words[(o >> 6) + 1] << 64 - (o & 63)
-                        off &= (1 << w) - 1
+                        off &= lows[w]
                     if table is None:
                         value = value_of_offset(off, t, k)
                     else:
@@ -723,27 +817,36 @@ class RrrBitVector(_BitVector):
                             k -= 1
                         value = table[starts[k] + off] if k <= kmax else table[starts[k] - off] ^ flip
                     if last == blk:
-                        re = rb + (value & (1 << erem) - 1).bit_count()
-                    rb += (value & (1 << rem) - 1).bit_count()
+                        re = rb + (value & lows[e - last * t]).bit_count()
+                    rb += (value & lows[rem]).bit_count()
             if re < 0:
-                blk, rem = divmod(e, t)
-                sb = blk >> 5
-                at = ptrs[sb]
-                if at >= _SPARSE:
-                    p = e - sb * span
-                    lo = (at & _AT) >> 1
-                    c = bisect_left(pos, p, lo, (ptrs[sb + 1] & _AT) >> 1) - lo
-                    re = sample_rank[sb] + (p - c if at & _ZEROS else c)
+                se = e // span
+                if se != sb:  # else e's sample is b's, a RRR one, looked up above
+                    sb = se
+                    x = entries[sb]
+                    if sb >> log != top:
+                        top = sb >> log
+                        ar, aa = ranks[top], bases[top]
+                    r = ar + (x >> 16)
+                if x & 32768:
+                    p = e % span
+                    lo = aa + (x & 16383)
+                    n = entries[sb + 1] & 16383
+                    c = bisect_left(pos, p, lo, aa + n if n else bases[(sb + 1) >> log]) - lo
+                    re = r + (p - c if x & 16384 else c)
                 else:
+                    blk = e // t
+                    at = (aa + (x & 16383)) << 1
                     i = at + ((blk & 31) >> s)
                     seg = stream[at:i]
-                    re = sample_rank[sb] + (adler32(seg.translate(class_sums)) & 0xFFFF) - 1
-                    o = (at << 3) + head + (adler32(seg.translate(width_sums)) & 0xFFFF) - 1
+                    re = r + (adler32(seg.translate(class_sums), 0) & 0xFFFF)
+                    o = (at << 3) + head + (adler32(seg.translate(width_sums), 0) & 0xFFFF)
                     byte = stream[i]
                     if blk & s:
                         re += byte & 15
                         o += widths[byte & 15]
                         byte >>= 4
+                    rem = e - blk * t
                     if rem:
                         k = byte & mask
                         w = widths[k]
@@ -752,7 +855,7 @@ class RrrBitVector(_BitVector):
                             off = words[o >> 6] >> (o & 63)
                             if (o & 63) + w > 64:
                                 off |= words[(o >> 6) + 1] << 64 - (o & 63)
-                            off &= (1 << w) - 1
+                            off &= lows[w]
                         if table is None:
                             value = value_of_offset(off, t, k)
                         else:
@@ -760,7 +863,7 @@ class RrrBitVector(_BitVector):
                                 off -= splits[k]
                                 k -= 1
                             value = table[starts[k] + off] if k <= kmax else table[starts[k] - off] ^ flip
-                        re += (value & (1 << rem) - 1).bit_count()
+                        re += (value & lows[rem]).bit_count()
             if step > 0:
                 b, e = rb + step, re + step
             else:
@@ -777,22 +880,23 @@ class RrrBitVector(_BitVector):
         rank then reads its sample and its block's entries, and its block's
         offset, which it decodes (0 of class 0) and ors with the block's
         sparse bits: the same arithmetic for every kind. The tables cost a
-        pass over every block and 7 bytes per block (13 above t = 16), which
-        the many rounds of count_many repay: it is the faster form there,
-        and rank1_many the faster at load. Every view a rank reads is bound
+        pass over every block and 7 bytes per block (13 above t = 16), and
+        each sample's rank and offsets' start 16 bytes, which the many
+        rounds of count_many repay: it is the faster form there, and
+        rank1_many the faster at load. Every view a rank reads is bound
         here, once per call.
         """
         t = self.t
-        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
-        rrr = np.flatnonzero(ptr[:-1] < _SPARSE)
-        classes = np.zeros((len(ptr) - 1, RRR_SAMPLE_EVERY), dtype=np.uint8)
-        classes[rrr] = self._classes(ptr[rrr])
+        at, sample_rank, kind = self._samples()
+        rrr = np.flatnonzero(kind[:-1] == 0)
+        classes = np.zeros((len(at) - 1, RRR_SAMPLE_EVERY), dtype=np.uint8)
+        classes[rrr] = self._classes(at[rrr])
         # a sample's 32 classes of at most 63 sum below 2^11, and so do their offset widths
         fields = np.frombuffer(classes.tobytes().translate(self._widths), dtype=np.uint8).astype(np.uint32)
         fields <<= 11
         fields |= classes.ravel()
         fields = fields.reshape(classes.shape)
-        sparse, values = self._sparse_values(ptr)
+        sparse, values = self._sparse_values(at, kind)
         bits = np.zeros(classes.shape, dtype=values.dtype)
         bits[sparse] = values
         fields[sparse] = np.bitwise_count(values)
@@ -800,8 +904,7 @@ class RrrBitVector(_BitVector):
         before -= fields
         before, classes, bits = before.ravel(), classes.ravel(), bits.ravel()
         # int64, so that the offset positions are: numpy gathers by int64 indices faster than by uint32 ones
-        base = np.where(ptr[:-1] < _SPARSE, ptr[:-1] + (RRR_SAMPLE_EVERY >> self._shift) << 3, 0)
-        sample_rank = np.frombuffer(self._sample_rank, dtype=np.uint32)
+        base = np.where(kind[:-1] == 0, at[:-1] + (RRR_SAMPLE_EVERY >> self._shift) << 3, 0)
         read, decode = self._offset_reader(), self._decoder()
         if self._table is not None:
             # every t-bit word, made for this function's life, so that a round decodes in one gather
@@ -826,27 +929,31 @@ class RrrBitVector(_BitVector):
         positions with its own. In a RRR one it sums the classes and the
         offset widths of its sample's blocks before its own, then reads its
         offset and decodes it. No table is made, per block or kept across
-        calls, so a call costs only its positions: a load ranks a few node
-        ends per tree depth, where batch_rank1's tables would cost more than
-        the ranks.
+        calls, so a call costs only its positions and its numpy calls, whose
+        tables of a class are made once per t (_many_tables): a load ranks a
+        few node ends per tree depth, where batch_rank1's tables would cost
+        more than the ranks.
         """
-        t = self.t
+        t, log = self.t, self._log
         blk = j // t
         sb = blk >> 5
-        ptr = np.frombuffer(self._ptr, dtype=np.uint32)
-        at = ptr[sb].astype(np.int64)
-        ones = np.frombuffer(self._sample_rank, dtype=np.uint32)[sb].astype(np.int64)
+        entries = np.frombuffer(self._entries, dtype=np.uint32)
+        bases = np.frombuffer(self._bases, dtype=np.uint32)
+        x = entries[sb].astype(np.int64)
+        half = bases[sb >> log] + (x & _AT)  # each sample's first 2-byte element
+        ones = np.frombuffer(self._ranks, dtype=np.int64)[sb >> log] + (x >> 16)
         # the positions in sparse samples, then those in RRR ones; a call
         # with none of a kind skips its numpy calls
-        q = np.flatnonzero(at >= _SPARSE)
+        q = np.flatnonzero(x & _SPARSE)
         if len(q):
             # a sparse sample's positions below j's, of a row of the stream's
             # uint16 elements, as many as the most any of j's samples holds:
             # a view with a row from each element, so that no index is made
             # per element. Its rows end at the stream's end, so a sample's
             # positions start at its row's shift, 0 but near the end
-            kind, lo = at[q] & _ZEROS, (at[q] & _AT) >> 1
-            held = (((ptr[sb[q] + 1] & _AT) >> 1) - lo).astype(np.uint8)
+            after = sb[q] + 1
+            lo = half[q]
+            held = (bases[after >> log] + (entries[after] & _AT) - lo).astype(np.uint8)
             width = int(held.max())
             rows = len(self._stream) // 2 - width + 1
             row = np.minimum(lo, rows - 1)
@@ -855,24 +962,39 @@ class RrrBitVector(_BitVector):
             # uint8 wraps a slot before the shift to 194 or more, past every count
             run = _SLOTS[:width] - (lo - row).astype(np.uint8)[:, None] < held[:, None]
             c = ((pos < p[:, None]) & run).sum(axis=1)
-            ones[q] += np.where(kind, p - c, c)
-        r = np.flatnonzero(at < _SPARSE)
+            ones[q] += np.where(x[q] & _ZEROS, p - c, c)
+        r = np.flatnonzero(~x & _SPARSE)
         if len(r):
             # a RRR sample's classes before j's block's, and their offset
             # widths; then j's block's offset, decoded
-            blk, at = blk[r], at[r]
+            blk, at = blk[r], half[r] << 1
             k = self._classes(at)
             b = blk & (RRR_SAMPLE_EVERY - 1)
             before = k * (_SLOTS[:RRR_SAMPLE_EVERY] < b[:, None])  # class 0 has no offset bits
             # each class and its offset width, in the low and high 16 bits, summed at once
-            sums = np.frombuffer(self._widths, dtype=np.uint8).astype(np.uint32) << 16 | np.arange(256, dtype=np.uint32)
-            sums = sums.take(before).sum(axis=1, dtype=np.uint32)
+            sums = _many_tables(t)[0].take(before).sum(axis=1, dtype=np.uint32)
             opos = (sums >> 16).astype(np.int64)
             opos += at + (RRR_SAMPLE_EVERY >> self._shift) << 3
             k = k[np.arange(len(r)), b]
             value = self._decoder()(k, self._offset_reader()(k, opos))
             ones[r] += (sums & 0xFFFF) + np.bitwise_count(value & (_ONE << (j[r] - blk * t).astype(np.uint64)) - _ONE)
         return ones
+
+    def tree_bases(self, firsts):
+        """The ones before each tree's first bit, at firsts (int64), as rank1 counts them: each first sample's rank, from the tables."""
+        sb = firsts // (RRR_SAMPLE_EVERY * self.t)
+        return np.frombuffer(self._ranks, dtype=np.int64)[sb >> self._log] + (np.frombuffer(self._entries, dtype=np.uint32)[sb] >> 16)
+
+    def _samples(self):
+        """Each sample's first byte in the stream, the ones before it, and its kind (0 RRR, 2 ones, 3 zeros), as int64.
+
+        Each has one more item than there are samples: where the samples
+        end, all their ones, and 0.
+        """
+        x = np.frombuffer(self._entries, dtype=np.uint32).astype(np.int64)
+        top = np.arange(len(x)) >> self._log
+        at = np.frombuffer(self._bases, dtype=np.uint32)[top] + (x & _AT) << 1
+        return at, np.frombuffer(self._ranks, dtype=np.int64)[top] + (x >> 16), x >> 14 & 3
 
     def _classes(self, at):
         """The classes (uint8) of the 32 blocks of each RRR sample at byte at[i] of the stream, one row each."""
@@ -897,23 +1019,24 @@ class RrrBitVector(_BitVector):
         opos -= widths
         return opos + (at + (RRR_SAMPLE_EVERY >> self._shift) << 3)[:, None]
 
-    def _positions(self, ptr):
-        """The positions of every sparse sample in turn, as int64, and the sample of each; ptr is _ptr as int64."""
-        sparse = np.flatnonzero(ptr[:-1] >= _SPARSE)
-        lo = (ptr[sparse] & _AT) >> 1
-        count = ((ptr[sparse + 1] & _AT) >> 1) - lo
+    def _positions(self, at, kind):
+        """The positions of every sparse sample in turn, as int64, and the sample of each; at and kind are _samples'."""
+        sparse = np.flatnonzero(kind[:-1] >= 2)
+        lo = at[sparse] >> 1
+        count = (at[sparse + 1] >> 1) - lo
         idx = np.arange(int(count.sum())) + np.repeat(lo - (np.cumsum(count) - count), count)
         return np.repeat(sparse, count), np.frombuffer(self._stream, dtype="<u2")[idx].astype(np.int64)
 
-    def _sparse_values(self, ptr):
+    def _sparse_values(self, at, kind):
         """The sparse samples, and the t bits of each of their blocks, LSB first, one row per sample.
 
         The bits are uint16 up to t = 16, else uint64: a ones sample's are
-        its positions' bits, a zeros one's their complement; ptr is _ptr as int64.
+        its positions' bits, a zeros one's their complement; at and kind
+        are _samples'.
         """
         t = self.t
-        sparse = np.flatnonzero(ptr[:-1] >= _SPARSE)
-        sample, pos = self._positions(ptr)
+        sparse = np.flatnonzero(kind[:-1] >= 2)
+        sample, pos = self._positions(at, kind)
         dtype = np.uint16 if t <= _TABLE_MAX_T else np.uint64
         values = np.zeros((len(sparse), RRR_SAMPLE_EVERY), dtype=dtype)
         blk = np.searchsorted(sparse, sample) * RRR_SAMPLE_EVERY + pos // t
@@ -921,7 +1044,7 @@ class RrrBitVector(_BitVector):
         if len(blk):
             bits = np.ones(1, dtype=dtype) << (pos % t).astype(dtype)
             values.ravel()[blk[first]] = np.bitwise_or.reduceat(bits, first)
-        values[ptr[sparse] >> 30 == 3] ^= (np.ones(1, dtype=dtype) << dtype(t)) - dtype(1)
+        values[kind[sparse] == 3] ^= (np.ones(1, dtype=dtype) << dtype(t)) - dtype(1)
         return sparse, values
 
     def _offset_reader(self):
@@ -930,16 +1053,16 @@ class RrrBitVector(_BitVector):
         Up to t = 16 an offset is at most 14 bits wide, so the 4 bytes from
         the one that holds its first bit hold it: one unaligned uint32 view
         of the stream, one element per byte (the stream ends in a spare
-        word), reads it, as int64, or as uint32 from uint32 bits opos.
-        Above, read_fields reads it, as uint64. Every view it reads is bound
-        here.
+        word), reads it, as int64, or as uint32 from uint32 bits opos, and
+        masks it by its class (_many_tables). Above, read_fields reads it,
+        as uint64. Every view it reads is bound here.
         """
-        widths = np.frombuffer(self._widths, dtype=np.uint8)  # each class byte value's, 0 above t
         if self.t > _TABLE_MAX_T:
+            widths = np.frombuffer(self._widths, dtype=np.uint8)  # each class byte value's, 0 above t
             stream = np.frombuffer(self._stream, dtype="<u8")
             return lambda k, opos: read_fields(stream, opos, widths[k])
         view = np.ndarray(len(self._stream) - 3, dtype="<u4", buffer=self._stream, strides=(1,))
-        masks = (np.uint32(1) << widths) - np.uint32(1)  # each class's offset bits
+        masks = _many_tables(self.t)[1]
         return lambda k, opos: view[opos >> 3] >> (opos & 7) & masks[k]
 
     def _decoder(self):
@@ -953,12 +1076,12 @@ class RrrBitVector(_BitVector):
 
     def _values(self):
         """Every block's t bits, LSB first, as uint64, over all the vector's samples, whatever their kind."""
-        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
-        values = np.zeros((len(ptr) - 1, RRR_SAMPLE_EVERY), dtype=np.uint64)
-        rrr = np.flatnonzero(ptr[:-1] < _SPARSE)
-        k = self._classes(ptr[rrr])
-        values[rrr] = self._decoder()(k, self._offset_reader()(k, self._offset_starts(k, ptr[rrr])))
-        sparse, values[sparse] = self._sparse_values(ptr)
+        at, _, kind = self._samples()
+        values = np.zeros((len(at) - 1, RRR_SAMPLE_EVERY), dtype=np.uint64)
+        rrr = np.flatnonzero(kind[:-1] == 0)
+        k = self._classes(at[rrr])
+        values[rrr] = self._decoder()(k, self._offset_reader()(k, self._offset_starts(k, at[rrr])))
+        sparse, values[sparse] = self._sparse_values(at, kind)
         return values.ravel()
 
     def to_bits(self):
@@ -978,26 +1101,33 @@ class RrrBitVector(_BitVector):
 
     def sample_kinds(self):
         """How many samples of the vector are of each kind: {"rrr": ..., "ones": ..., "zeros": ...}."""
-        kinds = np.bincount(np.frombuffer(self._ptr, dtype=np.uint32)[:-1] >> 30, minlength=4)
+        kinds = np.bincount(np.frombuffer(self._entries, dtype=np.uint32)[:-1] >> 14 & 3, minlength=4)
         return {"rrr": int(kinds[0]), "ones": int(kinds[2]), "zeros": int(kinds[3])}
 
     def payload(self, ms):
         """The payload section of the vector's trees of ms bits (int64): each m as a u32, every sample's kind byte, then the samples' bytes.
 
-        The kind bytes are the pointers' top bits and the samples' byte
-        counts (see read_payload), and the samples' bytes the stream as it
-        is, but its padding.
+        The kind bytes are the samples' kinds and byte counts (see
+        read_payload), and the samples' bytes the stream as it is, but its
+        padding.
         """
-        ptr = np.frombuffer(self._ptr, dtype=np.uint32).astype(np.int64)
-        size = np.diff(ptr & _AT)
+        at, _, kind = self._samples()
+        size = np.diff(at)
         cb = RRR_SAMPLE_EVERY >> self._shift
-        kinds = np.where(ptr[:-1] >= _SPARSE, ptr[:-1] >> 24 & 0xC0 | size >> 1, (size - cb) >> 1)
-        return ms.astype("<u4").tobytes() + kinds.astype(np.uint8).tobytes() + self._stream[: self._ptr[-1] & _AT]
+        kinds = np.where(kind[:-1] >= 2, kind[:-1] << 6 | size >> 1, (size - cb) >> 1)
+        return ms.astype("<u4").tobytes() + kinds.astype(np.uint8).tobytes() + self._stream[: at[-1]]
 
     def stored_bits(self, ms):
-        """Bits of the vector's trees of ms bits (int64): in the payload section, and in the samples' ranks and pointers."""
-        samples = len(self._ptr) - 1
-        return 32 * len(ms) + 8 * (samples + (self._ptr[-1] & _AT)), 64 * samples
+        """Bits of the vector's trees of ms bits (int64): in the payload section, and in the rank tables.
+
+        The tables are a 32-bit entry per sample and one more for the
+        samples' end, then a 64-bit rank and a 32-bit stream element per
+        superblock.
+        """
+        samples = len(self._entries) - 1
+        end = self._bases[-1] + (self._entries[-1] & _AT) << 1
+        tables = (self._entries, self._ranks, self._bases)
+        return 32 * len(ms) + 8 * (samples + end), sum(8 * a.itemsize * len(a) for a in tables)
 
 
 def build_plain(bits):

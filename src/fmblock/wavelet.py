@@ -425,9 +425,13 @@ def _read(wt, bits, ms, codebook):
     `leaf`, past every node's start. At a node with b ones before s, the
     child's start plus the child's share of the node's p - s elements
     before p is rank1(p) + step on bit 1 (step = s1 - b > 0) and p -
-    rank1(p) - step on bit 0 (step = -(s0 - s + b) <= 0), where b, like
-    rank1, counts from the tree's start. A symbol's path is its code's steps
-    from the root, and ends at p = leaf plus the rank.
+    rank1(p) - step on bit 0 (step = -(s0 - s + b) <= 0), where b counts
+    as rank1 does: from the tree's start in a plain vector, from the
+    vector's start in an RRR one. Either way rank1(p) - b counts the
+    node's ones before p, so the steps' signs, and the codes they give, do
+    not depend on it; each tree's root takes its b from the vector's tables
+    (bits.tree_bases), with no rank. A symbol's path is its code's steps from the root, and ends at p
+    = leaf plus the rank.
 
     A tree's occurrences of a symbol are the size of its leaf. The boundary
     rows sum them over the blocks before each block, and the totals, which
@@ -453,7 +457,7 @@ def _read(wt, bits, ms, codebook):
     at = np.flatnonzero(per_length[:, 0] == 0)
     size = lengths[at]
     leaf_sizes = [lengths[per_length[:, 0] == 1]]
-    end, ones_end = first.copy(), np.zeros(ntrees, dtype=np.int64)
+    end, ones_end = first.copy(), bits.tree_bases(first)
     last_at = np.zeros((ntrees, max(depth, 1)), dtype=np.int64)  # per depth, one past each tree's last node
     node_tree, node_start, node_base, node_child = [], [], [], []
     total = 0

@@ -27,6 +27,7 @@ from fmblock.bitrank import (
     tree_firsts,
     value_of_offset,
     _decode_table,
+    _superblock_log,
     _word_table,
 )
 from helpers import rrr_payload
@@ -185,7 +186,7 @@ def test_every_block_decodes_at_every_rem(t):
     bits = (values[:, None] >> np.arange(t) & 1).astype(np.uint8).ravel()
     prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
     v, _ = read_payload(rrr_payload(t, [(len(bits), blocks)]), t, 1)
-    assert v.sample_kinds()["rrr"] == len(v._sample_rank)
+    assert v.sample_kinds()["rrr"] == len(v._entries) - 1
     positions = np.arange(len(bits) + 1)
     assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
     assert v.rank1_many(positions).tolist() == prefix.tolist()
@@ -238,7 +239,8 @@ def test_rrr_offset_width_accounting():
     offsets = [sum(offset_width(15, k) for k in classes[s : s + 32]) for s in (0, 32)]
     stored, samples = v.stored_bits(np.array([v.m]))
     assert stored == 32 + 2 * 8 + sum(8 * 16 + 16 * -(-bits // 16) for bits in offsets)
-    assert samples == 64 * len(v._sample_rank)
+    # the rank tables: a 32-bit entry per sample and for their end, and one superblock's 64-bit rank and 32-bit byte
+    assert samples == 32 * 3 + 64 + 32
 
 
 @pytest.mark.parametrize(
@@ -271,9 +273,14 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     # each tree from a fresh word (plain) or sample (RRR)
     firsts = tree_firsts(ms, v.t).tolist()
     assert firsts == [0, *itertools.accumulate(spans[:-1])]
+    before = 0
     for first, bits in zip(firsts, joined):
-        # rank1 counted from the tree's first bit, at every position and so every node boundary
-        assert [v.rank1(first + j) for j in range(len(bits) + 1)] == [0, *itertools.accumulate(bits.tolist())]
+        # rank1 at every position and so every node boundary, counted from the
+        # tree's first bit (plain) or from the vector's (RRR), which the
+        # vector's tree_bases gives at a tree's first bit
+        assert [v.rank1(first + j) for j in range(len(bits) + 1)] == [*itertools.accumulate(bits.tolist(), initial=before)]
+        assert v.tree_bases(np.array([first])).tolist() == [before]
+        before += int(bits.sum()) if t else 0
     assert v.m == firsts[-1] + ms[-1]
     assert v.payload(ms) == written
 
@@ -406,7 +413,7 @@ def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(
     # one make_bitvector call over the trees' joined bits and bit counts lays
     # each tree out where a load of their payload, from each tree's own
     # vector, does (tree_firsts), with the same words and counters (t = 0,
-    # plain), or sample stream, pointers and ranks, and writes that payload
+    # plain), or sample stream and rank tables, and writes that payload
     ms = np.array([len(bits) for bits in trees], dtype=np.int64)
     built = make_bitvector(np.concatenate(trees), t, ms)
     payload = joined_payload(trees, t)
@@ -417,9 +424,12 @@ def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(
     if t == 0:
         assert built._words == loaded._words and built._counts == loaded._counts
     else:
-        assert (built._stream, built._ptr, built._sample_rank) == (loaded._stream, loaded._ptr, loaded._sample_rank)
+        assert (built._stream, built._entries, built._ranks, built._bases) == (loaded._stream, loaded._entries, loaded._ranks, loaded._bases)
+    # ranks count from the tree's first bit (plain) or from the vector's (RRR)
+    before = 0
     for first, bits in zip(firsts, trees):
-        assert [built.rank1(j) for j in range(first, first + len(bits) + 1)] == [0, *itertools.accumulate(bits.tolist())]
+        assert [built.rank1(j) for j in range(first, first + len(bits) + 1)] == [*itertools.accumulate(bits.tolist(), initial=before)]
+        before += int(bits.sum()) if t else 0
     assert built.payload(ms) == loaded.payload(ms) == payload
 
 
@@ -499,7 +509,7 @@ def mixed_samples(draw):
 def test_every_rank_form_equals_the_prefix_sum_over_mixed_sample_kinds(case, data):
     t, bits = case
     v = RrrBitVector(bits, t)
-    assert sum(v.sample_kinds().values()) == len(v._sample_rank) == rrr_samples(len(bits), t)
+    assert sum(v.sample_kinds().values()) == len(v._entries) - 1 == rrr_samples(len(bits), t)
     prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
     positions = np.arange(len(bits) + 1)
     assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
@@ -518,3 +528,97 @@ def test_every_rank_form_equals_the_prefix_sum_over_mixed_sample_kinds(case, dat
             lo, hi = nlo, nhi
         assert v.descend(steps, b, e) == (lo, hi)
     assert v.to_bits().tolist() == bits.tolist()
+
+
+@st.composite
+def superblock_vectors(draw):
+    """An RRR block size t and trees of bits over at least three superblocks, the second tree from mid-superblock.
+
+    Each sample's bits are all zeros or ones, sparse ones or zeros, or
+    dense, drawn per sample; the first tree's first three are sparse ones,
+    sparse zeros and dense, so that every kind is present.
+    """
+    t = draw(st.sampled_from([1, 4, 15, 16, 31, 63]), label="t")
+    sample = RRR_SAMPLE_EVERY * t
+    per = sample << _superblock_log(t)  # a superblock's bits
+    # the first tree takes S + 2 to 2S - 1 samples, so that it ends past
+    # its first superblock and before its second ends; with the second, at
+    # least 2S + 3 samples
+    ms = [
+        per + draw(st.integers(sample, per - sample - t), label="m0"),
+        draw(st.integers(per, 2 * per), label="m1"),
+        draw(st.integers(0, per // 2), label="m2"),
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    trees = []
+    for m in ms:
+        density = rng.choice([0.0, 1.0, 0.01, 0.99, 0.5], -(-m // sample))
+        trees.append((rng.random(m) < np.repeat(density, sample)[:m]).astype(np.uint8))
+    trees[0][: 3 * sample] = rng.random(3 * sample) < np.repeat([0.01, 0.99, 0.5], sample)
+    return t, trees
+
+
+@settings(max_examples=12, deadline=None)
+@given(superblock_vectors(), st.data())
+def test_every_rank_form_counts_from_the_vector_start_across_superblocks(case, data):
+    # rank1, rank1_many, batch_rank1 and descend, at every position near a
+    # superblock's edge or a tree's first bit or limit, and at others, equal
+    # prefix popcounts from the vector's first bit, whichever tree holds the
+    # position; a built vector's tables equal those of its loaded copy
+    t, trees = case
+    ms = np.array([len(bits) for bits in trees], dtype=np.int64)
+    v = make_bitvector(np.concatenate(trees), t, ms)
+    loaded, _ = read_payload(v.payload(ms), t, len(ms))
+    assert (v._stream, v._entries, v._ranks, v._bases) == (loaded._stream, loaded._entries, loaded._ranks, loaded._bases)
+    kinds = v.sample_kinds()
+    assert all(kinds.values()), kinds
+    sample, log = RRR_SAMPLE_EVERY * t, _superblock_log(t)
+    per = sample << log
+    firsts = tree_firsts(ms, t)
+    assert len(v._ranks) >= 3 and (firsts[1] // sample) % (1 << log)  # the second tree starts mid-superblock
+    full = np.zeros(v.m, dtype=np.uint8)
+    for first, bits in zip(firsts.tolist(), trees):
+        full[first : first + len(bits)] = bits
+    prefix = np.concatenate([[0], np.cumsum(full, dtype=np.int64)])
+    edges = np.concatenate([per * np.arange(len(v._ranks)), firsts, firsts + ms])
+    near = (edges[:, None] + np.arange(-2 * t - 1, 2 * t + 2)).ravel()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="positions"))
+    positions = np.unique(np.clip(np.concatenate([near, rng.integers(0, v.m + 1, 500)]), 0, v.m))
+    want = prefix[positions].tolist()
+    for vector in (v, loaded):
+        assert [vector.rank1(j) for j in positions.tolist()] == want
+        assert vector.rank1_many(positions).tolist() == want
+        assert vector.batch_rank1()(positions).tolist() == want
+    assert v.tree_bases(firsts).tolist() == prefix[firsts].tolist()
+    # descend from ends near an edge, the second in b's block, sample,
+    # superblock or anywhere after, down one or two levels of either sign
+    for _ in range(40):
+        b = int(data.draw(st.sampled_from(positions.tolist()), label="b"))
+        reach = data.draw(st.sampled_from([t, sample, per, v.m]), label="reach")
+        e = min(v.m, b + data.draw(st.integers(0, reach), label="e"))
+        steps, lo, hi = [], b, e
+        for _ in range(data.draw(st.integers(1, 2), label="levels")):
+            rb, re = int(prefix[lo]), int(prefix[hi])
+            if data.draw(st.booleans(), label="sign") and re < v.m:
+                step = data.draw(st.integers(1, v.m - re), label="step")
+                lo, hi = rb + step, re + step
+            else:
+                step = -data.draw(st.integers(0, v.m - hi + re), label="step")
+                lo, hi = lo - rb - step, hi - re - step
+            steps.append(step)
+        assert v.descend(steps, b, e) == (lo, hi), (b, e, steps)
+
+
+@pytest.mark.parametrize("t", [1, 15, 16, 63])
+def test_rrr_rank_tables_hold_4_bytes_per_sample_and_superblock_bases(t):
+    # a u32 entry per sample and one for the samples' end, and per
+    # superblock of 2^_superblock_log(t) entries a 64-bit rank and a 32-bit
+    # stream element: what stored_bits charges, exactly
+    rng = np.random.default_rng(t)
+    bits = (rng.random(3 * (RRR_SAMPLE_EVERY * t << _superblock_log(t)) + 5 * t) < 0.3).astype(np.uint8)
+    v = RrrBitVector(bits, t)
+    samples = rrr_samples(len(bits), t)
+    assert (v._entries.itemsize, len(v._entries)) == (4, samples + 1)
+    supers = (samples >> _superblock_log(t)) + 1
+    assert (len(v._ranks), len(v._bases)) == (supers, supers) == (4, 4)
+    assert v.stored_bits(np.array([len(bits)]))[1] == 8 * (4 * (samples + 1) + (8 + 4) * supers)

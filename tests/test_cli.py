@@ -224,7 +224,7 @@ def test_stats_counts_the_sample_kinds_of_an_rrr_index(tmp_path, capsys, variant
         assert kinds == {}
         return
     assert list(kinds) == ["rrr_samples_rrr", "rrr_samples_ones", "rrr_samples_zeros"]
-    assert sum(kinds.values()) == len(storage.load_index(idx).blocks.bits._sample_rank)
+    assert sum(kinds.values()) == len(storage.load_index(idx).blocks.bits._entries) - 1
     assert kinds["rrr_samples_ones"] + kinds["rrr_samples_zeros"] > 0
 
 

@@ -157,6 +157,20 @@ def test_size_report_components_and_total():
         assert rep.bits_per_symbol == rep.total / t.n
 
 
+def test_an_rrr_size_report_charges_4_bytes_per_sample_and_the_superblock_bases():
+    # the rank directories of an RRR index are its vector's tables: a u32
+    # entry per sample of every tree and one for the samples' end, and a
+    # 64-bit rank and a 32-bit stream element per superblock
+    t = Text.from_codes(random_codes(random.Random(4), 30_000, 6), 6)
+    for variant, block_size in (("ssa_rrr", None), ("fixed_block_rrr", 700)):
+        ix = build_index(t, variant, block_size)
+        bits = ix.blocks.bits
+        samples = int(bitrank.rrr_samples(ix.blocks._ms(), bits.t).sum())
+        supers = (samples >> bitrank._superblock_log(bits.t)) + 1
+        assert (bits._entries.itemsize, len(bits._entries), len(bits._ranks), len(bits._bases)) == (4, samples + 1, supers, supers)
+        assert ix.size_report().rank_directories == 8 * (4 * (samples + 1) + (8 + 4) * supers)
+
+
 def test_payload_bounded_by_blockwise_entropy_plus_one():
     rng = random.Random(3)
     codes = random_codes(rng, 2000, 5)

@@ -842,7 +842,7 @@ def test_a_load_reads_one_tree_per_symbol_or_pair(variant, block_size):
 @given(st.data())
 def test_a_built_index_equals_its_loaded_copy(data):
     # a build lays its trees out as a load does: the same tables, the same
-    # plain words and counters or RRR sample stream, pointers and ranks, and
+    # plain words and counters or RRR sample stream and rank tables, and
     # the same saved bytes
     variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
     rrr_t = data.draw(st.sampled_from([1, 15, 16, 63]), label="rrr_t")
@@ -860,5 +860,5 @@ def test_a_built_index_equals_its_loaded_copy(data):
     if variant.bitvector_backend == "plain":
         assert built._words == loaded._words and built._counts == loaded._counts
     else:
-        assert (built._stream, built._ptr, built._sample_rank) == (loaded._stream, loaded._ptr, loaded._sample_rank)
+        assert (built._stream, built._entries, built._ranks, built._bases) == (loaded._stream, loaded._entries, loaded._ranks, loaded._bases)
     assert to_bytes(back) == raw
