@@ -3,12 +3,16 @@
 Two interchangeable representations:
 
 * PlainBitVector keeps the raw bits in one buffer of 64-bit words, read
-  through memoryview.cast("Q"), and one 32-bit counter per word through
-  .cast("I"): the ones before the word. A word holds its first bit in the
-  most significant place, so the ones before a position are the word
-  shifted right, with no mask to build: a rank is one counter plus one
-  shift and one popcount. One vector can hold many trees, each from a
-  fresh word and with its own counters (see plain_words).
+  through memoryview.cast("Q"), and two-level ranks (González,
+  Grabowski, Mäkinen and Navarro): one 16-bit counter per word, through
+  .cast("H"), the ones before the word since its superblock of 2^16 bits,
+  and one rank per superblock, the ones before it, in a tuple of ints. A
+  word holds its first bit in the most significant place, so the ones
+  before a position are the word shifted right, with no mask to build: a
+  rank is one superblock rank, one counter, one shift and one popcount.
+  One vector can hold many trees, each from a fresh byte, as the payload
+  section stores them; its ranks count from the vector's first bit, not
+  the tree's (see tree_bases).
 * RrrBitVector cuts the bits into t-bit blocks and the blocks into
   samples of 32, and stores each sample as one of three kinds, whichever
   is smaller: RRR, each block's popcount class and then an enumerative
@@ -56,9 +60,11 @@ kind byte, then the stream of the samples' bytes as it is. Neither loops
 over trees in Python: every check and table is made over all of them at
 once. An RRR vector, built or loaded, is made by one routine
 (RrrBitVector._setup), which checks every sample as it makes the samples'
-ranks, so none is ranked, and no node routed, unchecked. The padding bits
-of a plain tree's last byte are cleared at load, as a build leaves them,
-since no rank reads past a tree's last node.
+ranks, so none is ranked, and no node routed, unchecked. A plain vector
+holds the section's tree bytes as they are, so a load is one copy and one
+byte translation, and payload() one slice; the padding bits of a plain
+tree's last byte are cleared at load, as a build leaves them, so that a
+loaded vector equals the built one and saves the same bytes.
 
 Each backend also takes both ends of a backward-search step in one tree
 down a symbol's path, level by level: descend() ranks both ends of a level
@@ -110,6 +116,9 @@ _NIBBLE_MAX_T = 15
 _ONE = np.uint64(1)
 _MAX_POSITIONS = 63  # the most positions a sparse sample holds: its kind byte's count field
 _SLOTS = np.arange(_MAX_POSITIONS, dtype=np.uint8)
+# a plain vector's words per superblock: 2^10, so that the ones before a word since
+# its superblock's first word, at most 2^16 - 64, fit a uint16 (rank1 and descend write the 10 out)
+_SUPERBLOCK_WORDS = 1 << 10
 # a sample's entry (see RrrBitVector): the ones before it since its
 # superblock's first sample in the top 16 bits, then two kind bits (it is
 # sparse, and then its positions are its zeros'), then, in the low 14, the
@@ -131,21 +140,6 @@ def _as_bit_array(bits):
     return arr
 
 
-def plain_words(m):
-    """64-bit words a plain tree of m bits takes in a vector; m may be a numpy array.
-
-    Its bytes padded to a word, plus one word when they fill the last one,
-    so that rank1 at the tree's end reads a word of the tree.
-    """
-    return ((m + 7) >> 6) + 1
-
-
-def _plain_bytes(ms):
-    """Which bytes of a plain vector of trees of ms bits (int64) hold a tree's bits: the first ceil(m / 8) of its words."""
-    held = (ms + 7) >> 3
-    return np.repeat(np.tile([True, False], len(ms)), np.stack([held, 8 * plain_words(ms) - held], axis=1).ravel())
-
-
 class _BitVector:
     """What both backends share: rank of either bit over rank1."""
 
@@ -161,66 +155,89 @@ class _BitVector:
 
 
 class PlainBitVector(_BitVector):
-    """The bits of one or more trees as 64-bit words, with a 32-bit counter per word.
+    """The bits of one or more trees as 64-bit words, with a 16-bit counter per word and a rank per superblock.
 
-    Each tree starts on a word and takes plain_words of its bit count. A word
-    holds its first bit in the most significant place, and its counter the
-    ones before it since its tree's first word, so rank1(j) counts the ones
-    from the start of the tree that holds j to j.
+    Each tree starts on a byte and takes the ceil(m / 8) bytes of its bit
+    count m, as the payload section stores them, and one spare word ends
+    the vector, so that rank1 at its end reads a word of it. A word holds
+    its first bit in the most significant place. The ranks are two-level
+    (González, Grabowski, Mäkinen and Navarro's directories): each
+    superblock of 2^10 words (2^16 bits) has the ones before it, a Python
+    int in the tuple _ranks, which reads faster than an array or a
+    memoryview, each of whose reads makes an int; each word has the ones
+    before it since its superblock's first word, at most 65,472, in the
+    uint16 _counts. So rank1(j) counts the ones from the vector's first
+    bit to j, whichever tree holds j (see tree_bases).
     """
 
-    __slots__ = ("_words", "_counts", "m")
+    __slots__ = ("_words", "_counts", "_ranks", "m")
     t = 0  # no RRR blocks: see tree_firsts
 
     def __init__(self, bits, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
         ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
-        firsts = tree_firsts(ms) >> 3  # each tree's first byte
+        tree_firsts(ms)  # checks every tree's size before the bits are packed
         bits = _as_bit_array(bits)
-        raw = bytearray(8 * int(plain_words(ms).sum()))
-        view = np.frombuffer(raw, dtype=np.uint8)
-        for first, stop, m in zip(firsts.tolist(), np.cumsum(ms).tolist(), ms.tolist()):
-            view[first : first + ((m + 7) >> 3)] = np.packbits(bits[stop - m : stop])
-        self._setup(raw, ms)
+        stops = np.cumsum(ms).tolist()
+        self._setup(b"".join(np.packbits(bits[stop - m : stop], bitorder="little").tobytes() for stop, m in zip(stops, ms.tolist())), ms)
 
-    def _setup(self, raw, ms):
-        """The vector of the bytes raw, in bit order, which hold trees of ms bits in turn (see tree_firsts).
+    def _setup(self, trees, ms):
+        """The vector of trees of ms bits (int64) from their bytes as the payload section stores them (see read_payload).
 
-        Every word and counter is made over the whole vector at once.
+        trees is a buffer of each tree's ceil(m / 8) bytes in turn, LSB
+        first, which the caller checks. They are copied once, then zero
+        bytes to a whole word and a spare word, and each byte's bits
+        reversed, to the words' order; the padding bits of a tree's last
+        byte are cleared, as a build leaves them. A build and a load both
+        make their vector here. Every word and counter is made over the
+        whole vector at once.
         """
-        sizes = plain_words(ms)
-        firsts = np.cumsum(sizes) - sizes
+        raw = bytearray(8 * ((len(trees) + 7 >> 3) + 1))
+        raw[: len(trees)] = trees
+        raw = raw.translate(_REVERSED)
+        firsts = tree_firsts(ms)
+        cut = ms & 7  # each tree's bits in its last byte, MSB first, but where it fills the byte
+        np.frombuffer(raw, dtype=np.uint8)[((firsts + ms) >> 3)[cut > 0]] &= (0xFF00 >> cut[cut > 0]).astype(np.uint8)
         words = np.frombuffer(raw, dtype=np.uint64)
         words.byteswap(inplace=True)  # each word's first byte to its top, as big-endian words read
         ones = np.bitwise_count(words)
         before = ones.astype(np.int64)
         np.cumsum(before, out=before)  # in int64 throughout: from uint8 it takes three times as long
         before -= ones
-        before -= np.repeat(before[firsts], sizes)
-        counts = bytearray(4 * len(words))
-        np.frombuffer(counts, dtype=np.uint32)[:] = before
+        ranks = before[::_SUPERBLOCK_WORDS].copy()
+        before -= np.repeat(ranks, _SUPERBLOCK_WORDS)[: len(words)]
+        counts = bytearray(2 * len(words))
+        np.frombuffer(counts, dtype=np.uint16)[:] = before
         self._words = memoryview(raw).cast("Q")
-        self._counts = memoryview(counts).cast("I")
-        self.m = 64 * int(firsts[-1]) + int(ms[-1])
+        self._counts = memoryview(counts).cast("H")
+        self._ranks = tuple(ranks.tolist())
+        self.m = int(firsts[-1] + ms[-1])
 
     def rank1(self, j):
         k = j >> 6
-        return self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
+        return self._ranks[k >> 10] + self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
 
     def descend(self, steps, b, e):
         """Both ends b <= e of one tree down a path's signed steps, level by level, to (b, e) at its end.
 
         Each level ranks both ends as rank1 does, inline, and takes each to
         rank1 + step on a positive step, else to its position - rank1 - step
-        (see wavelet's _read). The ends walk the whole path even once they
-        meet: only the caller (wavelet's narrow) decides a range is empty.
+        (see wavelet's _read); e takes b's word and its ones before it when
+        it falls in the same word, as most ends of a narrow range do. The
+        ends walk the whole path even once they meet: only the caller
+        (wavelet's narrow) decides a range is empty.
         """
-        words, counts = self._words, self._counts
+        words, counts, ranks = self._words, self._counts, self._ranks
         for step in steps:
             k = b >> 6
-            rb = counts[k] + (words[k] >> (64 - (b & 63))).bit_count()
-            k = e >> 6
-            re = counts[k] + (words[k] >> (64 - (e & 63))).bit_count()
+            w = words[k]
+            r = ranks[k >> 10] + counts[k]
+            rb = r + (w >> (64 - (b & 63))).bit_count()
+            x = e >> 6
+            if x == k:
+                re = r + (w >> (64 - (e & 63))).bit_count()
+            else:
+                re = ranks[x >> 10] + counts[x] + (words[x] >> (64 - (e & 63))).bit_count()
             if step > 0:
                 b, e = rb + step, re + step
             else:
@@ -231,26 +248,27 @@ class PlainBitVector(_BitVector):
     def batch_rank1(self):
         """rank1 over int64 arrays of positions: a function of one, over views of the words and counters made once.
 
-        It returns uint32 ranks. The shift of 64 - (j & 63) is done as 63 -
+        It returns int64 ranks. The shift of 64 - (j & 63) is done as 63 -
         (j & 63), then 1, so that no word is shifted by 64: C leaves that
         undefined, and numpy (2.4 gives 0, as Python does) does not document it.
         """
         words = np.frombuffer(self._words, dtype=np.uint64)
-        counts = np.frombuffer(self._counts, dtype=np.uint32)
+        counts = np.frombuffer(self._counts, dtype=np.uint16)
+        ranks = np.array(self._ranks, dtype=np.int64)
 
         def rank1(j):
             k = j >> 6
-            return counts[k] + np.bitwise_count(words[k] >> (63 - (j & 63)).view(np.uint64) >> _ONE)
+            return ranks[k >> 10] + counts[k] + np.bitwise_count(words[k] >> (63 - (j & 63)).view(np.uint64) >> _ONE)
 
         return rank1
 
     def rank1_many(self, j):
         """rank1 of every position in the int64 array j, as int64: batch_rank1's, which makes no table."""
-        return self.batch_rank1()(j).astype(np.int64)
+        return self.batch_rank1()(j)
 
     def tree_bases(self, firsts):
-        """The ones before each tree's first bit, at firsts (int64), as rank1 counts them: none, as each tree's counters start at 0."""
-        return np.zeros(len(firsts), dtype=np.int64)
+        """The ones before each tree's first bit, at firsts (int64), as rank1 counts them: batch_rank1's, with no rank1_many call."""
+        return self.batch_rank1()(firsts)
 
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
@@ -262,15 +280,15 @@ class PlainBitVector(_BitVector):
     def payload(self, ms):
         """The payload section of the vector's trees of ms bits (int64): each m as a u32, then each tree's bytes, LSB first.
 
-        A tree's bytes are the first ceil(m / 8) of its words, whose bits
-        after m are zero, as a build and a load leave them.
+        The trees' bytes are the vector's first ones, end to end, whose bits
+        after each tree's m are zero, as a build and a load leave them.
         """
         raw = np.frombuffer(self._words, dtype=np.uint64).astype(">u8").view(np.uint8)
-        return ms.astype("<u4").tobytes() + raw[_plain_bytes(ms)].tobytes().translate(_REVERSED)
+        return ms.astype("<u4").tobytes() + raw[: int((ms + 7 >> 3).sum())].tobytes().translate(_REVERSED)
 
     def stored_bits(self, ms):
-        """Bits of the vector's trees of ms bits (int64): in the payload section, byte padding aside, and in the counters."""
-        return 32 * len(ms) + int(ms.sum()), 32 * len(self._counts)
+        """Bits of the vector's trees of ms bits (int64): in the payload section, byte padding aside, and in the rank directories."""
+        return 32 * len(ms) + int(ms.sum()), 16 * len(self._counts) + 64 * len(self._ranks)
 
 
 @functools.cache
@@ -475,15 +493,16 @@ def rrr_samples(m, t):
 def tree_firsts(ms, t=0):
     """Each tree's first bit, as int64, in a vector of trees of ms bits in turn.
 
-    A plain tree (t = 0) takes 64 * plain_words(m) bits, from a fresh word,
-    and an RRR tree of t-bit blocks 32 t * rrr_samples(m, t), from a fresh
-    sample. Raises ValueError if a tree has 2^32 bits or more, which its
-    32-bit counters or sample ranks could not count.
+    A plain tree (t = 0) takes its ceil(m / 8) bytes, from a fresh byte,
+    and an RRR tree of t-bit blocks 32 t * rrr_samples(m, t) bits, from a
+    fresh sample. Raises ValueError if a tree has 2^32 bits or more, which
+    the file's u32 bit count, and an RRR tree's sample ranks, could not
+    count.
     """
     ms = np.asarray(ms, dtype=np.int64)
     if (ms >= 1 << 32).any():
         raise ValueError(f"{'rrr' if t else 'plain'} tree of 2^32 bits or more")
-    spans = RRR_SAMPLE_EVERY * t * rrr_samples(ms, t) if t else 64 * plain_words(ms)
+    spans = RRR_SAMPLE_EVERY * t * rrr_samples(ms, t) if t else (ms + 7) >> 3 << 3
     return np.cumsum(spans) - spans
 
 
@@ -1180,10 +1199,6 @@ def read_payload(buf, t, count):
         raise EOFError("payload truncated")
     if len(buf) > held:
         raise ValueError("payload length")
-    raw = bytearray(8 * int(plain_words(ms).sum()))
-    view = np.frombuffer(raw, dtype=np.uint8)
-    view[_plain_bytes(ms)] = np.frombuffer(buf, dtype=np.uint8, offset=head)
-    view[(tree_firsts(ms) >> 3) + (ms >> 3)] &= ((1 << (ms & 7)) - 1).astype(np.uint8)
     vector = PlainBitVector.__new__(PlainBitVector)
-    vector._setup(raw.translate(_REVERSED), ms)
+    vector._setup(memoryview(buf)[head:], ms)
     return vector, ms

@@ -20,7 +20,7 @@ goes right, reading codes from the most significant bit.
 
 A sequence's wavelet trees are one per fixed block of it (the ssa
 variants are one block) and share one vector, each from its own start: a
-fresh word for plain trees, a fresh sample for RRR ones (see bitrank's
+fresh byte for plain trees, a fresh sample for RRR ones (see bitrank's
 tree_firsts). They also share one set of flat tables (WaveletTree): one
 path entry per (tree, symbol), one array of every path's steps, each
 tree's start and leaf, the boundary rows, the symbol counts before each
@@ -426,11 +426,10 @@ def _read(wt, bits, ms, codebook):
     child's start plus the child's share of the node's p - s elements
     before p is rank1(p) + step on bit 1 (step = s1 - b > 0) and p -
     rank1(p) - step on bit 0 (step = -(s0 - s + b) <= 0), where b counts
-    as rank1 does: from the tree's start in a plain vector, from the
-    vector's start in an RRR one. Either way rank1(p) - b counts the
-    node's ones before p, so the steps' signs, and the codes they give, do
-    not depend on it; each tree's root takes its b from the vector's tables
-    (bits.tree_bases), with no rank. A symbol's path is its code's steps from the root, and ends at p
+    as rank1 does, from the vector's start. rank1(p) - b counts the node's
+    ones before p, so the steps' signs, and the codes they give, do not
+    depend on it; each tree's root takes its b from the vector's tables
+    (bits.tree_bases), with no rank1_many call. A symbol's path is its code's steps from the root, and ends at p
     = leaf plus the rank.
 
     A tree's occurrences of a symbol are the size of its leaf. The boundary

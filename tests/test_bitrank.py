@@ -21,7 +21,6 @@ from fmblock.bitrank import (
     make_bitvector,
     offset_of_value,
     offset_width,
-    plain_words,
     read_payload,
     rrr_samples,
     tree_firsts,
@@ -69,12 +68,14 @@ def test_rank_argument_validation():
 
 def test_plain_directory_sizing():
     v = build_plain([1] * 4096)
-    # the u32 bit count and the bits, then one 32-bit counter per 64-bit word, plus a word for rank1(m)
-    assert v.stored_bits(np.array([v.m])) == (32 + 4096, 32 * (4096 // 64 + 1))
+    # the u32 bit count and the bits, then one 16-bit counter per 64-bit
+    # word, plus the spare word for rank1(m), and one 64-bit rank per
+    # superblock of 2^10 words
+    assert v.stored_bits(np.array([v.m])) == (32 + 4096, 16 * (4096 // 64 + 1) + 64)
 
 
 def test_plain_heap_is_at_most_1_6_bits_per_bit():
-    # 64-bit words and one 32-bit counter per word: 1.5 bits per bit, plus the objects
+    # 64-bit words and one 16-bit counter per word: 1.25 bits per bit, plus the superblock ranks and the objects
     bits = np.random.default_rng(6).integers(0, 2, 1_000_000, dtype=np.uint8)
     gc.collect()
     tracemalloc.start()
@@ -252,7 +253,7 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     # bits, plain, each tree's in whole bytes; RRR, every sample's kind byte
     # and then its bytes, here every sample RRR, written field by field
     # (rrr_payload). The second tree's 63 bits leave one padding bit before
-    # its spare word
+    # the third tree's first byte
     rng = random.Random(t)
     sizes = [(1, t, 100, 700, 3, 0, 9), (63,), (5, 2 * t + 1)]
     trees = [[[rng.randint(0, 1) for _ in range(m)] for m in tree] for tree in sizes]
@@ -264,23 +265,23 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
         written = counts + b"".join(bufs)
         # padding ones, which no rank reads: a load clears them
         payload = counts + b"".join(buf[:-1] + bytes([buf[-1] | 0xFF << len(bits) % 8 & 0xFF]) for buf, bits in zip(bufs, joined))
-        spans = [64 * plain_words(len(bits)) for bits in joined]
+        spans = [8 * -(-len(bits) // 8) for bits in joined]
     else:
         payload = written = rrr_payload(t, [(len(bits), make_bitvector(bits, t).blocks()) for bits in joined])
         spans = [RRR_SAMPLE_EVERY * t * rrr_samples(len(bits), t) for bits in joined]
     v, ms = read_payload(payload, t, 3)
     assert ms.tolist() == list(map(len, joined))
-    # each tree from a fresh word (plain) or sample (RRR)
+    # each tree from a fresh byte (plain) or sample (RRR)
     firsts = tree_firsts(ms, v.t).tolist()
     assert firsts == [0, *itertools.accumulate(spans[:-1])]
     before = 0
     for first, bits in zip(firsts, joined):
-        # rank1 at every position and so every node boundary, counted from the
-        # tree's first bit (plain) or from the vector's (RRR), which the
-        # vector's tree_bases gives at a tree's first bit
+        # rank1 at every position and so every node boundary, counted from
+        # the vector's first bit, which the vector's tree_bases gives at a
+        # tree's first bit
         assert [v.rank1(first + j) for j in range(len(bits) + 1)] == [*itertools.accumulate(bits.tolist(), initial=before)]
         assert v.tree_bases(np.array([first])).tolist() == [before]
-        before += int(bits.sum()) if t else 0
+        before += int(bits.sum())
     assert v.m == firsts[-1] + ms[-1]
     assert v.payload(ms) == written
 
@@ -412,8 +413,8 @@ def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
 def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(trees, t):
     # one make_bitvector call over the trees' joined bits and bit counts lays
     # each tree out where a load of their payload, from each tree's own
-    # vector, does (tree_firsts), with the same words and counters (t = 0,
-    # plain), or sample stream and rank tables, and writes that payload
+    # vector, does (tree_firsts), with the same words and rank directories
+    # (t = 0, plain), or sample stream and rank tables, and writes that payload
     ms = np.array([len(bits) for bits in trees], dtype=np.int64)
     built = make_bitvector(np.concatenate(trees), t, ms)
     payload = joined_payload(trees, t)
@@ -422,14 +423,14 @@ def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(
     firsts = tree_firsts(ms, t).tolist()
     assert built.m == loaded.m == firsts[-1] + ms[-1]
     if t == 0:
-        assert built._words == loaded._words and built._counts == loaded._counts
+        assert (built._words, built._counts, built._ranks) == (loaded._words, loaded._counts, loaded._ranks)
     else:
         assert (built._stream, built._entries, built._ranks, built._bases) == (loaded._stream, loaded._entries, loaded._ranks, loaded._bases)
-    # ranks count from the tree's first bit (plain) or from the vector's (RRR)
+    # ranks count from the vector's first bit
     before = 0
     for first, bits in zip(firsts, trees):
         assert [built.rank1(j) for j in range(first, first + len(bits) + 1)] == [*itertools.accumulate(bits.tolist(), initial=before)]
-        before += int(bits.sum()) if t else 0
+        before += int(bits.sum())
     assert built.payload(ms) == loaded.payload(ms) == payload
 
 
@@ -558,6 +559,49 @@ def superblock_vectors(draw):
     return t, trees
 
 
+def assert_every_rank_form_counts_from_the_vector_start(vectors, trees, ms, unit, per, data):
+    """rank1, rank1_many, batch_rank1, tree_bases and descend of each of vectors, of trees of ms bits, equal prefix popcounts.
+
+    Positions are near every superblock edge of per bits (a superblock
+    rank's count), every tree's first bit and limit, and others; unit is a
+    block or a word. Descents start near an edge, with the second end in
+    b's unit, superblock or anywhere after, down one or two levels of
+    either sign.
+    """
+    v = vectors[0]
+    firsts = tree_firsts(ms, v.t)
+    full = np.zeros(v.m, dtype=np.uint8)
+    for first, bits in zip(firsts.tolist(), trees):
+        full[first : first + len(bits)] = bits
+    prefix = np.concatenate([[0], np.cumsum(full, dtype=np.int64)])
+    edges = np.concatenate([per * np.arange(len(v._ranks)), firsts, firsts + ms])
+    near = (edges[:, None] + np.arange(-2 * unit - 1, 2 * unit + 2)).ravel()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="positions"))
+    positions = np.unique(np.clip(np.concatenate([near, rng.integers(0, v.m + 1, 500)]), 0, v.m))
+    want = prefix[positions].tolist()
+    for vector in vectors:
+        assert [vector.rank1(j) for j in positions.tolist()] == want
+        assert vector.rank1_many(positions).tolist() == want
+        assert vector.batch_rank1()(positions).tolist() == want
+        assert vector.tree_bases(firsts).tolist() == prefix[firsts].tolist()
+    for _ in range(40):
+        b = int(data.draw(st.sampled_from(positions.tolist()), label="b"))
+        reach = data.draw(st.sampled_from([unit, 32 * unit, per, v.m]), label="reach")
+        e = min(v.m, b + data.draw(st.integers(0, reach), label="e"))
+        steps, lo, hi = [], b, e
+        for _ in range(data.draw(st.integers(1, 2), label="levels")):
+            rb, re = int(prefix[lo]), int(prefix[hi])
+            if data.draw(st.booleans(), label="sign") and re < v.m:
+                step = data.draw(st.integers(1, v.m - re), label="step")
+                lo, hi = rb + step, re + step
+            else:
+                step = -data.draw(st.integers(0, v.m - hi + re), label="step")
+                lo, hi = lo - rb - step, hi - re - step
+            steps.append(step)
+        for vector in vectors:
+            assert vector.descend(steps, b, e) == (lo, hi), (b, e, steps)
+
+
 @settings(max_examples=12, deadline=None)
 @given(superblock_vectors(), st.data())
 def test_every_rank_form_counts_from_the_vector_start_across_superblocks(case, data):
@@ -573,40 +617,43 @@ def test_every_rank_form_counts_from_the_vector_start_across_superblocks(case, d
     kinds = v.sample_kinds()
     assert all(kinds.values()), kinds
     sample, log = RRR_SAMPLE_EVERY * t, _superblock_log(t)
-    per = sample << log
     firsts = tree_firsts(ms, t)
     assert len(v._ranks) >= 3 and (firsts[1] // sample) % (1 << log)  # the second tree starts mid-superblock
-    full = np.zeros(v.m, dtype=np.uint8)
-    for first, bits in zip(firsts.tolist(), trees):
-        full[first : first + len(bits)] = bits
-    prefix = np.concatenate([[0], np.cumsum(full, dtype=np.int64)])
-    edges = np.concatenate([per * np.arange(len(v._ranks)), firsts, firsts + ms])
-    near = (edges[:, None] + np.arange(-2 * t - 1, 2 * t + 2)).ravel()
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="positions"))
-    positions = np.unique(np.clip(np.concatenate([near, rng.integers(0, v.m + 1, 500)]), 0, v.m))
-    want = prefix[positions].tolist()
-    for vector in (v, loaded):
-        assert [vector.rank1(j) for j in positions.tolist()] == want
-        assert vector.rank1_many(positions).tolist() == want
-        assert vector.batch_rank1()(positions).tolist() == want
-    assert v.tree_bases(firsts).tolist() == prefix[firsts].tolist()
-    # descend from ends near an edge, the second in b's block, sample,
-    # superblock or anywhere after, down one or two levels of either sign
-    for _ in range(40):
-        b = int(data.draw(st.sampled_from(positions.tolist()), label="b"))
-        reach = data.draw(st.sampled_from([t, sample, per, v.m]), label="reach")
-        e = min(v.m, b + data.draw(st.integers(0, reach), label="e"))
-        steps, lo, hi = [], b, e
-        for _ in range(data.draw(st.integers(1, 2), label="levels")):
-            rb, re = int(prefix[lo]), int(prefix[hi])
-            if data.draw(st.booleans(), label="sign") and re < v.m:
-                step = data.draw(st.integers(1, v.m - re), label="step")
-                lo, hi = rb + step, re + step
-            else:
-                step = -data.draw(st.integers(0, v.m - hi + re), label="step")
-                lo, hi = lo - rb - step, hi - re - step
-            steps.append(step)
-        assert v.descend(steps, b, e) == (lo, hi), (b, e, steps)
+    assert_every_rank_form_counts_from_the_vector_start((v, loaded), trees, ms, t, sample << log, data)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_every_plain_rank_form_counts_from_the_vector_start_across_superblocks(data):
+    # the plain vector's two-level ranks, a 16-bit counter per word since its
+    # superblock of 2^16 bits and a rank per superblock: three trees over at
+    # least three superblocks, the second from mid-superblock and mid-word,
+    # the first superblock all ones, so that its last word's counter is
+    # 65,472, the most a 16-bit counter holds here, and the ranks after it
+    # overflow 16 bits; each 2^12 bits are all zeros or ones, sparse or
+    # dense. A built vector's words and ranks equal those of its loaded copy
+    per = 1 << 16
+    ms = np.array(
+        [
+            per + 64 * data.draw(st.integers(1, 1000), label="m0 words") + data.draw(st.integers(1, 56), label="m0 bits"),
+            data.draw(st.integers(per, 2 * per), label="m1"),
+            data.draw(st.integers(0, per // 2), label="m2"),
+        ],
+        dtype=np.int64,
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    trees = []
+    for m in ms.tolist():
+        density = np.repeat(rng.choice([0.0, 1.0, 0.01, 0.99, 0.5], -(-m // 4096)), 4096)[:m]
+        trees.append((rng.random(m) < density).astype(np.uint8))
+    trees[0][:per] = 1
+    v = make_bitvector(np.concatenate(trees), 0, ms)
+    loaded, _ = read_payload(v.payload(ms), 0, len(ms))
+    assert (v._words, v._counts, v._ranks) == (loaded._words, loaded._counts, loaded._ranks)
+    firsts = tree_firsts(ms)
+    assert len(v._ranks) >= 3 and firsts[1] % per and firsts[1] % 64  # the second tree starts mid-superblock and mid-word
+    assert max(v._counts) == per - 64 and v._ranks[1] == per
+    assert_every_rank_form_counts_from_the_vector_start((v, loaded), trees, ms, 64, per, data)
 
 
 @pytest.mark.parametrize("t", [1, 15, 16, 63])

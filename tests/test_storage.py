@@ -20,7 +20,6 @@ from fmblock.bitrank import (
     RrrBitVector,
     offset_of_value,
     offset_width,
-    plain_words,
     rrr_samples,
     value_of_offset,
     _decode_table,
@@ -725,9 +724,10 @@ def test_random_indexes_count_exactly_and_round_trip_byte_identically(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_plain_fixed_block_trees_share_one_vector_from_word_to_word(data):
-    # a block over two symbols has one node, of b bits: b = 64 or 128 ends its
-    # tree on a word, 56, 57, 63, 65 and 129 just off one; runs of one symbol
+def test_plain_fixed_block_trees_share_one_vector_from_byte_to_byte(data):
+    # a block over two symbols has one node, of b bits: b = 56, 64 or 128 ends
+    # its tree on a byte (64 and 128 on a word), 57, 63, 65 and 129 just off
+    # one, each tree from the byte after its last; runs of one symbol
     # make blocks with no node, and block size 1 makes only those
     sigma = data.draw(st.sampled_from([2, 3, 3, 4, 6]), label="sigma")
     runs = st.tuples(st.integers(1, sigma - 1), st.integers(1, 40)) if sigma > 2 else st.just((1, 1))
@@ -744,7 +744,7 @@ def test_plain_fixed_block_trees_share_one_vector_from_word_to_word(data):
             assert wt.bits is index.blocks[0].bits
             if wt.leaf - wt.start:
                 assert wt.start == first
-            first += 64 * plain_words(wt.leaf - wt.start)
+            first += 8 * -(-(wt.leaf - wt.start) // 8)
         for c in range(sigma):
             assert [index.rank_l(c, j) for j in range(t.n + 1)] == [
                 naive_rank(l, c, j) for j in range(t.n + 1)
@@ -842,7 +842,7 @@ def test_a_load_reads_one_tree_per_symbol_or_pair(variant, block_size):
 @given(st.data())
 def test_a_built_index_equals_its_loaded_copy(data):
     # a build lays its trees out as a load does: the same tables, the same
-    # plain words and counters or RRR sample stream and rank tables, and
+    # plain words and rank directories or RRR sample stream and rank tables, and
     # the same saved bytes
     variant = data.draw(st.sampled_from(ALL_VARIANTS), label="variant")
     rrr_t = data.draw(st.sampled_from([1, 15, 16, 63]), label="rrr_t")
@@ -858,7 +858,7 @@ def test_a_built_index_equals_its_loaded_copy(data):
     built, loaded = ix.blocks.bits, back.blocks.bits
     assert built.m == loaded.m
     if variant.bitvector_backend == "plain":
-        assert built._words == loaded._words and built._counts == loaded._counts
+        assert (built._words, built._counts, built._ranks) == (loaded._words, loaded._counts, loaded._ranks)
     else:
         assert (built._stream, built._entries, built._ranks, built._bases) == (loaded._stream, loaded._entries, loaded._ranks, loaded._bases)
     assert to_bytes(back) == raw

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fmblock.bitrank import PlainBitVector, RrrBitVector, plain_words
+from fmblock.bitrank import PlainBitVector, RrrBitVector
 from fmblock.wavelet import (
     WaveletTree,
     _canonical,
@@ -225,9 +225,10 @@ def test_size_report_pieces():
     wt = build_wt(seq, "huffman", "plain")
     payload, directories, codebooks = wt.size_bits()
     m = wt.code_length_bits
-    # the u32 bit count and the bits, stored in whole bytes; one 32-bit
-    # counter per word the tree takes
-    assert (payload, directories) == (32 + m, 32 * plain_words(m))
+    # the u32 bit count and the bits, stored in whole bytes; one 16-bit
+    # counter per word the tree takes, with the spare word, and one 64-bit
+    # rank for the one superblock
+    assert (payload, directories) == (32 + m, 16 * (-(-m // 64) + 1) + 64)
     assert 8 * len(wt.sections()[1]) == 32 + 8 * -(-m // 8)
     # a 16-bit code count, then a 16-bit symbol and an 8-bit code length per symbol, and no code bits
     assert codebooks == 16 + 24 * len(wt[0].codes) == 8 * len(wt.sections()[0])
