@@ -77,16 +77,23 @@ else ranks the second end from its own sample.
 Each backend also ranks many positions at once, in two forms over
 np.frombuffer views of the vector's buffers. batch_rank1() returns a
 function of an int64 array of positions, for count_many's many rounds,
-and binds every view and table it reads once, so that a round is only
-its arithmetic: the plain one is rank1 in numpy; the RRR one first makes
+and makes its tables once per call, so that a round is only its
+arithmetic, in as few numpy calls as they allow, each of which has a
+fixed cost that a round of a few hundred positions feels: the plain one
+makes each word's rank, its superblock's plus its counter, as int64, and
+takes a word's bits before a position with one mask of a module table of
+64 (_HIGH), so that no word is shifted by 64; the RRR one first makes
 tables per block (its class, its bits in a sparse sample, and the ones
 and offset widths before it since its sample), which live as long as the
 function does; up to t = 16 it also makes every t-bit word in (class,
 offset) order from the decode table (_word_table), which dies with the
 function, so that a round decodes in one gather. rank1_many(positions)
-ranks once, for a load's few positions per tree depth: plain, it is
-batch_rank1's; RRR, each position compares its sparse sample's positions
-or sums its RRR sample's classes, with no table over all blocks. Both
+ranks once, for a load's few positions per tree depth, with no table: a
+call of at most _SCALAR_RANKS positions (32 plain, 64 RRR, where the two
+forms cost alike on the 1 MB benchmark texts) ranks each with rank1;
+above, plain, it is batch_rank1's arithmetic with the superblock rank and
+the counter read apart; RRR, each position compares its sparse sample's
+positions or sums its RRR sample's classes. Both
 RRR forms read their blocks' offsets through _offset_reader: up to
 t = 16 from one unaligned uint32 view of the stream, one element per
 byte, and above with read_fields;
@@ -114,6 +121,8 @@ RRR_BLOCK_SIZES = range(1, 64)
 _TABLE_MAX_T = 16
 _NIBBLE_MAX_T = 15
 _ONE = np.uint64(1)
+# a word's top r bits at r, the ones before its bit r: a plain rank's mask, shifted by at most 63
+_HIGH = ~(np.uint64(2**64 - 1) >> np.arange(64, dtype=np.uint64))
 _MAX_POSITIONS = 63  # the most positions a sparse sample holds: its kind byte's count field
 _SLOTS = np.arange(_MAX_POSITIONS, dtype=np.uint8)
 # a plain vector's words per superblock: 2^10, so that the ones before a word since
@@ -141,7 +150,7 @@ def _as_bit_array(bits):
 
 
 class _BitVector:
-    """What both backends share: rank of either bit over rank1."""
+    """What both backends share: rank of either bit over rank1, and rank1_many's choice of form."""
 
     __slots__ = ()
 
@@ -152,6 +161,16 @@ class _BitVector:
             raise ValueError("rank position out of range")
         r = self.rank1(j)
         return r if bit else j - r
+
+    def rank1_many(self, j):
+        """rank1 of every position in the int64 array j, as int64, for a load's ranks of one tree depth.
+
+        Up to _SCALAR_RANKS positions, each with rank1: a numpy call's fixed
+        cost would exceed theirs. Above, in numpy, with no table (_rank1_many).
+        """
+        if len(j) <= self._SCALAR_RANKS:
+            return np.array([self.rank1(x) for x in j.tolist()], dtype=np.int64)
+        return self._rank1_many(j)
 
 
 class PlainBitVector(_BitVector):
@@ -172,6 +191,7 @@ class PlainBitVector(_BitVector):
 
     __slots__ = ("_words", "_counts", "_ranks", "m")
     t = 0  # no RRR blocks: see tree_firsts
+    _SCALAR_RANKS = 32  # rank1_many's calls of at most this many positions rank each with rank1
 
     def __init__(self, bits, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
@@ -246,29 +266,33 @@ class PlainBitVector(_BitVector):
         return b, e
 
     def batch_rank1(self):
-        """rank1 over int64 arrays of positions: a function of one, over views of the words and counters made once.
+        """rank1 over int64 arrays of positions: a function of one, over a table made once per call.
 
-        It returns int64 ranks. The shift of 64 - (j & 63) is done as 63 -
-        (j & 63), then 1, so that no word is shifted by 64: C leaves that
-        undefined, and numpy (2.4 gives 0, as Python does) does not document it.
+        The table holds each word's rank, its superblock's plus its counter,
+        as int64 (8 bytes a word, for the function's life): a rank is then
+        one gather of it and one masked popcount of the word (see _HIGH),
+        eight numpy calls, which count_many's many rounds repay.
         """
         words = np.frombuffer(self._words, dtype=np.uint64)
-        counts = np.frombuffer(self._counts, dtype=np.uint16)
-        ranks = np.array(self._ranks, dtype=np.int64)
+        top = np.repeat(np.array(self._ranks, dtype=np.int64), _SUPERBLOCK_WORDS)[: len(words)]
+        top += np.frombuffer(self._counts, dtype=np.uint16)
 
         def rank1(j):
             k = j >> 6
-            return ranks[k >> 10] + counts[k] + np.bitwise_count(words[k] >> (63 - (j & 63)).view(np.uint64) >> _ONE)
+            return top[k] + np.bitwise_count(words[k] & _HIGH[j & 63])
 
         return rank1
 
-    def rank1_many(self, j):
-        """rank1 of every position in the int64 array j, as int64: batch_rank1's, which makes no table."""
-        return self.batch_rank1()(j)
+    def _rank1_many(self, j):
+        """rank1 of every position in the int64 array j, as int64, with no table: a load ranks once per tree depth."""
+        k = j >> 6
+        words = np.frombuffer(self._words, dtype=np.uint64)
+        counts = np.frombuffer(self._counts, dtype=np.uint16)
+        return np.array(self._ranks, dtype=np.int64)[k >> 10] + counts[k] + np.bitwise_count(words[k] & _HIGH[j & 63])
 
-    def tree_bases(self, firsts):
-        """The ones before each tree's first bit, at firsts (int64), as rank1 counts them: batch_rank1's, with no rank1_many call."""
-        return self.batch_rank1()(firsts)
+    # the ones before each tree's first bit, at firsts (int64), as rank1 counts
+    # them: _rank1_many's arithmetic, under its own name, with no rank1_many call
+    tree_bases = _rank1_many
 
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
@@ -532,6 +556,7 @@ class RrrBitVector(_BitVector):
         "m", "t", "_stream", "_words", "_pos", "_entries", "_ranks", "_bases", "_log", "_shift", "_mask",
         "_class_sums", "_width_sums", "_widths", "_table", "_descent",
     )
+    _SCALAR_RANKS = 64  # rank1_many's calls of at most this many positions rank each with rank1
 
     def __init__(self, bits, block_size=15, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree.
@@ -941,7 +966,7 @@ class RrrBitVector(_BitVector):
 
         return rank1
 
-    def rank1_many(self, j):
+    def _rank1_many(self, j):
         """rank1 of every position in the int64 array j, each from its own sample, as int64.
 
         In a sparse sample a position compares its sample's at most 63

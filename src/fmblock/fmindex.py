@@ -159,11 +159,14 @@ class BlockedFMIndex:
         """count_many of one chunk: a step ranks both ends of every live range at once.
 
         rank() gives the blocks' batch_rank. The codes of all patterns are one
-        array, each pattern's in turn. A range is live until it is empty or
-        its pattern is consumed, and the last _SCALAR_TAIL live ones step in
-        turn, as count does.
+        int64 array, each pattern's in turn. A range is live until it is empty
+        or its pattern is consumed, and the last _SCALAR_TAIL live ones step
+        in turn, as count does. Each live range's pattern, the position of
+        its code of the last step, b and e are the four rows of one int64
+        array, so that one fancy index drops every row of the ranges a step
+        ends.
         """
-        lut = np.zeros(256, dtype=np.uint16)  # 0 for a byte the text lacks
+        lut = np.zeros(256, dtype=np.int64)  # 0 for a byte the text lacks
         lut[np.frombuffer(self.byte_for_code, dtype=np.uint8)] = np.arange(1, self.sigma)
         codes = lut[np.frombuffer(b"".join(patterns), dtype=np.uint8)]
         lengths = np.array([len(p) for p in patterns], dtype=np.int64)
@@ -174,24 +177,23 @@ class BlockedFMIndex:
         live[np.searchsorted(ends, np.flatnonzero(codes == 0), side="right")] = False
         live = np.flatnonzero(live)
         c = np.array(self.c, dtype=np.int64)
-        at = ends[live] - 1  # each live pattern's code of the last step
-        b, e = c[codes[at]], c[codes[at] + 1]
+        at = ends[live] - 1
+        state = np.stack([live, at, c[codes[at]], c[codes[at] + 1]])
         while True:
-            done = at == begins[live]
-            counts[live[done]] = e[done] - b[done]
-            live, at, b, e = (v[~done] for v in (live, at, b, e))
-            if len(live) <= _SCALAR_TAIL:
-                for i, a, lo, hi in zip(live.tolist(), at.tolist(), b.tolist(), e.tolist()):
+            i, at, b, e = state
+            done = at == begins[i]
+            ended = state[:, done]
+            counts[ended[0]] = ended[3] - ended[2]  # 0 where the range is empty
+            state = state[:, ~done & (b < e)]
+            if state.shape[1] <= _SCALAR_TAIL:
+                for i, a, lo, hi in state.T.tolist():
                     rest = reversed(codes[begins[i] : a].tolist())
                     found = self.blocks.narrow(rest, lo, hi, self.c)
                     counts[i] = found[1] - found[0] if found else 0
                 return counts.tolist()
-            at -= 1
-            x = np.tile(codes[at], 2)
-            j = c[x] + rank()(x, np.concatenate([b, e]))
-            b, e = j[: len(at)], j[len(at) :]
-            keep = b < e
-            live, at, b, e = (v[keep] for v in (live, at, b, e))
+            state[1] -= 1
+            x = codes[state[1]]
+            state[2:] = rank()(np.concatenate([x, x]), state[2:].ravel()).reshape(2, -1) + c[x]
 
     @property
     def counter_width(self):

@@ -51,10 +51,12 @@ WaveletTree.narrow takes one backward search's steps: the two ends of a
 step in one block go down the code's whole path in one call of the
 vector's descend, and ends in two blocks one rank1 call per level each;
 narrow alone then tests, once per step, whether the range is empty.
-WaveletTree.batch_rank ranks many (symbol, position) pairs at once over
-views of the same tables, one level per round, each round one call of the
-vector's batch_rank1, until few ranks still descend: those finish their
-paths one at a time with the vector's rank1.
+WaveletTree.batch_rank ranks many (symbol, position) pairs at once, one
+level per round, each round one call of the vector's batch_rank1, until
+few ranks still descend: those finish their paths one at a time with the
+vector's rank1. It reads int64 tables of what a rank reads per (tree,
+symbol) entry, made from the stored tables once per call, so that a rank
+gathers its entry in one fancy index.
 
 The trees own two index-file sections, each written whole (sections) and
 read whole (read_trees): the codebooks, a u16 code count per tree in
@@ -305,7 +307,7 @@ class WaveletTree:
         return b, e
 
     def batch_rank(self, tail):
-        """rank over int64 arrays: a function of (codes, j), over views of the tables.
+        """rank over int64 arrays: a function of (codes, j), over int64 tables made once per call.
 
         It gives the occurrences of codes[i] among the first j[i] elements;
         every code is below sigma. Each is a row plus a rank in a tree, as
@@ -316,27 +318,39 @@ class WaveletTree:
         their paths one at a time with the vector's rank1, as rank does:
         tail is where a numpy round stops paying for itself (see
         fmindex._SCALAR_TAIL).
+
+        The tables, which live as long as the function does, hold per
+        (tree, symbol) entry an int8 sort key, the negated path length, and,
+        in the rows of one int64 array, what a rank reads of it: its path's
+        length and first step, the tree's start less its block's first
+        element, whether the tree holds the symbol (a one-symbol tree holds
+        it with a path of length 0), and the symbol's row, less the tree's
+        leaf where it holds it. So a rank gathers its entry in one fancy
+        index, and the stored tables are converted once per batch_rank
+        call, not per call of the function it returns.
         """
         sigma, size = self.sigma, self.block_size
-        paths = np.frombuffer(self.paths, dtype=self.paths.typecode)
-        steps = np.frombuffer(self.steps, dtype=self.steps.typecode)
+        paths = np.frombuffer(self.paths, dtype=self.paths.typecode).astype(np.int64)
+        lengths = paths & 127
+        key = (-lengths).astype(np.int8)  # argsort sorts int8 by radix
+        held = (paths != 0).astype(np.int64)
+        tree = np.arange(len(paths)) // sigma
+        starts = np.frombuffer(self.starts, dtype=np.int64)[tree]
+        leaves = np.frombuffer(self.leaves, dtype=np.int64)[tree]
         rows = np.frombuffer(self.rows, dtype=self.rows.typecode)
-        starts = np.frombuffer(self.starts, dtype=np.int64)
-        leaves = np.frombuffer(self.leaves, dtype=np.int64)
+        table = np.stack([lengths, paths >> 8, starts - tree * size, held, rows - held * leaves])
+        steps = np.frombuffer(self.steps, dtype=self.steps.typecode)
         rank1 = self.bits.batch_rank1()
         scalar, path_steps = self.bits.rank1, self.steps
 
         def rank(codes, j):
-            tree = np.maximum(j - 1, 0) // size  # block 0 for j = 0
-            row = tree * sigma + codes
-            k = paths[row].astype(np.int64)
-            order = np.argsort(-(k & 127).astype(np.int8), kind="stable")  # a radix sort, on int8
-            p = (j - tree * size + starts[tree])[order]
-            k, tree = k[order], tree[order]
-            lens = k & 127
-            first = k >> 8
-            # at each level, the ranks whose paths are longer
-            for d, live in enumerate((len(lens) - np.cumsum(np.bincount(lens))[:-1]).tolist()):
+            row = np.maximum(j - 1, 0) // size * sigma + codes  # block 0 for j = 0
+            order = np.argsort(key[row], kind="stable")
+            lens, first, shift, held, base = table[:, row[order]]
+            p = j[order] + shift
+            live = len(lens)
+            for d, ended in enumerate(np.bincount(lens).tolist()[:-1]):
+                live -= ended  # the ranks whose paths are longer than d
                 if live <= tail:
                     deep = p[:live].tolist()
                     for i, (at, f, n) in enumerate(zip(deep, first[:live].tolist(), lens[:live].tolist())):
@@ -349,8 +363,8 @@ class WaveletTree:
                 at = p[:live]
                 q = rank1(at) + step
                 p[:live] = np.where(step > 0, q, at - q)
-            ranks = rows[row].astype(np.int64)
-            ranks[order] += np.where(k != 0, p - leaves[tree], 0)
+            ranks = np.empty_like(p)
+            ranks[order] = base + held * p
             return ranks
 
         return rank

@@ -143,3 +143,19 @@ def rrr_payload(t, trees):
             body += bytes(lo | hi << 4 for lo, hi in zip(classes[0::2], classes[1::2])) if t <= 15 else bytes(classes)
             body += offsets
     return struct.pack(f"<{len(trees)}I", *(m for m, _ in trees)) + kinds + body
+
+
+def watch_load_ranks(monkeypatch, vector, cut):
+    """Record the ranks of the vector class in a load, whose rank1_many ranks calls of at most cut positions with rank1.
+
+    Returns (many, ranked): many gets each rank1_many call's positions, and
+    ranked every position that rank1 or the numpy form (_rank1_many) ranks,
+    called from rank1_many or not.
+    """
+    many, ranked = [], []
+    rank1, rank1_many, numpy_ranks = vector.rank1, vector.rank1_many, vector._rank1_many
+    monkeypatch.setattr(vector, "_SCALAR_RANKS", cut)
+    monkeypatch.setattr(vector, "rank1", lambda self, j: ranked.append(j) or rank1(self, j))
+    monkeypatch.setattr(vector, "_rank1_many", lambda self, j: ranked.extend(j.tolist()) or numpy_ranks(self, j))
+    monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
+    return many, ranked

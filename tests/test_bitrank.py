@@ -396,13 +396,15 @@ def joined_payload(trees, t):
 def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
     # the trees' payload, from each tree's own vector, read into one vector,
     # plain for t = 0; rank1_many, at every position in one call, equals
-    # rank1, and so it does on no position
+    # rank1, and so it does on no position, and so does its numpy form,
+    # which it takes only above _SCALAR_RANKS positions, at any size
     v, ms = read_payload(joined_payload(trees, t), t, len(trees))
     firsts = tree_firsts(ms, t).tolist()
     positions = np.concatenate([np.arange(first, first + len(bits) + 1) for first, bits in zip(firsts, trees)])
-    assert v.rank1_many(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
-    assert v.rank1_many(positions[::-1].copy()).tolist() == [v.rank1(j) for j in positions[::-1].tolist()]
-    assert v.rank1_many(np.zeros(0, dtype=np.int64)).tolist() == []
+    for many in (v.rank1_many, v._rank1_many):
+        assert many(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
+        assert many(positions[::-1].copy()).tolist() == [v.rank1(j) for j in positions[::-1].tolist()]
+        assert many(np.zeros(0, dtype=np.int64)).tolist() == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -515,7 +517,7 @@ def test_every_rank_form_equals_the_prefix_sum_over_mixed_sample_kinds(case, dat
     positions = np.arange(len(bits) + 1)
     assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
     assert v.batch_rank1()(positions).tolist() == prefix.tolist()
-    assert v.rank1_many(positions).tolist() == prefix.tolist()
+    assert v.rank1_many(positions).tolist() == v._rank1_many(positions).tolist() == prefix.tolist()
     # descend down steps of either sign, each end moved as the prefix sum says
     for _ in range(20):
         b = data.draw(st.integers(0, len(bits)))

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -268,6 +272,55 @@ def test_bench_is_deterministic_per_seed(tmp_path, capsys):
     assert row[0] == "fixed_block_rrr"
     assert int(row[1]) > 0
     assert float(row[2]) > 0
+
+
+@pytest.mark.parametrize("flag", ["fixed", "ssa-rrr"])
+def test_bench_json_is_one_object_with_the_text_output_s_fields(tmp_path, capsys, flag):
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"abracadabra alakazam " * 300)
+    idx = tmp_path / "t.idx"
+    run(capsys, "build", text, "-o", idx, "--variant", flag)
+    args = ("bench", idx, text, "--patterns", 40, "--length", 6, "--seed", 5, "--repeats", 1)
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0 and len(out.splitlines()) == 1
+    record = json.loads(out)
+    assert sorted(record) == sorted([
+        "patterns", "length", "seed", "repeats", "counts_sum", "mean_us", "median_us", "p99_us",
+        "batch_mean_us", "batch_speedup", "variant", "block_size", "bits_per_symbol",
+    ])
+    assert record["batch_speedup"] == pytest.approx(record["mean_us"] / record["batch_mean_us"], rel=0.01)
+    # the deterministic fields are the text output's of the same seed
+    code, text_out, _ = run(capsys, *args)
+    got = kv(text_out)
+    variant, block_size, bits_per_symbol, _ = text_out.splitlines()[-1].split(",")
+    assert code == 0
+    assert [record[k] for k in ("patterns", "length", "seed", "repeats", "counts_sum")] == [
+        int(got[k]) for k in ("patterns", "length", "seed", "repeats", "counts_sum")
+    ]
+    assert (record["variant"], record["block_size"], f"{record['bits_per_symbol']:.4f}") == (
+        variant, int(block_size), bits_per_symbol,
+    )
+
+
+def test_one_process_runs_each_command_as_a_fresh_one_does(banana, tmp_path, capsys):
+    # the parser is built once per process: a usage error, a count and a user
+    # error in turn print and exit as each does in a process of its own
+    idx = tmp_path / "banana.idx"
+    run(capsys, "build", banana, "-o", idx)
+    usage = ("count", idx, "--no-such-flag")
+    count = ("count", idx, "-p", "AN", "-p", "NA")
+    error = ("count", idx, "--patterns-file", tmp_path / "missing.txt")
+    script = "import sys; from fmblock.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    fresh = [subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True, text=True, env=env) for argv in (usage, count, error)]
+    with pytest.raises(SystemExit) as exited:
+        main([str(a) for a in usage])
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out, captured.err) == (fresh[0].returncode, fresh[0].stdout, fresh[0].stderr)
+    assert fresh[0].returncode == 2 and "unrecognized arguments" in fresh[0].stderr
+    for argv, alone in zip((count, error), fresh[1:]):
+        assert run(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
+    assert fresh[1].stdout == "AN\t2\nNA\t2\n" and fresh[2].returncode == 1
 
 
 def test_bench_exits_2_when_the_batch_counts_differ(tmp_path, capsys, monkeypatch):

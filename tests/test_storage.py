@@ -36,7 +36,7 @@ from fmblock.storage import (
     serialize,
 )
 from fmblock.textcore import Text, build_text, bwt, naive_count, naive_rank
-from helpers import markov2_codes, pattern_batch, random_codes, rrr_payload
+from helpers import markov2_codes, pattern_batch, random_codes, rrr_payload, watch_load_ranks
 
 ALL_VARIANTS = list(IndexVariant)
 
@@ -627,36 +627,38 @@ def test_saving_an_rrr_index_makes_no_rank1_call(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch):
-    # no scalar rank1 call: the symbol counts' check takes rank_l at n, once
-    # per symbol, which reads the totals of the leaf sizes the node walk
-    # already has, as the boundary rows do. The vectorised rank1_many ranks
-    # each internal node once, at its end, and each RRR tree's limit once
-    # for its padding bits
+    # the symbol counts' check takes rank_l at n, once per symbol, which reads
+    # the totals of the leaf sizes the node walk already has, as the boundary
+    # rows do. rank1_many ranks each internal node once, at its end, and each
+    # RRR tree's limit once for its padding bits; it ranks each of its
+    # positions once, with rank1 in a call of few positions, else in numpy
+    # (every call at a cut of 0), and nothing else is ranked
     text = build_text(b"abracadabra" * 40 + bytes(range(1, 200)) + b"a" * 300)
     ix = build_index(text, variant, 100 if variant.fixed else None)
     raw = to_bytes(ix)
     rrr = variant.bitvector_backend == "rrr"
     vector = RrrBitVector if rrr else PlainBitVector
-    calls, many, ranked = [], [], []
-    rank1, rank1_many, rank_l = vector.rank1, vector.rank1_many, BlockedFMIndex.rank_l
-    monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
-    monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
-    monkeypatch.setattr(BlockedFMIndex, "rank_l", lambda self, c, j: ranked.append((c, j)) or rank_l(self, c, j))
-    back = deserialize(raw)
-    monkeypatch.undo()
-    assert calls == [] and ranked == [(c, ix.n) for c in range(ix.sigma)]
-    if variant.fixed:
-        assert any(len(wt.codes) == 1 for wt in back.blocks)
-    if rrr:
-        assert many.pop(0) == [wt.leaf for wt in back.blocks]
-    # a Huffman tree over k symbols has k - 1 internal nodes, which lie
-    # between its start and its leaf, where the last one ends
-    ends = sorted(j for level in many for j in level)
-    assert len(ends) == len(set(ends)) == sum(len(wt.codes) - 1 for wt in back.blocks)
-    for wt in back.blocks:
-        mine = [j for j in ends if wt.start < j <= wt.leaf]
-        assert len(mine) == len(wt.codes) - 1 and mine[-1:] == [wt.leaf][: len(mine)]
-    assert to_bytes(back) == raw
+    rank_l = BlockedFMIndex.rank_l
+    for cut in (vector._SCALAR_RANKS, 0):
+        many, ranked = watch_load_ranks(monkeypatch, vector, cut)
+        ranked_l = []
+        monkeypatch.setattr(BlockedFMIndex, "rank_l", lambda self, c, j: ranked_l.append((c, j)) or rank_l(self, c, j))
+        back = deserialize(raw)
+        monkeypatch.undo()
+        assert sorted(ranked) == sorted(j for call in many for j in call)
+        assert ranked_l == [(c, ix.n) for c in range(ix.sigma)]
+        if variant.fixed:
+            assert any(len(wt.codes) == 1 for wt in back.blocks)
+        if rrr:
+            assert many.pop(0) == [wt.leaf for wt in back.blocks]
+        # a Huffman tree over k symbols has k - 1 internal nodes, which lie
+        # between its start and its leaf, where the last one ends
+        ends = sorted(j for level in many for j in level)
+        assert len(ends) == len(set(ends)) == sum(len(wt.codes) - 1 for wt in back.blocks)
+        for wt in back.blocks:
+            mine = [j for j in ends if wt.start < j <= wt.leaf]
+            assert len(mine) == len(wt.codes) - 1 and mine[-1:] == [wt.leaf][: len(mine)]
+        assert to_bytes(back) == raw
 
 
 def test_file_size_matches_report_within_padding():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fmblock import fmindex
 from fmblock.bitrank import PlainBitVector, RrrBitVector
 from fmblock.wavelet import (
     WaveletTree,
@@ -18,7 +19,7 @@ from fmblock.wavelet import (
     huffman_lengths,
     read_trees,
 )
-from helpers import brute_h0, canonical_codes, codes_of
+from helpers import brute_h0, canonical_codes, codes_of, watch_load_ranks
 
 
 def tree_bits(wt):
@@ -167,33 +168,33 @@ def test_codebook_reconstruction_round_trip():
 
 @pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
 def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypatch):
-    # no scalar rank1 call: each node starts where the one before it ended, so
-    # only its end is ranked, in one rank1_many call per depth with the ends of
-    # every node there
+    # each node starts where the one before it ended, so only its end is
+    # ranked, in one rank1_many call per depth with the ends of every node
+    # there. rank1_many ranks each of its positions once, with rank1 in a call
+    # of few positions, else in numpy (every call at a cut of 0), and nothing
+    # else is ranked
     rng = random.Random(8)
     seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
     built = build_wt(seq, "huffman", backend)
     sections = built.sections()
-    calls, many = [], []
-    rank1, rank1_many = vector.rank1, vector.rank1_many
-    monkeypatch.setattr(vector, "rank1", lambda self, j: calls.append(j) or rank1(self, j))
-    monkeypatch.setattr(vector, "rank1_many", lambda self, j: many.append(j.tolist()) or rank1_many(self, j))
-    loaded = read_trees(*sections, len(seq), len(seq), 60, 15 if backend == "rrr" else 0)
-    monkeypatch.undo()
-    assert calls == []
-    # an RRR payload's padding check comes first, before any node is read: one position, the tree's limit
-    rrr = backend == "rrr"
-    if rrr:
-        assert many.pop(0) == [loaded[0].leaf]
-    depth = max(length for length, _ in built[0].codes.values())
-    assert len(many) == depth
-    # a Huffman tree over k symbols has k - 1 internal nodes, laid out level by
-    # level: their ends rise from the tree's start to its leaf, each once
-    ends = [j for level in many for j in level]
-    assert len(ends) == len(Counter(seq)) - 1
-    assert ends == sorted(set(ends)) and loaded[0].start < ends[0] and ends[-1] == loaded[0].leaf
-    assert loaded.totals.tolist() == [Counter(seq)[c] for c in range(60)]
-    assert [loaded.rank(c, len(seq)) for c in range(60)] == [built.rank(c, len(seq)) for c in range(60)]
+    for cut in (vector._SCALAR_RANKS, 0):
+        many, ranked = watch_load_ranks(monkeypatch, vector, cut)
+        loaded = read_trees(*sections, len(seq), len(seq), 60, 15 if backend == "rrr" else 0)
+        monkeypatch.undo()
+        assert sorted(ranked) == sorted(j for call in many for j in call)
+        # an RRR payload's padding check comes first, before any node is read: one position, the tree's limit
+        rrr = backend == "rrr"
+        if rrr:
+            assert many.pop(0) == [loaded[0].leaf]
+        depth = max(length for length, _ in built[0].codes.values())
+        assert len(many) == depth
+        # a Huffman tree over k symbols has k - 1 internal nodes, laid out level by
+        # level: their ends rise from the tree's start to its leaf, each once
+        ends = [j for level in many for j in level]
+        assert len(ends) == len(Counter(seq)) - 1
+        assert ends == sorted(set(ends)) and loaded[0].start < ends[0] and ends[-1] == loaded[0].leaf
+        assert loaded.totals.tolist() == [Counter(seq)[c] for c in range(60)]
+        assert [loaded.rank(c, len(seq)) for c in range(60)] == [built.rank(c, len(seq)) for c in range(60)]
 
 
 def test_rrr_trees_lay_nodes_out_as_plain_trees_do():
@@ -349,6 +350,34 @@ def test_rank_over_blocks_equals_a_scan(tree_seq):
         assert [wt.rank(c, j) for j in range(n + 1)] == prefix
         if c < sigma:
             assert [rank(np.full(n + 1, c), at).tolist() for rank in ranks] == [prefix, prefix]
+
+
+@st.composite
+def runs_of_symbols(draw):
+    """A sequence of 1 to 30 runs of 1 to 8 symbols, and a sigma of 1 to 12 above its symbols, as WaveletTree takes them.
+
+    Runs make blocks of one symbol, whose trees hold it with a path of
+    length 0, and blocks that lack some of the sequence's symbols.
+    """
+    sigma = draw(st.integers(1, 12))
+    runs = draw(st.lists(st.tuples(st.integers(0, sigma - 1), st.integers(1, 8)), min_size=1, max_size=30))
+    return np.repeat([c for c, _ in runs], [k for _, k in runs]), sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs_of_symbols(), st.sampled_from(["1", "2", "3", "n - 1", "n"]), st.sampled_from([0, 15]), st.booleans())
+def test_batch_rank_equals_rank_at_every_code_and_position(seq_sigma, block, t, scalar_tail):
+    # every code below sigma, at every position from 0 to n, in one call, on
+    # either backend (t = 0: plain), with every level in numpy rounds (tail
+    # 0) or the deep ones finished by scalar ranks
+    seq, sigma = seq_sigma
+    n = len(seq)
+    size = {"1": 1, "2": 2, "3": 3, "n - 1": max(n - 1, 1), "n": n}[block]
+    wt = WaveletTree(seq, "huffman", t, block_size=size, sigma=sigma)
+    codes = np.repeat(np.arange(sigma), n + 1)
+    at = np.tile(np.arange(n + 1), sigma)
+    rank = wt.batch_rank(fmindex._SCALAR_TAIL if scalar_tail else 0)
+    assert rank(codes, at).tolist() == [wt.rank(c, j) for c, j in zip(codes.tolist(), at.tolist())]
 
 
 @st.composite
