@@ -150,11 +150,16 @@ def partition_entropy(x, partition):
         edges = np.asarray([0, *partition.boundaries, len(x)], dtype=np.int64)
         ids = np.repeat(np.arange(nblocks, dtype=np.int64), np.diff(edges))
         counts = np.bincount(ids * sigma + x.astype(np.int64), minlength=nblocks * sigma)
-        counts = counts.reshape(nblocks, sigma).astype(np.float64)
-        sizes = counts.sum(axis=1)
-        logs = np.where(counts > 0, np.log2(np.where(counts > 0, counts, 1.0)), 0.0)
-        return float((sizes * np.log2(sizes)).sum() - (counts * logs).sum())
+        return counts_entropy(counts.reshape(nblocks, sigma))
     return sum(_total_bits(_counts_of(x[s:e])) for s, e in partition.blocks())
+
+
+def counts_entropy(counts):
+    """Sum of |block| * h0(block) in bits, from a (blocks, symbols) array of each block's symbol counts."""
+    counts = np.asarray(counts, dtype=np.float64)
+    sizes = counts.sum(axis=1)
+    logs = np.where(counts > 0, np.log2(np.where(counts > 0, counts, 1.0)), 0.0)
+    return float((sizes * np.log2(sizes)).sum() - (counts * logs).sum())
 
 
 def pair_entropy_bits(a, b):

@@ -34,6 +34,10 @@ _COUNT_CHUNK = 1 << 15
 # stdlib text, 2 cores), and tails of 4 to 32 counted the benchmark batch
 # within noise of each other, for either use: one constant serves both
 _SCALAR_TAIL = 8
+# the least alphabet factor of default_block_size: below it a block's fixed
+# tables (start, leaf, and a path entry, row and steps per symbol) cost more
+# heap than smaller blocks save; README gives the sweep that chose 16
+_MIN_SIGMA_FACTOR = 16
 
 
 class IndexVariant(str, Enum):
@@ -52,11 +56,15 @@ class IndexVariant(str, Enum):
 
 
 def default_block_size(n, sigma):
-    """sigma * ceil(log2 n)^2, clamped to [64, n]."""
+    """max(sigma, _MIN_SIGMA_FACTOR) * ceil(log2 n)^2, clamped to n.
+
+    The factor's floor keeps it at least min(n, 64): 16 * 2^2 = 64 from
+    n = 3 on.
+    """
     if n < 2:
         raise ValueError("text too short for an index")
     lg = (n - 1).bit_length()
-    return min(n, max(64, sigma * lg * lg))
+    return min(n, max(sigma, _MIN_SIGMA_FACTOR) * lg * lg)
 
 
 @dataclass

@@ -255,6 +255,16 @@ class WaveletTree:
         payload, directories = self.bits.stored_bits(self._ms())
         return payload, directories, 16 * len(self) + 24 * int(np.count_nonzero(self.paths))
 
+    def block_counts(self):
+        """Each block's occurrences of every symbol, a (trees, sigma) int64 array.
+
+        Consecutive boundary rows differenced, and the totals less the last
+        row for the last block.
+        """
+        rows = np.frombuffer(self.rows, dtype=self.rows.typecode).astype(np.int64).reshape(-1, self.sigma)
+        totals = np.frombuffer(self.totals, dtype=self.totals.typecode)
+        return np.diff(rows, axis=0, append=totals[None])
+
     def narrow(self, codes, b, e, c):
         """The backward-search range [b, e) after a step for each code in turn; None once it is empty.
 

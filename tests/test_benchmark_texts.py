@@ -60,8 +60,8 @@ def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
 MARKOV_DIGESTS = {
     "ssa": "9c682c2d324d639f71e2aabbc034d3a508f70ae5c4d2970f6a8eea35a5fa53a8",
     "ssa_rrr": "873b9c62fcacc9a03a6b368a04b34a004d64bb4db27af3a0d02432490c4f40cb",
-    "fixed_block": "69ace40a5fb3dc3222a14e5c9f6130a57864572a43659dd72448a06e93b9155e",
-    "fixed_block_rrr": "4532b18f71606be99fe537d3cf85446812ad99f29e00cee80cce3b7312d96165",
+    "fixed_block": "a1e7b8479c907577818ec3b121c23cb1cefd0a5969255752ce1175e26924fc0f",
+    "fixed_block_rrr": "67abd72872577f7ca5c0c3f0f5de6cfeb13d501c3894f178b283e4de20b9161f",
 }
 
 

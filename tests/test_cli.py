@@ -182,7 +182,8 @@ def test_stats_components_sum_to_total(banana, tmp_path, capsys):
     code, out, err = run(capsys, "stats", idx)
     assert code == 0
     got = kv(out)
-    parts = [k for k in got if k.endswith("_bits") and k != "total_bits"]
+    # the size components; the entropy figures beside them are not parts of the index
+    parts = [k for k in got if k.endswith("_bits") and k not in ("total_bits", "block_h0_bits", "h0_bits")]
     assert sum(int(got[k]) for k in parts) == int(got["total_bits"])
     assert "bits/sym" in err  # human-readable table goes to stderr
 
@@ -230,6 +231,32 @@ def test_stats_counts_the_sample_kinds_of_an_rrr_index(tmp_path, capsys, variant
     assert list(kinds) == ["rrr_samples_rrr", "rrr_samples_ones", "rrr_samples_zeros"]
     assert sum(kinds.values()) == len(storage.load_index(idx).blocks.bits._entries) - 1
     assert kinds["rrr_samples_ones"] + kinds["rrr_samples_zeros"] > 0
+
+
+@pytest.mark.parametrize("variant", ["fixed", "ssa"])
+def test_stats_prints_the_block_entropy_bound_beside_the_index(tmp_path, capsys, variant):
+    raw = bytes(96 + c for c in markov2_codes(5, 20_000))
+    text = tmp_path / "markov.txt"
+    text.write_bytes(raw)
+    idx = tmp_path / "markov.idx"
+    sized = ("--block-size", 1500) if variant == "fixed" else ()
+    run(capsys, "build", text, "-o", idx, "--variant", variant, *sized)
+    code, out, _ = run(capsys, "stats", idx)
+    assert code == 0
+    got = kv(out)
+    t = build_text(raw)
+    b = int(got["block_size"])
+    assert b == (1500 if variant == "fixed" else t.n)
+    assert int(got["blocks"]) == -(-t.n // b)
+    l = textcore.bwt(t, textcore.suffix_array(t)).l
+    block_h0 = entropy.partition_entropy(l, entropy.fixed_partition(t.n, b))
+    assert float(got["block_h0_bits"]) == pytest.approx(block_h0, rel=1e-9, abs=1e-6)
+    assert float(got["h0_bits"]) == pytest.approx(t.n * entropy.h0(t.data), rel=1e-9, abs=1e-6)
+    if variant == "ssa":
+        assert got["block_h0_bits"] == got["h0_bits"]
+    else:
+        # the order-2 text's blocks compress below its H0
+        assert float(got["block_h0_bits"]) < 0.8 * float(got["h0_bits"])
 
 
 def test_stats_heap_bytes_under_an_outer_tracemalloc_session(tmp_path, capsys):
@@ -321,6 +348,21 @@ def test_one_process_runs_each_command_as_a_fresh_one_does(banana, tmp_path, cap
     for argv, alone in zip((count, error), fresh[1:]):
         assert run(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
     assert fresh[1].stdout == "AN\t2\nNA\t2\n" and fresh[2].returncode == 1
+
+
+def test_bench_alternates_its_point_and_batch_passes(tmp_path, capsys, monkeypatch):
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"abracadabra alakazam " * 30)
+    idx = tmp_path / "t.idx"
+    run(capsys, "build", text, "-o", idx, "--variant", "ssa")
+    calls = []
+    count, count_many = fmindex.BlockedFMIndex.count, fmindex.BlockedFMIndex.count_many
+    monkeypatch.setattr(fmindex.BlockedFMIndex, "count", lambda self, p: calls.append("point") or count(self, p))
+    monkeypatch.setattr(fmindex.BlockedFMIndex, "count_many", lambda self, ps: calls.append("batch") or count_many(self, ps))
+    code, _, _ = run(capsys, "bench", idx, text, "--patterns", 5, "--length", 3, "--repeats", 3)
+    assert code == 0
+    # each repeat counts every pattern on its own, then all of them in one batch
+    assert calls == (["point"] * 5 + ["batch"]) * 3
 
 
 def test_bench_exits_2_when_the_batch_counts_differ(tmp_path, capsys, monkeypatch):

@@ -25,11 +25,21 @@ def test_variant_flags():
 
 
 def test_default_block_size():
-    assert default_block_size(2**20, 4) == 1600
-    assert default_block_size(100, 2) == 98
-    assert default_block_size(100, 200) == 100  # clamped to n
-    assert default_block_size(10**6, 1) == 400
-    assert default_block_size(65, 1) == 64  # clamped up
+    # below the alphabet factor's floor of 16, the floor: ceil(log2 n) = 20
+    assert default_block_size(2**20, 4) == 6400
+    assert default_block_size(10**6, 8) == 6400  # the markov-boost text
+    assert default_block_size(10**6, 1) == 6400
+    # at and above it, sigma
+    assert default_block_size(10**6, 16) == 6400
+    assert default_block_size(10**6, 17) == 6800
+    assert default_block_size(10**6, 97) == 38800  # the stdlib-read text
+    # clamped to n, below the floor and above it
+    assert default_block_size(100, 2) == 100
+    assert default_block_size(100, 200) == 100
+    assert default_block_size(2, 1) == 2
+    # the floor keeps every block at least 64 long, or the whole text
+    assert default_block_size(3, 1) == 3
+    assert all(default_block_size(n, 1) >= min(n, 64) for n in range(2, 5000))
     with pytest.raises(ValueError):
         default_block_size(1, 2)
 
