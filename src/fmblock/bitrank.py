@@ -88,11 +88,13 @@ and offset widths before it since its sample), which live as long as the
 function does; up to t = 16 it also makes every t-bit word in (class,
 offset) order from the decode table (_word_table), which dies with the
 function, so that a round decodes in one gather. rank1_many(positions)
-ranks once, for a load's few positions per tree depth, with no table: a
-call of at most _SCALAR_RANKS positions (32 plain, 64 RRR, where the two
-forms cost alike on the 1 MB benchmark texts) ranks each with rank1;
-above, plain, it is batch_rank1's arithmetic with the superblock rank and
-the counter read apart; RRR, each position compares its sparse sample's
+ranks once, for a load's node ends, with no table: a call of at most
+_SCALAR_RANKS positions ranks each with rank1 (32 plain, where the two
+forms cost alike on the 1 MB benchmark texts; 128 RRR, since the numpy
+form's first call makes tables that a first load's heap keeps: the
+stdlib ssa_rrr tree's 96 node ends take 171 us so, 99 in numpy); above,
+plain, it is batch_rank1's arithmetic with the superblock rank and the
+counter read apart; RRR, each position compares its sparse sample's
 positions or sums its RRR sample's classes. Both
 RRR forms read their blocks' offsets through _offset_reader: up to
 t = 16 from one unaligned uint32 view of the stream, one element per
@@ -163,7 +165,7 @@ class _BitVector:
         return r if bit else j - r
 
     def rank1_many(self, j):
-        """rank1 of every position in the int64 array j, as int64, for a load's ranks of one tree depth.
+        """rank1 of every position in the int64 array j, as int64, for a load's ranks at every node's end.
 
         Up to _SCALAR_RANKS positions, each with rank1: a numpy call's fixed
         cost would exceed theirs. Above, in numpy, with no table (_rank1_many).
@@ -284,7 +286,7 @@ class PlainBitVector(_BitVector):
         return rank1
 
     def _rank1_many(self, j):
-        """rank1 of every position in the int64 array j, as int64, with no table: a load ranks once per tree depth."""
+        """rank1 of every position in the int64 array j, as int64, with no table: a load ranks once, at every node's end."""
         k = j >> 6
         words = np.frombuffer(self._words, dtype=np.uint64)
         counts = np.frombuffer(self._counts, dtype=np.uint16)
@@ -556,7 +558,7 @@ class RrrBitVector(_BitVector):
         "m", "t", "_stream", "_words", "_pos", "_entries", "_ranks", "_bases", "_log", "_shift", "_mask",
         "_class_sums", "_width_sums", "_widths", "_table", "_descent",
     )
-    _SCALAR_RANKS = 64  # rank1_many's calls of at most this many positions rank each with rank1
+    _SCALAR_RANKS = 128  # rank1_many's calls of at most this many positions rank each with rank1
 
     def __init__(self, bits, block_size=15, ms=None):
         """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree.
@@ -974,9 +976,9 @@ class RrrBitVector(_BitVector):
         offset widths of its sample's blocks before its own, then reads its
         offset and decodes it. No table is made, per block or kept across
         calls, so a call costs only its positions and its numpy calls, whose
-        tables of a class are made once per t (_many_tables): a load ranks a
-        few node ends per tree depth, where batch_rank1's tables would cost
-        more than the ranks.
+        tables of a class are made once per t (_many_tables): a load ranks
+        each node end once, where batch_rank1's tables would cost more than
+        the ranks.
         """
         t, log = self.t, self._log
         blk = j // t

@@ -1,4 +1,4 @@
-"""Binary serialization of a built index, format version 7.
+"""Binary serialization of a built index, format version 8.
 
 Layout (all integers little-endian):
 
@@ -7,20 +7,20 @@ Layout (all integers little-endian):
            (0 for ssa variants, which are one block of n symbols), u32
            block count
   sections each prefixed with its u32 byte length, in order: remap,
-           c array, codebooks (every tree's code lengths), payload (every
-           tree's bit count, then the trees' one bitvector as stored) and
-           checksum, the zlib.crc32 of every byte before it: five
-           sections, whatever the block count
+           c array, codebooks (every tree's code lengths and symbol
+           counts), payload (every tree's bit count, then the trees' one
+           bitvector as stored) and checksum, the zlib.crc32 of every
+           byte before it: five sections, whatever the block count
 
 This module owns the header, the framing, remap, c array and checksum; the
 trees write and parse the codebooks and payload sections, each whole
-(wavelet, bitrank). A file holds only what cannot be recomputed: codes,
-rank directories, RRR samples and boundary rows are derived at load by
-the code that derives them at build. Deserialization rejects every other
-version (1, 2, 4, 5 and 6 are earlier layouts; 3 was never written),
-checks the framing, remap, c array and checksum before it parses any
-tree, then checks the c array's symbol counts against the trees' leaf
-sizes, which the tree read sums (rank_l at n reads them, with no rank); a
+(wavelet, bitrank). Codes, rank directories, RRR samples, boundary rows
+and the node layout are derived at load by the code that derives them at
+build; the stored symbol counts are checked against the payload at every
+node. Deserialization rejects every other version (1, 2, 4 to 7 are
+earlier layouts; 3 was never written), checks the framing, remap, c
+array and checksum before it parses any tree, then checks the c array's
+symbol counts against the trees' totals (rank_l at n reads them); a
 loaded index answers queries identically to the index that was saved.
 """
 
@@ -32,7 +32,7 @@ from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import read_trees
 
 MAGIC = b"FBFMIDX1"
-VERSION = 7
+VERSION = 8
 
 _HEADER = struct.Struct("<8sHBBQIQI")
 _U32 = struct.Struct("<I")
@@ -152,7 +152,7 @@ def deserialize(source):
         _corrupt(exc)
 
     index = BlockedFMIndex(variant, n, sigma, c, blocks, block_size, remap, rrr_t)
-    # rank_l at n is each symbol's total of leaf sizes, which _read summed
+    # rank_l at n is each symbol's total of block counts, which _read checked against the payload
     for code in range(sigma):
         if index.rank_l(code, n) != c[code + 1] - c[code]:
             _corrupt("symbol counts")

@@ -14,19 +14,22 @@ import numpy as np
 
 def code_translator(byte_for_code):
     """A function that maps pattern bytes to codes 1..sigma-1 through the
-    remap table, or to None if some byte is not in the table."""
-    lut = [0] * 256
+    remap table, or to None if some byte is not in the table.
+
+    One bytes.translate over a 256-byte table, where an absent byte maps to
+    0, gives the codes as bytes. Under all 256 bytes (sigma 257), code 256
+    fits no byte, and the codes, each byte plus one, come as a list.
+    """
+    if len(byte_for_code) == 256:
+        return lambda pattern: [byte + 1 for byte in bytes(pattern)]
+    table = bytearray(256)
     for code, byte in enumerate(byte_for_code, start=1):
-        lut[byte] = code
+        table[byte] = code
+    table = bytes(table)
 
     def translate(pattern):
-        out = []
-        for byte in bytes(pattern):
-            code = lut[byte]
-            if code == 0:
-                return None
-            out.append(code)
-        return out
+        codes = bytes(pattern).translate(table)
+        return None if 0 in codes else codes
 
     return translate
 
@@ -64,8 +67,9 @@ class Text:
         return cls(np.array(codes + [0]), sigma, remap)
 
     def translate(self, pattern):
-        """Map raw pattern bytes to codes; None if some byte never occurs in the text."""
-        return self._translate(pattern)
+        """Map raw pattern bytes to a list of codes; None if some byte never occurs in the text."""
+        codes = self._translate(pattern)
+        return None if codes is None else list(codes)
 
     def __eq__(self, other):
         return (

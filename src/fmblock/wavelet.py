@@ -29,20 +29,20 @@ step. A Block is a view of one tree's rows. WaveletTree.rank ranks over
 the whole sequence: a symbol's row in the block, plus its rank in the
 block's tree; at the sequence's end, the symbol's total, with no rank.
 
-A build and a load share one layout path (_read): it reads every tree's
-nodes at once, one depth at a time, from the vector and each tree's bit
-count, which gives its first bit and its limit, each node sized by its
-parent's zero or one count, the ends of a depth's nodes ranked in one
-call of the vector's rank1_many, and sums the leaf sizes, the symbol
-counts, into the boundary rows and the totals. Build and load make every tree's codes from its code
-lengths at once, with one rule (_canonical), and place every tree in the
-vector by one rule, from the trees' bit counts (bitrank's tree_firsts). A
-build (WaveletTree(x, ...)) counts every block's symbols in one bincount,
-takes Huffman code lengths per block (huffman_lengths) or ceil(log2 k)
-bits for a balanced tree's k symbols, and writes each block's nodes' bits
-in the order _read reads them, level by level and each level in prefix
-order, with one FIFO queue from the root (_node_bits); one make_bitvector
-call puts every tree's bits in one vector, and _read lays them out. A load
+A build and a load share one layout path (_read): from every tree's
+codes and each code's count in its block, in one pass over all trees,
+with no walk down them, it lays out every node, sums the counts into the
+boundary rows and the totals, and checks the vector against the counts
+with one call of its rank1_many at every node's end. Build and load make
+every tree's codes from its code lengths at once, with one rule
+(_canonical), and place every tree in the vector by one rule, from the
+trees' bit counts (bitrank's tree_firsts). A build (WaveletTree(x, ...))
+counts every block's symbols in one bincount, takes Huffman code lengths
+per block (huffman_lengths) or ceil(log2 k) bits for a balanced tree's k
+symbols, and writes each block's nodes' bits in layout order, level by
+level and each level in prefix order, with one FIFO queue from the root
+(_node_bits); one make_bitvector call puts every tree's bits in one
+vector, and _read lays them out from the bincount's counts. A load
 (read_trees) reads the payload section into one vector (see bitrank's
 read_payload), parses and checks the codebooks section in one pass
 (_parse_codebooks), and runs _read.
@@ -59,10 +59,11 @@ symbol) entry, made from the stored tables once per call, so that a rank
 gathers its entry in one fancy index.
 
 The trees own two index-file sections, each written whole (sections) and
-read whole (read_trees): the codebooks, a u16 code count per tree in
-block order, then every tree's entries in turn, a u16 symbol and a u8
-code length per symbol in ascending order, and no code bits; and the
-payload, their vector as stored (see bitrank).
+read whole (read_trees): the codebooks, one LSB-first bitstream of every
+tree's presence map, a bit per symbol below sigma, in block order, then
+per symbol it lists, tree by tree in ascending order, a 6-bit code length
+and its count in the block, in as many bits as the block size has, and no
+code bits; and the payload, their vector as stored (see bitrank).
 """
 
 import heapq
@@ -71,6 +72,7 @@ from collections import deque
 
 import numpy as np
 
+from .bitio import pack_fields, read_fields
 from .bitrank import make_bitvector, read_payload, tree_firsts
 
 
@@ -102,8 +104,8 @@ def _node_bits(x, counts, lens, codes):
     counts, lens and codes hold each symbol's count, code length and code.
     A node holds code bit `depth` of every element routed through it, in
     sequence order. A FIFO queue from the root visits the nodes level by
-    level, each level in prefix order, which is the order _read reads them
-    in: a node's 0-elements, then its 1-elements, join the back of the
+    level, each level in prefix order, which is the order _read lays them
+    out in: a node's 0-elements, then its 1-elements, join the back of the
     queue as its children. A child with no elements (the missing 1-child
     of an incomplete balanced tree) and a leaf (its elements' codes end at
     its depth) hold no bits.
@@ -180,13 +182,14 @@ class WaveletTree:
         # the key's temporaries in place: one int64 array of n at a time)
         counts = np.bincount(np.arange(n) // size * sigma + x, minlength=-(-n // size) * sigma).reshape(-1, sigma)
         tree, syms = np.nonzero(counts)
+        weights = counts[tree, syms]
         k = np.count_nonzero(counts, axis=1)  # each tree's symbols
         if shape == "balanced":
             lens = np.repeat(np.ceil(np.log2(k)).astype(np.int64), k)
         else:
-            weights, ends = counts[tree, syms].tolist(), np.cumsum(k).tolist()
-            lens = np.array([length for s, e in zip([0, *ends], ends) for length in huffman_lengths(weights[s:e])])
-        tree, syms, lens, codes = codebook = _canonical(tree, syms, lens)
+            each, ends = weights.tolist(), np.cumsum(k).tolist()
+            lens = np.array([length for s, e in zip([0, *ends], ends) for length in huffman_lengths(each[s:e])])
+        tree, syms, lens, codes, _ = codebook = _canonical(tree, syms, lens, weights)
         # [length or code, tree, symbol]: the symbol's code length and code in the tree
         table = np.zeros((2, *counts.shape), dtype=np.int64)
         table[:, tree, syms] = lens, codes.astype(np.int64)
@@ -241,10 +244,11 @@ class WaveletTree:
         """The trees' two index-file sections, each made whole: the codebooks and the payload (see read_trees)."""
         paths = np.frombuffer(self.paths, dtype=self.paths.typecode).reshape(-1, self.sigma)
         tree, syms = np.nonzero(paths)
-        entries = np.empty(len(syms), dtype=_ENTRY)
-        entries["sym"], entries["len"] = syms, paths[tree, syms] & 127
-        counts = np.count_nonzero(paths, axis=1).astype("<u2")
-        return counts.tobytes() + entries.tobytes(), self.bits.payload(self._ms())
+        entries = np.stack([paths[tree, syms] & 127, self.block_counts()[tree, syms]], axis=1).ravel()
+        widths = np.full(paths.size + len(entries), self.block_size.bit_length())
+        widths[: paths.size] = 1
+        widths[paths.size :: 2] = _LENGTH_BITS
+        return pack_fields(np.concatenate([(paths != 0).ravel(), entries]), widths), self.bits.payload(self._ms())
 
     def size_bits(self):
         """The trees' bits, all trees together: (payload, rank directories, codebooks).
@@ -253,7 +257,7 @@ class WaveletTree:
         rank directories or samples as the vector holds them.
         """
         payload, directories = self.bits.stored_bits(self._ms())
-        return payload, directories, 16 * len(self) + 24 * int(np.count_nonzero(self.paths))
+        return payload, directories, 8 * _codebook_bytes(len(self), self.sigma, int(np.count_nonzero(self.paths)), self.block_size)
 
     def block_counts(self):
         """Each block's occurrences of every symbol, a (trees, sigma) int64 array.
@@ -419,221 +423,209 @@ class Block:
 
 
 def _read(wt, bits, ms, codebook):
-    """Fill wt's path tables, boundary rows and symbol totals from its trees in one vector.
+    """Fill wt's path tables, boundary rows and symbol totals from its trees' codes and counts, in one pass.
 
-    wt holds its sequence's length n, block size and sigma. Tree i, of block
-    i, has its ms[i] bits of nodes joined bit to bit in bits, from its first
-    bit, which tree_firsts(ms, bits.t) gives it, to its limit, first + m;
-    codebook holds the trees' canonical codes as _canonical gives them, and
-    every symbol is below sigma. Every tree holds block_size elements but the last, which
-    holds the rest. All trees are read at once, one depth at a time, with no
-    Python loop over trees or nodes. From one canonical code to the next,
-    the prefix at any depth shorter than both grows by at most one, so a
-    tree's internal nodes at a depth are one range of prefixes: from that of
-    its first code longer than the depth to that of its last code. Their
-    children are, in prefix order, the tree's leaves of the next depth, one
-    per code of that length in symbol order, then its internal nodes there,
-    then, if the last code goes to the 0-child of its node at that depth,
-    that node's 1-child, which is empty and not a node. A node's size is its
-    parent's count of zeros or ones, and it starts where the node before it
-    in its tree ended: so the ones of every node of a depth come from one
-    call of bits.rank1_many, at their ends. Raises ValueError on a node of
-    no bits, which a tree built from a sequence never has: the codebook then
-    lists symbols the block does not hold; EOFError if a node runs past its
-    tree's limit ("payload truncated"). Once every node is read, every
-    tree's last node must end at its limit ("payload length").
+    Tree i, of block i, has its ms[i] bits of nodes joined bit to bit in
+    bits, from its first bit, which tree_firsts(ms, bits.t) gives it;
+    codebook holds the trees' canonical codes and each code's count, at
+    least 1, as _canonical gives them, every symbol below wt.sigma. The
+    boundary rows sum the counts over the blocks before each block, and
+    the totals, which rank returns at n, over every block.
+
+    There is no walk down the trees and no Python loop over trees or
+    nodes. A code passes one internal node at each depth below its length,
+    its prefix there: one row per (code, depth), a path step. In layout
+    order, tree by tree and depth by depth, a depth's rows are the tree's
+    codes longer than it, which end its codes in canonical order, and
+    come there in their prefixes' order (from one canonical code to the
+    next, the prefix at any depth shorter than both grows by at most one):
+    a run of rows of one prefix is a node. Its size and its ones (its
+    codes with bit 1 at its depth) are sums of counts, its start and the
+    ones before it prefix sums of those from its tree's first bit and the
+    vector's ones there (bits.tree_bases). Each tree's nodes must route
+    exactly its m bits: more run past it ("payload truncated"), fewer
+    leave bits after its last node ("payload length"). One call of
+    bits.rank1_many at every node's end then checks the payload against
+    the counts ("node ones"), so every node holds the ones, and each child
+    the elements, that a walk by the payload's own ranks would find.
 
     rank follows a position p in the vector, which starts at r plus the
     root's start s, the tree's start (its first bit for a tree with no
     node). Every leaf starts at the end of the last node, the tree's
-    `leaf`, past every node's start. At a node with b ones before s, the
-    child's start plus the child's share of the node's p - s elements
-    before p is rank1(p) + step on bit 1 (step = s1 - b > 0) and p -
-    rank1(p) - step on bit 0 (step = -(s0 - s + b) <= 0), where b counts
-    as rank1 does, from the vector's start. rank1(p) - b counts the node's
-    ones before p, so the steps' signs, and the codes they give, do not
-    depend on it; each tree's root takes its b from the vector's tables
-    (bits.tree_bases), with no rank1_many call. A symbol's path is its code's steps from the root, and ends at p
-    = leaf plus the rank.
-
-    A tree's occurrences of a symbol are the size of its leaf. The boundary
-    rows sum them over the blocks before each block, and the totals, which
-    rank returns at n, over every block.
+    `leaf`. At a node with b ones before s, the child's start plus the
+    child's share of the node's p - s elements before p is rank1(p) + step
+    on bit 1 (step = s1 - b > 0) and p - rank1(p) - step on bit 0 (step =
+    -(s0 - s + b) <= 0), where b counts as rank1 does, from the vector's
+    start, so the steps' signs, and the codes they give, do not depend on
+    it. A child's start is that of the node of the code's next row, or the
+    leaf after its last. A symbol's path is its code's steps from the
+    root, and ends at p = leaf plus the rank.
     """
     sigma, ntrees = wt.sigma, len(ms)
-    first = tree_firsts(ms, bits.t)
-    limit = first + ms
-    lengths = np.full(ntrees, wt.block_size, dtype=np.int64)
-    lengths[-1] = wt.n - (ntrees - 1) * wt.block_size
-    tree, syms, lens, codes = codebook
+    tree, syms, lens, codes, counts = codebook
     path_at = np.cumsum(lens) - lens  # where each entry's path starts in steps
     paths = np.zeros(ntrees * sigma, dtype=np.int64)
     paths[tree * sigma + syms] = path_at << 8 | 128 | lens
     wt.paths = _table(paths, "I", "q")
-    depth = int(lens.max())
-    per_length = np.bincount(tree * (depth + 1) + lens, minlength=ntrees * (depth + 1)).reshape(ntrees, -1)
-    last = np.cumsum(per_length.sum(axis=1)) - 1  # each tree's last code
-    # [tree, depth]: whether the last code goes on to the 1-child of its node there
-    shift = (lens[last][:, None] - 1 - np.arange(max(depth, 1))).clip(0).astype(np.uint64)
-    last_bit = (codes[last][:, None] >> shift & np.uint64(1)).astype(bool)
-    # the internal nodes of the depth being read, tree by tree: their tree and size
-    at = np.flatnonzero(per_length[:, 0] == 0)
-    size = lengths[at]
-    leaf_sizes = [lengths[per_length[:, 0] == 1]]
-    end, ones_end = first.copy(), bits.tree_bases(first)
-    last_at = np.zeros((ntrees, max(depth, 1)), dtype=np.int64)  # per depth, one past each tree's last node
-    node_tree, node_start, node_base, node_child = [], [], [], []
-    total = 0
-    for level in range(depth):
-        k = len(at)
-        edge = np.ones(k + 1, dtype=bool)  # where each tree's nodes here start, and their end
-        edge[1:-1] = at[1:] != at[:-1]
-        lead = np.flatnonzero(edge)
-        tail = lead[1:] - 1
-        lead = lead[:-1]
-        lead_at = np.repeat(lead, tail - lead + 1)
-        before = np.cumsum(size) - size
-        start = end[at] + before - before[lead_at]
-        stop = start + size
-        bad = (size == 0) | (stop > limit[at])
-        if bad.any():
-            raise ValueError("empty node") if size[np.argmax(bad)] == 0 else EOFError("payload truncated")
-        rank = bits.rank1_many(stop)
-        base = np.empty_like(rank)
-        base[1:] = rank[:-1]
-        base[lead] = ones_end[at[lead]]
-        end[at[tail]], ones_end[at[tail]] = stop[tail], rank[tail]
-        last_at[at[tail], level] = total + tail + 1
-        node_tree.append(at)
-        node_start.append(start)
-        node_base.append(base)
-        ones = rank - base
-        child_size = np.repeat(size, 2)
-        child_size[0::2] -= ones
-        child_size[1::2] = ones
-        # the children in prefix order: each tree's leaves, its internal nodes, then maybe an empty 1-child
-        child_tree = np.repeat(at, 2)
-        leaf = np.arange(2 * k) - 2 * np.repeat(lead_at, 2) < per_length[child_tree, level + 1]
-        inner = ~leaf
-        inner[2 * tail + 1] &= last_bit[at[tail], level]
-        leaf_sizes.append(child_size[leaf])
-        total += k
-        node_child.append(np.where(inner, total + np.cumsum(inner) - 1, -1))
-        at, size = child_tree[inner], child_size[inner]
-    if (end != limit).any():
+    block = np.zeros((ntrees, sigma), dtype=np.int64)
+    block[tree, syms] = counts
+    # every entry is at most n, so the rows and totals are 32-bit while n fits
+    upto = np.cumsum(block, axis=0)
+    wt.rows, wt.totals = _table(upto - block, "I", "q"), _table(upto[-1], "I", "q")
+    # Each array is dropped once read, here and below, as they would add to
+    # the load's peak
+    del paths, block, upto
+    # the rows in layout order: per (tree, depth), the tree's entries longer
+    # than the depth, which end its entries in canonical order
+    depth, total = int(lens.max()), int(path_at[-1] + lens[-1])
+    k = np.bincount(tree, minlength=ntrees)
+    lead = np.cumsum(k) - k  # each tree's first entry
+    shallow = np.bincount(tree * (depth + 1) + lens, minlength=ntrees * (depth + 1)).reshape(ntrees, -1)
+    shallow = np.cumsum(shallow, axis=1)[:, :depth]  # [tree, depth]: its codes of at most depth bits
+    deeper = (k[:, None] - shallow).ravel()
+    run = np.cumsum(deeper) - deeper  # where each (tree, depth)'s rows start
+    entry = np.repeat((lead[:, None] + shallow).ravel() - run, deeper) + np.arange(total)
+    level = np.repeat(np.tile(np.arange(depth), ntrees), deeper)
+    pos = path_at[entry] + level  # the row's step in steps
+    # the code's bits down to the row's: its prefix, the row's node, then its bit there
+    prefix = codes[entry] >> (lens[entry] - 1 - level).astype(np.uint64)
+    del level
+    bit = (prefix & _ONE).astype(np.int64)
+    prefix >>= _ONE
+    new = np.empty(total, dtype=bool)
+    np.not_equal(prefix[1:], prefix[:-1], out=new[1:])
+    new[run[deeper > 0]] = True
+    node = np.cumsum(new) - 1
+    first_row = np.flatnonzero(new)  # each node's
+    del prefix, new, shallow, deeper, run
+    node_tree = tree[entry[first_row]]
+    # the bits, and the ones, of the rows before each row and at the end
+    routed, ones = np.zeros((2, total + 1), dtype=np.int64)
+    np.cumsum(counts[entry], out=routed[1:])
+    del entry
+    bit *= routed[1:] - routed[:-1]
+    np.cumsum(bit, out=ones[1:])
+    tree_row = path_at[lead]  # each tree's first row, as its first entry's path is its first step
+    tree_end = np.append(tree_row[1:], total)
+    have = routed[tree_end] - routed[tree_row]
+    if (have > ms).any():
+        raise EOFError("payload truncated")
+    if (have < ms).any():
         raise ValueError("payload length")
+    first = tree_firsts(ms, bits.t)
+    # a row boundary's place in the vector, and the ones before it, less
+    # the tree's rows' bits and ones before it
+    shift = (first - routed[tree_row])[node_tree]
+    lift = (bits.tree_bases(first) - ones[tree_row])[node_tree]
+    end_row = np.append(first_row[1:], total)
+    if (bits.rank1_many(routed[end_row] + shift) != ones[end_row] + lift).any():
+        raise ValueError("node ones")
+    start = routed[first_row] + shift
+    base = ones[first_row] + lift
+    del routed, ones, first_row, end_row, shift, lift, node_tree
     wt.bits = bits
     wt.starts = array("q", first.tobytes())
-    wt.leaves = array("q", end.tobytes())
-    counts = np.zeros((ntrees, sigma), dtype=np.int64)
-    counts.flat[(tree * sigma + syms)[np.lexsort((syms, tree, lens))]] = np.concatenate(leaf_sizes)
-    # every entry is at most n, so the rows and totals are 32-bit while n fits
-    upto = np.cumsum(counts, axis=0)
-    wt.rows, wt.totals = _table(upto - counts, "I", "q"), _table(upto[-1], "I", "q")
-    # each node's two steps, from its children's starts: its step on bit b
-    # at 2 * node + b. Each array is dropped once read, here and below, as
-    # they would add to the load's peak
-    del counts, upto, leaf_sizes
-    empty = np.zeros(0, dtype=np.int64)
-    node_tree, node_start, node_base, child = (
-        np.concatenate([empty, *parts]) for parts in (node_tree, node_start, node_base, node_child)
-    )
-    del node_child
-    child = child.reshape(-1, 2)
-    node_steps = np.where(child >= 0, node_start[child], end[node_tree][:, None])
-    node_steps[:, 0] = node_start - node_steps[:, 0]
-    node_steps -= node_base[:, None]
-    del node_tree, node_start, node_base, child
-    # every path's steps, in the order of the entries: at each depth of a
-    # code, its prefix's node and its next bit
-    entry = np.repeat(np.arange(len(lens)), lens)
-    level = np.arange(len(entry)) - path_at[entry]
-    below = codes[entry] >> (lens[entry] - 1 - level).astype(np.uint64)
-    # a depth's last node has the last code's prefix there
-    final = last[tree[entry]]
-    final = codes[final] >> (lens[final] - 1 - level).astype(np.uint64)
-    node = last_at[tree[entry], level] - 1
-    del entry, level
-    final >>= np.uint64(1)
-    final -= below >> np.uint64(1)
-    node -= final.view(np.int64)
-    del final
-    node <<= 1
-    node |= (below & np.uint64(1)).astype(np.int64)
-    del below
-    wt.steps = _table(node_steps.ravel()[node], "i", "q")
+    leaves = first + ms
+    wt.leaves = array("q", leaves.tobytes())
+    # every path's steps, in the order of the entries: each step's node and
+    # bit, and the start of its child, the next step's node, or the leaf
+    at, step_bit = np.empty_like(node), np.empty_like(bit)
+    at[pos], step_bit[pos] = node, bit
+    del node, pos, bit
+    s, b = start[at], base[at]
+    del at
+    child = np.empty_like(s)
+    child[:-1] = s[1:]
+    held = lens > 0
+    child[(path_at + lens - 1)[held]] = leaves[tree[held]]
+    wt.steps = _table(np.where(step_bit > 0, child - b, s - child - b), "i", "q")
 
 
-# a codebook entry: a u16 symbol and a u8 code length
-_ENTRY = np.dtype([("sym", "<u2"), ("len", "u1")])
+_LENGTH_BITS = 6  # a codebook's code length field, up to 63: a 64-bit Huffman code needs a block of F(66) = 2.7e13 symbols
 _ONE = np.uint64(1)
 
 
-def _canonical(tree, syms, lens):
+def _canonical(tree, syms, lens, counts):
     """Every tree's canonical codes from its code lengths, all at once, as _read takes them.
 
-    Entries come tree by tree, each tree's in ascending symbol order; the
-    result is (tree, symbol, length as int64, code as uint64) in canonical
-    (tree, length, symbol) order. There a code is the sum of 2^(64 - length)
-    over its tree's codes before it, shifted right by 64 - length: the
-    previous code plus one, shifted left by the step in length (DEFLATE's
-    rule, RFC 1951 3.2.2), and a one-symbol tree's code is 0. The sum
-    restarts at each tree, since a balanced tree's lengths need not meet
-    Kraft's inequality with equality. Under equality the codes are
-    prefix-free, and at every depth the leaves take the lowest prefixes and
-    the internal nodes the rest. Lengths are at most 64.
+    Entries come tree by tree, each tree's in ascending symbol order, with
+    each symbol's count in its block; the result is (tree, symbol, length
+    as int64, code as uint64, count) in canonical (tree, length, symbol)
+    order. There a code is the sum of 2^(64 - length) over its tree's codes
+    before it, shifted right by 64 - length: the previous code plus one,
+    shifted left by the step in length (DEFLATE's rule, RFC 1951 3.2.2),
+    and a one-symbol tree's code is 0. The sum restarts at each tree, since
+    a balanced tree's lengths need not meet Kraft's inequality with
+    equality. Under equality the codes are prefix-free, and at every depth
+    the leaves take the lowest prefixes and the internal nodes the rest.
+    Lengths are at most 64.
     """
     order = np.argsort(tree * 65 + lens, kind="stable")
-    tree, syms, lens = tree[order], syms[order], lens[order]
+    tree, syms, lens, counts = tree[order], syms[order], lens[order], counts[order]
     shift = (64 - np.maximum(lens, 1)).astype(np.uint64)
     weight = _ONE << shift
     weight[lens == 0] = 0  # 2^64
     below = np.cumsum(weight) - weight  # mod 2^64
     below -= below[np.searchsorted(tree, tree)]  # from the tree's first code
-    return tree, syms, lens, below >> shift
+    return tree, syms, lens, below >> shift, counts
 
 
-def _parse_codebooks(body, count, sigma):
-    """The canonical codes of a codebooks section of count trees over symbols below sigma, parsed whole.
+def _codebook_bytes(trees, sigma, entries, block_size):
+    """The codebooks section's bytes: a sigma-bit map per tree, then a code length and a count per entry, padded once."""
+    return (trees * sigma + entries * (_LENGTH_BITS + block_size.bit_length()) + 7) >> 3
 
-    The section holds a u16 code count per tree, then every tree's (u16
-    symbol, u8 code length) entries in turn. The code lengths must meet
-    Kraft's inequality with equality, as those of a Huffman tree do: a
-    single symbol has length 0, and otherwise every internal node has two
-    children. Each check runs over every tree before the next: the counts,
-    the alphabet sizes, the entries against them, the symbols, then the
-    code lengths. Raises ValueError naming the failed check. Returns
-    _canonical's codes; each tree's running sums of 2^(64 - length) in
-    uint64, its codes shifted back, check Kraft equality exactly for
-    lengths up to 64.
+
+def _parse_codebooks(body, sigma, lengths):
+    """The canonical codes and counts of a codebooks section over symbols below sigma, parsed whole.
+
+    lengths holds each block's length (int64), the first one the block
+    size, whose bit length w is the count width. The section is every
+    block's sigma-bit presence map, bit s for symbol s, then per listed
+    symbol a 6-bit code length and a w-bit count, LSB first. Each check
+    runs over every block before the next: the alphabet sizes, the
+    section's size against the entries the maps list, the code lengths,
+    which must meet Kraft's inequality with equality, as a Huffman tree's
+    do (a single symbol has length 0), then the counts, each at least 1
+    and a block's summing to its length. Raises ValueError naming the
+    failed check. Returns _canonical's codes and counts; each tree's
+    running sums of 2^(64 - length) in uint64, its codes shifted back,
+    check Kraft equality exactly.
     """
-    if len(body) < 2 * count:
-        raise ValueError("codebook header")
-    sizes = np.frombuffer(body, dtype="<u2", count=count).astype(np.int64)
+    count, width = len(lengths), int(lengths[0]).bit_length()
+    maps = count * sigma
+    raw = np.frombuffer(body, dtype=np.uint8)
+    if 8 * len(raw) < maps:
+        raise ValueError("codebook entries")
+    present = np.unpackbits(raw, count=maps, bitorder="little").reshape(count, sigma)
+    sizes = np.count_nonzero(present, axis=1)
     if (sizes < 1).any():
         raise ValueError("codebook alphabet size")
-    if len(body) < 2 * count + 3 * int(sizes.sum()):
+    entries = int(sizes.sum())
+    held = _codebook_bytes(count, sigma, entries, int(lengths[0]))
+    if len(raw) < held:
         raise ValueError("codebook entries")
-    if len(body) > 2 * count + 3 * int(sizes.sum()):
+    if len(raw) > held:
         raise ValueError("codebook length")
-    entries = np.frombuffer(body, dtype=_ENTRY, offset=2 * count)
-    tree = np.repeat(np.arange(count), sizes)
-    syms = entries["sym"].astype(np.int64)
-    lens = entries["len"].astype(np.int64)
-    same = tree[1:] == tree[:-1]
-    if (syms >= sigma).any() or (same & (syms[1:] <= syms[:-1])).any():
-        raise ValueError("codebook symbols")
-    if (lens > 64).any():
-        raise ValueError("codebook code lengths")
-    _, _, lens, codes = codebook = _canonical(tree, syms, lens)
+    tree, syms = np.nonzero(present)
+    words = np.zeros((held >> 3) + 2, dtype="<u8")  # the stream, then a spare word for read_fields
+    words.view(np.uint8)[:held] = raw
+    at = maps + (_LENGTH_BITS + width) * np.arange(entries)  # each entry's first bit
+    # a count of 2^63 or more turns negative, and fails the counts' check
+    counts = read_fields(words, at + _LENGTH_BITS, width).astype(np.int64)
+    lens = read_fields(words, at, _LENGTH_BITS).astype(np.int64)
+    _, _, lens, codes, _ = codebook = _canonical(tree, syms, lens, counts)
     shift = (64 - np.maximum(lens, 1)).astype(np.uint64)
     below = codes << shift  # the tree's sum before each code
     total = (below + (_ONE << shift) * (lens > 0))[np.cumsum(sizes) - 1]  # mod 2^64
     # each tree's sum is 2^64 exactly when it is 0 mod 2^64 and, code by code,
     # never passed 2^64: a weight is at most 2^63, so passing it makes the
     # running sum fall, unless the last weight reaches just 2^64
+    same = tree[1:] == tree[:-1]
     if (total != 0).any() or (same & (below[1:] <= below[:-1])).any():
         raise ValueError("codebook code lengths")
+    # a count is below 2^w, at most twice the block size, so a block's sum fits int64
+    if (counts < 1).any() or (np.add.reduceat(counts, np.cumsum(sizes) - sizes) != lengths).any():
+        raise ValueError("codebook counts")
     return codebook
 
 
@@ -642,16 +634,16 @@ def read_trees(codebooks, payload, n, block_size, sigma, rrr_block_size):
 
     The payload is read into one vector, plain for rrr_block_size 0, and
     an RRR one's samples checked, before the codebooks are parsed (see
-    bitrank's read_payload), and both before any tree is read. A
-    symbol's count in a tree is the size of its leaf, from the zero or one
-    count of the last node on its path (see _read). ValueError or EOFError
-    names a failed check.
+    bitrank's read_payload), and both before any tree is read (see
+    _read). Every block holds block_size symbols but the last, which
+    holds the rest. ValueError or EOFError names a failed check.
     """
     wt = WaveletTree.__new__(WaveletTree)
     wt.n, wt.block_size, wt.sigma = n, min(block_size, n), sigma
-    count = -(-n // wt.block_size)
-    bits, ms = read_payload(payload, rrr_block_size, count)
-    _read(wt, bits, ms, _parse_codebooks(codebooks, count, sigma))
+    lengths = np.full(-(-n // wt.block_size), wt.block_size, dtype=np.int64)
+    lengths[-1] = n - (len(lengths) - 1) * wt.block_size
+    bits, ms = read_payload(payload, rrr_block_size, len(lengths))
+    _read(wt, bits, ms, _parse_codebooks(codebooks, sigma, lengths))
     return wt
 
 

@@ -58,10 +58,10 @@ def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
 # at its default block size; the stdlib-read text is left out, since it is a
 # slice of the installed Python's own sources
 MARKOV_DIGESTS = {
-    "ssa": "9c682c2d324d639f71e2aabbc034d3a508f70ae5c4d2970f6a8eea35a5fa53a8",
-    "ssa_rrr": "873b9c62fcacc9a03a6b368a04b34a004d64bb4db27af3a0d02432490c4f40cb",
-    "fixed_block": "a1e7b8479c907577818ec3b121c23cb1cefd0a5969255752ce1175e26924fc0f",
-    "fixed_block_rrr": "67abd72872577f7ca5c0c3f0f5de6cfeb13d501c3894f178b283e4de20b9161f",
+    "ssa": "5eb364fc84710f642af75c8c413950476c9a4bda634548a737f64dce5a9fd3e8",
+    "ssa_rrr": "bbc640a28b469fb9595d633141e380e3b92e241ecb12f7d42201c1c17ee39128",
+    "fixed_block": "cc41deb0fe53a4fc8e494c4d6c346529182cefb3c22ec460590b459e10402afc",
+    "fixed_block_rrr": "985cf62dfc438a57c9e5b05e602677100c1d3ea59abcd767e695d48fd9eba5ac",
 }
 
 

@@ -42,3 +42,16 @@ def test_a_first_load_holds_the_decode_table_and_a_second_does_not(tmp_path):
     decode = [where for where, (a, b, _) in rows.items() if where.startswith("fmblock/bitrank.py") and a - b >= 19_816]
     assert decode, rows
     assert total[0] > total[1] > 0
+
+
+def test_a_reader_that_stops_early_gets_no_traceback(tmp_path):
+    # as under "| head": the tool's output pipe is closed by its reader, here
+    # before the tool writes its first line, so that the write fails every
+    # time; the tool exits 0 with nothing on stderr
+    idx = tmp_path / "t.idx"
+    save_index(build_index(build_text(b"abracadabra " * 50), "ssa"), idx)
+    with subprocess.Popen([sys.executable, str(_PATH), str(idx)], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as tool:
+        tool.stdout.close()
+        err = tool.stderr.read()
+        assert tool.wait(timeout=60) == 0
+    assert err == b""

@@ -77,15 +77,15 @@ def test_serialization_is_byte_deterministic():
         assert to_bytes(deserialize(raw1)) == raw1
 
 
-# SHA-256 of files written by the first format-7 writer; any change to the
+# SHA-256 of files written by the first format-8 writer; any change to the
 # bytes written fails this test
 PINNED_FILES = [
-    ("ssa", None, 15, "db941906da6e45c676e8c38fb4dcc28a8c55b6dc6482780ce7dc189ce5d760c7"),
-    ("ssa_rrr", None, 15, "2a4ec86dd5053cdb922620e2f947588047947a3a559c8b42b5534d01b2f996a2"),
-    ("fixed_block", 300, 15, "b5f74ba540f6d99a3ae59c09b5f72b783f19aa8ad45da34d8cd7c1a76c6134b6"),
-    ("fixed_block_rrr", 300, 15, "2c70e7555c8675d399b44504bacced60958ad15178632b31beae8fe9ee58dd50"),
-    ("ssa_rrr", None, 63, "2e324a80e25d148adc6ad59626b4217a353f8e8fb82c748a04e50ba16d632c81"),
-    ("fixed_block_rrr", 300, 5, "41d346a73692841e8919d193e5e5169c0e383528688d06e8143a8469e09b355f"),
+    ("ssa", None, 15, "562c094bf33ea6ab79f2413be35c3eb0c6ee272f95bb50c877042df0d213584d"),
+    ("ssa_rrr", None, 15, "34301b87caacb1dff5a590d2f271955aeab0a545bcad415087ab45a1e3485a48"),
+    ("fixed_block", 300, 15, "326781ae6c952e026781fd05a90375cf8f7958f2a3a1421128578e2afca54bb6"),
+    ("fixed_block_rrr", 300, 15, "023cb8bb31f6b979d3b64044df6ff7c3328926c5238b1897e2b038cde4ad8f3e"),
+    ("ssa_rrr", None, 63, "93be8cfa42b70dad5ab14a85bc17238b4e373ef0f0af3e8c78e224e29b88c8b6"),
+    ("fixed_block_rrr", 300, 5, "a631679371d95560f4dd5d7a34676bcc731f72fa76f9a1495893548e7939c90b"),
 ]
 
 
@@ -222,22 +222,73 @@ def _with_section(raw, which, edit):
 CODEBOOK, PAYLOAD = 2, 3
 
 
+def _codebook_entries(body, blocks, sigma, width):
+    """[block, symbol, code length, count] of each entry of a codebooks section, read field by field from one Python int.
+
+    The section is every block's sigma-bit presence map, then per listed
+    symbol a 6-bit code length and a width-bit count, LSB first.
+    """
+    stream = int.from_bytes(body, "little")
+    at = blocks * sigma
+    entries = []
+    for i, sym in ((i, sym) for i in range(blocks) for sym in range(sigma) if stream >> (i * sigma + sym) & 1):
+        entries.append([i, sym, stream >> at & 63, stream >> (at + 6) & (1 << width) - 1])
+        at += 6 + width
+    return entries
+
+
+def _codebook_section(entries, blocks, sigma, width):
+    """The codebooks section of [block, symbol, code length, count] entries in block and symbol order: _codebook_entries undone."""
+    stream = sum(1 << (i * sigma + sym) for i, sym, _, _ in entries)
+    at = blocks * sigma
+    for _, _, length, count in entries:
+        stream |= (length | count << 6) << at
+        at += 6 + width
+    return stream.to_bytes(-(-at // 8), "little")
+
+
 def _with_codebook(raw, edit):
-    """Saved bytes of a one-block index with edit(codebooks section) in place of its codebooks."""
-    return _with_section(raw, CODEBOOK, edit)
+    """Saved bytes with a valid checksum whose codebook entries, [block, symbol, code length, count] lists, are edit(entries)."""
+    n, sigma, block_size, blocks = struct.unpack_from("<QIQI", raw, 12)
+    shape = blocks, sigma, min(block_size or n, n).bit_length()
+    return _with_section(raw, CODEBOOK, lambda body: _codebook_section(edit(_codebook_entries(body, *shape)), *shape))
+
+
+LENGTH, COUNT = 2, 3  # the fields of a codebook entry, after its block and symbol
+
+
+def _edited_entries(*changes):
+    """An edit of the codebooks section of b"a" * 8's index (one block, sigma 2, 4-bit counts): (entry, field, value) changes."""
+
+    def edit(body):
+        entries = _codebook_entries(body, 1, 2, 4)
+        for at, field, value in changes:
+            entries[at][field] = value
+        return _codebook_section(entries, 1, 2, 4)
+
+    return edit
 
 
 # Over b"a" * 8 the root is the only node: 9 bits, one 1 for each a. The
-# codebooks section of one tree is a u16 entry count, then per entry a u16
-# symbol and a u8 code length; the payload holds the tree's u32 bit count,
-# then the node: plain, its two bytes; RRR, one sample (its kind byte at
-# byte 4): the 8 positions of its ones.
+# codebooks section of one tree is its 2-bit presence map, then per symbol
+# (the sentinel, then a) a 6-bit code length and a 4-bit count (n = 9): 22
+# bits, 3 bytes; the payload holds the tree's u32 bit count, then the node:
+# plain, its two bytes; RRR, one sample (its kind byte at byte 4): the 8
+# positions of its ones.
 TREE_CHECKS = [
-    ("ssa", 15, CODEBOOK, lambda body: body[:1], "codebook header"),
-    ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 0) + body[2:], "codebook alphabet size"),
-    ("ssa", 15, CODEBOOK, lambda body: struct.pack("<H", 200) + body[2:], "codebook entries"),
-    ("ssa", 15, CODEBOOK, lambda body: body[:2] + struct.pack("<H", 9) + body[4:], "codebook symbols"),
-    ("ssa", 15, CODEBOOK, lambda body: body[:4] + bytes([65]) + body[5:], "codebook code lengths"),
+    ("ssa", 15, CODEBOOK, lambda body: bytes([body[0] & 0xFC]) + body[1:], "codebook alphabet size"),
+    ("ssa", 15, CODEBOOK, lambda body: body[:2], "codebook entries"),
+    ("ssa", 15, CODEBOOK, lambda body: body + b"\0", "codebook length"),
+    ("ssa", 15, CODEBOOK, _edited_entries((0, LENGTH, 2)), "codebook code lengths"),
+    # the sentinel's count of 1 set to 0 or 2, or a's 8 to 9: the block's
+    # counts sum to 8 or 10, not 9
+    ("ssa", 15, CODEBOOK, _edited_entries((0, COUNT, 0)), "codebook counts", "zero"),
+    ("ssa", 15, CODEBOOK, _edited_entries((0, COUNT, 2)), "codebook counts", "one-more"),
+    ("ssa_rrr", 15, CODEBOOK, _edited_entries((1, COUNT, 9)), "codebook counts"),
+    # one a counted as the sentinel: the block's length, and the bits the
+    # root routes, hold, but its ones are 8, not 7
+    ("ssa", 15, CODEBOOK, _edited_entries((0, COUNT, 2), (1, COUNT, 7)), "node ones"),
+    ("ssa_rrr", 15, CODEBOOK, _edited_entries((0, COUNT, 2), (1, COUNT, 7)), "node ones"),
     # t = 5 stores a 4-bit class, so a class byte can hold 7: a RRR sample of
     # no offset bytes, whose first block is of class 7
     (
@@ -275,8 +326,14 @@ TREE_CHECKS = [
         "ssa_rrr", 15, PAYLOAD, lambda body: struct.pack("<I", 10) + body[4:],
         "payload length", "count-past-nodes",
     ),
-    # one bit of the root flipped: the tree loads, with the wrong symbol counts
-    ("ssa", 15, PAYLOAD, lambda body: body[:4] + bytes([body[4] ^ 1]) + body[5:], "symbol counts"),
+    # one bit of the root flipped, an a read as the sentinel, and the counts
+    # edited to match: the tree loads, with symbol counts other than the c
+    # array's
+    (
+        "ssa", 15, (PAYLOAD, CODEBOOK),
+        (lambda body: body[:4] + bytes([body[4] ^ 1]) + body[5:], _edited_entries((0, COUNT, 2), (1, COUNT, 7))),
+        "symbol counts",
+    ),
 ]
 
 
@@ -289,10 +346,14 @@ TREE_CHECKS = [
     ],
 )
 def test_tree_section_checks_with_a_valid_checksum(variant, rrr_t, which, edit, check):
+    # which and edit are a section and its edit, or a tuple of each
     raw = to_bytes(build_index(build_text(b"a" * 8), variant, rrr_block_size=rrr_t))
-    assert to_bytes(deserialize(_with_section(raw, which, lambda body: body))) == raw
+    edited = raw
+    for section, change in zip(*((which, edit) if isinstance(which, tuple) else ((which,), (edit,)))):
+        assert to_bytes(deserialize(_with_section(raw, section, lambda body: body))) == raw
+        edited = _with_section(edited, section, change)
     with pytest.raises(CorruptIndexError) as info:
-        deserialize(_with_section(raw, which, edit))
+        deserialize(edited)
     assert str(info.value) == f"corrupt index: {check}"
 
 
@@ -412,10 +473,9 @@ def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
 def test_codebook_lengths_off_kraft_equality_are_rejected(text, lengths):
     raw = to_bytes(build_index(build_text(text), "ssa"))
 
-    def edit(body):
-        symbols = [sym for sym, _ in struct.iter_unpack("<HB", body[2:])]
-        assert len(symbols) == len(lengths)
-        return body[:2] + b"".join(struct.pack("<HB", sym, ln) for sym, ln in zip(symbols, lengths))
+    def edit(entries):
+        assert len(entries) == len(lengths)
+        return [[i, sym, length, count] for (i, sym, _, count), length in zip(entries, lengths)]
 
     with pytest.raises(CorruptIndexError) as info:
         deserialize(_with_codebook(raw, edit))
@@ -426,7 +486,7 @@ def test_codebook_lengths_off_kraft_equality_are_rejected(text, lengths):
 def test_codebook_section_with_an_extra_byte_is_rejected(variant):
     raw = to_bytes(build_index(build_text(b"abracadabra"), variant))
     with pytest.raises(CorruptIndexError, match="corrupt index: codebook length"):
-        deserialize(_with_codebook(raw, lambda body: body + b"\0"))
+        deserialize(_with_section(raw, CODEBOOK, lambda body: body + b"\0"))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -601,7 +661,7 @@ def test_an_rrr_load_peaks_within_a_multiple_of_its_file():
 
 def test_version_1_files_are_rejected():
     raw = to_bytes(build_index(build_text(b"BANANA"), "fixed_block", 3))
-    for version in (1, 2, 4, 5, 6):
+    for version in (1, 2, 4, 5, 6, 7):
         old = raw[:8] + struct.pack("<H", version) + raw[10:]
         with pytest.raises(UnsupportedFormatError, match=f"unsupported format: version {version}$"):
             deserialize(old)
@@ -659,6 +719,63 @@ def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch
             mine = [j for j in ends if wt.start < j <= wt.leaf]
             assert len(mine) == len(wt.codes) - 1 and mine[-1:] == [wt.leaf][: len(mine)]
         assert to_bytes(back) == raw
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_load_makes_at_most_two_rank1_many_calls_whatever_the_depth(variant, monkeypatch):
+    # code c occurring 2^(c - 1) times, and the sentinel once, give a Huffman
+    # tree one level per symbol: 15 deep over 16 symbols, 32,768 elements.
+    # The stored counts give every node, so a load ranks an RRR vector's tree
+    # ends for its padding bits, then every node's end, in one call, whatever
+    # the depth
+    codes = [c for c in range(1, 16) for _ in range(1 << (c - 1))]
+    random.Random(3).shuffle(codes)
+    ix = build_index(Text.from_codes(codes, 16), variant, 20_000 if variant.fixed else None)
+    assert max(length for length, _ in ix.blocks[0].codes.values()) == 15
+    raw = to_bytes(ix)
+    vector = RrrBitVector if variant.bitvector_backend == "rrr" else PlainBitVector
+    many, _ = watch_load_ranks(monkeypatch, vector, vector._SCALAR_RANKS)
+    back = deserialize(raw)
+    monkeypatch.undo()
+    assert len(many) == (2 if vector is RrrBitVector else 1)
+    assert len(many[-1]) == sum(len(wt.codes) - 1 for wt in back.blocks)
+    assert to_bytes(back) == raw
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_count_edits_with_a_valid_checksum_are_rejected(variant):
+    # one count one more or one less, in a middle block of the fixed
+    # variants, breaks its block's sum; one unit moved between two symbols
+    # of one code length keeps the sum and the bits the tree routes, and the
+    # payload's ones disagree at the node where their codes part
+    rng = random.Random(11)
+    text = build_text(bytes(rng.choice(b"abcdefgh \n") for _ in range(600)))
+    raw = to_bytes(build_index(text, variant, 128 if variant.fixed else None))
+    n, sigma, block_size, blocks = struct.unpack_from("<QIQI", raw, 12)
+    entries = _codebook_entries(_sections(raw)[CODEBOOK], blocks, sigma, min(block_size or n, n).bit_length())
+    block = blocks // 2
+    mine = [at for at, (i, *_) in enumerate(entries) if i == block]
+    source, target = next(
+        (a, b) for a in mine for b in mine if a != b and entries[a][LENGTH] == entries[b][LENGTH] and entries[a][COUNT] > 1
+    )
+
+    def changed(*changes):
+        def edit(entries):
+            for at, delta in changes:
+                entries[at][COUNT] += delta
+            return entries
+
+        return edit
+
+    for edit, check in [
+        (changed((source, 1)), "codebook counts"),
+        (changed((source, -1)), "codebook counts"),
+        (changed((source, -1), (target, 1)), "node ones"),
+    ]:
+        with pytest.raises(CorruptIndexError) as info:
+            deserialize(_with_codebook(raw, edit))
+        assert str(info.value) == f"corrupt index: {check}"
+    assert to_bytes(deserialize(_with_codebook(raw, changed()))) == raw
 
 
 def test_file_size_matches_report_within_padding():

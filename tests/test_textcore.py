@@ -10,6 +10,7 @@ from fmblock.textcore import (
     Bwt,
     Text,
     build_text,
+    code_translator,
     bwt,
     inverse_bwt,
     naive_count,
@@ -56,6 +57,43 @@ def test_translate_and_unknown_bytes():
     assert t.translate(b"ANA") == [1, 3, 1]
     assert t.translate(b"BANANAZ") is None
     assert t.translate(b"") == []
+
+
+def loop_translator(byte_for_code):
+    """The reference translator: a Python loop over the pattern's bytes through a 256-entry list."""
+    lut = [0] * 256
+    for code, byte in enumerate(byte_for_code, start=1):
+        lut[byte] = code
+
+    def translate(pattern):
+        out = []
+        for byte in bytes(pattern):
+            if lut[byte] == 0:
+                return None
+            out.append(lut[byte])
+        return out
+
+    return translate
+
+
+@pytest.mark.parametrize("alphabet", [b"ANB", bytes(range(0, 256, 3)), bytes(range(1, 256)), bytes(range(256))])
+def test_the_translator_equals_the_loop_on_every_byte_and_random_patterns(alphabet):
+    # every single byte, in the table or not, then random patterns of bytes
+    # mostly from the table: empty, absent bytes first, last or inside; a
+    # table of all 256 bytes has code 256, which no byte holds
+    fast, slow = code_translator(alphabet), loop_translator(alphabet)
+
+    def same(pattern):
+        got, want = fast(pattern), slow(pattern)
+        return (got is None and want is None) or (got is not None and list(got) == want)
+
+    assert all(same(bytes([b])) for b in range(256))
+    rng = random.Random(len(alphabet))
+    pool = list(alphabet) * 8 + list(range(256))
+    patterns = [bytes(rng.choice(pool) for _ in range(rng.randrange(0, 60))) for _ in range(2_000)]
+    assert all(same(p) for p in patterns)
+    assert any(slow(p) is None for p in patterns) == (len(alphabet) < 256)
+    assert list(fast(b"")) == [] and same(bytearray(alphabet[:5])) and same(memoryview(alphabet[-3:]))
 
 
 def test_suffix_array_worked_example():

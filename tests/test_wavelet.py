@@ -44,7 +44,7 @@ def canonical(lengths):
     """{symbol: (length, code)} from _canonical, for {symbol: code length} of one tree."""
     syms = np.array(sorted(lengths), dtype=np.int64)
     lens = np.array([lengths[sym] for sym in syms.tolist()], dtype=np.int64)
-    _, syms, lens, codes = _canonical(np.zeros_like(syms), syms, lens)
+    _, syms, lens, codes, _ = _canonical(np.zeros_like(syms), syms, lens, np.ones_like(syms))
     return {sym: (length, code) for sym, length, code in zip(syms.tolist(), lens.tolist(), codes.tolist())}
 
 
@@ -169,10 +169,11 @@ def test_codebook_reconstruction_round_trip():
 @pytest.mark.parametrize("backend,vector", [("plain", PlainBitVector), ("rrr", RrrBitVector)])
 def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypatch):
     # each node starts where the one before it ended, so only its end is
-    # ranked, in one rank1_many call per depth with the ends of every node
-    # there. rank1_many ranks each of its positions once, with rank1 in a call
-    # of few positions, else in numpy (every call at a cut of 0), and nothing
-    # else is ranked
+    # ranked, in one rank1_many call with the ends of every node at every
+    # depth, which checks the payload against the stored counts. rank1_many
+    # ranks each of its positions once, with rank1 in a call of few
+    # positions, else in numpy (every call at a cut of 0), and nothing else
+    # is ranked
     rng = random.Random(8)
     seq = [int(rng.random() ** 3 * 60) for _ in range(3000)]
     built = build_wt(seq, "huffman", backend)
@@ -186,8 +187,8 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
         rrr = backend == "rrr"
         if rrr:
             assert many.pop(0) == [loaded[0].leaf]
-        depth = max(length for length, _ in built[0].codes.values())
-        assert len(many) == depth
+        assert max(length for length, _ in built[0].codes.values()) > 2
+        assert len(many) == 1
         # a Huffman tree over k symbols has k - 1 internal nodes, laid out level by
         # level: their ends rise from the tree's start to its leaf, each once
         ends = [j for level in many for j in level]
@@ -208,17 +209,22 @@ def test_rrr_trees_lay_nodes_out_as_plain_trees_do():
 
 
 def test_a_node_of_no_bits_is_rejected_at_load():
-    def codebook(lengths):
-        entries = b"".join(struct.pack("<HB", sym, length) for sym, length in sorted(lengths.items()))
-        return struct.pack("<H", len(lengths)) + entries
-
-    # symbol 0 (code 0) fills the block: a leaf of no elements loads, a node
-    # of no bits does not; the root holds 8 zero bits
-    root = struct.pack("<I", 8) + b"\0"
-    wt = read_trees(codebook({0: 1, 1: 1}), root, 8, 8, 3, 0)
-    assert (wt.rank(0, 8), wt.rank(1, 8)) == (8, 0) and wt.totals.tolist() == [8, 0, 0]
-    with pytest.raises(ValueError, match="empty node"):
-        read_trees(codebook({0: 1, 1: 2, 2: 2}), root, 8, 8, 3, 0)
+    # the root holds 4 zero bits, then 4 one bits: symbol 0 (code 0) 4 times,
+    # symbol 1 (code 1) 4 times. A symbol listed with count 0 would be a leaf
+    # of no elements, or make a node of no bits, and the counts' check
+    # rejects it before any node is read; counts that route the root's bits
+    # but disagree with its ones fail at the root's end
+    root = struct.pack("<I", 8) + bytes([0xF0])
+    body, _ = codebooks([{0: 1, 1: 1}], 3, [4, 4])
+    wt = read_trees(body, root, 8, 8, 3, 0)
+    assert (wt.rank(0, 8), wt.rank(1, 8)) == (4, 4) and wt.totals.tolist() == [4, 4, 0]
+    for lengths, counts, check in [
+        ({0: 1, 1: 1}, [8, 0], "codebook counts"),
+        ({0: 1, 1: 2, 2: 2}, [8, 0, 0], "codebook counts"),
+        ({0: 1, 1: 1}, [5, 3], "node ones"),
+    ]:
+        with pytest.raises(ValueError, match=check):
+            read_trees(codebooks([lengths], 3, counts)[0], root, 8, 8, 3, 0)
 
 
 def test_size_report_pieces():
@@ -231,8 +237,9 @@ def test_size_report_pieces():
     # rank for the one superblock
     assert (payload, directories) == (32 + m, 16 * (-(-m // 64) + 1) + 64)
     assert 8 * len(wt.sections()[1]) == 32 + 8 * -(-m // 8)
-    # a 16-bit code count, then a 16-bit symbol and an 8-bit code length per symbol, and no code bits
-    assert codebooks == 16 + 24 * len(wt[0].codes) == 8 * len(wt.sections()[0])
+    # a presence bit per symbol below sigma, then a 6-bit code length and a
+    # count of n's 3 bits per symbol, padded to a byte, and no code bits
+    assert codebooks == 8 * -(-(wt.sigma + (6 + 3) * len(wt[0].codes)) // 8) == 8 * len(wt.sections()[0])
     assert wt.rank(codes_of("A")[0], 7) == 3
 
 
@@ -382,14 +389,15 @@ def test_batch_rank_equals_rank_at_every_code_and_position(seq_sigma, block, t, 
 
 @st.composite
 def kraft_trees(draw):
-    """Code lengths of a full binary tree, {symbol: length}: one symbol of length 0, or up to 64 deep.
+    """Code lengths of a full binary tree, {symbol: length}: one symbol of length 0, or up to 63 deep.
 
     A tree grows by splitting a leaf into two one level deeper; splitting the
-    deepest leaf again and again reaches lengths from 33 to 64.
+    deepest leaf again and again reaches lengths from 33 to 63, the most a
+    codebook's 6-bit length field holds.
     """
     depths = [0]
     for _ in range(draw(st.integers(0, 70))):
-        open_leaves = [i for i, d in enumerate(depths) if d < 64]
+        open_leaves = [i for i, d in enumerate(depths) if d < 63]
         deepest = max(open_leaves, key=lambda i: depths[i])
         i = deepest if draw(st.booleans()) else draw(st.sampled_from(open_leaves))
         depths[i] += 1
@@ -398,16 +406,38 @@ def kraft_trees(draw):
     return dict(zip(syms, depths))
 
 
-def codebooks(trees):
-    """The codebooks section of trees, each {symbol: code length}, or its (symbol, length) entries in order."""
-    entries = [sorted(tree.items()) if isinstance(tree, dict) else tree for tree in trees]
-    counts = struct.pack(f"<{len(entries)}H", *map(len, entries))
-    return counts + b"".join(struct.pack("<HB", sym, length) for tree in entries for sym, length in tree)
+def filled_counts(trees):
+    """Counts, tree by tree in symbol order, that fill every tree's block to the most symbols a tree has: 1 each, the rest on its first."""
+    size = max(map(len, trees))
+    return [1 + (size - len(tree)) * (j == 0) for tree in trees for j in range(len(tree))]
 
 
-def parse_error(trees, extra=b""):
+def codebooks(trees, sigma=300, counts=None):
+    """The codebooks section of trees, each {symbol: code length}, and each tree's block length.
+
+    counts holds every symbol's count, tree by tree in symbol order, by
+    default filled_counts(trees); a block's length is its counts' sum, and
+    the count width the first one's bit length. The section is packed here
+    field by field into one Python int: every tree's sigma-bit presence
+    map, then per symbol a 6-bit length and a count.
+    """
+    entries = [(i, sym, tree[sym]) for i, tree in enumerate(trees) for sym in sorted(tree)]
+    counts = filled_counts(trees) if counts is None else counts
+    lengths = np.zeros(len(trees), dtype=np.int64)
+    np.add.at(lengths, [i for i, _, _ in entries], counts)
+    width = int(lengths[0]).bit_length()
+    stream = sum(1 << (i * sigma + sym) for i, sym, _ in entries)
+    at = len(trees) * sigma
+    for (_, _, length), count in zip(entries, counts):
+        stream |= (length | count << 6) << at
+        at += 6 + width
+    return stream.to_bytes(-(-at // 8), "little"), lengths
+
+
+def parse_error(trees, extra=b"", counts=None):
+    body, lengths = codebooks(trees, counts=counts)
     with pytest.raises(ValueError) as info:
-        _parse_codebooks(codebooks(trees) + extra, len(trees), 300)
+        _parse_codebooks(body + extra, 300, lengths)
     return str(info.value)
 
 
@@ -417,7 +447,8 @@ def parse_error(trees, extra=b""):
     st.data(),
 )
 def test_codebooks_parsed_at_once_equal_canonical_codes_tree_by_tree(trees, data):
-    tree, syms, lens, codes = _parse_codebooks(codebooks(trees), len(trees), 300)
+    body, lengths = codebooks(trees)
+    tree, syms, lens, codes, counts = _parse_codebooks(body, 300, lengths)
     assert tree.tolist() == [i for i, lengths in enumerate(trees) for _ in lengths]
     got = list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist()))
     want = [
@@ -426,38 +457,54 @@ def test_codebooks_parsed_at_once_equal_canonical_codes_tree_by_tree(trees, data
         for sym, (length, code) in canonical_codes(lengths).items()
     ]
     assert got == want
+    listed = [(i, sym) for i, lengths in enumerate(trees) for sym in sorted(lengths)]
+    assert dict(zip(zip(tree.tolist(), syms.tolist()), counts.tolist())) == dict(zip(listed, filled_counts(trees)))
     # a byte past the last entry, alone or after other trees
     assert parse_error(trees[:1], b"\0") == parse_error(trees, b"\0") == "codebook length"
     # breaking only the k-th tree fails the check that breaking it alone fails
     k = data.draw(st.integers(0, len(trees) - 1), label="k")
     lengths = trees[k]
     breaks = []
-    if len(lengths) > 1:
-        # the second entry takes the first one's symbol
-        entries = sorted(lengths.items())
-        breaks.append([entries[0], (entries[0][0], entries[1][1]), *entries[2:]])
     sym = data.draw(st.sampled_from(sorted(lengths)), label="lengthened")
-    breaks.append({**lengths, sym: lengths[sym] + 1})
+    if lengths[sym] < 63:
+        breaks.append({**lengths, sym: lengths[sym] + 1})
     if len(lengths) > 1:
         # every code one bit shorter: Kraft's sum is 2^65, 0 mod 2^64
         breaks.append({sym: length - 1 for sym, length in lengths.items()})
     for broken in breaks:
         alone = parse_error([broken])
-        assert alone in ("codebook symbols", "codebook code lengths")
+        assert alone == "codebook code lengths"
         assert parse_error(trees[:k] + [broken] + trees[k + 1 :]) == alone
+    if len(lengths) > 1:
+        # the k-th tree's first symbol's count moves to its second: the
+        # block's length holds, and a count of 0 fails
+        moved, at = filled_counts(trees), sum(map(len, trees[:k]))
+        moved[at : at + 2] = [0, moved[at] + moved[at + 1]]
+        assert parse_error(trees, counts=moved) == "codebook counts"
 
 
-def test_a_one_symbol_tree_and_a_64_deep_tree_parse_together():
-    # a caterpillar: lengths 1, 2, ..., 63, 64, 64, whose Kraft sum is 2^64
+def test_counts_that_miss_their_block_length_are_rejected():
+    trees = [{1: 1, 2: 1}, {0: 0}, {3: 1, 7: 1}]
+    body, lengths = codebooks(trees, counts=[3, 5, 8, 6, 2])
+    assert lengths.tolist() == [8, 8, 8]
+    assert _parse_codebooks(body, 300, lengths)[4].tolist() == [3, 5, 8, 6, 2]
+    for wrong in ([8, 8, 7], [8, 9, 8], [9, 8, 8]):
+        with pytest.raises(ValueError, match="codebook counts"):
+            _parse_codebooks(body, 300, np.array(wrong))
+
+
+def test_a_one_symbol_tree_and_a_63_deep_tree_parse_together():
+    # a caterpillar: lengths 1, 2, ..., 62, 63, 63, whose Kraft sum is 2^64
     # only when taken exactly, past any float
-    deep = {sym: min(sym + 1, 64) for sym in range(65)}
-    tree, syms, lens, codes = _parse_codebooks(codebooks([{5: 0}, deep]), 2, 300)
+    deep = {sym: min(sym + 1, 63) for sym in range(64)}
+    body, lengths = codebooks([{5: 0}, deep])
+    tree, syms, lens, codes, _ = _parse_codebooks(body, 300, lengths)
     assert list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist())) == [(0, 5, 0, 0)] + [
         (1, sym, length, code) for sym, (length, code) in canonical_codes(deep).items()
     ]
-    assert codes[-1] == 2**64 - 1
-    assert parse_error([{5: 0}, {**deep, 64: 65}]) == "codebook code lengths"
-    assert parse_error([{**deep, 63: 63}]) == "codebook code lengths"
+    assert codes[-1] == 2**63 - 1
+    assert parse_error([{5: 0}, {**deep, 63: 62}]) == "codebook code lengths"
+    assert parse_error([{**deep, 62: 62}]) == "codebook code lengths"
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,7 +518,7 @@ def test_canonical_codes_of_balanced_trees_equal_the_reference(alphabets):
     tree = np.repeat(np.arange(len(trees)), [len(lengths) for lengths in trees])
     syms = np.array([sym for lengths in trees for sym in sorted(lengths)], dtype=np.int64)
     lens = np.array([lengths[sym] for lengths in trees for sym in sorted(lengths)], dtype=np.int64)
-    got = list(zip(*(a.tolist() for a in _canonical(tree, syms, lens))))
+    got = list(zip(*(a.tolist() for a in _canonical(tree, syms, lens, np.ones_like(lens))[:4])))
     want = [
         (i, sym, length, code)
         for i, lengths in enumerate(trees)
@@ -483,4 +530,5 @@ def test_canonical_codes_of_balanced_trees_equal_the_reference(alphabets):
     if any(len(alphabet) & (len(alphabet) - 1) for alphabet in alphabets):
         assert parse_error(trees) == "codebook code lengths"
     else:
-        assert _parse_codebooks(codebooks(trees), len(trees), 300)[3].tolist() == [code for *_, code in want]
+        body, lengths = codebooks(trees)
+        assert _parse_codebooks(body, 300, lengths)[3].tolist() == [code for *_, code in want]

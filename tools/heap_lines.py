@@ -94,4 +94,10 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    try:
+        main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (| head): point stdout at devnull, so that
+        # the flush at exit writes nothing more, and exit as a finished run
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
