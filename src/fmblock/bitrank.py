@@ -10,9 +10,6 @@ Two interchangeable representations:
   word holds its first bit in the most significant place, so the ones
   before a position are the word shifted right, with no mask to build: a
   rank is one superblock rank, one counter, one shift and one popcount.
-  One vector can hold many trees, each from a fresh byte, as the payload
-  section stores them; its ranks count from the vector's first bit, not
-  the tree's (see tree_bases).
 * RrrBitVector cuts the bits into t-bit blocks and the blocks into
   samples of 32, and stores each sample as one of three kinds, whichever
   is smaller: RRR, each block's popcount class and then an enumerative
@@ -30,10 +27,7 @@ Two interchangeable representations:
   offset widths, each through a 256-byte translation table and
   zlib.adler32, without a Python loop, and reads its block's offset with
   at most two aligned reads of a uint64 view of the stream; a sparse
-  sample's rank is one bisect of its positions, through a uint16 view. One vector can hold many trees, each
-  from a fresh sample (see rrr_samples); its ranks count from the
-  vector's first bit, not the tree's (see tree_bases), so that ranks since
-  a superblock's fit 16 bits where a tree starts inside it.
+  sample's rank is one bisect of its positions, through a uint16 view.
 
 Up to t = 16 a block is decoded with one lookup in a table of the
 (t - 1)-bit words of classes 0..(t - 1) // 2 (_decode_table), which every
@@ -46,28 +40,24 @@ a lower class (the complement). A rank reads at most the low t - 1 bits
 of its block, so the peeled top bit never enters it. Above t = 16 a
 block is decoded enumeratively.
 
-A wavelet tree keeps all its nodes in one vector, joined bit to bit in
-level order under either backend, and all the trees of an index share
-one: tree_firsts() gives each tree's first bit in it, the one rule for
-where trees start, for a build and a load alike. A build makes the vector
-once, from every tree's bits and bit count (make_bitvector()), and a load
-from the index file's payload section; each names the vector by its RRR
-block size t alone (the vector's t), 0 for plain. This module owns the
+A vector knows nothing of what its bits hold: a build makes it from an
+array of bits (make_bitvector()), and a load from the index file's
+payload section and its bit count m, which the caller derives; each names
+the vector by its RRR block size t alone (the vector's t), 0 for plain.
+Every rank counts from the vector's first bit. This module owns the
 payload section, which is the vector's own stored form, written whole
-(payload()) and read whole (read_payload()): every tree's bit count m as
-a u32, then, plain, each tree's bits in whole bytes; RRR, every sample's
-kind byte, then the stream of the samples' bytes as it is. Neither loops
-over trees in Python: every check and table is made over all of them at
-once. An RRR vector, built or loaded, is made by one routine
-(RrrBitVector._setup), which checks every sample as it makes the samples'
-ranks, so none is ranked, and no node routed, unchecked. A plain vector
-holds the section's tree bytes as they are, so a load is one copy and one
-byte translation, and payload() one slice; the padding bits of a plain
-tree's last byte are cleared at load, as a build leaves them, so that a
-loaded vector equals the built one and saves the same bytes.
+(payload()) and read whole (read_payload()): plain, its m bits in
+ceil(m / 8) bytes, LSB first; RRR, every sample's kind byte, then the
+stream of the samples' bytes as it is. An RRR vector, built or loaded, is
+made by one routine (RrrBitVector._setup), which checks every sample as it
+makes the samples' ranks, so none is ranked unchecked. A plain vector
+holds the section's bytes as they are, so a load is one copy and one byte
+translation, and payload() one slice; the padding bits of the last byte
+are cleared at load, as a build leaves them, so that a loaded vector
+equals the built one and saves the same bytes.
 
-Each backend also takes both ends of a backward-search step in one tree
-down a symbol's path, level by level: descend() ranks both ends of a level
+Each backend also takes both ends of a backward-search step down a
+symbol's path, level by level: descend() ranks both ends of a level
 in one call, with rank1's arithmetic inline, and returns both ends at the
 path's end, even where they met on the way; only the caller decides that
 a range is empty. The RRR one decodes one block for both ends when they
@@ -176,50 +166,43 @@ class _BitVector:
 
 
 class PlainBitVector(_BitVector):
-    """The bits of one or more trees as 64-bit words, with a 16-bit counter per word and a rank per superblock.
+    """The m bits as 64-bit words, with a 16-bit counter per word and a rank per superblock.
 
-    Each tree starts on a byte and takes the ceil(m / 8) bytes of its bit
-    count m, as the payload section stores them, and one spare word ends
-    the vector, so that rank1 at its end reads a word of it. A word holds
-    its first bit in the most significant place. The ranks are two-level
-    (González, Grabowski, Mäkinen and Navarro's directories): each
-    superblock of 2^10 words (2^16 bits) has the ones before it, a Python
-    int in the tuple _ranks, which reads faster than an array or a
-    memoryview, each of whose reads makes an int; each word has the ones
-    before it since its superblock's first word, at most 65,472, in the
-    uint16 _counts. So rank1(j) counts the ones from the vector's first
-    bit to j, whichever tree holds j (see tree_bases).
+    The words hold the ceil(m / 8) bytes of the payload section, and one
+    spare word ends the vector, so that rank1 at its end reads a word of
+    it. A word holds its first bit in the most significant place. The
+    ranks are two-level (González, Grabowski, Mäkinen and Navarro's
+    directories): each superblock of 2^10 words (2^16 bits) has the ones
+    before it, a Python int in the tuple _ranks, which reads faster than an
+    array or a memoryview, each of whose reads makes an int; each word has
+    the ones before it since its superblock's first word, at most 65,472,
+    in the uint16 _counts. So rank1(j) counts the ones from the vector's
+    first bit to j.
     """
 
     __slots__ = ("_words", "_counts", "_ranks", "m")
-    t = 0  # no RRR blocks: see tree_firsts
+    t = 0  # no RRR blocks
     _SCALAR_RANKS = 32  # rank1_many's calls of at most this many positions rank each with rank1
 
-    def __init__(self, bits, ms=None):
-        """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree."""
-        ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
-        tree_firsts(ms)  # checks every tree's size before the bits are packed
+    def __init__(self, bits):
         bits = _as_bit_array(bits)
-        stops = np.cumsum(ms).tolist()
-        self._setup(b"".join(np.packbits(bits[stop - m : stop], bitorder="little").tobytes() for stop, m in zip(stops, ms.tolist())), ms)
+        self._setup(np.packbits(bits, bitorder="little").tobytes(), len(bits))
 
-    def _setup(self, trees, ms):
-        """The vector of trees of ms bits (int64) from their bytes as the payload section stores them (see read_payload).
+    def _setup(self, section, m):
+        """The vector of m bits from their bytes as the payload section stores them (see read_payload).
 
-        trees is a buffer of each tree's ceil(m / 8) bytes in turn, LSB
-        first, which the caller checks. They are copied once, then zero
-        bytes to a whole word and a spare word, and each byte's bits
-        reversed, to the words' order; the padding bits of a tree's last
-        byte are cleared, as a build leaves them. A build and a load both
-        make their vector here. Every word and counter is made over the
-        whole vector at once.
+        section is a buffer of ceil(m / 8) bytes, LSB first, which the
+        caller checks. They are copied once, then zero bytes to a whole word
+        and a spare word, and each byte's bits reversed, to the words'
+        order; the padding bits of the last byte are cleared, as a build
+        leaves them. A build and a load both make their vector here. Every
+        word and counter is made over the whole vector at once.
         """
-        raw = bytearray(8 * ((len(trees) + 7 >> 3) + 1))
-        raw[: len(trees)] = trees
+        raw = bytearray(8 * ((len(section) + 7 >> 3) + 1))
+        raw[: len(section)] = section
         raw = raw.translate(_REVERSED)
-        firsts = tree_firsts(ms)
-        cut = ms & 7  # each tree's bits in its last byte, MSB first, but where it fills the byte
-        np.frombuffer(raw, dtype=np.uint8)[((firsts + ms) >> 3)[cut > 0]] &= (0xFF00 >> cut[cut > 0]).astype(np.uint8)
+        if m & 7:  # the last byte's bits, MSB first
+            raw[m >> 3] &= 0xFF00 >> (m & 7) & 0xFF
         words = np.frombuffer(raw, dtype=np.uint64)
         words.byteswap(inplace=True)  # each word's first byte to its top, as big-endian words read
         ones = np.bitwise_count(words)
@@ -233,14 +216,14 @@ class PlainBitVector(_BitVector):
         self._words = memoryview(raw).cast("Q")
         self._counts = memoryview(counts).cast("H")
         self._ranks = tuple(ranks.tolist())
-        self.m = int(firsts[-1] + ms[-1])
+        self.m = m
 
     def rank1(self, j):
         k = j >> 6
         return self._ranks[k >> 10] + self._counts[k] + (self._words[k] >> (64 - (j & 63))).bit_count()
 
     def descend(self, steps, b, e):
-        """Both ends b <= e of one tree down a path's signed steps, level by level, to (b, e) at its end.
+        """Both ends b <= e down a path's signed steps, level by level, to (b, e) at its end.
 
         Each level ranks both ends as rank1 does, inline, and takes each to
         rank1 + step on a positive step, else to its position - rank1 - step
@@ -292,10 +275,6 @@ class PlainBitVector(_BitVector):
         counts = np.frombuffer(self._counts, dtype=np.uint16)
         return np.array(self._ranks, dtype=np.int64)[k >> 10] + counts[k] + np.bitwise_count(words[k] & _HIGH[j & 63])
 
-    # the ones before each tree's first bit, at firsts (int64), as rank1 counts
-    # them: _rank1_many's arithmetic, under its own name, with no rank1_many call
-    tree_bases = _rank1_many
-
     def to_bits(self, start=0, stop=None):
         """Bits start..stop - 1, all m by default, one uint8 (0 or 1) each."""
         stop = self.m if stop is None else stop
@@ -303,18 +282,18 @@ class PlainBitVector(_BitVector):
         bits = np.unpackbits(words.astype(">u8").view(np.uint8))
         return bits[start & 63 : (start & 63) + stop - start]
 
-    def payload(self, ms):
-        """The payload section of the vector's trees of ms bits (int64): each m as a u32, then each tree's bytes, LSB first.
+    def payload(self):
+        """The payload section: the vector's m bits in ceil(m / 8) bytes, LSB first.
 
-        The trees' bytes are the vector's first ones, end to end, whose bits
-        after each tree's m are zero, as a build and a load leave them.
+        They are the vector's first bytes, whose bits after m are zero, as a
+        build and a load leave them.
         """
         raw = np.frombuffer(self._words, dtype=np.uint64).astype(">u8").view(np.uint8)
-        return ms.astype("<u4").tobytes() + raw[: int((ms + 7 >> 3).sum())].tobytes().translate(_REVERSED)
+        return raw[: self.m + 7 >> 3].tobytes().translate(_REVERSED)
 
-    def stored_bits(self, ms):
-        """Bits of the vector's trees of ms bits (int64): in the payload section, byte padding aside, and in the rank directories."""
-        return 32 * len(ms) + int(ms.sum()), 16 * len(self._counts) + 64 * len(self._ranks)
+    def stored_bits(self):
+        """Bits of the vector: in the payload section, byte padding aside, and in the rank directories."""
+        return self.m, 16 * len(self._counts) + 64 * len(self._ranks)
 
 
 @functools.cache
@@ -508,50 +487,33 @@ def _word_table(t):
 
 
 def rrr_samples(m, t):
-    """Samples an RRR tree of m bits takes in a vector: one per RRR_SAMPLE_EVERY of its blocks, plus one.
+    """Samples an RRR vector of m bits takes: one per RRR_SAMPLE_EVERY of its blocks, plus one.
 
-    Its blocks end before its last sample's blocks do, so rank1 at the
-    tree's end is counted from a sample of the tree. m may be a numpy array.
+    Its blocks end before its last sample's blocks do, so rank1 at m is
+    counted from a sample.
     """
     return -(-m // t) // RRR_SAMPLE_EVERY + 1
 
 
-def tree_firsts(ms, t=0):
-    """Each tree's first bit, as int64, in a vector of trees of ms bits in turn.
-
-    A plain tree (t = 0) takes its ceil(m / 8) bytes, from a fresh byte,
-    and an RRR tree of t-bit blocks 32 t * rrr_samples(m, t) bits, from a
-    fresh sample. Raises ValueError if a tree has 2^32 bits or more, which
-    the file's u32 bit count, and an RRR tree's sample ranks, could not
-    count.
-    """
-    ms = np.asarray(ms, dtype=np.int64)
-    if (ms >= 1 << 32).any():
-        raise ValueError(f"{'rrr' if t else 'plain'} tree of 2^32 bits or more")
-    spans = RRR_SAMPLE_EVERY * t * rrr_samples(ms, t) if t else (ms + 7) >> 3 << 3
-    return np.cumsum(spans) - spans
-
-
 class RrrBitVector(_BitVector):
-    """The bits of one or more trees as samples of 32 t-bit blocks, each of one of three kinds.
+    """The m bits as samples of 32 t-bit blocks, each of one of three kinds.
 
-    Each tree starts on a sample and takes rrr_samples of its bit count; the
-    blocks after its last are all zero. A sample is stored in whichever
-    kind is smaller (see __init__), as bytes in the one stream of samples:
-    RRR, the class of each block and then their offsets, padded to an even
-    byte count; or the sorted uint16 positions in its 32 t bits of its ones,
-    or of its zeros. The samples' ranks and where each starts are two-level
-    (González, Grabowski, Mäkinen and Navarro's directories): the samples
-    fall in superblocks of 2^_superblock_log(t) each, and each superblock
-    has the ones before it since the vector's first bit, in _ranks (int64),
-    and the 2-byte element of the stream where it starts, in _bases
-    (uint32). Each sample has one uint32 entry in _entries: the ones before
-    it and its first element, each since its superblock's, and its kind
-    (see _SPARSE), in 4 bytes where a rank and a pointer took 8. So
-    rank1(j) counts the ones from the vector's first bit to j, whichever
-    tree holds j (see tree_bases). A sparse sample's count is the distance
-    from its first element to the next sample's; one more entry, after the
-    last sample's, gives where the samples end.
+    The vector takes rrr_samples(m, t) samples; the blocks after its last
+    are all zero. A sample is stored in whichever kind is smaller (see
+    __init__), as bytes in the one stream of samples: RRR, the class of
+    each block and then their offsets, padded to an even byte count; or the
+    sorted uint16 positions in its 32 t bits of its ones, or of its zeros.
+    The samples' ranks and where each starts are two-level (González,
+    Grabowski, Mäkinen and Navarro's directories): the samples fall in
+    superblocks of 2^_superblock_log(t) each, and each superblock has the
+    ones before it, in _ranks (int64), and the 2-byte element of the
+    stream where it starts, in _bases (uint32). Each sample has one uint32
+    entry in _entries: the ones before it and its first element, each since
+    its superblock's, and its kind (see _SPARSE), in 4 bytes where a rank
+    and a pointer took 8. So rank1(j) counts the ones from the vector's
+    first bit to j. A sparse sample's count is the distance from its first
+    element to the next sample's; one more entry, after the last sample's,
+    gives where the samples end.
     """
 
     __slots__ = (
@@ -560,8 +522,8 @@ class RrrBitVector(_BitVector):
     )
     _SCALAR_RANKS = 128  # rank1_many's calls of at most this many positions rank each with rank1
 
-    def __init__(self, bits, block_size=15, ms=None):
-        """The vector of bits, which hold trees of ms[i] bits in turn, by default one tree.
+    def __init__(self, bits, block_size=15):
+        """The vector of bits in t-bit blocks.
 
         Each sample takes the kind that is smaller: sparse if its minority bit
         occurs at most 63 times and two bytes each are fewer than its RRR
@@ -570,23 +532,18 @@ class RrrBitVector(_BitVector):
         t = int(block_size)
         if t not in RRR_BLOCK_SIZES:
             raise ValueError(f"rrr block size must be in {RRR_BLOCK_SIZES[0]}..{RRR_BLOCK_SIZES[-1]}")
-        ms = np.array([len(bits)] if ms is None else ms, dtype=np.int64)
-        firsts = tree_firsts(ms, t) // t  # each tree's first block; checks every tree's size before the bits are copied
         bits = _as_bit_array(bits)
+        m = len(bits)
         span = RRR_SAMPLE_EVERY * t
         cb = RRR_SAMPLE_EVERY >> int(t <= _NIBBLE_MAX_T)
         # each block's bits, LSB first, in the low bytes of one uint64, every
-        # sample's 32 in a row; a tree's last block is packed on its own, so
-        # that no padded copy is made
-        packed = np.zeros((RRR_SAMPLE_EVERY * int(rrr_samples(ms, t).sum()), 8), dtype=np.uint8)
-        for row, stop, m in zip(firsts.tolist(), np.cumsum(ms).tolist(), ms.tolist()):
-            full, rem = divmod(m, t)
-            tree = bits[stop - m : stop]
-            packed[row : row + full, : (t + 7) // 8] = np.packbits(
-                tree[: full * t].reshape(full, t), axis=1, bitorder="little"
-            )
-            if rem:
-                packed[row + full, : (rem + 7) // 8] = np.packbits(tree[full * t :], bitorder="little")
+        # sample's 32 in a row; the last block is packed on its own, so that
+        # no padded copy is made
+        packed = np.zeros((RRR_SAMPLE_EVERY * rrr_samples(m, t), 8), dtype=np.uint8)
+        full, rem = divmod(m, t)
+        packed[:full, : (t + 7) // 8] = np.packbits(bits[: full * t].reshape(full, t), axis=1, bitorder="little")
+        if rem:
+            packed[full, : (rem + 7) // 8] = np.packbits(bits[full * t :], bitorder="little")
         values = packed.view("<u8").reshape(-1, RRR_SAMPLE_EVERY)
         classes = np.bitwise_count(values)
         widths = np.frombuffer(classes.tobytes().translate(_class_tables(t)[2]), dtype=np.uint8).reshape(classes.shape)
@@ -623,10 +580,10 @@ class RrrBitVector(_BitVector):
         window = np.unpackbits(window, axis=1, bitorder="little")[:, :t].reshape(len(kept), span)
         row, pos = np.nonzero(window != zeros[kept, None])
         stream.view("<u2")[(at[kept[row]] >> 1) + np.arange(len(row)) - np.searchsorted(row, row)] = pos
-        self._setup(t, ms, kinds, stream)
+        self._setup(t, m, kinds, stream)
 
-    def _setup(self, t, ms, kinds, samples):
-        """The vector of trees of ms bits (int64), laid out in turn (see rrr_samples), from their samples, each checked.
+    def _setup(self, t, m, kinds, samples):
+        """The vector of m bits in rrr_samples(m, t) samples, from their bytes, each checked.
 
         kinds (uint8) holds each sample's kind byte, as the payload section
         stores it (see read_payload), and samples the samples' bytes in
@@ -636,17 +593,14 @@ class RrrBitVector(_BitVector):
         their vector here. EOFError or ValueError unless the samples' bytes
         are those their kind bytes give ("rrr offsets truncated", "payload
         length") and every sample is as a writer leaves it, each check over
-        all samples before the next: over the RRR
-        samples, classes above t ("rrr class out of range"), offset bytes
-        other than their classes' widths give ("rrr sample kind") and
-        offsets at or above comb(t, class) ("rrr offset out of range"); over
-        the sparse ones, positions not strictly ascending, past the sample's
-        bits, or for ones past its tree's ("rrr positions"); last, ones
-        after a tree's m bits, so that its ones are its rank at m ("rrr
-        padding bits"), in one rank1_many call at every tree's end. The
-        samples' ranks count from the vector's first bit, not their tree's:
-        ranks since a superblock's first sample then fit 16 bits, as they
-        would not where a tree starts in it.
+        all samples before the next: over the RRR samples, classes above t
+        ("rrr class out of range"), offset bytes other than their classes'
+        widths give ("rrr sample kind") and offsets at or above
+        comb(t, class) ("rrr offset out of range"); over the sparse ones,
+        positions not strictly ascending, past the sample's bits, or for
+        ones past the vector's m bits ("rrr positions"); last, ones after
+        m, so that the vector's ones are its rank at m ("rrr padding
+        bits"), in one rank1_many call at m.
         """
         span = RRR_SAMPLE_EVERY * t
         s = int(t <= _NIBBLE_MAX_T)  # the log2 of classes per byte
@@ -686,20 +640,17 @@ class RrrBitVector(_BitVector):
             # take gathers by uint8 classes faster than indexing, at this size
             if np.any(read(part, self._offset_starts(part, starts[lo : lo + step])) >= limits.take(part)):
                 raise ValueError("rrr offset out of range")
-        taken = rrr_samples(ms, t)
-        firsts = np.cumsum(taken) - taken
         # a sparse sample's positions ascend if each of its stream elements but
         # its last is below the next, and then lie in it if its last does: in
-        # its bits, or in its tree's bits in it for a ones sample, past which
-        # it holds none. The flags are one byte per element, and no array is
-        # made per position
+        # its bits, or in the vector's m bits in it for a ones sample, past
+        # which it holds none. The flags are one byte per element, and no
+        # array is made per position
         u2 = np.frombuffer(stream, dtype="<u2", count=int(ptr[-1]) >> 1)
         follows = np.repeat(sparse, np.diff(ptr) >> 1)  # whether each element is a sparse sample's
         held = np.flatnonzero(sparse & (count > 0))
         last = (ptr[held] >> 1) + count[held] - 1
         follows[last] = False
-        inside = (np.repeat(ms + span * firsts, taken) - span * np.arange(len(kinds)))[held]
-        limit = np.where(kinds[held] >> 6 == 2, np.minimum(inside, span), span)
+        limit = np.where(kinds[held] >> 6 == 2, np.minimum(m - span * held, span), span)
         if np.any(u2[1:] <= u2[:-1], where=follows[:-1]) or np.any(u2[last] >= limit):
             raise ValueError("rrr positions")
         del follows
@@ -726,7 +677,7 @@ class RrrBitVector(_BitVector):
         entries[:-1] |= sparse * kinds >> 6 << 14
         self._entries = array("I", entries.astype(np.uint32).tobytes())
         del entries, ptr
-        self.m = span * int(firsts[-1]) + int(ms[-1])
+        self.m = m
         self._mask = 0xFF >> 4 * s
         self._words = memoryview(stream).cast("Q")
         self._pos = memoryview(stream).cast("H")
@@ -737,7 +688,7 @@ class RrrBitVector(_BitVector):
             t, s, self._mask, cb << 3, span, log, stream, self._words, self._pos, self._entries, self._ranks,
             self._bases, self._class_sums, self._width_sums, self._widths, _low_masks(t), *(self._table or (None,) * 5),
         )
-        if np.any(self.rank1_many(span * firsts + ms) != rank[firsts + taken]):
+        if self.rank1_many(np.array([m]))[0] != rank[-1]:
             raise ValueError("rrr padding bits")
 
     def rank1(self, j):
@@ -795,7 +746,7 @@ class RrrBitVector(_BitVector):
         return r
 
     def descend(self, steps, b, e):
-        """Both ends b <= e of one tree down a path's signed steps, level by level, to (b, e) at its end.
+        """Both ends b <= e down a path's signed steps, level by level, to (b, e) at its end.
 
         Each level ranks both ends as rank1 does, inline, and moves them as
         the plain descend does, the whole path through. b's sample is looked
@@ -1026,11 +977,6 @@ class RrrBitVector(_BitVector):
             ones[r] += (sums & 0xFFFF) + np.bitwise_count(value & (_ONE << (j[r] - blk * t).astype(np.uint64)) - _ONE)
         return ones
 
-    def tree_bases(self, firsts):
-        """The ones before each tree's first bit, at firsts (int64), as rank1 counts them: each first sample's rank, from the tables."""
-        sb = firsts // (RRR_SAMPLE_EVERY * self.t)
-        return np.frombuffer(self._ranks, dtype=np.int64)[sb >> self._log] + (np.frombuffer(self._entries, dtype=np.uint32)[sb] >> 16)
-
     def _samples(self):
         """Each sample's first byte in the stream, the ones before it, and its kind (0 RRR, 2 ones, 3 zeros), as int64.
 
@@ -1150,8 +1096,8 @@ class RrrBitVector(_BitVector):
         kinds = np.bincount(np.frombuffer(self._entries, dtype=np.uint32)[:-1] >> 14 & 3, minlength=4)
         return {"rrr": int(kinds[0]), "ones": int(kinds[2]), "zeros": int(kinds[3])}
 
-    def payload(self, ms):
-        """The payload section of the vector's trees of ms bits (int64): each m as a u32, every sample's kind byte, then the samples' bytes.
+    def payload(self):
+        """The payload section: every sample's kind byte, then the samples' bytes.
 
         The kind bytes are the samples' kinds and byte counts (see
         read_payload), and the samples' bytes the stream as it is, but its
@@ -1161,10 +1107,10 @@ class RrrBitVector(_BitVector):
         size = np.diff(at)
         cb = RRR_SAMPLE_EVERY >> self._shift
         kinds = np.where(kind[:-1] >= 2, kind[:-1] << 6 | size >> 1, (size - cb) >> 1)
-        return ms.astype("<u4").tobytes() + kinds.astype(np.uint8).tobytes() + self._stream[: at[-1]]
+        return kinds.astype(np.uint8).tobytes() + self._stream[: at[-1]]
 
-    def stored_bits(self, ms):
-        """Bits of the vector's trees of ms bits (int64): in the payload section, and in the rank tables.
+    def stored_bits(self):
+        """Bits of the vector: in the payload section, and in the rank tables.
 
         The tables are a 32-bit entry per sample and one more for the
         samples' end, then a 64-bit rank and a 32-bit stream element per
@@ -1173,7 +1119,7 @@ class RrrBitVector(_BitVector):
         samples = len(self._entries) - 1
         end = self._bases[-1] + (self._entries[-1] & _AT) << 1
         tables = (self._entries, self._ranks, self._bases)
-        return 32 * len(ms) + 8 * (samples + end), sum(8 * a.itemsize * len(a) for a in tables)
+        return 8 * (samples + end), sum(8 * a.itemsize * len(a) for a in tables)
 
 
 def build_plain(bits):
@@ -1184,48 +1130,42 @@ def build_rrr(bits, block_size=15):
     return RrrBitVector(bits, block_size)
 
 
-def make_bitvector(bits, t, ms=None):
-    """The vector of bits, plain for t = 0 else of t-bit RRR blocks: trees of ms[i] bits in turn, one by default."""
-    return RrrBitVector(bits, t, ms) if t else PlainBitVector(bits, ms)
+def make_bitvector(bits, t):
+    """The vector of bits, plain for t = 0 else of t-bit RRR blocks."""
+    return RrrBitVector(bits, t) if t else PlainBitVector(bits)
 
 
-def read_payload(buf, t, count):
-    """The vector of an index file's payload section of count trees, plain for t = 0 else of t-bit RRR blocks, and each tree's m.
+def read_payload(buf, t, m):
+    """The vector of m bits of an index file's payload section, plain for t = 0 else of t-bit RRR blocks.
 
-    The section holds every tree's bit count m as a u32, returned as
-    int64, then, plain, each tree's ceil(m / 8) bytes, LSB first, in turn;
-    RRR, every sample's kind byte, then every sample's bytes. A kind byte
-    gives its sample's bytes: 0ccccccc a RRR sample of class bytes and 2c
-    offset bytes, 10cccccc the c positions of its ones, 11cccccc of its
-    zeros, two bytes each. Every size derived from a stored m is checked
-    against the section's length before anything of that size is made.
-    Raises EOFError or ValueError naming the failed check: a section
-    shorter than its counts, than the plain bytes or the RRR kind bytes
-    its ms give ("payload truncated"), or longer than the plain bytes
+    The caller derives m. The section holds, plain, the m bits in
+    ceil(m / 8) bytes, LSB first; RRR, the kind byte of each of the
+    rrr_samples(m, t) samples, then every sample's bytes. A kind byte gives
+    its sample's bytes: 0ccccccc a RRR sample of class bytes and 2c offset
+    bytes, 10cccccc the c positions of its ones, 11cccccc of its zeros, two
+    bytes each. The section's length is checked against m before anything
+    of m's size is made. Raises EOFError or ValueError naming the failed
+    check: a section shorter than the plain bytes or the RRR kind bytes
+    that m gives ("payload truncated"), or longer than the plain bytes
     ("payload length"); the RRR samples' bytes over the uint32 limit,
     checked before they are copied ("rrr offset stream of 2^32 bits or
     more"); then the RRR vector's own checks (RrrBitVector._setup). The
-    padding bits of a plain tree's last byte are ignored: they are
+    padding bits of the plain section's last byte are ignored: they are
     cleared, as a build leaves them.
     """
-    head = 4 * count
-    if len(buf) < head:
-        raise EOFError("payload truncated")
-    ms = np.frombuffer(buf, dtype="<u4", count=count).astype(np.int64)
     if t:
-        samples = int(rrr_samples(ms, t).sum())
-        if len(buf) < head + samples:
+        samples = rrr_samples(m, t)
+        if len(buf) < samples:
             raise EOFError("payload truncated")
-        if 8 * (len(buf) - head - samples) >= 1 << 32:
+        if 8 * (len(buf) - samples) >= 1 << 32:
             raise ValueError("rrr offset stream of 2^32 bits or more")
         vector = RrrBitVector.__new__(RrrBitVector)
-        vector._setup(t, ms, np.frombuffer(buf, dtype=np.uint8, count=samples, offset=head), memoryview(buf)[head + samples :])
-        return vector, ms
-    held = head + int(((ms + 7) >> 3).sum())
-    if len(buf) < held:
+        vector._setup(t, m, np.frombuffer(buf, dtype=np.uint8, count=samples), memoryview(buf)[samples:])
+        return vector
+    if len(buf) < m + 7 >> 3:
         raise EOFError("payload truncated")
-    if len(buf) > held:
+    if len(buf) > m + 7 >> 3:
         raise ValueError("payload length")
     vector = PlainBitVector.__new__(PlainBitVector)
-    vector._setup(memoryview(buf)[head:], ms)
-    return vector, ms
+    vector._setup(buf, m)
+    return vector

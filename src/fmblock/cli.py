@@ -161,7 +161,7 @@ def cmd_stats(args):
     print(f"block_size={index.block_size}")
     print(f"blocks={len(counts)}")
     print(f"block_h0_bits={ent.counts_entropy(counts):.6f}")
-    print(f"h0_bits={ent.counts_entropy(counts.sum(axis=0, keepdims=True)):.6f}")
+    print(f"h0_bits={ent.counts_entropy([counts.sum(axis=0)]):.6f}")
     print(f"file_bytes={os.path.getsize(args.index)}")
     print(f"heap_bytes={heap_bytes}")
     if index.rrr_block_size:

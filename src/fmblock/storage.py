@@ -1,4 +1,4 @@
-"""Binary serialization of a built index, format version 8.
+"""Binary serialization of a built index, format version 9.
 
 Layout (all integers little-endian):
 
@@ -8,18 +8,19 @@ Layout (all integers little-endian):
            block count
   sections each prefixed with its u32 byte length, in order: remap,
            c array, codebooks (every tree's code lengths and symbol
-           counts), payload (every tree's bit count, then the trees' one
-           bitvector as stored) and checksum, the zlib.crc32 of every
+           counts), payload (the trees' one bitvector as stored, its bit
+           count the codebooks') and checksum, the zlib.crc32 of every
            byte before it: five sections, whatever the block count
 
 This module owns the header, the framing, remap, c array and checksum; the
 trees write and parse the codebooks and payload sections, each whole
-(wavelet, bitrank). Codes, rank directories, RRR samples, boundary rows
-and the node layout are derived at load by the code that derives them at
-build; the stored symbol counts are checked against the payload at every
-node. Deserialization rejects every other version (1, 2, 4 to 7 are
-earlier layouts; 3 was never written), checks the framing, remap, c
-array and checksum before it parses any tree, then checks the c array's
+(wavelet, bitrank). Codes, the payload's bit count, rank directories,
+RRR samples, boundary rows and the node layout are derived at load by
+the code that derives them at build; the stored symbol counts are checked against the payload at every
+node. Deserialization rejects every other version (1, 2, 4 to 8 are
+earlier layouts; 3 was never written), checks the header's ranges (n
+below 2^32, as a build's suffix array is), the framing, remap, c array
+and checksum before it parses any tree, then checks the c array's
 symbol counts against the trees' totals (rank_l at n reads them); a
 loaded index answers queries identically to the index that was saved.
 """
@@ -32,7 +33,7 @@ from .fmindex import BlockedFMIndex, IndexVariant
 from .wavelet import read_trees
 
 MAGIC = b"FBFMIDX1"
-VERSION = 8
+VERSION = 9
 
 _HEADER = struct.Struct("<8sHBBQIQI")
 _U32 = struct.Struct("<I")
@@ -120,7 +121,7 @@ def deserialize(source):
     if vcode >= len(_VARIANTS):
         _corrupt("variant")
     variant = _VARIANTS[vcode]
-    if n < 1 or not 2 <= sigma <= 257:
+    if not 1 <= n < 1 << 32 or not 2 <= sigma <= 257:
         _corrupt("header ranges")
     if not (rrr_t in RRR_BLOCK_SIZES if variant.bitvector_backend == "rrr" else rrr_t == 0):
         _corrupt("rrr block size")

@@ -14,20 +14,22 @@ or negative toward the 0-child, and a symbol's path is the steps of its
 code. rank turns a position in the vector into a position in the child,
 node by node, with one rank1 per level. Every leaf starts at the end of
 the tree's last node (`leaf`), past every node's start, so a path ends at
-leaf plus the rank. Under either backend the nodes are joined bit to bit,
-so a tree's bits run from its start to its leaf. Code bit 0 goes left, 1
-goes right, reading codes from the most significant bit.
+leaf plus the rank. Code bit 0 goes left, 1 goes right, reading codes
+from the most significant bit.
 
 A sequence's wavelet trees are one per fixed block of it (the ssa
-variants are one block) and share one vector, each from its own start: a
-fresh byte for plain trees, a fresh sample for RRR ones (see bitrank's
-tree_firsts). They also share one set of flat tables (WaveletTree): one
-path entry per (tree, symbol), one array of every path's steps, each
-tree's start and leaf, the boundary rows, the symbol counts before each
-block, and every symbol's total, with no Python object per tree, path or
-step. A Block is a view of one tree's rows. WaveletTree.rank ranks over
-the whole sequence: a symbol's row in the block, plus its rank in the
-block's tree; at the sequence's end, the symbol's total, with no rank.
+variants are one block) and share one vector, joined bit to bit in layout
+order: tree by tree, each tree's nodes level by level, so a tree's bits
+run from its start to its leaf, which is the next tree's start, and the
+vector holds their M bits, the sum over every tree's codes of count times
+code length. The vector knows nothing of trees (see bitrank). The trees
+also share one set of flat tables (WaveletTree): one path entry per
+(tree, symbol), one array of every path's steps, each tree's start and
+leaf, the boundary rows, the symbol counts before each block, and every
+symbol's total, with no Python object per tree, path or step. A Block is
+a view of one tree's rows. WaveletTree.rank ranks over the whole
+sequence: a symbol's row in the block, plus its rank in the block's tree;
+at the sequence's end, the symbol's total, with no rank.
 
 A build and a load share one layout path (_read): from every tree's
 codes and each code's count in its block, in one pass over all trees,
@@ -35,17 +37,18 @@ with no walk down them, it lays out every node, sums the counts into the
 boundary rows and the totals, and checks the vector against the counts
 with one call of its rank1_many at every node's end. Build and load make
 every tree's codes from its code lengths at once, with one rule
-(_canonical), and place every tree in the vector by one rule, from the
-trees' bit counts (bitrank's tree_firsts). A build (WaveletTree(x, ...))
+(_canonical), and place every node, and so every tree, in the vector by
+the sums of its codes' counts. A build (WaveletTree(x, ...))
 counts every block's symbols in one bincount, takes Huffman code lengths
 per block (huffman_lengths) or ceil(log2 k) bits for a balanced tree's k
 symbols, and writes each block's nodes' bits in layout order, level by
 level and each level in prefix order, with one FIFO queue from the root
 (_node_bits); one make_bitvector call puts every tree's bits in one
 vector, and _read lays them out from the bincount's counts. A load
-(read_trees) reads the payload section into one vector (see bitrank's
-read_payload), parses and checks the codebooks section in one pass
-(_parse_codebooks), and runs _read.
+(read_trees) parses and checks the codebooks section in one pass
+(_parse_codebooks), derives M from its counts and code lengths, reads the
+payload section into one vector of M bits (see bitrank's read_payload),
+and runs _read.
 
 WaveletTree.narrow takes one backward search's steps: the two ends of a
 step in one block go down the code's whole path in one call of the
@@ -63,7 +66,8 @@ read whole (read_trees): the codebooks, one LSB-first bitstream of every
 tree's presence map, a bit per symbol below sigma, in block order, then
 per symbol it lists, tree by tree in ascending order, a 6-bit code length
 and its count in the block, in as many bits as the block size has, and no
-code bits; and the payload, their vector as stored (see bitrank).
+code bits; and the payload, their vector as stored (see bitrank), with no
+bit count: M is the codebooks'.
 """
 
 import heapq
@@ -73,7 +77,7 @@ from collections import deque
 import numpy as np
 
 from .bitio import pack_fields, read_fields
-from .bitrank import make_bitvector, read_payload, tree_firsts
+from .bitrank import make_bitvector, read_payload
 
 
 def huffman_lengths(weights):
@@ -195,8 +199,7 @@ class WaveletTree:
         table[:, tree, syms] = lens, codes.astype(np.int64)
         parts = [_node_bits(x[s : s + size], counts[i], *table[:, i]) for i, s in enumerate(range(0, n, size))]
         del counts, table  # before _read makes its own tables
-        ms = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-        _read(self, make_bitvector(np.concatenate(parts), rrr_block_size, ms), ms, codebook)
+        _read(self, make_bitvector(np.concatenate(parts), rrr_block_size), codebook)
 
     def __len__(self):
         return len(self.starts)
@@ -233,12 +236,8 @@ class WaveletTree:
 
     @property
     def code_length_bits(self):
-        """Total code length over the sequence: every tree's bits, from its start to its leaf."""
-        return int(self._ms().sum())
-
-    def _ms(self):
-        """Each tree's bits, from its start to its leaf, as int64."""
-        return np.frombuffer(self.leaves, dtype=np.int64) - np.frombuffer(self.starts, dtype=np.int64)
+        """Total code length over the sequence: the vector's bits, every tree's end to end."""
+        return self.bits.m
 
     def sections(self):
         """The trees' two index-file sections, each made whole: the codebooks and the payload (see read_trees)."""
@@ -248,7 +247,7 @@ class WaveletTree:
         widths = np.full(paths.size + len(entries), self.block_size.bit_length())
         widths[: paths.size] = 1
         widths[paths.size :: 2] = _LENGTH_BITS
-        return pack_fields(np.concatenate([(paths != 0).ravel(), entries]), widths), self.bits.payload(self._ms())
+        return pack_fields(np.concatenate([(paths != 0).ravel(), entries]), widths), self.bits.payload()
 
     def size_bits(self):
         """The trees' bits, all trees together: (payload, rank directories, codebooks).
@@ -256,7 +255,7 @@ class WaveletTree:
         The payload and the codebooks as their sections store them, and the
         rank directories or samples as the vector holds them.
         """
-        payload, directories = self.bits.stored_bits(self._ms())
+        payload, directories = self.bits.stored_bits()
         return payload, directories, 8 * _codebook_bytes(len(self), self.sigma, int(np.count_nonzero(self.paths)), self.block_size)
 
     def block_counts(self):
@@ -422,15 +421,17 @@ class Block:
         return [(sym, tuple(steps[k >> 8 : (k >> 8) + (k & 127)])) for sym, k in enumerate(row) if k]
 
 
-def _read(wt, bits, ms, codebook):
+def _read(wt, bits, codebook):
     """Fill wt's path tables, boundary rows and symbol totals from its trees' codes and counts, in one pass.
 
-    Tree i, of block i, has its ms[i] bits of nodes joined bit to bit in
-    bits, from its first bit, which tree_firsts(ms, bits.t) gives it;
-    codebook holds the trees' canonical codes and each code's count, at
-    least 1, as _canonical gives them, every symbol below wt.sigma. The
-    boundary rows sum the counts over the blocks before each block, and
-    the totals, which rank returns at n, over every block.
+    bits holds every node of every tree, joined bit to bit in layout order,
+    tree i of block i after tree i - 1; codebook holds the trees' canonical
+    codes and each code's count, at least 1, as _canonical gives them, every
+    symbol below wt.sigma, and every tree at least one code. The counts
+    route exactly the vector's m bits: a build's are its bits' own, and a
+    load reads m bits for them (read_trees). The boundary rows sum the
+    counts over the blocks before each block, and the totals, which rank
+    returns at n, over every block.
 
     There is no walk down the trees and no Python loop over trees or
     nodes. A code passes one internal node at each depth below its length,
@@ -441,10 +442,9 @@ def _read(wt, bits, ms, codebook):
     next, the prefix at any depth shorter than both grows by at most one):
     a run of rows of one prefix is a node. Its size and its ones (its
     codes with bit 1 at its depth) are sums of counts, its start and the
-    ones before it prefix sums of those from its tree's first bit and the
-    vector's ones there (bits.tree_bases). Each tree's nodes must route
-    exactly its m bits: more run past it ("payload truncated"), fewer
-    leave bits after its last node ("payload length"). One call of
+    ones before it prefix sums of those over every row before it, which
+    are its place in the vector and the vector's ones there, as rank1
+    counts them; a tree starts at its first row's. One call of
     bits.rank1_many at every node's end then checks the payload against
     the counts ("node ones"), so every node holds the ones, and each child
     the elements, that a walk by the payload's own ranks would find.
@@ -455,14 +455,12 @@ def _read(wt, bits, ms, codebook):
     `leaf`. At a node with b ones before s, the child's start plus the
     child's share of the node's p - s elements before p is rank1(p) + step
     on bit 1 (step = s1 - b > 0) and p - rank1(p) - step on bit 0 (step =
-    -(s0 - s + b) <= 0), where b counts as rank1 does, from the vector's
-    start, so the steps' signs, and the codes they give, do not depend on
-    it. A child's start is that of the node of the code's next row, or the
-    leaf after its last. A symbol's path is its code's steps from the
-    root, and ends at p = leaf plus the rank.
+    -(s0 - s + b) <= 0). A child's start is that of the node of the code's
+    next row, or the leaf after its last. A symbol's path is its code's
+    steps from the root, and ends at p = leaf plus the rank.
     """
-    sigma, ntrees = wt.sigma, len(ms)
     tree, syms, lens, codes, counts = codebook
+    sigma, ntrees = wt.sigma, int(tree[-1]) + 1
     path_at = np.cumsum(lens) - lens  # where each entry's path starts in steps
     paths = np.zeros(ntrees * sigma, dtype=np.int64)
     paths[tree * sigma + syms] = path_at << 8 | 128 | lens
@@ -498,35 +496,24 @@ def _read(wt, bits, ms, codebook):
     node = np.cumsum(new) - 1
     first_row = np.flatnonzero(new)  # each node's
     del prefix, new, shallow, deeper, run
-    node_tree = tree[entry[first_row]]
-    # the bits, and the ones, of the rows before each row and at the end
+    # the bits, and the ones, of the rows before each row and at the end:
+    # a row boundary's place in the vector, and the vector's ones before it
     routed, ones = np.zeros((2, total + 1), dtype=np.int64)
     np.cumsum(counts[entry], out=routed[1:])
     del entry
     bit *= routed[1:] - routed[:-1]
     np.cumsum(bit, out=ones[1:])
-    tree_row = path_at[lead]  # each tree's first row, as its first entry's path is its first step
-    tree_end = np.append(tree_row[1:], total)
-    have = routed[tree_end] - routed[tree_row]
-    if (have > ms).any():
-        raise EOFError("payload truncated")
-    if (have < ms).any():
-        raise ValueError("payload length")
-    first = tree_firsts(ms, bits.t)
-    # a row boundary's place in the vector, and the ones before it, less
-    # the tree's rows' bits and ones before it
-    shift = (first - routed[tree_row])[node_tree]
-    lift = (bits.tree_bases(first) - ones[tree_row])[node_tree]
     end_row = np.append(first_row[1:], total)
-    if (bits.rank1_many(routed[end_row] + shift) != ones[end_row] + lift).any():
+    if (bits.rank1_many(routed[end_row]) != ones[end_row]).any():
         raise ValueError("node ones")
-    start = routed[first_row] + shift
-    base = ones[first_row] + lift
-    del routed, ones, first_row, end_row, shift, lift, node_tree
+    start, base = routed[first_row], ones[first_row]
+    # each tree's first row, as its first entry's path is its first step
+    tree_row = path_at[lead]
+    leaves = routed[np.append(tree_row[1:], total)]
     wt.bits = bits
-    wt.starts = array("q", first.tobytes())
-    leaves = first + ms
+    wt.starts = array("q", routed[tree_row].tobytes())
     wt.leaves = array("q", leaves.tobytes())
+    del routed, ones, first_row, end_row
     # every path's steps, in the order of the entries: each step's node and
     # bit, and the start of its child, the next step's node, or the leaf
     at, step_bit = np.empty_like(node), np.empty_like(bit)
@@ -575,14 +562,15 @@ def _codebook_bytes(trees, sigma, entries, block_size):
     return (trees * sigma + entries * (_LENGTH_BITS + block_size.bit_length()) + 7) >> 3
 
 
-def _parse_codebooks(body, sigma, lengths):
-    """The canonical codes and counts of a codebooks section over symbols below sigma, parsed whole.
+def _parse_codebooks(body, sigma, n, size):
+    """The canonical codes and counts of a codebooks section of a sequence of n symbols below sigma, parsed whole.
 
-    lengths holds each block's length (int64), the first one the block
-    size, whose bit length w is the count width. The section is every
+    Every block holds size symbols but the last, which holds the rest, and
+    the bit length w of size is the count width. The section is every
     block's sigma-bit presence map, bit s for symbol s, then per listed
     symbol a 6-bit code length and a w-bit count, LSB first. Each check
-    runs over every block before the next: the alphabet sizes, the
+    runs over every block before the next: the section's size against the
+    maps, before any array per block is made, the alphabet sizes, the
     section's size against the entries the maps list, the code lengths,
     which must meet Kraft's inequality with equality, as a Huffman tree's
     do (a single symbol has length 0), then the counts, each at least 1
@@ -591,17 +579,19 @@ def _parse_codebooks(body, sigma, lengths):
     running sums of 2^(64 - length) in uint64, its codes shifted back,
     check Kraft equality exactly.
     """
-    count, width = len(lengths), int(lengths[0]).bit_length()
+    count, width = -(-n // size), size.bit_length()
     maps = count * sigma
     raw = np.frombuffer(body, dtype=np.uint8)
     if 8 * len(raw) < maps:
         raise ValueError("codebook entries")
+    lengths = np.full(count, size, dtype=np.int64)
+    lengths[-1] = n - (count - 1) * size
     present = np.unpackbits(raw, count=maps, bitorder="little").reshape(count, sigma)
     sizes = np.count_nonzero(present, axis=1)
     if (sizes < 1).any():
         raise ValueError("codebook alphabet size")
     entries = int(sizes.sum())
-    held = _codebook_bytes(count, sigma, entries, int(lengths[0]))
+    held = _codebook_bytes(count, sigma, entries, size)
     if len(raw) < held:
         raise ValueError("codebook entries")
     if len(raw) > held:
@@ -632,18 +622,20 @@ def _parse_codebooks(body, sigma, lengths):
 def read_trees(codebooks, payload, n, block_size, sigma, rrr_block_size):
     """The WaveletTree of a sequence of n symbols below sigma from its codebooks and payload sections.
 
-    The payload is read into one vector, plain for rrr_block_size 0, and
-    an RRR one's samples checked, before the codebooks are parsed (see
-    bitrank's read_payload), and both before any tree is read (see
-    _read). Every block holds block_size symbols but the last, which
-    holds the rest. ValueError or EOFError names a failed check.
+    The codebooks are parsed and checked first (_parse_codebooks), and
+    their counts and code lengths give the payload's bit count M; the
+    payload is then read into one vector of M bits, plain for
+    rrr_block_size 0, and an RRR one's samples checked (see bitrank's
+    read_payload), and both before any tree is read (see _read). Every
+    block holds block_size symbols but the last, which holds the rest.
+    ValueError or EOFError names a failed check.
     """
     wt = WaveletTree.__new__(WaveletTree)
     wt.n, wt.block_size, wt.sigma = n, min(block_size, n), sigma
-    lengths = np.full(-(-n // wt.block_size), wt.block_size, dtype=np.int64)
-    lengths[-1] = n - (len(lengths) - 1) * wt.block_size
-    bits, ms = read_payload(payload, rrr_block_size, len(lengths))
-    _read(wt, bits, ms, _parse_codebooks(codebooks, sigma, lengths))
+    codebook = _parse_codebooks(codebooks, sigma, n, wt.block_size)
+    _, _, lens, _, counts = codebook
+    # n < 2^32 and every length below 64, so M fits int64
+    _read(wt, read_payload(payload, rrr_block_size, int(counts @ lens)), codebook)
     return wt
 
 

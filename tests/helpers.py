@@ -1,7 +1,5 @@
 """Shared generators and brute-force reference implementations for the tests."""
 
-import struct
-
 import numpy as np
 
 from fmblock.bitio import pack_fields
@@ -122,27 +120,26 @@ def pattern_batch(rng, codes, sigma, extracted=80, adversarial=20, max_len=12):
     return out
 
 
-def rrr_payload(t, trees):
-    """An RRR payload section of trees, each (m, its blocks' (class, offset) pairs), every sample stored as RRR.
+def rrr_payload(t, m, blocks):
+    """An RRR payload section of a vector of m bits, its blocks' (class, offset) pairs given, every sample stored as RRR.
 
-    Written field by field from the format: every tree's m as a u32, then
-    one kind byte per sample of 32 blocks of every tree in turn (the
-    blocks after a tree's last given are class 0), its offset bytes over
-    2, then each sample's class bytes (two 4-bit classes a byte, the low
-    one first, up to t = 15) and its offsets, padded to an even byte count.
+    Written field by field from the format: one kind byte per sample of 32
+    blocks (the blocks after the last given are class 0), its offset bytes
+    over 2, then each sample's class bytes (two 4-bit classes a byte, the
+    low one first, up to t = 15) and its offsets, padded to an even byte
+    count.
     """
     kinds, body = bytearray(), bytearray()
-    for m, blocks in trees:
-        samples = -(-m // t) // 32 + 1
-        blocks = list(blocks) + [(0, 0)] * (32 * samples - len(blocks))
-        for s in range(0, len(blocks), 32):
-            classes = [k for k, _ in blocks[s : s + 32]]
-            offsets = pack_fields([off for _, off in blocks[s : s + 32]], [offset_width(t, k) for k in classes])
-            offsets += bytes(len(offsets) % 2)
-            kinds.append(len(offsets) // 2)
-            body += bytes(lo | hi << 4 for lo, hi in zip(classes[0::2], classes[1::2])) if t <= 15 else bytes(classes)
-            body += offsets
-    return struct.pack(f"<{len(trees)}I", *(m for m, _ in trees)) + kinds + body
+    samples = -(-m // t) // 32 + 1
+    blocks = list(blocks) + [(0, 0)] * (32 * samples - len(blocks))
+    for s in range(0, len(blocks), 32):
+        classes = [k for k, _ in blocks[s : s + 32]]
+        offsets = pack_fields([off for _, off in blocks[s : s + 32]], [offset_width(t, k) for k in classes])
+        offsets += bytes(len(offsets) % 2)
+        kinds.append(len(offsets) // 2)
+        body += bytes(lo | hi << 4 for lo, hi in zip(classes[0::2], classes[1::2])) if t <= 15 else bytes(classes)
+        body += offsets
+    return bytes(kinds + body)
 
 
 def watch_load_ranks(monkeypatch, vector, cut):

@@ -58,10 +58,10 @@ def test_batch_counts_equal_point_counts_on_the_benchmark_texts(workload):
 # at its default block size; the stdlib-read text is left out, since it is a
 # slice of the installed Python's own sources
 MARKOV_DIGESTS = {
-    "ssa": "5eb364fc84710f642af75c8c413950476c9a4bda634548a737f64dce5a9fd3e8",
-    "ssa_rrr": "bbc640a28b469fb9595d633141e380e3b92e241ecb12f7d42201c1c17ee39128",
-    "fixed_block": "cc41deb0fe53a4fc8e494c4d6c346529182cefb3c22ec460590b459e10402afc",
-    "fixed_block_rrr": "985cf62dfc438a57c9e5b05e602677100c1d3ea59abcd767e695d48fd9eba5ac",
+    "ssa": "2222cf0279fc288e3bfe5b46b32c57d438cea912aa5f8abc94c4f1f46df7228c",
+    "ssa_rrr": "99ffdde06c3d3661685aa411c22e3bce734113668543d0b047b083aee2aff287",
+    "fixed_block": "be9975baa21bac767bbc40cfb1b1cd63b40dcf830fa3acbecab24a2d2b149c49",
+    "fixed_block_rrr": "36b15a3b763959fc682f7afff89f600ba106714728a8110058eee45a5a6543e3",
 }
 
 

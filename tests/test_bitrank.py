@@ -2,7 +2,6 @@ import gc
 import itertools
 import math
 import random
-import struct
 import tracemalloc
 from array import array
 
@@ -23,7 +22,6 @@ from fmblock.bitrank import (
     offset_width,
     read_payload,
     rrr_samples,
-    tree_firsts,
     value_of_offset,
     _decode_table,
     _superblock_log,
@@ -68,10 +66,9 @@ def test_rank_argument_validation():
 
 def test_plain_directory_sizing():
     v = build_plain([1] * 4096)
-    # the u32 bit count and the bits, then one 16-bit counter per 64-bit
-    # word, plus the spare word for rank1(m), and one 64-bit rank per
-    # superblock of 2^10 words
-    assert v.stored_bits(np.array([v.m])) == (32 + 4096, 16 * (4096 // 64 + 1) + 64)
+    # the bits, then one 16-bit counter per 64-bit word, plus the spare word
+    # for rank1(m), and one 64-bit rank per superblock of 2^10 words
+    assert v.stored_bits() == (4096, 16 * (4096 // 64 + 1) + 64)
 
 
 def test_plain_heap_is_at_most_1_6_bits_per_bit():
@@ -89,32 +86,24 @@ def test_plain_heap_is_at_most_1_6_bits_per_bit():
     assert 8 * held <= 1.6 * len(bits)
 
 
-def test_rrr_tree_of_2_32_bits_is_rejected_before_allocating():
-    # a range has a length but no bits to copy
-    with pytest.raises(ValueError, match="rrr tree of 2\\^32 bits or more"):
-        RrrBitVector(range(1 << 32), 15)
-    v = RrrBitVector(range(2), 15)
-    assert v.rank1(v.m) == 1
-
-
 def test_rrr_offset_stream_of_2_32_bits_is_rejected_before_allocating():
     class Sized(bytes):
         def __len__(self):
             return self.size
 
     def payload(size):
-        # two trees of m = 0, each one ones sample of no position, in a
-        # section that claims `size` bytes: all but the counts and the kind
-        # bytes would be samples
-        buf = Sized(bytes(8) + bytes([0x80, 0x80]))
+        # a vector of 32 blocks' bits, two ones samples of no position, in a
+        # section that claims `size` bytes: all but the kind bytes would be
+        # samples
+        buf = Sized(bytes([0x80, 0x80]))
         buf.size = size
         return buf
 
     with pytest.raises(ValueError, match="rrr offset stream of 2\\^32 bits or more"):
-        read_payload(payload(10 + 2**29), 15, 2)
+        read_payload(payload(2 + 2**29), 15, 32 * 15)
     # 8 bits fewer pass, to the samples' own bytes, which are none
-    v, ms = read_payload(payload(10 + 2**29 - 1), 15, 2)
-    assert ms.tolist() == [0, 0] and v.sample_kinds() == {"rrr": 0, "ones": 2, "zeros": 0}
+    v = read_payload(payload(2 + 2**29 - 1), 15, 32 * 15)
+    assert v.m == 480 and v.sample_kinds() == {"rrr": 0, "ones": 2, "zeros": 0}
 
 
 def test_rrr_worked_block():
@@ -160,9 +149,9 @@ def test_rrr_block_size_validation():
 def test_rrr_compresses_sparse_input():
     m = 4096
     v = build_rrr([0] * m, 15)
-    assert sum(v.stored_bits(np.array([m]))) < m // 2
+    assert sum(v.stored_bits()) < m // 2
     dense = build_rrr([1] * m, 15)
-    assert sum(dense.stored_bits(np.array([m]))) < m // 2
+    assert sum(dense.stored_bits()) < m // 2
 
 
 def test_enumerative_offsets_are_numeric_rank():
@@ -177,8 +166,8 @@ def test_enumerative_offsets_are_numeric_rank():
 
 @pytest.mark.parametrize("t", range(1, 17))
 def test_every_block_decodes_at_every_rem(t):
-    # every t-bit block, as each (class, offset) pair in turn, in one tree of
-    # RRR samples only (rrr_payload), so that every block is decoded through
+    # every t-bit block, as each (class, offset) pair in turn, in one vector
+    # of RRR samples only (rrr_payload), so that every block is decoded through
     # the decode table, its top-bit peel and its complement: every rank form
     # at every position, so at every rem of every block, and to_bits equal
     # the blocks' value_of_offset
@@ -186,7 +175,7 @@ def test_every_block_decodes_at_every_rem(t):
     values = np.array([value_of_offset(off, t, k) for k, off in blocks], dtype=np.int64)
     bits = (values[:, None] >> np.arange(t) & 1).astype(np.uint8).ravel()
     prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
-    v, _ = read_payload(rrr_payload(t, [(len(bits), blocks)]), t, 1)
+    v = read_payload(rrr_payload(t, len(bits), blocks), t, len(bits))
     assert v.sample_kinds()["rrr"] == len(v._entries) - 1
     positions = np.arange(len(bits) + 1)
     assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
@@ -235,11 +224,11 @@ def test_rrr_offset_width_accounting():
     v = build_rrr(bits, 15)
     classes = [k for k, _ in v.blocks()] + [0] * 24
     assert v.sample_kinds() == {"rrr": 2, "ones": 0, "zeros": 0}
-    # the u32 bit count, a kind byte per sample, then each sample's 16 class
-    # bytes and its offsets, padded to an even byte count
+    # a kind byte per sample, then each sample's 16 class bytes and its
+    # offsets, padded to an even byte count
     offsets = [sum(offset_width(15, k) for k in classes[s : s + 32]) for s in (0, 32)]
-    stored, samples = v.stored_bits(np.array([v.m]))
-    assert stored == 32 + 2 * 8 + sum(8 * 16 + 16 * -(-bits // 16) for bits in offsets)
+    stored, samples = v.stored_bits()
+    assert stored == 2 * 8 + sum(8 * 16 + 16 * -(-bits // 16) for bits in offsets)
     # the rank tables: a 32-bit entry per sample and for their end, and one superblock's 64-bit rank and 32-bit byte
     assert samples == 32 * 3 + 64 + 32
 
@@ -248,42 +237,30 @@ def test_rrr_offset_width_accounting():
     "backend,t", [("plain", 15)] + [("rrr", t) for t in (1, 3, 15, 16, 17, 63)]
 )
 def test_stored_bits_read_back_at_unaligned_positions(backend, t):
-    # three trees' payload, read into one vector in one call, each of nodes
-    # joined bit to bit under either backend: the u32 bit counts, then the
-    # bits, plain, each tree's in whole bytes; RRR, every sample's kind byte
-    # and then its bytes, here every sample RRR, written field by field
-    # (rrr_payload). The second tree's 63 bits leave one padding bit before
-    # the third tree's first byte
+    # three trees' nodes, joined bit to bit in one vector and read from one
+    # payload section under either backend: plain, the bits in whole bytes;
+    # RRR, every sample's kind byte and then its bytes, here every sample
+    # RRR, written field by field (rrr_payload). The second tree's 63 bits
+    # leave the third tree's first bit off a byte
     rng = random.Random(t)
     sizes = [(1, t, 100, 700, 3, 0, 9), (63,), (5, 2 * t + 1)]
     trees = [[[rng.randint(0, 1) for _ in range(m)] for m in tree] for tree in sizes]
-    joined = [np.array(list(itertools.chain(*nodes)), dtype=np.uint8) for nodes in trees]
-    counts = struct.pack("<3I", *map(len, joined))
+    bits = np.array(list(itertools.chain(*itertools.chain(*trees))), dtype=np.uint8)
+    m = len(bits)
     if backend == "plain":
+        assert m % 8  # so the last byte has padding bits
         t = 0
-        bufs = [np.packbits(bits, bitorder="little").tobytes() for bits in joined]
-        written = counts + b"".join(bufs)
+        written = np.packbits(bits, bitorder="little").tobytes()
         # padding ones, which no rank reads: a load clears them
-        payload = counts + b"".join(buf[:-1] + bytes([buf[-1] | 0xFF << len(bits) % 8 & 0xFF]) for buf, bits in zip(bufs, joined))
-        spans = [8 * -(-len(bits) // 8) for bits in joined]
+        payload = written[:-1] + bytes([written[-1] | 0xFF << m % 8 & 0xFF])
     else:
-        payload = written = rrr_payload(t, [(len(bits), make_bitvector(bits, t).blocks()) for bits in joined])
-        spans = [RRR_SAMPLE_EVERY * t * rrr_samples(len(bits), t) for bits in joined]
-    v, ms = read_payload(payload, t, 3)
-    assert ms.tolist() == list(map(len, joined))
-    # each tree from a fresh byte (plain) or sample (RRR)
-    firsts = tree_firsts(ms, v.t).tolist()
-    assert firsts == [0, *itertools.accumulate(spans[:-1])]
-    before = 0
-    for first, bits in zip(firsts, joined):
-        # rank1 at every position and so every node boundary, counted from
-        # the vector's first bit, which the vector's tree_bases gives at a
-        # tree's first bit
-        assert [v.rank1(first + j) for j in range(len(bits) + 1)] == [*itertools.accumulate(bits.tolist(), initial=before)]
-        assert v.tree_bases(np.array([first])).tolist() == [before]
-        before += int(bits.sum())
-    assert v.m == firsts[-1] + ms[-1]
-    assert v.payload(ms) == written
+        payload = written = rrr_payload(t, m, make_bitvector(bits, t).blocks())
+    v = read_payload(payload, t, m)
+    # rank1 at every position, and so at every node's and tree's boundary,
+    # counted from the vector's first bit
+    assert v.m == m
+    assert [v.rank1(j) for j in range(m + 1)] == [*itertools.accumulate(bits.tolist(), initial=0)]
+    assert v.payload() == written
 
 
 @pytest.mark.parametrize(
@@ -293,28 +270,25 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     + [pytest.param("rrr", t, True, id=f"rrr-{t}-middle") for t in (15, 16, 17, 63)],
 )
 def test_batch_rank1_equals_rank1_over_three_trees(backend, t, middle):
-    # one vector of three trees' sections, as a load reads them: the batch rank
-    # at every position, so at every multiple of 64 (a shift by 64 in scalar
-    # rank1) and at each tree's first bit and limit, equals the scalar one.
-    # middle: every whole block of class t // 2, so the offsets are all of the
-    # widest width (13 bits at t = 15, 14 at 16) and start at every bit shift
+    # one vector of three trees' bits joined, read from its section as a load
+    # reads it: the batch rank at every position, so at every multiple of 64
+    # (a shift by 64 in scalar rank1) and at each tree's first bit and end,
+    # equals the scalar one. middle: every whole block of class t // 2, so
+    # the offsets are all of the widest width (13 bits at t = 15, 14 at 16)
+    # and start at every bit shift
     rng = random.Random(t)
-    joined = [np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8) for m in (700, 63, 2 * t + 1)]
+    bits = np.concatenate([np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8) for m in (700, 63, 2 * t + 1)])
     if middle:
-        for bits in joined:
-            for lo in range(0, len(bits) - t + 1, t):
-                bits[lo : lo + t] = 0
-                bits[[lo + i for i in rng.sample(range(t), t // 2)]] = 1
+        for lo in range(0, len(bits) - t + 1, t):
+            bits[lo : lo + t] = 0
+            bits[[lo + i for i in rng.sample(range(t), t // 2)]] = 1
     if backend == "plain":
         t = 0
-        payload = struct.pack("<3I", *map(len, joined)) + b"".join(np.packbits(bits, bitorder="little").tobytes() for bits in joined)
+        payload = np.packbits(bits, bitorder="little").tobytes()
     else:
-        payload = rrr_payload(t, [(len(bits), make_bitvector(bits, t).blocks()) for bits in joined])
-    v, ms = read_payload(payload, t, 3)
-    firsts = tree_firsts(ms, t)
-    limits = (firsts + ms).tolist()
-    positions = np.arange(limits[-1] + 1)
-    assert {*firsts, *limits, *range(0, limits[-1] + 1, 64)} <= set(positions.tolist())
+        payload = rrr_payload(t, len(bits), make_bitvector(bits, t).blocks())
+    v = read_payload(payload, t, len(bits))
+    positions = np.arange(len(bits) + 1)
     assert v.batch_rank1()(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
 
 
@@ -379,13 +353,10 @@ def test_rank1_equals_the_prefix_sum_at_every_position(bits):
         assert v.rank1(v.m) == prefix[-1]
 
 
-def joined_payload(trees, t):
-    """The payload section of trees, from each tree's own vector: every tree's count, then (RRR) kind bytes, then bytes."""
-    parts = [make_bitvector(bits, t).payload(np.array([len(bits)])) for bits in trees]
-    heads = [4 + (int(rrr_samples(len(bits), t)) if t else 0) for bits in trees]
-    return b"".join(
-        [*(part[:4] for part in parts), *(part[4:h] for part, h in zip(parts, heads)), *(part[h:] for part, h in zip(parts, heads))]
-    )
+def starts_of(trees):
+    """Each tree's first bit in the vector of the trees' bits joined, as int64."""
+    ms = np.array([len(bits) for bits in trees], dtype=np.int64)
+    return np.cumsum(ms) - ms
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,13 +365,14 @@ def joined_payload(trees, t):
     st.sampled_from([0, 1, 3, 4, 15, 16, 17, 31, 63]),
 )
 def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
-    # the trees' payload, from each tree's own vector, read into one vector,
-    # plain for t = 0; rank1_many, at every position in one call, equals
-    # rank1, and so it does on no position, and so does its numpy form,
-    # which it takes only above _SCALAR_RANKS positions, at any size
-    v, ms = read_payload(joined_payload(trees, t), t, len(trees))
-    firsts = tree_firsts(ms, t).tolist()
-    positions = np.concatenate([np.arange(first, first + len(bits) + 1) for first, bits in zip(firsts, trees)])
+    # the trees' bits joined in one vector, plain for t = 0, whose payload is
+    # read back as a load reads it; rank1_many, at every position of every
+    # tree in one call, equals rank1, and so it does on no position, and so
+    # does its numpy form, which it takes only above _SCALAR_RANKS
+    # positions, at any size
+    bits = np.concatenate(trees)
+    v = read_payload(make_bitvector(bits, t).payload(), t, len(bits))
+    positions = np.concatenate([np.arange(first, first + len(tree) + 1) for first, tree in zip(starts_of(trees).tolist(), trees)])
     for many in (v.rank1_many, v._rank1_many):
         assert many(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
         assert many(positions[::-1].copy()).tolist() == [v.rank1(j) for j in positions[::-1].tolist()]
@@ -413,27 +385,27 @@ def test_rank1_many_equals_rank1_over_trees_read_as_a_load_reads_them(trees, t):
     st.sampled_from([0, 1, 3, 15, 16, 17, 63]),
 )
 def test_a_vector_built_from_many_trees_equals_the_one_read_from_their_sections(trees, t):
-    # one make_bitvector call over the trees' joined bits and bit counts lays
-    # each tree out where a load of their payload, from each tree's own
-    # vector, does (tree_firsts), with the same words and rank directories
-    # (t = 0, plain), or sample stream and rank tables, and writes that payload
-    ms = np.array([len(bits) for bits in trees], dtype=np.int64)
-    built = make_bitvector(np.concatenate(trees), t, ms)
-    payload = joined_payload(trees, t)
-    loaded, loaded_ms = read_payload(payload, t, len(trees))
-    assert loaded_ms.tolist() == ms.tolist()
-    firsts = tree_firsts(ms, t).tolist()
-    assert built.m == loaded.m == firsts[-1] + ms[-1]
+    # one make_bitvector call over the trees' joined bits makes the vector a
+    # load of its payload makes, with the same words and rank directories
+    # (t = 0, plain), or sample stream and rank tables, and writes that
+    # payload: plain, the bits packed LSB first
+    bits = np.concatenate(trees)
+    built = make_bitvector(bits, t)
+    payload = built.payload()
+    loaded = read_payload(payload, t, len(bits))
+    assert built.m == loaded.m == len(bits)
     if t == 0:
+        assert payload == np.packbits(bits, bitorder="little").tobytes()
         assert (built._words, built._counts, built._ranks) == (loaded._words, loaded._counts, loaded._ranks)
     else:
         assert (built._stream, built._entries, built._ranks, built._bases) == (loaded._stream, loaded._entries, loaded._ranks, loaded._bases)
+    assert loaded.to_bits().tolist() == bits.tolist()
     # ranks count from the vector's first bit
     before = 0
-    for first, bits in zip(firsts, trees):
-        assert [built.rank1(j) for j in range(first, first + len(bits) + 1)] == [*itertools.accumulate(bits.tolist(), initial=before)]
-        before += int(bits.sum())
-    assert built.payload(ms) == loaded.payload(ms) == payload
+    for first, tree in zip(starts_of(trees).tolist(), trees):
+        assert [built.rank1(j) for j in range(first, first + len(tree) + 1)] == [*itertools.accumulate(tree.tolist(), initial=before)]
+        before += int(tree.sum())
+    assert loaded.payload() == payload
 
 
 def rank1_walks(v, steps, b, e):
@@ -459,8 +431,8 @@ def test_descend_equals_two_rank1_walks(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     ms = [int(m) for m in rng.integers(64 * unit, 70 * unit + 100, data.draw(st.integers(2, 3), label="trees"))]
     density = data.draw(st.sampled_from([0.05, 0.5, 0.95]), label="density")
-    v = make_bitvector((rng.random(sum(ms)) < density).astype(np.uint8), t, ms)
-    firsts = tree_firsts(ms, t).tolist()
+    v = make_bitvector((rng.random(sum(ms)) < density).astype(np.uint8), t)
+    firsts = [*itertools.accumulate(ms[:-1], initial=0)]
     for _ in range(20):
         tree = data.draw(st.integers(0, len(ms) - 1), label="tree")
         first, limit = firsts[tree], firsts[tree] + ms[tree]
@@ -535,7 +507,7 @@ def test_every_rank_form_equals_the_prefix_sum_over_mixed_sample_kinds(case, dat
 
 @st.composite
 def superblock_vectors(draw):
-    """An RRR block size t and trees of bits over at least three superblocks, the second tree from mid-superblock.
+    """An RRR block size t and trees of bits, joined over at least three superblocks, the second tree from mid-superblock.
 
     Each sample's bits are all zeros or ones, sparse ones or zeros, or
     dense, drawn per sample; the first tree's first three are sparse ones,
@@ -561,8 +533,8 @@ def superblock_vectors(draw):
     return t, trees
 
 
-def assert_every_rank_form_counts_from_the_vector_start(vectors, trees, ms, unit, per, data):
-    """rank1, rank1_many, batch_rank1, tree_bases and descend of each of vectors, of trees of ms bits, equal prefix popcounts.
+def assert_every_rank_form_counts_from_the_vector_start(vectors, trees, unit, per, data):
+    """rank1, rank1_many, batch_rank1 and descend of each of vectors, of trees' bits joined, equal prefix popcounts.
 
     Positions are near every superblock edge of per bits (a superblock
     rank's count), every tree's first bit and limit, and others; unit is a
@@ -571,12 +543,9 @@ def assert_every_rank_form_counts_from_the_vector_start(vectors, trees, ms, unit
     either sign.
     """
     v = vectors[0]
-    firsts = tree_firsts(ms, v.t)
-    full = np.zeros(v.m, dtype=np.uint8)
-    for first, bits in zip(firsts.tolist(), trees):
-        full[first : first + len(bits)] = bits
-    prefix = np.concatenate([[0], np.cumsum(full, dtype=np.int64)])
-    edges = np.concatenate([per * np.arange(len(v._ranks)), firsts, firsts + ms])
+    firsts = starts_of(trees)
+    prefix = np.concatenate([[0], np.cumsum(np.concatenate(trees), dtype=np.int64)])
+    edges = np.concatenate([per * np.arange(len(v._ranks)), firsts, [v.m]])
     near = (edges[:, None] + np.arange(-2 * unit - 1, 2 * unit + 2)).ravel()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="positions"))
     positions = np.unique(np.clip(np.concatenate([near, rng.integers(0, v.m + 1, 500)]), 0, v.m))
@@ -585,7 +554,7 @@ def assert_every_rank_form_counts_from_the_vector_start(vectors, trees, ms, unit
         assert [vector.rank1(j) for j in positions.tolist()] == want
         assert vector.rank1_many(positions).tolist() == want
         assert vector.batch_rank1()(positions).tolist() == want
-        assert vector.tree_bases(firsts).tolist() == prefix[firsts].tolist()
+        assert vector.rank1_many(firsts).tolist() == prefix[firsts].tolist()
     for _ in range(40):
         b = int(data.draw(st.sampled_from(positions.tolist()), label="b"))
         reach = data.draw(st.sampled_from([unit, 32 * unit, per, v.m]), label="reach")
@@ -612,16 +581,15 @@ def test_every_rank_form_counts_from_the_vector_start_across_superblocks(case, d
     # prefix popcounts from the vector's first bit, whichever tree holds the
     # position; a built vector's tables equal those of its loaded copy
     t, trees = case
-    ms = np.array([len(bits) for bits in trees], dtype=np.int64)
-    v = make_bitvector(np.concatenate(trees), t, ms)
-    loaded, _ = read_payload(v.payload(ms), t, len(ms))
+    v = make_bitvector(np.concatenate(trees), t)
+    loaded = read_payload(v.payload(), t, v.m)
     assert (v._stream, v._entries, v._ranks, v._bases) == (loaded._stream, loaded._entries, loaded._ranks, loaded._bases)
     kinds = v.sample_kinds()
     assert all(kinds.values()), kinds
     sample, log = RRR_SAMPLE_EVERY * t, _superblock_log(t)
-    firsts = tree_firsts(ms, t)
+    firsts = starts_of(trees)
     assert len(v._ranks) >= 3 and (firsts[1] // sample) % (1 << log)  # the second tree starts mid-superblock
-    assert_every_rank_form_counts_from_the_vector_start((v, loaded), trees, ms, t, sample << log, data)
+    assert_every_rank_form_counts_from_the_vector_start((v, loaded), trees, t, sample << log, data)
 
 
 @settings(max_examples=12, deadline=None)
@@ -649,13 +617,13 @@ def test_every_plain_rank_form_counts_from_the_vector_start_across_superblocks(d
         density = np.repeat(rng.choice([0.0, 1.0, 0.01, 0.99, 0.5], -(-m // 4096)), 4096)[:m]
         trees.append((rng.random(m) < density).astype(np.uint8))
     trees[0][:per] = 1
-    v = make_bitvector(np.concatenate(trees), 0, ms)
-    loaded, _ = read_payload(v.payload(ms), 0, len(ms))
+    v = make_bitvector(np.concatenate(trees), 0)
+    loaded = read_payload(v.payload(), 0, v.m)
     assert (v._words, v._counts, v._ranks) == (loaded._words, loaded._counts, loaded._ranks)
-    firsts = tree_firsts(ms)
+    firsts = starts_of(trees)
     assert len(v._ranks) >= 3 and firsts[1] % per and firsts[1] % 64  # the second tree starts mid-superblock and mid-word
     assert max(v._counts) == per - 64 and v._ranks[1] == per
-    assert_every_rank_form_counts_from_the_vector_start((v, loaded), trees, ms, 64, per, data)
+    assert_every_rank_form_counts_from_the_vector_start((v, loaded), trees, 64, per, data)
 
 
 @pytest.mark.parametrize("t", [1, 15, 16, 63])
@@ -670,4 +638,4 @@ def test_rrr_rank_tables_hold_4_bytes_per_sample_and_superblock_bases(t):
     assert (v._entries.itemsize, len(v._entries)) == (4, samples + 1)
     supers = (samples >> _superblock_log(t)) + 1
     assert (len(v._ranks), len(v._bases)) == (supers, supers) == (4, 4)
-    assert v.stored_bits(np.array([len(bits)]))[1] == 8 * (4 * (samples + 1) + (8 + 4) * supers)
+    assert v.stored_bits()[1] == 8 * (4 * (samples + 1) + (8 + 4) * supers)

@@ -169,13 +169,14 @@ def test_size_report_components_and_total():
 
 def test_an_rrr_size_report_charges_4_bytes_per_sample_and_the_superblock_bases():
     # the rank directories of an RRR index are its vector's tables: a u32
-    # entry per sample of every tree and one for the samples' end, and a
-    # 64-bit rank and a 32-bit stream element per superblock
+    # entry per sample of the one vector of every tree and one for the
+    # samples' end, and a 64-bit rank and a 32-bit stream element per
+    # superblock
     t = Text.from_codes(random_codes(random.Random(4), 30_000, 6), 6)
     for variant, block_size in (("ssa_rrr", None), ("fixed_block_rrr", 700)):
         ix = build_index(t, variant, block_size)
         bits = ix.blocks.bits
-        samples = int(bitrank.rrr_samples(ix.blocks._ms(), bits.t).sum())
+        samples = bitrank.rrr_samples(bits.m, bits.t)
         supers = (samples >> bitrank._superblock_log(bits.t)) + 1
         assert (bits._entries.itemsize, len(bits._entries), len(bits._ranks), len(bits._bases)) == (4, samples + 1, supers, supers)
         assert ix.size_report().rank_directories == 8 * (4 * (samples + 1) + (8 + 4) * supers)
@@ -366,9 +367,9 @@ def test_count_many_finishes_deep_paths_with_scalar_ranks(variant, t, monkeypatc
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_a_build_makes_one_vector_and_parses_no_section(variant, monkeypatch):
-    # every block's tree goes into one vector in one make_bitvector call, with
-    # each tree's bit count, and is laid out as a load lays it out, with no
-    # payload read and no codebook parsed
+    # every block's tree goes into one vector in one make_bitvector call, of
+    # every tree's bits joined, and is laid out as a load lays it out, with
+    # no payload read and no codebook parsed
     calls = []
     make = wavelet.make_bitvector
     monkeypatch.setattr(wavelet, "make_bitvector", lambda *args: calls.append(args) or make(*args))
@@ -379,5 +380,6 @@ def test_a_build_makes_one_vector_and_parses_no_section(variant, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 1
     assert len(ix.blocks) == (-(-t.n // 50) if variant.fixed else 1)
-    assert calls[0][1] == ix.rrr_block_size and calls[0][2].tolist() == [wt.leaf - wt.start for wt in ix.blocks]
+    bits, t = calls[0]
+    assert t == ix.rrr_block_size and len(bits) == ix.blocks.bits.m == sum(wt.leaf - wt.start for wt in ix.blocks)
     assert ix.count(b"block") == 20 and ix.count_many([b"boost", b"blocks"]) == [20, 0]

@@ -20,7 +20,6 @@ from fmblock.bitrank import (
     RrrBitVector,
     offset_of_value,
     offset_width,
-    rrr_samples,
     value_of_offset,
     _decode_table,
 )
@@ -77,15 +76,15 @@ def test_serialization_is_byte_deterministic():
         assert to_bytes(deserialize(raw1)) == raw1
 
 
-# SHA-256 of files written by the first format-8 writer; any change to the
+# SHA-256 of files written by the first format-9 writer; any change to the
 # bytes written fails this test
 PINNED_FILES = [
-    ("ssa", None, 15, "562c094bf33ea6ab79f2413be35c3eb0c6ee272f95bb50c877042df0d213584d"),
-    ("ssa_rrr", None, 15, "34301b87caacb1dff5a590d2f271955aeab0a545bcad415087ab45a1e3485a48"),
-    ("fixed_block", 300, 15, "326781ae6c952e026781fd05a90375cf8f7958f2a3a1421128578e2afca54bb6"),
-    ("fixed_block_rrr", 300, 15, "023cb8bb31f6b979d3b64044df6ff7c3328926c5238b1897e2b038cde4ad8f3e"),
-    ("ssa_rrr", None, 63, "93be8cfa42b70dad5ab14a85bc17238b4e373ef0f0af3e8c78e224e29b88c8b6"),
-    ("fixed_block_rrr", 300, 5, "a631679371d95560f4dd5d7a34676bcc731f72fa76f9a1495893548e7939c90b"),
+    ("ssa", None, 15, "780ff464676c6a62130a76c628eae075ba057b6591df8b9f07077edf565f8026"),
+    ("ssa_rrr", None, 15, "1a58f6daf7b68827b86afa2c6659174bd39ae38998c5fe39ee8ff412e4769326"),
+    ("fixed_block", 300, 15, "c8467c3ea2261430250e5f9682b3779f9f1139903e43190a35f7b9ee321233c7"),
+    ("fixed_block_rrr", 300, 15, "a012c23f449a45ec16f1ea3fb9f625668ee2b6ad3ff19833586e40be512a59ad"),
+    ("ssa_rrr", None, 63, "72154ce90c305af96b333155d2bf372141dd925fef711495eae5f5248a590891"),
+    ("fixed_block_rrr", 300, 5, "077b1f09f5bfcaae475f89efe7ebfa11766cc7fc3cb619bb1bd9ab42363b245b"),
 ]
 
 
@@ -129,7 +128,7 @@ def test_ssa_header_block_size_other_than_zero_is_rejected(variant):
 def _with_root_blocks(ix, blocks):
     """Saved bytes of a one-node RRR index, its root's (class, offset) blocks replaced, every sample stored as RRR."""
     bv = ix.blocks[0].bits
-    return _with_section(to_bytes(ix), PAYLOAD, lambda body: rrr_payload(bv.t, [(bv.m, blocks)]))
+    return _with_section(to_bytes(ix), PAYLOAD, lambda body: rrr_payload(bv.t, bv.m, blocks))
 
 
 @pytest.mark.parametrize("rrr_t", [3, 17, 63])
@@ -272,9 +271,8 @@ def _edited_entries(*changes):
 # Over b"a" * 8 the root is the only node: 9 bits, one 1 for each a. The
 # codebooks section of one tree is its 2-bit presence map, then per symbol
 # (the sentinel, then a) a 6-bit code length and a 4-bit count (n = 9): 22
-# bits, 3 bytes; the payload holds the tree's u32 bit count, then the node:
-# plain, its two bytes; RRR, one sample (its kind byte at byte 4): the 8
-# positions of its ones.
+# bits, 3 bytes; the payload holds the node alone: plain, its two bytes;
+# RRR, one sample (its kind byte at byte 0): the 8 positions of its ones.
 TREE_CHECKS = [
     ("ssa", 15, CODEBOOK, lambda body: bytes([body[0] & 0xFC]) + body[1:], "codebook alphabet size"),
     ("ssa", 15, CODEBOOK, lambda body: body[:2], "codebook entries"),
@@ -292,46 +290,34 @@ TREE_CHECKS = [
     # t = 5 stores a 4-bit class, so a class byte can hold 7: a RRR sample of
     # no offset bytes, whose first block is of class 7
     (
-        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([0, 7]) + bytes(15),
+        "ssa_rrr", 5, PAYLOAD, lambda body: bytes([0, 7]) + bytes(15),
         "rrr class out of range",
     ),
     # the kind byte fits, the positions it counts do not
-    ("ssa_rrr", 63, PAYLOAD, lambda body: body[:5], "rrr offsets truncated"),
+    ("ssa_rrr", 63, PAYLOAD, lambda body: body[:1], "rrr offsets truncated"),
     # a sample's kind byte that gives its RRR offsets 2 bytes more than its classes do
     (
-        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([1, 5]) + bytes(17),
+        "ssa_rrr", 5, PAYLOAD, lambda body: bytes([1, 5]) + bytes(17),
         "rrr sample kind",
     ),
     # the positions of the ones, unsorted, repeated, past the tree's 9 bits or past the sample's 160
-    ("ssa_rrr", 5, PAYLOAD, lambda body: body[:5] + body[7:9] + body[5:7] + body[9:], "rrr positions", "unsorted"),
-    ("ssa_rrr", 5, PAYLOAD, lambda body: body[:5] + body[5:7] * 2 + body[9:], "rrr positions", "repeated"),
+    ("ssa_rrr", 5, PAYLOAD, lambda body: body[:1] + body[3:5] + body[1:3] + body[5:], "rrr positions", "unsorted"),
+    ("ssa_rrr", 5, PAYLOAD, lambda body: body[:1] + body[1:3] * 2 + body[5:], "rrr positions", "repeated"),
     ("ssa_rrr", 5, PAYLOAD, lambda body: body[:-2] + struct.pack("<H", 9), "rrr positions", "past-the-tree"),
     (
-        "ssa_rrr", 5, PAYLOAD, lambda body: body[:4] + bytes([0xC1]) + struct.pack("<H", 160),
+        "ssa_rrr", 5, PAYLOAD, lambda body: bytes([0xC1]) + struct.pack("<H", 160),
         "rrr positions", "past-the-sample",
     ),
     ("ssa", 15, PAYLOAD, lambda body: body[:-1], "payload truncated"),
     ("ssa_rrr", 15, PAYLOAD, lambda body: b"", "payload truncated"),
-    # a further case of a check and variant already listed ends with a name, for a unique test id
-    ("ssa_rrr", 15, PAYLOAD, lambda body: body[:3], "payload truncated", "short-count"),
-    # an m whose class fields run past the section's end
-    (
-        "ssa_rrr", 15, PAYLOAD, lambda body: struct.pack("<I", 2**32 - 1) + body[4:],
-        "payload truncated", "count-past-end",
-    ),
     ("ssa", 15, PAYLOAD, lambda body: body + b"\0", "payload length"),
     ("ssa_rrr", 15, PAYLOAD, lambda body: body + b"\0", "payload length"),
-    # m = 10 still fits the one block, but the nodes route only 9 bits
-    (
-        "ssa_rrr", 15, PAYLOAD, lambda body: struct.pack("<I", 10) + body[4:],
-        "payload length", "count-past-nodes",
-    ),
     # one bit of the root flipped, an a read as the sentinel, and the counts
     # edited to match: the tree loads, with symbol counts other than the c
     # array's
     (
         "ssa", 15, (PAYLOAD, CODEBOOK),
-        (lambda body: body[:4] + bytes([body[4] ^ 1]) + body[5:], _edited_entries((0, COUNT, 2), (1, COUNT, 7))),
+        (lambda body: bytes([body[0] ^ 1]) + body[1:], _edited_entries((0, COUNT, 2), (1, COUNT, 7))),
         "symbol counts",
     ),
 ]
@@ -357,23 +343,38 @@ def test_tree_section_checks_with_a_valid_checksum(variant, rrr_t, which, edit, 
     assert str(info.value) == f"corrupt index: {check}"
 
 
-# a root of n bits over b"a" * (n - 1), its stored m one bit more or less:
-# its bytes then need one byte more or less than the section holds, or the
-# same bytes, and the root ends before m or runs past it
+def _moved(source, target):
+    """A codebook edit that moves one count from entry source to entry target: the block's sum holds."""
+
+    def edit(entries):
+        entries[source][COUNT] -= 1
+        entries[target][COUNT] += 1
+        return entries
+
+    return edit
+
+
+# A root and one child over the sentinel, x a's and two b's: a has a 1-bit
+# code, b and the sentinel 2-bit ones, so the payload's bit count M is
+# x + 6, which the codebooks give. The section holds a byte more or less
+# than M's bytes, or the codebooks move one count between a and b, so that
+# the nodes route one bit past the section's last byte, or end a whole
+# byte short of it
 PLAIN_M_CHECKS = [
-    (8, 1, "payload truncated", "one-more-byte"),
-    (9, -1, "payload length", "one-byte-fewer"),
-    (9, 1, "payload length", "past-the-nodes"),
-    (10, -1, "payload truncated", "short-of-the-nodes"),
+    (10, PAYLOAD, lambda body: body + b"\0", "payload length", "one-more-byte"),
+    (10, PAYLOAD, lambda body: body[:-1], "payload truncated", "one-byte-fewer"),
+    (10, CODEBOOK, _moved(1, 2), "payload truncated", "past-the-nodes"),
+    (11, CODEBOOK, _moved(2, 1), "payload length", "short-of-the-nodes"),
 ]
 
 
-@pytest.mark.parametrize("n,delta,check", [case[:3] for case in PLAIN_M_CHECKS], ids=[case[3] for case in PLAIN_M_CHECKS])
-def test_a_plain_m_other_than_the_bits_its_nodes_route_is_rejected(n, delta, check):
-    raw = to_bytes(build_index(build_text(b"a" * (n - 1)), "ssa"))
-    assert struct.unpack_from("<I", _sections(raw)[PAYLOAD]) == (n,)
+@pytest.mark.parametrize("a,which,edit,check", [case[:4] for case in PLAIN_M_CHECKS], ids=[case[4] for case in PLAIN_M_CHECKS])
+def test_a_plain_m_other_than_the_bits_its_nodes_route_is_rejected(a, which, edit, check):
+    ix = build_index(build_text(b"a" * a + b"bb"), "ssa")
+    raw = to_bytes(ix)
+    assert ix.blocks.code_length_bits == a + 6 and len(_sections(raw)[PAYLOAD]) == -(-(a + 6) // 8)
     with pytest.raises(CorruptIndexError) as info:
-        deserialize(_with_section(raw, PAYLOAD, lambda body: struct.pack("<I", n + delta) + body[4:]))
+        deserialize(_with_codebook(raw, edit) if which == CODEBOOK else _with_section(raw, PAYLOAD, edit))
     assert str(info.value) == f"corrupt index: {check}"
 
 
@@ -423,21 +424,15 @@ def test_plain_padding_ones_before_a_spare_word_are_ignored_at_load():
 
 
 def test_plain_padding_bits_of_every_block_are_ignored_at_load():
-    # four blocks, each tree's bytes ending in padding bits; the third tree's
-    # 63 bits fill its eight bytes but for one, which no rank reads
+    # four blocks, their trees joined bit to bit, most ending inside a byte
+    # that the next tree's first bits fill: the section's only padding bits
+    # are those of its last byte, after the last block's tree, which a load
+    # clears
     ix = build_index(build_text(b"fixed block compression boosting " * 4), "fixed_block", 40)
     raw = to_bytes(ix)
-    ms = [wt.leaf - wt.start for wt in ix.blocks]
-    assert len(ms) >= 3 and all(m % 8 for m in ms) and 63 in [m % 64 for m in ms]
-
-    def pad(body):
-        # after the u32 counts, each tree's bytes in turn
-        body = bytearray(body)
-        for m, start in zip(ms, itertools.accumulate([(m + 7) // 8 for m in ms], initial=4 * len(ms))):
-            body[start + (m - 1) // 8] |= 0xFF << m % 8 & 0xFF
-        return bytes(body)
-
-    padded = _with_section(raw, PAYLOAD, pad)
+    m = ix.blocks.bits.m
+    assert len(ix.blocks) >= 3 and m % 8 and sum(wt.leaf % 8 > 0 for wt in ix.blocks) >= 3
+    padded = _with_section(raw, PAYLOAD, lambda body: body[:-1] + bytes([body[-1] | 0xFF << m % 8 & 0xFF]))
     back = deserialize(padded)
     assert padded != raw and to_bytes(back) == raw
     bits = back.blocks[0].bits
@@ -447,13 +442,22 @@ def test_plain_padding_bits_of_every_block_are_ignored_at_load():
     ]
 
 
-def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
-    # a u32 m of 2^32 - 1 bits, whose bytes pad to 2^32 bits, in a section of
-    # a few: rejected before anything of m's size is made, where the vector
-    # alone would take 768 MiB. A build rejects a tree of 2^32 bits before it
-    # copies any
-    raw = to_bytes(build_index(build_text(b"abracadabra"), "ssa"))
-    huge = _with_section(raw, PAYLOAD, lambda body: struct.pack("<I", 2**32 - 1) + body[4:])
+@pytest.mark.parametrize("variant", ["ssa", "ssa_rrr"])
+def test_codebooks_that_imply_a_payload_longer_than_its_section_are_rejected_before_reading(variant):
+    # codebooks that give a vector of 2^32 bits or more, in a payload of a
+    # few bytes: rejected before anything of that size is made, where the
+    # plain vector alone would take 10 GiB and the RRR one's kind bytes
+    # 9 MB. The header's n is 2^31, the c array ends there, and one symbol
+    # of a 5-bit code holds all but 5 of the counts, each now 32 bits wide
+    ix = build_index(build_text(b"abracadabra"), variant)
+    raw = to_bytes(ix)
+    n, sigma = 1 << 31, ix.sigma
+    assert sigma == 6 and struct.unpack_from("<Q", raw, 12) == (ix.n,)
+    raw = _with_section(raw[:12] + struct.pack("<Q", n) + raw[20:], 1, lambda body: struct.pack("<7Q", 0, 1, 2, 3, 4, 5, n))
+    entries = [[0, sym, length, 1] for sym, length in enumerate([1, 2, 3, 4, 5, 5])]
+    entries[-1][COUNT] = n - 5
+    huge = _with_section(raw, CODEBOOK, lambda body: _codebook_section(entries, 1, sigma, n.bit_length()))
+    assert sum(length * count for _, _, length, count in entries) >= 1 << 32
     gc.collect()
     tracemalloc.start()
     try:
@@ -463,8 +467,38 @@ def test_plain_tree_section_of_2_32_bits_is_rejected_before_reading():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    with pytest.raises(ValueError, match="plain tree of 2\\^32 bits or more"):
-        PlainBitVector(range(1 << 32))
+
+
+@pytest.mark.parametrize("n", [2**32, 2**64 - 1])
+def test_a_header_n_of_2_32_or_more_is_rejected(n):
+    # past what a build's suffix array indexes; the c array ends at n
+    raw = to_bytes(build_index(build_text(b"a" * 8), "ssa"))
+    raw = _with_section(raw[:12] + struct.pack("<Q", n) + raw[20:], 1, lambda body: struct.pack("<3Q", 0, 1, n))
+    with pytest.raises(CorruptIndexError, match="corrupt index: header ranges$"):
+        deserialize(raw)
+
+
+def test_a_block_count_the_codebooks_cannot_hold_is_rejected_before_any_block_array(monkeypatch):
+    # block size 1 and n = block count = 2^32 - 1 in a file of a few bytes:
+    # the codebooks section holds 9 blocks' presence maps, not 2^32 - 1, and
+    # that is checked before any array of one entry per block is made, which
+    # would take 34 GB at 8 bytes each
+    raw = to_bytes(build_index(build_text(b"a" * 8), "fixed_block", 1))
+    n = 2**32 - 1
+    header = raw[:12] + struct.pack("<QIQI", n, 2, 1, n)
+    raw = _with_section(header + raw[len(header) :], 1, lambda body: struct.pack("<3Q", 0, 1, n))
+
+    def guarded(make):
+        def made(shape, *args, **kwargs):
+            assert math.prod(np.atleast_1d(shape).tolist()) <= 10**8, f"{make.__name__} of {shape} elements"
+            return make(shape, *args, **kwargs)
+
+        return made
+
+    for name in ("empty", "zeros", "ones", "full"):
+        monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+    with pytest.raises(CorruptIndexError, match="corrupt index: codebook entries$"):
+        deserialize(raw)
 
 
 @pytest.mark.parametrize(
@@ -521,7 +555,7 @@ def test_bad_magic_and_version_are_unsupported():
     raw = to_bytes(build_index(build_text(b"BANANA"), "ssa"))
     with pytest.raises(UnsupportedFormatError, match="unsupported format"):
         deserialize(b"NOTMYIDX" + raw[8:])
-    bumped = raw[:8] + struct.pack("<H", 9) + raw[10:]
+    bumped = raw[:8] + struct.pack("<H", VERSION + 1) + raw[10:]
     with pytest.raises(UnsupportedFormatError, match="version"):
         deserialize(bumped)
 
@@ -661,7 +695,7 @@ def test_an_rrr_load_peaks_within_a_multiple_of_its_file():
 
 def test_version_1_files_are_rejected():
     raw = to_bytes(build_index(build_text(b"BANANA"), "fixed_block", 3))
-    for version in (1, 2, 4, 5, 6, 7):
+    for version in (1, 2, 4, 5, 6, 7, 8):
         old = raw[:8] + struct.pack("<H", version) + raw[10:]
         with pytest.raises(UnsupportedFormatError, match=f"unsupported format: version {version}$"):
             deserialize(old)
@@ -689,8 +723,8 @@ def test_saving_an_rrr_index_makes_no_rank1_call(variant, monkeypatch):
 def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch):
     # the symbol counts' check takes rank_l at n, once per symbol, which reads
     # the totals of the leaf sizes the node walk already has, as the boundary
-    # rows do. rank1_many ranks each internal node once, at its end, and each
-    # RRR tree's limit once for its padding bits; it ranks each of its
+    # rows do. rank1_many ranks each internal node once, at its end, and an
+    # RRR vector's end once for its padding bits; it ranks each of its
     # positions once, with rank1 in a call of few positions, else in numpy
     # (every call at a cut of 0), and nothing else is ranked
     text = build_text(b"abracadabra" * 40 + bytes(range(1, 200)) + b"a" * 300)
@@ -710,7 +744,7 @@ def test_a_load_makes_one_rank1_call_per_node_and_per_check(variant, monkeypatch
         if variant.fixed:
             assert any(len(wt.codes) == 1 for wt in back.blocks)
         if rrr:
-            assert many.pop(0) == [wt.leaf for wt in back.blocks]
+            assert many.pop(0) == [back.blocks.bits.m]
         # a Huffman tree over k symbols has k - 1 internal nodes, which lie
         # between its start and its leaf, where the last one ends
         ends = sorted(j for level in many for j in level)
@@ -787,11 +821,11 @@ def test_file_size_matches_report_within_padding():
         raw = to_bytes(ix)
         rep = ix.size_report()
         # directories and boundary rows are derived at load, the checksum is
-        # stored; a plain tree's bytes may end in up to 7 padding bits, an RRR
-        # vector's are whole
+        # stored; a plain vector's bytes may end in up to 7 padding bits, an
+        # RRR vector's are whole
         stored = rep.total - rep.rank_directories - rep.boundary_occ + 32
         header_bits = 8 * struct.calcsize("<8sHBBQIQI") + 32 * 5
-        padding = 0 if variant.bitvector_backend == "rrr" else 7 * len(ix.blocks)
+        padding = 0 if variant.bitvector_backend == "rrr" else 7
         assert 8 * len(raw) >= stored + header_bits
         assert 8 * len(raw) <= stored + header_bits + padding
 
@@ -841,45 +875,17 @@ def test_random_indexes_count_exactly_and_round_trip_byte_identically(data):
     assert to_bytes(back) == raw
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_plain_fixed_block_trees_share_one_vector_from_byte_to_byte(data):
-    # a block over two symbols has one node, of b bits: b = 56, 64 or 128 ends
-    # its tree on a byte (64 and 128 on a word), 57, 63, 65 and 129 just off
-    # one, each tree from the byte after its last; runs of one symbol
-    # make blocks with no node, and block size 1 makes only those
-    sigma = data.draw(st.sampled_from([2, 3, 3, 4, 6]), label="sigma")
-    runs = st.tuples(st.integers(1, sigma - 1), st.integers(1, 40)) if sigma > 2 else st.just((1, 1))
-    codes = [c for c, k in data.draw(st.lists(runs, min_size=1, max_size=40), label="runs") for _ in range(k)]
-    block_size = data.draw(st.sampled_from([1, 56, 57, 63, 64, 65, 128, 129]), label="block_size")
-    t = Text.from_codes(codes, sigma)
-    ix = build_index(t, "fixed_block", block_size)
-    raw = to_bytes(ix)
-    back = deserialize(raw)
-    l = bwt(t).l
-    for index in (ix, back):
-        first = 0
-        for wt in index.blocks:
-            assert wt.bits is index.blocks[0].bits
-            if wt.leaf - wt.start:
-                assert wt.start == first
-            first += 8 * -(-(wt.leaf - wt.start) // 8)
-        for c in range(sigma):
-            assert [index.rank_l(c, j) for j in range(t.n + 1)] == [
-                naive_rank(l, c, j) for j in range(t.n + 1)
-            ]
-    assert to_bytes(back) == raw
-
-
-@pytest.mark.parametrize("t", [1, 3, 15, 17, 31])
+@pytest.mark.parametrize("t", [0, 1, 3, 15, 17, 31], ids=lambda t: f"rrr-{t}" if t else "plain")
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_rrr_fixed_block_trees_share_one_vector_from_sample_to_sample(t, data):
-    # over two symbols a block's tree has one node, of b bits: b = t or 2t
-    # ends the tree on a t-bit block, 32t and 64t on a sample (every 32
-    # blocks), and one bit more or less just off one; long runs of one
-    # symbol make blocks with no node, and block size 1 makes only those
-    sizes = {1, t - 1, t, t + 1, 2 * t, 32 * t - 1, 32 * t, 32 * t + 1, 64 * t} - {0}
+def test_fixed_block_trees_share_one_vector_bit_to_bit(t, data):
+    # each block's tree starts where the one before it ends, in one vector
+    # (plain for t = 0) that ends with the last tree, built and loaded. Over
+    # two symbols a block's tree has one node, of b bits: b ends it on a
+    # byte, word, t-bit block or sample (every 32 blocks), or one bit off
+    # one; long runs of one symbol make trees with no node, and block size
+    # 1 makes only those, a vector of no bits
+    sizes = {1, 56, 57, 63, 64, 65, 128, 129} if t == 0 else {1, t - 1, t, t + 1, 2 * t, 32 * t - 1, 32 * t, 32 * t + 1, 64 * t} - {0}
     block_size = data.draw(st.sampled_from(sorted(sizes)), label="block_size")
     sigma = data.draw(st.sampled_from([2, 3, 3, 4, 6]), label="sigma")
     n = data.draw(st.integers(1, 3000), label="n")
@@ -887,22 +893,31 @@ def test_rrr_fixed_block_trees_share_one_vector_from_sample_to_sample(t, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     codes = np.repeat(rng.integers(1, sigma, n), rng.geometric(1 / run, n))[:n].tolist()
     text = Text.from_codes(codes, sigma)
-    ix = build_index(text, "fixed_block_rrr", block_size, t)
+    ix = build_index(text, "fixed_block_rrr" if t else "fixed_block", block_size, t or 15)
     raw = to_bytes(ix)
     back = deserialize(raw)
     l = bwt(text).l
     for index in (ix, back):
-        first = 0
-        for wt in index.blocks:
-            assert wt.bits is index.blocks[0].bits
-            if wt.leaf:
-                assert wt.start == first
-            first += 32 * t * rrr_samples(wt.leaf - wt.start, t)
+        starts, leaves = index.blocks.starts.tolist(), index.blocks.leaves.tolist()
+        assert all(wt.bits is index.blocks.bits for wt in index.blocks)
+        assert starts[0] == 0 and starts[1:] == leaves[:-1] and leaves[-1] == index.blocks.bits.m
         for c in range(sigma):
             assert [index.rank_l(c, j) for j in range(text.n + 1)] == [
                 naive_rank(l, c, j) for j in range(text.n + 1)
             ]
     assert to_bytes(back) == raw
+
+
+def test_fixed_block_trees_of_no_node_make_a_vector_of_no_bits():
+    # block size 1: every tree holds one symbol and no node, under either backend
+    text = build_text(b"ab" * 4)
+    for variant in ("fixed_block", "fixed_block_rrr"):
+        ix = build_index(text, variant, 1)
+        back = deserialize(to_bytes(ix))
+        for index in (ix, back):
+            assert index.blocks.bits.m == 0 and set(index.blocks.starts) == set(index.blocks.leaves) == {0}
+            assert [index.count(p) for p in (b"a", b"ab", b"ba", b"abab", b"bb")] == [4, 4, 3, 3, 0]
+        assert to_bytes(back) == to_bytes(ix)
 
 
 def test_a_load_keeps_no_object_per_block_and_symbol(tmp_path):
@@ -926,8 +941,7 @@ def test_a_load_keeps_no_object_per_block_and_symbol(tmp_path):
 
 @pytest.mark.parametrize("rrr_t", [1, 15, 16, 63])
 def test_a_loaded_rrr_vector_of_many_trees_reads_back_its_blocks(rrr_t):
-    # a loaded offset stream keeps each section's tail bytes, so it skips
-    # bits between trees, which a built one does not
+    # the blocks of one vector of many trees, loaded, are the built ones
     ix = build_index(build_text(b"fixed block compression boosting " * 20), "fixed_block_rrr", 100, rrr_t)
     back = deserialize(to_bytes(ix))
     assert len(back.blocks) > 2

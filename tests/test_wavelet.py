@@ -1,6 +1,5 @@
 import heapq
 import random
-import struct
 from collections import Counter
 
 import numpy as np
@@ -122,8 +121,8 @@ def test_balanced_payload_is_exactly_fixed_width():
         wt = build_wt(seq, "balanced", "plain")
         width = (len(set(seq)) - 1).bit_length()
         assert wt.code_length_bits == 500 * width
-        # and its payload, after the tree's u32 bit count
-        assert wt.size_bits()[0] == 32 + wt.code_length_bits
+        # and its payload
+        assert wt.size_bits()[0] == wt.code_length_bits
 
 
 def test_huffman_payload_within_entropy_plus_one():
@@ -183,7 +182,7 @@ def test_reading_a_tree_makes_one_rank1_call_per_node(backend, vector, monkeypat
         loaded = read_trees(*sections, len(seq), len(seq), 60, 15 if backend == "rrr" else 0)
         monkeypatch.undo()
         assert sorted(ranked) == sorted(j for call in many for j in call)
-        # an RRR payload's padding check comes first, before any node is read: one position, the tree's limit
+        # an RRR payload's padding check comes first, before any node is read: one position, the vector's end
         rrr = backend == "rrr"
         if rrr:
             assert many.pop(0) == [loaded[0].leaf]
@@ -214,7 +213,7 @@ def test_a_node_of_no_bits_is_rejected_at_load():
     # of no elements, or make a node of no bits, and the counts' check
     # rejects it before any node is read; counts that route the root's bits
     # but disagree with its ones fail at the root's end
-    root = struct.pack("<I", 8) + bytes([0xF0])
+    root = bytes([0xF0])
     body, _ = codebooks([{0: 1, 1: 1}], 3, [4, 4])
     wt = read_trees(body, root, 8, 8, 3, 0)
     assert (wt.rank(0, 8), wt.rank(1, 8)) == (4, 4) and wt.totals.tolist() == [4, 4, 0]
@@ -232,11 +231,10 @@ def test_size_report_pieces():
     wt = build_wt(seq, "huffman", "plain")
     payload, directories, codebooks = wt.size_bits()
     m = wt.code_length_bits
-    # the u32 bit count and the bits, stored in whole bytes; one 16-bit
-    # counter per word the tree takes, with the spare word, and one 64-bit
-    # rank for the one superblock
-    assert (payload, directories) == (32 + m, 16 * (-(-m // 64) + 1) + 64)
-    assert 8 * len(wt.sections()[1]) == 32 + 8 * -(-m // 8)
+    # the bits, stored in whole bytes; one 16-bit counter per word the tree
+    # takes, with the spare word, and one 64-bit rank for the one superblock
+    assert (payload, directories) == (m, 16 * (-(-m // 64) + 1) + 64)
+    assert 8 * len(wt.sections()[1]) == 8 * -(-m // 8)
     # a presence bit per symbol below sigma, then a 6-bit code length and a
     # count of n's 3 bits per symbol, padded to a byte, and no code bits
     assert codebooks == 8 * -(-(wt.sigma + (6 + 3) * len(wt[0].codes)) // 8) == 8 * len(wt.sections()[0])
@@ -434,10 +432,15 @@ def codebooks(trees, sigma=300, counts=None):
     return stream.to_bytes(-(-at // 8), "little"), lengths
 
 
+def parse(body, lengths):
+    """_parse_codebooks of body over symbols below 300 and blocks of these lengths, each the first's but the last."""
+    return _parse_codebooks(body, 300, int(lengths.sum()), int(lengths[0]))
+
+
 def parse_error(trees, extra=b"", counts=None):
     body, lengths = codebooks(trees, counts=counts)
     with pytest.raises(ValueError) as info:
-        _parse_codebooks(body + extra, 300, lengths)
+        parse(body + extra, lengths)
     return str(info.value)
 
 
@@ -448,7 +451,7 @@ def parse_error(trees, extra=b"", counts=None):
 )
 def test_codebooks_parsed_at_once_equal_canonical_codes_tree_by_tree(trees, data):
     body, lengths = codebooks(trees)
-    tree, syms, lens, codes, counts = _parse_codebooks(body, 300, lengths)
+    tree, syms, lens, codes, counts = parse(body, lengths)
     assert tree.tolist() == [i for i, lengths in enumerate(trees) for _ in lengths]
     got = list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist()))
     want = [
@@ -487,10 +490,10 @@ def test_counts_that_miss_their_block_length_are_rejected():
     trees = [{1: 1, 2: 1}, {0: 0}, {3: 1, 7: 1}]
     body, lengths = codebooks(trees, counts=[3, 5, 8, 6, 2])
     assert lengths.tolist() == [8, 8, 8]
-    assert _parse_codebooks(body, 300, lengths)[4].tolist() == [3, 5, 8, 6, 2]
-    for wrong in ([8, 8, 7], [8, 9, 8], [9, 8, 8]):
+    assert parse(body, lengths)[4].tolist() == [3, 5, 8, 6, 2]
+    for wrong in ([8, 8, 7], [9, 9, 6], [9, 9, 7]):
         with pytest.raises(ValueError, match="codebook counts"):
-            _parse_codebooks(body, 300, np.array(wrong))
+            parse(body, np.array(wrong))
 
 
 def test_a_one_symbol_tree_and_a_63_deep_tree_parse_together():
@@ -498,7 +501,7 @@ def test_a_one_symbol_tree_and_a_63_deep_tree_parse_together():
     # only when taken exactly, past any float
     deep = {sym: min(sym + 1, 63) for sym in range(64)}
     body, lengths = codebooks([{5: 0}, deep])
-    tree, syms, lens, codes, _ = _parse_codebooks(body, 300, lengths)
+    tree, syms, lens, codes, _ = parse(body, lengths)
     assert list(zip(tree.tolist(), syms.tolist(), lens.tolist(), codes.tolist())) == [(0, 5, 0, 0)] + [
         (1, sym, length, code) for sym, (length, code) in canonical_codes(deep).items()
     ]
@@ -531,4 +534,4 @@ def test_canonical_codes_of_balanced_trees_equal_the_reference(alphabets):
         assert parse_error(trees) == "codebook code lengths"
     else:
         body, lengths = codebooks(trees)
-        assert _parse_codebooks(body, 300, lengths)[3].tolist() == [code for *_, code in want]
+        assert parse(body, lengths)[3].tolist() == [code for *_, code in want]
