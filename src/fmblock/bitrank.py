@@ -65,33 +65,35 @@ fall in it, searches a sparse sample's positions for e from b's, and
 else ranks the second end from its own sample.
 
 Each backend also ranks many positions at once, in two forms over
-np.frombuffer views of the vector's buffers. batch_rank1() returns a
-function of an int64 array of positions, for count_many's many rounds,
-and makes its tables once per call, so that a round is only its
-arithmetic, in as few numpy calls as they allow, each of which has a
-fixed cost that a round of a few hundred positions feels: the plain one
-makes each word's rank, its superblock's plus its counter, as int64, and
-takes a word's bits before a position with one mask of a module table of
-64 (_HIGH), so that no word is shifted by 64; the RRR one first makes
-tables per block (its class, its bits in a sparse sample, and the ones
-and offset widths before it since its sample), which live as long as the
-function does; up to t = 16 it also makes every t-bit word in (class,
-offset) order from the decode table (_word_table), which dies with the
-function, so that a round decodes in one gather. rank1_many(positions)
-ranks once, for a load's node ends, with no table: a call of at most
-_SCALAR_RANKS positions ranks each with rank1 (32 plain, where the two
-forms cost alike on the 1 MB benchmark texts; 128 RRR, since the numpy
-form's first call makes tables that a first load's heap keeps: the
-stdlib ssa_rrr tree's 96 node ends take 171 us so, 99 in numpy); above,
-plain, it is batch_rank1's arithmetic with the superblock rank and the
-counter read apart; RRR, each position compares its sparse sample's
-positions or sums its RRR sample's classes. Both
-RRR forms read their blocks' offsets through _offset_reader: up to
-t = 16 from one unaligned uint32 view of the stream, one element per
-byte, and above with read_fields;
-and decode them through _decoder, by the decode table's peel and
-complement in numpy or enumeratively, but for batch_rank1's rounds up to
-t = 16, which gather from _word_table's words.
+np.frombuffer views of the vector's buffers. batch_rank1() returns, for
+count_many, a function of an int64 array of positions, for its many
+rounds, and a function of one position, for the ranks its rounds leave
+(WaveletTree.batch_rank's tail). Both read one table made per call, so
+that a round is only its arithmetic, in as few numpy calls as it allows,
+each of which has a fixed cost that a round of a few hundred positions
+feels. The plain table holds each word's rank, its superblock's plus its
+counter, as int64; a round takes a word's bits before a position with one
+mask of a module table of 64 (_HIGH), so that no word is shifted by 64,
+and the scalar form is rank1 itself. The RRR table is every block decoded
+once (_values): its ones before it and its t bits, one int64 a block up to
+t = 16; so a round is one divmod, one take and one masked popcount, and
+the scalar form the same arithmetic over a memoryview of the table.
+_values decodes a chunk of samples at a time: one cumsum of its blocks'
+class sums (_many_tables, which rank1_many sums too) gives each block's
+ones and offset, and a RRR block's word is gathered from every t-bit word
+in (class, offset) order (_word_table), made for the call; to_bits and
+blocks read _values too. rank1_many(positions) ranks once, for a
+load's node ends, with no table: a call of at most _SCALAR_RANKS positions
+ranks each with rank1 (32 plain, where the two forms cost alike on the
+1 MB benchmark texts; 128 RRR, since the numpy form's first call makes
+tables that a first load's heap keeps: the stdlib ssa_rrr tree's 96 node
+ends take 171 us so, 99 in numpy); above, plain, it is batch_rank1's
+arithmetic with the superblock rank and the counter read apart; RRR, each
+position compares its sparse sample's positions or sums its RRR sample's
+classes, reads its block's offset through _offset_reader (up to t = 16
+from one unaligned uint32 view of the stream, one element per byte, and
+above with read_fields) and decodes it through _decoder, by the decode
+table's peel and complement in numpy or enumeratively.
 """
 
 import functools
@@ -266,7 +268,7 @@ class PlainBitVector(_BitVector):
             k = j >> 6
             return top[k] + np.bitwise_count(words[k] & _HIGH[j & 63])
 
-        return rank1
+        return rank1, self.rank1
 
     def _rank1_many(self, j):
         """rank1 of every position in the int64 array j, as int64, with no table: a load ranks once, at every node's end."""
@@ -367,7 +369,7 @@ def _low_masks(t):
 
 @functools.cache
 def _many_tables(t):
-    """rank1_many's and _offset_reader's numpy tables of a class k <= t: (sums, masks), both uint32.
+    """rank1_many's, _values' and _offset_reader's numpy tables of a class k <= t: (sums, masks), both uint32.
 
     sums holds k's offset width in the high 16 bits and k in the low 16, so
     that one sum over a sample's classes gives both; masks holds k's offset
@@ -467,7 +469,7 @@ def _table_decoder(t):
 
 
 def _word_table(t):
-    """Every t-bit word in (class, offset) order (uint16), and where each class starts (int64), t <= 16.
+    """Every t-bit word in (class, offset) order (uint16), and where each class starts (uint32), t <= 16.
 
     It is made from the decode table, with no cache: 2^t words, which only
     a caller's life keeps. The (t - 1)-bit words in that order are the
@@ -482,8 +484,8 @@ def _word_table(t):
     high = low | np.uint16(1 << n)
     at = list(itertools.accumulate(splits, initial=0))  # where each (t - 1)-bit class starts; class t is empty
     parts = [part for k in range(t + 1) for part in (low[at[k] : at[k + 1]], high[at[k - 1] : at[k]] if k else low[:0])]
-    sizes = np.array([math.comb(t, k) for k in range(t + 1)])
-    return np.concatenate(parts), np.cumsum(sizes) - sizes
+    sizes = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint32)
+    return np.concatenate(parts), np.cumsum(sizes, dtype=np.uint32) - sizes
 
 
 def rrr_samples(m, t):
@@ -869,55 +871,49 @@ class RrrBitVector(_BitVector):
         return b, e
 
     def batch_rank1(self):
-        """rank1 over int64 arrays of positions: a function of one, over views of tables made once per call.
+        """rank1 over int64 arrays of positions, and one position at a time, over one table made once per call: (rounds, scalar).
 
-        The tables hold each block's class (0 in a sparse sample), its bits
-        if its sample is sparse, and, in 32 bits, the ones and the offset
-        widths of the blocks before it since its sample, each in 11 bits. A
-        rank then reads its sample and its block's entries, and its block's
-        offset, which it decodes (0 of class 0) and ors with the block's
-        sparse bits: the same arithmetic for every kind. The tables cost a
-        pass over every block and 7 bytes per block (13 above t = 16), and
-        each sample's rank and offsets' start 16 bytes, which the many
-        rounds of count_many repay: it is the faster form there, and
-        rank1_many the faster at load. Every view a rank reads is bound
-        here, once per call.
+        The table is _values(): each block's ones before it and its bits,
+        in one int64 up to t = 16 (8 bytes a block) and two above, for the
+        two functions' life. A rank takes its block's entry and counts its
+        bits below the position: a round is one divmod, one take and one
+        masked popcount, about as many numpy calls as a plain round, and
+        scalar, for WaveletTree.batch_rank's tail, is the same arithmetic
+        over memoryviews of the table, with no sample, class byte or offset
+        to read. The table costs one decode of every block, which the many
+        rounds of count_many repay, where rank1_many's per-position work is
+        the cheaper at load.
         """
         t = self.t
-        at, sample_rank, kind = self._samples()
-        rrr = np.flatnonzero(kind[:-1] == 0)
-        classes = np.zeros((len(at) - 1, RRR_SAMPLE_EVERY), dtype=np.uint8)
-        classes[rrr] = self._classes(at[rrr])
-        # a sample's 32 classes of at most 63 sum below 2^11, and so do their offset widths
-        fields = np.frombuffer(classes.tobytes().translate(self._widths), dtype=np.uint8).astype(np.uint32)
-        fields <<= 11
-        fields |= classes.ravel()
-        fields = fields.reshape(classes.shape)
-        sparse, values = self._sparse_values(at, kind)
-        bits = np.zeros(classes.shape, dtype=values.dtype)
-        bits[sparse] = values
-        fields[sparse] = np.bitwise_count(values)
-        before = np.cumsum(fields, axis=1, dtype=np.uint32)
-        before -= fields
-        before, classes, bits = before.ravel(), classes.ravel(), bits.ravel()
-        # int64, so that the offset positions are: numpy gathers by int64 indices faster than by uint32 ones
-        base = np.where(kind[:-1] == 0, at[:-1] + (RRR_SAMPLE_EVERY >> self._shift) << 3, 0)
-        read, decode = self._offset_reader(), self._decoder()
-        if self._table is not None:
-            # every t-bit word, made for this function's life, so that a round decodes in one gather
-            words, firsts = _word_table(t)
-            decode = lambda k, off: words[firsts[k] + off]
-        low = (np.ones(1, dtype=values.dtype) << np.arange(t, dtype=values.dtype)) - values.dtype.type(1)
+        table = self._values()
+        lows = _low_masks(t)
+        low = np.array(lows[:t], dtype=np.int64)
+        if t <= _TABLE_MAX_T:
+            view = memoryview(table)
 
-        def rank1(j):
-            blk = j // t
-            sb = blk >> 5
-            entry = before[blk]
-            k = classes[blk].astype(np.intp)  # numpy gathers by intp indices faster than by uint8 ones
-            value = decode(k, read(k, base[sb] + (entry >> 11))) | bits[blk]
-            return sample_rank[sb] + (entry & 2047) + np.bitwise_count(value & low[j - blk * t])
+            def rank1(j):
+                blk, rem = np.divmod(j, t)
+                x = table.take(blk)
+                return (x >> 16) + np.bitwise_count(x & low.take(rem))
 
-        return rank1
+            def scalar(j):
+                blk = j // t
+                x = view[blk]
+                return (x >> 16) + (x & lows[j - blk * t]).bit_count()
+
+        else:
+            ones, bits = memoryview(table[0]), memoryview(table[1])
+
+            def rank1(j):
+                blk, rem = np.divmod(j, t)
+                x = table[:, blk]
+                return x[0] + np.bitwise_count(x[1] & low.take(rem))
+
+            def scalar(j):
+                blk = j // t
+                return ones[blk] + (bits[blk] & lows[j - blk * t]).bit_count()
+
+        return rank1, scalar
 
     def _rank1_many(self, j):
         """rank1 of every position in the int64 array j, each from its own sample, as int64.
@@ -1011,31 +1007,25 @@ class RrrBitVector(_BitVector):
         opos -= widths
         return opos + (at + (RRR_SAMPLE_EVERY >> self._shift) << 3)[:, None]
 
-    def _positions(self, at, kind):
-        """The positions of every sparse sample in turn, as int64, and the sample of each; at and kind are _samples'."""
-        sparse = np.flatnonzero(kind[:-1] >= 2)
-        lo = at[sparse] >> 1
-        count = (at[sparse + 1] >> 1) - lo
-        idx = np.arange(int(count.sum())) + np.repeat(lo - (np.cumsum(count) - count), count)
-        return np.repeat(sparse, count), np.frombuffer(self._stream, dtype="<u2")[idx].astype(np.int64)
-
     def _sparse_values(self, at, kind):
         """The sparse samples, and the t bits of each of their blocks, LSB first, one row per sample.
 
         The bits are uint16 up to t = 16, else uint64: a ones sample's are
-        its positions' bits, a zeros one's their complement; at and kind
-        are _samples'.
+        its positions' bits, a zeros one's their complement. at and kind
+        are _samples', or a run of their samples and the item after it, as
+        _values' chunks take them; the samples are counted from the run's
+        first.
         """
         t = self.t
         sparse = np.flatnonzero(kind[:-1] >= 2)
-        sample, pos = self._positions(at, kind)
+        lo = at[sparse] >> 1  # each sample's first position, a 2-byte element of the stream
+        count = (at[sparse + 1] >> 1) - lo
+        row = np.repeat(np.arange(len(sparse)) * RRR_SAMPLE_EVERY, count)  # each position's sample's first block
+        pos = np.frombuffer(self._stream, dtype="<u2")[np.arange(len(row)) + np.repeat(lo - np.cumsum(count) + count, count)]
+        blk, rem = np.divmod(pos, t)
         dtype = np.uint16 if t <= _TABLE_MAX_T else np.uint64
         values = np.zeros((len(sparse), RRR_SAMPLE_EVERY), dtype=dtype)
-        blk = np.searchsorted(sparse, sample) * RRR_SAMPLE_EVERY + pos // t
-        first = np.flatnonzero(np.diff(blk, prepend=-1))  # each block's first position; they are sorted
-        if len(blk):
-            bits = np.ones(1, dtype=dtype) << (pos % t).astype(dtype)
-            values.ravel()[blk[first]] = np.bitwise_or.reduceat(bits, first)
+        np.bitwise_or.at(values.ravel(), row + blk, np.ones(1, dtype=dtype) << rem.astype(dtype))
         values[kind[sparse] == 3] ^= (np.ones(1, dtype=dtype) << dtype(t)) - dtype(1)
         return sparse, values
 
@@ -1067,23 +1057,82 @@ class RrrBitVector(_BitVector):
         return (lambda k, off: _values_of_offsets(off, t, k)) if self._table is None else _table_decoder(t)
 
     def _values(self):
-        """Every block's t bits, LSB first, as uint64, over all the vector's samples, whatever their kind."""
-        at, _, kind = self._samples()
-        values = np.zeros((len(at) - 1, RRR_SAMPLE_EVERY), dtype=np.uint64)
-        rrr = np.flatnonzero(kind[:-1] == 0)
-        k = self._classes(at[rrr])
-        values[rrr] = self._decoder()(k, self._offset_reader()(k, self._offset_starts(k, at[rrr])))
-        sparse, values[sparse] = self._sparse_values(at, kind)
-        return values.ravel()
+        """Every block's ones before it, from the vector's first bit, and its t bits, LSB first: one int64 table, decoded once.
+
+        Up to t = 16 it is one row, each block's ones shifted left 16 and
+        or'd with its bits; above, two rows, its ones and its bits. The
+        samples are decoded an eighth at a time, 64 at least, as _setup
+        checks their offsets, so that the temporaries stay a share of the
+        table. In a chunk, one cumsum of each block's fields, its class's
+        sums (_many_tables) in a RRR sample and its popcount in a sparse
+        one, gives each block's ones and offset bit since its sample's; a
+        RRR sample's offsets decode through _word_table up to t = 16, else
+        enumeratively, and a sparse sample's bits are _sparse_values'.
+        """
+        t = self.t
+        narrow = t <= _TABLE_MAX_T
+        if narrow:  # before the table, so that their peaks do not add up
+            words, firsts = _word_table(t)
+        at, rank, kind = self._samples()
+        n = len(at) - 1
+        table = np.empty((1 if narrow else 2, n, RRR_SAMPLE_EVERY), dtype=np.int64)
+        ones, bits = table[0], table[-1]  # one row up to t = 16
+        (sums, masks), read = _many_tables(t), self._offset_reader()
+        cb = RRR_SAMPLE_EVERY >> self._shift
+        step = max(64, -(-n // 8))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            part, head, kinds = slice(lo, hi), at[lo : hi + 1], kind[lo : hi + 1]
+            rrr = np.flatnonzero(kinds[:-1] == 0)
+            sparse, values = self._sparse_values(head, kinds)
+            k = self._classes(head[rrr])
+            fields = np.empty((hi - lo, RRR_SAMPLE_EVERY), dtype=np.uint32)
+            fields[rrr] = sums.take(k)
+            fields[sparse] = np.bitwise_count(values)
+            before = np.cumsum(fields, axis=1, dtype=np.uint32)
+            before -= fields
+            del fields
+            # each RRR block's offset bit since the chunk's first byte, in
+            # uint32 as the stream's bits are, and its bits, in place
+            opos = before[rrr] >> 16
+            opos += (head[rrr] - head[0] + cb << 3).astype(np.uint32)[:, None]
+            if narrow:
+                # a uint32 from each of the chunk's bytes, copied: numpy gathers
+                # from it several times faster than from the stream's unaligned view
+                window = np.ndarray(int(head[-1] - head[0]) + 1, "<u4", self._stream, int(head[0]), (1,)).copy()
+                off = window[opos >> 3]
+                del window
+                opos &= 7
+                off >>= opos
+                off &= masks.take(k)
+                off += firsts.take(k)
+                block = np.empty((hi - lo, RRR_SAMPLE_EVERY), dtype=np.uint16)
+                block[rrr] = words.take(off)
+            else:
+                block = bits[part]
+                block[rrr] = _values_of_offsets(read(k, opos + (head[0] << 3)), t, k)
+            del opos
+            block[sparse] = values
+            before &= 0xFFFF
+            np.add(before, rank[part, None], out=ones[part])
+            del before
+            if narrow:
+                ones[part] <<= 16
+                ones[part] |= block
+        return table.reshape(-1) if narrow else table.reshape(2, -1)
+
+    def _bits(self):
+        """Each block's t bits of bits 0..m - 1, LSB first, as int64: _values() without the ones before it."""
+        table = self._values()
+        return (table & 0xFFFF if self.t <= _TABLE_MAX_T else table[1])[: -(-self.m // self.t)]
 
     def to_bits(self):
-        values = self._values()[: -(-self.m // self.t)]
-        bits = (values[:, None] >> np.arange(self.t, dtype=np.uint64)) & _ONE
-        return bits.astype(np.uint8).ravel()[: self.m]
+        values = self._bits()
+        return (values[:, None] >> np.arange(self.t) & 1).astype(np.uint8).ravel()[: self.m]
 
     def blocks(self):
         """Introspection: (class, offset) of each block of bits 0..m - 1, whatever its sample's kind."""
-        values = self._values()[: -(-self.m // self.t)]
+        values = self._bits()
         classes = np.bitwise_count(values)
         if self.t <= _TABLE_MAX_T:
             offsets = _offset_table(self.t)[values].tolist()

@@ -28,11 +28,12 @@ from .wavelet import WaveletTree
 _COUNT_CHUNK = 1 << 15
 # live ranges at or below which count_many steps each in turn (see
 # WaveletTree.narrow), and ranks at or below which its batch_rank finishes
-# their paths with scalar rank1s, so that a long pattern or a deep code left
+# their paths with scalar ranks, so that a long pattern or a deep code left
 # on its own does not pay a numpy round per code or level. A level round of
-# 85 ranks costs about as much as 40 plain or 14 RRR scalar rank1s (1 MB
-# stdlib text, 2 cores), and tails of 4 to 32 counted the benchmark batch
-# within noise of each other, for either use: one constant serves both
+# 85 ranks costs about as much as 30 to 35 plain rank1s, or 35 to 45 scalar
+# ranks of the RRR batch table (1 MB stdlib and markov texts, 2 cores), and
+# tails of 4 to 32 counted the benchmark batch within noise of each other,
+# for either use: one constant serves both
 _SCALAR_TAIL = 8
 # the least alphabet factor of default_block_size: below it a block's fixed
 # tables (start, leaf, and a path entry, row and steps per symbol) cost more

@@ -55,11 +55,12 @@ step in one block go down the code's whole path in one call of the
 vector's descend, and ends in two blocks one rank1 call per level each;
 narrow alone then tests, once per step, whether the range is empty.
 WaveletTree.batch_rank ranks many (symbol, position) pairs at once, one
-level per round, each round one call of the vector's batch_rank1, until
-few ranks still descend: those finish their paths one at a time with the
-vector's rank1. It reads int64 tables of what a rank reads per (tree,
-symbol) entry, made from the stored tables once per call, so that a rank
-gathers its entry in one fancy index.
+level per round, each round one call of the rounds that the vector's
+batch_rank1 returns, until few ranks still descend: those finish their
+paths one at a time with the scalar form it returns beside them, over the
+same table (the RRR one reads no sample). It reads int64 tables of what a
+rank reads per (tree, symbol) entry, made from the stored tables once per
+call, so that a rank gathers its entry in one fancy index.
 
 The trees own two index-file sections, each written whole (sections) and
 read whole (read_trees): the codebooks, one LSB-first bitstream of every
@@ -325,12 +326,12 @@ class WaveletTree:
         It gives the occurrences of codes[i] among the first j[i] elements;
         every code is below sigma. Each is a row plus a rank in a tree, as
         in rank, and the tree ranks go down their paths together, one level
-        per round, each round one call of the vector's batch_rank1: sorted
-        by path length, longest first, the ranks still descending at a
-        level are a prefix of them. Once tail or fewer are, they finish
-        their paths one at a time with the vector's rank1, as rank does:
-        tail is where a numpy round stops paying for itself (see
-        fmindex._SCALAR_TAIL).
+        per round, each round one call of the rounds of the vector's
+        batch_rank1: sorted by path length, longest first, the ranks still
+        descending at a level are a prefix of them. Once tail or fewer are,
+        they finish their paths one at a time, as rank does, with the scalar
+        form that batch_rank1 returns beside its rounds: tail is where a
+        numpy round stops paying for itself (see fmindex._SCALAR_TAIL).
 
         The tables, which live as long as the function does, hold per
         (tree, symbol) entry an int8 sort key, the negated path length, and,
@@ -353,8 +354,8 @@ class WaveletTree:
         rows = np.frombuffer(self.rows, dtype=self.rows.typecode)
         table = np.stack([lengths, paths >> 8, starts - tree * size, held, rows - held * leaves])
         steps = np.frombuffer(self.steps, dtype=self.steps.typecode)
-        rank1 = self.bits.batch_rank1()
-        scalar, path_steps = self.bits.rank1, self.steps
+        rank1, scalar = self.bits.batch_rank1()
+        path_steps = self.steps
 
         def rank(codes, j):
             row = np.maximum(j - 1, 0) // size * sigma + codes  # block 0 for j = 0

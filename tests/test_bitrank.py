@@ -180,10 +180,10 @@ def test_every_block_decodes_at_every_rem(t):
     positions = np.arange(len(bits) + 1)
     assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
     assert v.rank1_many(positions).tolist() == prefix.tolist()
-    assert v.batch_rank1()(positions).tolist() == prefix.tolist()
+    assert v.batch_rank1()[0](positions).tolist() == prefix.tolist()
     assert v.to_bits().tolist() == bits.tolist()
     assert v.blocks() == blocks
-    # the table batch_rank1 makes holds every word, top bit and all
+    # the table that _values decodes through holds every word, top bit and all
     assert _word_table(t)[0].tolist() == values.tolist()
     # descend's two decodes: b's block, and e's own block t bits on (in the
     # first block, e's rank from b's decode)
@@ -263,33 +263,103 @@ def test_stored_bits_read_back_at_unaligned_positions(backend, t):
     assert v.payload() == written
 
 
+def chunk_edge_bits(t, rng):
+    """Bits of 520 t-bit RRR samples whose runs of RRR, ones and zeros samples each straddle an edge of _values' chunks.
+
+    The decode takes an eighth of the samples at a time, 65 here: a run of
+    sparse ones crosses the first edge, one of sparse zeros the second, and
+    a run of dense samples, between sparse ones, the third; the others are
+    dense.
+    """
+    span, edge = RRR_SAMPLE_EVERY * t, 65
+    density = np.full(520, 0.5)
+    density[edge - 2 : edge + 2] = 0.005
+    density[2 * edge - 2 : 2 * edge + 2] = 0.995
+    density[3 * edge - 5 : 3 * edge + 5] = 0.005
+    density[3 * edge - 2 : 3 * edge + 2] = 0.5
+    return (rng.random(520 * span - t) < np.repeat(density, span)[: 520 * span - t]).astype(np.uint8)
+
+
 @pytest.mark.parametrize(
-    "backend,t,middle",
-    [pytest.param("plain", 15, False, id="plain-15")]
-    + [pytest.param("rrr", t, False, id=f"rrr-{t}") for t in (1, 3, 15, 16, 17, 63)]
-    + [pytest.param("rrr", t, True, id=f"rrr-{t}-middle") for t in (15, 16, 17, 63)],
+    "backend,t,bits_of",
+    [pytest.param("plain", 15, "random", id="plain-15")]
+    + [pytest.param("rrr", t, "random", id=f"rrr-{t}") for t in (1, 3, 15, 16, 17, 63)]
+    + [pytest.param("rrr", t, "middle", id=f"rrr-{t}-middle") for t in (15, 16, 17, 63)]
+    + [pytest.param("rrr", t, "chunks", id=f"rrr-{t}-chunks") for t in (15, 17)],
 )
-def test_batch_rank1_equals_rank1_over_three_trees(backend, t, middle):
+def test_batch_rank1_equals_rank1_over_three_trees(backend, t, bits_of):
     # one vector of three trees' bits joined, read from its section as a load
-    # reads it: the batch rank at every position, so at every multiple of 64
-    # (a shift by 64 in scalar rank1) and at each tree's first bit and end,
-    # equals the scalar one. middle: every whole block of class t // 2, so
-    # the offsets are all of the widest width (13 bits at t = 15, 14 at 16)
-    # and start at every bit shift
+    # reads it: the batch rank and its scalar form at every position, so at
+    # every multiple of 64 (a shift by 64 in scalar rank1) and at each tree's
+    # first bit and end, equal the scalar one. middle: every whole block of
+    # class t // 2, so the offsets are all of the widest width (13 bits at
+    # t = 15, 14 at 16) and start at every bit shift. chunks: one vector,
+    # saved as a build saves it, whose RRR, ones and zeros samples straddle
+    # the edges of the decode's chunks (chunk_edge_bits); the decoded table
+    # and to_bits equal rank1 there too
     rng = random.Random(t)
-    bits = np.concatenate([np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8) for m in (700, 63, 2 * t + 1)])
-    if middle:
+    if bits_of == "chunks":
+        bits = chunk_edge_bits(t, np.random.default_rng(t))
+    else:
+        bits = np.concatenate([np.array([rng.randint(0, 1) for _ in range(m)], dtype=np.uint8) for m in (700, 63, 2 * t + 1)])
+    if bits_of == "middle":
         for lo in range(0, len(bits) - t + 1, t):
             bits[lo : lo + t] = 0
             bits[[lo + i for i in rng.sample(range(t), t // 2)]] = 1
     if backend == "plain":
         t = 0
         payload = np.packbits(bits, bitorder="little").tobytes()
+    elif bits_of == "chunks":
+        payload = make_bitvector(bits, t).payload()
     else:
         payload = rrr_payload(t, len(bits), make_bitvector(bits, t).blocks())
     v = read_payload(payload, t, len(bits))
     positions = np.arange(len(bits) + 1)
-    assert v.batch_rank1()(positions).tolist() == [v.rank1(j) for j in positions.tolist()]
+    want = [v.rank1(j) for j in positions.tolist()]
+    rounds, scalar = v.batch_rank1()
+    assert rounds(positions).tolist() == want
+    assert [scalar(j) for j in positions.tolist()] == want
+    if bits_of == "chunks":
+        kinds = v._samples()[2][:-1]
+        for edge, kind in zip((65, 130, 195), (2, 3, 0)):  # ones, zeros, RRR
+            assert kinds[edge - 1] == kinds[edge] == kind
+        # each block's entry: the ones before it, then its bits
+        table = v._values()
+        ones, held = (table >> 16, table & 0xFFFF) if t <= 16 else table
+        blk, rem = np.divmod(positions, t)
+        assert (ones[blk] + np.bitwise_count(held[blk] & (1 << rem) - 1)).tolist() == want
+        assert v.to_bits().tolist() == bits.tolist()
+
+
+def test_batch_rank1_keeps_8_bytes_a_block_and_peaks_at_15():
+    # a t = 15 vector of more than 8 x 64 samples of every kind, so that the
+    # decode runs in eight chunks: the table its two functions keep is one
+    # int64 a block, and the chunks' temporaries, with the samples' own
+    # tables, stay within 7 bytes a block more (an unchunked decode peaks at
+    # more than 20). A first call, under the same trace, fills numpy's caches
+    # of small freed buffers, which tracemalloc counts as held; 16 KiB more
+    # covers the few that a second call adds, and the two functions
+    t, samples = 15, 2048
+    rng = np.random.default_rng(t)
+    density = np.repeat(rng.choice([0.5, 0.005, 0.995], samples), RRR_SAMPLE_EVERY * t)
+    v = make_bitvector((rng.random(len(density) - t) < density[:-t]).astype(np.uint8), t)
+    blocks = RRR_SAMPLE_EVERY * rrr_samples(v.m, t)
+    assert all(v.sample_kinds().values()) and blocks > RRR_SAMPLE_EVERY * 8 * 64
+    gc.collect()
+    tracemalloc.start()
+    try:
+        v.batch_rank1()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ranks = v.batch_rank1()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - held <= 8 * blocks + 16 * 1024
+    assert peak - held <= 15 * blocks + 16 * 1024
+    positions = np.arange(0, v.m + 1, 97)
+    assert ranks[0](positions).tolist() == [v.rank1(j) for j in positions.tolist()]
 
 
 def words_of(buf):
@@ -349,7 +419,7 @@ def test_rank1_equals_the_prefix_sum_at_every_position(bits):
     vectors = [PlainBitVector(bits)] + [RrrBitVector(bits, t) for t in (1, 3, 15, 16, 17, 63)]
     for v in vectors:
         assert [v.rank1(j) for j in range(len(bits) + 1)] == prefix, getattr(v, "t", 0)
-        assert v.batch_rank1()(np.arange(len(bits) + 1)).tolist() == prefix, getattr(v, "t", 0)
+        assert v.batch_rank1()[0](np.arange(len(bits) + 1)).tolist() == prefix, getattr(v, "t", 0)
         assert v.rank1(v.m) == prefix[-1]
 
 
@@ -488,7 +558,7 @@ def test_every_rank_form_equals_the_prefix_sum_over_mixed_sample_kinds(case, dat
     prefix = np.concatenate([[0], np.cumsum(bits, dtype=np.int64)])
     positions = np.arange(len(bits) + 1)
     assert [v.rank1(j) for j in positions.tolist()] == prefix.tolist()
-    assert v.batch_rank1()(positions).tolist() == prefix.tolist()
+    assert v.batch_rank1()[0](positions).tolist() == prefix.tolist()
     assert v.rank1_many(positions).tolist() == v._rank1_many(positions).tolist() == prefix.tolist()
     # descend down steps of either sign, each end moved as the prefix sum says
     for _ in range(20):
@@ -553,7 +623,7 @@ def assert_every_rank_form_counts_from_the_vector_start(vectors, trees, unit, pe
     for vector in vectors:
         assert [vector.rank1(j) for j in positions.tolist()] == want
         assert vector.rank1_many(positions).tolist() == want
-        assert vector.batch_rank1()(positions).tolist() == want
+        assert vector.batch_rank1()[0](positions).tolist() == want
         assert vector.rank1_many(firsts).tolist() == prefix[firsts].tolist()
     for _ in range(40):
         b = int(data.draw(st.sampled_from(positions.tolist()), label="b"))

@@ -324,7 +324,8 @@ def test_count_many_finishes_deep_paths_with_scalar_ranks(variant, t, monkeypatc
     # symbol counts 1, 1, 2, 3, 5, ..., 144 make Huffman codes up to about 12
     # bits, deeper than the scalar tail: a step of a batch wider than the tail
     # ranks the shallow levels in numpy rounds, and once few ranks still
-    # descend, they finish their paths with the vector's rank1
+    # descend, they finish their paths with the scalar form that the
+    # vector's batch_rank1 returns beside its rounds
     fib = [1, 1]
     while len(fib) < 12:
         fib.append(fib[-1] + fib[-2])
@@ -335,11 +336,11 @@ def test_count_many_finishes_deep_paths_with_scalar_ranks(variant, t, monkeypatc
     ix = build_index(text, variant, text.n // 2 if variant.fixed else None, t)
     vector = type(ix.blocks.bits)
     step, calls = [], []  # the rounds and the scalar ranks of the step being ranked, then of each step
-    batch_rank1, rank1, batch_rank = vector.batch_rank1, vector.rank1, wavelet.WaveletTree.batch_rank
+    batch_rank1, batch_rank = vector.batch_rank1, wavelet.WaveletTree.batch_rank
 
     def watched_batch_rank1(v):
-        rounds = batch_rank1(v)
-        return lambda j: step.append("round") or rounds(j)
+        rounds, scalar = batch_rank1(v)
+        return (lambda j: step.append("round") or rounds(j)), (lambda j: step.append("rank1") or scalar(j))
 
     def watched_batch_rank(wt, tail):
         rank = batch_rank(wt, tail)
@@ -353,7 +354,6 @@ def test_count_many_finishes_deep_paths_with_scalar_ranks(variant, t, monkeypatc
         return watched
 
     monkeypatch.setattr(vector, "batch_rank1", watched_batch_rank1)
-    monkeypatch.setattr(vector, "rank1", lambda v, j: step.append("rank1") or rank1(v, j))
     monkeypatch.setattr(wavelet.WaveletTree, "batch_rank", watched_batch_rank)
     patterns = [bytes(p) for p in pattern_batch(rng, codes, 13, extracted=60, adversarial=20)]
     got = ix.count_many(patterns)

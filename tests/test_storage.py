@@ -147,7 +147,7 @@ def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
 def test_rrr_offset_past_the_decode_table_is_rejected_at_load(rrr_t, k, off):
     # the root's end is in the last block, which reading the tree decodes:
     # starts[k] + off runs past the 2^t words of every t-bit word in (class,
-    # offset) order, the table batch_rank1 makes, and the decode table holds
+    # offset) order, the table _values decodes through, and the decode table holds
     # fewer words still
     ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
     blocks = ix.blocks[0].bits.blocks()
