@@ -29,16 +29,18 @@ Two interchangeable representations:
   at most two aligned reads of a uint64 view of the stream; a sparse
   sample's rank is one bisect of its positions, through a uint16 view.
 
-Up to t = 16 a block is decoded with one lookup in a table of the
-(t - 1)-bit words of classes 0..(t - 1) // 2 (_decode_table), which every
-vector of that t shares: 19,816 bytes at t = 15 and 32 KiB at t = 16,
-against the 2^t words of every class. Two symmetries of the enumerative
-code cover what it leaves out: an offset past its class's words with a
-clear top bit is a word with the top bit set, one class lower (the
-top-bit peel), and a word of an upper class is the complement of one of
-a lower class (the complement). A rank reads at most the low t - 1 bits
-of its block, so the peeled top bit never enters it. Above t = 16 a
-block is decoded enumeratively.
+Up to t = 16 rank1 and descend decode a block with one lookup in a table
+of the (t - 1)-bit words of classes 0..(t - 1) // 2 (_decode_table), which
+every vector of that t shares: 19,816 bytes at t = 15 and 32 KiB at t =
+16, against the 2^t words of every class. Two symmetries of the
+enumerative code cover what it leaves out: an offset past its class's
+words with a clear top bit is a word with the top bit set, one class lower
+(the top-bit peel), and a word of an upper class is the complement of one
+of a lower class (the complement). A rank reads at most the low t - 1 bits
+of its block, so the peeled top bit never enters it. The numpy forms
+decode through the 2^t words themselves, in (class, offset) order
+(_word_table), which a call makes from the decode table and drops with
+it. Above t = 16 every form decodes enumeratively.
 
 A vector knows nothing of what its bits hold: a build makes it from an
 array of bits (make_bitvector()), and a load from the index file's
@@ -78,22 +80,26 @@ and the scalar form is rank1 itself. The RRR table is every block decoded
 once (_values): its ones before it and its t bits, one int64 a block up to
 t = 16; so a round is one divmod, one take and one masked popcount, and
 the scalar form the same arithmetic over a memoryview of the table.
-_values decodes a chunk of samples at a time: one cumsum of its blocks'
-class sums (_many_tables, which rank1_many sums too) gives each block's
-ones and offset, and a RRR block's word is gathered from every t-bit word
-in (class, offset) order (_word_table), made for the call; to_bits and
-blocks read _values too. rank1_many(positions) ranks once, for a
-load's node ends, with no table: a call of at most _SCALAR_RANKS positions
-ranks each with rank1 (32 plain, where the two forms cost alike on the
-1 MB benchmark texts; 128 RRR, since the numpy form's first call makes
-tables that a first load's heap keeps: the stdlib ssa_rrr tree's 96 node
-ends take 171 us so, 99 in numpy); above, plain, it is batch_rank1's
-arithmetic with the superblock rank and the counter read apart; RRR, each
-position compares its sparse sample's positions or sums its RRR sample's
-classes, reads its block's offset through _offset_reader (up to t = 16
-from one unaligned uint32 view of the stream, one element per byte, and
-above with read_fields) and decodes it through _decoder, by the decode
-table's peel and complement in numpy or enumeratively.
+rank1_many(positions) ranks once, for a load's node ends, with no table
+of the vector: a call of at most _SCALAR_RANKS positions ranks each with
+rank1 (32 plain, where the two forms cost alike on the 1 MB benchmark
+texts; 128 RRR: at 64 the stdlib ssa_rrr tree's 96 node ends would rank
+in numpy, and its fresh-process heap_bytes read 363,226-363,581 bytes
+against 362,842-362,960, three processes each); above, plain, it is
+batch_rank1's arithmetic with the superblock rank and the counter read
+apart; RRR, it reads each sample that holds a position once and decodes
+only the positions' blocks.
+
+The RRR numpy side reads a set of samples one way (_offsets): one cumsum
+of their blocks' class sums (_many_tables) gives each block's ones and
+offset bit since its sample's, and one gather reads every offset, up to
+t = 16 from a copy of each sample's offset bytes as one uint32 per byte,
+above with read_fields. It decodes one way per range of t: through
+_word_table up to t = 16, else enumeratively (_values_of_offsets); a
+sparse sample's bits are _sparse_values'. _setup's offset check, _values
+(and so batch_rank1, to_bits and blocks) and rank1_many all read so, the
+first two a chunk of samples at a time (_chunk), so that their
+temporaries stay a share of the file or of the table.
 """
 
 import functools
@@ -114,11 +120,9 @@ RRR_SAMPLE_EVERY = 32
 RRR_BLOCK_SIZES = range(1, 64)
 _TABLE_MAX_T = 16
 _NIBBLE_MAX_T = 15
-_ONE = np.uint64(1)
 # a word's top r bits at r, the ones before its bit r: a plain rank's mask, shifted by at most 63
 _HIGH = ~(np.uint64(2**64 - 1) >> np.arange(64, dtype=np.uint64))
 _MAX_POSITIONS = 63  # the most positions a sparse sample holds: its kind byte's count field
-_SLOTS = np.arange(_MAX_POSITIONS, dtype=np.uint8)
 # a plain vector's words per superblock: 2^10, so that the ones before a word since
 # its superblock's first word, at most 2^16 - 64, fit a uint16 (rank1 and descend write the 10 out)
 _SUPERBLOCK_WORDS = 1 << 10
@@ -325,12 +329,10 @@ def _decode_table(t):
 
 @functools.cache
 def _offset_table(t):
-    """Offset of every t-bit word within its class, as uint16: the encoder's table, t <= 16."""
-    values = np.arange(1 << t, dtype=np.uint16)
-    order = np.argsort(np.bitwise_count(values), kind="stable")  # every word in (class, offset) order
-    sizes = [math.comb(t, k) for k in range(t + 1)]
+    """Offset of every t-bit word within its class, as uint16: the encoder's table, t <= 16, the inverse of _word_table."""
+    words, firsts = _word_table(t)
     offsets = np.empty(1 << t, dtype=np.uint16)
-    offsets[order] = np.concatenate([np.arange(size, dtype=np.uint16) for size in sizes])
+    offsets[words] = np.arange(1 << t, dtype=np.uint32) - firsts[np.bitwise_count(words)]
     return offsets
 
 
@@ -369,15 +371,26 @@ def _low_masks(t):
 
 @functools.cache
 def _many_tables(t):
-    """rank1_many's, _values' and _offset_reader's numpy tables of a class k <= t: (sums, masks), both uint32.
+    """The sums of each class k <= t that _offsets adds up over a RRR sample's blocks, as uint32.
 
-    sums holds k's offset width in the high 16 bits and k in the low 16, so
-    that one sum over a sample's classes gives both; masks holds k's offset
-    bits, up to t = 16, and is None above, where read_fields masks.
+    A sum holds k's offset width in the high 16 bits and k in the low 16, so
+    that one cumsum over a sample's classes gives each block's ones and
+    offset bit since the sample's, both at once.
     """
-    widths = np.array(offset_widths(t), dtype=np.uint32)
-    masks = (np.uint32(1) << widths) - np.uint32(1) if t <= _TABLE_MAX_T else None
-    return widths << 16 | np.arange(t + 1, dtype=np.uint32), masks
+    return np.array(offset_widths(t), dtype=np.uint32) << 16 | np.arange(t + 1, dtype=np.uint32)
+
+
+def _chunk(n):
+    """How many of a vector's n samples _setup's offset check and _values read at a time: an eighth, 32 at least.
+
+    Their temporaries over every sample at once would take several times the
+    file's bytes, and a fixed count would cost a small file as a large one.
+    The check's temporaries are some 20 bytes a RRR block, several times
+    what a small file stores of it: at 64 samples at least, a load of
+    100,000 Markov symbols peaked at 10.5 and 10.7 times the file's bytes
+    (ssa_rrr, fixed_block_rrr), and at 32 at 8.1 and 7.7.
+    """
+    return max(32, -(-n // 8))
 
 
 @functools.cache
@@ -443,49 +456,28 @@ def _values_of_offsets(off, t, k):
     return value
 
 
-@functools.cache
-def _table_decoder(t):
-    """A function (k, off) that decodes t-bit blocks of classes k and offsets off (int64 arrays) as uint16, t <= 16.
-
-    It takes _decode_table's top-bit peel and complement in numpy: a row per
-    class below its split, then one per class at or above, gives the
-    (t - 1)-bit class it reads (clamped where no offset reaches: class 0 at
-    its split, class t below), the offset's sign and the word's start as the
-    offset's, and what to xor with the word: the complement, the top bit.
-    """
-    table, starts, splits, kmax, flip = _decode_table(t)
-    words = np.frombuffer(table, dtype=np.uint16)
-    rows = [(min(max(k - top, 0), t - 1), splits[k] * top, top) for top in (0, 1) for k in range(t + 1)]
-    sign = np.array([1 if c <= kmax else -1 for c, _, _ in rows])
-    base = np.array([starts[c] - s * sub for (c, sub, _), s in zip(rows, sign.tolist())])
-    xor = np.array([(flip if c > kmax else 0) | top << t - 1 for c, _, top in rows], dtype=np.uint16)
-    splits = np.array(splits)
-
-    def decode(k, off):
-        row = k + (off >= splits[k]) * (t + 1)
-        return words[base[row] + sign[row] * off] ^ xor[row]
-
-    return decode
-
-
 def _word_table(t):
     """Every t-bit word in (class, offset) order (uint16), and where each class starts (uint32), t <= 16.
 
-    It is made from the decode table, with no cache: 2^t words, which only
-    a caller's life keeps. The (t - 1)-bit words in that order are the
-    table's, then the complements of its first classes' words, reversed;
-    the t-bit words of class k are the (t - 1)-bit ones of class k, then
-    those of class k - 1 with the top bit set.
+    It is the decoder of a RRR offset up to t = 16, made from the decode
+    table with no cache: 2^t words, which only a caller's life keeps. The
+    t-bit words of class k are the (t - 1)-bit ones of class k, then those
+    of class k - 1 with the top bit set; the (t - 1)-bit words of a class
+    above the table's are the complements of those of class t - 1 - k,
+    reversed. Each is written in place, so that the words are the only
+    array of their size.
     """
     table, _, splits, kmax, flip = _decode_table(t)
     n = t - 1
-    words = np.frombuffer(table, dtype=np.uint16)
-    low = np.concatenate([words, words[: sum(splits[: n - kmax])][::-1] ^ np.uint16(flip)])
-    high = low | np.uint16(1 << n)
-    at = list(itertools.accumulate(splits, initial=0))  # where each (t - 1)-bit class starts; class t is empty
-    parts = [part for k in range(t + 1) for part in (low[at[k] : at[k + 1]], high[at[k - 1] : at[k]] if k else low[:0])]
-    sizes = np.array([math.comb(t, k) for k in range(t + 1)], dtype=np.uint32)
-    return np.concatenate(parts), np.cumsum(sizes, dtype=np.uint32) - sizes
+    half = np.frombuffer(table, dtype=np.uint16)
+    at = list(itertools.accumulate(splits, initial=0))  # where each (t - 1)-bit class starts in the table
+    firsts = list(itertools.accumulate([math.comb(t, k) for k in range(t + 1)], initial=0))
+    words = np.empty(1 << t, dtype=np.uint16)
+    for c in range(t):
+        part = half[at[c] : at[c + 1]] if c <= kmax else half[at[n - c] : at[n - c + 1]][::-1] ^ np.uint16(flip)
+        words[firsts[c] : firsts[c] + splits[c]] = part
+        np.bitwise_or(part, np.uint16(1 << n), out=words[firsts[c + 1] + splits[c + 1] : firsts[c + 2]])
+    return words, np.array(firsts[:-1], dtype=np.uint32)
 
 
 def rrr_samples(m, t):
@@ -520,7 +512,7 @@ class RrrBitVector(_BitVector):
 
     __slots__ = (
         "m", "t", "_stream", "_words", "_pos", "_entries", "_ranks", "_bases", "_log", "_shift", "_mask",
-        "_class_sums", "_width_sums", "_widths", "_table", "_descent",
+        "_class_sums", "_width_sums", "_widths", "_descent",
     )
     _SCALAR_RANKS = 128  # rank1_many's calls of at most this many positions rank each with rank1
 
@@ -591,7 +583,7 @@ class RrrBitVector(_BitVector):
         stores it (see read_payload), and samples the samples' bytes in
         turn, a buffer of fewer than 2^32 bits, which the caller checks. The
         stream is those bytes, copied once, then zero bytes to a whole word
-        and a spare word, for the offset reads. A build and a load both make
+        and 64 spare bytes, for the offset reads. A build and a load both make
         their vector here. EOFError or ValueError unless the samples' bytes
         are those their kind bytes give ("rrr offsets truncated", "payload
         length") and every sample is as a writer leaves it, each check over
@@ -616,7 +608,7 @@ class RrrBitVector(_BitVector):
             raise EOFError("rrr offsets truncated")
         if len(samples) > ptr[-1]:
             raise ValueError("payload length")
-        stream = b"".join([samples, bytes(16 - len(samples) % 8)])
+        stream = b"".join([samples, bytes(72 - len(samples) % 8)])
         self.t, self._shift, self._stream = t, s, stream
         self._class_sums, self._width_sums, self._widths = _class_tables(t)
         rrr = np.flatnonzero(~sparse)
@@ -628,19 +620,13 @@ class RrrBitVector(_BitVector):
         if np.any(count[rrr] != (widths.sum(axis=1, dtype=np.uint16) + 15) >> 4):  # 32 widths of at most 60
             raise ValueError("rrr sample kind")
         del widths  # before the offset walk, whose peak it would add to
-        read = self._offset_reader()
-        # up to t = 16 in uint32, which every offset and its bit in the stream fit
-        narrow = t <= _TABLE_MAX_T
-        limits = np.array([math.comb(t, c) for c in range(t + 1)], dtype=np.uint32 if narrow else np.uint64)
-        starts = at.astype(np.uint32) if narrow else at
-        # an eighth of the samples at a time, 64 at least: the offset reads'
-        # temporaries over every sample at once would take several times the
-        # file's bytes, and a fixed count would cost a small file as a large one
-        step = max(64, len(at) >> 3)
-        for lo in range(0, len(at), step):
+        # as _offsets reads them: up to t = 16 in uint32, above in uint64
+        limits = np.array([math.comb(t, c) for c in range(t + 1)], dtype=np.uint32 if t <= _TABLE_MAX_T else np.uint64)
+        step = _chunk(len(rrr))
+        for lo in range(0, len(rrr), step):
             part = k[lo : lo + step]
             # take gathers by uint8 classes faster than indexing, at this size
-            if np.any(read(part, self._offset_starts(part, starts[lo : lo + step])) >= limits.take(part)):
+            if np.any(self._offsets(at[lo : lo + step], part)[1] >= limits.take(part)):
                 raise ValueError("rrr offset out of range")
         # a sparse sample's positions ascend if each of its stream elements but
         # its last is below the next, and then lie in it if its last does: in
@@ -661,7 +647,7 @@ class RrrBitVector(_BitVector):
         ones[rrr] = k.sum(axis=1, dtype=np.uint16)  # 32 classes of at most 63
         rank = np.zeros(len(ptr), dtype=np.int64)  # and the ones of every sample, at the end
         np.cumsum(ones, out=rank[1:])
-        del k, at, starts
+        del k, at
         # the two-level tables: each superblock's first sample's rank and
         # 2-byte element, and each sample's since them, with its kind
         # between, made in place in entries and ptr, with one temporary over
@@ -683,12 +669,12 @@ class RrrBitVector(_BitVector):
         self._mask = 0xFF >> 4 * s
         self._words = memoryview(stream).cast("Q")
         self._pos = memoryview(stream).cast("H")
-        self._table = _decode_table(t) if t <= _TABLE_MAX_T else None
+        table = _decode_table(t) if t <= _TABLE_MAX_T else (None,) * 5
         # all that descend reads, in one tuple: one attribute load a call, not
         # sixteen, which the one or two levels of most descents would feel
         self._descent = (
             t, s, self._mask, cb << 3, span, log, stream, self._words, self._pos, self._entries, self._ranks,
-            self._bases, self._class_sums, self._width_sums, self._widths, _low_masks(t), *(self._table or (None,) * 5),
+            self._bases, self._class_sums, self._width_sums, self._widths, _low_masks(t), *table,
         )
         if self.rank1_many(np.array([m]))[0] != rank[-1]:
             raise ValueError("rrr padding bits")
@@ -881,8 +867,8 @@ class RrrBitVector(_BitVector):
         scalar, for WaveletTree.batch_rank's tail, is the same arithmetic
         over memoryviews of the table, with no sample, class byte or offset
         to read. The table costs one decode of every block, which the many
-        rounds of count_many repay, where rank1_many's per-position work is
-        the cheaper at load.
+        rounds of count_many repay, where rank1_many's decode of only the
+        samples its positions fall in is the cheaper at load.
         """
         t = self.t
         table = self._values()
@@ -916,71 +902,56 @@ class RrrBitVector(_BitVector):
         return rank1, scalar
 
     def _rank1_many(self, j):
-        """rank1 of every position in the int64 array j, each from its own sample, as int64.
+        """rank1 of every position in the int64 array j, as int64, each sample that holds one read once.
 
-        In a sparse sample a position compares its sample's at most 63
-        positions with its own. In a RRR one it sums the classes and the
-        offset widths of its sample's blocks before its own, then reads its
-        offset and decodes it. No table is made, per block or kept across
-        calls, so a call costs only its positions and its numpy calls, whose
-        tables of a class are made once per t (_many_tables): a load ranks
-        each node end once, where batch_rank1's tables would cost more than
-        the ranks.
+        A position's rank is its sample's ones, its block's ones before it
+        since the sample's and its block's bits below it. A sparse sample's
+        blocks are _sparse_values'; a RRR sample's ones before each block
+        and offsets are _offsets', and only the positions' blocks are
+        decoded, as _values decodes them, after the offsets' temporaries are
+        freed. No table is made per block of the vector or kept across
+        calls: a load ranks each node end once, where batch_rank1's table
+        would cost more than the ranks.
         """
-        t, log = self.t, self._log
-        blk = j // t
-        sb = blk >> 5
-        entries = np.frombuffer(self._entries, dtype=np.uint32)
-        bases = np.frombuffer(self._bases, dtype=np.uint32)
-        x = entries[sb].astype(np.int64)
-        half = bases[sb >> log] + (x & _AT)  # each sample's first 2-byte element
-        ones = np.frombuffer(self._ranks, dtype=np.int64)[sb >> log] + (x >> 16)
-        # the positions in sparse samples, then those in RRR ones; a call
-        # with none of a kind skips its numpy calls
-        q = np.flatnonzero(x & _SPARSE)
-        if len(q):
-            # a sparse sample's positions below j's, of a row of the stream's
-            # uint16 elements, as many as the most any of j's samples holds:
-            # a view with a row from each element, so that no index is made
-            # per element. Its rows end at the stream's end, so a sample's
-            # positions start at its row's shift, 0 but near the end
-            after = sb[q] + 1
-            lo = half[q]
-            held = (bases[after >> log] + (entries[after] & _AT) - lo).astype(np.uint8)
-            width = int(held.max())
-            rows = len(self._stream) // 2 - width + 1
-            row = np.minimum(lo, rows - 1)
-            pos = np.ndarray((rows, width), "<u2", self._stream, strides=(2, 2))[row]
-            p = j[q] - sb[q] * RRR_SAMPLE_EVERY * t
-            # uint8 wraps a slot before the shift to 194 or more, past every count
-            run = _SLOTS[:width] - (lo - row).astype(np.uint8)[:, None] < held[:, None]
-            c = ((pos < p[:, None]) & run).sum(axis=1)
-            ones[q] += np.where(x[q] & _ZEROS, p - c, c)
-        r = np.flatnonzero(~x & _SPARSE)
-        if len(r):
-            # a RRR sample's classes before j's block's, and their offset
-            # widths; then j's block's offset, decoded
-            blk, at = blk[r], half[r] << 1
-            k = self._classes(at)
-            b = blk & (RRR_SAMPLE_EVERY - 1)
-            before = k * (_SLOTS[:RRR_SAMPLE_EVERY] < b[:, None])  # class 0 has no offset bits
-            # each class and its offset width, in the low and high 16 bits, summed at once
-            sums = _many_tables(t)[0].take(before).sum(axis=1, dtype=np.uint32)
-            opos = (sums >> 16).astype(np.int64)
-            opos += at + (RRR_SAMPLE_EVERY >> self._shift) << 3
-            k = k[np.arange(len(r)), b]
-            value = self._decoder()(k, self._offset_reader()(k, opos))
-            ones[r] += (sums & 0xFFFF) + np.bitwise_count(value & (_ONE << (j[r] - blk * t).astype(np.uint64)) - _ONE)
-        return ones
+        t = self.t
+        blk, rem = np.divmod(j, t)
+        samples, row = np.unique(blk >> 5, return_inverse=True)
+        at, ones, kind = self._samples(samples)
+        ones, bits, blk = ones[row], np.empty(len(j), dtype=np.int64), blk & RRR_SAMPLE_EVERY - 1
+        sparse = np.flatnonzero(kind)
+        values = self._sparse_values(at[sparse], self._samples(samples[sparse] + 1)[0], kind[sparse] == 3)
+        q = np.flatnonzero(kind[row])
+        pick = ((np.cumsum(kind != 0) - 1)[row[q]], blk[q])  # each position's row of values, and its block
+        counts = np.bitwise_count(values)
+        ones[q] += np.cumsum(counts, axis=1, dtype=np.int64)[pick] - counts[pick]
+        bits[q] = values[pick]
+        rrr = np.flatnonzero(kind == 0)
+        k = self._classes(at[rrr])
+        before, off = self._offsets(at[rrr], k)
+        q = np.flatnonzero(kind[row] == 0)
+        pick = ((np.cumsum(kind == 0) - 1)[row[q]], blk[q])
+        ones[q] += before[pick] & 0xFFFF
+        k, off = k[pick], off[pick]
+        del before
+        if t <= _TABLE_MAX_T:
+            words, firsts = _word_table(t)
+            bits[q] = words.take(off + firsts.take(k))
+        else:
+            bits[q] = _values_of_offsets(off, t, k)
+        low = np.array(_low_masks(t)[:t], dtype=np.int64)
+        return ones + np.bitwise_count(bits & low.take(rem))
 
-    def _samples(self):
-        """Each sample's first byte in the stream, the ones before it, and its kind (0 RRR, 2 ones, 3 zeros), as int64.
+    def _samples(self, i=None):
+        """Samples i's first bytes in the stream, the ones before them, and their kinds (0 RRR, 2 ones, 3 zeros), as int64.
 
-        Each has one more item than there are samples: where the samples
-        end, all their ones, and 0.
+        i is an int64 array of samples, all by default, and then there is one
+        more item than there are samples: where the samples end, all their
+        ones, and 0.
         """
-        x = np.frombuffer(self._entries, dtype=np.uint32).astype(np.int64)
-        top = np.arange(len(x)) >> self._log
+        x = np.frombuffer(self._entries, dtype=np.uint32)
+        i = np.arange(len(x)) if i is None else i
+        x = x[i].astype(np.int64)
+        top = i >> self._log
         at = np.frombuffer(self._bases, dtype=np.uint32)[top] + (x & _AT) << 1
         return at, np.frombuffer(self._ranks, dtype=np.int64)[top] + (x >> 16), x >> 14 & 3
 
@@ -994,131 +965,115 @@ class RrrBitVector(_BitVector):
             k = np.stack([k & 15, k >> 4], axis=2).reshape(len(at), RRR_SAMPLE_EVERY)
         return k
 
-    def _offset_starts(self, k, at):
-        """The offset starts of the blocks of classes k (_classes' rows) of the RRR samples at bytes at of the stream.
+    def _offsets(self, at, k):
+        """What the blocks of the RRR samples at bytes at (int64) of the stream, of classes k (_classes' rows), hold: (before, off).
 
-        A sample's offsets start after its class bytes, each after the
-        offset widths of the blocks before it: 32 of at most 60 bits sum in
-        uint16. The starts take at's dtype: int64, or uint32 for the load's
-        offset checks up to t = 16.
+        before (uint32) is one cumsum of their classes' sums (_many_tables):
+        each block's ones before it since its sample's first bit, in the low
+        16 bits, and its offset's first bit since the sample's offsets', in
+        the high 16. off is each block's offset. Up to t = 16 an offset is at
+        most 14 bits wide, so the 4 bytes from the one that holds its first
+        bit hold it: one gather copies, for each sample, a row of one uint32
+        per byte of its offsets (the stream ends in spare bytes for the
+        longest row), from which numpy gathers each offset several times
+        faster than from an unaligned view of the stream, as uint32; above,
+        read_fields reads it, as uint64.
         """
+        prev = np.zeros_like(k)  # each block's previous one's class, 0 (no ones, no offset bits) for the first
+        prev[:, 1:] = k[:, :-1]
+        before = _many_tables(self.t).take(prev)
+        del prev
+        np.cumsum(before, axis=1, out=before)
+        opos = before >> 16
+        first = at + (RRR_SAMPLE_EVERY >> self._shift)  # each sample's first offset byte
+        # each offset's width, through a bytes table: a take would copy k to an index of 8 bytes a block
         widths = np.frombuffer(k.tobytes().translate(self._widths), dtype=np.uint8).reshape(k.shape)
-        opos = np.cumsum(widths, axis=1, dtype=np.uint16)
-        opos -= widths
-        return opos + (at + (RRR_SAMPLE_EVERY >> self._shift) << 3)[:, None]
+        if self.t > _TABLE_MAX_T:
+            return before, read_fields(np.frombuffer(self._stream, dtype="<u8"), opos + (first << 3)[:, None], widths)
+        width = int(opos.max(initial=0) >> 3) + 1
+        rows = np.ndarray((len(self._stream) - width - 2, width), "<u4", self._stream, 0, (1, 1))[first]
+        opos >>= 3
+        opos += (np.arange(len(at), dtype=np.uint32) * np.uint32(width))[:, None]
+        opos = opos.astype(np.int64)  # which take reads with no copy, as it makes of a narrower index
+        off = rows.reshape(-1).take(opos)
+        del rows, opos
+        off >>= before >> 16 & 7
+        off &= (np.uint32(1) << widths) - np.uint32(1)
+        return before, off
 
-    def _sparse_values(self, at, kind):
-        """The sparse samples, and the t bits of each of their blocks, LSB first, one row per sample.
+    def _sparse_values(self, at, end, zeros):
+        """The t bits of each block, LSB first, of the sparse samples at bytes at..end (int64) of the stream, one row per sample.
 
         The bits are uint16 up to t = 16, else uint64: a ones sample's are
-        its positions' bits, a zeros one's their complement. at and kind
-        are _samples', or a run of their samples and the item after it, as
-        _values' chunks take them; the samples are counted from the run's
-        first.
+        its positions' bits, a zeros one's (zeros, a bool array) their
+        complement.
         """
         t = self.t
-        sparse = np.flatnonzero(kind[:-1] >= 2)
-        lo = at[sparse] >> 1  # each sample's first position, a 2-byte element of the stream
-        count = (at[sparse + 1] >> 1) - lo
-        row = np.repeat(np.arange(len(sparse)) * RRR_SAMPLE_EVERY, count)  # each position's sample's first block
+        lo = at >> 1  # each sample's first position, a 2-byte element of the stream
+        count = (end >> 1) - lo
+        row = np.repeat(np.arange(len(at)) * RRR_SAMPLE_EVERY, count)  # each position's sample's first block
         pos = np.frombuffer(self._stream, dtype="<u2")[np.arange(len(row)) + np.repeat(lo - np.cumsum(count) + count, count)]
         blk, rem = np.divmod(pos, t)
         dtype = np.uint16 if t <= _TABLE_MAX_T else np.uint64
-        values = np.zeros((len(sparse), RRR_SAMPLE_EVERY), dtype=dtype)
+        values = np.zeros((len(at), RRR_SAMPLE_EVERY), dtype=dtype)
         np.bitwise_or.at(values.ravel(), row + blk, np.ones(1, dtype=dtype) << rem.astype(dtype))
-        values[kind[sparse] == 3] ^= (np.ones(1, dtype=dtype) << dtype(t)) - dtype(1)
-        return sparse, values
+        values[zeros] ^= (np.ones(1, dtype=dtype) << dtype(t)) - dtype(1)
+        return values
 
-    def _offset_reader(self):
-        """A function (k, opos) that reads the offsets of blocks of classes k (uint8) at bits opos (int64) of the stream.
+    def _decode(self, at, end, kind, words):
+        """The blocks of the samples at bytes at..end (int64) of the stream, of kinds kind (_samples'), one row per sample: (before, bits).
 
-        Up to t = 16 an offset is at most 14 bits wide, so the 4 bytes from
-        the one that holds its first bit hold it: one unaligned uint32 view
-        of the stream, one element per byte (the stream ends in a spare
-        word), reads it, as int64, or as uint32 from uint32 bits opos, and
-        masks it by its class (_many_tables). Above, read_fields reads it,
-        as uint64. Every view it reads is bound here.
-        """
-        if self.t > _TABLE_MAX_T:
-            widths = np.frombuffer(self._widths, dtype=np.uint8)  # each class byte value's, 0 above t
-            stream = np.frombuffer(self._stream, dtype="<u8")
-            return lambda k, opos: read_fields(stream, opos, widths[k])
-        view = np.ndarray(len(self._stream) - 3, dtype="<u4", buffer=self._stream, strides=(1,))
-        masks = _many_tables(self.t)[1]
-        return lambda k, opos: view[opos >> 3] >> (opos & 7) & masks[k]
-
-    def _decoder(self):
-        """A function (k, off) that decodes the t-bit blocks of classes k and offsets off, as _offset_reader reads them.
-
-        Up to t = 16 through the decode table (see _table_decoder), as
-        uint16; above enumeratively, as uint64, overwriting off.
+        before (uint32) is each block's ones before it since its sample's
+        first bit; bits its t bits, LSB first, uint16 up to t = 16, else
+        uint64. A RRR sample's blocks are read by _offsets and decoded
+        through words, _word_table(t), up to t = 16, else enumeratively; a
+        sparse one's are _sparse_values'.
         """
         t = self.t
-        return (lambda k, off: _values_of_offsets(off, t, k)) if self._table is None else _table_decoder(t)
+        rrr, sparse = np.flatnonzero(kind == 0), np.flatnonzero(kind)
+        bits = np.empty((len(at), RRR_SAMPLE_EVERY), dtype=np.uint16 if words else np.uint64)
+        bits[sparse] = values = self._sparse_values(at[sparse], end[sparse], kind[sparse] == 3)
+        before = np.empty((len(at), RRR_SAMPLE_EVERY), dtype=np.uint32)
+        ones = np.bitwise_count(values)
+        before[sparse] = np.cumsum(ones, axis=1, dtype=np.uint32) - ones
+        del values, ones
+        k = self._classes(at[rrr])
+        before[rrr], off = self._offsets(at[rrr], k)
+        before &= 0xFFFF
+        if words:
+            off += words[1].take(k)
+            bits[rrr] = words[0].take(off)
+        else:
+            bits[rrr] = _values_of_offsets(off, t, k)
+        return before, bits
 
     def _values(self):
         """Every block's ones before it, from the vector's first bit, and its t bits, LSB first: one int64 table, decoded once.
 
         Up to t = 16 it is one row, each block's ones shifted left 16 and
         or'd with its bits; above, two rows, its ones and its bits. The
-        samples are decoded an eighth at a time, 64 at least, as _setup
-        checks their offsets, so that the temporaries stay a share of the
-        table. In a chunk, one cumsum of each block's fields, its class's
-        sums (_many_tables) in a RRR sample and its popcount in a sparse
-        one, gives each block's ones and offset bit since its sample's; a
-        RRR sample's offsets decode through _word_table up to t = 16, else
-        enumeratively, and a sparse sample's bits are _sparse_values'.
+        samples are decoded _chunk(n) at a time (_decode), as _setup checks
+        their offsets, so that the temporaries stay a share of the table; up
+        to t = 16 through one _word_table, made before the table.
         """
-        t = self.t
-        narrow = t <= _TABLE_MAX_T
-        if narrow:  # before the table, so that their peaks do not add up
-            words, firsts = _word_table(t)
+        narrow = self.t <= _TABLE_MAX_T
+        words = _word_table(self.t) if narrow else None  # before the table, so that their peaks do not add up
         at, rank, kind = self._samples()
         n = len(at) - 1
         table = np.empty((1 if narrow else 2, n, RRR_SAMPLE_EVERY), dtype=np.int64)
         ones, bits = table[0], table[-1]  # one row up to t = 16
-        (sums, masks), read = _many_tables(t), self._offset_reader()
-        cb = RRR_SAMPLE_EVERY >> self._shift
-        step = max(64, -(-n // 8))
+        step = _chunk(n)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            part, head, kinds = slice(lo, hi), at[lo : hi + 1], kind[lo : hi + 1]
-            rrr = np.flatnonzero(kinds[:-1] == 0)
-            sparse, values = self._sparse_values(head, kinds)
-            k = self._classes(head[rrr])
-            fields = np.empty((hi - lo, RRR_SAMPLE_EVERY), dtype=np.uint32)
-            fields[rrr] = sums.take(k)
-            fields[sparse] = np.bitwise_count(values)
-            before = np.cumsum(fields, axis=1, dtype=np.uint32)
-            before -= fields
-            del fields
-            # each RRR block's offset bit since the chunk's first byte, in
-            # uint32 as the stream's bits are, and its bits, in place
-            opos = before[rrr] >> 16
-            opos += (head[rrr] - head[0] + cb << 3).astype(np.uint32)[:, None]
-            if narrow:
-                # a uint32 from each of the chunk's bytes, copied: numpy gathers
-                # from it several times faster than from the stream's unaligned view
-                window = np.ndarray(int(head[-1] - head[0]) + 1, "<u4", self._stream, int(head[0]), (1,)).copy()
-                off = window[opos >> 3]
-                del window
-                opos &= 7
-                off >>= opos
-                off &= masks.take(k)
-                off += firsts.take(k)
-                block = np.empty((hi - lo, RRR_SAMPLE_EVERY), dtype=np.uint16)
-                block[rrr] = words.take(off)
-            else:
-                block = bits[part]
-                block[rrr] = _values_of_offsets(read(k, opos + (head[0] << 3)), t, k)
-            del opos
-            block[sparse] = values
-            before &= 0xFFFF
+            part = slice(lo, hi)
+            before, block = self._decode(at[part], at[lo + 1 : hi + 1], kind[part], words)
             np.add(before, rank[part, None], out=ones[part])
             del before
             if narrow:
                 ones[part] <<= 16
                 ones[part] |= block
+            else:
+                bits[part] = block
         return table.reshape(-1) if narrow else table.reshape(2, -1)
 
     def _bits(self):

@@ -20,7 +20,9 @@ from fmblock.bitrank import (
     RrrBitVector,
     offset_of_value,
     offset_width,
+    rrr_samples,
     value_of_offset,
+    _chunk,
     _decode_table,
 )
 from fmblock.fmindex import BlockedFMIndex, IndexVariant, build_index
@@ -131,16 +133,34 @@ def _with_root_blocks(ix, blocks):
     return _with_section(to_bytes(ix), PAYLOAD, lambda body: rrr_payload(bv.t, bv.m, blocks))
 
 
-@pytest.mark.parametrize("rrr_t", [3, 17, 63])
+@pytest.mark.parametrize("rrr_t", [3, 15, 16, 17, 63])
 def test_out_of_range_rrr_offset_is_rejected_at_load(rrr_t):
     # over two symbols the root is the only node, and the sentinel's block is
-    # the only one whose class k has comb(t, k) > 1 offsets
-    ix = build_index(build_text(b"a" * 8), "ssa_rrr", rrr_block_size=rrr_t)
+    # the only one whose class k has comb(t, k) > 1 offsets. At t = 15 and
+    # 16, where the check reads each RRR sample's offsets from a row of one
+    # uint32 per byte, as many as the chunk's longest offsets take, the root
+    # has more than 8 x 64 samples, every block of the widest class k = t // 2
+    # (13 and 14 bits), so that the check runs in eighths and each row ends
+    # at its sample's last offset; one too-large offset sits in the last
+    # block of the last sample of the first chunk, or of the vector, at the
+    # end of the last row of its chunk
+    n = 270_000 if rrr_t in (15, 16) else 8
+    ix = build_index(build_text(b"a" * n), "ssa_rrr", rrr_block_size=rrr_t)
     blocks = ix.blocks[0].bits.blocks()
-    assert deserialize(_with_root_blocks(ix, blocks)).count(b"aa") == 7
-    too_big = [(k, (1 << offset_width(rrr_t, k)) - 1) for k, _ in blocks]
-    with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
-        deserialize(_with_root_blocks(ix, too_big))
+    assert deserialize(_with_root_blocks(ix, blocks)).count(b"aa") == n - 1
+    if n == 8:
+        cases = [[(k, (1 << offset_width(rrr_t, k)) - 1) for k, _ in blocks]]
+    else:
+        k, samples = rrr_t // 2, rrr_samples(ix.blocks[0].bits.m, rrr_t)
+        assert samples > 8 * 64 and _chunk(samples) < samples
+        cases = []
+        for last in (_chunk(samples) - 1, samples - 1):
+            widest = [(k, 0)] * (32 * samples)
+            widest[32 * last + 31] = (k, (1 << offset_width(rrr_t, k)) - 1)
+            cases.append(widest)
+    for too_big in cases:
+        with pytest.raises(CorruptIndexError, match="rrr offset out of range"):
+            deserialize(_with_root_blocks(ix, too_big))
 
 
 @pytest.mark.parametrize("rrr_t,k,off", [(5, 4, 7), (15, 13, 127)])
@@ -676,11 +696,15 @@ def test_an_rrr_load_peaks_within_a_multiple_of_its_file():
     # the 7.3 measured with a walk of 1,024 samples at a time. 400,000
     # symbols of an order-2 Markov chain make mostly sparse samples, and
     # small trees in fixed blocks, so there the positions check and the
-    # arrays the tree reads hold per path step set the peak
+    # arrays the tree reads hold per path step set the peak. 100,000 of them
+    # make a few hundred samples, whose check walks a few chunks of its
+    # least size: a walk that copied each chunk's whole span of the stream,
+    # 4 bytes a byte, peaked at 11.7 times the file's bytes here
     rng = np.random.default_rng(29)
     zipf = Text.from_codes((rng.zipf(1.3, 400_000) % 39 + 1).tolist(), 40)
     markov = Text.from_codes(markov2_codes(0, 400_000), 8)
-    for t, variant in itertools.product((zipf, markov), ("ssa_rrr", "fixed_block_rrr")):
+    small = Text.from_codes(markov2_codes(0, 100_000), 8)
+    for t, variant in itertools.product((zipf, markov, small), ("ssa_rrr", "fixed_block_rrr")):
         raw = to_bytes(build_index(t, variant))
         deserialize(raw)  # the decode table, made once per process, is not the load's
         gc.collect()
